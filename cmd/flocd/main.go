@@ -21,7 +21,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -156,7 +155,7 @@ func run(o options) error {
 	}
 	var egress dataplane.PacketSink
 	if o.forward != "" {
-		fwd, err := newUDPForwarder(o.forward)
+		fwd, err := newUDPForwarder(o.forward, reg)
 		if err != nil {
 			return err
 		}
@@ -265,7 +264,7 @@ func run(o options) error {
 		stopLoop = make(chan struct{})
 		go clusterLoop(node, engine, start, stopLoop)
 	}
-	if err := serveUDP(conn, engine, start); err != nil {
+	if err := serveUDP(conn, engine, reg, start); err != nil {
 		return err
 	}
 	if stopLoop != nil {
@@ -392,7 +391,7 @@ func serveMux(reg *telemetry.Registry, h *health, withPprof bool) *http.ServeMux
 // floc_capture_malformed_lines_total.
 // floc:unit end seconds
 func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n int, malformed int64, end float64, err error) {
-	cr := wire.NewCaptureReader(bufio.NewReader(r))
+	cr := wire.NewCaptureReader(r)
 	cr.SkipMalformed(true)
 	in := wire.NewInterner()
 	var h wire.Header
@@ -404,48 +403,70 @@ func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n
 		if err != nil {
 			return n, cr.Malformed(), end, err
 		}
-		res := in.ResolveFull(&h)
-		if !res.Bound {
-			// First packet of this path: intern it with its shard router
-			// so every later packet carries the dense handle and the
-			// admission path never hashes the path key.
-			res.Handle = e.InternPath(res.ID)
-			in.BindHandle(&h, res.Handle)
-		}
-		pkt := &netsim.Packet{}
-		h.ToPacket(pkt, uint64(n+1), res.ID, res.Key, res.Handle)
-		e.Enqueue(pkt, t)
 		n++
+		ingest(e, in, &h, uint64(n), t)
 		end = t
 	}
-	publishMalformed(reg, cr.MalformedByKind())
+	malformedLines.total(reg)
+	for kind, c := range cr.MalformedByKind() {
+		if c != 0 {
+			malformedLines.add(reg, wire.ErrorKind(kind), c)
+		}
+	}
 	return n, cr.Malformed(), end, nil
 }
 
-// publishMalformed registers the malformed-line counter family: the
-// total always (so a clean replay exports an explicit zero), plus one
-// reason-labeled series per error kind that fired.
-func publishMalformed(reg *telemetry.Registry, byKind [wire.NumErrorKinds]int64) {
-	const help = "capture lines skipped as malformed during replay"
-	var total int64
-	for kind, c := range byKind {
-		if c == 0 {
-			continue
-		}
-		total += c
-		reg.Counter(`floc_capture_malformed_lines_total{reason="`+wire.ErrorKind(kind).String()+`"}`,
-			help, "lines").Add(c)
+// ingest hands one decoded header to the engine as packet id arriving at
+// t — the one body both packet sources, socket and capture, share.
+// floc:unit t seconds
+func ingest(e *dataplane.Engine, in *wire.Interner, h *wire.Header, id uint64, t float64) {
+	res := in.ResolveFull(h)
+	if !res.Bound {
+		// First packet of this path: intern it with its shard router so
+		// every later packet carries the dense handle and the admission
+		// path never hashes the path key.
+		res.Handle = e.InternPath(res.ID)
+		in.BindHandle(h, res.Handle)
 	}
-	reg.Counter("floc_capture_malformed_lines_total", help, "lines").Add(total)
+	pkt := &netsim.Packet{}
+	h.ToPacket(pkt, id, res.ID, res.Key, res.Handle)
+	e.Enqueue(pkt, t)
+}
+
+// malformedFamily is a counter family for rejected input: an unlabelled
+// total, registered even when nothing is rejected so a clean run exports
+// an explicit zero, plus one reason-labelled series per wire.ErrorKind
+// that fired.
+type malformedFamily struct{ name, help, unit string }
+
+var (
+	malformedLines = malformedFamily{"floc_capture_malformed_lines_total",
+		"capture lines skipped as malformed during replay", "lines"}
+	malformedDatagrams = malformedFamily{"floc_ingest_malformed_datagrams_total",
+		"datagrams discarded at ingest because wire.Decode rejected them", "datagrams"}
+)
+
+// total returns the family's unlabelled series, registering it.
+func (m malformedFamily) total(reg *telemetry.Registry) *telemetry.Counter {
+	return reg.Counter(m.name, m.help, m.unit)
+}
+
+// add counts n rejected inputs of one kind.
+func (m malformedFamily) add(reg *telemetry.Registry, kind wire.ErrorKind, n int64) {
+	m.total(reg).Add(n)
+	reg.Counter(m.name+`{reason="`+kind.String()+`"}`, m.help, m.unit).Add(n)
 }
 
 // serveUDP reads one wire header per datagram until the connection is
-// closed. Arrival times are wall-clock seconds since the first datagram:
-// the daemon is the one place the repo meets real time, so the sim-time
-// ban is lifted locally.
-func serveUDP(conn net.PacketConn, e *dataplane.Engine, start time.Time) error {
+// closed, then serves the virtual transmitter up to the closing instant,
+// so packets admitted and still queued are forwarded, not stranded.
+// Datagrams Decode rejects are discarded and counted by error kind.
+// Arrival times are wall-clock seconds since start: the daemon is the one
+// place the repo meets real time, so the sim-time ban is lifted locally.
+func serveUDP(conn net.PacketConn, e *dataplane.Engine, reg *telemetry.Registry, start time.Time) error {
 	buf := make([]byte, 65536) //floc:untrusted
 	in := wire.NewInterner()
+	malformedDatagrams.total(reg)
 	var h wire.Header
 	id := uint64(0)
 	for {
@@ -455,22 +476,18 @@ func serveUDP(conn net.PacketConn, e *dataplane.Engine, start time.Time) error {
 				continue
 			}
 			// Closed socket is the clean shutdown path.
+			//floclint:allow sim-time the live dataplane flushes its queue up to the wall clock
+			e.Advance(time.Since(start).Seconds())
 			return nil
 		}
 		//floclint:allow taint ReadFrom returns n <= len(buf) by the PacketConn contract; the payload itself is vetted by Decode
 		if _, err := wire.Decode(buf[:n], &h); err != nil {
-			continue // malformed datagrams are not the daemon's problem
+			malformedDatagrams.add(reg, wire.KindOfError(err), 1)
+			continue
 		}
-		res := in.ResolveFull(&h)
-		if !res.Bound {
-			res.Handle = e.InternPath(res.ID)
-			in.BindHandle(&h, res.Handle)
-		}
-		pkt := &netsim.Packet{}
 		id++
-		h.ToPacket(pkt, id, res.ID, res.Key, res.Handle)
 		//floclint:allow sim-time live dataplane stamps arrivals from the wall clock
-		e.Enqueue(pkt, time.Since(start).Seconds())
+		ingest(e, in, &h, id, time.Since(start).Seconds())
 	}
 }
 
@@ -519,30 +536,44 @@ type udpForwarder struct {
 	mu   sync.Mutex
 	conn net.Conn
 	buf  []byte
+
+	encodeErrs, sendErrs *telemetry.Counter
 }
 
-func newUDPForwarder(addr string) (*udpForwarder, error) {
+func newUDPForwarder(addr string, reg *telemetry.Registry) (*udpForwarder, error) {
 	conn, err := net.Dial("udp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &udpForwarder{conn: conn, buf: make([]byte, 0, wire.MaxEncodedLen)}, nil
+	const name, help = "floc_egress_errors_total", "transmitted packets lost at egress, by failing stage"
+	return &udpForwarder{
+		conn:       conn,
+		buf:        make([]byte, 0, wire.MaxEncodedLen),
+		encodeErrs: reg.Counter(name+`{stage="encode"}`, help, "packets"),
+		sendErrs:   reg.Counter(name+`{stage="send"}`, help, "packets"),
+	}, nil
 }
 
 // Emit implements dataplane.PacketSink. Shard workers call it
 // concurrently; the mutex serializes the shared encode buffer and the
-// socket. Encode and send failures are dropped silently — a forwarding
-// daemon must never stall its own transmit loop on the next hop.
+// socket. Encode and send failures are counted and the packet dropped —
+// a forwarding daemon must never stall its own transmit loop on the next
+// hop.
 // floc:unit now seconds
 func (f *udpForwarder) Emit(pkt *netsim.Packet, now float64) {
 	var h wire.Header
 	if err := wire.FromPacket(&h, pkt); err != nil {
+		f.encodeErrs.Inc()
 		return
 	}
 	f.mu.Lock()
-	if b, err := wire.MarshalAppend(f.buf[:0], &h); err == nil {
+	if b, err := wire.MarshalAppend(f.buf[:0], &h); err != nil {
+		f.encodeErrs.Inc()
+	} else {
 		f.buf = b
-		_, _ = f.conn.Write(b)
+		if _, err := f.conn.Write(b); err != nil {
+			f.sendErrs.Inc()
+		}
 	}
 	f.mu.Unlock()
 }
@@ -601,7 +632,7 @@ func sendCapture(r io.Reader, addr string, pace float64) error {
 		return err
 	}
 	defer conn.Close()
-	cr := wire.NewCaptureReader(bufio.NewReader(r))
+	cr := wire.NewCaptureReader(r)
 	cr.SkipMalformed(true)
 	var h wire.Header
 	buf := make([]byte, 0, wire.MaxEncodedLen)

@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"floc/internal/core"
 	"floc/internal/dataplane"
 	"floc/internal/ledger"
+	"floc/internal/netsim"
 	"floc/internal/telemetry"
+	"floc/internal/wire"
 )
 
 func newTestEngine(t *testing.T, reg *telemetry.Registry, shards int) *dataplane.Engine {
@@ -282,5 +286,192 @@ func TestHealthzReportsDataplane(t *testing.T) {
 	pp.Body.Close()
 	if pp.StatusCode != 200 {
 		t.Fatalf("pprof endpoint status %d", pp.StatusCode)
+	}
+}
+
+// TestReplaySurvivesOversizedLine: a line past the reader's bound between
+// two good records costs the lenient replay that line, not the run.
+func TestReplaySurvivesOversizedLine(t *testing.T) {
+	var capture bytes.Buffer
+	if err := generateCapture(&capture, 2, 7); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(capture.String(), "\n")
+	input := lines[0] + `{"t":0.002,"wire":"` + strings.Repeat("0", 2<<20) + "\"}\n" + lines[1]
+
+	reg := telemetry.NewRegistry()
+	e := newTestEngine(t, reg, 1)
+	defer e.Close()
+	n, malformed, _, err := replayCapture(strings.NewReader(input), e, reg)
+	if err != nil {
+		t.Fatalf("oversized line voided the replay: %v", err)
+	}
+	if n != 2 || malformed != 1 {
+		t.Fatalf("replayed %d packets with %d malformed lines, want 2 and 1", n, malformed)
+	}
+	if got := reg.CounterValue(`floc_capture_malformed_lines_total{reason="framing"}`); got != 1 {
+		t.Fatalf("framing malformed counter = %d, want 1", got)
+	}
+}
+
+// collector is an in-process dataplane.PacketSink.
+type collector struct{ n atomic.Int64 }
+
+func (c *collector) Emit(*netsim.Packet, float64) { c.n.Add(1) }
+
+// liveDaemon runs serveUDP on a loopback socket over an engine with a
+// never-congested link and returns a sender, the registry, the egress
+// collector and a stop function that closes the socket and waits for
+// serveUDP to return.
+func liveDaemon(t *testing.T) (send func([]byte), reg *telemetry.Registry, e *dataplane.Engine, sink *collector, stop func()) {
+	t.Helper()
+	reg = telemetry.NewRegistry()
+	sink = &collector{}
+	rc := core.DefaultConfig(8e9, 512)
+	rc.Seed = 7
+	e, err := dataplane.New(dataplane.Config{Router: rc, Shards: 2, Telemetry: reg, Egress: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.Close)
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := net.Dial("udp", conn.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { out.Close() })
+	done := make(chan error, 1)
+	//floclint:allow sim-time the live daemon anchors its arrival clock at startup
+	go func() { done <- serveUDP(conn, e, reg, time.Now()) }()
+	send = func(b []byte) {
+		t.Helper()
+		if _, err := out.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop = func() {
+		t.Helper()
+		conn.Close()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	return send, reg, e, sink, stop
+}
+
+// waitFor polls cond until it holds or two seconds pass.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for i := 0; i < 2000; i++ {
+		if cond() {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
+
+func testFrame(t *testing.T, src uint32) []byte {
+	t.Helper()
+	h := wire.Header{Version: wire.Version1, Kind: netsim.KindUDP, Src: src, Dst: 9, Length: 1000, PathLen: 2}
+	h.Path[0], h.Path[1] = 100, 1
+	b, err := wire.MarshalAppend(nil, &h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestServeUDPCountsMalformedDatagrams: a datagram Decode rejects is
+// counted under its error kind, and the good packets around it are still
+// processed.
+func TestServeUDPCountsMalformedDatagrams(t *testing.T) {
+	send, reg, e, _, stop := liveDaemon(t)
+	const total = "floc_ingest_malformed_datagrams_total"
+	waitFor(t, "the zero total to be registered", func() bool {
+		for _, name := range reg.Names() {
+			if name == total {
+				return true
+			}
+		}
+		return false
+	})
+
+	good := testFrame(t, 1)
+	badVersion := append([]byte(nil), good...)
+	badVersion[0] = 0xff
+	badKind := append([]byte(nil), good...)
+	badKind[2] = 0xee
+	send(good)
+	send(good[:5])
+	send(badVersion)
+	send(badKind)
+	send(testFrame(t, 2))
+	waitFor(t, "five datagrams to be read", func() bool {
+		return e.Stats().Accepted == 2 && reg.CounterValue(total) == 3
+	})
+	stop()
+
+	for _, reason := range []string{"short", "version", "kind"} {
+		if got := reg.CounterValue(total + `{reason="` + reason + `"}`); got != 1 {
+			t.Errorf("%s{reason=%q} = %d, want 1", total, reason, got)
+		}
+	}
+	if st := e.Stats(); st.Processed != 2 {
+		t.Fatalf("processed %d packets, want the 2 good ones", st.Processed)
+	}
+}
+
+// TestLiveShutdownFlushesQueue: on an uncongested link every packet is
+// admitted, and closing the socket must forward the ones still queued —
+// the transmitter is otherwise served only by later arrivals.
+func TestLiveShutdownFlushesQueue(t *testing.T) {
+	send, _, e, sink, stop := liveDaemon(t)
+	const packets = 200
+	for i := 0; i < packets; i++ {
+		send(testFrame(t, uint32(i%16)))
+	}
+	waitFor(t, "the datagrams to be read", func() bool { return e.Stats().Accepted == packets })
+	stop()
+	e.Drain()
+	admitted := e.Snapshot().Admitted
+	if admitted != packets {
+		t.Fatalf("admitted %d of %d packets on an uncongested link", admitted, packets)
+	}
+	if got := sink.n.Load(); got != admitted {
+		t.Fatalf("egress saw %d packets, router admitted %d: the rest were stranded in the queue", got, admitted)
+	}
+}
+
+// TestForwarderCountsEgressErrors: encode and send failures are counted
+// by stage, and a packet that goes out counts as neither.
+func TestForwarderCountsEgressErrors(t *testing.T) {
+	next, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	reg := telemetry.NewRegistry()
+	fwd, err := newUDPForwarder(next.LocalAddr().String(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func() [2]int64 {
+		return [2]int64{reg.CounterValue(`floc_egress_errors_total{stage="encode"}`),
+			reg.CounterValue(`floc_egress_errors_total{stage="send"}`)}
+	}
+	pkt := &netsim.Packet{Kind: netsim.KindUDP, Size: 1000}
+	fwd.Emit(pkt, 0)
+	if got := counts(); got != [2]int64{0, 0} {
+		t.Fatalf("clean emit counted errors %v", got)
+	}
+	fwd.Emit(&netsim.Packet{Kind: netsim.KindUDP}, 0) // zero size does not encode
+	fwd.Close()
+	fwd.Emit(pkt, 0) // closed socket does not send
+	if got := counts(); got != [2]int64{1, 1} {
+		t.Fatalf("egress error counts (encode, send) = %v, want [1 1]", got)
 	}
 }

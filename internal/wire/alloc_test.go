@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"io"
 	"testing"
 
 	"floc/internal/netsim"
@@ -105,5 +107,86 @@ func BenchmarkWireMarshalAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 		dst = out[:0]
+	}
+}
+
+// captureLines returns n capture lines of the benchmark's shape: a
+// 3-hop UDP header at millisecond-grained times.
+func captureLines(tb testing.TB, n int) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	cw := NewCaptureWriter(&buf)
+	h := Header{Version: Version1, Kind: netsim.KindUDP, Src: 1, Dst: 9999, Length: 1000, PathLen: 3}
+	h.Path[0], h.Path[1], h.Path[2] = 100, 10, 1
+	for i := 0; i < n; i++ {
+		h.Src = uint32(i)
+		if err := cw.Write(float64(i)*0.002, &h); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestZeroAllocCaptureNext(t *testing.T) {
+	const runs = 200
+	cr := NewCaptureReader(bytes.NewReader(captureLines(t, runs+2)))
+	var h Header
+	if avg := testing.AllocsPerRun(runs, func() {
+		if _, err := cr.Next(&h); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("CaptureReader.Next allocates %.1f times per record, want 0", avg)
+	}
+}
+
+func TestZeroAllocCaptureWrite(t *testing.T) {
+	cw := NewCaptureWriter(io.Discard)
+	h := sampleHeader()
+	at := 0.0
+	if avg := testing.AllocsPerRun(200, func() {
+		at += 0.002
+		if err := cw.Write(at, &h); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("CaptureWriter.Write allocates %.1f times per record, want 0", avg)
+	}
+}
+
+// BenchmarkCaptureNext is the replay producer's per-line cost
+// (wire.capture_next_ns in the repo benchmark): read, scan, hex-decode
+// and header-decode one capture line.
+func BenchmarkCaptureNext(b *testing.B) {
+	const lines = 4096
+	data := captureLines(b, lines)
+	src := bytes.NewReader(data)
+	cr := NewCaptureReader(src)
+	var h Header
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cr.Next(&h); err == io.EOF {
+			src.Reset(data)
+		} else if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCaptureWrite measures the writer: marshal, hex-encode and
+// format one line into the buffered output.
+func BenchmarkCaptureWrite(b *testing.B) {
+	cw := NewCaptureWriter(io.Discard)
+	h := sampleHeader()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cw.Write(float64(i)*0.002, &h); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

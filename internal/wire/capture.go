@@ -3,58 +3,118 @@ package wire
 import (
 	"bufio"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 )
 
-// CaptureRecord is one line of an NDJSON capture: the packet's arrival
-// time in virtual seconds and its hex-encoded wire header. The text form
-// keeps captures hermetic, diffable, and greppable — the properties CI
-// replay needs — at the cost of 2x+epsilon over raw binary.
-type CaptureRecord struct {
-	T    float64 `json:"t"` //floc:unit seconds
-	Wire string  `json:"wire"`
-}
+// A capture is NDJSON: one line per packet, holding the packet's arrival
+// time in virtual seconds and its hex-encoded wire header,
+//
+//	{"t":0.002,"wire":"0100050300000001..."}
+//
+// The text form keeps captures hermetic, diffable, and greppable — the
+// properties CI replay needs — at the cost of 2x+epsilon over raw binary.
+// CaptureWriter is the only producer of captures, so the reader's grammar
+// is what the writer emits plus the slack a hand edit plausibly adds
+// (whitespace, member order), not all of JSON. DESIGN.md "Capture line
+// grammar" has the grammar and the JSON it leaves out.
+const (
+	capturePrefix = `{"t":`
+	captureMiddle = `,"wire":"`
+	captureSuffix = "\"}\n"
+
+	// maxCaptureLine bounds one capture line, terminator included. The
+	// longest line the writer emits is under 256 bytes; the rest is slack
+	// for hand-edited whitespace. A longer line is a framing error.
+	maxCaptureLine = 64 << 10
+)
 
 // CaptureWriter writes NDJSON capture records.
 type CaptureWriter struct {
 	w     *bufio.Writer
-	buf   []byte
+	frame []byte
+	line  []byte
 	lastT float64 //floc:unit seconds
 	n     int
 }
 
 // NewCaptureWriter returns a CaptureWriter on w. Call Flush when done.
 func NewCaptureWriter(w io.Writer) *CaptureWriter {
-	return &CaptureWriter{w: bufio.NewWriter(w), buf: make([]byte, 0, MaxEncodedLen)}
+	const floatSlack = 32 // the longest float64 rendering is 25 bytes
+	return &CaptureWriter{
+		w:     bufio.NewWriter(w),
+		frame: make([]byte, 0, MaxEncodedLen),
+		line:  make([]byte, 0, len(capturePrefix)+floatSlack+len(captureMiddle)+2*MaxEncodedLen+len(captureSuffix)),
+	}
+}
+
+// errCaptureOrder reports a record older than its predecessor.
+//
+// floc:coldpath error construction is off the codec fast path
+func errCaptureOrder(t, last float64) error {
+	return fmt.Errorf("wire: capture time %v before previous record %v", t, last)
+}
+
+// errCaptureTime reports a time JSON cannot carry.
+//
+// floc:coldpath error construction is off the codec fast path
+func errCaptureTime(t float64) error {
+	return fmt.Errorf("wire: capture time %v is not a finite number", t)
 }
 
 // Write appends one record for h at time t. Records must be written in
 // non-decreasing time order; Write rejects regressions so a capture is
-// replayable as-is.
+// replayable as-is. It does not allocate.
+//
+// floc:hotpath
 // floc:unit t seconds
 func (cw *CaptureWriter) Write(t float64, h *Header) error {
 	if cw.n > 0 && t < cw.lastT {
-		return fmt.Errorf("wire: capture time %v before previous record %v", t, cw.lastT)
+		return errCaptureOrder(t, cw.lastT)
 	}
-	frame, err := MarshalAppend(cw.buf[:0], h)
+	if math.IsInf(t, 0) || math.IsNaN(t) {
+		return errCaptureTime(t)
+	}
+	frame, err := MarshalAppend(cw.frame[:0], h)
 	if err != nil {
 		return err
 	}
-	line, err := json.Marshal(CaptureRecord{T: t, Wire: hex.EncodeToString(frame)})
-	if err != nil {
-		return err
-	}
+	line := append(cw.line[:0], capturePrefix...)
+	line = appendJSONFloat(line, t)
+	line = append(line, captureMiddle...)
+	line = hex.AppendEncode(line, frame)
+	line = append(line, captureSuffix...)
+	cw.line = line
 	if _, err := cw.w.Write(line); err != nil {
-		return err
-	}
-	if err := cw.w.WriteByte('\n'); err != nil {
 		return err
 	}
 	cw.lastT = t
 	cw.n++
 	return nil
+}
+
+// appendJSONFloat appends t exactly as encoding/json renders a float64
+// (the ES6 number-to-string rule): positional notation unless the
+// magnitude is below 1e-6 or at least 1e21, and exponents not padded to
+// two digits. Captures written before the codec left encoding/json and
+// after it are therefore byte-identical.
+//
+// floc:hotpath
+func appendJSONFloat(dst []byte, t float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(t); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, t, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		// strconv writes e-09 where ES6 writes e-9.
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // Flush flushes buffered output.
@@ -67,8 +127,9 @@ func (cw *CaptureWriter) Records() int { return cw.n }
 // malformed line fails the read; SkipMalformed switches to lenient mode,
 // where bad lines are counted by error kind and skipped instead — what a
 // long replay wants when one hand-edited line should not void the run.
+// The reader buffers its input itself and does not allocate per record.
 type CaptureReader struct {
-	sc        *bufio.Scanner
+	r         *bufio.Reader
 	line      int
 	buf       []byte
 	lenient   bool
@@ -77,11 +138,7 @@ type CaptureReader struct {
 
 // NewCaptureReader returns a CaptureReader on r.
 func NewCaptureReader(r io.Reader) *CaptureReader {
-	sc := bufio.NewScanner(r)
-	// A capture line is bounded by the header hex plus JSON framing, but
-	// leave slack for hand-edited captures with extra fields.
-	sc.Buffer(make([]byte, 0, 4096), 1<<20)
-	return &CaptureReader{sc: sc, buf: make([]byte, MaxEncodedLen)}
+	return &CaptureReader{r: bufio.NewReaderSize(r, maxCaptureLine), buf: make([]byte, MaxEncodedLen)}
 }
 
 // SkipMalformed switches the reader between strict (default: any bad
@@ -98,72 +155,274 @@ func (cr *CaptureReader) Malformed() int64 {
 }
 
 // MalformedByKind returns the per-ErrorKind counts of lines skipped in
-// lenient mode; framing breakage (bad JSON, bad hex, trailing bytes)
-// counts under ErrKindFraming.
+// lenient mode; framing breakage (a line off the record grammar or over
+// the length bound, bad hex, trailing bytes) counts under ErrKindFraming.
 func (cr *CaptureReader) MalformedByKind() [NumErrorKinds]int64 { return cr.malformed }
+
+// The framing errors a line can fail with before the codec sees bytes.
+var (
+	errRecordSyntax = errors.New(`not a {"t":<number>,"wire":"<hex>"} record`)
+	errRecordMember = errors.New(`members must be "t" and "wire", once each, without escapes`)
+	errRecordNumber = errors.New(`"t" is not an RFC 8259 number in float64 range`)
+	errLineTooLong  = fmt.Errorf("line longer than %d bytes", maxCaptureLine)
+)
+
+// errFrameTooLong reports hex text no header could need.
+//
+// floc:coldpath error construction is off the codec fast path
+func errFrameTooLong(hexLen int) error {
+	return fmt.Errorf("frame longer than any header (%d hex chars)", hexLen)
+}
+
+// errTrailing reports bytes left over after the header.
+//
+// floc:coldpath error construction is off the codec fast path
+func errTrailing(n int) error { return fmt.Errorf("%d trailing bytes after header", n) }
+
+// lineError names the offending line in a strict-mode failure.
+//
+// floc:coldpath error construction is off the codec fast path
+func (cr *CaptureReader) lineError(err error) error {
+	return fmt.Errorf("wire: capture line %d: %w", cr.line, err)
+}
+
+// skipSpace returns b without its leading whitespace (JSON's: space, tab,
+// CR, LF).
+//
+// floc:hotpath
+func skipSpace(b []byte) []byte {
+	for i, c := range b {
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return b[i:]
+		}
+	}
+	return b[:0]
+}
+
+// cutByte skips whitespace, then requires the structural byte c and
+// returns what follows it.
+//
+// floc:hotpath
+func cutByte(b []byte, c byte) ([]byte, bool) {
+	b = skipSpace(b)
+	if len(b) == 0 || b[0] != c {
+		return b, false
+	}
+	return b[1:], true
+}
+
+// cutString skips whitespace, then requires a quoted string and returns
+// its body and what follows the closing quote. The body is everything up
+// to the first quote: an escape inside it is left for the caller to
+// reject, since neither a key nor hex text can hold a backslash.
+//
+// floc:hotpath
+func cutString(b []byte) (body, rest []byte, ok bool) {
+	b, ok = cutByte(b, '"')
+	if !ok {
+		return nil, b, false
+	}
+	for i, c := range b {
+		if c == '"' {
+			return b[:i], b[i+1:], true
+		}
+	}
+	return nil, b, false
+}
+
+// cutNumber splits b after the RFC 8259 number it starts with; num is
+// empty if b does not start with one. strconv.ParseFloat alone would also
+// take hex floats, infinities, underscores and a leading plus or dot.
+//
+// floc:hotpath
+func cutNumber(b []byte) (num, rest []byte) {
+	const (
+		start = iota
+		minus
+		zero    // a number may end here
+		integer // and here
+		dot
+		fraction // and here
+		exp
+		expSign
+		exponent // and here
+	)
+	state, end := start, len(b)
+scan:
+	for i, c := range b {
+		digit := c >= '0' && c <= '9'
+		switch {
+		case (state == start || state == minus) && c == '0':
+			state = zero
+		case (state == start || state == minus || state == integer) && digit:
+			state = integer
+		case state == start && c == '-':
+			state = minus
+		case (state == zero || state == integer) && c == '.':
+			state = dot
+		case (state == dot || state == fraction) && digit:
+			state = fraction
+		case (state == zero || state == integer || state == fraction) && (c == 'e' || c == 'E'):
+			state = exp
+		case state == exp && (c == '+' || c == '-'):
+			state = expSign
+		case (state == exp || state == expSign || state == exponent) && digit:
+			state = exponent
+		default:
+			end = i
+			break scan
+		}
+	}
+	if state == zero || state == integer || state == fraction || state == exponent {
+		return b[:end], b[end:]
+	}
+	return nil, b
+}
 
 // decodeFrameHex hex-decodes one capture frame into dst, bounding the
 // declared frame by the destination before touching it. The hex text is
 // attacker-controlled; the returned count is not: hex.Decode writes at
 // most len(dst) bytes and rejects partial or invalid digits.
 //
-// floc:untrusted s
+// floc:hotpath
+// floc:untrusted text
 // floc:sanitizes
-func decodeFrameHex(dst []byte, s string) (int, error) {
-	if len(s) > 2*len(dst) {
-		return 0, fmt.Errorf("frame longer than any header (%d hex chars)", len(s))
+func decodeFrameHex(dst, text []byte) (int, error) {
+	if len(text) > 2*len(dst) {
+		return 0, errFrameTooLong(len(text))
 	}
-	return hex.Decode(dst, []byte(s))
+	return hex.Decode(dst, text)
 }
 
-// decodeLine parses one nonempty capture line into h, classifying any
-// failure for the malformed counters.
+// scanLine parses one capture line into h and returns its arrival time,
+// classifying any failure for the malformed counters. The grammar is an
+// object of exactly the members "t" (an RFC 8259 number) and "wire" (a
+// string of hex digits), in either order, with JSON's insignificant
+// whitespace allowed between tokens and nothing after the closing brace.
 //
+// floc:hotpath
 // floc:untrusted raw
-func (cr *CaptureReader) decodeLine(raw []byte, h *Header) (float64, ErrorKind, error) {
-	var rec CaptureRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return 0, ErrKindFraming, fmt.Errorf("wire: capture line %d: %v", cr.line, err)
+func (cr *CaptureReader) scanLine(raw []byte, h *Header) (float64, ErrorKind, error) {
+	const seenT, seenWire = 1, 2
+	var (
+		t        float64 //floc:unit seconds
+		frameLen int
+		seen     int
+		key, val []byte
+		err      error
+	)
+	b, ok := cutByte(raw, '{')
+	if !ok {
+		return 0, ErrKindFraming, errRecordSyntax
 	}
-	n, err := decodeFrameHex(cr.buf, rec.Wire)
+	for seen != seenT|seenWire {
+		if seen != 0 {
+			if b, ok = cutByte(b, ','); !ok {
+				return 0, ErrKindFraming, errRecordSyntax
+			}
+		}
+		if key, b, ok = cutString(b); !ok {
+			return 0, ErrKindFraming, errRecordSyntax
+		}
+		if b, ok = cutByte(b, ':'); !ok {
+			return 0, ErrKindFraming, errRecordSyntax
+		}
+		switch {
+		case string(key) == "t" && seen&seenT == 0:
+			seen |= seenT
+			if val, b = cutNumber(skipSpace(b)); len(val) == 0 {
+				return 0, ErrKindFraming, errRecordNumber
+			}
+			if t, err = strconv.ParseFloat(string(val), 64); err != nil {
+				return 0, ErrKindFraming, errRecordNumber
+			}
+		case string(key) == "wire" && seen&seenWire == 0:
+			seen |= seenWire
+			if val, b, ok = cutString(b); !ok {
+				return 0, ErrKindFraming, errRecordSyntax
+			}
+			if frameLen, err = decodeFrameHex(cr.buf, val); err != nil {
+				return 0, ErrKindFraming, err
+			}
+		default:
+			return 0, ErrKindFraming, errRecordMember
+		}
+	}
+	if b, ok = cutByte(b, '}'); !ok || len(skipSpace(b)) != 0 {
+		return 0, ErrKindFraming, errRecordSyntax
+	}
+	used, err := Decode(cr.buf[:frameLen], h)
 	if err != nil {
-		return 0, ErrKindFraming, fmt.Errorf("wire: capture line %d: %v", cr.line, err)
+		return 0, KindOfError(err), err
 	}
-	used, err := Decode(cr.buf[:n], h)
-	if err != nil {
-		return 0, KindOfError(err), fmt.Errorf("wire: capture line %d: %v", cr.line, err)
+	if used != frameLen {
+		return 0, ErrKindFraming, errTrailing(frameLen - used)
 	}
-	if used != n {
-		return 0, ErrKindFraming, fmt.Errorf("wire: capture line %d: %d trailing bytes after header", cr.line, n-used)
+	return t, ErrKindNone, nil
+}
+
+// readLine returns the next line with its terminator, valid until the
+// next call. A line over maxCaptureLine is consumed to its end and
+// reported as errLineTooLong, so the reader stays usable behind it — a
+// bufio.Scanner stops for good there. io.EOF and read errors come back
+// bare.
+//
+// floc:hotpath
+// floc:untrusted return
+func (cr *CaptureReader) readLine() ([]byte, error) {
+	raw, err := cr.r.ReadSlice('\n')
+	switch err {
+	case nil:
+	case io.EOF:
+		if len(raw) == 0 {
+			return nil, io.EOF
+		}
+		// The last line may lack a terminator.
+	case bufio.ErrBufferFull:
+		for err == bufio.ErrBufferFull {
+			_, err = cr.r.ReadSlice('\n')
+		}
+		if err != nil && err != io.EOF {
+			return nil, err
+		}
+		cr.line++
+		return nil, errLineTooLong
+	default:
+		return nil, err
 	}
-	return rec.T, ErrKindNone, nil
+	cr.line++
+	return raw, nil
 }
 
 // Next decodes the next record into h and returns its arrival time.
 // io.EOF signals a clean end of capture; any other error names the
 // offending line (in lenient mode the line is counted and skipped
-// instead).
+// instead). Empty lines are skipped in both modes.
+//
+// floc:hotpath
 // floc:unit t seconds
 func (cr *CaptureReader) Next(h *Header) (t float64, err error) {
-	for cr.sc.Scan() {
-		cr.line++
-		raw := cr.sc.Bytes() //floc:untrusted
-		if len(raw) == 0 {
-			continue
+	for {
+		raw, err := cr.readLine()
+		if err != nil && err != errLineTooLong {
+			return 0, err
 		}
-		t, kind, err := cr.decodeLine(raw, h)
+		kind := ErrKindFraming
 		if err == nil {
-			return t, nil
+			switch string(raw) {
+			case "\n", "\r\n", "\r":
+				continue
+			}
+			var t float64 //floc:unit seconds
+			if t, kind, err = cr.scanLine(raw, h); err == nil {
+				return t, nil
+			}
 		}
 		if !cr.lenient {
-			return 0, err
+			return 0, cr.lineError(err)
 		}
 		cr.malformed[kind]++
 	}
-	if err := cr.sc.Err(); err != nil {
-		return 0, err
-	}
-	return 0, io.EOF
 }
 
 // Line returns the number of the last consumed capture line.

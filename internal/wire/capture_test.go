@@ -1,0 +1,293 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"strings"
+	"testing"
+
+	"floc/internal/netsim"
+)
+
+// refRecord and refScanLine are the capture codec as it stood on
+// encoding/json: the reference the hand-written scanner and writer are
+// checked against. The reference takes more than the scanner (all of
+// JSON); it must never take less, and must agree wherever both accept.
+type refRecord struct {
+	T    float64 `json:"t"`
+	Wire string  `json:"wire"`
+}
+
+func refScanLine(raw []byte, h *Header) (t float64, frame []byte, err error) {
+	var rec refRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return 0, nil, err
+	}
+	if len(rec.Wire) > 2*MaxEncodedLen {
+		return 0, nil, fmt.Errorf("frame longer than any header (%d hex chars)", len(rec.Wire))
+	}
+	frame, err = hex.DecodeString(rec.Wire)
+	if err != nil {
+		return 0, nil, err
+	}
+	used, err := Decode(frame, h)
+	if err != nil {
+		return 0, nil, err
+	}
+	if used != len(frame) {
+		return 0, nil, fmt.Errorf("%d trailing bytes after header", len(frame)-used)
+	}
+	return rec.T, frame, nil
+}
+
+// checkLineAgainstReference asserts property (a) on one line: whatever
+// the scanner accepts, the reference accepts with the same time (bit for
+// bit), header and frame bytes.
+func checkLineAgainstReference(t *testing.T, line []byte) (accepted bool) {
+	t.Helper()
+	cr := NewCaptureReader(strings.NewReader(""))
+	var got, want Header
+	at, kind, err := cr.scanLine(line, &got)
+	if err != nil {
+		if kind == ErrKindNone {
+			t.Fatalf("line %q rejected (%v) without an error kind", line, err)
+		}
+		return false
+	}
+	refAt, frame, refErr := refScanLine(line, &want)
+	if refErr != nil {
+		t.Fatalf("scanner accepts %q, encoding/json reference rejects it: %v", line, refErr)
+	}
+	if math.Float64bits(at) != math.Float64bits(refAt) {
+		t.Fatalf("line %q: t = %v (%#x), reference %v (%#x)", line, at, math.Float64bits(at), refAt, math.Float64bits(refAt))
+	}
+	if got != want || !bytes.Equal(cr.buf[:len(frame)], frame) {
+		t.Fatalf("line %q: header %+v, reference %+v", line, got, want)
+	}
+	return true
+}
+
+// FuzzCaptureLine checks the scanner and the writer against the
+// encoding/json reference: (a) scanner accepts ⇒ reference accepts with
+// identical results; (b) every line the writer produces is accepted by
+// both and round-trips; (c) the writer's bytes are json.Marshal's.
+func FuzzCaptureLine(f *testing.F) {
+	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add([]byte(`{"t":1,"wire":"`+hex.EncodeToString(frame)+`"}`), 0.002, frame)
+	f.Fuzz(func(t *testing.T, line []byte, at float64, hdr []byte) {
+		checkLineAgainstReference(t, line)
+
+		var h Header
+		if _, err := Decode(hdr, &h); err != nil {
+			return
+		}
+		at = math.Abs(at)
+		var out bytes.Buffer
+		cw := NewCaptureWriter(&out)
+		err := cw.Write(at, &h)
+		if math.IsNaN(at) || math.IsInf(at, 0) {
+			if err == nil {
+				t.Fatalf("writer accepted t = %v", at)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("writer rejected t = %v, %+v: %v", at, h, err)
+		}
+		if err := cw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		canon, err := MarshalAppend(nil, &h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(refRecord{T: at, Wire: hex.EncodeToString(canon)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.Bytes(); !bytes.Equal(got, append(want, '\n')) {
+			t.Fatalf("writer emitted %q, json.Marshal %q", got, want)
+		}
+		if !checkLineAgainstReference(t, out.Bytes()) {
+			t.Fatalf("scanner rejects the writer's own line %q", out.Bytes())
+		}
+		var back Header
+		cr := NewCaptureReader(&out)
+		if backAt, err := cr.Next(&back); err != nil || math.Float64bits(backAt) != math.Float64bits(at) || back != h {
+			t.Fatalf("round trip of t = %v, %+v gave t = %v, %+v, err %v", at, h, backAt, back, err)
+		}
+	})
+}
+
+// TestCaptureLineGrammar pins the accepted grammar and the inputs that
+// encoding/json took and the scanner counts as framing errors.
+func TestCaptureLineGrammar(t *testing.T) {
+	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hx := hex.EncodeToString(frame)
+	accept := []struct {
+		line string
+		t    float64
+	}{
+		{`{"t":1,"wire":"` + hx + `"}`, 1},
+		{`{"wire":"` + hx + `","t":2.5}`, 2.5}, // swapped members
+		{" {\t\"t\" : 1e3 , \"wire\" : \"" + hx + "\" } ", 1000},
+		{`{"t":1E-2,"wire":"` + strings.ToUpper(hx) + `"}`, 0.01},
+		{`{"t":-0,"wire":"` + hx + `"}`, math.Copysign(0, -1)},
+		{`{"t":0.000001,"wire":"` + hx + `"}`, 1e-6},
+		{`{"t":1e-999,"wire":"` + hx + `"}`, 0}, // underflow is not a range error
+		{`{"t":12.5e+1,"wire":"` + hx + `"}` + "\r\n", 125},
+	}
+	for _, c := range accept {
+		if !checkLineAgainstReference(t, []byte(c.line)) {
+			t.Errorf("line %q rejected", c.line)
+			continue
+		}
+		var h Header
+		cr := NewCaptureReader(strings.NewReader(c.line))
+		if at, err := cr.Next(&h); err != nil || math.Float64bits(at) != math.Float64bits(c.t) {
+			t.Errorf("line %q: t = %v, err %v; want %v", c.line, at, err, c.t)
+		}
+	}
+
+	framing := []string{
+		// JSON that encoding/json took and the narrowed grammar does not.
+		`{"T":1,"wire":"` + hx + `"}`,           // case-folded key
+		`{"\u0074":1,"wire":"` + hx + `"}`,      // escaped key
+		`{"t":1,"wire":"\u0030` + hx[1:] + `"}`, // escaped hex digit
+		`{"t":1,"t":2,"wire":"` + hx + `"}`,     // duplicate member
+		`{"t":1,"wire":"` + hx + `","x":0}`,     // extra member
+		`{"t":null,"wire":"` + hx + `"}`,        // null members
+		`{"t":1,"wire":null}`,
+		`{"wire":"` + hx + `"}`, // missing members
+		`{"t":1}`,
+		`{}`,
+		// Numbers: out of float64 range, then off the RFC 8259 grammar.
+		`{"t":1e999,"wire":"` + hx + `"}`,
+		`{"t":01,"wire":"` + hx + `"}`,
+		`{"t":+1,"wire":"` + hx + `"}`,
+		`{"t":.5,"wire":"` + hx + `"}`,
+		`{"t":1.,"wire":"` + hx + `"}`,
+		`{"t":1e,"wire":"` + hx + `"}`,
+		`{"t":0x10,"wire":"` + hx + `"}`,
+		`{"t":Inf,"wire":"` + hx + `"}`,
+		`{"t":1_0,"wire":"` + hx + `"}`,
+		`{"t":"1","wire":"` + hx + `"}`,
+		// Broken structure.
+		`{"t":1,"wire":"` + hx + `"} x`,
+		`{"t":1,"wire":"` + hx + `"}{`,
+		`{"t":1,"wire":"` + hx + `"`,
+		`{"t":1 "wire":"` + hx + `"}`,
+		`[{"t":1,"wire":"` + hx + `"}]`,
+		`   `,
+		// Frames broken before the codec sees them.
+		`{"t":1,"wire":"` + hx[:len(hx)-1] + `"}`,   // odd hex
+		`{"t":1,"wire":"` + hx[:len(hx)-2] + `zz"}`, // not hex
+		`{"t":1,"wire":"` + hx + `00"}`,             // trailing bytes
+		`{"t":1,"wire":"` + strings.Repeat("00", MaxEncodedLen+1) + `"}`,
+	}
+	reject := map[ErrorKind][]string{
+		ErrKindFraming: framing,
+		ErrKindShort:   {`{"t":1,"wire":"` + hx[:len(hx)-2] + `"}`, `{"t":1,"wire":""}`},
+		ErrKindVersion: {`{"t":1,"wire":"ff` + hx[2:] + `"}`},
+	}
+	for want, lines := range reject {
+		for _, line := range lines {
+			if checkLineAgainstReference(t, []byte(line)) {
+				t.Errorf("line %q accepted", line)
+			}
+			cr := NewCaptureReader(strings.NewReader(""))
+			if _, kind, _ := cr.scanLine([]byte(line), new(Header)); kind != want {
+				t.Errorf("line %q classified %v, want %v", line, kind, want)
+			}
+		}
+	}
+}
+
+// TestCaptureWriterMatchesJSON walks the float formatting rule's edges:
+// the writer's line must be json.Marshal's, byte for byte.
+func TestCaptureWriterMatchesJSON(t *testing.T) {
+	h := sampleHeader()
+	frame, err := MarshalAppend(nil, &h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := []float64{0, 1e-320, 1e-9, 9.99e-7, 1e-6, 0.002, 0.1 + 0.2, 1, 12345.678,
+		1 << 53, 1e20, 9.999999999999999e20, 1e21, 1.5e300, math.MaxFloat64}
+	for _, at := range times {
+		var out bytes.Buffer
+		cw := NewCaptureWriter(&out)
+		if err := cw.Write(at, &h); err != nil {
+			t.Fatal(err)
+		}
+		if err := cw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(refRecord{T: at, Wire: hex.EncodeToString(frame)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String(); got != string(want)+"\n" {
+			t.Errorf("t = %v: writer emitted %q, json.Marshal %q", at, got, want)
+		}
+	}
+	cw := NewCaptureWriter(io.Discard)
+	for _, at := range []float64{math.NaN(), math.Inf(1)} {
+		if err := cw.Write(at, &h); err == nil {
+			t.Errorf("writer accepted t = %v", at)
+		}
+	}
+}
+
+// TestCaptureReaderOversizedLine puts a 2 MiB line between two good
+// records. A bufio.Scanner stopped for good there; the reader must
+// consume the line, count it once as framing in lenient mode and carry
+// on, and name it in strict mode.
+func TestCaptureReaderOversizedLine(t *testing.T) {
+	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := `{"t":1,"wire":"` + hex.EncodeToString(frame) + `"}`
+	input := good + "\n" + `{"t":1,"wire":"` + strings.Repeat("0", 2<<20) + `"}` + "\n" + good + "\n"
+
+	cr := NewCaptureReader(strings.NewReader(input))
+	cr.SkipMalformed(true)
+	var h Header
+	n := 0
+	for {
+		_, err := cr.Next(&h)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("lenient reader surfaced error: %v", err)
+		}
+		n++
+	}
+	if n != 2 || cr.Line() != 3 {
+		t.Fatalf("decoded %d records over %d lines, want 2 over 3", n, cr.Line())
+	}
+	if byKind := cr.MalformedByKind(); cr.Malformed() != 1 || byKind[ErrKindFraming] != 1 {
+		t.Fatalf("malformed counts %v, want one framing line", byKind)
+	}
+
+	cr = NewCaptureReader(strings.NewReader(input))
+	if _, err := cr.Next(&h); err != nil {
+		t.Fatalf("strict reader failed on the good first line: %v", err)
+	}
+	_, err = cr.Next(&h)
+	if !errors.Is(err, errLineTooLong) || !strings.Contains(err.Error(), "line 2") {
+		t.Fatalf("strict reader on the oversized line: err = %v, want line 2 too long", err)
+	}
+}

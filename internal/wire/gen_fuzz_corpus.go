@@ -12,14 +12,19 @@
 // ErrPathLen, ErrLength). FuzzControlFrameDecode gets the same
 // treatment for control frames: minimal and maximal valid frames plus
 // one seed per typed error (ErrHops, ErrCount, ErrTTL, ...).
+// FuzzCaptureLine gets one capture line per accepted variation and per
+// rejection shape, each paired with a writer time on a different side of
+// the float formatting rule.
 package main
 
 import (
+	"encoding/hex"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"floc/internal/capability"
 	"floc/internal/netsim"
@@ -155,4 +160,48 @@ func main() {
 		return b
 	}())
 	bytesSeed(dir, "err-record-pathlen", cmutate(18, wire.MaxPathLen+1))
+
+	// FuzzCaptureLine takes (line []byte, t float64, header []byte): the
+	// line goes to the scanner and the encoding/json reference, (t,
+	// header) through the writer and back.
+	hx := hex.EncodeToString(valid)
+	line := func(t, wire string) string { return `{"t":` + t + `,"wire":"` + wire + `"}` }
+	dir = filepath.Join("internal", "wire", "testdata", "fuzz", "FuzzCaptureLine")
+	for _, seed := range []struct {
+		name, line string
+		t          float64
+		header     []byte
+	}{
+		{"valid", line("0.002", hx), 0.002, valid},
+		{"valid-max-path", line("12.5", hex.EncodeToString(marshal(maxPath))), 12.5, marshal(maxPath)},
+		{"valid-swapped-members", `{"wire":"` + hx + `","t":1}`, 1, marshal(withCap)},
+		{"valid-whitespace", " {\t\"t\" : 1 ,\r \"wire\" : \"" + hx + "\" } \r\n", 0, valid},
+		{"valid-negative-zero", line("-0", hx), 1e-7, valid},
+		{"valid-exponent", line("1.25E+2", hx), 1e21, valid},
+		{"valid-small-exponent", line("1e-7", hx), 1.5e-9, valid},
+		{"valid-underflow", line("1e-999", hx), 5e-324, valid},
+		{"err-bad-json", "not json", 999999.999999, valid},
+		{"err-truncated", `{"t":0.001,"wire":`, 1 << 53, valid},
+		{"err-odd-hex", line("1", hx[:len(hx)-1]), 0.3, valid},
+		{"err-not-hex", line("1", "zz"), 0.3, valid},
+		{"err-oversized-frame", line("1", strings.Repeat("00", wire.MaxEncodedLen+1)), 0.3, valid},
+		{"err-trailing-bytes", line("1", hx+"00"), 0.3, valid},
+		{"err-trailing-text", line("1", hx) + "x", 0.3, valid},
+		{"err-short-frame", line("1", hx[:8]), 0.3, valid},
+		{"err-bad-version", line("1", "ff"+hx[2:]), 0.3, valid},
+		{"err-number-range", line("1e999", hx), 1.7976931348623157e308, valid},
+		{"err-number-leading-zero", line("01", hx), 0.3, valid},
+		{"err-number-hex", line("0x1p4", hx), 0.3, valid},
+		{"err-number-string", line(`"1"`, hx), 0.3, valid},
+		{"narrowed-case-folded-key", `{"T":1,"WIRE":"` + hx + `"}`, 0.3, valid},
+		{"narrowed-escaped-key", `{"\u0074":1,"wire":"` + hx + `"}`, 0.3, valid},
+		{"narrowed-escaped-hex", line("1", `\u0030`+hx[1:]), 0.3, valid},
+		{"narrowed-duplicate-member", `{"t":1,"t":2,"wire":"` + hx + `"}`, 0.3, valid},
+		{"narrowed-extra-member", `{"t":1,"wire":"` + hx + `","x":null}`, 0.3, valid},
+		{"narrowed-null", `{"t":null,"wire":"` + hx + `"}`, 0.3, valid},
+		{"narrowed-missing-member", `{"wire":"` + hx + `"}`, 0.3, valid},
+	} {
+		writeSeed(dir, seed.name, "[]byte("+strconv.Quote(seed.line)+")\nfloat64("+
+			strconv.FormatFloat(seed.t, 'g', -1, 64)+")\n[]byte("+strconv.Quote(string(seed.header))+")\n")
+	}
 }

@@ -13,6 +13,10 @@
 #   dropfilter_locality  BenchmarkFilterLocality          ns/op (blocked-layout
 #                        record+query over an 8 MiB working set)
 #   wire_decode          BenchmarkWireDecode              ns/op (codec)
+#   capture_next         BenchmarkCaptureNext             ns/op, B/op, allocs/op
+#                        (capture reader: one line read, scanned, decoded)
+#   capture_write        BenchmarkCaptureWrite            ns/op, B/op, allocs/op
+#                        (capture writer: one line marshalled and formatted)
 #   feedback_encode      BenchmarkControlEncode           ns/op (cluster
 #                        control-frame marshal, the Publish hot loop)
 #   limit_install        BenchmarkLimitInstall            ns/op (one
@@ -51,12 +55,21 @@ sharded=$(bench ./internal/dataplane '^BenchmarkDataplaneEnqueueSharded$')
 filter=$(bench ./internal/dropfilter '^BenchmarkFilterUpdate$')
 locality=$(bench ./internal/dropfilter '^BenchmarkFilterLocality$')
 wire=$(bench ./internal/wire '^BenchmarkWireDecode$')
+capnext=$(bench ./internal/wire '^BenchmarkCaptureNext$')
+capwrite=$(bench ./internal/wire '^BenchmarkCaptureWrite$')
 feedback=$(bench ./internal/wire '^BenchmarkControlEncode$')
 install=$(bench ./internal/dataplane '^BenchmarkLimitInstall$')
 
 # best_ns <benchmark output lines> — minimum ns/op over the -count runs.
 best_ns() {
     printf '%s\n' "$1" | awk 'min == "" || $3 + 0 < min + 0 { min = $3 } END { print min }'
+}
+
+# best_mem <benchmark output lines> — the b.ReportAllocs columns (B/op,
+# allocs/op) of the run with the minimum ns/op, as JSON members.
+best_mem() {
+    printf '%s\n' "$1" | awk 'min == "" || $3 + 0 < min + 0 { min = $3; b = $5; a = $7 }
+        END { printf "\"bytes_per_op\": %s, \"allocs_per_op\": %s", b, a }'
 }
 
 # best_by <lines> <field regex> <offset> — group lines by the numeric
@@ -103,6 +116,10 @@ best_by() {
         "$(best_ns "$locality")"
     printf '    "wire_decode": {"bench": "BenchmarkWireDecode", "ns_per_op": %s},\n' \
         "$(best_ns "$wire")"
+    printf '    "capture_next": {"bench": "BenchmarkCaptureNext", "ns_per_op": %s, %s},\n' \
+        "$(best_ns "$capnext")" "$(best_mem "$capnext")"
+    printf '    "capture_write": {"bench": "BenchmarkCaptureWrite", "ns_per_op": %s, %s},\n' \
+        "$(best_ns "$capwrite")" "$(best_mem "$capwrite")"
     printf '    "feedback_encode": {"bench": "BenchmarkControlEncode", "ns_per_op": %s},\n' \
         "$(best_ns "$feedback")"
     printf '    "limit_install": {"bench": "BenchmarkLimitInstall", "ns_per_op": %s}\n' \

@@ -327,6 +327,7 @@ if [ "$FUZZTIME" != "0" ]; then
     run go test -run='^$' -fuzz='^FuzzWireDecode$' -fuzztime "$FUZZTIME" ./internal/wire
     run go test -run='^$' -fuzz='^FuzzWireRoundTrip$' -fuzztime "$FUZZTIME" ./internal/wire
     run go test -run='^$' -fuzz='^FuzzControlFrameDecode$' -fuzztime "$FUZZTIME" ./internal/wire
+    run go test -run='^$' -fuzz='^FuzzCaptureLine$' -fuzztime "$FUZZTIME" ./internal/wire
     end
 fi
 
