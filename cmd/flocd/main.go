@@ -209,7 +209,7 @@ func run(o options) error {
 				return err
 			}
 			defer cconn.Close()
-			go serveControl(cconn, node, start)
+			go serveControl(cconn, node, reg, start)
 			fmt.Fprintf(os.Stderr, "flocd: control on %s, router %d, %d peers\n",
 				cconn.LocalAddr(), o.routerID, len(peers))
 		}
@@ -444,6 +444,8 @@ var (
 		"capture lines skipped as malformed during replay", "lines"}
 	malformedDatagrams = malformedFamily{"floc_ingest_malformed_datagrams_total",
 		"datagrams discarded at ingest because wire.Decode rejected them", "datagrams"}
+	controlFrameErrors = malformedFamily{"floc_cluster_control_frame_errors_total",
+		"received control frames discarded because wire.DecodeControl rejected them", "frames"}
 )
 
 // total returns the family's unlabelled series, registering it.
@@ -582,9 +584,11 @@ func (f *udpForwarder) Close() { _ = f.conn.Close() }
 
 // serveControl feeds received control frames into the cluster node,
 // stamped on the daemon's shared arrival clock. Undecodable frames are
-// dropped by HandleFrame; a closed socket ends the loop.
-func serveControl(conn net.PacketConn, node *cluster.Node, start time.Time) {
+// dropped by HandleFrame and counted by error kind; a closed socket ends
+// the loop.
+func serveControl(conn net.PacketConn, node *cluster.Node, reg *telemetry.Registry, start time.Time) {
 	buf := make([]byte, wire.MaxControlEncodedLen+1) //floc:untrusted
+	controlFrameErrors.total(reg)
 	for {
 		n, _, err := conn.ReadFrom(buf)
 		if err != nil {
@@ -596,7 +600,9 @@ func serveControl(conn net.PacketConn, node *cluster.Node, start time.Time) {
 		//floclint:allow sim-time live control plane stamps arrivals from the wall clock
 		now := time.Since(start).Seconds() //floc:unit seconds
 		//floclint:allow taint ReadFrom returns n <= len(buf) by the PacketConn contract; the frame itself is vetted by DecodeControl
-		_, _ = node.HandleFrame(buf[:n], now)
+		if _, err := node.HandleFrame(buf[:n], now); err != nil {
+			controlFrameErrors.add(reg, wire.KindOfError(err), 1)
+		}
 	}
 }
 
@@ -634,18 +640,30 @@ func sendCapture(r io.Reader, addr string, pace float64) error {
 	defer conn.Close()
 	cr := wire.NewCaptureReader(r)
 	cr.SkipMalformed(true)
+	sent, unencodable, err := transmitCapture(cr.Next, conn, pace)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "flocd: sent %d packets to %s (%d malformed lines skipped, %d unencodable headers skipped)\n",
+		sent, addr, cr.Malformed(), unencodable)
+	return nil
+}
+
+// transmitCapture writes each header next yields to conn as one datagram,
+// until next returns io.EOF. A header that does not encode is skipped and
+// counted, never silently dropped.
+func transmitCapture(next func(*wire.Header) (float64, error), conn io.Writer, pace float64) (sent, unencodable int, err error) {
 	var h wire.Header
 	buf := make([]byte, 0, wire.MaxEncodedLen)
 	//floclint:allow sim-time the paced sender replays capture time on the wall clock
 	start := time.Now()
-	sent := 0
 	for {
-		t, err := cr.Next(&h)
+		t, err := next(&h)
 		if err == io.EOF {
-			break
+			return sent, unencodable, nil
 		}
 		if err != nil {
-			return err
+			return sent, unencodable, err
 		}
 		if pace > 0 {
 			due := time.Duration(t * pace * float64(time.Second))
@@ -657,17 +675,15 @@ func sendCapture(r io.Reader, addr string, pace float64) error {
 		}
 		b, err := wire.MarshalAppend(buf[:0], &h)
 		if err != nil {
+			unencodable++
 			continue
 		}
 		buf = b
 		if _, err := conn.Write(b); err != nil {
-			return err
+			return sent, unencodable, err
 		}
 		sent++
 	}
-	fmt.Fprintf(os.Stderr, "flocd: sent %d packets to %s (%d malformed lines skipped)\n",
-		sent, addr, cr.Malformed())
-	return nil
 }
 
 // generateCapture writes a deterministic synthetic capture: nPaths

@@ -13,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"floc/internal/cluster"
 	"floc/internal/core"
 	"floc/internal/dataplane"
 	"floc/internal/ledger"
 	"floc/internal/netsim"
+	"floc/internal/pathid"
 	"floc/internal/telemetry"
 	"floc/internal/wire"
 )
@@ -105,6 +107,13 @@ func TestGenerateReplayEndToEnd(t *testing.T) {
 	text := string(body)
 	if !strings.Contains(text, "floc_router_arrived_packets_total") || len(text) < 100 {
 		t.Fatalf("/metrics not a populated exposition:\n%.200s", text)
+	}
+	// The flow population — what control-run cost scales with — is part of
+	// the exposition -print-metrics and /metrics share.
+	for _, name := range []string{"floc_router_live_flows", "floc_router_attack_flows", "floc_router_expired_flows_total"} {
+		if !strings.Contains(text, "\n"+name+" ") {
+			t.Fatalf("/metrics lacks %s", name)
+		}
 	}
 }
 
@@ -473,5 +482,154 @@ func TestForwarderCountsEgressErrors(t *testing.T) {
 	fwd.Emit(pkt, 0) // closed socket does not send
 	if got := counts(); got != [2]int64{1, 1} {
 		t.Fatalf("egress error counts (encode, send) = %v, want [1 1]", got)
+	}
+}
+
+// failingTransport refuses every frame.
+type failingTransport struct{}
+
+func (failingTransport) Send(string, []byte) error { return io.ErrClosedPipe }
+
+// testControlFrame encodes a one-record feedback frame from origin.
+func testControlFrame(t *testing.T, origin uint32, seq uint64) []byte {
+	t.Helper()
+	f := wire.ControlFrame{
+		Version: wire.ControlVersion1, Kind: wire.ControlFeedback, Hops: 1,
+		Origin: origin, Seq: seq, TTLMillis: 1000, NumRecords: 1,
+	}
+	if err := f.Records[0].SetPath(pathid.New(100, 1)); err != nil {
+		t.Fatal(err)
+	}
+	f.Records[0].LimitBits = 1e6
+	b, err := wire.MarshalControlAppend(nil, &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestServeControlCountsFrameErrors: a control frame DecodeControl
+// rejects is counted under its error kind (the total is registered before
+// the first frame, so a clean daemon exports a zero), and the good frames
+// around it are still applied.
+func TestServeControlCountsFrameErrors(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	e := newTestEngine(t, reg, 1)
+	defer e.Close()
+	node, err := cluster.New(cluster.Config{RouterID: 2, Installer: e, PacketSize: 1000, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := net.Dial("udp", conn.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		//floclint:allow sim-time the live daemon anchors its arrival clock at startup
+		serveControl(conn, node, reg, time.Now())
+	}()
+	const total = "floc_cluster_control_frame_errors_total"
+	waitFor(t, "the zero total to be registered", func() bool {
+		for _, name := range reg.Names() {
+			if name == total {
+				return reg.CounterValue(total) == 0
+			}
+		}
+		return false
+	})
+
+	good := testControlFrame(t, 1, 1)
+	badVersion := append([]byte(nil), good...)
+	badVersion[0] = wire.Version1 // a data header's version on the control port
+	for _, frame := range [][]byte{good, good[:7], badVersion, testControlFrame(t, 1, 2)} {
+		if _, err := out.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "four frames to be handled", func() bool {
+		return reg.CounterValue(total) == 2 &&
+			reg.CounterValue(`floc_cluster_feedback_applied_total{peer="1"}`) == 2
+	})
+	conn.Close()
+	<-done
+	for _, reason := range []string{"short", "version"} {
+		if got := reg.CounterValue(total + `{reason="` + reason + `"}`); got != 1 {
+			t.Errorf("%s{reason=%q} = %d, want 1", total, reason, got)
+		}
+	}
+}
+
+// TestControlSendErrorsReachMetrics: a frame the transport cannot send is
+// counted on /metrics (from a registered zero) as well as in /healthz.
+func TestControlSendErrorsReachMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	e := newTestEngine(t, reg, 1)
+	defer e.Close()
+	node, err := cluster.New(cluster.Config{
+		RouterID: 2, Peers: []string{"upstream:1"}, Transport: failingTransport{},
+		Installer: e, PacketSize: 1000, Telemetry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "floc_cluster_send_errors_total"
+	metrics := func() string {
+		rec := httptest.NewRecorder()
+		serveMux(reg, nil, false).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		return rec.Body.String()
+	}
+	if body := metrics(); !strings.Contains(body, name+" 0\n") {
+		t.Fatalf("/metrics lacks a zero %s before any send:\n%s", name, body)
+	}
+	// A fresh frame with hop budget left is relayed to the one peer, which
+	// the transport refuses.
+	if _, err := node.HandleFrame(testControlFrame(t, 1, 1), 1); err != nil {
+		t.Fatal(err)
+	}
+	if body := metrics(); !strings.Contains(body, name+" 1\n") {
+		t.Fatalf("/metrics does not count the failed relay:\n%s", body)
+	}
+	if got := node.Health(1).SendErrors; got != 1 {
+		t.Fatalf("/healthz send_errors = %d, want 1", got)
+	}
+}
+
+// TestTransmitCaptureCountsUnencodableHeaders: a header MarshalAppend
+// rejects is skipped, counted, and the packets around it still go out.
+func TestTransmitCaptureCountsUnencodableHeaders(t *testing.T) {
+	lengths := []uint16{1000, 0, 400} // zero length does not encode
+	next := func(h *wire.Header) (float64, error) {
+		if len(lengths) == 0 {
+			return 0, io.EOF
+		}
+		*h = wire.Header{Version: wire.Version1, Kind: netsim.KindUDP, Src: 1, Dst: 9, Length: lengths[0]}
+		lengths = lengths[1:]
+		return 0, nil
+	}
+	var out bytes.Buffer
+	sent, unencodable, err := transmitCapture(next, &out, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent != 2 || unencodable != 1 {
+		t.Fatalf("sent %d, unencodable %d; want 2 and 1", sent, unencodable)
+	}
+	var h wire.Header
+	for i := 0; i < sent; i++ {
+		n, err := wire.Decode(out.Bytes(), &h)
+		if err != nil {
+			t.Fatalf("datagram %d does not decode: %v", i, err)
+		}
+		out.Next(n)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("%d stray bytes written for the skipped header", out.Len())
 	}
 }

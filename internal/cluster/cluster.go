@@ -183,8 +183,8 @@ type Node struct {
 	pend     []*pendingFrame
 	lastSeq  map[uint32]uint64  // origin -> last applied sequence
 	lastRecv map[uint32]float64 // origin -> arrival time of last applied frame
-	sendErrs int64
 
+	sendErrs   *telemetry.Counter // resolved in New, so /metrics shows a zero
 	sentCtr    map[string]*telemetry.Counter
 	appliedCtr map[uint32]*telemetry.Counter
 	staleCtr   map[uint32]*telemetry.Counter
@@ -196,7 +196,7 @@ func New(cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Node{
+	n := &Node{
 		cfg:        cfg,
 		prev:       map[string]pathCounts{},
 		active:     map[string]bool{},
@@ -205,7 +205,10 @@ func New(cfg Config) (*Node, error) {
 		sentCtr:    map[string]*telemetry.Counter{},
 		appliedCtr: map[uint32]*telemetry.Counter{},
 		staleCtr:   map[uint32]*telemetry.Counter{},
-	}, nil
+	}
+	n.sendErrs = n.counter("floc_cluster_send_errors_total",
+		"control frames the transport failed to send to a peer", "frames")
+	return n, nil
 }
 
 // RouterID returns the node's router ID.
@@ -445,7 +448,7 @@ func (n *Node) nextSeqLocked() uint64 {
 func (n *Node) sendLocked(buf []byte) {
 	for _, peer := range n.cfg.Peers {
 		if err := n.cfg.Transport.Send(peer, buf); err != nil {
-			n.sendErrs++
+			n.sendErrs.Inc()
 			continue
 		}
 		n.sentCtrLocked(peer).Inc()
@@ -535,7 +538,7 @@ func (n *Node) Health(now float64) Health {
 		RouterID:      n.cfg.RouterID,
 		Peers:         len(n.cfg.Peers),
 		PendingFrames: len(n.pend),
-		SendErrors:    n.sendErrs,
+		SendErrors:    n.sendErrs.Value(),
 	}
 	for origin, at := range n.lastRecv {
 		h.Feedback = append(h.Feedback, PeerFeedback{

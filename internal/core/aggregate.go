@@ -278,9 +278,11 @@ func (r *Router) applyPlan(plan map[string][]*pathState, kind map[string]aggKind
 		r.aggs[key] = agg
 	}
 
+	r.order.valid = false
+
 	if telemetry.Compiled && r.tel != nil {
-		for _, key := range r.origins.sortedKeys() {
-			ps := r.origins.lookup(key)
+		for _, ps := range r.sortedPaths().origins {
+			key := ps.key
 			newKey := ""
 			if ps.aggregate != nil {
 				newKey = ps.aggregate.key

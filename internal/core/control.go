@@ -29,8 +29,7 @@ func (r *Router) runControl(now float64) {
 	// the pointer can dangle.
 	r.lastKey, r.lastOrigin = "", nil
 
-	r.expireFlows(now)
-	r.updateConformance(now)
+	r.controlFlows(now)
 	r.planAggregation(now)
 	r.recomputeParams(now, interval)
 
@@ -39,111 +38,73 @@ func (r *Router) runControl(now float64) {
 	}
 }
 
-// expireFlows drops idle flows and empty origin paths, and rolls the
-// per-flow admitted-rate meters.
-// floc:unit now seconds
-func (r *Router) expireFlows(now float64) {
-	var expired []string
-	var expiredPaths []*pathState
-	r.origins.each(func(ps *pathState) {
-		// compact both expires idle flows and rebuilds the open-addressed
-		// probe sequences (the table's only deletion point).
-		ps.flows.compact(func(_ flowKey, fs *flowState) bool {
-			if now-fs.lastSeen > r.cfg.FlowTimeout {
-				return false
-			}
-			fs.admittedRate = 0.5*(fs.admitted/r.cfg.ControlInterval) + 0.5*fs.admittedRate
-			fs.arrivedRate = 0.5*(fs.arrived/r.cfg.ControlInterval) + 0.5*fs.arrivedRate
-			fs.admitted = 0
-			fs.arrived = 0
-			// Escalate penalties for flows that keep over-subscribing
-			// their fair share; relax as soon as they respond.
-			if fair := r.fairShare(ps.effective()); fair > 0 && !r.cfg.DisableEscalation {
-				if fs.arrivedRate > 1.2*fair {
-					fs.escalation = math.Min(8, math.Max(1, fs.escalation)*1.25)
-				} else {
-					fs.escalation = math.Max(1, fs.escalation*0.7)
-				}
-			}
-			return true
-		})
-		if ps.flows.len() == 0 && ps.arrivedTokens == 0 && now-ps.createdAt > r.cfg.FlowTimeout {
-			expiredPaths = append(expiredPaths, ps)
-		}
-	})
-	for _, ps := range expiredPaths {
-		r.origins.remove(ps)
-		r.tree.Remove(ps.id)
-		if telemetry.Compiled && r.tel != nil {
-			expired = append(expired, ps.key)
-		}
-	}
-	if telemetry.Compiled && r.tel != nil && len(expired) > 0 {
-		// The expiry walk is unordered; sort so the trace is deterministic.
-		sort.Strings(expired)
-		for _, key := range expired {
-			r.tel.Emit(telemetry.Event{Time: now, Type: telemetry.EventPathExpired, Path: key})
-		}
-	}
+// flowTally is what controlFlows counts while it visits every flow, for
+// the flow gauges sampleControl publishes.
+type flowTally struct {
+	live    int // flows alive after expiry
+	attack  int // of those, classified as attack flows
+	expired int // flows expired by this run
 }
 
-// updateConformance counts attack flows per origin path via the drop
-// filter and advances the conformance EWMA (Eq. IV.6).
+// flaggedFlow is a flow newly classified as an attack flow, held until
+// the run's FlowClassifiedAttack events can be emitted in sorted order.
+type flaggedFlow struct {
+	path string
+	hash uint64
+}
+
+// controlFlows is the per-flow half of the control loop, one contiguous
+// pass per path: idle flows expire and the survivors' rate meters roll
+// (expirePath), then the path's flows are classified and its conformance
+// advances (classifyPath) while they are still in cache. Empty idle paths
+// expire with their last flow.
 //
-// floc:eq IV.6
+// A member of an aggregate is classified against the aggregate's fair
+// share, which counts every member's flows, so members wait until all
+// paths have expired theirs; every other path's verdicts depend on that
+// path alone.
 // floc:unit now seconds
-func (r *Router) updateConformance(now float64) {
-	type flagged struct {
-		path string
-		hash uint64
-	}
-	var newlyFlagged []flagged
+func (r *Router) controlFlows(now float64) {
+	r.tally = flowTally{}
+	r.flagged = r.flagged[:0]
+	var expiredPaths []*pathState
 	r.origins.each(func(ps *pathState) {
-		eff := ps.effective()
-		fair := r.fairShare(eff)
-		attack := 0
-		ps.flows.each(func(_ flowKey, fs *flowState) {
-			st := r.filter.Query(fs.hash, now, r.epoch(eff), r.filterK(eff))
-			// A flow is an attack flow if its drop record shows excess
-			// drops (Section IV-B.2) or its offered rate persistently
-			// exceeds its fair share (the signal Eq. IV.5's bound acts
-			// on).
-			isAttack := st.Excess() >= r.cfg.AttackExcessThreshold ||
-				(fair > 0 && fs.arrivedRate > 1.5*fair)
-			if isAttack {
-				attack++
-			}
-			if telemetry.Compiled && r.tel != nil && isAttack && !fs.attackFlagged {
-				newlyFlagged = append(newlyFlagged, flagged{path: ps.key, hash: fs.hash})
-			}
-			fs.attackFlagged = isAttack
-		})
-		ps.attackFlows = attack
-		n := ps.flows.len()
-		if n > 0 {
-			sample := 1 - float64(attack)/float64(n)
-			ps.conformance = r.cfg.Beta*sample + (1-r.cfg.Beta)*ps.conformance
-		}
-		// The conformance EWMA (Eq. IV.6) is a convex combination of values
-		// in [0, 1]; leaving that interval means the measurement drifted out
-		// of the modeled state space.
-		invariant.Conformance01("core.conformance", ps.conformance)
-		if ps.leaf != nil {
-			ps.leaf.Conformance = ps.conformance
-			ps.leaf.Flows = n
-			ps.leaf.Attack = ps.conformance < r.cfg.EThreshold
+		r.expirePath(ps, now)
+		if ps.flows.len() == 0 && ps.arrivedTokens == 0 && now-ps.createdAt > r.cfg.FlowTimeout {
+			expiredPaths = append(expiredPaths, ps)
+		} else if ps.aggregate == nil {
+			r.classifyPath(ps, now)
 		}
 	})
-	if telemetry.Compiled && r.tel != nil && len(newlyFlagged) > 0 {
-		// Classification walks maps; sort (path, flow) so the trace is
-		// deterministic.
-		sort.Slice(newlyFlagged, func(i, j int) bool {
-			if newlyFlagged[i].path != newlyFlagged[j].path {
-				return newlyFlagged[i].path < newlyFlagged[j].path
+	if len(expiredPaths) > 0 {
+		// The walk above is unordered; sort so the trace is deterministic.
+		sort.Slice(expiredPaths, func(i, j int) bool { return expiredPaths[i].key < expiredPaths[j].key })
+		for _, ps := range expiredPaths {
+			r.origins.remove(ps)
+			r.tree.Remove(ps.id)
+			if telemetry.Compiled && r.tel != nil {
+				r.tel.Emit(telemetry.Event{Time: now, Type: telemetry.EventPathExpired, Path: ps.key})
 			}
-			return newlyFlagged[i].hash < newlyFlagged[j].hash
+		}
+		r.order.valid = false
+	}
+	if len(r.aggs) > 0 {
+		r.origins.each(func(ps *pathState) {
+			if ps.aggregate != nil {
+				r.classifyPath(ps, now)
+			}
 		})
-		for _, f := range newlyFlagged {
+	}
+	if len(r.flagged) > 0 {
+		// Classification walks tables; sort (path, flow) so the trace is
+		// deterministic.
+		sort.Slice(r.flagged, func(i, j int) bool {
+			if r.flagged[i].path != r.flagged[j].path {
+				return r.flagged[i].path < r.flagged[j].path
+			}
+			return r.flagged[i].hash < r.flagged[j].hash
+		})
+		for _, f := range r.flagged {
 			r.tel.Emit(telemetry.Event{
 				Time: now,
 				Type: telemetry.EventFlowClassifiedAttack,
@@ -151,6 +112,86 @@ func (r *Router) updateConformance(now float64) {
 				Flow: f.hash,
 			})
 		}
+	}
+}
+
+// expirePath drops a path's idle flows and rolls the survivors'
+// admitted/arrival rate meters and escalation.
+// floc:unit now seconds
+func (r *Router) expirePath(ps *pathState, now float64) {
+	if ps.flows.len() == 0 {
+		return
+	}
+	// The fair share is the path's, not the flow's: computed once, from the
+	// flow counts as they stand when this path's turn comes.
+	fair := r.fairShare(ps.effective())
+	escalate := fair > 0 && !r.cfg.DisableEscalation
+	timeout, interval := r.cfg.FlowTimeout, r.cfg.ControlInterval
+	r.tally.expired += ps.flows.expire(func(fs *flowState) bool {
+		if now-fs.lastSeen > timeout {
+			return false
+		}
+		fs.admittedRate = 0.5*(fs.admitted/interval) + 0.5*fs.admittedRate
+		fs.arrivedRate = 0.5*(fs.arrived/interval) + 0.5*fs.arrivedRate
+		fs.admitted = 0
+		fs.arrived = 0
+		// Escalate penalties for flows that keep over-subscribing
+		// their fair share; relax as soon as they respond.
+		if escalate {
+			if fs.arrivedRate > 1.2*fair {
+				fs.escalation = math.Min(8, math.Max(1, fs.escalation)*1.25)
+			} else {
+				fs.escalation = math.Max(1, fs.escalation*0.7)
+			}
+		}
+		return true
+	})
+	r.tally.live += ps.flows.len()
+}
+
+// classifyPath counts a path's attack flows via the drop filter and
+// advances its conformance EWMA (Eq. IV.6).
+//
+// floc:eq IV.6
+// floc:unit now seconds
+func (r *Router) classifyPath(ps *pathState, now float64) {
+	eff := ps.effective()
+	fair, epoch, k := r.fairShare(eff), r.epoch(eff), r.filterK(eff)
+	traced := telemetry.Compiled && r.tel != nil
+	attack := 0
+	flows := ps.flows.all()
+	for i := range flows {
+		fs := &flows[i]
+		st := r.filter.Query(fs.hash, now, epoch, k)
+		// A flow is an attack flow if its drop record shows excess
+		// drops (Section IV-B.2) or its offered rate persistently
+		// exceeds its fair share (the signal Eq. IV.5's bound acts
+		// on).
+		isAttack := st.Excess() >= r.cfg.AttackExcessThreshold ||
+			(fair > 0 && fs.arrivedRate > 1.5*fair)
+		if isAttack {
+			attack++
+			if traced && !fs.attackFlagged {
+				r.flagged = append(r.flagged, flaggedFlow{path: ps.key, hash: fs.hash})
+			}
+		}
+		fs.attackFlagged = isAttack
+	}
+	ps.attackFlows = attack
+	r.tally.attack += attack
+	n := len(flows)
+	if n > 0 {
+		sample := 1 - float64(attack)/float64(n)
+		ps.conformance = r.cfg.Beta*sample + (1-r.cfg.Beta)*ps.conformance
+	}
+	// The conformance EWMA (Eq. IV.6) is a convex combination of values
+	// in [0, 1]; leaving that interval means the measurement drifted out
+	// of the modeled state space.
+	invariant.Conformance01("core.conformance", ps.conformance)
+	if ps.leaf != nil {
+		ps.leaf.Conformance = ps.conformance
+		ps.leaf.Flows = n
+		ps.leaf.Attack = ps.conformance < r.cfg.EThreshold
 	}
 }
 
@@ -184,32 +225,59 @@ func (r *Router) rttOf(ps *pathState) float64 {
 	return raw * r.cfg.RTTScale
 }
 
-// guaranteedPaths returns the current bandwidth-guaranteed identifiers:
-// non-aggregated origin paths plus aggregates, deterministically ordered.
-func (r *Router) guaranteedPaths() []*pathState {
-	out := make([]*pathState, 0, r.origins.size()+len(r.aggs))
-	r.origins.each(func(ps *pathState) {
-		if ps.aggregate == nil {
-			out = append(out, ps)
-		}
-	})
-	for _, ps := range r.aggs {
-		out = append(out, ps)
+// pathOrder is the router's one key-sorted view of its path set, kept
+// between control runs instead of being re-collected and re-sorted by
+// every consumer. Three events change what it would contain, and each
+// clears valid: a path created (originMiss), paths expired (controlFlows),
+// and a new aggregation plan (applyPlan).
+type pathOrder struct {
+	valid bool
+	// origins is every live origin path, by key.
+	origins []*pathState
+	// guaranteed is the bandwidth-guaranteed identifiers — non-aggregated
+	// origin paths plus aggregates — by key.
+	guaranteed []*pathState
+}
+
+// sortedPaths returns the current path order, rebuilding it if a path
+// event invalidated it.
+func (r *Router) sortedPaths() *pathOrder {
+	o := &r.order
+	if o.valid {
+		return o
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
-	return out
+	byKey := func(s []*pathState) {
+		sort.Slice(s, func(i, j int) bool { return s[i].key < s[j].key })
+	}
+	o.origins = o.origins[:0]
+	r.origins.each(func(ps *pathState) { o.origins = append(o.origins, ps) })
+	byKey(o.origins)
+	o.guaranteed = o.guaranteed[:0]
+	for _, ps := range o.origins {
+		if ps.aggregate == nil {
+			o.guaranteed = append(o.guaranteed, ps)
+		}
+	}
+	if len(r.aggs) > 0 {
+		for _, ps := range r.aggs {
+			o.guaranteed = append(o.guaranteed, ps)
+		}
+		byKey(o.guaranteed)
+	}
+	o.valid = true
+	return o
 }
 
 // GuaranteedPathCount returns the number of bandwidth-guaranteed path
 // identifiers (after aggregation).
-func (r *Router) GuaranteedPathCount() int { return len(r.guaranteedPaths()) }
+func (r *Router) GuaranteedPathCount() int { return len(r.sortedPaths().guaranteed) }
 
 // recomputeParams refreshes every guaranteed path's bandwidth share,
 // token-bucket parameters, attack-path flag, and the router's Q_max.
 // floc:unit now seconds
 // floc:unit interval seconds
 func (r *Router) recomputeParams(now, interval float64) {
-	paths := r.guaranteedPaths()
+	paths := r.sortedPaths().guaranteed
 	if len(paths) == 0 {
 		return
 	}
@@ -364,10 +432,9 @@ type PathInfo struct {
 
 // PathInfos returns per-origin-path state, sorted by key.
 func (r *Router) PathInfos() []PathInfo {
-	keys := r.origins.sortedKeys()
-	out := make([]PathInfo, 0, len(keys))
-	for _, k := range keys {
-		ps := r.origins.lookup(k)
+	origins := r.sortedPaths().origins
+	out := make([]PathInfo, 0, len(origins))
+	for _, ps := range origins {
 		eff := ps.effective()
 		info := PathInfo{
 			Key:             ps.key,
@@ -435,12 +502,13 @@ func (r *Router) DistinctDroppedFlows(pathKey string, now float64) (distinct int
 		return 0, 0
 	}
 	eff := ps.effective()
-	ps.flows.each(func(_ flowKey, fs *flowState) {
-		st := r.filter.Query(fs.hash, now, r.epoch(eff), r.filterK(eff))
+	epoch, k := r.epoch(eff), r.filterK(eff)
+	for _, fs := range ps.flows.all() {
+		st := r.filter.Query(fs.hash, now, epoch, k)
 		if st.TS > 0 || st.D > 0 {
 			distinct++
 		}
-	})
+	}
 	w := eff.params.Window
 	if w <= 0 {
 		return distinct, 0

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Path handles give the steady-state admission path an integer identity
 // for origin paths, so the per-packet lookup is an array index instead of
@@ -116,7 +113,7 @@ func (t *pathTable) remove(ps *pathState) {
 func (t *pathTable) size() int { return t.live }
 
 // each visits every live state in unspecified order; callers needing
-// determinism sort keys (sortedKeys) or sort what they collect. Removing
+// determinism use Router.sortedPaths or sort what they collect. Removing
 // the currently visited state from within fn is allowed.
 func (t *pathTable) each(fn func(ps *pathState)) {
 	for _, ps := range t.states {
@@ -127,13 +124,4 @@ func (t *pathTable) each(fn func(ps *pathState)) {
 	for _, ps := range t.overflow {
 		fn(ps)
 	}
-}
-
-// sortedKeys returns the live states' keys in sorted order, for
-// deterministic emission.
-func (t *pathTable) sortedKeys() []string {
-	keys := make([]string, 0, t.live)
-	t.each(func(ps *pathState) { keys = append(keys, ps.key) })
-	sort.Strings(keys)
-	return keys
 }

@@ -79,12 +79,12 @@ type flowKey struct {
 }
 
 // flowState is the per-active-flow record of the (non-scalable) exact
-// tracking mode.
+// tracking mode. It holds no pointers and lives by value in its path's
+// flowTable slab, so a flow costs the garbage collector nothing.
 type flowState struct {
-	lastSeen     float64 //floc:unit seconds
-	synAt        float64 //floc:unit seconds
-	awaitingData bool
-	hash         uint64
+	lastSeen float64 //floc:unit seconds
+	synAt    float64 //floc:unit seconds
+	hash     uint64
 
 	// admitted and arrived count tokens admitted/offered this control
 	// interval; admittedRate and arrivedRate are the smoothed rates
@@ -103,6 +103,7 @@ type flowState struct {
 	// responds. Effective fair share = fair / escalation.
 	escalation float64 //floc:unit ratio
 
+	awaitingData bool
 	// attackFlagged tracks the last classification verdict so telemetry
 	// emits FlowClassifiedAttack only on the transition into attack.
 	attackFlagged bool
@@ -226,6 +227,9 @@ type Router struct {
 	lastControl float64 //floc:unit seconds
 	controlRuns int
 	planSig     string
+	order       pathOrder     // see sortedPaths
+	tally       flowTally     // last control run's flow counts
+	flagged     []flaggedFlow // controlFlows scratch, reused across runs
 
 	dropCounts [numDropReasons]int64
 	admitted   int64
@@ -415,6 +419,7 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 	ps.bucket = bucket
 	ps.params = tcpmodel.Params{Period: r.cfg.ControlInterval, RefMTD: r.cfg.DefaultRTT}
 	r.origins.put(key, ps)
+	r.order.valid = false
 	r.lastKey, r.lastOrigin = memoKey, ps
 	if telemetry.Compiled && r.tel != nil {
 		r.bindPathCounters(ps)
@@ -441,8 +446,7 @@ func (r *Router) Enqueue(pkt *netsim.Packet, now float64) bool {
 	key, hash := r.acctKey(pkt)
 	fs := orig.flows.get(hash, key)
 	if fs == nil {
-		fs = &flowState{hash: hash}
-		orig.flows.put(hash, key, fs)
+		fs = orig.flows.put(hash, key)
 	}
 	fs.lastSeen = now
 	//floc:nonexhaustive RTT sampling keys on SYN and first forward data; SYNACK/ACK travel the reverse path and never reach this router's measurement

@@ -31,6 +31,12 @@ type routerMetrics struct {
 	filterLive      *telemetry.Gauge
 	filterMem       *telemetry.Gauge
 
+	// Flow population, from the tallies controlFlows keeps while it visits
+	// every flow anyway: what control-run cost scales with.
+	liveFlows    *telemetry.Gauge
+	attackFlows  *telemetry.Gauge
+	expiredFlows *telemetry.Counter
+
 	// Drop-filter op counters advance by delta each control run; prev*
 	// remember the last published cumulative values.
 	filterRecordOps *telemetry.Counter
@@ -56,6 +62,10 @@ func newRouterMetrics(reg *telemetry.Registry) *routerMetrics {
 		mode:            reg.Gauge("floc_router_mode", "queue mode (1=uncongested 2=congested 3=flooding)", ""),
 		filterLive:      reg.Gauge("floc_filter_live_records", "live drop-filter records at last control run", ""),
 		filterMem:       reg.Gauge("floc_filter_memory_bytes", "drop-filter memory footprint", "bytes"),
+
+		liveFlows:    reg.Gauge("floc_router_live_flows", "flows tracked after the last control run's expiry", ""),
+		attackFlows:  reg.Gauge("floc_router_attack_flows", "tracked flows classified as attack flows at the last control run", ""),
+		expiredFlows: reg.Counter("floc_router_expired_flows_total", "idle flows expired by control runs", ""),
 
 		filterRecordOps: reg.Counter("floc_filter_record_ops_total", "drop-filter RecordDrop operations", ""),
 		filterQueryOps:  reg.Counter("floc_filter_query_ops_total", "drop-filter Query operations", ""),
@@ -139,8 +149,8 @@ func (r *Router) noteMode(now float64) {
 
 // sampleControl records the per-control-run observability: gauges,
 // per-path histograms, recorder samples, and the ControlRunCompleted
-// event. Iteration follows guaranteedPaths()' sorted order so the trace
-// is deterministic.
+// event. Iteration follows sortedPaths' key order so the trace is
+// deterministic.
 // floc:unit now seconds
 func (r *Router) sampleControl(now float64) {
 	r.met.controlRuns.Inc()
@@ -154,10 +164,13 @@ func (r *Router) sampleControl(now float64) {
 	r.met.filterQueryOps.Add(queryOps - r.met.prevQueryOps)
 	r.met.prevRecordOps = recordOps
 	r.met.prevQueryOps = queryOps
+	r.met.liveFlows.Set(float64(r.tally.live))
+	r.met.attackFlows.Set(float64(r.tally.attack))
+	r.met.expiredFlows.Add(int64(r.tally.expired))
 
-	paths := r.guaranteedPaths()
-	r.met.guaranteedPaths.Set(float64(len(paths)))
-	for _, ps := range paths {
+	order := r.sortedPaths()
+	r.met.guaranteedPaths.Set(float64(len(order.guaranteed)))
+	for _, ps := range order.guaranteed {
 		if size := ps.bucket.Size(); size > 0 {
 			//floclint:allow units tokens over bucket-size tokens is the occupancy fraction
 			occupancy := ps.bucket.Available(now) / size //floc:unit ratio
@@ -168,9 +181,7 @@ func (r *Router) sampleControl(now float64) {
 	}
 
 	if r.tel.Recorder != nil {
-		keys := r.origins.sortedKeys()
-		for _, key := range keys {
-			ps := r.origins.lookup(key)
+		for _, ps := range order.origins {
 			eff := ps.effective()
 			s := telemetry.PathSample{
 				Time:         now,

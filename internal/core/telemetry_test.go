@@ -229,3 +229,53 @@ func TestTimeQueue(t *testing.T) {
 		t.Fatal("exhausted pop must return NaN")
 	}
 }
+
+// TestFlowPopulationMetrics: the live/attack flow gauges and the expired
+// flow counter are what the control pass saw — they agree with PathInfos
+// after every control run, through growth, a flood and a mass expiry.
+func TestFlowPopulationMetrics(t *testing.T) {
+	r := newTestRouter(t, nil)
+	tel := telemetry.New(telemetry.Options{})
+	r.SetTelemetry(tel)
+	d := &driver{r: r}
+	calm, hot := pathid.New(11, 1), pathid.New(31, 20, 3)
+	created, maxLive, maxAttack := 0, 0.0, 0.0
+	for step := 0; step < 5000; step++ { // 10 s: the timeout is 5 s
+		var pkts []*netsim.Packet
+		if step < 1500 && step%10 == 0 {
+			// 40 gentle flows on the calm path; they stop at 3 s and expire.
+			for f := 0; f < 40; f++ {
+				pkts = append(pkts, mkpkt(uint32(100+f), 2, 1000, calm))
+			}
+			created = 40
+		}
+		if step%25 == 0 {
+			pkts = append(pkts, mkpkt(90, 2, 1000, calm))
+		}
+		for k := 0; k < 3; k++ { // one flooding flow
+			pkts = append(pkts, mkpkt(200, 2, 1000, hot))
+		}
+		runs := r.ControlRuns()
+		d.step(0.002, pkts, 2)
+		if r.ControlRuns() == runs {
+			continue
+		}
+		live, attack := 0, 0
+		for _, info := range r.PathInfos() {
+			live += info.Flows
+			attack += info.AttackFlows
+		}
+		gotLive := tel.Registry.GaugeValue("floc_router_live_flows")
+		gotAttack := tel.Registry.GaugeValue("floc_router_attack_flows")
+		if gotLive != float64(live) || gotAttack != float64(attack) {
+			t.Fatalf("step %d: gauges live=%v attack=%v, PathInfos sums %d and %d", step, gotLive, gotAttack, live, attack)
+		}
+		maxLive, maxAttack = math.Max(maxLive, gotLive), math.Max(maxAttack, gotAttack)
+	}
+	if maxLive < float64(created) || maxAttack < 1 {
+		t.Fatalf("peak live flows %v, peak attack flows %v: the trace did not populate and flood", maxLive, maxAttack)
+	}
+	if got := tel.Registry.CounterValue("floc_router_expired_flows_total"); got != int64(created) {
+		t.Fatalf("floc_router_expired_flows_total = %d, want the %d flows that stopped", got, created)
+	}
+}

@@ -17,6 +17,9 @@
 #                        (capture reader: one line read, scanned, decoded)
 #   capture_write        BenchmarkCaptureWrite            ns/op, B/op, allocs/op
 #                        (capture writer: one line marshalled and formatted)
+#   control_run          BenchmarkControlRun              ns/op, B/op, allocs/op
+#                        (one control-loop execution over 2048 paths x 16
+#                        flows, ~5 % of flows expiring, telemetry attached)
 #   feedback_encode      BenchmarkControlEncode           ns/op (cluster
 #                        control-frame marshal, the Publish hot loop)
 #   limit_install        BenchmarkLimitInstall            ns/op (one
@@ -57,6 +60,7 @@ locality=$(bench ./internal/dropfilter '^BenchmarkFilterLocality$')
 wire=$(bench ./internal/wire '^BenchmarkWireDecode$')
 capnext=$(bench ./internal/wire '^BenchmarkCaptureNext$')
 capwrite=$(bench ./internal/wire '^BenchmarkCaptureWrite$')
+control=$(bench ./internal/core '^BenchmarkControlRun$')
 feedback=$(bench ./internal/wire '^BenchmarkControlEncode$')
 install=$(bench ./internal/dataplane '^BenchmarkLimitInstall$')
 
@@ -120,6 +124,8 @@ best_by() {
         "$(best_ns "$capnext")" "$(best_mem "$capnext")"
     printf '    "capture_write": {"bench": "BenchmarkCaptureWrite", "ns_per_op": %s, %s},\n' \
         "$(best_ns "$capwrite")" "$(best_mem "$capwrite")"
+    printf '    "control_run": {"bench": "BenchmarkControlRun", "ns_per_op": %s, %s},\n' \
+        "$(best_ns "$control")" "$(best_mem "$control")"
     printf '    "feedback_encode": {"bench": "BenchmarkControlEncode", "ns_per_op": %s},\n' \
         "$(best_ns "$feedback")"
     printf '    "limit_install": {"bench": "BenchmarkLimitInstall", "ns_per_op": %s}\n' \
