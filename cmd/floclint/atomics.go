@@ -1,344 +1,38 @@
 package main
 
-// The atomics rule: mixed atomic/plain access, lock-by-copy, and 64-bit
-// alignment hazards.
+// The atomics rule: no function-style sync/atomic operations.
 //
 // The dataplane publishes counters and parking flags across goroutines
-// with sync/atomic. Three mistakes survive go vet and the race detector's
-// sampling and all three have bitten real lock-free code:
-//
-//  1. Mixed access: a field updated with atomic.AddInt64 on the hot path
-//     but read with a plain load in a snapshot function is a data race
-//     and can observe torn or stale values. Any struct field that appears
-//     as &s.f in a sync/atomic call anywhere in the package must be
-//     accessed atomically everywhere in the package.
-//  2. Copying: assigning or passing a struct that contains atomic state
-//     (a function-style atomic field or an atomic.Int64-style wrapper) by
-//     value duplicates state that must stay unique; updates to the copy
-//     are silently lost. Composite literals are exempt: constructing a
-//     fresh value is not copying live state.
-//  3. Alignment: the 64-bit function-style atomics (atomic.AddInt64 and
-//     friends) fault on 32-bit platforms unless the operand is 8-byte
-//     aligned, which the compiler only guarantees for the first word of
-//     an allocation. The rule computes field offsets under 32-bit (GOARCH
-//     386) layout and flags 64-bit atomic fields at unaligned offsets.
-//     The atomic.Int64/Uint64 wrapper types are exempt: they embed
-//     align64 and are guaranteed aligned everywhere, which is also the
-//     recommended fix.
-//
-// Wrapper-typed fields (atomic.Bool, atomic.Int64, ...) cannot be
-// accessed non-atomically (the representation is unexported), so only
-// checks 2 applies to them.
+// with sync/atomic. Lock-free state goes wrong in three ways — a plain
+// access to a variable that is accessed atomically elsewhere, a by-value
+// copy that forks state which must stay unique, and a 64-bit operand
+// that faults on 32-bit platforms because it is not 8-byte aligned. The
+// atomic.Int64-style wrapper types rule out the first by their unexported
+// representation and the third by embedding align64, and go vet's
+// copylocks pass reports the second (by-value parameters, assignments,
+// range variables and literal copies of a struct holding a wrapper), one
+// stage before floclint in scripts/check.sh. What nothing else reports is
+// the way back in: atomic.AddInt64(&x, 1) and its LoadX/StoreX/SwapX/
+// CompareAndSwapX siblings take a plain variable, which re-opens the
+// first and third hazard. Any reference to one of those functions is a
+// finding.
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// atomicPkgFuncs maps sync/atomic function names whose first argument is
-// the address of the atomic variable to whether they operate on 64 bits.
-var atomicPkgFuncs = map[string]bool{
-	"AddInt32": false, "AddInt64": true, "AddUint32": false, "AddUint64": true, "AddUintptr": false,
-	"CompareAndSwapInt32": false, "CompareAndSwapInt64": true,
-	"CompareAndSwapUint32": false, "CompareAndSwapUint64": true, "CompareAndSwapUintptr": false,
-	"CompareAndSwapPointer": false,
-	"LoadInt32":             false, "LoadInt64": true, "LoadUint32": false, "LoadUint64": true,
-	"LoadUintptr": false, "LoadPointer": false,
-	"StoreInt32": false, "StoreInt64": true, "StoreUint32": false, "StoreUint64": true,
-	"StoreUintptr": false, "StorePointer": false,
-	"SwapInt32": false, "SwapInt64": true, "SwapUint32": false, "SwapUint64": true,
-	"SwapUintptr": false, "SwapPointer": false,
-}
-
-// atomicWrapperNames are the sync/atomic types that encapsulate their
-// access discipline.
-var atomicWrapperNames = map[string]bool{
-	"Bool": true, "Int32": true, "Int64": true, "Uint32": true, "Uint64": true,
-	"Uintptr": true, "Pointer": true, "Value": true,
-}
-
-// isAtomicWrapper reports whether t is one of sync/atomic's typed
-// atomics (possibly generic, like atomic.Pointer[T]).
-func isAtomicWrapper(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" && atomicWrapperNames[obj.Name()]
-}
-
-// atomicAudit is the per-package state of the atomics rule.
-type atomicAudit struct {
-	// fields used as &s.f arguments to sync/atomic functions, with the
-	// name of one such function for diagnostics and whether any use was
-	// 64-bit.
-	fields map[*types.Var]*atomicUse
-	// selector nodes that are the sanctioned &s.f of an atomic call.
-	sanctioned map[*ast.SelectorExpr]bool
-}
-
-type atomicUse struct {
-	fn        string // e.g. "AddInt64"
-	sixtyFour bool
-}
-
-// checkAtomics runs the atomics rule over all files of the package: a
-// collection pass finds atomically-accessed fields, then the checking
-// passes flag plain accesses, copies, and misaligned 64-bit fields.
-func (l *linter) checkAtomics(files []*ast.File) {
-	audit := &atomicAudit{
-		fields:     map[*types.Var]*atomicUse{},
-		sanctioned: map[*ast.SelectorExpr]bool{},
-	}
-	for _, f := range files {
-		l.collectAtomicUses(f, audit)
-	}
-	for _, f := range files {
-		l.checkPlainAccess(f, audit)
-		l.checkAtomicCopies(f, audit)
-		l.checkAtomicAlignment(f, audit)
-	}
-}
-
-// collectAtomicUses records every struct field whose address is passed to
-// a sync/atomic function.
-func (l *linter) collectAtomicUses(f *ast.File, audit *atomicAudit) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || l.pkgNameOf(sel.X) != "sync/atomic" {
-			return true
-		}
-		is64, known := atomicPkgFuncs[sel.Sel.Name]
-		if !known {
-			return true
-		}
-		addr, ok := unparen(call.Args[0]).(*ast.UnaryExpr)
-		if !ok || addr.Op != token.AND {
-			return true
-		}
-		fieldSel, ok := unparen(addr.X).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		v := l.fieldOf(fieldSel)
-		if v == nil {
-			return true
-		}
-		audit.sanctioned[fieldSel] = true
-		use := audit.fields[v]
-		if use == nil {
-			use = &atomicUse{fn: sel.Sel.Name}
-			audit.fields[v] = use
-		}
-		use.sixtyFour = use.sixtyFour || is64
-		return true
-	})
-}
-
-// fieldOf resolves a selector to the struct field it denotes, nil for
-// methods, package members, and locals.
-func (l *linter) fieldOf(sel *ast.SelectorExpr) *types.Var {
-	if s, ok := l.info.Selections[sel]; ok {
-		if v, ok := s.Obj().(*types.Var); ok && v.IsField() {
-			return v
-		}
-		return nil
-	}
-	if v, ok := l.info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-		return v
-	}
-	return nil
-}
-
-// checkPlainAccess flags selector uses of atomically-accessed fields
-// outside sync/atomic call arguments.
-func (l *linter) checkPlainAccess(f *ast.File, audit *atomicAudit) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || audit.sanctioned[sel] {
-			return true
-		}
-		v := l.fieldOf(sel)
-		if v == nil {
-			return true
-		}
-		use, ok := audit.fields[v]
-		if !ok {
-			return true
-		}
-		l.report(sel.Sel.Pos(), RuleAtomics,
-			"plain access to field %s, which is accessed with sync/atomic.%s elsewhere in this package: mixed atomic/plain access races",
-			v.Name(), use.fn)
-		return true
-	})
-}
-
-// typeContainsAtomic reports whether copying a value of type t duplicates
-// atomic state: a field registered in the audit, a sync/atomic wrapper
-// field, or either nested in an inner struct or array.
-func typeContainsAtomic(t types.Type, audit *atomicAudit, depth int) bool {
-	if t == nil || depth > 10 {
-		return false
-	}
-	if isAtomicWrapper(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			fld := u.Field(i)
-			if audit.fields[fld] != nil || typeContainsAtomic(fld.Type(), audit, depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return typeContainsAtomic(u.Elem(), audit, depth+1)
-	}
-	return false
-}
-
-// copyExempt reports whether an expression produces a fresh value rather
-// than copying live state: composite literals and conversions of them.
-func copyExempt(e ast.Expr) bool {
-	switch e := unparen(e).(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.CallExpr:
-		// Function results are fresh from the caller's perspective; the
-		// copying return inside the callee is flagged at its signature.
-		return true
-	case *ast.UnaryExpr:
-		return e.Op == token.AND
-	}
-	return false
-}
-
-// checkAtomicCopies flags by-value movement of structs containing atomic
-// state: assignments, range value variables, call arguments, and
-// by-value receivers/params/results in function signatures.
-func (l *linter) checkAtomicCopies(f *ast.File, audit *atomicAudit) {
-	copies := func(e ast.Expr) bool {
-		return !copyExempt(e) && typeContainsAtomic(typeOf(l.info, unparen(e)), audit, 0)
-	}
-	flag := func(pos token.Pos, t types.Type, what string) {
-		l.report(pos, RuleAtomics,
-			"%s copies %s, which contains atomic fields; copies fork state that must stay unique — use a pointer",
-			what, types.TypeString(t, nil))
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if copies(rhs) {
-					flag(rhs.Pos(), typeOf(l.info, unparen(rhs)), "assignment")
-				}
-			}
-		case *ast.ValueSpec:
-			for _, v := range n.Values {
-				if copies(v) {
-					flag(v.Pos(), typeOf(l.info, unparen(v)), "assignment")
-				}
-			}
-		case *ast.RangeStmt:
-			// The value variable of a := range is a Def, not a typed
-			// expression, so resolve its object directly.
-			if id, ok := n.Value.(*ast.Ident); ok && id.Name != "_" {
-				obj := l.info.Defs[id]
-				if obj == nil {
-					obj = l.info.Uses[id]
-				}
-				if obj != nil && typeContainsAtomic(obj.Type(), audit, 0) {
-					flag(id.Pos(), obj.Type(), "range value")
-				}
-			}
-		case *ast.CallExpr:
-			if tv, ok := l.info.Types[n.Fun]; ok && tv.IsType() {
-				return true // conversion, not a call
-			}
-			for _, arg := range n.Args {
-				if copies(arg) {
-					flag(arg.Pos(), typeOf(l.info, unparen(arg)), "argument")
-				}
-			}
-		case *ast.FuncDecl:
-			l.checkAtomicSignature(n, audit, flag)
-		}
-		return true
-	})
-}
-
-// checkAtomicSignature flags by-value atomic-bearing types in a function
-// signature.
-func (l *linter) checkAtomicSignature(fn *ast.FuncDecl, audit *atomicAudit, flag func(token.Pos, types.Type, string)) {
-	check := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := typeOf(l.info, field.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if typeContainsAtomic(t, audit, 0) {
-				flag(field.Type.Pos(), t, what)
-			}
-		}
-	}
-	check(fn.Recv, "by-value receiver")
-	check(fn.Type.Params, "by-value parameter")
-	check(fn.Type.Results, "by-value result")
-}
-
-// checkAtomicAlignment flags 64-bit function-style atomic fields whose
-// offset under 32-bit layout is not a multiple of 8.
-func (l *linter) checkAtomicAlignment(f *ast.File, audit *atomicAudit) {
-	sizes := types.SizesFor("gc", "386")
-	if sizes == nil {
+// checkAtomicFunc flags a reference to a package-level sync/atomic
+// function (rule atomics). Wrapper methods (x.Add, x.Load) resolve
+// through a selection, not a package qualifier, and pass.
+func (l *linter) checkAtomicFunc(sel *ast.SelectorExpr) {
+	if l.pkgNameOf(sel.X) != "sync/atomic" {
 		return
 	}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.TYPE {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			ts, ok := spec.(*ast.TypeSpec)
-			if !ok {
-				continue
-			}
-			obj, ok := l.info.Defs[ts.Name].(*types.TypeName)
-			if !ok {
-				continue
-			}
-			st, ok := obj.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			fields := make([]*types.Var, st.NumFields())
-			for i := range fields {
-				fields[i] = st.Field(i)
-			}
-			offsets := sizes.Offsetsof(fields)
-			for i, fld := range fields {
-				use := audit.fields[fld]
-				if use == nil || !use.sixtyFour {
-					continue
-				}
-				if offsets[i]%8 != 0 {
-					l.report(fld.Pos(), RuleAtomics,
-						"64-bit atomic field %s sits at offset %d under 32-bit layout; sync/atomic.%s would fault there — move it to the front or use the atomic.Int64/Uint64 wrapper types",
-						fld.Name(), offsets[i], use.fn)
-				}
-			}
-		}
+	if _, ok := l.info.Uses[sel.Sel].(*types.Func); !ok {
+		return // a type: atomic.Int64, atomic.Pointer[T]
 	}
+	l.report(sel.Pos(), RuleAtomics,
+		"atomic.%s operates on a plain variable that can also be accessed non-atomically or sit misaligned on 32-bit platforms; use the wrapper types (atomic.Int64, atomic.Bool, atomic.Pointer[T], ...)",
+		sel.Sel.Name)
 }

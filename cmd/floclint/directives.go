@@ -1,0 +1,285 @@
+package main
+
+// Directive scanning: one parser for "floc:<name> <args…>" comment lines
+// and one walk over each file's declarations, filling one module-wide
+// table. The table is built by a syntax-only parse of every module
+// package in the load closure, linted or not: the cross-package rules
+// need the directives of dependencies, which export data does not carry.
+
+import (
+	"go/ast"
+	"go/token"
+	"strings"
+)
+
+// Directive names, as written after "floc:".
+const (
+	dirUnit          = "unit"          // units: <dim> on a field or local, <name> <dim> in a func doc
+	dirEq            = "eq"            // eq-guard: the function implements a paper equation
+	dirHotpath       = "hotpath"       // hotpath: per-packet function, body checked
+	dirColdpath      = "coldpath"      // hotpath: sanctioned cold excursion, <reason> mandatory
+	dirUntrusted     = "untrusted"     // taint: <name>… in a func doc, bare on a field or local
+	dirSanitizes     = "sanitizes"     // taint: the function is a validation boundary
+	dirSink          = "sink"          // taint: <param> <what…>
+	dirEnum          = "enum"          // exhaustive: the type is a closed enum
+	dirEnumBound     = "enumbound"     // exhaustive: the constant is a count sentinel
+	dirNonexhaustive = "nonexhaustive" // exhaustive: <reason> waives one switch
+)
+
+// directive is one parsed "floc:<name> <args…>" comment line.
+type directive struct {
+	name string
+	args []string
+	c    *ast.Comment
+}
+
+// parseDirective parses one comment line. The directive must start the
+// line ("//floc:unit …" or "// floc:unit …"): prose that merely mentions
+// a directive does not annotate. An inline "//" starts a trailing comment
+// and ends the arguments.
+func parseDirective(c *ast.Comment) (directive, bool) {
+	rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimLeft(c.Text, "/")), "floc:")
+	fields := strings.Fields(rest)
+	if !ok || len(fields) == 0 || !strings.HasPrefix(rest, fields[0]) {
+		return directive{}, false // no directive, or "floc: name"
+	}
+	d := directive{name: fields[0], c: c}
+	for _, f := range fields[1:] {
+		if strings.HasPrefix(f, "//") {
+			break
+		}
+		d.args = append(d.args, f)
+	}
+	return d, true
+}
+
+// directivesIn parses every directive line of the comment groups, in
+// order; nil groups are skipped.
+func directivesIn(groups ...*ast.CommentGroup) []directive {
+	var out []directive
+	for _, g := range groups {
+		if g == nil {
+			continue
+		}
+		for _, c := range g.List {
+			if d, ok := parseDirective(c); ok {
+				out = append(out, d)
+			}
+		}
+	}
+	return out
+}
+
+// funcDirectives is everything one function's doc comment declares.
+type funcDirectives struct {
+	units      map[string]dim    // parameter, named-result, or "return" -> dim
+	eq         bool              // floc:eq
+	hot, cold  bool              // floc:hotpath, floc:coldpath (both: a conflict)
+	coldReason bool              // some floc:coldpath line gives its reason
+	untrusted  map[string]bool   // parameter, named-result, or "return"
+	sanitizes  bool              // floc:sanitizes
+	sinks      map[string]string // parameter -> what it feeds
+}
+
+// add hands one doc directive to the rule that owns its name.
+func (fd *funcDirectives) add(d directive) {
+	switch d.name {
+	case dirUnit:
+		if len(d.args) >= 2 {
+			if dm, ok := dimByName[d.args[1]]; ok { // else reported by checkUnitDirective
+				fd.units[d.args[0]] = dm
+			}
+		}
+	case dirEq:
+		fd.eq = true
+	case dirHotpath:
+		fd.hot = true
+	case dirColdpath:
+		fd.cold = true
+		fd.coldReason = fd.coldReason || len(d.args) > 0
+	case dirUntrusted:
+		for _, name := range d.args {
+			fd.untrusted[name] = true
+		}
+	case dirSanitizes:
+		fd.sanitizes = true
+	case dirSink:
+		if len(d.args) >= 2 {
+			fd.sinks[d.args[0]] = strings.Join(d.args[1:], " ")
+		}
+	}
+}
+
+// directives is the module-wide directive table.
+type directives struct {
+	// pkgs is the set of non-standard package paths in the load closure;
+	// it bounds the hotpath annotation requirement to module code.
+	pkgs map[string]bool
+	// funcs is keyed "pkgpath.[Recv.]Func".
+	funcs map[string]*funcDirectives
+	// unitFields and untrustedFields are keyed "pkgpath.Type.Field". For
+	// map- and slice-typed fields a dim describes the element values.
+	unitFields      map[string]dim
+	untrustedFields map[string]bool
+	// enums and enumMembers are keyed "pkgpath.Type": which named types
+	// carry floc:enum, and the constants of every candidate type in
+	// declaration order (collected unconditionally, so a mark and its
+	// const block may live in different files).
+	enums       map[string]bool
+	enumMembers map[string][]string
+}
+
+func newDirectives() *directives {
+	return &directives{
+		pkgs:            map[string]bool{},
+		funcs:           map[string]*funcDirectives{},
+		unitFields:      map[string]dim{},
+		untrustedFields: map[string]bool{},
+		enums:           map[string]bool{},
+		enumMembers:     map[string][]string{},
+	}
+}
+
+var noDirectives funcDirectives
+
+// fn returns the directives of the function with the given key; the
+// result is never nil.
+func (d *directives) fn(key string) *funcDirectives {
+	if fd := d.funcs[key]; fd != nil {
+		return fd
+	}
+	return &noDirectives
+}
+
+func funcKeyFor(pkgPath, recvName, name string) string {
+	if recvName != "" {
+		return pkgPath + "." + recvName + "." + name
+	}
+	return pkgPath + "." + name
+}
+
+// declKey is the table key of a function declaration.
+func declKey(pkgPath string, fn *ast.FuncDecl) string {
+	return funcKeyFor(pkgPath, recvTypeName(fn.Recv), fn.Name.Name)
+}
+
+// recvTypeName extracts the receiver's base type name from an AST
+// receiver field ("" for generic or unresolvable receivers).
+func recvTypeName(recv *ast.FieldList) string {
+	if recv == nil || len(recv.List) == 0 {
+		return ""
+	}
+	t := recv.List[0].Type
+	for {
+		switch tt := t.(type) {
+		case *ast.StarExpr:
+			t = tt.X
+		case *ast.IndexExpr:
+			t = tt.X
+		case *ast.IndexListExpr:
+			t = tt.X
+		case *ast.Ident:
+			return tt.Name
+		default:
+			return ""
+		}
+	}
+}
+
+// collect walks one parsed file's declarations — function docs, type
+// marks, struct fields, const blocks — once. Purely syntactic.
+func (d *directives) collect(pkgPath string, f *ast.File) {
+	for _, decl := range f.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			dirs := directivesIn(decl.Doc)
+			if len(dirs) == 0 {
+				continue
+			}
+			fd := &funcDirectives{units: map[string]dim{}, untrusted: map[string]bool{}, sinks: map[string]string{}}
+			for _, dir := range dirs {
+				fd.add(dir)
+			}
+			d.funcs[declKey(pkgPath, decl)] = fd
+		case *ast.GenDecl:
+			switch decl.Tok {
+			case token.TYPE:
+				for _, spec := range decl.Specs {
+					d.collectType(pkgPath, decl, spec.(*ast.TypeSpec))
+				}
+			case token.CONST:
+				d.collectEnumConsts(pkgPath, decl)
+			}
+		}
+	}
+}
+
+// collectType records a type's floc:enum mark and, for structs, the
+// per-field floc:unit and floc:untrusted directives (trailing or doc).
+func (d *directives) collectType(pkgPath string, gd *ast.GenDecl, ts *ast.TypeSpec) {
+	typeKey := pkgPath + "." + ts.Name.Name
+	groups := []*ast.CommentGroup{ts.Doc, ts.Comment}
+	if len(gd.Specs) == 1 {
+		groups = append(groups, gd.Doc)
+	}
+	for _, dir := range directivesIn(groups...) {
+		if dir.name == dirEnum {
+			d.enums[typeKey] = true
+		}
+	}
+	st, ok := ts.Type.(*ast.StructType)
+	if !ok {
+		return
+	}
+	for _, field := range st.Fields.List {
+		for _, dir := range directivesIn(field.Comment, field.Doc) {
+			for _, name := range field.Names {
+				key := typeKey + "." + name.Name
+				switch dir.name {
+				case dirUnit:
+					if dm, ok := dirDim(dir); ok {
+						if _, dup := d.unitFields[key]; !dup {
+							d.unitFields[key] = dm
+						}
+					}
+				case dirUntrusted:
+					d.untrustedFields[key] = true
+				}
+			}
+		}
+	}
+}
+
+// lineDirectives maps the source lines of one linted file to the
+// directives written on them: the trailing-comment forms that annotate a
+// local's declaration or waive one switch.
+type lineDirectives map[int][]directive
+
+// find returns the first directive called name on the line.
+func (ld lineDirectives) find(line int, name string) (directive, bool) {
+	for _, d := range ld[line] {
+		if d.name == name {
+			return d, true
+		}
+	}
+	return directive{}, false
+}
+
+// scanLines indexes every directive in the file by line, handing each to
+// its rule's malformed-directive check on the way.
+func (l *linter) scanLines(f *ast.File) lineDirectives {
+	ld := lineDirectives{}
+	for _, d := range directivesIn(f.Comments...) {
+		switch d.name {
+		case dirUnit:
+			l.checkUnitDirective(d)
+		case dirSink:
+			l.checkSinkDirective(d)
+		case dirNonexhaustive:
+			l.checkWaiverDirective(d)
+		}
+		line := l.fset.Position(d.c.Pos()).Line
+		ld[line] = append(ld[line], d)
+	}
+	return ld
+}

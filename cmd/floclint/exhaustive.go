@@ -25,89 +25,16 @@ package main
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 )
 
-// Exhaustiveness directives.
-const (
-	enumDirective          = "floc:enum"
-	enumBoundDirective     = "floc:enumbound"
-	nonexhaustiveDirective = "floc:nonexhaustive"
-)
-
-// enumTable carries the module-wide enum declarations: which named types
-// are marked closed, and the constant members of every candidate type
-// (collected unconditionally so marks and const blocks may live in
-// different files).
-type enumTable struct {
-	marked  map[string]bool     // "pkgpath.Type" -> //floc:enum seen
-	members map[string][]string // "pkgpath.Type" -> const names in decl order
-}
-
-func newEnumTable() *enumTable {
-	return &enumTable{marked: map[string]bool{}, members: map[string][]string{}}
-}
-
-// membersOf returns the member names of a marked enum, nil when the type
-// is not a marked enum (or has no collected constants).
-func (t *enumTable) membersOf(key string) []string {
-	if !t.marked[key] {
-		return nil
-	}
-	return t.members[key]
-}
-
-// hasBareDirective reports whether a comment line carries the directive
-// with no requirement on trailing text (the directive must start the
-// line, as with every floc: directive).
-func hasBareDirective(text, dir string) bool {
-	return taintDirectiveFields(text, dir) != nil
-}
-
-// collectEnumDecls scans one parsed file for //floc:enum type marks and
-// typed constant declarations, filling tbl. Purely syntactic.
-func collectEnumDecls(pkgPath string, f *ast.File, tbl *enumTable) {
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok {
-			continue
-		}
-		switch gd.Tok {
-		case token.TYPE:
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				groups := []*ast.CommentGroup{ts.Doc, ts.Comment}
-				if len(gd.Specs) == 1 {
-					groups = append(groups, gd.Doc)
-				}
-				for _, group := range groups {
-					if group == nil {
-						continue
-					}
-					for _, c := range group.List {
-						if hasBareDirective(c.Text, enumDirective) {
-							tbl.marked[pkgPath+"."+ts.Name.Name] = true
-						}
-					}
-				}
-			}
-		case token.CONST:
-			collectEnumConsts(pkgPath, gd, tbl)
-		}
-	}
-}
-
 // collectEnumConsts walks one const block tracking the implied type of
 // each spec: an explicit type sets it, a spec with neither type nor
 // values repeats the previous spec (Go's const-repetition rule, the iota
 // idiom), and a spec with values but no type is untyped and clears it.
-func collectEnumConsts(pkgPath string, gd *ast.GenDecl, tbl *enumTable) {
+func (d *directives) collectEnumConsts(pkgPath string, gd *ast.GenDecl) {
 	curType := ""
 	for _, spec := range gd.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
@@ -127,7 +54,7 @@ func collectEnumConsts(pkgPath string, gd *ast.GenDecl, tbl *enumTable) {
 		if curType == "" {
 			continue
 		}
-		if enumBoundMarked(vs) {
+		if isEnumBound(vs) {
 			continue // count sentinel: one past the last member
 		}
 		key := pkgPath + "." + curType
@@ -135,90 +62,61 @@ func collectEnumConsts(pkgPath string, gd *ast.GenDecl, tbl *enumTable) {
 			if name.Name == "_" {
 				continue
 			}
-			tbl.members[key] = append(tbl.members[key], name.Name)
+			d.enumMembers[key] = append(d.enumMembers[key], name.Name)
 		}
 	}
 }
 
-// enumBoundMarked reports whether the spec's doc or trailing comment
-// carries //floc:enumbound.
-func enumBoundMarked(vs *ast.ValueSpec) bool {
-	for _, group := range []*ast.CommentGroup{vs.Doc, vs.Comment} {
-		if group == nil {
-			continue
-		}
-		for _, c := range group.List {
-			if hasBareDirective(c.Text, enumBoundDirective) {
-				return true
-			}
+// isEnumBound reports whether the spec's doc or trailing comment carries
+// //floc:enumbound.
+func isEnumBound(vs *ast.ValueSpec) bool {
+	for _, dir := range directivesIn(vs.Doc, vs.Comment) {
+		if dir.name == dirEnumBound {
+			return true
 		}
 	}
 	return false
 }
 
-// collectWaivers maps source lines carrying //floc:nonexhaustive to the
-// waiver's reason text, reporting directives with no reason (a waiver
-// must say why the subset is the contract).
-func (l *linter) collectWaivers(f *ast.File) map[int]string {
-	out := map[int]string{}
-	for _, group := range f.Comments {
-		for _, c := range group.List {
-			fields := taintDirectiveFields(c.Text, nonexhaustiveDirective)
-			if fields == nil {
-				continue
-			}
-			line := l.fset.Position(c.Pos()).Line
-			reason := strings.Join(fields, " ")
-			if reason == "" {
-				l.report(c.Pos(), RuleExhaustive,
-					"//floc:nonexhaustive needs a reason (why is handling a subset of the enum the contract here?)")
-			}
-			out[line] = reason
-		}
+// checkWaiverDirective reports a //floc:nonexhaustive with no reason (a
+// waiver must say why the subset is the contract).
+func (l *linter) checkWaiverDirective(d directive) {
+	if len(d.args) == 0 {
+		l.report(d.c.Pos(), RuleExhaustive,
+			"//floc:nonexhaustive needs a reason (why is handling a subset of the enum the contract here?)")
 	}
-	return out
 }
 
-// checkExhaustive runs the exhaustive rule over one file: every switch
-// whose tag is a marked enum type must cover every member or carry a
-// reasoned waiver.
-func (l *linter) checkExhaustive(f *ast.File) {
-	waivers := l.collectWaivers(f)
-	ast.Inspect(f, func(n ast.Node) bool {
-		sw, ok := n.(*ast.SwitchStmt)
-		if !ok || sw.Tag == nil {
-			return true
+// checkExhaustive checks one switch: if its tag is a marked enum type it
+// must cover every member or carry a reasoned waiver on (or directly
+// above) its line.
+func (l *linter) checkExhaustive(sw *ast.SwitchStmt, lines lineDirectives) {
+	if sw.Tag == nil {
+		return
+	}
+	key := namedKeyOf(l.info.Types[sw.Tag].Type)
+	if !l.dirs.enums[key] {
+		return
+	}
+	line := l.line(sw.Switch)
+	for _, wl := range []int{line, line - 1} {
+		if d, ok := lines.find(wl, dirNonexhaustive); ok && len(d.args) > 0 {
+			return // reasoned waiver
 		}
-		t := l.info.Types[sw.Tag].Type
-		key := namedKeyOf(t)
-		if key == "" {
-			return true
+	}
+	covered := l.coveredConsts(sw)
+	var missing []string
+	for _, m := range l.dirs.enumMembers[key] {
+		if !covered[m] {
+			missing = append(missing, m)
 		}
-		members := l.enums.membersOf(key)
-		if len(members) == 0 {
-			return true
-		}
-		line := l.fset.Position(sw.Switch).Line
-		for _, wl := range []int{line, line - 1} {
-			if reason, ok := waivers[wl]; ok && reason != "" {
-				return true // reasoned waiver
-			}
-		}
-		covered := l.coveredConsts(sw)
-		var missing []string
-		for _, m := range members {
-			if !covered[m] {
-				missing = append(missing, m)
-			}
-		}
-		if len(missing) > 0 {
-			sort.Strings(missing)
-			l.report(sw.Switch, RuleExhaustive,
-				"switch over %s does not cover %s; add the cases or waive with //floc:nonexhaustive <reason>",
-				key, strings.Join(missing, ", "))
-		}
-		return true
-	})
+	}
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		l.report(sw.Switch, RuleExhaustive,
+			"switch over %s does not cover %s; add the cases or waive with //floc:nonexhaustive <reason>",
+			key, strings.Join(missing, ", "))
+	}
 }
 
 // coveredConsts collects the constant names the switch's cases resolve

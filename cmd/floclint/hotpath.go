@@ -45,106 +45,6 @@ import (
 	"strings"
 )
 
-const (
-	hotpathDirective  = "floc:hotpath"
-	coldpathDirective = "floc:coldpath"
-)
-
-// hotClass is a function's position in the hot/cold annotation system.
-type hotClass uint8
-
-const (
-	hotNone hotClass = iota // unannotated
-	hotHot                  // //floc:hotpath: body checked, callable from hot code
-	hotCold                 // //floc:coldpath: sanctioned cold excursion
-)
-
-// hotTable carries the module-wide //floc:hotpath///floc:coldpath
-// annotations (export data has no comments, so dependency annotations are
-// collected by the same syntax-only parse as the units table) plus the
-// set of module package paths, which bounds the annotation requirement:
-// only calls into module code must be annotated.
-type hotTable struct {
-	funcs map[string]hotClass // "pkgpath.[Recv.]Func" -> class
-	pkgs  map[string]bool     // non-standard package paths in the load closure
-}
-
-func newHotTable() *hotTable {
-	return &hotTable{funcs: map[string]hotClass{}, pkgs: map[string]bool{}}
-}
-
-// hotDirectiveOf classifies one comment line: the directive must start
-// the line (after "//" and space), exactly as with floc:unit and floc:eq.
-func hotDirectiveOf(text string) hotClass {
-	t := strings.TrimSpace(strings.TrimLeft(text, "/"))
-	for dir, class := range map[string]hotClass{hotpathDirective: hotHot, coldpathDirective: hotCold} {
-		if !strings.HasPrefix(t, dir) {
-			continue
-		}
-		rest := t[len(dir):]
-		if rest == "" || rest[0] == ' ' || rest[0] == '\t' {
-			return class
-		}
-	}
-	return hotNone
-}
-
-// hotClassOfDoc scans a doc comment for hot/cold directives. conflict is
-// true when both appear.
-func hotClassOfDoc(doc *ast.CommentGroup) (class hotClass, conflict bool) {
-	if doc == nil {
-		return hotNone, false
-	}
-	for _, c := range doc.List {
-		switch hotDirectiveOf(c.Text) {
-		case hotHot:
-			if class == hotCold {
-				conflict = true
-			}
-			class = hotHot
-		case hotCold:
-			if class == hotHot {
-				conflict = true
-			} else if class == hotNone {
-				class = hotCold
-			}
-		}
-	}
-	return class, conflict
-}
-
-// collectHotDecls scans one parsed file for hot/cold directives, filling
-// tbl. Purely syntactic, like collectUnitDecls.
-func collectHotDecls(pkgPath string, f *ast.File, tbl *hotTable) {
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		class, _ := hotClassOfDoc(fn.Doc)
-		if class == hotNone {
-			continue
-		}
-		tbl.funcs[funcKeyFor(pkgPath, recvTypeName(fn.Recv), fn.Name.Name)] = class
-	}
-}
-
-// hotKeyOf builds the table key for a resolved callee.
-func hotKeyOf(fn *types.Func) string {
-	fn = fn.Origin()
-	recv := ""
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		t := sig.Recv().Type()
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-		}
-		if n, ok := t.(*types.Named); ok {
-			recv = n.Obj().Name()
-		}
-	}
-	return funcKeyFor(fn.Pkg().Path(), recv, fn.Name())
-}
-
 // pointerShaped reports whether values of t fit in an interface word
 // without allocating: pointers, channels, maps, funcs, unsafe pointers.
 // Interfaces are included because interface-to-interface assignment does
@@ -164,21 +64,20 @@ func pointerShaped(t types.Type) bool {
 
 // checkHotpath enforces the hotpath bans on one annotated function (rule
 // hotpath).
-func (l *linter) checkHotpath(fn *ast.FuncDecl) {
-	class, conflict := hotClassOfDoc(fn.Doc)
-	if conflict {
+func (l *linter) checkHotpath(fn *ast.FuncDecl, fd *funcDirectives) {
+	if fd.hot && fd.cold {
 		l.report(fn.Name.Pos(), RuleHotpath,
 			"%s carries both //floc:hotpath and //floc:coldpath; pick one side of the contract", fn.Name.Name)
 	}
-	if class == hotCold {
+	if !fd.hot {
 		// Cold bodies are unchecked, but the excursion must be justified.
-		if !coldReasonGiven(fn.Doc) {
+		if fd.cold && !fd.coldReason {
 			l.report(fn.Name.Pos(), RuleHotpath,
 				"//floc:coldpath on %s needs a reason (why is leaving the hot path sanctioned here?)", fn.Name.Name)
 		}
 		return
 	}
-	if class != hotHot || fn.Body == nil {
+	if fn.Body == nil {
 		return
 	}
 
@@ -242,26 +141,12 @@ func (l *linter) checkHotIndex(fn *ast.FuncDecl, ix *ast.IndexExpr) {
 	if !ok {
 		return
 	}
-	if b, ok := m.Key().Underlying().(*types.Basic); !ok || b.Info()&types.IsString == 0 {
+	if !isBasic(m.Key(), types.IsString) {
 		return
 	}
 	l.report(ix.Pos(), RuleHotpath,
 		"string-keyed map index in //floc:hotpath function %s hashes the key on every packet; intern to a dense handle in a cold constructor",
 		fn.Name.Name)
-}
-
-// coldReasonGiven reports whether any coldpath directive line carries
-// justification text after the directive.
-func coldReasonGiven(doc *ast.CommentGroup) bool {
-	for _, c := range doc.List {
-		t := strings.TrimSpace(strings.TrimLeft(c.Text, "/"))
-		if strings.HasPrefix(t, coldpathDirective) {
-			if rest := strings.TrimSpace(t[len(coldpathDirective):]); rest != "" {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // typeOf returns the type of an expression, nil when untyped.
@@ -275,11 +160,8 @@ func (l *linter) checkHotConcat(fn *ast.FuncDecl, be *ast.BinaryExpr) {
 		return
 	}
 	tv := l.info.Types[be]
-	if tv.Value != nil || tv.Type == nil {
-		return // compile-time constant result: no runtime concat
-	}
-	if b, ok := tv.Type.Underlying().(*types.Basic); !ok || b.Info()&types.IsString == 0 {
-		return
+	if tv.Value != nil || !isBasic(tv.Type, types.IsString) {
+		return // compile-time constant result (no runtime concat), or not a string
 	}
 	l.report(be.OpPos, RuleHotpath,
 		"string concatenation in //floc:hotpath function %s allocates; precompute in a cold constructor", fn.Name.Name)
@@ -288,13 +170,9 @@ func (l *linter) checkHotConcat(fn *ast.FuncDecl, be *ast.BinaryExpr) {
 // checkHotAssign flags += string concatenation and interface boxing
 // through plain assignment.
 func (l *linter) checkHotAssign(fn *ast.FuncDecl, as *ast.AssignStmt) {
-	if as.Tok == token.ADD_ASSIGN && len(as.Lhs) == 1 {
-		if t := typeOf(l.info, as.Lhs[0]); t != nil {
-			if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-				l.report(as.TokPos, RuleHotpath,
-					"string concatenation in //floc:hotpath function %s allocates; precompute in a cold constructor", fn.Name.Name)
-			}
-		}
+	if as.Tok == token.ADD_ASSIGN && len(as.Lhs) == 1 && isBasic(typeOf(l.info, as.Lhs[0]), types.IsString) {
+		l.report(as.TokPos, RuleHotpath,
+			"string concatenation in //floc:hotpath function %s allocates; precompute in a cold constructor", fn.Name.Name)
 	}
 	if as.Tok != token.ASSIGN || len(as.Lhs) != len(as.Rhs) {
 		return
@@ -335,41 +213,36 @@ func (l *linter) reportBoxing(fn *ast.FuncDecl, expr ast.Expr, context string) {
 // bans, un-preallocated append, callee annotation propagation, and
 // argument boxing.
 func (l *linter) checkHotCall(fn *ast.FuncDecl, call *ast.CallExpr, fresh map[*types.Var]bool) {
-	fun := unparen(call.Fun)
-
 	// Conversions: T(x) boxes when T is an interface type.
-	if tv, ok := l.info.Types[call.Fun]; ok && tv.IsType() {
-		if types.IsInterface(tv.Type) && len(call.Args) == 1 {
+	if target := l.conversionTarget(call); target != nil {
+		if types.IsInterface(target) && len(call.Args) == 1 {
 			l.reportBoxing(fn, call.Args[0], "conversion")
 		}
 		return
 	}
 
-	// Builtins.
-	if id, ok := fun.(*ast.Ident); ok {
-		if _, isBuiltin := l.info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "make", "new":
-				l.report(call.Pos(), RuleHotpath,
-					"%s in //floc:hotpath function %s allocates on every call; hoist to a cold constructor or reuse caller-provided storage",
-					id.Name, fn.Name.Name)
-			case "append":
-				l.checkHotAppend(fn, call, fresh)
-			}
-			return
+	if name := l.builtinName(call); name != "" {
+		switch name {
+		case "make", "new":
+			l.report(call.Pos(), RuleHotpath,
+				"%s in //floc:hotpath function %s allocates on every call; hoist to a cold constructor or reuse caller-provided storage",
+				name, fn.Name.Name)
+		case "append":
+			l.checkHotAppend(fn, call, fresh)
 		}
+		return
 	}
 
 	// fmt.* never belongs on the hot path (reflection + boxing + output).
-	if sel, ok := fun.(*ast.SelectorExpr); ok && l.pkgNameOf(sel.X) == "fmt" {
+	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && l.pkgNameOf(sel.X) == "fmt" {
 		l.report(call.Pos(), RuleHotpath,
 			"fmt.%s in //floc:hotpath function %s: formatting allocates and reflects; move it behind a //floc:coldpath helper",
 			sel.Sel.Name, fn.Name.Name)
 		return
 	}
 
-	callee := l.calleeOf(call)
-	class := hotNone
+	callee, _ := l.callee(call)
+	cold := false
 	switch {
 	case callee == nil:
 		// Dynamic call (func value, method value): outside the directive
@@ -377,15 +250,16 @@ func (l *linter) checkHotCall(fn *ast.FuncDecl, call *ast.CallExpr, fresh map[*t
 	case calleeIsInterfaceMethod(callee):
 		// Dynamic dispatch: cannot be annotated; argument boxing below
 		// still applies.
-	case callee.Pkg() != nil && l.hot.pkgs[callee.Pkg().Path()]:
-		class = l.hot.funcs[hotKeyOf(callee)]
-		if class == hotNone {
+	case callee.Pkg() != nil && l.dirs.pkgs[callee.Pkg().Path()]:
+		fd := l.calleeDirectives(callee)
+		cold = fd.cold && !fd.hot
+		if !fd.hot && !fd.cold {
 			l.report(call.Pos(), RuleHotpath,
 				"call to %s from //floc:hotpath function %s: callee is in this module but carries neither //floc:hotpath nor //floc:coldpath",
 				callee.FullName(), fn.Name.Name)
 		}
 	}
-	if class == hotCold {
+	if cold {
 		return // sanctioned cold excursion: boxing on the way out is its business
 	}
 	l.checkArgBoxing(fn, call, callee)
@@ -429,11 +303,7 @@ func (l *linter) checkHotAppend(fn *ast.FuncDecl, call *ast.CallExpr, fresh map[
 	if !ok {
 		return
 	}
-	obj := l.info.Uses[id]
-	if obj == nil {
-		obj = l.info.Defs[id]
-	}
-	if v, ok := obj.(*types.Var); ok && fresh[v] {
+	if v, ok := l.objOf(id).(*types.Var); ok && fresh[v] {
 		l.report(call.Pos(), RuleHotpath,
 			"append to un-preallocated slice %s in //floc:hotpath function %s grows by reallocation; append into caller-provided or struct-owned storage",
 			v.Name(), fn.Name.Name)
@@ -527,21 +397,6 @@ func (l *linter) capturedVars(fl *ast.FuncLit) []string {
 		return true
 	})
 	return out
-}
-
-// calleeOf resolves a call's static callee, nil for dynamic calls.
-func (l *linter) calleeOf(call *ast.CallExpr) *types.Func {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := l.info.Uses[fun].(*types.Func); ok {
-			return fn
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := l.info.Uses[fun.Sel].(*types.Func); ok {
-			return fn
-		}
-	}
-	return nil
 }
 
 // calleeIsInterfaceMethod reports whether fn is declared on an interface.

@@ -53,51 +53,28 @@ type linter struct {
 	fset    *token.FileSet
 	info    *types.Info
 	pkgPath string
-	tbl     *unitTable                  // module-wide //floc:unit annotations
-	hot     *hotTable                   // module-wide //floc:hotpath///floc:coldpath annotations
-	taint   *taintTable                 // module-wide //floc:untrusted/sanitizes/sink annotations
-	enums   *enumTable                  // module-wide //floc:enum declarations
+	dirs    *directives                 // module-wide floc: directive table
 	allows  map[string]map[int][]string // filename -> line -> rules suppressed there
 	diags   []Diagnostic
 }
 
-// lintPackage runs every rule over one package's files. The tables carry
-// the //floc:unit, //floc:hotpath, taint, and enum annotations of every
-// package in the module (the cross-package rules need the directives of
-// dependencies, which export data does not carry).
-func lintPackage(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPath string, tbl *unitTable, hot *hotTable, taint *taintTable, enums *enumTable) []Diagnostic {
-	if tbl == nil {
-		tbl = newUnitTable()
-	}
-	if hot == nil {
-		hot = newHotTable()
-	}
-	if taint == nil {
-		taint = newTaintTable()
-	}
-	if enums == nil {
-		enums = newEnumTable()
-	}
-	l := &linter{fset: fset, info: info, pkgPath: pkgPath, tbl: tbl, hot: hot,
-		taint: taint, enums: enums,
+// lintPackage runs every rule over one package's files.
+func lintPackage(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPath string, dirs *directives) []Diagnostic {
+	l := &linter{fset: fset, info: info, pkgPath: pkgPath, dirs: dirs,
 		allows: map[string]map[int][]string{}}
-	// Allow maps are collected for every file up front: the atomics rule
-	// reports across file boundaries (a plain access in one file of a
-	// field used atomically in another).
 	for _, f := range files {
 		l.allows[fset.Position(f.Pos()).Filename] = collectAllows(fset, f)
-	}
-	for _, f := range files {
+		lines := l.scanLines(f)
 		l.checkImports(f)
-		l.checkUnits(f)
-		l.checkTaint(f)
-		l.checkExhaustive(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				l.checkTimeCall(n)
+				l.checkAtomicFunc(n)
 			case *ast.BinaryExpr:
 				l.checkFloatEq(n)
+			case *ast.SwitchStmt:
+				l.checkExhaustive(n, lines)
 			}
 			return true
 		})
@@ -106,15 +83,17 @@ func lintPackage(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPa
 			if !ok {
 				continue
 			}
-			l.checkHotpath(fn)
+			fd := dirs.fn(declKey(pkgPath, fn))
+			l.checkHotpath(fn, fd)
 			if fn.Body == nil {
 				continue
 			}
+			l.checkUnits(fn, fd, lines)
+			l.checkTaint(fn, fd, lines)
 			l.checkMapOrder(fn)
-			l.checkEqGuard(fn)
+			l.checkEqGuard(fn, fd)
 		}
 	}
-	l.checkAtomics(files)
 	return l.diags
 }
 
@@ -185,6 +164,148 @@ func (l *linter) pkgNameOf(expr ast.Expr) string {
 	return pn.Imported().Path()
 }
 
+// objOf resolves an identifier to the object it defines or uses.
+func (l *linter) objOf(id *ast.Ident) types.Object {
+	if obj := l.info.Defs[id]; obj != nil {
+		return obj
+	}
+	return l.info.Uses[id]
+}
+
+// line returns the source line of pos (0 for token.NoPos).
+func (l *linter) line(pos token.Pos) int { return l.fset.Position(pos).Line }
+
+// conversionTarget returns T when the call is a conversion T(x), else nil.
+func (l *linter) conversionTarget(call *ast.CallExpr) types.Type {
+	if tv, ok := l.info.Types[call.Fun]; ok && tv.IsType() {
+		return tv.Type
+	}
+	return nil
+}
+
+// builtinName returns the builtin's name when the call invokes one
+// (len, make, append, ...), else "".
+func (l *linter) builtinName(call *ast.CallExpr) string {
+	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+		if _, ok := l.info.Uses[id].(*types.Builtin); ok {
+			return id.Name
+		}
+	}
+	return ""
+}
+
+// callee resolves a call's static callee (nil for dynamic calls: func
+// values, computed callees) and, for method-shaped calls x.f(...), the
+// receiver expression x.
+func (l *linter) callee(call *ast.CallExpr) (fn *types.Func, recv ast.Expr) {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ = l.info.Uses[fun].(*types.Func)
+	case *ast.SelectorExpr:
+		fn, _ = l.info.Uses[fun.Sel].(*types.Func)
+		if _, ok := l.info.Selections[fun]; ok {
+			recv = fun.X
+		}
+	}
+	return fn, recv
+}
+
+// funcKeyOf builds the directive-table key for a resolved function, ""
+// when it has none (no package, or a receiver with no type name).
+func funcKeyOf(fn *types.Func) string {
+	if fn == nil || fn.Pkg() == nil {
+		return ""
+	}
+	recvName := ""
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		if recvName = namedName(recv.Type()); recvName == "" {
+			return ""
+		}
+	}
+	return funcKeyFor(fn.Pkg().Path(), recvName, fn.Name())
+}
+
+// calleeDirectives returns the directives of a resolved callee (the empty
+// set for nil).
+func (l *linter) calleeDirectives(fn *types.Func) *funcDirectives {
+	return l.dirs.fn(funcKeyOf(fn))
+}
+
+// fieldKeyOf resolves a field selection to its directive-table key,
+// walking the selection's index path so embedded structs resolve to the
+// field's direct owner.
+func fieldKeyOf(s *types.Selection) (string, bool) {
+	t := s.Recv()
+	idx := s.Index()
+	for k, i := range idx {
+		st := underlyingStruct(t)
+		if st == nil || i >= st.NumFields() {
+			return "", false
+		}
+		fld := st.Field(i)
+		if k == len(idx)-1 {
+			return fieldKey(t, fld)
+		}
+		t = fld.Type()
+	}
+	return "", false
+}
+
+// fieldKey is the directive-table key of field fld of (pointer to) named
+// struct type t.
+func fieldKey(t types.Type, fld *types.Var) (string, bool) {
+	owner := namedName(t)
+	if owner == "" || fld.Pkg() == nil {
+		return "", false
+	}
+	return fld.Pkg().Path() + "." + owner + "." + fld.Name(), true
+}
+
+func underlyingStruct(t types.Type) *types.Struct {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	st, _ := t.Underlying().(*types.Struct)
+	return st
+}
+
+func namedName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
+func unparen(e ast.Expr) ast.Expr {
+	for {
+		p, ok := e.(*ast.ParenExpr)
+		if !ok {
+			return e
+		}
+		e = p.X
+	}
+}
+
+// eachParam calls fn for every named entry of the field lists (receiver,
+// parameters, results) with the object it declares.
+func (l *linter) eachParam(fn func(name *ast.Ident, obj types.Object), lists ...*ast.FieldList) {
+	for _, fl := range lists {
+		if fl == nil {
+			continue
+		}
+		for _, field := range fl.List {
+			for _, name := range field.Names {
+				if obj := l.info.Defs[name]; obj != nil {
+					fn(name, obj)
+				}
+			}
+		}
+	}
+}
+
 // checkTimeCall flags wall-clock time functions (rule sim-time).
 func (l *linter) checkTimeCall(sel *ast.SelectorExpr) {
 	if l.pkgNameOf(sel.X) != "time" || !bannedTimeFuncs[sel.Sel.Name] {
@@ -207,7 +328,7 @@ func (l *linter) checkFloatEq(be *ast.BinaryExpr) {
 	if xt.Value != nil || yt.Value != nil {
 		return
 	}
-	if !isFloat(xt.Type) || !isFloat(yt.Type) {
+	if !isBasic(xt.Type, types.IsFloat) || !isBasic(yt.Type, types.IsFloat) {
 		return
 	}
 	l.report(be.OpPos, RuleFloatEq,
@@ -215,13 +336,15 @@ func (l *linter) checkFloatEq(be *ast.BinaryExpr) {
 		be.Op)
 }
 
-// isFloat reports whether t's underlying type is a floating-point type.
-func isFloat(t types.Type) bool {
+// isBasic reports whether t's underlying type is a basic type with any
+// of the given properties (types.IsFloat, types.IsString, ...); false for
+// nil.
+func isBasic(t types.Type, info types.BasicInfo) bool {
 	if t == nil {
 		return false
 	}
 	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
+	return ok && b.Info()&info != 0
 }
 
 // checkMapOrder flags map iterations whose bodies leak the (randomized)
@@ -333,21 +456,8 @@ func outerAppendTarget(info *types.Info, call *ast.CallExpr, rs *ast.RangeStmt) 
 // (implementations of a paper equation) guard their numeric inputs: an if
 // comparing against a constant, a math.IsNaN/IsInf call, or an
 // internal/invariant assertion (rule eq-guard).
-func (l *linter) checkEqGuard(fn *ast.FuncDecl) {
-	if fn.Doc == nil {
-		return
-	}
-	annotated := false
-	for _, c := range fn.Doc.List {
-		// The directive must start a comment line ("// floc:eq IV.6");
-		// prose that merely mentions floc:eq does not annotate.
-		text := strings.TrimSpace(strings.TrimLeft(c.Text, "/"))
-		if strings.HasPrefix(text, "floc:eq") {
-			annotated = true
-			break
-		}
-	}
-	if !annotated {
+func (l *linter) checkEqGuard(fn *ast.FuncDecl, fd *funcDirectives) {
+	if !fd.eq {
 		return
 	}
 	guarded := false

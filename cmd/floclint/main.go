@@ -21,11 +21,10 @@
 //	             internal/units types: additions, comparisons, and calls
 //	             must agree on packets, bits, bytes, seconds, tokens, and
 //	             their rates; see DESIGN.md for the directive grammar.
-//	atomics    — any struct field passed by address to a sync/atomic
-//	             function must be accessed atomically everywhere in the
-//	             package; structs containing atomic state must not be
-//	             copied; 64-bit function-style atomic fields must sit at
-//	             8-byte-aligned offsets under 32-bit layout.
+//	atomics    — no function-style sync/atomic operations
+//	             (atomic.AddInt64(&x, 1) and friends): use the wrapper
+//	             types, whose representation rules out mixed plain access
+//	             and misalignment; copies of them are go vet's to report.
 //	hotpath    — functions annotated //floc:hotpath (the per-packet path)
 //	             must avoid allocation-prone constructs (map iteration,
 //	             defer, fmt/string concatenation, interface boxing,
@@ -204,11 +203,7 @@ func runLint(patterns []string) ([]Diagnostic, error) {
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
-	// The units, hotpath, taint, and exhaustive rules need their //floc:
-	// directives from every module package in the closure, linted or not:
-	// export data carries no comments, so dependency annotations are
-	// collected by a syntax-only parse here.
-	tbl, hot, taint, enums, err := collectDirectiveTables(pkgs)
+	dirs, err := collectDirectiveTables(pkgs)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +212,7 @@ func runLint(patterns []string) ([]Diagnostic, error) {
 	imp := exportImporter(fset, exports)
 	var all []Diagnostic
 	for _, p := range targets {
-		diags, err := lintOne(fset, imp, p, tbl, hot, taint, enums)
+		diags, err := lintOne(fset, imp, p, dirs)
 		if err != nil {
 			return nil, err
 		}
@@ -240,43 +235,46 @@ func runLint(patterns []string) ([]Diagnostic, error) {
 }
 
 // collectDirectiveTables syntax-parses every non-standard package in the
-// load closure and gathers its //floc:unit, //floc:hotpath, taint
-// (//floc:untrusted, //floc:sanitizes, //floc:sink), and //floc:enum
-// directives in one pass.
-func collectDirectiveTables(pkgs []*listPkg) (*unitTable, *hotTable, *taintTable, *enumTable, error) {
-	tbl := newUnitTable()
-	hot := newHotTable()
-	taint := newTaintTable()
-	enums := newEnumTable()
+// load closure and gathers its floc: directives. The units, hotpath,
+// taint, eq-guard, and exhaustive rules need them from every module
+// package, linted or not: export data carries no comments.
+func collectDirectiveTables(pkgs []*listPkg) (*directives, error) {
+	dirs := newDirectives()
 	cfset := token.NewFileSet()
 	for _, p := range pkgs {
 		if p.Standard {
 			continue
 		}
-		hot.pkgs[p.ImportPath] = true
+		dirs.pkgs[p.ImportPath] = true
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(cfset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, err
 			}
-			collectUnitDecls(p.ImportPath, f, tbl)
-			collectHotDecls(p.ImportPath, f, hot)
-			collectTaintDecls(p.ImportPath, f, taint)
-			collectEnumDecls(p.ImportPath, f, enums)
+			dirs.collect(p.ImportPath, f)
 		}
 	}
-	return tbl, hot, taint, enums, nil
+	return dirs, nil
 }
 
-// lintOne parses and type-checks one package and runs the rules over it.
-// Only non-test Go files are linted: tests are free to use wall-clock
-// time, and the determinism contract covers simulation code only.
-func lintOne(fset *token.FileSet, imp types.Importer, p *listPkg, tbl *unitTable, hot *hotTable, taint *taintTable, enums *enumTable) ([]Diagnostic, error) {
+// lintOne loads one package and runs the rules over it.
+func lintOne(fset *token.FileSet, imp types.Importer, p *listPkg, dirs *directives) ([]Diagnostic, error) {
+	files, info, err := loadPackage(fset, imp, p)
+	if err != nil {
+		return nil, err
+	}
+	return lintPackage(fset, files, info, p.ImportPath, dirs), nil
+}
+
+// loadPackage parses and type-checks one package. Only non-test Go files
+// are loaded: tests are free to use wall-clock time, and the determinism
+// contract covers simulation code only.
+func loadPackage(fset *token.FileSet, imp types.Importer, p *listPkg) ([]*ast.File, *types.Info, error) {
 	files := make([]*ast.File, 0, len(p.GoFiles))
 	for _, name := range p.GoFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		files = append(files, f)
 	}
@@ -288,9 +286,9 @@ func lintOne(fset *token.FileSet, imp types.Importer, p *listPkg, tbl *unitTable
 	}
 	conf := types.Config{Importer: imp, FakeImportC: true}
 	if _, err := conf.Check(p.ImportPath, fset, files, info); err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+		return nil, nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 	}
-	return lintPackage(fset, files, info, p.ImportPath, tbl, hot, taint, enums), nil
+	return files, info, nil
 }
 
 // jsonFinding is the NDJSON shape of one -json finding, matching the

@@ -19,8 +19,8 @@ package main
 //
 // Taint propagates forward in statement order through assignments,
 // arithmetic, field selects, conversions, and intra-module call/return
-// boundaries, using the same module-wide syntactic directive table as the
-// units and hotpath rules. Calls to functions outside the directive
+// boundaries, on the statement walk it shares with the units rule
+// (flow.go) and the module-wide directive table. Calls to functions outside the directive
 // system (stdlib, dynamic) propagate conservatively: if any argument is
 // tainted, the results are tainted and pointer-shaped arguments are
 // treated as tainted out-parameters (this is how json.Unmarshal spreads a
@@ -50,167 +50,14 @@ import (
 	"strings"
 )
 
-// Taint directives.
-const (
-	untrustedDirective = "floc:untrusted"
-	sanitizesDirective = "floc:sanitizes"
-	sinkDirective      = "floc:sink"
-)
-
-// taintFunc is one function's taint contract.
-type taintFunc struct {
-	// untrusted holds parameter names, named-result names, and "return"
-	// (the first result) that carry attacker-controlled data.
-	untrusted map[string]bool
-	// sanitizes marks the function as a validation boundary.
-	sanitizes bool
-	// sinks maps parameter names to a short description of the sink the
-	// parameter feeds (e.g. "shard-hash input").
-	sinks map[string]string
-}
-
-// taintTable carries the module-wide taint directives, collected
-// syntactically alongside the units and hotpath tables.
-type taintTable struct {
-	funcs  map[string]*taintFunc // "pkgpath.[Recv.]Func"
-	fields map[string]bool       // "pkgpath.Type.Field" -> untrusted
-}
-
-func newTaintTable() *taintTable {
-	return &taintTable{funcs: map[string]*taintFunc{}, fields: map[string]bool{}}
-}
-
-// taintDirectiveFields returns the tokens following directive dir on a
-// comment line, nil when the line does not carry it. The directive must
-// start the comment line, exactly as with floc:unit; an inline "//"
-// starts a trailing comment and ends the directive's arguments.
-func taintDirectiveFields(text, dir string) []string {
-	t := strings.TrimSpace(strings.TrimLeft(text, "/"))
-	if !strings.HasPrefix(t, dir) {
-		return nil
-	}
-	rest := t[len(dir):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil // e.g. "floc:untrustedx"
-	}
-	fields := strings.Fields(rest)
-	for i, f := range fields {
-		if strings.HasPrefix(f, "//") {
-			fields = fields[:i]
-			break
-		}
-	}
-	if fields == nil {
-		return []string{}
-	}
-	return fields
-}
-
-// collectTaintDecls scans one parsed file for taint directives, filling
-// tbl. Purely syntactic, like collectUnitDecls.
-func collectTaintDecls(pkgPath string, f *ast.File, tbl *taintTable) {
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			collectFuncTaint(pkgPath, decl, tbl)
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				collectFieldTaint(pkgPath, ts.Name.Name, st, tbl)
-			}
-		}
-	}
-}
-
-// collectFuncTaint reads "floc:untrusted <name>...", "floc:sanitizes",
-// and "floc:sink <name> <what>" lines from a function's doc comment.
-func collectFuncTaint(pkgPath string, fn *ast.FuncDecl, tbl *taintTable) {
-	if fn.Doc == nil {
-		return
-	}
-	var tf *taintFunc
-	ensure := func() *taintFunc {
-		if tf == nil {
-			tf = &taintFunc{untrusted: map[string]bool{}, sinks: map[string]string{}}
-		}
-		return tf
-	}
-	for _, c := range fn.Doc.List {
-		if fields := taintDirectiveFields(c.Text, untrustedDirective); fields != nil {
-			for _, name := range fields {
-				ensure().untrusted[name] = true
-			}
-		}
-		if fields := taintDirectiveFields(c.Text, sanitizesDirective); fields != nil {
-			ensure().sanitizes = true
-		}
-		if fields := taintDirectiveFields(c.Text, sinkDirective); len(fields) >= 2 {
-			ensure().sinks[fields[0]] = strings.Join(fields[1:], " ")
-		}
-	}
-	if tf != nil {
-		tbl.funcs[funcKeyFor(pkgPath, recvTypeName(fn.Recv), fn.Name.Name)] = tf
-	}
-}
-
-// collectFieldTaint reads bare "//floc:untrusted" trailing or doc
-// comments on struct fields.
-func collectFieldTaint(pkgPath, typeName string, st *ast.StructType, tbl *taintTable) {
-	for _, field := range st.Fields.List {
-		marked := false
-		for _, group := range []*ast.CommentGroup{field.Comment, field.Doc} {
-			if group == nil {
-				continue
-			}
-			for _, c := range group.List {
-				if taintDirectiveFields(c.Text, untrustedDirective) != nil {
-					marked = true
-				}
-			}
-		}
-		if !marked {
-			continue
-		}
-		for _, name := range field.Names {
-			tbl.fields[pkgPath+"."+typeName+"."+name.Name] = true
-		}
-	}
-}
-
-// collectTaintLines maps source lines carrying a bare trailing
-// "//floc:untrusted" directive (the local-variable form) to true.
-func collectTaintLines(fset *token.FileSet, f *ast.File) map[int]bool {
-	out := map[int]bool{}
-	for _, group := range f.Comments {
-		for _, c := range group.List {
-			if fields := taintDirectiveFields(c.Text, untrustedDirective); fields != nil && len(fields) == 0 {
-				out[fset.Position(c.Pos()).Line] = true
-			}
-		}
-	}
-	return out
-}
-
-// checkTaintDirectives reports malformed floc:sink directives: the form
-// is "floc:sink <param> <what...>" and a sink without a description (or
-// a name) cannot be reported usefully at call sites.
-func (l *linter) checkTaintDirectives(f *ast.File) {
-	for _, group := range f.Comments {
-		for _, c := range group.List {
-			fields := taintDirectiveFields(c.Text, sinkDirective)
-			if fields != nil && len(fields) < 2 {
-				l.report(c.Pos(), RuleTaint,
-					"malformed floc:sink directive %q; want \"floc:sink <param> <what>\"",
-					strings.TrimSpace(c.Text))
-			}
-		}
+// checkSinkDirective reports a malformed floc:sink directive: the form is
+// "floc:sink <param> <what...>" and a sink without a description (or a
+// name) cannot be reported usefully at call sites.
+func (l *linter) checkSinkDirective(d directive) {
+	if len(d.args) < 2 {
+		l.report(d.c.Pos(), RuleTaint,
+			"malformed floc:sink directive %q; want \"floc:sink <param> <what>\"",
+			strings.TrimSpace(d.c.Text))
 	}
 }
 
@@ -233,288 +80,108 @@ func (a taintVal) join(b taintVal) taintVal {
 	return b
 }
 
-// taintChecker propagates taint through one function body in statement
-// order, in the style of unitsChecker.
+// taintChecker propagates taint through one function body; the statement
+// walk is flow's, the hooks below are the join, sink, and sanitizer
+// semantics.
 type taintChecker struct {
-	l          *linter
-	tbl        *taintTable
-	taintLines map[int]bool
-	env        map[types.Object]taintVal
+	flow[taintVal]
+	lines lineDirectives
+	env   map[types.Object]taintVal
 	// cleaned marks objects a //floc:sanitizes call validated: field
 	// selects on a cleaned object no longer consult the //floc:untrusted
 	// field table (the h.validate() idiom).
 	cleaned map[types.Object]bool
 }
 
-// checkTaint runs the taint rule over one file's function bodies.
-func (l *linter) checkTaint(f *ast.File) {
-	l.checkTaintDirectives(f)
-	taintLines := collectTaintLines(l.fset, f)
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
+// checkTaint runs the taint rule over one function body. The parameters
+// (and receiver) the function's own directives declare untrusted start
+// tainted; sink parameters stay clean: inside the sink's body the flow is
+// the function's sanctioned business.
+func (l *linter) checkTaint(fn *ast.FuncDecl, fd *funcDirectives, lines lineDirectives) {
+	c := &taintChecker{
+		lines:   lines,
+		env:     map[types.Object]taintVal{},
+		cleaned: map[types.Object]bool{},
+	}
+	c.flow = flow[taintVal]{l: l, rule: c}
+	l.eachParam(func(name *ast.Ident, obj types.Object) {
+		if fd.untrusted[name.Name] {
+			c.env[obj] = taintFrom("parameter " + name.Name)
 		}
-		c := &taintChecker{
-			l:          l,
-			tbl:        l.taint,
-			taintLines: taintLines,
-			env:        map[types.Object]taintVal{},
-			cleaned:    map[types.Object]bool{},
-		}
-		key := funcKeyFor(l.pkgPath, recvTypeName(fn.Recv), fn.Name.Name)
-		c.seedSignature(fn, l.taint.funcs[key])
-		c.stmt(fn.Body)
+	}, fn.Type.Params, fn.Recv)
+	c.stmt(fn.Body)
+}
+
+// ---- statement hooks ----
+
+// forCond reports a tainted loop bound.
+func (c *taintChecker) forCond(cond ast.Expr) {
+	if v := c.expr(cond); v.on {
+		c.l.report(cond.Pos(), RuleTaint,
+			"loop bound derived from untrusted input (%s); validate it through a //floc:sanitizes function first", v.src)
 	}
 }
 
-// seedSignature taints the parameters the function's own directives
-// declare untrusted. Sink parameters stay clean: inside the sink's body
-// the flow is the function's sanctioned business.
-func (c *taintChecker) seedSignature(fn *ast.FuncDecl, tf *taintFunc) {
-	if tf == nil || len(tf.untrusted) == 0 {
-		return
-	}
-	seed := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			for _, name := range field.Names {
-				if !tf.untrusted[name.Name] {
-					continue
-				}
-				if obj := c.l.info.Defs[name]; obj != nil {
-					c.env[obj] = taintFrom("parameter " + name.Name)
-				}
-			}
-		}
-	}
-	seed(fn.Type.Params)
-	seed(fn.Recv)
-}
-
-// ---- statements ----
-
-func (c *taintChecker) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, sub := range s.List {
-			c.stmt(sub)
-		}
-	case *ast.ExprStmt:
-		c.expr(s.X)
-	case *ast.AssignStmt:
-		c.assign(s)
-	case *ast.DeclStmt:
-		c.declStmt(s)
-	case *ast.IfStmt:
-		c.stmt(s.Init)
-		c.expr(s.Cond)
-		c.stmt(s.Body)
-		c.stmt(s.Else)
-	case *ast.ForStmt:
-		c.stmt(s.Init)
-		if s.Cond != nil {
-			if v := c.expr(s.Cond); v.on {
-				c.l.report(s.Cond.Pos(), RuleTaint,
-					"loop bound derived from untrusted input (%s); validate it through a //floc:sanitizes function first", v.src)
-			}
-		}
-		c.stmt(s.Post)
-		c.stmt(s.Body)
-	case *ast.RangeStmt:
-		c.rangeStmt(s)
-	case *ast.SwitchStmt:
-		c.stmt(s.Init)
-		if s.Tag != nil {
-			c.expr(s.Tag)
-		}
-		c.stmt(s.Body)
-	case *ast.TypeSwitchStmt:
-		c.stmt(s.Init)
-		c.stmt(s.Assign)
-		c.stmt(s.Body)
-	case *ast.CaseClause:
-		for _, e := range s.List {
-			c.expr(e)
-		}
-		for _, sub := range s.Body {
-			c.stmt(sub)
-		}
-	case *ast.SelectStmt:
-		c.stmt(s.Body)
-	case *ast.CommClause:
-		c.stmt(s.Comm)
-		for _, sub := range s.Body {
-			c.stmt(sub)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			c.expr(e)
-		}
-	case *ast.IncDecStmt:
-		c.expr(s.X)
-	case *ast.SendStmt:
-		c.expr(s.Chan)
-		c.expr(s.Value)
-	case *ast.GoStmt:
-		c.expr(s.Call)
-	case *ast.DeferStmt:
-		c.expr(s.Call)
-	case *ast.LabeledStmt:
-		c.stmt(s.Stmt)
+func (c *taintChecker) ret(s *ast.ReturnStmt) {
+	for _, e := range s.Results {
+		c.expr(e)
 	}
 }
 
-// declStmt handles `var x = v` declarations, honoring a trailing
-// //floc:untrusted directive on the spec's line.
-func (c *taintChecker) declStmt(s *ast.DeclStmt) {
-	gd, ok := s.Decl.(*ast.GenDecl)
-	if !ok {
-		return
-	}
-	for _, spec := range gd.Specs {
-		vs, ok := spec.(*ast.ValueSpec)
-		if !ok {
-			continue
-		}
-		lineTaint := c.taintLines[c.l.fset.Position(vs.Pos()).Line]
-		var vals []taintVal
-		for _, v := range vs.Values {
-			vals = append(vals, c.expr(v))
-		}
-		for i, name := range vs.Names {
-			obj := c.l.info.Defs[name]
-			if obj == nil || name.Name == "_" {
-				continue
-			}
-			v := cleanVal
-			if i < len(vals) {
-				v = vals[i]
-			}
-			if lineTaint {
-				v = taintFrom(name.Name)
-			}
-			c.env[obj] = v
+// opAssign mixes the operand into the target: x += tainted taints x.
+func (c *taintChecker) opAssign(s *ast.AssignStmt) {
+	lv := c.expr(s.Lhs[0])
+	rv := c.expr(s.Rhs[0])
+	if id, ok := unparen(s.Lhs[0]).(*ast.Ident); ok {
+		if obj := c.l.objOf(id); obj != nil {
+			c.env[obj] = lv.join(rv)
 		}
 	}
 }
 
-// assign handles = / := / op= statements.
-func (c *taintChecker) assign(s *ast.AssignStmt) {
-	switch s.Tok {
-	case token.ASSIGN, token.DEFINE:
-	default:
-		// Op-assigns mix the operand into the target: x += tainted
-		// taints x.
-		lv := c.expr(s.Lhs[0])
-		rv := c.expr(s.Rhs[0])
-		if id, ok := unparen(s.Lhs[0]).(*ast.Ident); ok {
-			if obj := c.objOf(id); obj != nil {
-				c.env[obj] = lv.join(rv)
-			}
-		}
-		return
-	}
-	var vals []taintVal
-	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		vals = c.tupleVals(s.Rhs[0], len(s.Lhs))
-	} else {
-		for _, r := range s.Rhs {
-			vals = append(vals, c.expr(r))
-		}
-	}
-	lineTaint := c.taintLines[c.l.fset.Position(s.Pos()).Line]
-	for i, lhs := range s.Lhs {
-		v := cleanVal
-		if i < len(vals) {
-			v = vals[i]
-		}
-		c.assignOne(lhs, v, lineTaint)
-	}
-}
-
-// assignOne records one assignment target's new taint. Whole-value
-// targets (identifiers, pointer dereferences) take the source's taint;
-// stores into a field or element of an aggregate do not re-taint the
-// aggregate (the validate-then-fill idiom), though their index
-// expressions are still checked as sinks by the expr walk.
-func (c *taintChecker) assignOne(lhs ast.Expr, v taintVal, lineTaint bool) {
+// bind records one assignment target's new taint. Whole-value targets
+// (identifiers, pointer dereferences) take the source's taint, or become
+// a source themselves under a trailing bare //floc:untrusted; stores into
+// a field or element of an aggregate do not re-taint the aggregate (the
+// validate-then-fill idiom), though their index expressions are still
+// checked as sinks by the expr walk.
+func (c *taintChecker) bind(lhs ast.Expr, v taintVal, _ bool, at token.Pos) {
+	var obj types.Object
 	switch lhs := unparen(lhs).(type) {
 	case *ast.Ident:
-		if lhs.Name == "_" {
-			return
+		if lhs.Name != "_" {
+			obj = c.l.objOf(lhs)
 		}
-		obj := c.objOf(lhs)
-		if obj == nil {
-			return
-		}
-		if lineTaint {
-			v = taintFrom(lhs.Name)
-		}
-		c.env[obj] = v
 	case *ast.StarExpr:
-		if obj := c.rootObj(lhs.X); obj != nil {
-			if lineTaint {
-				v = taintFrom(obj.Name())
-			}
-			c.env[obj] = v
-		}
+		obj = c.rootObj(lhs.X)
 	case *ast.SelectorExpr, *ast.IndexExpr:
 		c.expr(lhs) // sink checks on the index path; no re-taint
 	}
+	if obj == nil {
+		return
+	}
+	if d, ok := c.lines.find(c.l.line(at), dirUntrusted); ok && len(d.args) == 0 {
+		v = taintFrom(obj.Name())
+	}
+	c.env[obj] = v
 }
 
-// tupleVals evaluates a multi-value rhs (call, comma-ok) into n values.
-func (c *taintChecker) tupleVals(rhs ast.Expr, n int) []taintVal {
-	vals := make([]taintVal, n)
-	if call, ok := unparen(rhs).(*ast.CallExpr); ok {
-		c.callInto(call, vals)
-		return vals
-	}
-	v := c.expr(rhs) // comma-ok idioms: value then bool
-	vals[0] = v
-	if len(vals) > 1 {
-		vals[1] = cleanVal
-	}
-	return vals
-}
-
-// rangeStmt seeds the loop variables from the ranged container: values
+// rangeVals seeds the loop variables from the ranged container: values
 // of a tainted container are tainted; slice indices are clean (bounded
 // by the container's real length), map keys of a tainted map are
 // tainted (the attacker chose them).
-func (c *taintChecker) rangeStmt(s *ast.RangeStmt) {
-	cv := c.expr(s.X)
-	keyVal, valVal := cleanVal, cv
-	if t := c.l.info.Types[s.X].Type; t != nil {
-		switch t.Underlying().(type) {
+func (c *taintChecker) rangeVals(container types.Type, cv taintVal) (key, val taintVal) {
+	if container != nil {
+		switch container.Underlying().(type) {
 		case *types.Map:
-			keyVal, valVal = cv, cv
+			return cv, cv
 		case *types.Chan:
-			keyVal, valVal = cv, cleanVal
+			return cv, cleanVal
 		case *types.Basic: // integer or string range
-			keyVal, valVal = cleanVal, cleanVal
+			return cleanVal, cleanVal
 		}
 	}
-	c.rangeVar(s.Key, keyVal)
-	c.rangeVar(s.Value, valVal)
-	c.stmt(s.Body)
-}
-
-func (c *taintChecker) rangeVar(e ast.Expr, v taintVal) {
-	if e == nil {
-		return
-	}
-	id, ok := unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	if obj := c.objOf(id); obj != nil {
-		c.env[obj] = v
-	}
+	return cleanVal, cv
 }
 
 // ---- expressions ----
@@ -528,10 +195,7 @@ func (c *taintChecker) expr(e ast.Expr) taintVal {
 	case *ast.BasicLit:
 		return cleanVal
 	case *ast.Ident:
-		if v, ok := c.env[c.objOf(e)]; ok {
-			return v
-		}
-		return cleanVal
+		return c.env[c.l.objOf(e)]
 	case *ast.ParenExpr:
 		return c.expr(e.X)
 	case *ast.UnaryExpr:
@@ -544,7 +208,7 @@ func (c *taintChecker) expr(e ast.Expr) taintVal {
 		return lv.join(rv)
 	case *ast.CallExpr:
 		vals := make([]taintVal, 1)
-		c.callInto(e, vals)
+		c.call(e, vals)
 		return vals[0]
 	case *ast.SelectorExpr:
 		return c.selector(e)
@@ -589,20 +253,13 @@ func (c *taintChecker) expr(e ast.Expr) taintVal {
 	}
 }
 
-func (c *taintChecker) objOf(id *ast.Ident) types.Object {
-	if obj := c.l.info.Defs[id]; obj != nil {
-		return obj
-	}
-	return c.l.info.Uses[id]
-}
-
 // rootObj unwraps an addressable chain (&x, *x, x.f, x[i], x[:]) to the
 // variable at its root, nil when there is none.
 func (c *taintChecker) rootObj(e ast.Expr) types.Object {
 	for {
 		switch t := unparen(e).(type) {
 		case *ast.Ident:
-			if v, ok := c.objOf(t).(*types.Var); ok {
+			if v, ok := c.l.objOf(t).(*types.Var); ok {
 				return v
 			}
 			return nil
@@ -639,37 +296,13 @@ func (c *taintChecker) selector(e *ast.SelectorExpr) taintVal {
 	if base.on {
 		return base
 	}
-	if key, ok := c.fieldKeyOfSelection(sel); ok && c.tbl.fields[key] {
+	if key, ok := fieldKeyOf(sel); ok && c.l.dirs.untrustedFields[key] {
 		if obj := c.rootObj(e.X); obj != nil && c.cleaned[obj] {
 			return cleanVal // validated by a //floc:sanitizes call
 		}
 		return taintFrom("field " + e.Sel.Name)
 	}
 	return cleanVal
-}
-
-// fieldKeyOfSelection resolves a field selection to its table key,
-// walking the selection's index path so embedded structs resolve to the
-// field's direct owner (same walk as the units rule).
-func (c *taintChecker) fieldKeyOfSelection(s *types.Selection) (string, bool) {
-	t := s.Recv()
-	idx := s.Index()
-	for k, i := range idx {
-		st := underlyingStruct(t)
-		if st == nil || i >= st.NumFields() {
-			return "", false
-		}
-		fld := st.Field(i)
-		if k == len(idx)-1 {
-			owner := namedName(t)
-			if owner == "" || fld.Pkg() == nil {
-				return "", false
-			}
-			return fld.Pkg().Path() + "." + owner + "." + fld.Name(), true
-		}
-		t = fld.Type()
-	}
-	return "", false
 }
 
 // index evaluates x[i], reporting tainted indexes and map keys.
@@ -692,69 +325,47 @@ func (c *taintChecker) index(e *ast.IndexExpr) taintVal {
 
 // ---- calls ----
 
-// callInto evaluates a call, filling vals with the per-result taint.
-func (c *taintChecker) callInto(e *ast.CallExpr, vals []taintVal) {
-	for i := range vals {
-		vals[i] = cleanVal
-	}
-	// Conversion: T(x) preserves x's taint.
-	if tv, ok := c.l.info.Types[e.Fun]; ok && tv.IsType() {
+// call evaluates a call, filling vals with the per-result taint.
+func (c *taintChecker) call(e *ast.CallExpr, vals []taintVal) {
+	if c.l.conversionTarget(e) != nil { // T(x) preserves x's taint
 		if len(e.Args) == 1 {
 			vals[0] = c.expr(e.Args[0])
 		}
 		return
 	}
-	// Builtins.
-	if id, ok := unparen(e.Fun).(*ast.Ident); ok {
-		if _, isBuiltin := c.l.info.Uses[id].(*types.Builtin); isBuiltin {
-			c.builtin(id.Name, e, vals)
-			return
-		}
+	if name := c.l.builtinName(e); name != "" {
+		c.builtin(name, e, vals)
+		return
 	}
 
 	// Receiver taint (method calls) counts as an argument.
-	recvTaint := cleanVal
-	if sel, ok := unparen(e.Fun).(*ast.SelectorExpr); ok {
-		if _, isSel := c.l.info.Selections[sel]; isSel {
-			recvTaint = c.expr(sel.X)
-		}
+	fn, recv := c.l.callee(e)
+	anyTaint := cleanVal
+	if recv != nil {
+		anyTaint = c.expr(recv)
 	}
 	argTaint := make([]taintVal, len(e.Args))
-	anyTaint := recvTaint
 	for i, a := range e.Args {
 		argTaint[i] = c.expr(a)
 		anyTaint = anyTaint.join(argTaint[i])
 	}
 
-	fn := c.calleeFuncTaint(e.Fun)
-	var tf *taintFunc
-	if fn != nil {
-		tf = c.tbl.funcs[c.taintKeyOf(fn)]
+	fd := c.l.calleeDirectives(fn)
+	c.checkSinkArgs(e, fn, fd, argTaint)
+	if fd.sanitizes {
+		// The sanitizer validated what it was given: clear the argument
+		// roots and receiver, return clean results.
+		for _, a := range append([]ast.Expr{recv}, e.Args...) {
+			if obj := c.rootObj(a); obj != nil {
+				c.env[obj] = cleanVal
+				c.cleaned[obj] = true
+			}
+		}
+		return
 	}
-
-	if tf != nil {
-		c.checkSinkArgs(e, fn, tf, argTaint)
-		if tf.sanitizes {
-			// The sanitizer validated what it was given: clear the
-			// argument roots and receiver, return clean results.
-			for _, a := range e.Args {
-				if obj := c.rootObj(a); obj != nil {
-					c.env[obj] = cleanVal
-					c.cleaned[obj] = true
-				}
-			}
-			if sel, ok := unparen(e.Fun).(*ast.SelectorExpr); ok {
-				if obj := c.rootObj(sel.X); obj != nil {
-					c.env[obj] = cleanVal
-					c.cleaned[obj] = true
-				}
-			}
-			return
-		}
-		if len(tf.untrusted) > 0 {
-			c.untrustedResults(fn, tf, vals)
-			return
-		}
+	if len(fd.untrusted) > 0 {
+		c.untrustedResults(fn, fd, vals)
+		return
 	}
 
 	// Unannotated or dynamic callee: conservative pass-through. Tainted
@@ -810,20 +421,17 @@ func (c *taintChecker) builtin(name string, e *ast.CallExpr, vals []taintVal) {
 }
 
 // checkSinkArgs reports tainted values passed to //floc:sink parameters.
-func (c *taintChecker) checkSinkArgs(e *ast.CallExpr, fn *types.Func, tf *taintFunc, argTaint []taintVal) {
-	if len(tf.sinks) == 0 {
+func (c *taintChecker) checkSinkArgs(e *ast.CallExpr, fn *types.Func, fd *funcDirectives, argTaint []taintVal) {
+	if len(fd.sinks) == 0 {
 		return
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return
-	}
+	sig := fn.Type().(*types.Signature)
 	for i := range e.Args {
 		if !argTaint[i].on {
 			continue
 		}
 		name := paramName(sig, i)
-		what, isSink := tf.sinks[name]
+		what, isSink := fd.sinks[name]
 		if !isSink {
 			continue
 		}
@@ -835,52 +443,14 @@ func (c *taintChecker) checkSinkArgs(e *ast.CallExpr, fn *types.Func, tf *taintF
 
 // untrustedResults taints the call's results the callee's directives
 // declare untrusted ("return" for the first, or named-result names).
-func (c *taintChecker) untrustedResults(fn *types.Func, tf *taintFunc, vals []taintVal) {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	res := sig.Results()
+func (c *taintChecker) untrustedResults(fn *types.Func, fd *funcDirectives, vals []taintVal) {
+	res := fn.Type().(*types.Signature).Results()
 	for i := 0; i < res.Len() && i < len(vals); i++ {
 		name := res.At(i).Name()
-		if (name != "" && tf.untrusted[name]) || (i == 0 && tf.untrusted["return"]) {
+		if (name != "" && fd.untrusted[name]) || (i == 0 && fd.untrusted["return"]) {
 			vals[i] = taintFrom(fn.Name() + " result")
 		}
 	}
-}
-
-// calleeFuncTaint resolves the called function object without
-// re-evaluating the receiver (callInto already did).
-func (c *taintChecker) calleeFuncTaint(fun ast.Expr) *types.Func {
-	switch fun := unparen(fun).(type) {
-	case *ast.Ident:
-		fn, _ := c.l.info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := c.l.info.Uses[fun.Sel].(*types.Func)
-		return fn
-	default:
-		return nil
-	}
-}
-
-// taintKeyOf builds the annotation-table key for a resolved function.
-func (c *taintChecker) taintKeyOf(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return ""
-	}
-	recvName := ""
-	if recv := sig.Recv(); recv != nil {
-		recvName = namedName(recv.Type())
-		if recvName == "" {
-			return ""
-		}
-	}
-	return funcKeyFor(fn.Pkg().Path(), recvName, fn.Name())
 }
 
 // pointerish reports whether a value of type t aliases storage the

@@ -1,72 +1,24 @@
-// Package atomics seeds violations of the atomics rule: mixed
-// atomic/plain field access, by-value copies of structs carrying atomic
-// state, and a 64-bit atomic field at a misaligned offset.
+// Package atomics seeds violations of the atomics rule: function-style
+// sync/atomic operations on plain variables.
 package atomics
 
 import "sync/atomic"
 
-// counters is updated atomically on the hot path; both fields land in
-// the audit set, and both are 8-byte aligned.
+// counters is updated with function-style atomics, so nothing stops the
+// plain read in snapshot.
 type counters struct {
-	hits  int64
-	drops int64
+	hits int64
 }
 
-func (c *counters) hit()  { atomic.AddInt64(&c.hits, 1) }
-func (c *counters) drop() { atomic.AddInt64(&c.drops, 1) }
+func (c *counters) hit() { atomic.AddInt64(&c.hits, 1) } // WANT atomics
 
-// snapshot reads one field atomically and the other with a plain load.
-func (c *counters) snapshot() (int64, int64) {
-	return c.hits, atomic.LoadInt64(&c.drops) // WANT atomics
+func (c *counters) snapshot() int64 { return c.hits }
+
+var x int64
+
+// bump seeds the package-level form, and a function value taken without
+// a call.
+func bump() func(*int64) int64 {
+	atomic.AddInt64(&x, 1)  // WANT atomics
+	return atomic.LoadInt64 // WANT atomics
 }
-
-// reset mixes a plain store with an atomic one.
-func (c *counters) reset() {
-	c.hits = 0 // WANT atomics
-	atomic.StoreInt64(&c.drops, 0)
-}
-
-// copyOut copies the live struct by value (and returns it by value).
-func copyOut(c *counters) counters { // WANT atomics
-	snap := *c // WANT atomics
-	return snap
-}
-
-// consume takes the atomic-bearing struct by value.
-func consume(c counters) int64 { // WANT atomics
-	return atomic.LoadInt64(&c.hits)
-}
-
-// passByValue hands a dereferenced copy to a callee.
-func passByValue(c *counters) int64 {
-	return consume(*c) // WANT atomics
-}
-
-// gauge wraps a typed atomic; the wrapper encapsulates access but still
-// must not be copied.
-type gauge struct {
-	v atomic.Int64
-}
-
-// leak returns the gauge by value.
-func leak(g *gauge) gauge { // WANT atomics
-	return *g
-}
-
-// sum copies each gauge into the range value variable.
-func sum(gs []gauge) int64 {
-	var total int64
-	for _, g := range gs { // WANT atomics
-		total += g.v.Load()
-	}
-	return total
-}
-
-// misaligned puts a 64-bit function-style atomic after a 4-byte field:
-// offset 4 under 32-bit layout, where atomic.AddInt64 faults.
-type misaligned struct {
-	ready int32
-	count int64 // WANT atomics
-}
-
-func (m *misaligned) add() { atomic.AddInt64(&m.count, 1) }

@@ -1,46 +1,26 @@
 // Package atomicsclean exercises near-misses of the atomics rule that
 // must yield zero findings: wrapper-typed atomics accessed through their
-// methods, plain fields that are simply never atomic, composite-literal
-// construction, pointer passing, and an aligned 64-bit atomic field.
+// methods, and functions that merely share a sync/atomic function's name.
 package atomicsclean
 
 import "sync/atomic"
 
 // counters is all wrapper-typed: the types encapsulate the access
-// discipline, and pointer receivers never copy them.
+// discipline (copies of them are go vet's to report, not floclint's).
 type counters struct {
-	hits  atomic.Int64
-	drops atomic.Int64
+	hits atomic.Int64
+	head atomic.Pointer[counters]
 }
 
-func (c *counters) hit()        { c.hits.Add(1) }
-func (c *counters) read() int64 { return c.hits.Load() }
+func (c *counters) hit() int64 { return c.hits.Add(1) }
 
-// ring mixes a function-style atomic producer cursor (offset 0, aligned)
-// with plain single-consumer fields the rule must leave alone: only enq
-// is held to the atomic discipline.
-type ring struct {
-	enq  uint64
-	deq  uint64
-	item int
-}
+func (c *counters) next() *counters { return c.head.Load() }
 
-func (r *ring) push() { atomic.AddUint64(&r.enq, 1) }
+// tally has a method named like a sync/atomic function; it is reached
+// through a selection, not the package qualifier.
+type tally struct{ n int64 }
 
-func (r *ring) pop() uint64 {
-	r.deq++ // plain consumer cursor: never passed to sync/atomic
-	return atomic.LoadUint64(&r.enq)
-}
+func (t *tally) AddInt64(d int64) int64 { t.n += d; return t.n }
 
-// newRing constructs behind a pointer; &composite-literal is not a copy.
-func newRing() *ring { return &ring{} }
-
-// fresh constructs a value from a composite literal: creating state is
-// not copying live state.
-func fresh() *counters {
-	c := counters{}
-	return &c
-}
-
-// observe reads through a pointer.
-func observe(c *counters) int64 { return c.read() }
+// AddInt64 is a package-level namesake.
+func AddInt64(t *tally, d int64) int64 { return t.AddInt64(d) }

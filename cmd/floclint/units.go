@@ -33,13 +33,12 @@ import (
 	"strings"
 )
 
-// unitDirective introduces a dimension annotation:
+// The floc:unit directive declares a dimension:
 //
 //	//floc:unit <dim>              on a struct field or a local's := line
 //	// floc:unit <name> <dim>      in a function doc comment, where <name>
 //	//                             is a parameter or named-result name, or
 //	//                             "return" for the first result
-const unitDirective = "floc:unit"
 
 // dim is an exponent vector over the base dimensions. The zero dim is
 // dimensionless ("ratio"). packets and tokens share the packet base.
@@ -169,205 +168,35 @@ func dimOfType(t types.Type) (dim, bool) {
 	return d, ok
 }
 
-// unitTable holds the //floc:unit annotations of every module package,
-// collected syntactically so directives of dependency packages are visible
-// when linting their importers (export data carries no comments).
-type unitTable struct {
-	// funcs maps "pkgpath.[Recv.]Func" to per-name dims: parameter names,
-	// named-result names, and "return" for the first result.
-	funcs map[string]map[string]dim
-	// fields maps "pkgpath.Type.Field" to the field's dim. For map- and
-	// slice-typed fields the dim describes the element values.
-	fields map[string]dim
-}
-
-func newUnitTable() *unitTable {
-	return &unitTable{funcs: map[string]map[string]dim{}, fields: map[string]dim{}}
-}
-
-func funcKeyFor(pkgPath, recvName, name string) string {
-	if recvName != "" {
-		return pkgPath + "." + recvName + "." + name
+// dirDim reads the field/local form: the dim named by the first argument.
+func dirDim(d directive) (dim, bool) {
+	if len(d.args) == 0 {
+		return dim{}, false
 	}
-	return pkgPath + "." + name
+	dm, ok := dimByName[d.args[0]]
+	return dm, ok
 }
 
-// recvTypeName extracts the receiver's base type name from an AST
-// receiver field ("" for generic or unresolvable receivers).
-func recvTypeName(recv *ast.FieldList) string {
-	if recv == nil || len(recv.List) == 0 {
-		return ""
+// checkUnitDirective reports a malformed directive: one whose tokens
+// parse neither as the field/local form (<dim>) nor as the function-doc
+// form (<name> <dim>).
+func (l *linter) checkUnitDirective(d directive) {
+	_, ok := dirDim(d)
+	if !ok && len(d.args) >= 2 {
+		_, ok = dimByName[d.args[1]]
 	}
-	t := recv.List[0].Type
-	for {
-		switch tt := t.(type) {
-		case *ast.StarExpr:
-			t = tt.X
-		case *ast.IndexExpr:
-			t = tt.X
-		case *ast.IndexListExpr:
-			t = tt.X
-		case *ast.Ident:
-			return tt.Name
-		default:
-			return ""
-		}
+	if !ok {
+		l.report(d.c.Pos(), RuleUnits,
+			"malformed floc:unit directive %q; want \"floc:unit <dim>\" or \"floc:unit <name> <dim>\" with <dim> one of packets, packets/s, bits, bits/s, bytes, bytes/s, seconds, tokens, tokens/s, ratio",
+			strings.TrimSpace(d.c.Text))
 	}
 }
 
-// directiveFields returns the whitespace-separated tokens following a
-// unit directive, or nil if the comment carries none. The directive must
-// start the comment line ("//floc:unit ..." or "// floc:unit ..."); prose
-// that merely mentions floc:unit does not annotate.
-func directiveFields(text string) []string {
-	t := strings.TrimSpace(strings.TrimLeft(text, "/"))
-	if !strings.HasPrefix(t, unitDirective) {
-		return nil
-	}
-	rest := t[len(unitDirective):]
-	if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-		return nil // e.g. "floc:unitx"; not this directive
-	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return []string{}
-	}
-	return fields
-}
-
-// collectUnitDecls scans one parsed file for field and function
-// directives, filling tbl. It is purely syntactic: no type information.
-func collectUnitDecls(pkgPath string, f *ast.File, tbl *unitTable) {
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			collectFuncUnits(pkgPath, decl, tbl)
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				collectFieldUnits(pkgPath, ts.Name.Name, st, tbl)
-			}
-		}
-	}
-}
-
-// collectFuncUnits reads "floc:unit <name> <dim>" lines from a function's
-// doc comment.
-func collectFuncUnits(pkgPath string, fn *ast.FuncDecl, tbl *unitTable) {
-	if fn.Doc == nil {
-		return
-	}
-	var named map[string]dim
-	for _, c := range fn.Doc.List {
-		fields := directiveFields(c.Text)
-		if len(fields) < 2 {
-			continue
-		}
-		d, ok := dimByName[fields[1]]
-		if !ok {
-			continue // reported by checkUnitDirectives in linted packages
-		}
-		if named == nil {
-			named = map[string]dim{}
-		}
-		named[fields[0]] = d
-	}
-	if named != nil {
-		key := funcKeyFor(pkgPath, recvTypeName(fn.Recv), fn.Name.Name)
-		tbl.funcs[key] = named
-	}
-}
-
-// collectFieldUnits reads "floc:unit <dim>" trailing or doc comments on
-// struct fields.
-func collectFieldUnits(pkgPath, typeName string, st *ast.StructType, tbl *unitTable) {
-	for _, field := range st.Fields.List {
-		d, ok := fieldDirective(field)
-		if !ok {
-			continue
-		}
-		for _, name := range field.Names {
-			tbl.fields[pkgPath+"."+typeName+"."+name.Name] = d
-		}
-	}
-}
-
-func fieldDirective(field *ast.Field) (dim, bool) {
-	for _, group := range []*ast.CommentGroup{field.Comment, field.Doc} {
-		if group == nil {
-			continue
-		}
-		for _, c := range group.List {
-			fields := directiveFields(c.Text)
-			if len(fields) == 0 {
-				continue
-			}
-			if d, ok := dimByName[fields[0]]; ok {
-				return d, true
-			}
-		}
-	}
-	return dim{}, false
-}
-
-// collectLineDims maps source lines carrying a trailing field-form
-// directive ("//floc:unit <dim>") to the declared dim, for local variable
-// declarations.
-func collectLineDims(fset *token.FileSet, f *ast.File) map[int]dim {
-	out := map[int]dim{}
-	for _, group := range f.Comments {
-		for _, c := range group.List {
-			fields := directiveFields(c.Text)
-			if len(fields) == 0 {
-				continue
-			}
-			if d, ok := dimByName[fields[0]]; ok {
-				out[fset.Position(c.Pos()).Line] = d
-			}
-		}
-	}
-	return out
-}
-
-// checkUnitDirectives reports malformed directives: a floc:unit comment
-// whose tokens parse neither as the field/local form (<dim>) nor as the
-// function-doc form (<name> <dim>).
-func (l *linter) checkUnitDirectives(f *ast.File) {
-	for _, group := range f.Comments {
-		for _, c := range group.List {
-			fields := directiveFields(c.Text)
-			if fields == nil {
-				continue
-			}
-			ok := false
-			if len(fields) >= 1 {
-				_, ok = dimByName[fields[0]]
-			}
-			if !ok && len(fields) >= 2 {
-				_, ok = dimByName[fields[1]]
-			}
-			if !ok {
-				l.report(c.Pos(), RuleUnits,
-					"malformed floc:unit directive %q; want \"floc:unit <dim>\" or \"floc:unit <name> <dim>\" with <dim> one of packets, packets/s, bits, bits/s, bytes, bytes/s, seconds, tokens, tokens/s, ratio",
-					strings.TrimSpace(c.Text))
-			}
-		}
-	}
-}
-
-// unitsChecker propagates dimensions through one function body.
+// unitsChecker propagates dimensions through one function body; the
+// statement walk is flow's, the hooks below are the dimension algebra.
 type unitsChecker struct {
-	l        *linter
-	tbl      *unitTable
-	pkgPath  string
-	lineDims map[int]dim
+	flow[unitVal]
+	lines lineDirectives
 
 	// declared pins a variable's dimension (annotated params, named
 	// results, and directive-carrying locals); env tracks inferred dims.
@@ -379,55 +208,31 @@ type unitsChecker struct {
 	results [][]*dim
 }
 
-// checkUnits runs the units rule over one file's function bodies.
-func (l *linter) checkUnits(f *ast.File) {
-	l.checkUnitDirectives(f)
-	lineDims := collectLineDims(l.fset, f)
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		c := &unitsChecker{
-			l:        l,
-			tbl:      l.tbl,
-			pkgPath:  l.pkgPath,
-			lineDims: lineDims,
-			declared: map[types.Object]dim{},
-			env:      map[types.Object]unitVal{},
-		}
-		key := funcKeyFor(l.pkgPath, recvTypeName(fn.Recv), fn.Name.Name)
-		c.seedSignature(fn.Type, c.tbl.funcs[key])
-		c.results = append(c.results, c.resultDims(fn.Type, c.tbl.funcs[key]))
-		c.stmt(fn.Body)
+// checkUnits runs the units rule over one function body.
+func (l *linter) checkUnits(fn *ast.FuncDecl, fd *funcDirectives, lines lineDirectives) {
+	c := &unitsChecker{
+		lines:    lines,
+		declared: map[types.Object]dim{},
+		env:      map[types.Object]unitVal{},
 	}
+	c.flow = flow[unitVal]{l: l, rule: c}
+	c.funcBody(fn.Type, fn.Body, fd.units)
 }
 
-// seedSignature pins annotated (or units-typed) parameters and named
-// results.
-func (c *unitsChecker) seedSignature(ft *ast.FuncType, named map[string]dim) {
-	seed := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
+// funcBody walks one function (declaration or literal) body with its
+// signature's annotated or units-typed parameters and named results
+// pinned and its result dims on the stack.
+func (c *unitsChecker) funcBody(ft *ast.FuncType, body *ast.BlockStmt, named map[string]dim) {
+	c.l.eachParam(func(name *ast.Ident, obj types.Object) {
+		if d, ok := named[name.Name]; ok {
+			c.declared[obj] = d
+		} else if d, ok := dimOfType(obj.Type()); ok {
+			c.declared[obj] = d
 		}
-		for _, field := range fl.List {
-			for _, name := range field.Names {
-				obj := c.l.info.Defs[name]
-				if obj == nil {
-					continue
-				}
-				if d, ok := named[name.Name]; ok {
-					c.declared[obj] = d
-					continue
-				}
-				if d, ok := dimOfType(obj.Type()); ok {
-					c.declared[obj] = d
-				}
-			}
-		}
-	}
-	seed(ft.Params)
-	seed(ft.Results)
+	}, ft.Params, ft.Results)
+	c.results = append(c.results, c.resultDims(ft, named))
+	c.stmt(body)
+	c.results = c.results[:len(c.results)-1]
 }
 
 // resultDims computes the per-result expected dims of a signature:
@@ -468,115 +273,7 @@ func (c *unitsChecker) resultDims(ft *ast.FuncType, named map[string]dim) []*dim
 	return out
 }
 
-// ---- statements ----
-
-func (c *unitsChecker) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.BlockStmt:
-		for _, sub := range s.List {
-			c.stmt(sub)
-		}
-	case *ast.ExprStmt:
-		c.expr(s.X)
-	case *ast.AssignStmt:
-		c.assign(s)
-	case *ast.DeclStmt:
-		c.declStmt(s)
-	case *ast.IfStmt:
-		c.stmt(s.Init)
-		c.expr(s.Cond)
-		c.stmt(s.Body)
-		c.stmt(s.Else)
-	case *ast.ForStmt:
-		c.stmt(s.Init)
-		if s.Cond != nil {
-			c.expr(s.Cond)
-		}
-		c.stmt(s.Post)
-		c.stmt(s.Body)
-	case *ast.RangeStmt:
-		c.rangeStmt(s)
-	case *ast.SwitchStmt:
-		c.stmt(s.Init)
-		if s.Tag != nil {
-			c.expr(s.Tag)
-		}
-		c.stmt(s.Body)
-	case *ast.TypeSwitchStmt:
-		c.stmt(s.Init)
-		c.stmt(s.Assign)
-		c.stmt(s.Body)
-	case *ast.CaseClause:
-		for _, e := range s.List {
-			c.expr(e)
-		}
-		for _, sub := range s.Body {
-			c.stmt(sub)
-		}
-	case *ast.SelectStmt:
-		c.stmt(s.Body)
-	case *ast.CommClause:
-		c.stmt(s.Comm)
-		for _, sub := range s.Body {
-			c.stmt(sub)
-		}
-	case *ast.ReturnStmt:
-		c.ret(s)
-	case *ast.IncDecStmt:
-		c.expr(s.X)
-	case *ast.SendStmt:
-		c.expr(s.Chan)
-		c.expr(s.Value)
-	case *ast.GoStmt:
-		c.expr(s.Call)
-	case *ast.DeferStmt:
-		c.expr(s.Call)
-	case *ast.LabeledStmt:
-		c.stmt(s.Stmt)
-	}
-}
-
-// declStmt handles `var x T = v` declarations, honoring a trailing
-// //floc:unit directive on the spec's line.
-func (c *unitsChecker) declStmt(s *ast.DeclStmt) {
-	gd, ok := s.Decl.(*ast.GenDecl)
-	if !ok {
-		return
-	}
-	for _, spec := range gd.Specs {
-		vs, ok := spec.(*ast.ValueSpec)
-		if !ok {
-			continue
-		}
-		lineDim, hasLineDim := c.lineDims[c.l.fset.Position(vs.Pos()).Line]
-		var vals []unitVal
-		for _, v := range vs.Values {
-			vals = append(vals, c.expr(v))
-		}
-		for i, name := range vs.Names {
-			obj := c.l.info.Defs[name]
-			if obj == nil || name.Name == "_" {
-				continue
-			}
-			v := unknownVal
-			if i < len(vals) {
-				v = vals[i]
-			}
-			if hasLineDim {
-				c.declared[obj] = lineDim
-				c.checkDeclared(name.Pos(), name.Name, lineDim, v)
-				continue
-			}
-			if d, ok := dimOfType(obj.Type()); ok {
-				c.declared[obj] = d
-				c.checkDeclared(name.Pos(), name.Name, d, v)
-				continue
-			}
-			c.env[obj] = v
-		}
-	}
-}
+// ---- statement hooks ----
 
 func (c *unitsChecker) checkDeclared(pos token.Pos, name string, d dim, v unitVal) {
 	if v.kind == uvDim && v.d != d {
@@ -585,12 +282,11 @@ func (c *unitsChecker) checkDeclared(pos token.Pos, name string, d dim, v unitVa
 	}
 }
 
-// assign handles = / := / op= statements.
-func (c *unitsChecker) assign(s *ast.AssignStmt) {
+// opAssign handles op= statements.
+func (c *unitsChecker) opAssign(s *ast.AssignStmt) {
 	switch s.Tok {
-	case token.ASSIGN, token.DEFINE:
 	case token.ADD_ASSIGN, token.SUB_ASSIGN:
-		lv := c.lvalDim(s.Lhs[0])
+		lv := c.expr(s.Lhs[0])
 		rv := c.expr(s.Rhs[0])
 		if lv.kind == uvDim && rv.kind == uvDim && lv.d != rv.d {
 			op := "add"
@@ -599,73 +295,54 @@ func (c *unitsChecker) assign(s *ast.AssignStmt) {
 			}
 			c.l.report(s.TokPos, RuleUnits, "cannot %s %s to %s", op, rv.d, lv.d)
 		}
-		return
 	case token.MUL_ASSIGN, token.QUO_ASSIGN:
 		// The target's dimension changes by the operand's; fields keep
 		// their declared dim (the idiom is scaling by a ratio), locals are
 		// re-inferred.
-		lv := c.lvalDim(s.Lhs[0])
+		lv := c.expr(s.Lhs[0])
 		rv := c.expr(s.Rhs[0])
 		if id, ok := unparen(s.Lhs[0]).(*ast.Ident); ok {
-			if obj := c.objOf(id); obj != nil {
+			if obj := c.l.objOf(id); obj != nil {
 				if _, pinned := c.declared[obj]; !pinned {
 					c.env[obj] = c.composeMulDiv(s.Tok == token.MUL_ASSIGN, lv, rv)
 				}
 			}
 		}
-		return
 	default:
 		for _, r := range s.Rhs {
 			c.expr(r)
 		}
-		return
-	}
-
-	// Plain or defining assignment.
-	var vals []unitVal
-	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		vals = c.tupleVals(s.Rhs[0], len(s.Lhs))
-	} else {
-		for _, r := range s.Rhs {
-			vals = append(vals, c.expr(r))
-		}
-	}
-	lineDim, hasLineDim := c.lineDims[c.l.fset.Position(s.Pos()).Line]
-	for i, lhs := range s.Lhs {
-		v := unknownVal
-		if i < len(vals) {
-			v = vals[i]
-		}
-		c.assignOne(lhs, v, s.Tok == token.DEFINE, lineDim, hasLineDim)
 	}
 }
 
-// assignOne records or checks one assignment target.
-func (c *unitsChecker) assignOne(lhs ast.Expr, v unitVal, define bool, lineDim dim, hasLineDim bool) {
+// bind records or checks one assignment target.
+func (c *unitsChecker) bind(lhs ast.Expr, v unitVal, define bool, at token.Pos) {
 	switch lhs := unparen(lhs).(type) {
 	case *ast.Ident:
 		if lhs.Name == "_" {
 			return
 		}
-		obj := c.objOf(lhs)
+		obj := c.l.objOf(lhs)
 		if obj == nil {
 			return
 		}
-		if hasLineDim && define {
-			c.declared[obj] = lineDim
-			c.checkDeclared(lhs.Pos(), lhs.Name, lineDim, v)
+		d, pinned := c.declared[obj]
+		if define {
+			if ld, ok := c.lines.find(c.l.line(at), dirUnit); ok {
+				if lineDim, ok := dirDim(ld); ok {
+					d, pinned = lineDim, true
+				}
+			}
+		}
+		if !pinned {
+			d, pinned = dimOfType(obj.Type())
+		}
+		if !pinned {
+			c.env[obj] = v
 			return
 		}
-		if d, ok := c.declared[obj]; ok {
-			c.checkDeclared(lhs.Pos(), lhs.Name, d, v)
-			return
-		}
-		if d, ok := dimOfType(obj.Type()); ok {
-			c.declared[obj] = d
-			c.checkDeclared(lhs.Pos(), lhs.Name, d, v)
-			return
-		}
-		c.env[obj] = v
+		c.declared[obj] = d
+		c.checkDeclared(lhs.Pos(), lhs.Name, d, v)
 	case *ast.SelectorExpr:
 		lv := c.expr(lhs)
 		if lv.kind == uvDim && v.kind == uvDim && lv.d != v.d {
@@ -681,23 +358,6 @@ func (c *unitsChecker) assignOne(lhs ast.Expr, v unitVal, define bool, lineDim d
 	case *ast.StarExpr:
 		c.expr(lhs.X)
 	}
-}
-
-// lvalDim evaluates an assignment target's current dimension.
-func (c *unitsChecker) lvalDim(lhs ast.Expr) unitVal { return c.expr(lhs) }
-
-// tupleVals evaluates a multi-value rhs (call, comma-ok) into n values.
-func (c *unitsChecker) tupleVals(rhs ast.Expr, n int) []unitVal {
-	vals := make([]unitVal, n)
-	for i := range vals {
-		vals[i] = unknownVal
-	}
-	if call, ok := unparen(rhs).(*ast.CallExpr); ok {
-		c.callTuple(call, vals)
-		return vals
-	}
-	vals[0] = c.expr(rhs) // comma-ok idioms: value, then bool
-	return vals
 }
 
 // ret checks return expressions against the enclosing signature.
@@ -718,44 +378,23 @@ func (c *unitsChecker) ret(s *ast.ReturnStmt) {
 	}
 }
 
-// rangeStmt seeds the loop variables from the ranged container.
-func (c *unitsChecker) rangeStmt(s *ast.RangeStmt) {
-	cv := c.expr(s.X)
-	keyVal, valVal := anyVal, cv
-	if t := c.l.info.Types[s.X].Type; t != nil {
-		switch t.Underlying().(type) {
+// rangeVals seeds the loop variables from the ranged container: an index
+// is a scalar count, an element carries the container's (element) dim.
+func (c *unitsChecker) rangeVals(container types.Type, cv unitVal) (key, val unitVal) {
+	if container != nil {
+		switch container.Underlying().(type) {
 		case *types.Map:
-			keyVal = unknownVal // field dims describe map values, not keys
+			return unknownVal, cv // field dims describe map values, not keys
 		case *types.Chan:
-			keyVal = cv
-			valVal = unknownVal
+			return cv, unknownVal
 		case *types.Basic: // string or integer range
-			keyVal, valVal = anyVal, anyVal
+			return anyVal, anyVal
 		}
 	}
-	c.rangeVar(s.Key, keyVal)
-	c.rangeVar(s.Value, valVal)
-	c.stmt(s.Body)
+	return anyVal, cv
 }
 
-func (c *unitsChecker) rangeVar(e ast.Expr, v unitVal) {
-	if e == nil {
-		return
-	}
-	id, ok := unparen(e).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return
-	}
-	obj := c.objOf(id)
-	if obj == nil {
-		return
-	}
-	if d, ok := c.declared[obj]; ok {
-		c.checkDeclared(id.Pos(), id.Name, d, v)
-		return
-	}
-	c.env[obj] = v
-}
+func (c *unitsChecker) forCond(cond ast.Expr) { c.expr(cond) }
 
 // ---- expressions ----
 
@@ -780,7 +419,9 @@ func (c *unitsChecker) expr(e ast.Expr) unitVal {
 	case *ast.BinaryExpr:
 		return c.binary(e)
 	case *ast.CallExpr:
-		return c.call(e)
+		vals := make([]unitVal, 1)
+		c.call(e, vals)
+		return vals[0]
 	case *ast.SelectorExpr:
 		return c.selector(e)
 	case *ast.IndexExpr:
@@ -806,7 +447,7 @@ func (c *unitsChecker) expr(e ast.Expr) unitVal {
 	case *ast.CompositeLit:
 		return c.compositeLit(e)
 	case *ast.FuncLit:
-		c.funcLit(e)
+		c.funcBody(e.Type, e.Body, nil)
 		return unknownVal
 	case *ast.KeyValueExpr:
 		c.expr(e.Value)
@@ -816,16 +457,8 @@ func (c *unitsChecker) expr(e ast.Expr) unitVal {
 	}
 }
 
-func (c *unitsChecker) objOf(id *ast.Ident) types.Object {
-	if obj := c.l.info.Defs[id]; obj != nil {
-		return obj
-	}
-	return c.l.info.Uses[id]
-}
-
 func (c *unitsChecker) ident(e *ast.Ident) unitVal {
-	obj := c.objOf(e)
-	switch obj := obj.(type) {
+	switch obj := c.l.objOf(e).(type) {
 	case *types.Const:
 		if d, ok := dimOfType(obj.Type()); ok {
 			return dimVal(d)
@@ -852,7 +485,7 @@ func (c *unitsChecker) binary(e *ast.BinaryExpr) unitVal {
 	rv := c.expr(e.Y)
 	switch e.Op {
 	case token.ADD, token.SUB:
-		if !c.isNumeric(e) {
+		if !isBasic(c.l.info.Types[e].Type, types.IsNumeric) {
 			return unknownVal // string concatenation
 		}
 		if lv.kind == uvDim && rv.kind == uvDim && lv.d != rv.d {
@@ -888,15 +521,6 @@ func (c *unitsChecker) binary(e *ast.BinaryExpr) unitVal {
 	}
 }
 
-func (c *unitsChecker) isNumeric(e ast.Expr) bool {
-	t := c.l.info.Types[e].Type
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsNumeric != 0
-}
-
 // composeMulDiv multiplies or divides dimensions. A scalar (constant or
 // count) is neutral; an unknown operand poisons the result.
 func (c *unitsChecker) composeMulDiv(mul bool, lv, rv unitVal) unitVal {
@@ -926,80 +550,27 @@ func (c *unitsChecker) selector(e *ast.SelectorExpr) unitVal {
 		if s.Kind() != types.FieldVal {
 			return unknownVal
 		}
-		if d, ok := c.fieldDimOfSelection(s); ok {
-			return dimVal(d)
+		if key, ok := fieldKeyOf(s); ok {
+			if d, ok := c.l.dirs.unitFields[key]; ok {
+				return dimVal(d)
+			}
 		}
 		if d, ok := dimOfType(s.Obj().Type()); ok {
 			return dimVal(d)
 		}
 		return unknownVal
 	}
-	// Package-qualified identifier.
-	switch obj := c.l.info.Uses[e.Sel].(type) {
-	case *types.Const:
-		if d, ok := dimOfType(obj.Type()); ok {
-			return dimVal(d)
-		}
-		return anyVal
-	case *types.Var:
-		if d, ok := dimOfType(obj.Type()); ok {
-			return dimVal(d)
-		}
-	}
-	return unknownVal
+	return c.ident(e.Sel) // package-qualified identifier
 }
 
-// fieldDimOfSelection resolves a field selection to its annotation,
-// walking the selection's index path so embedded structs resolve to the
-// field's direct owner.
-func (c *unitsChecker) fieldDimOfSelection(s *types.Selection) (dim, bool) {
-	t := s.Recv()
-	idx := s.Index()
-	for k, i := range idx {
-		st := underlyingStruct(t)
-		if st == nil || i >= st.NumFields() {
-			return dim{}, false
-		}
-		fld := st.Field(i)
-		if k == len(idx)-1 {
-			owner := namedName(t)
-			if owner == "" || fld.Pkg() == nil {
-				return dim{}, false
-			}
-			d, ok := c.tbl.fields[fld.Pkg().Path()+"."+owner+"."+fld.Name()]
-			return d, ok
-		}
-		t = fld.Type()
-	}
-	return dim{}, false
-}
-
-func underlyingStruct(t types.Type) *types.Struct {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, _ := t.Underlying().(*types.Struct)
-	return st
-}
-
-func namedName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
-
-// fieldDimByIndex resolves a struct field's annotation by position, for
-// composite literals.
+// fieldDim resolves a struct field's annotation (else the dim its units
+// type carries), for composite literals.
 func (c *unitsChecker) fieldDim(t types.Type, fld *types.Var) (dim, bool) {
-	owner := namedName(t)
-	if owner == "" || fld.Pkg() == nil {
+	key, ok := fieldKey(t, fld)
+	if !ok {
 		return dim{}, false
 	}
-	if d, ok := c.tbl.fields[fld.Pkg().Path()+"."+owner+"."+fld.Name()]; ok {
+	if d, ok := c.l.dirs.unitFields[key]; ok {
 		return d, true
 	}
 	return dimOfType(fld.Type())
@@ -1042,58 +613,38 @@ func (c *unitsChecker) compositeLit(e *ast.CompositeLit) unitVal {
 	return unknownVal
 }
 
-func (c *unitsChecker) funcLit(e *ast.FuncLit) {
-	c.seedSignature(e.Type, nil)
-	c.results = append(c.results, c.resultDims(e.Type, nil))
-	c.stmt(e.Body)
-	c.results = c.results[:len(c.results)-1]
-}
-
 // ---- calls ----
 
 // call evaluates a call or conversion, checking annotated parameters.
-func (c *unitsChecker) call(e *ast.CallExpr) unitVal {
-	vals := make([]unitVal, 1)
-	c.callInto(e, vals)
-	return vals[0]
-}
-
-// callTuple evaluates a call used in a multi-value context.
-func (c *unitsChecker) callTuple(e *ast.CallExpr, vals []unitVal) {
-	c.callInto(e, vals)
-}
-
-func (c *unitsChecker) callInto(e *ast.CallExpr, vals []unitVal) {
-	for i := range vals {
-		vals[i] = unknownVal
-	}
-	// Conversion?
-	if tv, ok := c.l.info.Types[e.Fun]; ok && tv.IsType() {
-		if len(e.Args) != 1 {
-			return
+func (c *unitsChecker) call(e *ast.CallExpr, vals []unitVal) {
+	if target := c.l.conversionTarget(e); target != nil {
+		if len(e.Args) == 1 {
+			vals[0] = c.conversion(e, target)
 		}
-		vals[0] = c.conversion(e, tv.Type)
 		return
 	}
-	// Builtin?
-	if id, ok := unparen(e.Fun).(*ast.Ident); ok {
-		if _, ok := c.l.info.Uses[id].(*types.Builtin); ok {
-			for _, a := range e.Args {
-				c.expr(a)
-			}
-			if id.Name == "len" || id.Name == "cap" {
-				vals[0] = anyVal
-			}
-			return
+	if name := c.l.builtinName(e); name != "" {
+		for _, a := range e.Args {
+			c.expr(a)
 		}
+		if name == "len" || name == "cap" {
+			vals[0] = anyVal
+		}
+		return
 	}
-	fn := c.calleeFunc(e.Fun)
+	// The callee expression is evaluated for the checks along its
+	// receiver chain.
+	fn, recv := c.l.callee(e)
+	if recv != nil {
+		c.expr(recv)
+	} else if fn == nil {
+		c.expr(e.Fun)
+	}
 	var sig *types.Signature
-	var named map[string]dim
 	if fn != nil {
-		sig, _ = fn.Type().(*types.Signature)
-		named = c.tbl.funcs[c.funcKeyOf(fn)]
+		sig = fn.Type().(*types.Signature)
 	}
+	named := c.l.calleeDirectives(fn).units
 	for i, a := range e.Args {
 		av := c.expr(a)
 		pd := paramDim(sig, named, i)
@@ -1117,19 +668,13 @@ func (c *unitsChecker) callInto(e *ast.CallExpr, vals []unitVal) {
 	}
 	res := sig.Results()
 	for i := 0; i < res.Len() && i < len(vals); i++ {
-		if named != nil {
-			if name := res.At(i).Name(); name != "" {
-				if d, ok := named[name]; ok {
-					vals[i] = dimVal(d)
-					continue
-				}
-			}
-			if i == 0 {
-				if d, ok := named["return"]; ok {
-					vals[0] = dimVal(d)
-					continue
-				}
-			}
+		if d, ok := named[res.At(i).Name()]; ok && res.At(i).Name() != "" {
+			vals[i] = dimVal(d)
+			continue
+		}
+		if d, ok := named["return"]; ok && i == 0 {
+			vals[0] = dimVal(d)
+			continue
 		}
 		if d, ok := dimOfType(res.At(i).Type()); ok {
 			vals[i] = dimVal(d)
@@ -1156,85 +701,35 @@ func (c *unitsChecker) conversion(e *ast.CallExpr, target types.Type) unitVal {
 	case uvAny:
 		return anyVal
 	}
-	if t := c.l.info.Types[e.Args[0]].Type; t != nil {
-		if b, ok := t.Underlying().(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-			return anyVal // unannotated integer counts are scalars
-		}
+	if isBasic(c.l.info.Types[e.Args[0]].Type, types.IsInteger) {
+		return anyVal // unannotated integer counts are scalars
 	}
 	return unknownVal
 }
 
-// calleeFunc resolves the called function object, evaluating the callee
-// expression's receiver chain for checks along the way.
-func (c *unitsChecker) calleeFunc(fun ast.Expr) *types.Func {
-	switch fun := unparen(fun).(type) {
-	case *ast.Ident:
-		fn, _ := c.l.info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		if _, isSel := c.l.info.Selections[fun]; isSel {
-			c.expr(fun.X) // method call: check the receiver expression
-		}
-		fn, _ := c.l.info.Uses[fun.Sel].(*types.Func)
-		return fn
-	default:
-		c.expr(fun)
-		return nil
-	}
-}
-
-// funcKeyOf builds the annotation-table key for a resolved function.
-func (c *unitsChecker) funcKeyOf(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return ""
-	}
-	recvName := ""
-	if recv := sig.Recv(); recv != nil {
-		recvName = namedName(recv.Type())
-		if recvName == "" {
-			return ""
-		}
-	}
-	return funcKeyFor(fn.Pkg().Path(), recvName, fn.Name())
-}
-
-// paramDim returns the annotated dim of parameter i, or nil.
+// paramDim returns the annotated dim of the parameter argument i binds
+// to, or nil.
 func paramDim(sig *types.Signature, named map[string]dim, i int) *dim {
-	if sig == nil || named == nil {
+	if sig == nil {
 		return nil
 	}
-	params := sig.Params()
-	idx := i
-	if sig.Variadic() && idx >= params.Len()-1 {
-		idx = params.Len() - 1
-	}
-	if idx < 0 || idx >= params.Len() {
-		return nil
-	}
-	name := params.At(idx).Name()
-	if name == "" {
-		return nil
-	}
-	if d, ok := named[name]; ok {
+	if d, ok := named[paramName(sig, i)]; ok {
 		return &d
 	}
 	return nil
 }
 
+// paramName returns the name of the parameter argument i binds to, the
+// variadic parameter taking every extra argument; "?" when out of range.
 func paramName(sig *types.Signature, i int) string {
 	params := sig.Params()
-	idx := i
-	if sig.Variadic() && idx >= params.Len()-1 {
-		idx = params.Len() - 1
+	if sig.Variadic() && i >= params.Len()-1 {
+		i = params.Len() - 1
 	}
-	if idx < 0 || idx >= params.Len() {
+	if i < 0 || i >= params.Len() {
 		return "?"
 	}
-	return params.At(idx).Name()
+	return params.At(i).Name()
 }
 
 // isBareFloatIdent reports whether the argument is a plain float64
@@ -1246,21 +741,6 @@ func (c *unitsChecker) isBareFloatIdent(a ast.Expr) bool {
 	if !ok {
 		return false
 	}
-	obj := c.objOf(id)
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return false
-	}
-	b, ok := v.Type().Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
+	v, ok := c.l.objOf(id).(*types.Var)
+	return ok && isBasic(v.Type(), types.IsFloat)
 }

@@ -25,10 +25,6 @@ func (r *Router) runControl(now float64) {
 	r.lastControl = now
 	r.controlRuns++
 
-	// Expiry below may remove the memoized origin; drop the memo before
-	// the pointer can dangle.
-	r.lastKey, r.lastOrigin = "", nil
-
 	r.controlFlows(now)
 	r.planAggregation(now)
 	r.recomputeParams(now, interval)

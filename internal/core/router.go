@@ -212,13 +212,6 @@ type Router struct {
 	origins *pathTable            // origin paths, handle-indexed
 	aggs    map[string]*pathState // by aggregate key
 
-	// lastKey/lastOrigin memoize the last origin() resolution for packets
-	// that carry a PathKey but no handle (producers reusing one key string
-	// hit the pointer-equality fast path of the string compare). Cleared
-	// every control run, before expiry can invalidate the pointer.
-	lastKey    string
-	lastOrigin *pathState
-
 	filter *dropfilter.Filter
 	issuer *capability.Issuer
 	acct   *capability.Accountant
@@ -361,8 +354,8 @@ func (r *Router) InternPath(path pathid.PathID) uint32 {
 }
 
 // origin returns (creating if necessary) the origin path state for pkt.
-// Resolution order: dense handle (no hashing), last-key memo (string
-// compare with a pointer-equality fast path), then the cold miss path.
+// Resolution order: dense handle (no hashing), then the cold miss path
+// (packets that carry no handle: simulator sources and tests).
 // floc:unit now seconds
 // floc:hotpath
 func (r *Router) origin(pkt *netsim.Packet, now float64) *pathState {
@@ -374,15 +367,12 @@ func (r *Router) origin(pkt *netsim.Packet, now float64) *pathState {
 			return ps
 		}
 	}
-	if pkt.PathKey != "" && pkt.PathKey == r.lastKey {
-		return r.lastOrigin
-	}
 	return r.originMiss(pkt, now)
 }
 
-// originMiss is origin's slow path: packets without a precomputed key
-// (which must render one) and the first packet of a path (which builds
-// its state). Every resolution refreshes the last-key memo.
+// originMiss is origin's slow path: packets without a handle (probed by
+// key, rendered first if the packet carries none) and the first packet of
+// a path (which builds its state).
 // floc:unit now seconds
 // floc:coldpath key rendering and path-state creation happen off the keyed fast path
 func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
@@ -390,9 +380,7 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 	if key == "" {
 		key = pkt.Path.Key()
 	}
-	memoKey := key
 	if ps := r.origins.lookup(key); ps != nil {
-		r.lastKey, r.lastOrigin = memoKey, ps
 		return ps
 	}
 	leaf, err := r.tree.Insert(pkt.Path)
@@ -401,7 +389,6 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 		leaf, _ = r.tree.Insert(pathid.New(0))
 		key = pathid.New(0).Key()
 		if ps := r.origins.lookup(key); ps != nil {
-			r.lastKey, r.lastOrigin = memoKey, ps
 			return ps
 		}
 	}
@@ -420,7 +407,6 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 	ps.params = tcpmodel.Params{Period: r.cfg.ControlInterval, RefMTD: r.cfg.DefaultRTT}
 	r.origins.put(key, ps)
 	r.order.valid = false
-	r.lastKey, r.lastOrigin = memoKey, ps
 	if telemetry.Compiled && r.tel != nil {
 		r.bindPathCounters(ps)
 	}

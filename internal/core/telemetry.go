@@ -172,7 +172,7 @@ func (r *Router) sampleControl(now float64) {
 	r.met.guaranteedPaths.Set(float64(len(order.guaranteed)))
 	for _, ps := range order.guaranteed {
 		if size := ps.bucket.Size(); size > 0 {
-			//floclint:allow units tokens over bucket-size tokens is the occupancy fraction
+			// tokens over bucket-size tokens: the occupancy fraction
 			occupancy := ps.bucket.Available(now) / size //floc:unit ratio
 			r.met.bucketOccupancy.Observe(occupancy)
 		}

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"testing"
 
+	"floc/internal/core"
 	"floc/internal/netsim"
 )
 
@@ -12,10 +13,10 @@ import (
 func TestZeroAllocRingOps(t *testing.T) {
 	r := newRing(64)
 	var pkt netsim.Packet
-	dst := make([]item, 16)
+	dst := make([]core.BatchItem, 16)
 	if avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 16; i++ {
-			if !r.tryEnqueue(item{pkt: &pkt, at: 1.0}) {
+			if !r.tryEnqueue(core.BatchItem{Pkt: &pkt, At: 1.0}) {
 				t.Fatal("ring unexpectedly full")
 			}
 		}

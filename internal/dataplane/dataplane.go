@@ -191,7 +191,7 @@ type shard struct {
 
 	wake     chan struct{} // 1-buffered doorbell
 	sleeping atomic.Bool
-	cmds     chan command
+	cmds     chan func(*shard) // control commands, run by handle
 	stop     chan struct{}
 
 	accepted  atomic.Int64
@@ -212,43 +212,12 @@ type shard struct {
 	occGauge *telemetry.Gauge
 
 	// Worker-owned state below; never touched by producers.
-	buf       []item
-	bi        []core.BatchItem
+	buf       []core.BatchItem
 	free      float64              //floc:unit seconds
 	rateBytes float64              //floc:unit bytes/s
 	egress    PacketSink           // nil = no forwarding
 	bank      *defense.LimiterBank // nil until the first limit install
 	bankDrops int                  // bank.Drops() last published to counters
-}
-
-// cmdKind discriminates shard control commands; every kind a controller
-// can send must be handled, or the sender blocks forever on done.
-//
-//floc:enum
-type cmdKind uint8
-
-const (
-	cmdSync cmdKind = iota + 1
-	cmdAdvance
-	cmdSnapshot
-	cmdIntern
-	cmdLimit
-	cmdSweep
-)
-
-type command struct {
-	kind   cmdKind
-	now    float64 //floc:unit seconds
-	path   pathid.PathID
-	snap   chan core.Snapshot
-	handle chan uint32
-	done   chan struct{}
-
-	// cmdLimit payload.
-	rate    units.BitsPerSec
-	expires float64 //floc:unit seconds (0 = no expiry)
-	peer    uint32  // advertising router ID, for the trace event
-	ok      chan bool
 }
 
 // New builds an engine and starts its workers.
@@ -282,10 +251,9 @@ func New(cfg Config) (*Engine, error) {
 			ring:   newRing(cfg.RingSize),
 			router: router,
 			wake:   make(chan struct{}, 1),
-			cmds:   make(chan command),
+			cmds:   make(chan func(*shard)),
 			stop:   make(chan struct{}),
-			buf:    make([]item, cfg.Batch),
-			bi:     make([]core.BatchItem, 0, cfg.Batch),
+			buf:    make([]core.BatchItem, cfg.Batch),
 			//floclint:allow units bits-to-bytes: per-shard transmitter rate, 8 bits per byte
 			rateBytes: rc.LinkRateBits / 8,
 		}
@@ -376,7 +344,7 @@ func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
 		return false
 	}
 	sh := e.shards[pathShard(pkt.Path, len(e.shards))]
-	it := item{pkt: pkt, at: now}
+	it := core.BatchItem{Pkt: pkt, At: now}
 	for !sh.ring.tryEnqueue(it) {
 		if !e.cfg.BlockOnFull {
 			sh.ringDrops.Add(1)
@@ -455,26 +423,23 @@ func (sh *shard) run() {
 // arrival time the same way the simulator's event loop interleaves
 // enqueues and dequeues.
 // floc:hotpath
-func (sh *shard) process(items []item) {
+func (sh *shard) process(items []core.BatchItem) {
 	var start time.Time
 	if sh.latHist != nil {
 		start = time.Now() //floclint:allow sim-time wall-clock batch latency is exactly what the health histogram measures
 	}
-	sh.serve(items[0].at)
-	sh.bi = sh.bi[:0]
-	if sh.bank == nil {
-		for i := range items {
-			sh.bi = append(sh.bi, core.BatchItem{Pkt: items[i].pkt, At: items[i].at})
-		}
-	} else {
+	sh.serve(items[0].At)
+	admit := items
+	if sh.bank != nil {
 		// Cluster-installed limits gate admission: a path over its
 		// propagated budget is dropped here, before it spends any router
-		// buffer — the upstream half of the pushback contract.
-		for i := range items {
-			if !sh.bank.Admit(items[i].pkt.PathHandle, items[i].pkt, items[i].at) {
-				continue
+		// buffer — the upstream half of the pushback contract. The batch
+		// is filtered in place.
+		admit = items[:0]
+		for _, it := range items {
+			if sh.bank.Admit(it.Pkt.PathHandle, it.Pkt, it.At) {
+				admit = append(admit, it)
 			}
-			sh.bi = append(sh.bi, core.BatchItem{Pkt: items[i].pkt, At: items[i].at})
 		}
 		if d := sh.bank.Drops(); d != sh.bankDrops {
 			delta := int64(d - sh.bankDrops)
@@ -485,8 +450,8 @@ func (sh *shard) process(items []item) {
 			}
 		}
 	}
-	if len(sh.bi) > 0 {
-		sh.router.EnqueueBatch(sh.bi)
+	if len(admit) > 0 {
+		sh.router.EnqueueBatch(admit)
 	}
 	sh.processed.Add(int64(len(items)))
 	if sh.latHist != nil {
@@ -527,57 +492,81 @@ func (sh *shard) drainAll() {
 
 // handle executes a control command at a quiescent point. Every command
 // is a barrier: the ring is fully drained first.
-func (sh *shard) handle(c command) {
+func (sh *shard) handle(cmd func(*shard)) {
 	sh.drainAll()
-	switch c.kind {
-	case cmdSync:
-		close(c.done)
-	case cmdAdvance:
-		sh.serve(c.now)
-		close(c.done)
-	case cmdSnapshot:
-		c.snap <- sh.router.Snapshot()
-	case cmdIntern:
-		c.handle <- sh.router.InternPath(c.path)
-	case cmdLimit:
-		c.ok <- sh.installLimit(c)
-	case cmdSweep:
-		if sh.bank != nil {
-			sh.bank.Sweep(c.now)
-			sh.publishLimitCount()
-		}
-		close(c.done)
-	}
+	cmd(sh)
 }
 
-// installLimit executes a cmdLimit barrier in worker context: intern the
-// path on this shard's router (so the handle matches the one producers
+// onAll runs fn on every shard's worker, each at its next quiescent
+// point, and waits for all of them. It returns false, having run nothing,
+// when the engine is closed. fn runs concurrently across shards and may
+// touch worker-owned state of its own shard only.
+func (e *Engine) onAll(fn func(i int, sh *shard)) bool {
+	e.ctl.Lock()
+	defer e.ctl.Unlock()
+	if e.closed.Load() {
+		return false
+	}
+	var wg sync.WaitGroup
+	wg.Add(len(e.shards))
+	for i, sh := range e.shards {
+		sh.cmds <- func(sh *shard) {
+			fn(i, sh)
+			wg.Done()
+		}
+	}
+	wg.Wait()
+	return true
+}
+
+// onOwner runs fn on the worker of the shard that owns path, at its next
+// quiescent point, and waits for it. It returns false, having run
+// nothing, when the engine is closed.
+func (e *Engine) onOwner(path pathid.PathID, fn func(sh *shard)) bool {
+	e.ctl.Lock()
+	defer e.ctl.Unlock()
+	if e.closed.Load() {
+		return false
+	}
+	done := make(chan struct{})
+	e.shards[pathShard(path, len(e.shards))].cmds <- func(sh *shard) {
+		fn(sh)
+		close(done)
+	}
+	<-done
+	return true
+}
+
+// installLimit is InstallLimit's worker half: intern the path on this
+// shard's router (so the handle matches the one producers
 // stamp into packets), install or release the limit, and emit the
 // FeedbackApplied trace event from the worker — the shard trace is
 // single-writer, so the event must not be added from the caller's
 // goroutine.
-func (sh *shard) installLimit(c command) bool {
-	handle := sh.router.InternPath(c.path)
-	if handle == 0 && len(c.path) > 0 {
+// floc:unit expires seconds
+// floc:unit now seconds
+func (sh *shard) installLimit(path pathid.PathID, rate units.BitsPerSec, expires float64, peer uint32, now float64) bool {
+	handle := sh.router.InternPath(path)
+	if handle == 0 && len(path) > 0 {
 		return false // handle space exhausted
 	}
 	if sh.bank == nil {
-		if c.rate <= 0 {
+		if rate <= 0 {
 			return true // releasing a limit that was never installed
 		}
 		sh.bank = defense.NewLimiterBank()
 	}
-	sh.bank.Install(handle, c.rate, c.expires)
+	sh.bank.Install(handle, rate, expires)
 	sh.bankDrops = sh.bank.Drops()
 	sh.publishLimitCount()
 	if telemetry.Compiled {
 		if tel := sh.router.Telemetry(); tel != nil {
 			tel.Emit(telemetry.Event{
-				Time:  c.now,
+				Time:  now,
 				Type:  telemetry.EventFeedbackApplied,
-				Path:  c.path.Key(),
-				Value: float64(c.rate),
-				Peer:  c.peer,
+				Path:  path.Key(),
+				Value: float64(rate),
+				Peer:  peer,
 			})
 		}
 	}
@@ -600,15 +589,9 @@ func (sh *shard) publishLimitCount() {
 // always presented to the router that minted it. Cold: call once per
 // path, not per packet.
 func (e *Engine) InternPath(path pathid.PathID) uint32 {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	if e.closed.Load() {
-		return 0
-	}
-	sh := e.shards[pathShard(path, len(e.shards))]
-	reply := make(chan uint32, 1)
-	sh.cmds <- command{kind: cmdIntern, path: path, handle: reply}
-	return <-reply
+	var handle uint32
+	e.onOwner(path, func(sh *shard) { handle = sh.router.InternPath(path) })
+	return handle
 }
 
 // InstallLimit installs (rate > 0) or releases (rate <= 0) a per-path
@@ -628,15 +611,9 @@ func (e *Engine) InstallLimit(path pathid.PathID, rate units.BitsPerSec, expires
 	if len(path) == 0 {
 		return false
 	}
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	if e.closed.Load() {
-		return false
-	}
-	sh := e.shards[pathShard(path, len(e.shards))]
-	reply := make(chan bool, 1)
-	sh.cmds <- command{kind: cmdLimit, path: path, rate: rate, expires: expiresAt, peer: peer, now: now, ok: reply}
-	return <-reply
+	ok := false
+	e.onOwner(path, func(sh *shard) { ok = sh.installLimit(path, rate, expiresAt, peer, now) })
+	return ok
 }
 
 // SweepLimits reaps expired cluster limits on every shard so the
@@ -644,19 +621,12 @@ func (e *Engine) InstallLimit(path pathid.PathID, rate units.BitsPerSec, expires
 // periodically from the daemon's tick loop.
 // floc:unit now seconds
 func (e *Engine) SweepLimits(now float64) {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	if e.closed.Load() {
-		return
-	}
-	dones := make([]chan struct{}, len(e.shards))
-	for i, sh := range e.shards {
-		dones[i] = make(chan struct{})
-		sh.cmds <- command{kind: cmdSweep, now: now, done: dones[i]}
-	}
-	for _, d := range dones {
-		<-d
-	}
+	e.onAll(func(_ int, sh *shard) {
+		if sh.bank != nil {
+			sh.bank.Sweep(now)
+			sh.publishLimitCount()
+		}
+	})
 }
 
 // InstalledLimits returns the engine-wide count of active cluster
@@ -674,19 +644,7 @@ func (e *Engine) InstalledLimits() int {
 // been processed by its shard. Concurrent Enqueues are allowed but not
 // waited for.
 func (e *Engine) Drain() {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	if e.closed.Load() {
-		return
-	}
-	dones := make([]chan struct{}, len(e.shards))
-	for i, sh := range e.shards {
-		dones[i] = make(chan struct{})
-		sh.cmds <- command{kind: cmdSync, done: dones[i]}
-	}
-	for _, d := range dones {
-		<-d
-	}
+	e.onAll(func(int, *shard) {}) // the barrier is the command
 }
 
 // Advance drains all rings and services every shard's output queue up to
@@ -694,19 +652,7 @@ func (e *Engine) Drain() {
 // will drive the transmitters.
 // floc:unit now seconds
 func (e *Engine) Advance(now float64) {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
-	if e.closed.Load() {
-		return
-	}
-	dones := make([]chan struct{}, len(e.shards))
-	for i, sh := range e.shards {
-		dones[i] = make(chan struct{})
-		sh.cmds <- command{kind: cmdAdvance, now: now, done: dones[i]}
-	}
-	for _, d := range dones {
-		<-d
-	}
+	e.onAll(func(_ int, sh *shard) { sh.serve(now) })
 }
 
 // Snapshot drains all rings and returns the deterministic merge of the
@@ -714,23 +660,16 @@ func (e *Engine) Advance(now float64) {
 // entries concatenate sorted by key (paths are disjoint across shards by
 // construction), and the mode is the most severe of any shard's.
 func (e *Engine) Snapshot() core.Snapshot {
-	e.ctl.Lock()
-	defer e.ctl.Unlock()
 	parts := make([]core.Snapshot, len(e.shards))
-	if e.closed.Load() {
-		// Workers are gone; routers are safe to read directly.
+	snap := func(i int, sh *shard) { parts[i] = sh.router.Snapshot() }
+	if !e.onAll(snap) {
+		// Closed for good: the workers are gone and the routers are safe
+		// to read directly, one caller at a time.
+		e.ctl.Lock()
+		defer e.ctl.Unlock()
 		for i, sh := range e.shards {
-			parts[i] = sh.router.Snapshot()
+			snap(i, sh)
 		}
-		return mergeSnapshots(parts)
-	}
-	replies := make([]chan core.Snapshot, len(e.shards))
-	for i, sh := range e.shards {
-		replies[i] = make(chan core.Snapshot, 1)
-		sh.cmds <- command{kind: cmdSnapshot, snap: replies[i]}
-	}
-	for i := range replies {
-		parts[i] = <-replies[i]
 	}
 	return mergeSnapshots(parts)
 }

@@ -3,22 +3,17 @@ package dataplane
 import (
 	"sync/atomic"
 
-	"floc/internal/netsim"
+	"floc/internal/core"
 )
 
-// item is one unit of shard work: a packet and its arrival time.
-type item struct {
-	pkt *netsim.Packet
-	at  float64 //floc:unit seconds
-}
-
-// ring is a bounded multi-producer single-consumer queue (Vyukov's
-// bounded MPMC design, used here with one consumer). Each slot carries a
-// sequence number: producers claim a slot by CAS on the enqueue cursor
-// and publish it by advancing the slot sequence; the consumer observes
-// publication through the same sequence, so item handoff is properly
-// ordered without locks. Capacity is a power of two so cursor-to-slot
-// mapping is a mask.
+// ring is a bounded multi-producer single-consumer queue of shard work:
+// packets with their arrival times, in the shape the router's batch
+// admission takes them. It is Vyukov's bounded MPMC design, used here
+// with one consumer. Each slot carries a sequence number: producers claim
+// a slot by CAS on the enqueue cursor and publish it by advancing the
+// slot sequence; the consumer observes publication through the same
+// sequence, so item handoff is properly ordered without locks. Capacity
+// is a power of two so cursor-to-slot mapping is a mask.
 type ring struct {
 	mask  uint64
 	slots []ringSlot
@@ -28,7 +23,7 @@ type ring struct {
 
 type ringSlot struct {
 	seq  atomic.Uint64
-	item item
+	item core.BatchItem
 }
 
 // newRing returns a ring of the given power-of-two size.
@@ -43,7 +38,7 @@ func newRing(size int) *ring {
 // tryEnqueue publishes one item. It returns false when the ring is full —
 // the caller decides whether to drop (accounted) or back off.
 // floc:hotpath
-func (r *ring) tryEnqueue(it item) bool {
+func (r *ring) tryEnqueue(it core.BatchItem) bool {
 	pos := r.enq.Load()
 	for {
 		s := &r.slots[pos&r.mask]
@@ -69,7 +64,7 @@ func (r *ring) tryEnqueue(it item) bool {
 // dequeueBatch moves up to len(dst) published items into dst and returns
 // how many it moved. Consumer-only.
 // floc:hotpath
-func (r *ring) dequeueBatch(dst []item) int {
+func (r *ring) dequeueBatch(dst []core.BatchItem) int {
 	n := 0
 	for n < len(dst) {
 		pos := r.deq
@@ -79,7 +74,7 @@ func (r *ring) dequeueBatch(dst []item) int {
 			break // next slot not yet published: ring (momentarily) empty
 		}
 		dst[n] = s.item
-		s.item = item{} // drop the reference for GC
+		s.item = core.BatchItem{} // drop the reference for GC
 		s.seq.Store(pos + uint64(len(r.slots)))
 		r.deq = pos + 1
 		n++

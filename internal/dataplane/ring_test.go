@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"floc/internal/core"
 	"floc/internal/netsim"
 )
 
@@ -11,29 +12,29 @@ func TestRingFIFOAndCapacity(t *testing.T) {
 	r := newRing(4)
 	pkts := make([]netsim.Packet, 5)
 	for i := 0; i < 4; i++ {
-		if !r.tryEnqueue(item{pkt: &pkts[i], at: float64(i)}) {
+		if !r.tryEnqueue(core.BatchItem{Pkt: &pkts[i], At: float64(i)}) {
 			t.Fatalf("enqueue %d failed on non-full ring", i)
 		}
 	}
-	if r.tryEnqueue(item{pkt: &pkts[4]}) {
+	if r.tryEnqueue(core.BatchItem{Pkt: &pkts[4]}) {
 		t.Fatal("enqueue succeeded on a full ring")
 	}
-	buf := make([]item, 3)
+	buf := make([]core.BatchItem, 3)
 	if n := r.dequeueBatch(buf); n != 3 {
 		t.Fatalf("dequeued %d, want 3", n)
 	}
 	for i := 0; i < 3; i++ {
-		if buf[i].pkt != &pkts[i] || buf[i].at != float64(i) {
+		if buf[i].Pkt != &pkts[i] || buf[i].At != float64(i) {
 			t.Fatalf("slot %d out of order: %+v", i, buf[i])
 		}
 	}
 	// Freed slots are reusable (wraparound).
 	for i := 0; i < 3; i++ {
-		if !r.tryEnqueue(item{pkt: &pkts[i]}) {
+		if !r.tryEnqueue(core.BatchItem{Pkt: &pkts[i]}) {
 			t.Fatalf("re-enqueue %d failed after frees", i)
 		}
 	}
-	if n := r.dequeueBatch(make([]item, 8)); n != 4 {
+	if n := r.dequeueBatch(make([]core.BatchItem, 8)); n != 4 {
 		t.Fatalf("final drain got %d, want 4", n)
 	}
 	if !r.empty() {
@@ -54,21 +55,21 @@ func TestRingConcurrentProducers(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perProd; i++ {
-				it := item{pkt: &pkts[p*perProd+i], at: float64(i)}
+				it := core.BatchItem{Pkt: &pkts[p*perProd+i], At: float64(i)}
 				for !r.tryEnqueue(it) {
 				}
 			}
 		}(p)
 	}
 	seen := make(map[*netsim.Packet]bool, len(pkts))
-	buf := make([]item, 64)
+	buf := make([]core.BatchItem, 64)
 	for len(seen) < len(pkts) {
 		n := r.dequeueBatch(buf)
 		for i := 0; i < n; i++ {
-			if seen[buf[i].pkt] {
-				t.Fatalf("item delivered twice: %p", buf[i].pkt)
+			if seen[buf[i].Pkt] {
+				t.Fatalf("item delivered twice: %p", buf[i].Pkt)
 			}
-			seen[buf[i].pkt] = true
+			seen[buf[i].Pkt] = true
 		}
 	}
 	wg.Wait()

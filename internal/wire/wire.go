@@ -172,20 +172,8 @@ func (h *Header) EncodedLen() int {
 // floc:hotpath
 // floc:sanitizes
 func (h *Header) validate() error {
-	if h.Version != Version1 {
-		return errValue(ErrVersion, int(h.Version))
-	}
-	if bad := h.Flags &^ knownFlags; bad != 0 {
-		return errBadFlags(bad)
-	}
-	if h.Kind < netsim.KindSYN || h.Kind > netsim.KindUDP {
-		return errValue(ErrKind, int(h.Kind))
-	}
-	if int(h.PathLen) > MaxPathLen {
-		return errRange(ErrPathLen, int(h.PathLen), MaxPathLen)
-	}
-	if h.Length == 0 {
-		return errZeroLength()
+	if err := validateShallow(h); err != nil {
+		return err
 	}
 	if h.Flags&FlagCapability != 0 && (h.Cap.Slot < 0 || h.Cap.Slot > 255) {
 		return errValue(ErrSlot, h.Cap.Slot)
@@ -356,7 +344,7 @@ func (h *Header) ToPacket(pkt *netsim.Packet, id uint64, path pathid.PathID, key
 }
 
 // internerMax bounds the interner's table so adversarial path churn
-// cannot grow it without limit; past the bound, Resolve falls back to
+// cannot grow it without limit; past the bound, ResolveFull falls back to
 // per-call allocation (correct, just slower).
 const internerMax = 1 << 16
 
@@ -389,36 +377,29 @@ func NewInterner() *Interner {
 	return &Interner{m: make(map[string]internEntry), buf: make([]byte, 0, 4*MaxPathLen)}
 }
 
-// Resolve returns the canonical PathID and key for h's path. Hits are
-// allocation-free (the map probe with a string([]byte) key does not
-// materialize the string); misses take the cold intern path.
+// probeKey rebuilds the interner's reusable probe key from h's path: the
+// big-endian ASNs, viewed as a string at the map probe (which does not
+// materialize it).
 //
 // floc:hotpath
-func (in *Interner) Resolve(h *Header) (pathid.PathID, string) {
+func (in *Interner) probeKey(h *Header) []byte {
 	in.buf = in.buf[:0]
 	for i := 0; i < int(h.PathLen); i++ {
 		in.buf = binary.BigEndian.AppendUint32(in.buf, uint32(h.Path[i]))
 	}
-	//floclint:allow hotpath interning is the one sanctioned string probe at ingest; every later stage is handle-indexed
-	if e, ok := in.m[string(in.buf)]; ok {
-		return e.id, e.key
-	}
-	e := in.intern(h)
-	return e.id, e.key
+	return in.buf
 }
 
-// ResolveFull is Resolve plus the entry's router-handle binding, for
-// ingest loops that stamp Packet.PathHandle: resolve, and on !Bound
-// intern the path with the router once (cold) and BindHandle the result.
+// ResolveFull returns the canonical PathID and key for h's path plus the
+// entry's router-handle binding, for ingest loops that stamp
+// Packet.PathHandle: resolve, and on !Bound intern the path with the
+// router once (cold) and BindHandle the result. Hits are allocation-free;
+// misses take the cold intern path.
 //
 // floc:hotpath
 func (in *Interner) ResolveFull(h *Header) Resolved {
-	in.buf = in.buf[:0]
-	for i := 0; i < int(h.PathLen); i++ {
-		in.buf = binary.BigEndian.AppendUint32(in.buf, uint32(h.Path[i]))
-	}
 	//floclint:allow hotpath interning is the one sanctioned string probe at ingest; every later stage is handle-indexed
-	if e, ok := in.m[string(in.buf)]; ok {
+	if e, ok := in.m[string(in.probeKey(h))]; ok {
 		return Resolved{ID: e.id, Key: e.key, Handle: e.handle, Bound: e.bound}
 	}
 	e := in.intern(h)
@@ -431,19 +412,17 @@ func (in *Interner) ResolveFull(h *Header) Resolved {
 //
 // floc:coldpath handle binding happens once per path
 func (in *Interner) BindHandle(h *Header, handle uint32) {
-	in.buf = in.buf[:0]
-	for i := 0; i < int(h.PathLen); i++ {
-		in.buf = binary.BigEndian.AppendUint32(in.buf, uint32(h.Path[i]))
-	}
-	if e, ok := in.m[string(in.buf)]; ok {
+	key := in.probeKey(h)
+	if e, ok := in.m[string(key)]; ok {
 		e.handle = handle
 		e.bound = true
-		in.m[string(in.buf)] = e
+		in.m[string(key)] = e
 	}
 }
 
-// intern is Resolve's miss path: the first sighting of a path allocates
-// its canonical PathID and key and (up to internerMax) remembers them.
+// intern is ResolveFull's miss path: the first sighting of a path
+// allocates its canonical PathID and key and (up to internerMax)
+// remembers them under the probe key ResolveFull just built.
 //
 // floc:coldpath first sighting of a path allocates its canonical entry
 func (in *Interner) intern(h *Header) internEntry {

@@ -175,7 +175,7 @@ func TestPacketConversion(t *testing.T) {
 	}
 	var back netsim.Packet
 	in := NewInterner()
-	id, key := in.Resolve(&h)
+	id, key := resolve(in, &h)
 	h.ToPacket(&back, 42, id, key, 7)
 	if back.Src != pkt.Src || back.Dst != pkt.Dst || back.Size != pkt.Size ||
 		back.Kind != pkt.Kind || !back.Path.Equal(pkt.Path) ||
@@ -194,11 +194,17 @@ func TestPacketConversion(t *testing.T) {
 	}
 }
 
+// resolve unpacks the canonical identity from ResolveFull's result.
+func resolve(in *Interner, h *Header) (pathid.PathID, string) {
+	r := in.ResolveFull(h)
+	return r.ID, r.Key
+}
+
 func TestInternerCanonicalizes(t *testing.T) {
 	in := NewInterner()
 	h := sampleHeader()
-	id1, key1 := in.Resolve(&h)
-	id2, key2 := in.Resolve(&h)
+	id1, key1 := resolve(in, &h)
+	id2, key2 := resolve(in, &h)
 	if &id1[0] != &id2[0] {
 		t.Fatal("interner returned distinct PathID allocations for one path")
 	}
@@ -209,7 +215,7 @@ func TestInternerCanonicalizes(t *testing.T) {
 		t.Fatalf("interner holds %d entries, want 1", in.Len())
 	}
 	h.Path[0] = 65
-	if _, key := in.Resolve(&h); key != "65-7-1" {
+	if _, key := resolve(in, &h); key != "65-7-1" {
 		t.Fatalf("second path key %q", key)
 	}
 	if in.Len() != 2 {
@@ -288,7 +294,7 @@ func hexString(b []byte) string {
 }
 
 // TestInternerAtBound churns the interner past internerMax distinct
-// paths: the table must stop growing at the bound while Resolve keeps
+// paths: the table must stop growing at the bound while ResolveFull keeps
 // returning correct identifiers via the per-call fallback, and paths
 // interned before the bound stay canonical.
 func TestInternerAtBound(t *testing.T) {
@@ -301,7 +307,7 @@ func TestInternerAtBound(t *testing.T) {
 	for i := 0; i < internerMax; i++ {
 		h.Path[0] = pathid.ASN(i >> 8)
 		h.Path[1] = pathid.ASN(i & 0xff)
-		in.Resolve(&h)
+		resolve(in, &h)
 	}
 	if in.Len() != internerMax {
 		t.Fatalf("interner holds %d entries after %d distinct paths, want %d", in.Len(), internerMax, internerMax)
@@ -310,14 +316,14 @@ func TestInternerAtBound(t *testing.T) {
 	// Past the bound: fresh paths still resolve correctly but are not
 	// remembered.
 	h.Path[0], h.Path[1] = 999, 42
-	id, key := in.Resolve(&h)
+	id, key := resolve(in, &h)
 	if key != "999-42-1" || !id.Equal(pathid.New(999, 42, 1)) {
 		t.Fatalf("overflow path resolved to id=%v key=%q", id, key)
 	}
 	if in.Len() != internerMax {
 		t.Fatalf("interner grew past the bound to %d entries", in.Len())
 	}
-	id2, key2 := in.Resolve(&h)
+	id2, key2 := resolve(in, &h)
 	if key2 != key || !id2.Equal(id) {
 		t.Fatalf("overflow path unstable across calls: %q vs %q", key2, key)
 	}
@@ -327,8 +333,8 @@ func TestInternerAtBound(t *testing.T) {
 
 	// Paths interned before the bound are unaffected by the churn.
 	h.Path[0], h.Path[1] = 0, 7
-	c1, ck := in.Resolve(&h)
-	c2, _ := in.Resolve(&h)
+	c1, ck := resolve(in, &h)
+	c2, _ := resolve(in, &h)
 	if ck != "0-7-1" || &c1[0] != &c2[0] {
 		t.Fatalf("pre-bound path lost canonical identity: key=%q", ck)
 	}
@@ -340,9 +346,9 @@ func TestInternerAtBound(t *testing.T) {
 func TestInternerReinternStable(t *testing.T) {
 	in := NewInterner()
 	h := sampleHeader()
-	id0, key0 := in.Resolve(&h)
+	id0, key0 := resolve(in, &h)
 	for i := 0; i < 1000; i++ {
-		id, key := in.Resolve(&h)
+		id, key := resolve(in, &h)
 		if &id[0] != &id0[0] || key != key0 {
 			t.Fatalf("iteration %d: re-intern returned a new identity", i)
 		}

@@ -54,7 +54,14 @@
 #                reported but not gated
 #   fuzz smoke   each fuzz target for FUZZTIME (default 10s)
 #
-# Each stage's wall-clock time is reported in a summary at the end.
+# Each stage's wall-clock time is reported in a summary at the end,
+# followed by the size ledger: non-test, non-fixture Go lines per
+# top-level directory and the delta against the parent commit (HEAD~1 in
+# this repo's one-commit-per-PR history; HEAD while the tree still has
+# uncommitted work), so "every PR states its net line delta" (ROADMAP) is
+# read off the gate rather than counted by hand. Informational only: it
+# never fails the gate and prints what it can outside a git checkout or
+# in a shallow clone.
 #
 # Environment:
 #   FUZZTIME=10s   per-target fuzz budget; set FUZZTIME=0 to skip fuzzing.
@@ -336,3 +343,42 @@ printf '%s' "$timings" >&2
 if [ -n "${rule_counts:-}" ]; then
     echo "$rule_counts" >&2
 fi
+
+# go_lines [<ref>] — "<path>:<lines>" for every Go file in the work tree
+# (tracked or not yet added), or in the tree of <ref>.
+go_lines() {
+    if [ $# -gt 0 ]; then
+        git grep -c -e '' "$1" -- '*.go' | cut -d: -f2-
+    else
+        git grep -c --untracked -e '' -- '*.go'
+    fi
+}
+
+line_ledger() {
+    base=HEAD~1
+    [ -z "$(git status --porcelain)" ] || base=HEAD
+    git rev-parse -q --verify "$base^{commit}" >/dev/null || base=""
+    {
+        go_lines | sed 's/^/new:/'
+        [ -z "$base" ] || go_lines "$base" | sed 's/^/old:/'
+    } | awk -F: -v base="$base" '
+        $2 ~ /_test\.go$/ || $2 ~ /(^|\/)testdata\// { next }
+        {
+            dir = index($2, "/") ? substr($2, 1, index($2, "/") - 1) : "."
+            dirs[dir] = 1
+            lines[$1, dir] += $3
+        }
+        function row(name, new, old) {
+            return sprintf("%8d  %7s  %s", new, base == "" ? "-" : sprintf("%+d", new - old), name)
+        }
+        END {
+            printf "non-test, non-fixture Go lines%s:\n", base == "" ? "" : " (delta vs " base ")"
+            for (d in dirs) {
+                print row(d, lines["new", d], lines["old", d]) | "sort -k3"
+                new += lines["new", d]; old += lines["old", d]
+            }
+            close("sort -k3")
+            print row("total", new, old)
+        }'
+}
+line_ledger >&2 2>/dev/null || true
