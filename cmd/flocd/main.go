@@ -5,7 +5,10 @@
 // shards, and the whole engine's telemetry is served as Prometheus text
 // on /metrics.
 //
-// Live mode — one datagram per wire header, arrival-stamped on receipt:
+// Live mode — one datagram per wire header, arrival-stamped on receipt.
+// Both sockets move datagrams in vectors (package udpbatch): up to 64 per
+// recvmmsg on -listen, and on -forward one sendmmsg per burst, flushed
+// whenever a shard worker runs out of work:
 //
 //	flocd -listen :9000 -metrics :9100 -link 100e6 -capacity 512
 //
@@ -21,6 +24,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -28,9 +32,11 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/netip"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -43,6 +49,7 @@ import (
 	"floc/internal/pathid"
 	"floc/internal/rng"
 	"floc/internal/telemetry"
+	"floc/internal/udpbatch"
 	"floc/internal/wire"
 )
 
@@ -252,12 +259,14 @@ func run(o options) error {
 	}
 	defer conn.Close()
 	fmt.Fprintf(os.Stderr, "flocd: listening on %s, %d shards\n", conn.LocalAddr(), engine.Shards())
+	drops := watchKernelDrops(conn.LocalAddr(), reg)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
 	go func() {
 		<-stop
-		conn.Close() // unblocks the read loop
+		drops.refresh() // the socket's /proc row goes with the socket
+		conn.Close()    // unblocks the read loop
 	}()
 	var stopLoop chan struct{}
 	if node != nil {
@@ -459,38 +468,144 @@ func (m malformedFamily) add(reg *telemetry.Registry, kind wire.ErrorKind, n int
 	reg.Counter(m.name+`{reason="`+kind.String()+`"}`, m.help, m.unit).Add(n)
 }
 
-// serveUDP reads one wire header per datagram until the connection is
-// closed, then serves the virtual transmitter up to the closing instant,
-// so packets admitted and still queued are forwarded, not stranded.
-// Datagrams Decode rejects are discarded and counted by error kind.
-// Arrival times are wall-clock seconds since start: the daemon is the one
-// place the repo meets real time, so the sim-time ban is lifted locally.
+// batchBounds are the buckets of the two socket batch-size histograms,
+// which take one observation per syscall.
+var batchBounds = []float64{1, 2, 4, 8, 16, 32, 64}
+
+// serveUDP reads one wire header per datagram, up to udpbatch.MaxBatch
+// datagrams per syscall, until the connection is closed, then serves the
+// virtual transmitter up to the closing instant, so packets admitted and
+// still queued are forwarded, not stranded. A datagram Decode rejects, or
+// one that holds more than its one header, is discarded and counted by
+// error kind. Arrival times are wall-clock seconds since start, taken per
+// datagram as it is ingested — the instant the router sees it — not per
+// batch: the daemon is the one place the repo meets real time, so the
+// sim-time ban is lifted locally.
 func serveUDP(conn net.PacketConn, e *dataplane.Engine, reg *telemetry.Registry, start time.Time) error {
-	buf := make([]byte, 65536) //floc:untrusted
+	uc, ok := conn.(*net.UDPConn)
+	if !ok {
+		return fmt.Errorf("-listen socket is a %T, not a UDP socket", conn)
+	}
+	// One byte more than any header: a datagram that fills the buffer is
+	// too long whatever the kernel cut off, and Decode never reads that far.
+	rd, err := udpbatch.NewReader(uc, wire.MaxEncodedLen+1)
+	if err != nil {
+		return err
+	}
 	in := wire.NewInterner()
 	malformedDatagrams.total(reg)
+	batch := reg.Histogram("floc_ingest_batch_datagrams",
+		"datagrams taken from the -listen socket per receive syscall", "datagrams", batchBounds)
 	var h wire.Header
 	id := uint64(0)
 	for {
-		n, _, err := conn.ReadFrom(buf)
+		n, err := rd.Read()
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
 			// Closed socket is the clean shutdown path.
 			//floclint:allow sim-time the live dataplane flushes its queue up to the wall clock
 			e.Advance(time.Since(start).Seconds())
 			return nil
 		}
-		//floclint:allow taint ReadFrom returns n <= len(buf) by the PacketConn contract; the payload itself is vetted by Decode
-		if _, err := wire.Decode(buf[:n], &h); err != nil {
-			malformedDatagrams.add(reg, wire.KindOfError(err), 1)
+		batch.Observe(float64(n))
+		for i := 0; i < n; i++ {
+			b := rd.Datagram(i)
+			used, err := wire.Decode(b, &h)
+			if err != nil {
+				malformedDatagrams.add(reg, wire.KindOfError(err), 1)
+				continue
+			}
+			if used != len(b) {
+				malformedDatagrams.add(reg, wire.ErrKindFraming, 1)
+				continue
+			}
+			id++
+			//floclint:allow sim-time live dataplane stamps arrivals from the wall clock
+			ingest(e, in, &h, id, time.Since(start).Seconds())
+		}
+	}
+}
+
+// kernelDrops exports the one loss no code path of the daemon sees:
+// datagrams the kernel discarded because the -listen socket's receive
+// buffer was full. The count is the drops column of the socket's row in
+// /proc/net/udp (udp6 for a v6 socket), read when someone looks — at
+// scrape, at -print-metrics, at shutdown — and never per packet. A nil
+// *kernelDrops (no readable table: not Linux) exports nothing.
+type kernelDrops struct {
+	table, local string // /proc file and the socket's local_address column
+	ctr          *telemetry.Counter
+
+	mu   sync.Mutex
+	seen int64 // drops already added to ctr
+}
+
+// watchKernelDrops registers floc_ingest_kernel_drops_total for the socket
+// bound to local and refreshes it before every exposition.
+func watchKernelDrops(local net.Addr, reg *telemetry.Registry) *kernelDrops {
+	ap, err := netip.ParseAddrPort(local.String())
+	if err != nil {
+		return nil
+	}
+	k := &kernelDrops{table: "/proc/net/udp", local: procNetAddr(ap)}
+	if !ap.Addr().Is4() {
+		k.table = "/proc/net/udp6"
+	}
+	if _, err := os.Stat(k.table); err != nil {
+		return nil
+	}
+	k.ctr = reg.Counter("floc_ingest_kernel_drops_total",
+		"datagrams the kernel dropped at the -listen socket's full receive buffer", "datagrams")
+	reg.OnCollect(k.refresh)
+	return k
+}
+
+// refresh brings the counter up to the kernel's figure. Once the socket
+// is closed its row is gone and the last figure read stands.
+func (k *kernelDrops) refresh() {
+	if k == nil {
+		return
+	}
+	table, err := os.ReadFile(k.table)
+	if err != nil {
+		return
+	}
+	if drops, ok := parseUDPDrops(table, k.local); ok {
+		k.mu.Lock()
+		if drops > k.seen {
+			k.ctr.Add(drops - k.seen)
+			k.seen = drops
+		}
+		k.mu.Unlock()
+	}
+}
+
+// procNetAddr renders a socket address the way /proc/net/udp{,6} prints
+// local_address: each 32-bit word of the IP as host-order hex, then the
+// port. Linux runs this daemon on little-endian machines only.
+func procNetAddr(ap netip.AddrPort) string {
+	ip := ap.Addr().AsSlice()
+	var b strings.Builder
+	for w := 0; w < len(ip); w += 4 {
+		fmt.Fprintf(&b, "%02X%02X%02X%02X", ip[w+3], ip[w+2], ip[w+1], ip[w])
+	}
+	fmt.Fprintf(&b, ":%04X", ap.Port())
+	return b.String()
+}
+
+// parseUDPDrops finds the row of /proc/net/udp{,6} whose local_address is
+// local and returns its last column, drops.
+//
+//	sl local_address rem_address st tx_queue:rx_queue tr:tm->when retrnsmt uid timeout inode ref pointer drops
+func parseUDPDrops(table []byte, local string) (int64, bool) {
+	for _, line := range bytes.Split(table, []byte{'\n'}) {
+		f := bytes.Fields(line)
+		if len(f) < 13 || string(f[1]) != local {
 			continue
 		}
-		id++
-		//floclint:allow sim-time live dataplane stamps arrivals from the wall clock
-		ingest(e, in, &h, id, time.Since(start).Seconds())
+		drops, err := strconv.ParseInt(string(f[12]), 10, 64)
+		return drops, err == nil
 	}
+	return 0, false
 }
 
 // udpTransport carries cluster control frames: it dials each peer once,
@@ -533,51 +648,93 @@ func (t *udpTransport) Close() {
 // udpForwarder is the dataplane egress sink for a chained deployment:
 // every packet the router transmits is re-encoded as a wire header and
 // forwarded to the next hop's data port, so one daemon's egress becomes
-// another's ingress (the multi-router tree of the cluster harness).
+// another's ingress (the multi-router tree of the cluster harness). Emit
+// only queues the frame; frames leave together, one sendmmsg for up to
+// udpbatch.MaxBatch of them, when the vector fills or a shard worker
+// flushes at quiescence (dataplane.Flusher).
 type udpForwarder struct {
-	mu   sync.Mutex
-	conn net.Conn
-	buf  []byte
+	conn *net.UDPConn
+	mu   sync.Mutex // shard workers share the one vector
+	w    *udpbatch.Writer
 
-	encodeErrs, sendErrs *telemetry.Counter
+	encodeErrs, sendErrs, fallbacks *telemetry.Counter
+	batch                           *telemetry.Histogram
 }
 
 func newUDPForwarder(addr string, reg *telemetry.Registry) (*udpForwarder, error) {
-	conn, err := net.Dial("udp", addr)
+	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
+		return nil, err
+	}
+	conn, err := net.DialUDP("udp", nil, raddr)
+	if err != nil {
+		return nil, err
+	}
+	w, err := udpbatch.NewWriter(conn, wire.MaxEncodedLen)
+	if err != nil {
+		conn.Close()
 		return nil, err
 	}
 	const name, help = "floc_egress_errors_total", "transmitted packets lost at egress, by failing stage"
 	return &udpForwarder{
 		conn:       conn,
-		buf:        make([]byte, 0, wire.MaxEncodedLen),
+		w:          w,
 		encodeErrs: reg.Counter(name+`{stage="encode"}`, help, "packets"),
 		sendErrs:   reg.Counter(name+`{stage="send"}`, help, "packets"),
+		fallbacks: reg.Counter("floc_egress_gso_fallbacks_total",
+			"times the kernel refused UDP_SEGMENT and forwarding fell back to one message per datagram", ""),
+		batch: reg.Histogram("floc_egress_batch_datagrams",
+			"datagrams handed to the -forward socket per send syscall", "datagrams", batchBounds),
 	}, nil
 }
 
 // Emit implements dataplane.PacketSink. Shard workers call it
-// concurrently; the mutex serializes the shared encode buffer and the
-// socket. Encode and send failures are counted and the packet dropped —
-// a forwarding daemon must never stall its own transmit loop on the next
-// hop.
+// concurrently; the mutex covers only the append to the shared vector. A
+// packet that does not encode is counted and dropped.
 // floc:unit now seconds
+// floc:hotpath
 func (f *udpForwarder) Emit(pkt *netsim.Packet, now float64) {
 	var h wire.Header
-	if err := wire.FromPacket(&h, pkt); err != nil {
+	var buf [wire.MaxEncodedLen]byte
+	frame, err := buf[:0], wire.FromPacket(&h, pkt)
+	if err == nil {
+		frame, err = wire.MarshalAppend(frame, &h)
+	}
+	if err != nil {
 		f.encodeErrs.Inc()
 		return
 	}
 	f.mu.Lock()
-	if b, err := wire.MarshalAppend(f.buf[:0], &h); err != nil {
-		f.encodeErrs.Inc()
-	} else {
-		f.buf = b
-		if _, err := f.conn.Write(b); err != nil {
-			f.sendErrs.Inc()
-		}
+	if f.w.Add(frame) {
+		f.flushLocked()
 	}
 	f.mu.Unlock()
+}
+
+// Flush implements dataplane.Flusher: whatever any worker has queued goes
+// out now.
+// floc:hotpath
+func (f *udpForwarder) Flush() {
+	f.mu.Lock()
+	f.flushLocked()
+	f.mu.Unlock()
+}
+
+// flushLocked sends the vector. Frames the kernel did not take are counted
+// as send losses, one per packet, and never retried — a forwarding daemon
+// must not stall its own transmit loop on the next hop.
+// floc:hotpath
+func (f *udpForwarder) flushLocked() {
+	n := f.w.Len()
+	if n == 0 {
+		return
+	}
+	segmenting := f.w.Segmenting()
+	f.sendErrs.Add(int64(f.w.Flush()))
+	f.batch.Observe(float64(n))
+	if segmenting && !f.w.Segmenting() {
+		f.fallbacks.Inc()
+	}
 }
 
 func (f *udpForwarder) Close() { _ = f.conn.Close() }
@@ -592,9 +749,6 @@ func serveControl(conn net.PacketConn, node *cluster.Node, reg *telemetry.Regist
 	for {
 		n, _, err := conn.ReadFrom(buf)
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
 			return
 		}
 		//floclint:allow sim-time live control plane stamps arrivals from the wall clock

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"strings"
@@ -336,9 +337,16 @@ func liveDaemon(t *testing.T) (send func([]byte), reg *telemetry.Registry, e *da
 	t.Helper()
 	reg = telemetry.NewRegistry()
 	sink = &collector{}
+	send, e, stop = liveDaemonTo(t, reg, sink)
+	return send, reg, e, sink, stop
+}
+
+// liveDaemonTo is liveDaemon with the caller's registry and egress sink.
+func liveDaemonTo(t *testing.T, reg *telemetry.Registry, egress dataplane.PacketSink) (send func([]byte), e *dataplane.Engine, stop func()) {
+	t.Helper()
 	rc := core.DefaultConfig(8e9, 512)
 	rc.Seed = 7
-	e, err := dataplane.New(dataplane.Config{Router: rc, Shards: 2, Telemetry: reg, Egress: sink})
+	e, err := dataplane.New(dataplane.Config{Router: rc, Shards: 2, Telemetry: reg, Egress: egress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +376,7 @@ func liveDaemon(t *testing.T) (send func([]byte), reg *telemetry.Registry, e *da
 			t.Fatal(err)
 		}
 	}
-	return send, reg, e, sink, stop
+	return send, e, stop
 }
 
 // waitFor polls cond until it holds or two seconds pass.
@@ -395,7 +403,9 @@ func testFrame(t *testing.T, src uint32) []byte {
 }
 
 // TestServeUDPCountsMalformedDatagrams: a datagram Decode rejects is
-// counted under its error kind, and the good packets around it are still
+// counted under its error kind, one that carries bytes after its header —
+// a few, or more than any header has, which the receive buffer cuts short
+// — is a framing error, and the good packets around them are still
 // processed.
 func TestServeUDPCountsMalformedDatagrams(t *testing.T) {
 	send, reg, e, _, stop := liveDaemon(t)
@@ -414,19 +424,23 @@ func TestServeUDPCountsMalformedDatagrams(t *testing.T) {
 	badVersion[0] = 0xff
 	badKind := append([]byte(nil), good...)
 	badKind[2] = 0xee
+	trailing := append(append([]byte(nil), good...), 0)
+	oversized := append(append([]byte(nil), good...), make([]byte, 4*wire.MaxEncodedLen)...)
 	send(good)
 	send(good[:5])
 	send(badVersion)
+	send(trailing)
 	send(badKind)
+	send(oversized)
 	send(testFrame(t, 2))
-	waitFor(t, "five datagrams to be read", func() bool {
-		return e.Stats().Accepted == 2 && reg.CounterValue(total) == 3
+	waitFor(t, "seven datagrams to be read", func() bool {
+		return e.Stats().Accepted == 2 && reg.CounterValue(total) == 5
 	})
 	stop()
 
-	for _, reason := range []string{"short", "version", "kind"} {
-		if got := reg.CounterValue(total + `{reason="` + reason + `"}`); got != 1 {
-			t.Errorf("%s{reason=%q} = %d, want 1", total, reason, got)
+	for reason, want := range map[string]int64{"short": 1, "version": 1, "kind": 1, "framing": 2} {
+		if got := reg.CounterValue(total + `{reason="` + reason + `"}`); got != want {
+			t.Errorf("%s{reason=%q} = %d, want %d", total, reason, got, want)
 		}
 	}
 	if st := e.Stats(); st.Processed != 2 {
@@ -456,7 +470,8 @@ func TestLiveShutdownFlushesQueue(t *testing.T) {
 }
 
 // TestForwarderCountsEgressErrors: encode and send failures are counted
-// by stage, and a packet that goes out counts as neither.
+// by stage, once per packet, when the batch they belong to is flushed; a
+// packet that goes out counts as neither.
 func TestForwarderCountsEgressErrors(t *testing.T) {
 	next, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -474,14 +489,160 @@ func TestForwarderCountsEgressErrors(t *testing.T) {
 	}
 	pkt := &netsim.Packet{Kind: netsim.KindUDP, Size: 1000}
 	fwd.Emit(pkt, 0)
+	fwd.Emit(pkt, 0)
+	fwd.Flush()
 	if got := counts(); got != [2]int64{0, 0} {
-		t.Fatalf("clean emit counted errors %v", got)
+		t.Fatalf("clean emits counted errors %v", got)
 	}
+	buf := make([]byte, 2*wire.MaxEncodedLen)
+	for i := 0; i < 2; i++ {
+		_ = next.SetReadDeadline(time.Now().Add(2 * time.Second)) //floclint:allow sim-time test-side socket deadline
+		n, _, err := next.ReadFrom(buf)
+		if err != nil {
+			t.Fatalf("forwarded datagram %d: %v", i, err)
+		}
+		if _, err := wire.Decode(buf[:n], new(wire.Header)); err != nil {
+			t.Fatalf("forwarded datagram %d (%d bytes) does not decode: %v", i, n, err)
+		}
+	}
+
 	fwd.Emit(&netsim.Packet{Kind: netsim.KindUDP}, 0) // zero size does not encode
 	fwd.Close()
-	fwd.Emit(pkt, 0) // closed socket does not send
-	if got := counts(); got != [2]int64{1, 1} {
-		t.Fatalf("egress error counts (encode, send) = %v, want [1 1]", got)
+	for i := 0; i < 3; i++ {
+		fwd.Emit(pkt, 0) // closed socket does not send
+	}
+	if got := counts(); got != [2]int64{1, 0} {
+		t.Fatalf("egress error counts (encode, send) = %v before the flush, want [1 0]", got)
+	}
+	fwd.Flush()
+	if got := counts(); got != [2]int64{1, 3} {
+		t.Fatalf("egress error counts (encode, send) = %v, want [1 3]", got)
+	}
+	fwd.Flush() // nothing pending: nothing more to count
+	if got := counts(); got != [2]int64{1, 3} {
+		t.Fatalf("an empty flush moved the error counts to %v", got)
+	}
+}
+
+// TestLiveBatchMetricsExported: the batching instruments exist from the
+// start of a clean run — explicit zeros, not absences — and record one
+// observation per syscall once traffic flows through both sockets.
+func TestLiveBatchMetricsExported(t *testing.T) {
+	next, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	reg := telemetry.NewRegistry()
+	fwd, err := newUDPForwarder(next.LocalAddr().String(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fwd.Close()
+	send, e, stop := liveDaemonTo(t, reg, fwd)
+	exposition := func() string {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	waitFor(t, "the zero series to be registered", func() bool {
+		text := exposition()
+		for _, want := range []string{"floc_ingest_batch_datagrams_count 0\n",
+			"floc_egress_batch_datagrams_count 0\n", "floc_egress_gso_fallbacks_total 0\n"} {
+			if !strings.Contains(text, want) {
+				return false
+			}
+		}
+		return true
+	})
+
+	const packets = 200
+	for i := 0; i < packets; i++ {
+		send(testFrame(t, uint32(i%16)))
+	}
+	waitFor(t, "the datagrams to be read", func() bool { return e.Stats().Accepted == packets })
+	stop()
+	hist := func(name string) *telemetry.Histogram { return reg.Histogram(name, "", "", nil) }
+	in, out := hist("floc_ingest_batch_datagrams"), hist("floc_egress_batch_datagrams")
+	if in.Sum() != packets || in.Count() == 0 || in.Count() > packets {
+		t.Fatalf("ingest batches: %d observations summing to %v datagrams, want a sum of %d", in.Count(), in.Sum(), packets)
+	}
+	if admitted := e.Snapshot().Admitted; out.Sum() != float64(admitted) || out.Count() == 0 {
+		t.Fatalf("egress batches: %d observations summing to %v datagrams, router admitted %d", out.Count(), out.Sum(), admitted)
+	}
+	if got := reg.CounterValue(`floc_egress_errors_total{stage="send"}`); got != 0 {
+		t.Fatalf("%d send errors towards a live next hop", got)
+	}
+}
+
+// TestParseUDPDrops reads the drops column of the row whose local address
+// matches, in both tables' address widths, and reports a missing row.
+func TestParseUDPDrops(t *testing.T) {
+	const udp4 = `   sl  local_address rem_address   st tx_queue rx_queue tr tm->when retrnsmt   uid  timeout inode ref pointer drops
+ 1411: 00000000:14E9 00000000:0000 07 00000000:00000000 00:00000000 00000000   102        0 20961 2 0000000000000000 0
+ 2965: 0100007F:A2C4 00000000:0000 07 00000000:00021C00 00:00000000 00000000     0        0 99201 2 0000000000000000 4711
+ 2966: 0100007F:A2C5 0100007F:A2C4 01 00000000:00000000 00:00000000 00000000     0        0 99202 2 0000000000000000 3
+`
+	const udp6 = `  sl  local_address                         remote_address                        st tx_queue rx_queue tr tm->when retrnsmt   uid  timeout inode ref pointer drops
+ 1411: 00000000000000000000000000000000:2328 00000000000000000000000000000000:0000 07 00000000:00000000 00:00000000 00000000     0        0 31337 2 0000000000000000 12
+`
+	addr := func(s string) string { return procNetAddr(netip.MustParseAddrPort(s)) }
+	for _, tc := range []struct {
+		table, local string
+		drops        int64
+		ok           bool
+	}{
+		{udp4, addr("127.0.0.1:41668"), 4711, true},
+		{udp4, addr("127.0.0.1:41669"), 3, true},
+		{udp4, addr("0.0.0.0:5353"), 0, true},
+		{udp4, addr("127.0.0.1:9"), 0, false},
+		{udp6, addr("[::]:9000"), 12, true},
+		{udp6, addr("[::1]:9000"), 0, false},
+		{"", addr("127.0.0.1:41668"), 0, false},
+	} {
+		drops, ok := parseUDPDrops([]byte(tc.table), tc.local)
+		if drops != tc.drops || ok != tc.ok {
+			t.Errorf("parseUDPDrops(…, %q) = %d, %v; want %d, %v", tc.local, drops, ok, tc.drops, tc.ok)
+		}
+	}
+	if got := addr("[2001:db8::1]:9000"); got != "B80D0120000000000000000001000000:2328" {
+		t.Errorf("v6 local_address rendered as %q", got)
+	}
+}
+
+// TestKernelDropsFollowTheTable: the counter rises to the kernel's figure
+// at each refresh and keeps its last value once the socket's row is gone.
+func TestKernelDropsFollowTheTable(t *testing.T) {
+	table := filepath.Join(t.TempDir(), "udp")
+	row := func(drops string) {
+		t.Helper()
+		line := " 7: 0100007F:2328 00000000:0000 07 00000000:00000000 00:00000000 00000000 0 0 1 2 0000000000000000 " + drops + "\n"
+		if err := os.WriteFile(table, []byte("header\n"+line), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := telemetry.NewRegistry()
+	k := &kernelDrops{table: table, local: "0100007F:2328",
+		ctr: reg.Counter("floc_ingest_kernel_drops_total", "", "")}
+	for _, step := range []struct {
+		drops string
+		want  int64
+	}{{"0", 0}, {"5", 5}, {"5", 5}, {"9", 9}} {
+		row(step.drops)
+		k.refresh()
+		if got := k.ctr.Value(); got != step.want {
+			t.Fatalf("after the table said %s: counter = %d, want %d", step.drops, got, step.want)
+		}
+	}
+	if err := os.Remove(table); err != nil {
+		t.Fatal(err)
+	}
+	k.refresh()
+	(*kernelDrops)(nil).refresh() // no table on this platform: nothing to do
+	if got := k.ctr.Value(); got != 9 {
+		t.Fatalf("counter = %d after the row vanished, want the last figure 9", got)
 	}
 }
 

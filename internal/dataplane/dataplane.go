@@ -52,6 +52,16 @@ type PacketSink interface {
 	Emit(pkt *netsim.Packet, now float64)
 }
 
+// Flusher is the optional second half of a PacketSink that buffers what
+// Emit hands it. A worker that has emitted calls Flush before it next
+// parks and before a barrier command (Drain, Advance, Snapshot, …)
+// returns, so nothing emitted is left buffered while the engine is idle
+// or a caller believes it quiesced. New resolves the interface once; a
+// sink without Flush is never asked.
+type Flusher interface {
+	Flush()
+}
+
 // Config parameterizes an Engine.
 type Config struct {
 	// Router configures the aggregate router the shards jointly emulate.
@@ -216,6 +226,8 @@ type shard struct {
 	free      float64              //floc:unit seconds
 	rateBytes float64              //floc:unit bytes/s
 	egress    PacketSink           // nil = no forwarding
+	flusher   Flusher              // egress's Flush half; nil when it has none
+	unflushed bool                 // emitted since the last Flush
 	bank      *defense.LimiterBank // nil until the first limit install
 	bankDrops int                  // bank.Drops() last published to counters
 }
@@ -287,6 +299,7 @@ func New(cfg Config) (*Engine, error) {
 				"active cluster-installed path limits", "")
 		}
 		sh.egress = cfg.Egress
+		sh.flusher, _ = cfg.Egress.(Flusher)
 		e.shards[i] = sh
 	}
 	for _, sh := range e.shards {
@@ -381,11 +394,13 @@ func (sh *shard) ringWake() {
 }
 
 // run is the worker loop: drain batches while there is work, handle
-// control commands at quiescent points, park when idle.
+// control commands at quiescent points, park when idle. Egress is flushed
+// after every batch, so the worker never parks on buffered packets.
 func (sh *shard) run() {
 	for {
 		if n := sh.ring.dequeueBatch(sh.buf); n > 0 {
 			sh.process(sh.buf[:n])
+			sh.flushEgress()
 			select {
 			case c := <-sh.cmds:
 				sh.handle(c)
@@ -474,16 +489,29 @@ func (sh *shard) serve(now float64) {
 		sh.free += float64(pkt.Size) / sh.rateBytes
 		if sh.egress != nil {
 			sh.egress.Emit(pkt, sh.free)
+			sh.unflushed = sh.flusher != nil
 		}
 	}
 }
 
+// flushEgress flushes a buffering sink if this worker has emitted into it
+// since the last flush.
+// floc:hotpath
+func (sh *shard) flushEgress() {
+	if sh.unflushed {
+		sh.unflushed = false
+		sh.flusher.Flush()
+	}
+}
+
 // drainAll empties the ring completely (used before commands and at
-// shutdown so barriers see every packet enqueued before them).
+// shutdown so barriers see every packet enqueued before them) and flushes
+// the egress sink once at the end.
 func (sh *shard) drainAll() {
 	for {
 		n := sh.ring.dequeueBatch(sh.buf)
 		if n == 0 {
+			sh.flushEgress()
 			return
 		}
 		sh.process(sh.buf[:n])
@@ -652,7 +680,10 @@ func (e *Engine) Drain() {
 // will drive the transmitters.
 // floc:unit now seconds
 func (e *Engine) Advance(now float64) {
-	e.onAll(func(_ int, sh *shard) { sh.serve(now) })
+	e.onAll(func(_ int, sh *shard) {
+		sh.serve(now)
+		sh.flushEgress()
+	})
 }
 
 // Snapshot drains all rings and returns the deterministic merge of the

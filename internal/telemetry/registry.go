@@ -148,6 +148,7 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	families map[string]metricMeta
+	collect  []func() // OnCollect hooks, run before every exposition
 }
 
 // NewRegistry returns a registry pre-stamped with the build-info gauge.
@@ -182,6 +183,17 @@ func (r *Registry) stampBuildInfo() {
 	}
 	r.Gauge(`floc_build_info{version="`+version+`",go="`+runtime.Version()+`"}`,
 		"build identity of this binary; value is always 1", "").Set(1)
+}
+
+// OnCollect registers fn to run at the start of every WriteText, before
+// any value is read: the place to refresh a metric whose source of truth
+// lives outside the process (a kernel table, say) and is read when
+// someone looks, never per event. fn is called from whichever goroutine
+// renders the exposition and must be safe for concurrent use.
+func (r *Registry) OnCollect(fn func()) {
+	r.mu.Lock()
+	r.collect = append(r.collect, fn)
+	r.mu.Unlock()
 }
 
 // family strips a trailing {label="..."} block from a series name.
@@ -302,6 +314,13 @@ func formatFloat(v float64) string {
 // series sorted by name so output is deterministic. Unit labels are folded
 // into the HELP line as a "[unit]" suffix.
 func (r *Registry) WriteText(w io.Writer) error {
+	r.mu.Lock()
+	collect := r.collect
+	r.mu.Unlock()
+	for _, fn := range collect {
+		fn()
+	}
+
 	r.mu.Lock()
 	type series struct {
 		name string

@@ -146,6 +146,22 @@ func TestWriteTextDeterministic(t *testing.T) {
 	}
 }
 
+// TestOnCollectRunsBeforeEveryExposition: a hook may update a series, or
+// register one, and the exposition it precedes shows the result.
+func TestOnCollectRunsBeforeEveryExposition(t *testing.T) {
+	reg := NewRegistry()
+	reg.OnCollect(func() { reg.Counter("floc_pulled_total", "read at scrape", "").Inc() })
+	for _, want := range []string{"floc_pulled_total 1\n", "floc_pulled_total 2\n"} {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition lacks %q:\n%s", want, b.String())
+		}
+	}
+}
+
 func TestHotPathAllocationFree(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "", "packets")

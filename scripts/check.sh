@@ -2,7 +2,11 @@
 # check.sh — the repository's full verification gate, run locally before
 # pushing and by CI (.github/workflows/ci.yml):
 #
-#   build        go build ./...
+#   build        go build ./..., then two offline cross-compiles of
+#                stdlib-only code: GOOS=darwin go build ./cmd/flocd (the
+#                portable one-datagram-per-call half of internal/udpbatch)
+#                and GOARCH=arm64 go vet ./cmd/flocd ./internal/udpbatch
+#                (the arm64 syscall numbers and struct layouts)
 #   format       gofmt -l (fails on any unformatted file)
 #   vet          go vet ./...
 #   floclint     repo-specific determinism/invariant/units rules
@@ -14,6 +18,7 @@
 #   alloc-gate   testing.AllocsPerRun gates asserting 0 allocs/op on the
 #                //floc:hotpath functions reachable without I/O (wire
 #                codec, dropfilter ops, router admission, dataplane ring)
+#                and on the loopback socket cycle of internal/udpbatch
 #   tests        go test ./...
 #   invariants   go test -tags flocinvariants ./... (hot-path assertions on)
 #   race         go test -race -short ./... (-short skips the multi-second
@@ -30,7 +35,7 @@
 #                "one predicted branch per decision point", whose cost
 #                does not shrink when the rest of the admission path
 #                speeds up
-#   dataplane    wire + dataplane + flocd tests under -race, plus the
+#   dataplane    wire + dataplane + udpbatch + flocd tests under -race, plus the
 #                BenchmarkDataplaneEnqueueSharded throughput curve
 #                (1/2/4/8 shards); on a 4+ core runner the 4-shard
 #                aggregate throughput must be >= DATAPLANE_SPEEDUP x the
@@ -98,6 +103,11 @@ end() {
 
 begin build
 run go build ./...
+# The files this host never compiles: the !linux half of udpbatch and the
+# arm64 syscall table. Both are stdlib-only, so the cross-builds need no
+# network and no cgo.
+run env GOOS=darwin go build -o /dev/null ./cmd/flocd
+run env GOARCH=arm64 go vet ./cmd/flocd ./internal/udpbatch
 end
 
 begin format
@@ -131,7 +141,8 @@ begin alloc-gate
 # Dynamic half of the //floc:hotpath contract: testing.AllocsPerRun must
 # agree with the static rule that the annotated paths are allocation-free.
 run go test -count=1 -run '^TestZeroAlloc' \
-    ./internal/wire ./internal/dropfilter ./internal/core ./internal/dataplane
+    ./internal/wire ./internal/dropfilter ./internal/core ./internal/dataplane \
+    ./internal/udpbatch
 end
 
 begin tests
@@ -191,7 +202,7 @@ if [ "$TELEMETRY_OVERHEAD_NS" != "0" ]; then
 fi
 
 begin dataplane
-run go test -race -count=1 ./internal/wire ./internal/dataplane ./cmd/flocd
+run go test -race -count=1 ./internal/wire ./internal/dataplane ./internal/udpbatch ./cmd/flocd
 bench_out=$(go test -run='^$' -bench='^BenchmarkDataplaneEnqueueSharded$' \
     -benchtime=200000x ./internal/dataplane)
 echo "$bench_out" | grep '^Benchmark' >&2
