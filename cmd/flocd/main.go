@@ -36,6 +36,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -171,7 +172,7 @@ func run(o options) error {
 	}
 	rc := core.DefaultConfig(o.linkRate, o.capacity)
 	rc.Seed = o.seed
-	engine, err := dataplane.New(dataplane.Config{
+	engine, err := newEngine(dataplane.Config{
 		Router:        rc,
 		Shards:        o.shards,
 		RingSize:      o.ringSize,
@@ -281,6 +282,24 @@ func run(o options) error {
 	}
 	snap := finish(engine, reg, o.snapshot, o.printMet)
 	return sealLedger(sealer, o.ledger, snap)
+}
+
+// newEngine builds the engine with the garbage collector off, and turns
+// it back on. The engine's fixed state — drop filters and trace rings,
+// 17 MB at the default flags — arrives in a few multi-megabyte
+// allocations, and the first collection would start at a 4 MB heap, in
+// the middle of them. Whether its mark phase then overlaps the next ring
+// is a race, and the pacer keeps the allocation rate it measured for four
+// cycles — a 15 s run at 40 kpps has five — so that race alone chose each
+// run's collection trigger (70 % or 95 % of the way to the heap goal) and
+// with it a peak RSS of 36 or 42 MB. Nothing built here is garbage, so a
+// collection has nothing to find; the first one runs right after, over a
+// heap that is complete, and every later one is paced by what the packet
+// path really allocates (DESIGN.md "Packet chunk lifetime").
+func newEngine(cfg dataplane.Config) (*dataplane.Engine, error) {
+	percent := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(percent)
+	return dataplane.New(cfg)
 }
 
 // finish drains the engine, emits the requested end-of-run reports, and
@@ -397,12 +416,15 @@ func serveMux(reg *telemetry.Registry, h *health, withPprof bool) *http.ServeMux
 // stays allocation-light. Malformed capture lines are counted and
 // skipped, not fatal: one bad line should not void a long replay. The
 // count is returned for the run summary and published per error kind as
-// floc_capture_malformed_lines_total.
+// floc_capture_malformed_lines_total. Every packet read has entered its
+// ring by the time replayCapture returns, so the caller's Advance covers
+// them all.
 // floc:unit end seconds
 func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n int, malformed int64, end float64, err error) {
 	cr := wire.NewCaptureReader(r)
 	cr.SkipMalformed(true)
-	in := wire.NewInterner()
+	p := newProducer(e)
+	defer p.burst.Flush()
 	var h wire.Header
 	for {
 		t, err := cr.Next(&h)
@@ -413,7 +435,7 @@ func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n
 			return n, cr.Malformed(), end, err
 		}
 		n++
-		ingest(e, in, &h, uint64(n), t)
+		p.ingest(&h, uint64(n), t)
 		end = t
 	}
 	malformedLines.total(reg)
@@ -425,22 +447,52 @@ func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n
 	return n, cr.Malformed(), end, nil
 }
 
+// packetChunk is how many packets a producer allocates at a time.
+const packetChunk = 64 //floc:unit packets
+
+// producer is the ingest state one packet source owns: the interner that
+// maps wire paths to router handles, the burst that batches the handoff
+// to the shard rings, and the chunk the next packets are cut from. A
+// chunk is garbage once the last packet cut from it has left the router,
+// so a queued packet pins at most its own chunk (DESIGN.md "Packet chunk
+// lifetime").
+type producer struct {
+	e     *dataplane.Engine
+	in    *wire.Interner
+	burst *dataplane.Burst
+	chunk []netsim.Packet // packets not yet handed out
+}
+
+func newProducer(e *dataplane.Engine) *producer {
+	return &producer{e: e, in: wire.NewInterner(), burst: e.NewBurst()}
+}
+
 // ingest hands one decoded header to the engine as packet id arriving at
-// t — the one body both packet sources, socket and capture, share.
+// t — the one body both packet sources, socket and capture, share. The
+// packet is buffered in the producer's burst; the source flushes it.
 // floc:unit t seconds
-func ingest(e *dataplane.Engine, in *wire.Interner, h *wire.Header, id uint64, t float64) {
-	res := in.ResolveFull(h)
+// floc:hotpath
+func (p *producer) ingest(h *wire.Header, id uint64, t float64) {
+	res := p.in.ResolveFull(h)
 	if !res.Bound {
 		// First packet of this path: intern it with its shard router so
 		// every later packet carries the dense handle and the admission
 		// path never hashes the path key.
-		res.Handle = e.InternPath(res.ID)
-		in.BindHandle(h, res.Handle)
+		res.Handle = p.e.InternPath(res.ID)
+		p.in.BindHandle(h, res.Handle)
 	}
-	pkt := &netsim.Packet{}
+	if len(p.chunk) == 0 {
+		p.chunk = newPacketChunk()
+	}
+	pkt := &p.chunk[0]
+	p.chunk = p.chunk[1:]
 	h.ToPacket(pkt, id, res.ID, res.Key, res.Handle)
-	e.Enqueue(pkt, t)
+	p.burst.Enqueue(pkt, t)
 }
+
+// newPacketChunk allocates the next packetChunk packets.
+// floc:coldpath one allocation per packetChunk packets
+func newPacketChunk() []netsim.Packet { return make([]netsim.Packet, packetChunk) }
 
 // malformedFamily is a counter family for rejected input: an unlabelled
 // total, registered even when nothing is rejected so a clean run exports
@@ -492,13 +544,16 @@ func serveUDP(conn net.PacketConn, e *dataplane.Engine, reg *telemetry.Registry,
 	if err != nil {
 		return err
 	}
-	in := wire.NewInterner()
+	p := newProducer(e)
 	malformedDatagrams.total(reg)
 	batch := reg.Histogram("floc_ingest_batch_datagrams",
 		"datagrams taken from the -listen socket per receive syscall", "datagrams", batchBounds)
 	var h wire.Header
 	id := uint64(0)
 	for {
+		// Nothing stays buffered while the read blocks, or behind the
+		// shutdown Advance.
+		p.burst.Flush()
 		n, err := rd.Read()
 		if err != nil {
 			// Closed socket is the clean shutdown path.
@@ -520,7 +575,7 @@ func serveUDP(conn net.PacketConn, e *dataplane.Engine, reg *telemetry.Registry,
 			}
 			id++
 			//floclint:allow sim-time live dataplane stamps arrivals from the wall clock
-			ingest(e, in, &h, id, time.Since(start).Seconds())
+			p.ingest(&h, id, time.Since(start).Seconds())
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -344,7 +346,10 @@ func liveDaemon(t *testing.T) (send func([]byte), reg *telemetry.Registry, e *da
 // liveDaemonTo is liveDaemon with the caller's registry and egress sink.
 func liveDaemonTo(t *testing.T, reg *telemetry.Registry, egress dataplane.PacketSink) (send func([]byte), e *dataplane.Engine, stop func()) {
 	t.Helper()
-	rc := core.DefaultConfig(8e9, 512)
+	// 2 ns of virtual link time per packet and shard: ingest cannot outrun
+	// the transmitter, so a shutdown microseconds after the last arrival
+	// still finds every packet's transmission due.
+	rc := core.DefaultConfig(8e12, 512)
 	rc.Seed = 7
 	e, err := dataplane.New(dataplane.Config{Router: rc, Shards: 2, Telemetry: reg, Egress: egress})
 	if err != nil {
@@ -453,6 +458,10 @@ func TestServeUDPCountsMalformedDatagrams(t *testing.T) {
 // the transmitter is otherwise served only by later arrivals.
 func TestLiveShutdownFlushesQueue(t *testing.T) {
 	send, _, e, sink, stop := liveDaemon(t)
+	// Not a multiple of the burst run on either shard: the last packets
+	// read are a part-filled burst, which serveUDP must hand to the rings
+	// before it blocks again — Accepted never reaches the total otherwise —
+	// and which the shutdown Advance must cover like the rest.
 	const packets = 200
 	for i := 0; i < packets; i++ {
 		send(testFrame(t, uint32(i%16)))
@@ -792,5 +801,92 @@ func TestTransmitCaptureCountsUnencodableHeaders(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Fatalf("%d stray bytes written for the skipped header", out.Len())
+	}
+}
+
+// TestBurstFlushedBeforeBarriers: a source's last packets sit in its
+// burst — fewer than one run per shard here, so all of them — until the
+// source flushes, and each source must flush before the Advance that ends
+// it: replayCapture before it returns to the caller that advances,
+// serveUDP before its own shutdown Advance. (Mutation-checked: without
+// either flush the packets never reach a ring and the test fails.)
+func TestBurstFlushedBeforeBarriers(t *testing.T) {
+	const packets = 40
+	t.Run("replay", func(t *testing.T) {
+		var capture bytes.Buffer
+		if err := generateCapture(&capture, packets, 7); err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		e := newTestEngine(t, reg, 2)
+		defer e.Close()
+		_, _, end, err := replayCapture(&capture, e, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Advance(end)
+		if got := e.Snapshot().Arrived; got != packets {
+			t.Fatalf("router saw %d of %d replayed packets behind the Advance", got, packets)
+		}
+	})
+	t.Run("live", func(t *testing.T) {
+		send, _, e, sink, stop := liveDaemon(t)
+		for i := 0; i < packets; i++ {
+			send(testFrame(t, uint32(i)))
+		}
+		waitFor(t, "the datagrams to enter the rings", func() bool { return e.Stats().Accepted == packets })
+		stop()
+		if got := sink.n.Load(); got != packets {
+			t.Fatalf("egress saw %d of %d packets after the shutdown Advance", got, packets)
+		}
+	})
+}
+
+// TestReplayIsDeterministic: the transmitter is served to each packet's
+// own arrival time, so what a replay admits depends on the capture alone,
+// not on how the workers' batches happened to be cut this time.
+func TestReplayIsDeterministic(t *testing.T) {
+	var capture bytes.Buffer
+	if err := generateCapture(&capture, 50000, 7); err != nil {
+		t.Fatal(err)
+	}
+	replay := func() core.Snapshot {
+		reg := telemetry.NewRegistry()
+		e := newTestEngine(t, reg, 2)
+		defer e.Close()
+		_, _, end, err := replayCapture(bytes.NewReader(capture.Bytes()), e, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Advance(end)
+		return e.Snapshot()
+	}
+	first, again := replay(), replay()
+	if dropped := first.Arrived - first.Admitted; dropped == 0 {
+		t.Fatal("capture did not congest the link; the test has no teeth")
+	}
+	if first.String() != again.String() {
+		t.Fatalf("two replays of one capture differ:\n%s\n%s", first.String(), again.String())
+	}
+	if !reflect.DeepEqual(first.Paths, again.Paths) {
+		t.Fatalf("two replays of one capture differ per path:\n%+v\n%+v", first.Paths, again.Paths)
+	}
+}
+
+// TestNewEngineRestoresGCPercent: newEngine builds with the collector
+// off; whatever setting it found is back afterwards, on the error path
+// too.
+func TestNewEngineRestoresGCPercent(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(37))
+	e, err := newEngine(dataplane.Config{Router: core.DefaultConfig(8e6, 64), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Close()
+	if _, err := newEngine(dataplane.Config{Router: core.DefaultConfig(8e6, 64), Shards: 2, RingSize: 3}); err == nil {
+		t.Fatal("ring size 3 accepted")
+	}
+	if got := debug.SetGCPercent(37); got != 37 {
+		t.Fatalf("GC percent after newEngine = %d, want 37", got)
 	}
 }

@@ -42,6 +42,20 @@ func newPathTable() *pathTable {
 	}
 }
 
+// HandleTag returns the router tag a handle carries in its high bits, or
+// 0 for a value no router issues (no index). Two handles minted by one
+// router share a tag; a sharded dataplane routes on it.
+// floc:hotpath
+func HandleTag(h uint32) uint32 {
+	if h&handleIndexMask == 0 {
+		return 0
+	}
+	return h &^ uint32(handleIndexMask)
+}
+
+// HandleTag returns the tag of every handle this router issues.
+func (r *Router) HandleTag() uint32 { return r.origins.tag }
+
 // byHandle resolves a handle to its live path state, or nil for foreign,
 // out-of-range, or expired handles (all of which the caller treats as a
 // cache miss).

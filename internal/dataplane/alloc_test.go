@@ -23,6 +23,13 @@ func TestZeroAllocRingOps(t *testing.T) {
 		if n := r.dequeueBatch(dst); n != 16 {
 			t.Fatalf("dequeued %d of 16", n)
 		}
+		// The same 16 handed over as one burst.
+		if n := r.tryEnqueueBurst(dst); n != 16 {
+			t.Fatalf("burst claimed %d of 16", n)
+		}
+		if n := r.dequeueBatch(dst); n != 16 {
+			t.Fatalf("dequeued %d of 16", n)
+		}
 	}); avg != 0 {
 		t.Fatalf("ring push/pop allocates %.1f times per 16-packet cycle, want 0", avg)
 	}

@@ -188,6 +188,7 @@ func (s *shardSink) Emit(e telemetry.Event) {
 type Engine struct {
 	cfg    Config
 	shards []*shard
+	tags   []uint32 // tags[i] is shard i's router handle tag (core.HandleTag)
 
 	ctl    sync.Mutex // serializes control-plane ops (Drain/Advance/Snapshot/Close)
 	closed atomic.Bool
@@ -242,8 +243,8 @@ func New(cfg Config) (*Engine, error) {
 		invariant.Positive("dataplane.shards", float64(cfg.Shards))
 		invariant.Positive("dataplane.ring-size", float64(cfg.RingSize))
 	}
-	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards)}
 	n := cfg.Shards
+	e := &Engine{cfg: cfg, shards: make([]*shard, n), tags: make([]uint32, n)}
 	baseCap, remCap := cfg.Router.Capacity/n, cfg.Router.Capacity%n
 	for i := 0; i < n; i++ {
 		rc := cfg.Router
@@ -301,6 +302,7 @@ func New(cfg Config) (*Engine, error) {
 		sh.egress = cfg.Egress
 		sh.flusher, _ = cfg.Egress.(Flusher)
 		e.shards[i] = sh
+		e.tags[i] = router.HandleTag()
 	}
 	for _, sh := range e.shards {
 		e.wg.Add(1)
@@ -345,6 +347,23 @@ func pathShard(path pathid.PathID, n int) int {
 	return int(h % uint64(n))
 }
 
+// shardFor picks the shard that owns pkt's path. A packet that carries a
+// handle is routed by the router tag in the handle's high bits: InternPath
+// mints a handle on the shard its path hashes to, so the tag names that
+// shard without hashing anything. A packet without a handle, or with one
+// no shard of this engine issued, is routed by the path hash itself.
+// floc:hotpath
+func (e *Engine) shardFor(pkt *netsim.Packet) int {
+	if tag := core.HandleTag(pkt.PathHandle); tag != 0 {
+		for i, t := range e.tags {
+			if t == tag {
+				return i
+			}
+		}
+	}
+	return pathShard(pkt.Path, len(e.shards))
+}
+
 // Enqueue hands a packet to its shard. It returns true when the packet
 // entered the ring; false means the ring was full and the packet was
 // dropped (counted in Stats and telemetry) or the engine is closed. With
@@ -356,25 +375,106 @@ func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
 	if e.closed.Load() {
 		return false
 	}
-	sh := e.shards[pathShard(pkt.Path, len(e.shards))]
+	sh := e.shards[e.shardFor(pkt)]
 	it := core.BatchItem{Pkt: pkt, At: now}
 	for !sh.ring.tryEnqueue(it) {
-		if !e.cfg.BlockOnFull {
-			sh.ringDrops.Add(1)
-			if sh.dropCtr != nil {
-				sh.dropCtr.Inc()
-			}
-			return false
-		}
-		sh.ringWake()
-		runtime.Gosched()
-		if e.closed.Load() {
+		if !e.ringFull(sh) {
 			return false
 		}
 	}
 	sh.accepted.Add(1)
 	sh.ringWake()
 	return true
+}
+
+// ringFull is the full-ring policy, for one packet that found no free
+// slot in sh's ring. It reports whether to try that packet again: never
+// without BlockOnFull — the packet is dropped and counted — and otherwise
+// after waking the worker and yielding to it, until the engine closes.
+// floc:hotpath
+func (e *Engine) ringFull(sh *shard) (retry bool) {
+	if !e.cfg.BlockOnFull {
+		sh.ringDrops.Add(1)
+		if sh.dropCtr != nil {
+			sh.dropCtr.Inc()
+		}
+		return false
+	}
+	sh.ringWake()
+	runtime.Gosched()
+	return !e.closed.Load()
+}
+
+// burstRun is how many packets a Burst buffers per shard before it hands
+// them to the ring in one claim.
+const burstRun = 64 //floc:unit packets
+
+// Burst is one producer's amortizing front end to Enqueue: packets are
+// buffered per shard and enter the shard's ring a run at a time — one
+// cursor CAS, one accepted update and one doorbell for up to burstRun
+// packets instead of one each per packet. Per-shard arrival order is the
+// order of the Enqueue calls. A buffered packet is invisible to the
+// engine: the owner must Flush before any barrier (Drain, Advance,
+// Snapshot, Close) that is meant to cover it, and before it blocks
+// waiting for more input. Not safe for concurrent use — give each
+// producing goroutine its own.
+type Burst struct {
+	e    *Engine
+	runs [][]core.BatchItem // per shard; cap burstRun
+}
+
+// NewBurst returns an empty burst for one producer.
+func (e *Engine) NewBurst() *Burst {
+	b := &Burst{e: e, runs: make([][]core.BatchItem, len(e.shards))}
+	for i := range b.runs {
+		b.runs[i] = make([]core.BatchItem, 0, burstRun)
+	}
+	return b
+}
+
+// Enqueue buffers a packet for its shard, handing the shard's run to the
+// ring when it reaches burstRun. What Engine.Enqueue reports per packet —
+// ring full, engine closed — is decided when the run is flushed and
+// shows in Stats. The packet must not be mutated afterwards.
+// floc:unit now seconds
+// floc:hotpath
+func (b *Burst) Enqueue(pkt *netsim.Packet, now float64) {
+	i := b.e.shardFor(pkt)
+	b.runs[i] = append(b.runs[i], core.BatchItem{Pkt: pkt, At: now})
+	if len(b.runs[i]) == burstRun {
+		b.flushRun(i)
+	}
+}
+
+// Flush hands every buffered packet to its ring.
+// floc:hotpath
+func (b *Burst) Flush() {
+	for i, run := range b.runs {
+		if len(run) > 0 {
+			b.flushRun(i)
+		}
+	}
+}
+
+// flushRun moves shard i's run into its ring, as many packets per claim
+// as the ring has room for. A packet that finds the ring full meets the
+// same policy as in Engine.Enqueue.
+// floc:hotpath
+func (b *Burst) flushRun(i int) {
+	sh, items := b.e.shards[i], b.runs[i]
+	b.runs[i] = items[:0]
+	if b.e.closed.Load() {
+		return
+	}
+	for len(items) > 0 {
+		if n := sh.ring.tryEnqueueBurst(items); n > 0 {
+			items = items[n:]
+			sh.accepted.Add(int64(n))
+			sh.ringWake()
+		} else if !b.e.ringFull(sh) {
+			items = items[1:]
+		}
+	}
 }
 
 // ringWake rings the shard's doorbell if the worker is parked. The
@@ -434,28 +534,29 @@ func (sh *shard) run() {
 }
 
 // process admits one batch. The router's virtual transmitter is serviced
-// up to the batch head's arrival time first, so queue occupancy tracks
-// arrival time the same way the simulator's event loop interleaves
-// enqueues and dequeues.
+// up to each packet's own arrival time before that packet is admitted,
+// the way the simulator's event loop interleaves enqueues and dequeues, so
+// the queue a packet meets depends on the arrivals before it and on
+// nothing else — in particular not on where dequeueBatch happened to cut
+// the stream, which is what makes a replay reproducible (DESIGN.md
+// "Service order").
 // floc:hotpath
 func (sh *shard) process(items []core.BatchItem) {
 	var start time.Time
 	if sh.latHist != nil {
 		start = time.Now() //floclint:allow sim-time wall-clock batch latency is exactly what the health histogram measures
 	}
-	sh.serve(items[0].At)
-	admit := items
-	if sh.bank != nil {
+	for i := range items {
+		it := &items[i]
+		sh.serve(it.At)
 		// Cluster-installed limits gate admission: a path over its
 		// propagated budget is dropped here, before it spends any router
-		// buffer — the upstream half of the pushback contract. The batch
-		// is filtered in place.
-		admit = items[:0]
-		for _, it := range items {
-			if sh.bank.Admit(it.Pkt.PathHandle, it.Pkt, it.At) {
-				admit = append(admit, it)
-			}
+		// buffer — the upstream half of the pushback contract.
+		if sh.bank == nil || sh.bank.Admit(it.Pkt.PathHandle, it.Pkt, it.At) {
+			sh.router.Enqueue(it.Pkt, it.At)
 		}
+	}
+	if sh.bank != nil {
 		if d := sh.bank.Drops(); d != sh.bankDrops {
 			delta := int64(d - sh.bankDrops)
 			sh.bankDrops = d
@@ -464,9 +565,6 @@ func (sh *shard) process(items []core.BatchItem) {
 				sh.limitDropCtr.Add(delta)
 			}
 		}
-	}
-	if len(admit) > 0 {
-		sh.router.EnqueueBatch(admit)
 	}
 	sh.processed.Add(int64(len(items)))
 	if sh.latHist != nil {
@@ -614,8 +712,9 @@ func (sh *shard) publishLimitCount() {
 // it and returns the handle (0 when the engine is closed or the router's
 // handle space is exhausted). Producers stamp it into Packet.PathHandle;
 // since Enqueue routes a path's packets to that same shard, the handle is
-// always presented to the router that minted it. Cold: call once per
-// path, not per packet.
+// always presented to the router that minted it — and Enqueue can route
+// by the handle alone (shardFor).
+// floc:coldpath a barrier on the owning shard: call once per path, not per packet
 func (e *Engine) InternPath(path pathid.PathID) uint32 {
 	var handle uint32
 	e.onOwner(path, func(sh *shard) { handle = sh.router.InternPath(path) })

@@ -9,6 +9,7 @@ import (
 	"floc/internal/core"
 	"floc/internal/netsim"
 	"floc/internal/pathid"
+	"floc/internal/rng"
 	"floc/internal/telemetry"
 )
 
@@ -70,19 +71,32 @@ func runBaseline(t *testing.T, cfg core.Config, sc []arrival, end float64) core.
 	return r.Snapshot()
 }
 
-// runEngine feeds the scenario through an engine and returns the merged
-// snapshot after a full flush.
+// runEngine feeds the scenario through an engine, packet by packet, and
+// returns the merged snapshot after a full flush.
 func runEngine(t *testing.T, cfg Config, sc []arrival, end float64) (core.Snapshot, Stats) {
+	t.Helper()
+	return runEngineVia(t, cfg, sc, end, false)
+}
+
+// runEngineVia is runEngine with the choice of front end: Engine.Enqueue
+// or one producer's Burst.
+func runEngineVia(t *testing.T, cfg Config, sc []arrival, end float64, burst bool) (core.Snapshot, Stats) {
 	t.Helper()
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
+	b := e.NewBurst()
 	for i := range sc {
 		pkt := sc[i].pkt
-		e.Enqueue(&pkt, sc[i].at)
+		if burst {
+			b.Enqueue(&pkt, sc[i].at)
+		} else {
+			e.Enqueue(&pkt, sc[i].at)
+		}
 	}
+	b.Flush()
 	e.Advance(end)
 	return e.Snapshot(), e.Stats()
 }
@@ -130,20 +144,29 @@ func TestOneShardMatchesSingleRouterExactly(t *testing.T) {
 	sc := genScenario(8, 0.004, 3.0)
 	end := 3.5
 	want := runBaseline(t, rc, sc, end)
-	got, stats := runEngine(t, Config{
-		Router: rc, Shards: 1, Batch: 1, BlockOnFull: true,
-	}, sc, end)
-	if int(stats.RingDrops) != 0 {
-		t.Fatalf("ring drops %d under BlockOnFull", stats.RingDrops)
-	}
-	if stats.Processed != int64(len(sc)) {
-		t.Fatalf("processed %d of %d", stats.Processed, len(sc))
-	}
 	if want.Drops["no-token"]+want.Drops["preferential"]+want.Drops["random-threshold"] == 0 {
 		t.Fatal("scenario did not congest the baseline; test has no teeth")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("1-shard engine diverged from single router:\n got %+v\nwant %+v", got, want)
+	// The transmitter is served to every packet's own arrival time, so
+	// neither the admission batch size nor the burst front end — which
+	// change where the worker's batches are cut — may show in the result.
+	for _, tc := range []struct {
+		name  string
+		batch int
+		burst bool
+	}{{"batch-1", 1, false}, {"batch-64", 64, false}, {"burst", 64, true}} {
+		got, stats := runEngineVia(t, Config{
+			Router: rc, Shards: 1, Batch: tc.batch, BlockOnFull: true,
+		}, sc, end, tc.burst)
+		if int(stats.RingDrops) != 0 {
+			t.Fatalf("%s: ring drops %d under BlockOnFull", tc.name, stats.RingDrops)
+		}
+		if stats.Accepted != int64(len(sc)) || stats.Processed != int64(len(sc)) {
+			t.Fatalf("%s: accepted %d, processed %d of %d", tc.name, stats.Accepted, stats.Processed, len(sc))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: 1-shard engine diverged from single router:\n got %+v\nwant %+v", tc.name, got, want)
+		}
 	}
 }
 
@@ -228,40 +251,55 @@ func TestShardingSpreadsPaths(t *testing.T) {
 
 func TestBackpressureAccounting(t *testing.T) {
 	// Non-blocking mode with a minimal ring: every offered packet must be
-	// accounted as either accepted or ring-dropped, never lost.
-	reg := telemetry.NewRegistry()
-	e, err := New(Config{Router: testRouterConfig(), Shards: 1, RingSize: 2, Telemetry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const offered = 20000
-	accepted := 0
-	for i := 0; i < offered; i++ {
-		path := pathid.New(pathid.ASN(i%4), 1)
-		pkt := &netsim.Packet{ID: uint64(i), Src: 1, Dst: 2, Size: 1000,
-			Kind: netsim.KindUDP, Path: path, PathKey: path.Key()}
-		if e.Enqueue(pkt, float64(i)*1e-5) {
-			accepted++
+	// accounted as either accepted or ring-dropped, never lost — whether
+	// it is offered alone or in a burst the ring has no room for.
+	for _, burst := range []bool{false, true} {
+		reg := telemetry.NewRegistry()
+		e, err := New(Config{Router: testRouterConfig(), Shards: 1, RingSize: 2, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	e.Drain()
-	st := e.Stats()
-	if st.Accepted != int64(accepted) {
-		t.Fatalf("stats accepted %d, Enqueue said %d", st.Accepted, accepted)
-	}
-	if st.Accepted+st.RingDrops != offered {
-		t.Fatalf("accounting leak: accepted %d + drops %d != offered %d",
-			st.Accepted, st.RingDrops, offered)
-	}
-	if st.Processed != st.Accepted {
-		t.Fatalf("processed %d != accepted %d after Drain", st.Processed, st.Accepted)
-	}
-	if got := reg.CounterValue(`floc_dataplane_ring_full_drops_total{shard="0"}`); got != st.RingDrops {
-		t.Fatalf("telemetry ring-drop counter %d != stats %d", got, st.RingDrops)
-	}
-	e.Close()
-	if e.Enqueue(&netsim.Packet{Size: 1, Kind: netsim.KindUDP}, 0) {
-		t.Fatal("Enqueue accepted a packet after Close")
+		const offered = 20000
+		accepted := 0
+		b := e.NewBurst()
+		for i := 0; i < offered; i++ {
+			path := pathid.New(pathid.ASN(i%4), 1)
+			pkt := &netsim.Packet{ID: uint64(i), Src: 1, Dst: 2, Size: 1000,
+				Kind: netsim.KindUDP, Path: path, PathKey: path.Key()}
+			if burst {
+				b.Enqueue(pkt, float64(i)*1e-5)
+			} else if e.Enqueue(pkt, float64(i)*1e-5) {
+				accepted++
+			}
+		}
+		b.Flush()
+		e.Drain()
+		st := e.Stats()
+		if !burst && st.Accepted != int64(accepted) {
+			t.Fatalf("stats accepted %d, Enqueue said %d", st.Accepted, accepted)
+		}
+		if st.Accepted == 0 || st.RingDrops == 0 {
+			t.Fatalf("burst=%v: accepted %d, dropped %d: the ring never filled or never drained", burst, st.Accepted, st.RingDrops)
+		}
+		if st.Accepted+st.RingDrops != offered {
+			t.Fatalf("burst=%v: accounting leak: accepted %d + drops %d != offered %d",
+				burst, st.Accepted, st.RingDrops, offered)
+		}
+		if st.Processed != st.Accepted {
+			t.Fatalf("burst=%v: processed %d != accepted %d after Drain", burst, st.Processed, st.Accepted)
+		}
+		if got := reg.CounterValue(`floc_dataplane_ring_full_drops_total{shard="0"}`); got != st.RingDrops {
+			t.Fatalf("burst=%v: telemetry ring-drop counter %d != stats %d", burst, got, st.RingDrops)
+		}
+		e.Close()
+		if e.Enqueue(&netsim.Packet{Size: 1, Kind: netsim.KindUDP}, 0) {
+			t.Fatal("Enqueue accepted a packet after Close")
+		}
+		b.Enqueue(&netsim.Packet{Size: 1, Kind: netsim.KindUDP}, 0)
+		b.Flush()
+		if after := e.Stats(); after != st {
+			t.Fatalf("a burst flushed after Close moved the counters: %+v -> %+v", st, after)
+		}
 	}
 }
 
@@ -308,5 +346,55 @@ func TestTelemetryMergesAcrossShards(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), "floc_router_arrived_packets_total") {
 		t.Fatal("exposition text missing router counters")
+	}
+}
+
+// TestShardFromHandleMatchesPathHash pins the property Enqueue's tag
+// route rests on: InternPath mints a path's handle on the shard the path
+// hashes to, so routing by the handle's tag and routing by the hash
+// agree — and a handle no shard of the engine issued routes by the hash.
+func TestShardFromHandleMatchesPathHash(t *testing.T) {
+	foreign, err := core.NewRouter(testRouterConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(9)
+	for _, shards := range []int{1, 2, 3, 8} {
+		rc := core.DefaultConfig(8e6, 512)
+		e, err := New(Config{Router: rc, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := make([]bool, shards)
+		for i := 0; i < 10000; i++ {
+			path := make(pathid.PathID, 1+src.Intn(6))
+			for j := range path {
+				path[j] = pathid.ASN(src.Uint64())
+			}
+			want := e.ShardOf(path)
+			handle := e.InternPath(path)
+			if handle == 0 || core.HandleTag(handle) != e.tags[want] {
+				t.Fatalf("%d shards: path %v hashes to shard %d, InternPath minted %#x (shard tags %#x)", shards, path, want, handle, e.tags)
+			}
+			if got := e.shardFor(&netsim.Packet{Path: path, PathHandle: handle}); got != want {
+				t.Fatalf("%d shards: path %v routed to shard %d by tag, %d by hash", shards, path, got, want)
+			}
+			used[want] = true
+			// Handles that must not steer: none, another router's, a tag
+			// no router of this engine has, and the bare tag (no index) of
+			// a shard the path does not hash to.
+			other := e.tags[(want+1)%shards]
+			for _, h := range []uint32{0, foreign.InternPath(path), 0xfff00001, other} {
+				if got := e.shardFor(&netsim.Packet{Path: path, PathHandle: h}); got != want {
+					t.Fatalf("%d shards: path %v with handle %#x routed to shard %d, hash says %d", shards, path, h, got, want)
+				}
+			}
+		}
+		for i, u := range used {
+			if !u {
+				t.Errorf("%d shards: no path hashed to shard %d", shards, i)
+			}
+		}
+		e.Close()
 	}
 }

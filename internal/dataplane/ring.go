@@ -61,6 +61,42 @@ func (r *ring) tryEnqueue(it core.BatchItem) bool {
 	}
 }
 
+// tryEnqueueBurst publishes a prefix of items and returns its length: as
+// many as there are free slots ahead of the producer cursor, 0 when the
+// ring is full. The free slots ahead of the cursor are one contiguous run
+// — the single consumer frees slots in cursor order, so a free slot is
+// never behind an occupied one — which lets one CAS claim the whole run;
+// the slots are then published one by one, in order, exactly as
+// tryEnqueue publishes its one.
+// floc:hotpath
+func (r *ring) tryEnqueueBurst(items []core.BatchItem) int {
+	for len(items) > 0 {
+		pos := r.enq.Load()
+		n := uint64(0)
+		for n < uint64(len(items)) && r.slots[(pos+n)&r.mask].seq.Load() == pos+n {
+			n++
+		}
+		if n == 0 {
+			if int64(r.slots[pos&r.mask].seq.Load())-int64(pos) < 0 {
+				return 0 // the slot at the cursor is still unconsumed: full
+			}
+			continue // another producer claimed pos; reload
+		}
+		// Nothing at or past pos can be claimed while the cursor stays at
+		// pos, so if the CAS succeeds the n slots seen free still are.
+		if !r.enq.CompareAndSwap(pos, pos+n) {
+			continue
+		}
+		for i := uint64(0); i < n; i++ {
+			s := &r.slots[(pos+i)&r.mask]
+			s.item = items[i]
+			s.seq.Store(pos + i + 1)
+		}
+		return int(n)
+	}
+	return 0
+}
+
 // dequeueBatch moves up to len(dst) published items into dst and returns
 // how many it moved. Consumer-only.
 // floc:hotpath

@@ -89,6 +89,7 @@ func Parse(s string) (PathID, error) {
 }
 
 // Equal reports whether two path identifiers are identical.
+// floc:hotpath
 func (p PathID) Equal(q PathID) bool {
 	if len(p) != len(q) {
 		return false

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -222,10 +223,8 @@ func cutString(b []byte) (body, rest []byte, ok bool) {
 	if !ok {
 		return nil, b, false
 	}
-	for i, c := range b {
-		if c == '"' {
-			return b[:i], b[i+1:], true
-		}
+	if i := bytes.IndexByte(b, '"'); i >= 0 {
+		return b[:i], b[i+1:], true
 	}
 	return nil, b, false
 }
@@ -277,6 +276,56 @@ scan:
 		return b[:end], b[end:]
 	}
 	return nil, b
+}
+
+// pow10 holds the powers of ten a float64 represents exactly.
+var pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// parseNumber converts a number cutNumber has accepted. A plain decimal
+// of at most 15 significant digits — every time CaptureWriter renders
+// from a short decimal — is converted here: its digits as an integer and
+// the power of ten that scales them are both exact float64 values, so one
+// correctly rounded division yields the nearest float64 to the decimal,
+// which is what strconv.ParseFloat returns (it is strconv's own exact
+// path, minus its second scan of the text). Anything else — an exponent,
+// more digits, a fraction longer than pow10 — goes to strconv.
+//
+// floc:hotpath
+func parseNumber(num []byte) (float64, error) {
+	const maxExactDigits = 15 // 10^15 < 2^53
+	var (
+		mant      uint64
+		sig, frac int
+		dot       bool
+	)
+	digits := num
+	if digits[0] == '-' {
+		digits = digits[1:]
+	}
+	for _, c := range digits {
+		if c == '.' {
+			dot = true
+			continue
+		}
+		if dot {
+			frac++
+		}
+		if mant != 0 || c != '0' {
+			sig++
+		}
+		if c < '0' || c > '9' || sig > maxExactDigits || frac >= len(pow10) {
+			return strconv.ParseFloat(string(num), 64) // an exponent, or too long to be exact
+		}
+		mant = mant*10 + uint64(c-'0')
+	}
+	f := float64(mant) / pow10[frac]
+	if num[0] == '-' {
+		f = -f
+	}
+	return f, nil
 }
 
 // decodeFrameHex hex-decodes one capture frame into dst, bounding the
@@ -333,7 +382,7 @@ func (cr *CaptureReader) scanLine(raw []byte, h *Header) (float64, ErrorKind, er
 			if val, b = cutNumber(skipSpace(b)); len(val) == 0 {
 				return 0, ErrKindFraming, errRecordNumber
 			}
-			if t, err = strconv.ParseFloat(string(val), 64); err != nil {
+			if t, err = parseNumber(val); err != nil {
 				return 0, ErrKindFraming, errRecordNumber
 			}
 		case string(key) == "wire" && seen&seenWire == 0:

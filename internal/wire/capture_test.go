@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"floc/internal/netsim"
+	"floc/internal/rng"
 )
 
 // refRecord and refScanLine are the capture codec as it stood on
@@ -289,5 +291,74 @@ func TestCaptureReaderOversizedLine(t *testing.T) {
 	_, err = cr.Next(&h)
 	if !errors.Is(err, errLineTooLong) || !strings.Contains(err.Error(), "line 2") {
 		t.Fatalf("strict reader on the oversized line: err = %v, want line 2 too long", err)
+	}
+}
+
+// checkNumber asserts that parseNumber agrees with strconv.ParseFloat, bit
+// for bit and error for error, on text cutNumber accepts whole; it reports
+// whether the text was such a number.
+func checkNumber(t *testing.T, text string) bool {
+	t.Helper()
+	num, rest := cutNumber([]byte(text))
+	if len(num) == 0 || len(rest) != 0 {
+		return false
+	}
+	got, gotErr := parseNumber(num)
+	want, wantErr := strconv.ParseFloat(text, 64)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%q: parseNumber error %v, strconv error %v", text, gotErr, wantErr)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%q: parseNumber = %v (%#x), strconv = %v (%#x)", text, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	return true
+}
+
+// FuzzCaptureNumber holds the reader's number conversion to strconv's on
+// everything the grammar lets through. The seeds sit on the edges of the
+// exact path: signed zero, leading-zero fractions, 15/16/17 significant
+// digits, the longest exact fraction, exponents, and 0.3, which a
+// multiply by 10^-k (instead of the divide by 10^k) gets wrong.
+func FuzzCaptureNumber(f *testing.F) {
+	for _, seed := range []string{
+		"0", "-0", "0.0", "-0.000", "0.000001", "19.99998", "0.3", "-0.3", "0.1", "2.675",
+		"123456789012345", "1234567890123456", "12345678901234567",
+		"999999999999999", "9007199254740993", "123456789012345.6", "12345678.9012345",
+		"0.000000000000000000001", "0.0000000000000000000001", "0.00000000000000000000001",
+		"1.0000000000000000000000", "000", "1e22", "1e23", "1e-7", "1E+2", "4.9e-324", "1.8e308",
+		"1e999", "-1e999", "179769313486231570000000000000000000000",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) { checkNumber(t, text) })
+}
+
+// TestCaptureTimeRoundTrip: what the writer renders, the reader's number
+// conversion takes back to the same float64, for 10^5 random times of the
+// kinds captures hold — short decimals (the exact path) and full-precision
+// values (strconv's) — so rendering the result again is byte-identical.
+func TestCaptureTimeRoundTrip(t *testing.T) {
+	src := rng.New(3)
+	for i := 0; i < 100000; i++ {
+		var at float64
+		switch i % 3 {
+		case 0:
+			at = float64(src.Intn(2000000)) / 1e5 // 0.00002-spaced, as replay_mix writes
+		case 1:
+			at = src.Float64() * 100
+		default:
+			at = math.Float64frombits(src.Uint64() &^ (1 << 63))
+			if math.IsNaN(at) || math.IsInf(at, 0) {
+				continue
+			}
+		}
+		text := appendJSONFloat(nil, at)
+		if !checkNumber(t, string(text)) {
+			t.Fatalf("reader grammar rejects the writer's rendering %q of %v", text, at)
+		}
+		back, err := parseNumber(text)
+		if err != nil || math.Float64bits(back) != math.Float64bits(at) {
+			t.Fatalf("t = %v rendered %q read back %v (%v)", at, text, back, err)
+		}
 	}
 }

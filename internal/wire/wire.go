@@ -325,22 +325,26 @@ func FromPacket(h *Header, pkt *netsim.Packet) error {
 // handle (via an Interner, so hot decode paths share one PathID per
 // distinct path instead of allocating per packet). handle may be 0
 // (unknown); a non-zero handle lets the router admit the packet without
-// hashing anything but the flow id.
+// hashing anything but the flow id. Every field of pkt is overwritten —
+// the ones a header does not carry with zero — so a recycled packet
+// leaks nothing; the stores go field by field because a composite
+// literal is built on the stack and then copied, 112 bytes twice.
 //
 // floc:hotpath
 func (h *Header) ToPacket(pkt *netsim.Packet, id uint64, path pathid.PathID, key string, handle uint32) {
-	*pkt = netsim.Packet{
-		ID:         id,
-		Src:        h.Src,
-		Dst:        h.Dst,
-		Size:       int(h.Length),
-		Kind:       h.Kind,
-		Path:       path,
-		PathKey:    key,
-		PathHandle: handle,
-		Attack:     h.Flags&FlagAttack != 0,
-		Priority:   h.Flags&FlagPriority != 0,
-	}
+	pkt.ID = id
+	pkt.Src = h.Src
+	pkt.Dst = h.Dst
+	pkt.Size = int(h.Length)
+	pkt.Kind = h.Kind
+	pkt.Seq = 0
+	pkt.Ack = 0
+	pkt.Path = path
+	pkt.PathKey = key
+	pkt.PathHandle = handle
+	pkt.Attack = h.Flags&FlagAttack != 0
+	pkt.Priority = h.Flags&FlagPriority != 0
+	pkt.SentAt = 0
 }
 
 // internerMax bounds the interner's table so adversarial path churn
@@ -351,16 +355,34 @@ const internerMax = 1 << 16
 // Interner canonicalizes decoded path identifiers: one PathID and one
 // key string per distinct path, looked up allocation-free. Not safe for
 // concurrent use — give each decoding goroutine its own.
+//
+// The lookup structure is one open-addressed table over the path's AS
+// numbers (DESIGN.md "Interner layout"): slots of {hash, entry index},
+// linearly probed, in front of a dense entry array that holds each path
+// inline, so a hit reads one slot and one entry and compares integers —
+// no key is rendered, hashed as a string, or followed through a pointer.
 type Interner struct {
-	m   map[string]internEntry
-	buf []byte
+	slots   []internSlot  // power-of-two length; grown at 3/4 load
+	entries []internEntry // in order of first sighting; len(entries) <= internerMax
 }
 
+// internSlot is one probe position. The full hash is kept so that a
+// probe rejects nearly every non-matching slot without touching its
+// entry and growth never re-hashes a path.
+type internSlot struct {
+	hash uint32
+	idx  uint32 // 1-based index into entries; 0 = empty
+}
+
+// internEntry is one interned path: the identity ResolveFull hands out
+// and, inline, the AS numbers a probe compares against.
 type internEntry struct {
 	id     pathid.PathID
 	key    string
 	handle uint32 // router path handle, once bound
 	bound  bool   // BindHandle ran for this entry (a 0 handle can be a valid binding)
+	n      uint8  // valid prefix of path
+	path   [MaxPathLen]pathid.ASN
 }
 
 // Resolved is ResolveFull's result: the canonical path identity plus the
@@ -372,22 +394,51 @@ type Resolved struct {
 	Bound  bool
 }
 
+// internerMinSlots is the table's initial size (a power of two).
+const internerMinSlots = 64
+
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{m: make(map[string]internEntry), buf: make([]byte, 0, 4*MaxPathLen)}
+	return &Interner{slots: make([]internSlot, internerMinSlots)}
 }
 
-// probeKey rebuilds the interner's reusable probe key from h's path: the
-// big-endian ASNs, viewed as a string at the map probe (which does not
-// materialize it).
+// hashPath mixes a path's AS numbers, and its length, into 32 bits: one
+// multiply and one xor-shift per AS number. Paths are assigned by
+// topology, not chosen per packet by a sender (the argument
+// dataplane.pathShard makes for FNV), so the mix needs spread, not
+// secrecy.
 //
 // floc:hotpath
-func (in *Interner) probeKey(h *Header) []byte {
-	in.buf = in.buf[:0]
-	for i := 0; i < int(h.PathLen); i++ {
-		in.buf = binary.BigEndian.AppendUint32(in.buf, uint32(h.Path[i]))
+func hashPath(path []pathid.ASN) uint32 {
+	const mult = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
+	x := uint64(len(path)) + 1
+	for _, as := range path {
+		x = (x ^ uint64(as)) * mult
+		x ^= x >> 32
 	}
-	return in.buf
+	return uint32(x)
+}
+
+// find returns the entry holding path, whose hash is hash, or nil. Only
+// the valid prefix takes part: a caller-built Header may hold anything
+// past PathLen.
+//
+// floc:hotpath
+func (in *Interner) find(hash uint32, path []pathid.ASN) *internEntry {
+	mask := uint32(len(in.slots) - 1)
+	for i := hash & mask; ; i = (i + 1) & mask {
+		s := in.slots[i]
+		if s.idx == 0 {
+			return nil
+		}
+		if s.hash != hash {
+			continue
+		}
+		e := &in.entries[s.idx-1]
+		if pathid.PathID(e.path[:e.n]).Equal(path) {
+			return e
+		}
+	}
 }
 
 // ResolveFull returns the canonical PathID and key for h's path plus the
@@ -398,12 +449,18 @@ func (in *Interner) probeKey(h *Header) []byte {
 //
 // floc:hotpath
 func (in *Interner) ResolveFull(h *Header) Resolved {
-	//floclint:allow hotpath interning is the one sanctioned string probe at ingest; every later stage is handle-indexed
-	if e, ok := in.m[string(in.probeKey(h))]; ok {
+	return in.resolve(hashPath(h.PathSlice()), h)
+}
+
+// resolve is ResolveFull with the hash as a parameter, so tests can
+// drive the table through degenerate hash functions.
+//
+// floc:hotpath
+func (in *Interner) resolve(hash uint32, h *Header) Resolved {
+	if e := in.find(hash, h.PathSlice()); e != nil {
 		return Resolved{ID: e.id, Key: e.key, Handle: e.handle, Bound: e.bound}
 	}
-	e := in.intern(h)
-	return Resolved{ID: e.id, Key: e.key}
+	return in.intern(hash, h)
 }
 
 // BindHandle records the router path handle for h's path, so subsequent
@@ -412,27 +469,58 @@ func (in *Interner) ResolveFull(h *Header) Resolved {
 //
 // floc:coldpath handle binding happens once per path
 func (in *Interner) BindHandle(h *Header, handle uint32) {
-	key := in.probeKey(h)
-	if e, ok := in.m[string(key)]; ok {
+	in.bind(hashPath(h.PathSlice()), h, handle)
+}
+
+// bind is BindHandle with the hash as a parameter (see resolve).
+func (in *Interner) bind(hash uint32, h *Header, handle uint32) {
+	if e := in.find(hash, h.PathSlice()); e != nil {
 		e.handle = handle
 		e.bound = true
-		in.m[string(key)] = e
 	}
 }
 
-// intern is ResolveFull's miss path: the first sighting of a path
-// allocates its canonical PathID and key and (up to internerMax)
-// remembers them under the probe key ResolveFull just built.
+// intern is resolve's miss path: the first sighting of a path allocates
+// its canonical PathID and key and (up to internerMax) remembers them.
 //
 // floc:coldpath first sighting of a path allocates its canonical entry
-func (in *Interner) intern(h *Header) internEntry {
+func (in *Interner) intern(hash uint32, h *Header) Resolved {
 	id := h.PathID()
-	e := internEntry{id: id, key: id.Key()}
-	if len(in.m) < internerMax {
-		in.m[string(in.buf)] = e
+	res := Resolved{ID: id, Key: id.Key()}
+	if len(in.entries) >= internerMax {
+		return res
 	}
-	return e
+	e := internEntry{id: res.ID, key: res.Key, n: h.PathLen}
+	copy(e.path[:], h.PathSlice())
+	in.entries = append(in.entries, e)
+	if 4*len(in.entries) > 3*len(in.slots) {
+		in.grow()
+	}
+	in.place(internSlot{hash: hash, idx: uint32(len(in.entries))})
+	return res
+}
+
+// place stores s in the first empty slot of its probe sequence.
+func (in *Interner) place(s internSlot) {
+	mask := uint32(len(in.slots) - 1)
+	i := s.hash & mask
+	for in.slots[i].idx != 0 {
+		i = (i + 1) & mask
+	}
+	in.slots[i] = s
+}
+
+// grow doubles the table and re-places every slot from the hash it kept,
+// so no path is hashed twice.
+func (in *Interner) grow() {
+	old := in.slots
+	in.slots = make([]internSlot, 2*len(old))
+	for _, s := range old {
+		if s.idx != 0 {
+			in.place(s)
+		}
+	}
 }
 
 // Len returns the number of interned paths, for tests and introspection.
-func (in *Interner) Len() int { return len(in.m) }
+func (in *Interner) Len() int { return len(in.entries) }

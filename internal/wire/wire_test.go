@@ -309,6 +309,14 @@ func TestInternerAtBound(t *testing.T) {
 		h.Path[1] = pathid.ASN(i & 0xff)
 		resolve(in, &h)
 	}
+	// The last path under the bound (entry 65 536) is remembered like any
+	// other: canonical across calls, and it takes a handle binding.
+	last1, _ := resolve(in, &h)
+	last2, _ := resolve(in, &h)
+	in.BindHandle(&h, 77)
+	if r := in.ResolveFull(&h); &last1[0] != &last2[0] || !r.Bound || r.Handle != 77 {
+		t.Fatalf("entry %d was not remembered: bound=%v handle=%d", internerMax, r.Bound, r.Handle)
+	}
 	if in.Len() != internerMax {
 		t.Fatalf("interner holds %d entries after %d distinct paths, want %d", in.Len(), internerMax, internerMax)
 	}
@@ -329,6 +337,10 @@ func TestInternerAtBound(t *testing.T) {
 	}
 	if &id2[0] == &id[0] {
 		t.Fatal("overflow path was interned despite a full table")
+	}
+	in.BindHandle(&h, 78) // a no-op past the bound
+	if r := in.ResolveFull(&h); r.Bound || r.Handle != 0 {
+		t.Fatalf("overflow path took a binding: bound=%v handle=%d", r.Bound, r.Handle)
 	}
 
 	// Paths interned before the bound are unaffected by the churn.

@@ -19,6 +19,15 @@
 #                //floc:hotpath functions reachable without I/O (wire
 #                codec, dropfilter ops, router admission, dataplane ring)
 #                and on the loopback socket cycle of internal/udpbatch
+#   bench-smoke  the repo benchmark still builds against this tree and runs:
+#                (cd benchmark && go vet ./...), then
+#                bash benchmark/run.sh -quick -trace 0 on replay_mix and
+#                udp_clean must exit 0 with "correct":true for both. The
+#                benchmark module compiles against internal signatures and
+#                parses flocd's output, and the PR driver runs it after
+#                the fact — a change that breaks it must fail here first.
+#                Reads benchmark/, writes only under .bench_build/; the
+#                numbers of a -quick run mean nothing
 #   tests        go test ./...
 #   invariants   go test -tags flocinvariants ./... (hot-path assertions on)
 #   race         go test -race -short ./... (-short skips the multi-second
@@ -143,6 +152,21 @@ begin alloc-gate
 run go test -count=1 -run '^TestZeroAlloc' \
     ./internal/wire ./internal/dropfilter ./internal/core ./internal/dataplane \
     ./internal/udpbatch
+end
+
+begin bench-smoke
+# The build cache run.sh picks, so that vet and the run share one and
+# neither writes outside the checkout.
+bench_cache="${GOCACHE:-$PWD/.bench_build/gocache}"
+echo ">> (cd benchmark && go vet ./...)" >&2
+(cd benchmark && GOCACHE="$bench_cache" go vet ./...)
+echo ">> bash benchmark/run.sh -quick -trace 0 -workload replay_mix -workload udp_clean" >&2
+smoke_out=$(bash benchmark/run.sh -quick -trace 0 -workload replay_mix -workload udp_clean)
+printf '%s\n' "$smoke_out" | grep '^{' >&2
+if [ "$(printf '%s\n' "$smoke_out" | grep -c '^{"correct":true')" -ne 2 ]; then
+    echo "bench-smoke: a workload did not report \"correct\":true" >&2
+    exit 1
+fi
 end
 
 begin tests
@@ -346,6 +370,7 @@ if [ "$FUZZTIME" != "0" ]; then
     run go test -run='^$' -fuzz='^FuzzWireRoundTrip$' -fuzztime "$FUZZTIME" ./internal/wire
     run go test -run='^$' -fuzz='^FuzzControlFrameDecode$' -fuzztime "$FUZZTIME" ./internal/wire
     run go test -run='^$' -fuzz='^FuzzCaptureLine$' -fuzztime "$FUZZTIME" ./internal/wire
+    run go test -run='^$' -fuzz='^FuzzCaptureNumber$' -fuzztime "$FUZZTIME" ./internal/wire
     end
 fi
 
