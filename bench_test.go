@@ -253,17 +253,18 @@ func BenchmarkFLocRouterEnqueueBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkFLocRouterEnqueueTelemetry is the same hot path with a full
-// telemetry instance attached (registry counters, queue-delay histogram,
-// event trace), showing the enabled-path cost. The disabled-path cost —
-// the one the CI overhead gate bounds — is BenchmarkFLocRouterEnqueue in
-// the default build versus the same bench under -tags flocnotelemetry.
+// BenchmarkFLocRouterEnqueueTelemetry is the same hot path with what
+// flocd attaches: a registry (counter and histogram cells, per-path
+// counters) and no event ring, showing the enabled-path cost a daemon
+// pays. The disabled-path cost — the one the CI overhead gate bounds — is
+// BenchmarkFLocRouterEnqueue in the default build versus the same bench
+// under -tags flocnotelemetry.
 func BenchmarkFLocRouterEnqueueTelemetry(b *testing.B) {
 	r, err := floc.NewRouter(floc.DefaultRouterConfig(1e9, 1000))
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.SetTelemetry(floc.NewTelemetry(floc.TelemetryOptions{TraceCapacity: 1 << 16}))
+	r.SetTelemetry(&floc.Telemetry{Registry: floc.NewMetricsRegistry()})
 	var q floc.Discipline = r
 	path := floc.NewPathID(7, 3, 1)
 	pkt := &floc.Packet{Src: 1, Dst: 2, Size: 1000, Kind: floc.KindUDP, Path: path, PathKey: path.Key()}

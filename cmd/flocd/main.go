@@ -70,7 +70,6 @@ type options struct {
 	snapshot bool
 	printMet bool
 	ledger   string
-	traceCap int
 	pprof    bool
 
 	routerID uint
@@ -82,34 +81,45 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.listen, "listen", "", "UDP address to receive wire-encoded packets on (live mode)")
-	flag.StringVar(&o.replay, "replay", "", "NDJSON capture file to replay (offline mode)")
-	flag.IntVar(&o.gen, "gen", 0, "generate a synthetic capture with this many packets and exit")
-	flag.StringVar(&o.out, "out", "", "output file for -gen (default stdout)")
-	flag.Uint64Var(&o.seed, "seed", 7, "engine and generator seed")
-	flag.IntVar(&o.shards, "shards", 0, "dataplane shards (0 = one per core)")
-	flag.Float64Var(&o.linkRate, "link", 8e6, "protected link rate in bits/s")
-	flag.IntVar(&o.capacity, "capacity", 512, "aggregate buffer capacity in packets")
-	flag.IntVar(&o.ringSize, "ring", 1024, "per-shard ring capacity in packets (power of two)")
-	flag.IntVar(&o.batch, "batch", 64, "per-shard admission batch size")
-	flag.StringVar(&o.metrics, "metrics", "", "HTTP address to serve /metrics and /healthz on (empty = off)")
-	flag.BoolVar(&o.snapshot, "snapshot", false, "print the merged router snapshot at exit")
-	flag.BoolVar(&o.printMet, "print-metrics", false, "print the metric registry as Prometheus text at exit")
-	flag.StringVar(&o.ledger, "ledger", "", "directory to seal the forensic event ledger into (must not hold one already)")
-	flag.IntVar(&o.traceCap, "trace", 65536, "per-shard event-trace ring capacity (0 = off; losses count on "+telemetry.TraceDroppedMetric+")")
-	flag.BoolVar(&o.pprof, "pprof", false, "also serve net/http/pprof on the -metrics listener")
-	flag.UintVar(&o.routerID, "router-id", 0, "this daemon's cluster router ID (nonzero enables the control plane)")
-	flag.StringVar(&o.control, "control", "", "UDP address to receive cluster control frames on")
-	flag.StringVar(&o.peers, "peers", "", "comma-separated upstream control addresses to push feedback to")
-	flag.StringVar(&o.forward, "forward", "", "UDP data address to forward transmitted packets to (the next hop's -listen)")
-	flag.StringVar(&o.sendto, "sendto", "", "transmit the -replay capture as live datagrams to this UDP address instead of replaying locally")
-	flag.Float64Var(&o.pace, "pace", 1.0, "-sendto time scale: real seconds per capture second (0 = no pacing)")
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		os.Exit(0)
+	}
+	if err != nil {
+		os.Exit(2) // the flag set has already said why
+	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "flocd:", err)
 		os.Exit(1)
 	}
+}
+
+// parseFlags resolves the command line into options.
+func parseFlags(args []string) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("flocd", flag.ContinueOnError)
+	fs.StringVar(&o.listen, "listen", "", "UDP address to receive wire-encoded packets on (live mode)")
+	fs.StringVar(&o.replay, "replay", "", "NDJSON capture file to replay (offline mode)")
+	fs.IntVar(&o.gen, "gen", 0, "generate a synthetic capture with this many packets and exit")
+	fs.StringVar(&o.out, "out", "", "output file for -gen (default stdout)")
+	fs.Uint64Var(&o.seed, "seed", 7, "engine and generator seed")
+	fs.IntVar(&o.shards, "shards", 0, "dataplane shards (0 = one per core)")
+	fs.Float64Var(&o.linkRate, "link", 8e6, "protected link rate in bits/s")
+	fs.IntVar(&o.capacity, "capacity", 512, "aggregate buffer capacity in packets")
+	fs.IntVar(&o.ringSize, "ring", 1024, "per-shard ring capacity in packets (power of two)")
+	fs.IntVar(&o.batch, "batch", 64, "per-shard admission batch size")
+	fs.StringVar(&o.metrics, "metrics", "", "HTTP address to serve /metrics and /healthz on (empty = off)")
+	fs.BoolVar(&o.snapshot, "snapshot", false, "print the merged router snapshot at exit")
+	fs.BoolVar(&o.printMet, "print-metrics", false, "print the metric registry as Prometheus text at exit")
+	fs.StringVar(&o.ledger, "ledger", "", "directory to seal the forensic event ledger into (must not hold one already)")
+	fs.BoolVar(&o.pprof, "pprof", false, "also serve net/http/pprof on the -metrics listener")
+	fs.UintVar(&o.routerID, "router-id", 0, "this daemon's cluster router ID (nonzero enables the control plane)")
+	fs.StringVar(&o.control, "control", "", "UDP address to receive cluster control frames on")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated upstream control addresses to push feedback to")
+	fs.StringVar(&o.forward, "forward", "", "UDP data address to forward transmitted packets to (the next hop's -listen)")
+	fs.StringVar(&o.sendto, "sendto", "", "transmit the -replay capture as live datagrams to this UDP address instead of replaying locally")
+	fs.Float64Var(&o.pace, "pace", 1.0, "-sendto time scale: real seconds per capture second (0 = no pacing)")
+	return o, fs.Parse(args)
 }
 
 func run(o options) error {
@@ -173,15 +183,14 @@ func run(o options) error {
 	rc := core.DefaultConfig(o.linkRate, o.capacity)
 	rc.Seed = o.seed
 	engine, err := newEngine(dataplane.Config{
-		Router:        rc,
-		Shards:        o.shards,
-		RingSize:      o.ringSize,
-		Batch:         o.batch,
-		BlockOnFull:   o.replay != "", // a capture has no real clock: pace, don't drop
-		Telemetry:     reg,
-		TraceCapacity: o.traceCap,
-		Sink:          sink,
-		Egress:        egress,
+		Router:      rc,
+		Shards:      o.shards,
+		RingSize:    o.ringSize,
+		Batch:       o.batch,
+		BlockOnFull: o.replay != "", // a capture has no real clock: pace, don't drop
+		Telemetry:   reg,
+		Sink:        sink,
+		Egress:      egress,
 	})
 	if err != nil {
 		if sealer != nil {
@@ -224,7 +233,7 @@ func run(o options) error {
 	}
 
 	if o.metrics != "" {
-		h := &health{engine: engine, reg: reg, node: node, start: start}
+		h := &health{engine: engine, node: node, start: start}
 		srv := &http.Server{Addr: o.metrics, Handler: serveMux(reg, h, o.pprof)}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -285,14 +294,14 @@ func run(o options) error {
 }
 
 // newEngine builds the engine with the garbage collector off, and turns
-// it back on. The engine's fixed state — drop filters and trace rings,
-// 17 MB at the default flags — arrives in a few multi-megabyte
-// allocations, and the first collection would start at a 4 MB heap, in
-// the middle of them. Whether its mark phase then overlaps the next ring
-// is a race, and the pacer keeps the allocation rate it measured for four
-// cycles — a 15 s run at 40 kpps has five — so that race alone chose each
-// run's collection trigger (70 % or 95 % of the way to the heap goal) and
-// with it a peak RSS of 36 or 42 MB. Nothing built here is garbage, so a
+// it back on. The engine's fixed state — the shards' drop filters, 2 MB
+// each — arrives in a few multi-megabyte allocations, and the first
+// collection would start at a 4 MB heap, in the middle of them. Whether
+// its mark phase then overlaps the next one is a race, and the pacer keeps
+// the allocation rate it measured for four cycles — a 15 s run at 40 kpps
+// has about five — so that race could choose a run's collection trigger
+// and with it its peak RSS (it did, 36 or 42 MB, while two 6.5 MB event
+// rings were allocated here too). Nothing built here is garbage, so a
 // collection has nothing to find; the first one runs right after, over a
 // heap that is complete, and every later one is paced by what the packet
 // path really allocates (DESIGN.md "Packet chunk lifetime").
@@ -347,7 +356,6 @@ func sealLedger(sealer *ledger.Sealer, dir string, snap core.Snapshot) error {
 // and how many limits are currently installed.
 type health struct {
 	engine *dataplane.Engine
-	reg    *telemetry.Registry
 	node   *cluster.Node
 	start  time.Time
 }
@@ -378,7 +386,6 @@ func (h *health) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 		Accepted      int64          `json:"accepted"`
 		Processed     int64          `json:"processed"`
 		RingDrops     int64          `json:"ring_drops"`
-		TraceDropped  int64          `json:"trace_dropped_events"`
 		Cluster       *clusterHealth `json:"cluster,omitempty"`
 	}{
 		Status:        "ok",
@@ -387,7 +394,6 @@ func (h *health) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 		Accepted:      st.Accepted,
 		Processed:     st.Processed,
 		RingDrops:     st.RingDrops,
-		TraceDropped:  h.reg.CounterValue(telemetry.TraceDroppedMetric),
 		Cluster:       cb,
 	})
 }

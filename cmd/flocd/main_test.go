@@ -198,8 +198,18 @@ func TestGenerateCaptureDeterministic(t *testing.T) {
 
 // testOptions mirrors the daemon's flag defaults for in-process runs.
 func testOptions() options {
-	return options{seed: 1, linkRate: 8e6, capacity: 512, ringSize: 1024,
-		batch: 64, traceCap: 65536}
+	return options{seed: 1, linkRate: 8e6, capacity: 512, ringSize: 1024, batch: 64}
+}
+
+// TestTraceFlagIsGone: the daemon attaches no event ring, so the knob
+// that sized it is rejected rather than accepted and ignored.
+func TestTraceFlagIsGone(t *testing.T) {
+	if _, err := parseFlags([]string{"-replay", "x.ndjson", "-shards", "2"}); err != nil {
+		t.Fatalf("benchmark-style flags rejected: %v", err)
+	}
+	if _, err := parseFlags([]string{"-replay", "x.ndjson", "-trace", "1"}); err == nil {
+		t.Fatal("-trace 1 parsed; the flag should no longer exist")
+	}
 }
 
 func TestRunRejectsAmbiguousModes(t *testing.T) {
@@ -217,6 +227,9 @@ func TestRunRejectsAmbiguousModes(t *testing.T) {
 // a capture, replay it with -ledger sealing on a sharded engine, then
 // verify the sealed evidence and replay it against the claimed snapshot.
 func TestLedgerEndToEnd(t *testing.T) {
+	if !telemetry.Compiled {
+		t.Skip("telemetry is compiled out")
+	}
 	dir := t.TempDir()
 	capPath := filepath.Join(dir, "capture.ndjson")
 	ledgerDir := filepath.Join(dir, "ledger")
@@ -270,7 +283,7 @@ func TestHealthzReportsDataplane(t *testing.T) {
 	e := newTestEngine(t, reg, 2)
 	defer e.Close()
 	//floclint:allow sim-time the health surface reports real daemon uptime
-	h := &health{engine: e, reg: reg, start: time.Now()}
+	h := &health{engine: e, start: time.Now()}
 	srv := httptest.NewServer(serveMux(reg, h, true))
 	defer srv.Close()
 
@@ -282,11 +295,13 @@ func TestHealthzReportsDataplane(t *testing.T) {
 	var doc struct {
 		Status string `json:"status"`
 		Shards int    `json:"shards"`
+		// No ring is attached, so there is no ring loss to report.
+		TraceDropped *int64 `json:"trace_dropped_events"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Status != "ok" || doc.Shards != 2 {
+	if doc.Status != "ok" || doc.Shards != 2 || doc.TraceDropped != nil {
 		t.Fatalf("healthz = %+v", doc)
 	}
 

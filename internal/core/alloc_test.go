@@ -176,6 +176,7 @@ func (fx *controlFixture) send(i int) {
 // or re-sorted path list — and re-creating expired flows after warm-up
 // allocates nothing either, because an expired flow's slab slot is reused.
 func TestZeroAllocControlRunSteadyState(t *testing.T) {
+	needTelemetry(t)
 	const flowsPer = 16
 	perRun := func(nPaths int) float64 {
 		fx := newControlFixture(t, nPaths, flowsPer, func(c *Config) { c.FlowTimeout = 1e9 })

@@ -32,6 +32,7 @@ import (
 // dependent) and without the three flow gauges/counters that did not
 // exist when the digests were taken (goldenSkippedFamilies).
 func TestControlLoopGolden(t *testing.T) {
+	needTelemetry(t)
 	for _, sc := range goldenScenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {

@@ -659,9 +659,10 @@ func (r *Router) admit(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, 
 	return true
 }
 
-// observeAdmit meters an admitted packet and emits its trace event. A
-// separate method so admit's disabled-telemetry path pays one branch and
-// keeps its pre-telemetry stack frame.
+// observeAdmit meters an admitted packet and, when a ring or a sink will
+// take it, emits its trace event. A separate method so admit's
+// disabled-telemetry path pays one branch and keeps its pre-telemetry
+// stack frame.
 // floc:unit now seconds
 // floc:hotpath
 func (r *Router) observeAdmit(orig *pathState, fs *flowState, now float64) {
@@ -671,16 +672,18 @@ func (r *Router) observeAdmit(orig *pathState, fs *flowState, now float64) {
 	r.met.admitted.Inc()
 	orig.telAdmitted.Inc()
 	r.delayQ.push(now)
-	var flow uint64
-	if fs != nil {
-		flow = fs.hash
+	if r.tel.Journals() {
+		var flow uint64
+		if fs != nil {
+			flow = fs.hash
+		}
+		r.tel.Emit(telemetry.Event{
+			Time: now,
+			Type: telemetry.EventPacketAdmitted,
+			Path: orig.key,
+			Flow: flow,
+		})
 	}
-	r.tel.Emit(telemetry.Event{
-		Time: now,
-		Type: telemetry.EventPacketAdmitted,
-		Path: orig.key,
-		Flow: flow,
-	})
 	r.noteMode(now)
 }
 
@@ -692,17 +695,19 @@ func (r *Router) observeDrop(orig *pathState, fs *flowState, now float64, reason
 	r.met.arrived.Inc()
 	r.met.drops[reason].Inc()
 	orig.telDropped.Inc()
-	var flow uint64
-	if fs != nil {
-		flow = fs.hash
+	if r.tel.Journals() {
+		var flow uint64
+		if fs != nil {
+			flow = fs.hash
+		}
+		r.tel.Emit(telemetry.Event{
+			Time:   now,
+			Type:   telemetry.EventPacketDropped,
+			Path:   orig.key,
+			Flow:   flow,
+			Reason: reason.String(),
+		})
 	}
-	r.tel.Emit(telemetry.Event{
-		Time:   now,
-		Type:   telemetry.EventPacketDropped,
-		Path:   orig.key,
-		Flow:   flow,
-		Reason: reason.String(),
-	})
 	r.noteMode(now)
 }
 

@@ -17,11 +17,14 @@ import (
 // outcome, only record it.
 
 // routerMetrics holds registry handles resolved once at SetTelemetry time
-// so the hot path never takes the registry lock.
+// so the hot path never takes the registry lock. Every series the router
+// writes per packet, or per path per control run, is a cell of its own:
+// the routers of a sharded engine meter the same series from different
+// workers, and a cell is memory only this router's worker writes.
 type routerMetrics struct {
-	arrived     *telemetry.Counter
-	admitted    *telemetry.Counter
-	drops       [numDropReasons]*telemetry.Counter
+	arrived     *telemetry.CounterCell
+	admitted    *telemetry.CounterCell
+	drops       [numDropReasons]*telemetry.CounterCell
 	controlRuns *telemetry.Counter
 
 	queueLen        *telemetry.Gauge
@@ -44,16 +47,16 @@ type routerMetrics struct {
 	prevRecordOps   int64
 	prevQueryOps    int64
 
-	queueDelay      *telemetry.Histogram // seconds spent in the output queue
-	bucketOccupancy *telemetry.Histogram // fraction of bucket tokens unused
-	mtd             *telemetry.Histogram // reference mean time to drop
-	conformance     *telemetry.Histogram // per-path conformance EWMA
+	queueDelay      *telemetry.HistogramCell // seconds spent in the output queue
+	bucketOccupancy *telemetry.HistogramCell // fraction of bucket tokens unused
+	mtd             *telemetry.HistogramCell // reference mean time to drop
+	conformance     *telemetry.HistogramCell // per-path conformance EWMA
 }
 
 func newRouterMetrics(reg *telemetry.Registry) *routerMetrics {
 	m := &routerMetrics{
-		arrived:     reg.Counter("floc_router_arrived_packets_total", "packets offered to the router", "packets"),
-		admitted:    reg.Counter("floc_router_admitted_packets_total", "packets admitted to the output queue", "packets"),
+		arrived:     reg.Counter("floc_router_arrived_packets_total", "packets offered to the router", "packets").Cell(),
+		admitted:    reg.Counter("floc_router_admitted_packets_total", "packets admitted to the output queue", "packets").Cell(),
 		controlRuns: reg.Counter("floc_router_control_runs_total", "control-loop executions", ""),
 
 		queueLen:        reg.Gauge("floc_router_queue_len", "output queue length at last control run", "packets"),
@@ -72,21 +75,21 @@ func newRouterMetrics(reg *telemetry.Registry) *routerMetrics {
 
 		queueDelay: reg.Histogram("floc_router_queue_delay_seconds",
 			"per-packet output-queue delay in sim-time", "seconds",
-			[]float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1}),
+			[]float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1}).Cell(),
 		bucketOccupancy: reg.Histogram("floc_router_bucket_occupancy",
 			"unused fraction of each guaranteed path's token bucket at control runs", "ratio",
-			[]float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}),
+			[]float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}).Cell(),
 		mtd: reg.Histogram("floc_router_mtd_seconds",
 			"reference mean time to drop per guaranteed path at control runs", "seconds",
-			[]float64{1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3}),
+			[]float64{1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3}).Cell(),
 		conformance: reg.Histogram("floc_router_conformance",
 			"conformance EWMA per guaranteed path at control runs", "ratio",
-			[]float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1}),
+			[]float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1}).Cell(),
 	}
 	for reason := DropReason(0); reason < numDropReasons; reason++ {
 		m.drops[reason] = reg.Counter(
 			`floc_router_drops_total{reason="`+reason.String()+`"}`,
-			"packets dropped by reason", "packets")
+			"packets dropped by reason", "packets").Cell()
 	}
 	return m
 }

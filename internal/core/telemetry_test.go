@@ -9,6 +9,15 @@ import (
 	"floc/internal/telemetry"
 )
 
+// needTelemetry skips a test that reads what the router emits when the
+// build compiles emission out (-tags flocnotelemetry).
+func needTelemetry(t *testing.T) {
+	t.Helper()
+	if !telemetry.Compiled {
+		t.Skip("telemetry is compiled out")
+	}
+}
+
 // TestDropReasonExhaustiveness is the guard demanded by the label-table
 // refactor: every DropReason below numDropReasons must carry a stable,
 // unique, parseable label, and Snapshot must surface all of them even when
@@ -52,6 +61,7 @@ func TestDropReasonExhaustiveness(t *testing.T) {
 // telemetry event stream: a PacketDropped event's Reason must round-trip
 // back to the originating DropReason.
 func TestEveryDropReasonHasEventLabel(t *testing.T) {
+	needTelemetry(t)
 	r := newTestRouter(t, nil)
 	r.SetTelemetry(telemetry.New(telemetry.Options{TraceCapacity: 16}))
 	d := &driver{r: r}
@@ -77,6 +87,7 @@ func TestEveryDropReasonHasEventLabel(t *testing.T) {
 }
 
 func TestTelemetryCountersMatchRouter(t *testing.T) {
+	needTelemetry(t)
 	r := newTestRouter(t, nil)
 	tel := telemetry.New(telemetry.Options{TraceCapacity: 1 << 16, Recorder: true})
 	r.SetTelemetry(tel)
@@ -134,6 +145,7 @@ func TestTelemetryCountersMatchRouter(t *testing.T) {
 }
 
 func TestModeChangedEvents(t *testing.T) {
+	needTelemetry(t)
 	r := newTestRouter(t, nil)
 	tel := telemetry.New(telemetry.Options{TraceCapacity: 1 << 16})
 	r.SetTelemetry(tel)
@@ -169,6 +181,7 @@ func TestModeChangedEvents(t *testing.T) {
 }
 
 func TestQueueDelayObserved(t *testing.T) {
+	needTelemetry(t)
 	r := newTestRouter(t, nil)
 	tel := telemetry.New(telemetry.Options{})
 	r.SetTelemetry(tel)
@@ -234,6 +247,7 @@ func TestTimeQueue(t *testing.T) {
 // flow counter are what the control pass saw — they agree with PathInfos
 // after every control run, through growth, a flood and a mass expiry.
 func TestFlowPopulationMetrics(t *testing.T) {
+	needTelemetry(t)
 	r := newTestRouter(t, nil)
 	tel := telemetry.New(telemetry.Options{})
 	r.SetTelemetry(tel)

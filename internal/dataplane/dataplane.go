@@ -87,9 +87,11 @@ type Config struct {
 	// clock and losing packets to producer speed would be nonsense.
 	BlockOnFull bool
 	// Telemetry, when non-nil, receives the shard routers' metrics and
-	// the engine's backpressure counters. Counters aggregate correctly
-	// across shards (shared atomic handles); gauges are last-writer-wins
-	// per control run and are only indicative under sharding.
+	// the engine's backpressure counters. Counters and histograms
+	// aggregate exactly across shards: each shard router writes cells of
+	// its own and a read sums them, at any instant, with nothing to flush.
+	// Gauges are last-writer-wins per control run and are only indicative
+	// under sharding.
 	Telemetry *telemetry.Registry
 	// TraceCapacity, when > 0, attaches a bounded event-trace ring of
 	// that size to each shard router. Wraparound losses from every shard

@@ -125,6 +125,7 @@ func TestInstallLimitReleaseAndExpiry(t *testing.T) {
 }
 
 func TestInstallLimitEmitsFeedbackApplied(t *testing.T) {
+	needTelemetry(t)
 	reg := telemetry.NewRegistry()
 	cfg := limitTestConfig(1)
 	cfg.Telemetry = reg

@@ -28,6 +28,7 @@ func (s *lockedSink) snapshot() []telemetry.Event {
 }
 
 func TestSinkReceivesShardStampedEvents(t *testing.T) {
+	needTelemetry(t)
 	sink := &lockedSink{}
 	reg := telemetry.NewRegistry()
 	sc := genScenario(12, 0.004, 2.0)

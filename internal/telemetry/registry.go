@@ -7,8 +7,9 @@
 //
 // Everything here is passive and deterministic: the package never reads
 // clocks or random state, it only stamps what callers hand it (sim-time).
-// Counters and gauges are safe for concurrent use; Trace and Recorder are
-// single-writer like the simulator itself.
+// Counters, gauges and histograms are safe for concurrent use; their
+// cells (cell.go), Trace and Recorder are single-writer like the
+// simulator itself.
 package telemetry
 
 import (
@@ -25,9 +26,12 @@ import (
 )
 
 // Counter is a monotonically increasing integer metric. All methods are
-// safe for concurrent use and allocation-free.
+// safe for concurrent use and allocation-free. A writer that would
+// otherwise share the counter with another per event takes a Cell. Two
+// words on purpose: a replay holds thousands of per-path counters.
 type Counter struct {
-	v atomic.Int64
+	v     atomic.Int64
+	cells cellList[CounterCell]
 }
 
 // Inc adds one to the counter.
@@ -39,8 +43,15 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // floc:hotpath
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value returns the current count: what Inc and Add put in the counter
+// itself plus every cell.
+func (c *Counter) Value() int64 {
+	n := c.v.Load()
+	for _, cell := range c.cells.all() {
+		n += cell.v.Load()
+	}
+	return n
+}
 
 // Gauge is a float64 metric that can go up and down. All methods are safe
 // for concurrent use and allocation-free.
@@ -58,12 +69,14 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Histogram is a fixed-bucket histogram with the Prometheus cumulative
 // bucket convention: bucket i counts observations <= bounds[i], with an
 // implicit +Inf bucket at the end. Observe is safe for concurrent use and
-// allocation-free.
+// allocation-free; a writer that would otherwise share the histogram with
+// another per event takes a Cell. Every reader adds the cells in.
 type Histogram struct {
 	bounds  []float64 // sorted upper bounds, exclusive of +Inf
 	counts  []atomic.Int64
 	sumBits atomic.Uint64 // CAS-updated float64 running sum
 	n       atomic.Int64
+	cells   cellList[HistogramCell]
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -75,8 +88,7 @@ func newHistogram(bounds []float64) *Histogram {
 // Observe records one sample.
 // floc:hotpath
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
+	h.counts[bucket(h.bounds, v)].Add(1)
 	h.n.Add(1)
 	for {
 		old := h.sumBits.Load()
@@ -97,14 +109,34 @@ func (h *Histogram) Counts() []int64 {
 	for i := range h.counts {
 		out[i] = h.counts[i].Load()
 	}
+	for _, cell := range h.cells.all() {
+		for i := range cell.counts {
+			out[i] += cell.counts[i].Load()
+		}
+	}
 	return out
 }
 
 // Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.n.Load() }
+func (h *Histogram) Count() int64 {
+	n := h.n.Load()
+	for _, cell := range h.cells.all() {
+		for i := range cell.counts {
+			n += cell.counts[i].Load()
+		}
+	}
+	return n
+}
 
-// Sum returns the running sum of observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+// Sum returns the running sum of observed values: the shared sum plus
+// each cell's, in the order the cells were made.
+func (h *Histogram) Sum() float64 {
+	sum := math.Float64frombits(h.sumBits.Load())
+	for _, cell := range h.cells.all() {
+		sum += math.Float64frombits(cell.sumBits.Load())
+	}
+	return sum
+}
 
 // metricKind discriminates the exposition families; the text encoder
 // switches over it and must render every kind.

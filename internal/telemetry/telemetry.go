@@ -66,6 +66,13 @@ func (t *Telemetry) Emit(e Event) {
 	t.emit(e)
 }
 
+// Journals reports whether an emitted event would reach a ring or a
+// sink. A producer that emits per packet asks before it builds the
+// event, so a pipeline with only a registry attached constructs nothing
+// for Emit to discard. t must not be nil.
+// floc:hotpath
+func (t *Telemetry) Journals() bool { return t.Trace != nil || t.Sink != nil }
+
 // floc:hotpath
 func (t *Telemetry) emit(e Event) {
 	if t.Trace != nil {

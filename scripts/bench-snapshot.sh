@@ -5,6 +5,9 @@
 #
 # Families captured:
 #   router_enqueue       BenchmarkFLocRouterEnqueue       ns/op (admission path)
+#   router_enqueue_telemetry
+#                        BenchmarkFLocRouterEnqueueTelemetry ns/op (the same
+#                        path with what flocd attaches: a registry, no ring)
 #   router_enqueue_batch BenchmarkFLocRouterEnqueueBatch  ns/op at batch
 #                        16/64/256 (handle-stamped batched admission)
 #   dataplane_sharded    BenchmarkDataplaneEnqueueSharded ns/op and Mpps at
@@ -53,6 +56,7 @@ bench() { # bench <pkg> <regexp>
 }
 
 router=$(bench . '^BenchmarkFLocRouterEnqueue$')
+routertel=$(bench . '^BenchmarkFLocRouterEnqueueTelemetry$')
 batch=$(bench . '^BenchmarkFLocRouterEnqueueBatch$')
 sharded=$(bench ./internal/dataplane '^BenchmarkDataplaneEnqueueSharded$')
 filter=$(bench ./internal/dropfilter '^BenchmarkFilterUpdate$')
@@ -104,6 +108,8 @@ best_by() {
     printf '  "benchmarks": {\n'
     printf '    "router_enqueue": {"bench": "BenchmarkFLocRouterEnqueue", "ns_per_op": %s},\n' \
         "$(best_ns "$router")"
+    printf '    "router_enqueue_telemetry": {"bench": "BenchmarkFLocRouterEnqueueTelemetry", "ns_per_op": %s},\n' \
+        "$(best_ns "$routertel")"
     printf '    "router_enqueue_batch": [\n'
     best_by "$batch" '/batch[0-9]+' 6 | awk '
         { lines[++n] = sprintf("      {\"batch\": %s, \"ns_per_op\": %s}", $1, $2) }

@@ -17,8 +17,9 @@
 #                per-rule finding counts resurface in the final summary
 #   alloc-gate   testing.AllocsPerRun gates asserting 0 allocs/op on the
 #                //floc:hotpath functions reachable without I/O (wire
-#                codec, dropfilter ops, router admission, dataplane ring)
-#                and on the loopback socket cycle of internal/udpbatch
+#                codec, dropfilter ops, router admission, dataplane ring,
+#                telemetry cells) and on the loopback socket cycle of
+#                internal/udpbatch
 #   bench-smoke  the repo benchmark still builds against this tree and runs:
 #                (cd benchmark && go vet ./...), then
 #                bash benchmark/run.sh -quick -trace 0 on replay_mix and
@@ -151,7 +152,7 @@ begin alloc-gate
 # agree with the static rule that the annotated paths are allocation-free.
 run go test -count=1 -run '^TestZeroAlloc' \
     ./internal/wire ./internal/dropfilter ./internal/core ./internal/dataplane \
-    ./internal/udpbatch
+    ./internal/udpbatch ./internal/telemetry
 end
 
 begin bench-smoke
@@ -263,7 +264,7 @@ run go build -o "$ledger_tmp/flocd" ./cmd/flocd
 run go build -o "$ledger_tmp/floctrace" ./cmd/floctrace
 run "$ledger_tmp/flocd" -gen 20000 -out "$ledger_tmp/capture.ndjson"
 run "$ledger_tmp/flocd" -replay "$ledger_tmp/capture.ndjson" -shards 2 \
-    -trace 65536 -ledger "$ledger_tmp/ledger"
+    -ledger "$ledger_tmp/ledger"
 run "$ledger_tmp/floctrace" verify -ledger "$ledger_tmp/ledger"
 run "$ledger_tmp/floctrace" replay -ledger "$ledger_tmp/ledger"
 rm -rf "$ledger_tmp"
