@@ -224,3 +224,22 @@ func TestZeroAllocControlRunSteadyState(t *testing.T) {
 		t.Fatalf("a cycle of three control runs that expires and re-creates %d flows allocates %.1f objects, want 0", nPaths, churn)
 	}
 }
+
+// TestZeroAllocPrefetch gates the read-ahead pass: its scratch stays on
+// the stack, for a batch of one window as for one of several, and in
+// capability mode, where it looks slots up and must never issue one.
+func TestZeroAllocPrefetch(t *testing.T) {
+	for _, nmax := range []int{0, 4} {
+		fx := newControlFixture(t, 64, 16, func(c *Config) { c.NMax = nmax })
+		items := make([]BatchItem, 0, 200)
+		for i := 0; len(items) < cap(items); i += 5 {
+			items = append(items, BatchItem{Pkt: &fx.pkts[i], At: fx.now})
+		}
+		var warm uint64
+		for _, batch := range [][]BatchItem{items[:prefetchWindow], items} {
+			if avg := testing.AllocsPerRun(100, func() { warm ^= fx.r.Prefetch(batch) }); avg != 0 {
+				t.Fatalf("NMax %d: Prefetch of %d items allocates %.1f times per call, want 0", nmax, len(batch), avg)
+			}
+		}
+	}
+}

@@ -127,10 +127,18 @@ func (r *Router) expirePath(ps *pathState, now float64) {
 		if now-fs.lastSeen > timeout {
 			return false
 		}
-		fs.admittedRate = 0.5*(fs.admitted/interval) + 0.5*fs.admittedRate
-		fs.arrivedRate = 0.5*(fs.arrived/interval) + 0.5*fs.arrivedRate
-		fs.admitted = 0
-		fs.arrived = 0
+		if fs.arrived == 0 && fs.admitted == 0 {
+			// Silent this interval, as most flows of a large population
+			// are: rollRate(0, x, interval) is 0.5*x to the bit for
+			// x >= +0, without the division.
+			fs.admittedRate *= 0.5
+			fs.arrivedRate *= 0.5
+		} else {
+			fs.admittedRate = rollRate(fs.admitted, fs.admittedRate, interval)
+			fs.arrivedRate = rollRate(fs.arrived, fs.arrivedRate, interval)
+			fs.admitted = 0
+			fs.arrived = 0
+		}
 		// Escalate penalties for flows that keep over-subscribing
 		// their fair share; relax as soon as they respond.
 		if escalate {
@@ -145,6 +153,16 @@ func (r *Router) expirePath(ps *pathState, now float64) {
 	r.tally.live += ps.flows.len()
 }
 
+// rollRate folds one control interval's token count into a flow's
+// smoothed rate.
+// floc:unit tokens tokens
+// floc:unit rate tokens/s
+// floc:unit interval seconds
+// floc:unit return tokens/s
+func rollRate(tokens, rate, interval float64) float64 {
+	return 0.5*(tokens/interval) + 0.5*rate
+}
+
 // classifyPath counts a path's attack flows via the drop filter and
 // advances its conformance EWMA (Eq. IV.6).
 //
@@ -152,13 +170,16 @@ func (r *Router) expirePath(ps *pathState, now float64) {
 // floc:unit now seconds
 func (r *Router) classifyPath(ps *pathState, now float64) {
 	eff := ps.effective()
-	fair, epoch, k := r.fairShare(eff), r.epoch(eff), r.filterK(eff)
+	fair, k := r.fairShare(eff), r.filterK(eff)
+	// One instant and one epoch for the whole path: quantized here, not
+	// per flow inside the filter.
+	nowTicks, epochTicks := r.filter.Ticks(now), r.filter.Ticks(r.epoch(eff))
 	traced := telemetry.Compiled && r.tel != nil
 	attack := 0
 	flows := ps.flows.all()
 	for i := range flows {
 		fs := &flows[i]
-		st := r.filter.Query(fs.hash, now, epoch, k)
+		st := r.filter.QueryTicks(fs.hash, nowTicks, epochTicks, k)
 		// A flow is an attack flow if its drop record shows excess
 		// drops (Section IV-B.2) or its offered rate persistently
 		// exceeds its fair share (the signal Eq. IV.5's bound acts
@@ -498,9 +519,9 @@ func (r *Router) DistinctDroppedFlows(pathKey string, now float64) (distinct int
 		return 0, 0
 	}
 	eff := ps.effective()
-	epoch, k := r.epoch(eff), r.filterK(eff)
+	nowTicks, epochTicks, k := r.filter.Ticks(now), r.filter.Ticks(r.epoch(eff)), r.filterK(eff)
 	for _, fs := range ps.flows.all() {
-		st := r.filter.Query(fs.hash, now, epoch, k)
+		st := r.filter.QueryTicks(fs.hash, nowTicks, epochTicks, k)
 		if st.TS > 0 || st.D > 0 {
 			distinct++
 		}

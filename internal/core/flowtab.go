@@ -38,6 +38,11 @@ type flowTable struct {
 	states []flowState // live flows, dense; cap == flowCapacity(len(slots))
 }
 
+// home returns the position of hash's home slot, where every probe for it
+// starts. The table must have slots, which a table with a live flow has.
+// floc:hotpath
+func (t *flowTable) home(hash uint64) uint64 { return hash & uint64(len(t.slots)-1) }
+
 // get returns the flow's state, or nil. The pointer is into the slab: it
 // is valid until the next put or expire on this table. A probe reads
 // slots only; the slab line is first touched by the caller.
@@ -47,7 +52,7 @@ func (t *flowTable) get(hash uint64, key flowKey) *flowState {
 		return nil
 	}
 	mask := uint64(len(t.slots) - 1)
-	for i := hash & mask; ; i = (i + 1) & mask {
+	for i := t.home(hash); ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		if s.idx == 0 {
 			return nil

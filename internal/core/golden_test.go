@@ -36,7 +36,7 @@ func TestControlLoopGolden(t *testing.T) {
 	for _, sc := range goldenScenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			got, cov := runGolden(t, sc)
+			got, cov := runGolden(t, sc, false)
 			if err := sc.covered(cov); err != "" {
 				t.Fatalf("trace no longer exercises what it was written for: %s (%+v)", err, cov)
 			}
@@ -100,7 +100,12 @@ func (s hashSink) Emit(e telemetry.Event) {
 	s.h.Write([]byte{'\n'})
 }
 
-func runGolden(t *testing.T, sc goldenScenario) (string, goldenCoverage) {
+// runGolden drives sc's trace through a fresh router and returns the
+// digest. Each 2 ms step's packets share one arrival time, so they are
+// collected first and then enqueued in order — which is all that
+// TestControlLoopGolden has ever done — and with prefetch set the router
+// reads ahead over each step's batch first, as a shard worker does.
+func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCoverage) {
 	t.Helper()
 	// 8 Mb/s of 1000-byte packets = 1000 pkt/s: two services per 2 ms step.
 	cfg := DefaultConfig(8e6, 100)
@@ -136,12 +141,14 @@ func runGolden(t *testing.T, sc goldenScenario) (string, goldenCoverage) {
 	const dt = 0.002
 	steps := int(sc.seconds / dt)
 	opened := make([]bool, len(sc.sources))
+	var batch []BatchItem
 	var cov goldenCoverage
 	prevFlows := map[string]int{}
 	id := uint64(0)
 	now := 0.0
 	for step := 0; step < steps; step++ {
 		now += dt
+		batch = batch[:0]
 		for i := range sc.sources {
 			s := &sc.sources[i]
 			active := (now >= s.start && now < s.stop) || (s.restart > 0 && now >= s.restart)
@@ -170,8 +177,14 @@ func runGolden(t *testing.T, sc goldenScenario) (string, goldenCoverage) {
 						opened[i] = true
 					}
 				}
-				r.Enqueue(pkt, now)
+				batch = append(batch, BatchItem{Pkt: pkt, At: now})
 			}
+		}
+		if prefetch {
+			r.Prefetch(batch)
+		}
+		for _, it := range batch {
+			r.Enqueue(it.Pkt, it.At)
 		}
 		for i := 0; i < 2; i++ {
 			if r.Dequeue(now) == nil {

@@ -150,7 +150,8 @@ func (c Config) validate() error {
 type Stats struct {
 	// Accepted counts packets that entered a shard ring.
 	Accepted int64 //floc:unit packets
-	// RingDrops counts packets dropped because a ring was full.
+	// RingDrops counts packets dropped because a ring was full, or because
+	// the engine closed while a producer was still handing them in.
 	RingDrops int64 //floc:unit packets
 	// Processed counts packets the workers ran through admission.
 	Processed int64 //floc:unit packets
@@ -226,6 +227,7 @@ type shard struct {
 
 	// Worker-owned state below; never touched by producers.
 	buf       []core.BatchItem
+	warm      uint64               // fold of what Prefetch read; never read back
 	free      float64              //floc:unit seconds
 	rateBytes float64              //floc:unit bytes/s
 	egress    PacketSink           // nil = no forwarding
@@ -367,9 +369,11 @@ func (e *Engine) shardFor(pkt *netsim.Packet) int {
 }
 
 // Enqueue hands a packet to its shard. It returns true when the packet
-// entered the ring; false means the ring was full and the packet was
-// dropped (counted in Stats and telemetry) or the engine is closed. With
-// BlockOnFull the full case yields and retries instead. The packet must
+// entered the ring. False means one of two things. The ring was full: the
+// packet is dropped, and counted in Stats and telemetry; with BlockOnFull
+// Enqueue yields and retries instead, and drops and counts only if the
+// engine closes while it does. Or the engine was already closed when
+// Enqueue was called: that only the return value reports. The packet must
 // not be mutated after a successful Enqueue.
 // floc:unit now seconds
 // floc:hotpath
@@ -390,21 +394,30 @@ func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
 }
 
 // ringFull is the full-ring policy, for one packet that found no free
-// slot in sh's ring. It reports whether to try that packet again: never
-// without BlockOnFull — the packet is dropped and counted — and otherwise
-// after waking the worker and yielding to it, until the engine closes.
+// slot in sh's ring. It reports whether to try that packet again. Without
+// BlockOnFull it never does; with it, it wakes the worker and yields to
+// it, and says yes until the engine closes. A no is a packet dropped, and
+// counted here.
 // floc:hotpath
 func (e *Engine) ringFull(sh *shard) (retry bool) {
-	if !e.cfg.BlockOnFull {
-		sh.ringDrops.Add(1)
-		if sh.dropCtr != nil {
-			sh.dropCtr.Inc()
+	if e.cfg.BlockOnFull {
+		sh.ringWake()
+		runtime.Gosched()
+		if !e.closed.Load() {
+			return true
 		}
-		return false
 	}
-	sh.ringWake()
-	runtime.Gosched()
-	return !e.closed.Load()
+	sh.countRingDrops(1)
+	return false
+}
+
+// countRingDrops counts n packets dropped at sh's ring.
+// floc:hotpath
+func (sh *shard) countRingDrops(n int) {
+	sh.ringDrops.Add(int64(n))
+	if sh.dropCtr != nil {
+		sh.dropCtr.Add(int64(n))
+	}
 }
 
 // burstRun is how many packets a Burst buffers per shard before it hands
@@ -460,15 +473,18 @@ func (b *Burst) Flush() {
 
 // flushRun moves shard i's run into its ring, as many packets per claim
 // as the ring has room for. A packet that finds the ring full meets the
-// same policy as in Engine.Enqueue.
+// same policy as in Engine.Enqueue; what is still buffered when the engine
+// closes is dropped and counted with the ring's drops, since nobody is
+// left to tell.
 // floc:hotpath
 func (b *Burst) flushRun(i int) {
 	sh, items := b.e.shards[i], b.runs[i]
 	b.runs[i] = items[:0]
-	if b.e.closed.Load() {
-		return
-	}
 	for len(items) > 0 {
+		if b.e.closed.Load() {
+			sh.countRingDrops(len(items))
+			return
+		}
 		if n := sh.ring.tryEnqueueBurst(items); n > 0 {
 			items = items[n:]
 			sh.accepted.Add(int64(n))
@@ -535,19 +551,22 @@ func (sh *shard) run() {
 	}
 }
 
-// process admits one batch. The router's virtual transmitter is serviced
-// up to each packet's own arrival time before that packet is admitted,
-// the way the simulator's event loop interleaves enqueues and dequeues, so
-// the queue a packet meets depends on the arrivals before it and on
-// nothing else — in particular not on where dequeueBatch happened to cut
-// the stream, which is what makes a replay reproducible (DESIGN.md
-// "Service order").
+// process admits one batch. The router first reads ahead, for the whole
+// batch, the state the packets are about to need (core.Router.Prefetch:
+// read-only, so it decides nothing). Then, packet by packet, the router's
+// virtual transmitter is serviced up to each packet's own arrival time
+// before that packet is admitted, the way the simulator's event loop
+// interleaves enqueues and dequeues, so the queue a packet meets depends
+// on the arrivals before it and on nothing else — in particular not on
+// where dequeueBatch happened to cut the stream, which is what makes a
+// replay reproducible (DESIGN.md "The worker loop").
 // floc:hotpath
 func (sh *shard) process(items []core.BatchItem) {
 	var start time.Time
 	if sh.latHist != nil {
 		start = time.Now() //floclint:allow sim-time wall-clock batch latency is exactly what the health histogram measures
 	}
+	sh.warm ^= sh.router.Prefetch(items)
 	for i := range items {
 		it := &items[i]
 		sh.serve(it.At)

@@ -295,10 +295,62 @@ func TestBackpressureAccounting(t *testing.T) {
 		if e.Enqueue(&netsim.Packet{Size: 1, Kind: netsim.KindUDP}, 0) {
 			t.Fatal("Enqueue accepted a packet after Close")
 		}
+		// A Burst cannot tell its caller, so what it still holds when the
+		// engine is closed is counted as dropped at the ring.
 		b.Enqueue(&netsim.Packet{Size: 1, Kind: netsim.KindUDP}, 0)
 		b.Flush()
-		if after := e.Stats(); after != st {
-			t.Fatalf("a burst flushed after Close moved the counters: %+v -> %+v", st, after)
+		want := st
+		want.RingDrops++
+		if after := e.Stats(); after != want {
+			t.Fatalf("burst=%v: one packet flushed after Close: stats %+v -> %+v, want %+v", burst, st, after, want)
+		}
+		if got := reg.CounterValue(`floc_dataplane_ring_full_drops_total{shard="0"}`); got != want.RingDrops {
+			t.Fatalf("burst=%v: telemetry ring-drop counter %d != stats %d after Close", burst, got, want.RingDrops)
+		}
+	}
+}
+
+// TestBurstCountsWhatCloseDiscards: a producer that is still handing
+// packets to a Burst when the engine closes — in mid-run, yielding on a
+// full ring under BlockOnFull, or arriving afterwards — loses none of
+// them uncounted.
+func TestBurstCountsWhatCloseDiscards(t *testing.T) {
+	for _, block := range []bool{false, true} {
+		reg := telemetry.NewRegistry()
+		e, err := New(Config{Router: testRouterConfig(), Shards: 2, RingSize: 8, BlockOnFull: block, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const handed = 50_000
+		loaded, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			b := e.NewBurst()
+			for i := 0; i < handed; i++ {
+				if i == handed/10 {
+					close(loaded)
+				}
+				path := pathid.New(pathid.ASN(i%8), 1)
+				b.Enqueue(&netsim.Packet{ID: uint64(i), Src: 1, Dst: 2, Size: 1000,
+					Kind: netsim.KindUDP, Path: path, PathKey: path.Key()}, float64(i)*1e-5)
+			}
+			b.Flush()
+		}()
+		<-loaded
+		e.Close()
+		<-done
+		st := e.Stats()
+		if st.Accepted+st.RingDrops != handed {
+			t.Fatalf("block=%v: accepted %d + ring drops %d != %d packets handed to Enqueue",
+				block, st.Accepted, st.RingDrops, handed)
+		}
+		if st.Accepted == 0 || st.RingDrops == 0 {
+			t.Fatalf("block=%v: accepted %d, dropped %d: the engine did not close under load", block, st.Accepted, st.RingDrops)
+		}
+		counted := reg.CounterValue(`floc_dataplane_ring_full_drops_total{shard="0"}`) +
+			reg.CounterValue(`floc_dataplane_ring_full_drops_total{shard="1"}`)
+		if counted != st.RingDrops {
+			t.Fatalf("block=%v: telemetry ring-drop counters %d != stats %d", block, counted, st.RingDrops)
 		}
 	}
 }

@@ -1,0 +1,109 @@
+package dataplane
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"strings"
+	"testing"
+
+	"floc/internal/core"
+	"floc/internal/netsim"
+	"floc/internal/pathid"
+	"floc/internal/rng"
+	"floc/internal/telemetry"
+)
+
+// replayMixDigest drives the repo benchmark's replay_mix in miniature —
+// 64 paths of 8 flows, the last 16 attacking at eight packets a round to
+// the others' one, rounds freshly shuffled, 60 000 handle-stamped packets
+// at twice the link rate — through a 2-shard engine from one Burst, and
+// folds what the run leaves behind into a digest: the merged snapshot and
+// every counter and histogram series the shard routers wrote. Gauges
+// (last writer wins across shards) and the engine's wall-clock health
+// series are left out; nothing else depends on how the workers were
+// scheduled.
+func replayMixDigest(t *testing.T) string {
+	t.Helper()
+	rc := core.DefaultConfig(80e6, 256) // 10 000 packets/s
+	rc.Seed = 42
+	reg := telemetry.NewRegistry()
+	e, err := New(Config{Router: rc, Shards: 2, BlockOnFull: true, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	const nPaths, flowsPer, packets, gap = 64, 8, 60_000, 50e-6
+	paths := make([]pathid.PathID, nPaths)
+	handles := make([]uint32, nPaths)
+	var round []int
+	for p := range paths {
+		paths[p] = pathid.New(pathid.ASN(10000+p), pathid.ASN(100+p%8), 1)
+		handles[p] = e.InternPath(paths[p])
+		reps := 1
+		if p >= nPaths-nPaths/4 {
+			reps = 8
+		}
+		for i := 0; i < reps; i++ {
+			round = append(round, p)
+		}
+	}
+	src := rng.New(7)
+	b := e.NewBurst()
+	for i, next := 0, len(round); i < packets; i, next = i+1, next+1 {
+		if next == len(round) {
+			src.Shuffle(len(round), func(i, j int) { round[i], round[j] = round[j], round[i] })
+			next = 0
+		}
+		p := round[next]
+		b.Enqueue(&netsim.Packet{
+			ID: uint64(i), Src: 0x0a000000 | uint32(p)<<8 | uint32(src.Intn(flowsPer)), Dst: 0xc0a80001,
+			Size: 1000, Kind: netsim.KindUDP, Path: paths[p], PathHandle: handles[p],
+		}, float64(i)*gap)
+	}
+	b.Flush()
+	e.Advance(packets*gap + 1)
+
+	snap := e.Snapshot()
+	if snap.Arrived != packets || snap.Drops["preferential"] == 0 || snap.Drops["no-token"] == 0 {
+		t.Fatalf("the replay does not reach the attack-path policy: %+v", snap)
+	}
+	h := sha256.New()
+	fmt.Fprintf(h, "%+v\n", snap)
+	var text strings.Builder
+	if err := reg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	gauges := map[string]bool{}
+	for lines := bufio.NewScanner(strings.NewReader(text.String())); lines.Scan(); {
+		line := lines.Text()
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && f[3] == "gauge" {
+			gauges[f[2]] = true
+		}
+		name, _, _ := strings.Cut(strings.TrimPrefix(strings.TrimPrefix(line, "# HELP "), "# TYPE "), " ")
+		name, _, _ = strings.Cut(name, "{")
+		if gauges[name] || strings.HasPrefix(name, "floc_dataplane_") || name == "floc_build_info" {
+			continue
+		}
+		fmt.Fprintln(h, line)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// replayMixRecorded is replayMixDigest at ae83768, the last commit whose
+// shard workers admitted a batch without reading ahead over it first.
+const replayMixRecorded = "6ac64182500eabb73fcfdd2ce6e22aa22d771e7b09c4d744ac884f2bc50167b8"
+
+// TestPrefetchIsInvisible: a shard worker that calls Router.Prefetch on
+// every batch it drains leaves exactly what one that does not leaves —
+// wherever the ring happened to cut the batches, run after run.
+func TestPrefetchIsInvisible(t *testing.T) {
+	needTelemetry(t)
+	for run := 0; run < 3; run++ {
+		if got := replayMixDigest(t); got != replayMixRecorded {
+			t.Fatalf("run %d: digest %s, want %s (recorded before Prefetch existed)", run, got, replayMixRecorded)
+		}
+	}
+}

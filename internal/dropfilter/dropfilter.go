@@ -148,6 +148,17 @@ func (f *Filter) blockBase(h uint64) uint64 {
 	return (h & f.mask) * uint64(f.cfg.Arrays)
 }
 
+// Peek reads both ends of flow h's record block — the memory a Query or
+// RecordDrop for h starts from — and returns a fold of what it read. It
+// writes nothing and counts nothing: callers use it to pull the block
+// into cache ahead of the operation that needs it.
+//
+// floc:hotpath
+func (f *Filter) Peek(h uint64) uint64 {
+	base := f.blockBase(h)
+	return uint64(f.recs[base].tl) ^ uint64(f.recs[base+uint64(f.cfg.Arrays)-1].tl)
+}
+
 // arraySpan is the set of arrays a flow touches, as a value: start index,
 // count, and modulus. It replaces a per-operation []int (RecordDrop and
 // Query run per dropped packet, and a heap allocation each was the
@@ -182,11 +193,11 @@ func (f *Filter) arraysFor(h uint64, k int) arraySpan {
 	return arraySpan{start: int((h >> 17) % uint64(m)), n: k, m: m}
 }
 
-// ticks quantizes a time in seconds to filter ticks.
+// Ticks quantizes a time in seconds to filter ticks.
 // floc:unit now seconds
 //
 // floc:hotpath
-func (f *Filter) ticks(now float64) uint32 {
+func (f *Filter) Ticks(now float64) uint32 {
 	if now <= 0 {
 		return 0
 	}
@@ -246,8 +257,8 @@ func (f *Filter) RecordDrop(h uint64, now, epoch float64, k int, weight uint32) 
 	if weight < 1 {
 		weight = 1
 	}
-	nowTicks := f.ticks(now)
-	epochTicks := f.ticks(epoch)
+	nowTicks := f.Ticks(now)
+	epochTicks := f.Ticks(epoch)
 	if epochTicks == 0 {
 		epochTicks = 1
 	}
@@ -340,9 +351,16 @@ func (s State) PrefDropProb() float64 {
 //
 // floc:hotpath
 func (f *Filter) Query(h uint64, now, epoch float64, k int) State {
+	return f.QueryTicks(h, f.Ticks(now), f.Ticks(epoch), k)
+}
+
+// QueryTicks is Query with the time and the congestion epoch already in
+// ticks (see Ticks), for callers that query many flows of one path at one
+// instant and quantize once.
+//
+// floc:hotpath
+func (f *Filter) QueryTicks(h uint64, nowTicks, epochTicks uint32, k int) State {
 	f.queryOps++
-	nowTicks := f.ticks(now)
-	epochTicks := f.ticks(epoch)
 	if epochTicks == 0 {
 		epochTicks = 1
 	}

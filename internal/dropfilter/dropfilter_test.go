@@ -376,3 +376,35 @@ func TestDecayNeverUnderflowsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQueryTicksAndPeek: a caller that quantizes once per path and calls
+// QueryTicks gets what Query returns and is counted like it; Peek, which
+// only pulls a flow's block into cache, is not counted and changes
+// nothing a Query can see.
+func TestQueryTicksAndPeek(t *testing.T) {
+	f := small(t)
+	const epoch = 0.37
+	for i := uint32(0); i < 200; i++ {
+		for d := uint32(0); d <= i%7; d++ {
+			f.RecordDrop(FlowHash(i, 9), 1+0.01*float64(d), epoch, int(i%3), 1)
+		}
+	}
+	records, queries := f.Counters()
+	live := f.Live()
+	for i := uint32(0); i < 400; i++ {
+		f.Peek(FlowHash(i, 9))
+	}
+	if r, q := f.Counters(); r != records || q != queries || f.Live() != live {
+		t.Fatalf("Peek moved the counters: %d/%d/%d -> %d/%d/%d", records, queries, live, r, q, f.Live())
+	}
+	for i := uint32(0); i < 400; i++ {
+		h, now, k := FlowHash(i, 9), 1+0.013*float64(i), int(i%3)
+		want := f.Query(h, now, epoch, k)
+		if got := f.QueryTicks(h, f.Ticks(now), f.Ticks(epoch), k); got != want {
+			t.Fatalf("flow %d at %v: QueryTicks %+v, Query %+v", i, now, got, want)
+		}
+	}
+	if _, q := f.Counters(); q != queries+800 {
+		t.Fatalf("800 queries counted as %d", q-queries)
+	}
+}

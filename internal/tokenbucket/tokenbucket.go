@@ -70,6 +70,7 @@ func (b *Bucket) SetParams(period, size float64) error {
 
 // Period returns the configured token generation period.
 // floc:unit return seconds
+// floc:hotpath
 func (b *Bucket) Period() float64 { return b.period }
 
 // Size returns the configured tokens per period.
@@ -180,6 +181,7 @@ func (b *Bucket) Stats() (requested, denied float64, periods int) {
 // ResetStats), completing the requested = granted + denied ledger for
 // telemetry.
 // floc:unit return tokens
+// floc:hotpath
 func (b *Bucket) TotalGranted() float64 { return b.totalGranted }
 
 // ResetStats zeroes the cumulative counters, e.g. at the start of a

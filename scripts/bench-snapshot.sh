@@ -8,6 +8,13 @@
 #   router_enqueue_telemetry
 #                        BenchmarkFLocRouterEnqueueTelemetry ns/op (the same
 #                        path with what flocd attaches: a registry, no ring)
+#   router_admit_ws      BenchmarkAdmitWorkingSet         ns/op (what a shard
+#                        worker does per packet at replay_mix's working set,
+#                        65 536 flows on 4 096 paths: prefetch_ns_per_op
+#                        with Router.Prefetch ahead of each 64-packet batch,
+#                        as the worker runs, plain_ns_per_op without.
+#                        Reported, not gated: perfgate compares "ns_per_op",
+#                        which the family does not have)
 #   router_enqueue_batch BenchmarkFLocRouterEnqueueBatch  ns/op at batch
 #                        16/64/256 (handle-stamped batched admission)
 #   dataplane_sharded    BenchmarkDataplaneEnqueueSharded ns/op and Mpps at
@@ -57,6 +64,7 @@ bench() { # bench <pkg> <regexp>
 
 router=$(bench . '^BenchmarkFLocRouterEnqueue$')
 routertel=$(bench . '^BenchmarkFLocRouterEnqueueTelemetry$')
+admitws=$(bench ./internal/core '^BenchmarkAdmitWorkingSet$')
 batch=$(bench . '^BenchmarkFLocRouterEnqueueBatch$')
 sharded=$(bench ./internal/dataplane '^BenchmarkDataplaneEnqueueSharded$')
 filter=$(bench ./internal/dropfilter '^BenchmarkFilterUpdate$')
@@ -110,6 +118,9 @@ best_by() {
         "$(best_ns "$router")"
     printf '    "router_enqueue_telemetry": {"bench": "BenchmarkFLocRouterEnqueueTelemetry", "ns_per_op": %s},\n' \
         "$(best_ns "$routertel")"
+    printf '    "router_admit_ws": {"bench": "BenchmarkAdmitWorkingSet", "prefetch_ns_per_op": %s, "plain_ns_per_op": %s},\n' \
+        "$(best_ns "$(printf '%s\n' "$admitws" | grep '/prefetch')")" \
+        "$(best_ns "$(printf '%s\n' "$admitws" | grep '/plain')")"
     printf '    "router_enqueue_batch": [\n'
     best_by "$batch" '/batch[0-9]+' 6 | awk '
         { lines[++n] = sprintf("      {\"batch\": %s, \"ns_per_op\": %s}", $1, $2) }

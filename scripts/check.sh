@@ -17,9 +17,9 @@
 #                per-rule finding counts resurface in the final summary
 #   alloc-gate   testing.AllocsPerRun gates asserting 0 allocs/op on the
 #                //floc:hotpath functions reachable without I/O (wire
-#                codec, dropfilter ops, router admission, dataplane ring,
-#                telemetry cells) and on the loopback socket cycle of
-#                internal/udpbatch
+#                codec, dropfilter ops, router admission and its
+#                read-ahead pass, dataplane ring, telemetry cells) and on
+#                the loopback socket cycle of internal/udpbatch
 #   bench-smoke  the repo benchmark still builds against this tree and runs:
 #                (cd benchmark && go vet ./...), then
 #                bash benchmark/run.sh -quick -trace 0 on replay_mix and
