@@ -8,7 +8,9 @@
 // Live mode — one datagram per wire header, arrival-stamped on receipt.
 // Both sockets move datagrams in vectors (package udpbatch): up to 64 per
 // recvmmsg on -listen, and on -forward one sendmmsg per burst, flushed
-// whenever a shard worker runs out of work:
+// whenever a shard runs out of work. A read that drains the socket admits
+// and forwards its batch on the reader goroutine; full reads hand off to
+// the shard workers:
 //
 //	flocd -listen :9000 -metrics :9100 -link 100e6 -capacity 512
 //
@@ -311,10 +313,9 @@ func newEngine(cfg dataplane.Config) (*dataplane.Engine, error) {
 	return dataplane.New(cfg)
 }
 
-// finish drains the engine, emits the requested end-of-run reports, and
-// returns the merged final snapshot.
+// finish takes the final snapshot — itself a drain barrier on every
+// shard — emits the requested end-of-run reports, and returns it.
 func finish(e *dataplane.Engine, reg *telemetry.Registry, snapshot, printMet bool) core.Snapshot {
-	e.Drain()
 	snap := e.Snapshot()
 	e.Close()
 	if snapshot {
@@ -422,15 +423,17 @@ func serveMux(reg *telemetry.Registry, h *health, withPprof bool) *http.ServeMux
 // stays allocation-light. Malformed capture lines are counted and
 // skipped, not fatal: one bad line should not void a long replay. The
 // count is returned for the run summary and published per error kind as
-// floc_capture_malformed_lines_total. Every packet read has entered its
-// ring by the time replayCapture returns, so the caller's Advance covers
-// them all.
+// floc_capture_malformed_lines_total. Mid-stream the burst hands full runs
+// to the rings and the shard workers admit beside the parse; at end of
+// capture the producer quiesces, so every packet read has been processed
+// or has entered its ring by the time replayCapture returns, and the
+// caller's Advance covers them all.
 // floc:unit end seconds
 func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n int, malformed int64, end float64, err error) {
 	cr := wire.NewCaptureReader(r)
 	cr.SkipMalformed(true)
 	p := newProducer(e)
-	defer p.burst.Flush()
+	defer p.burst.Quiesce()
 	var h wire.Header
 	for {
 		t, err := cr.Next(&h)
@@ -533,7 +536,13 @@ var batchBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 // serveUDP reads one wire header per datagram, up to udpbatch.MaxBatch
 // datagrams per syscall, until the connection is closed, then serves the
 // virtual transmitter up to the closing instant, so packets admitted and
-// still queued are forwarded, not stranded. A datagram Decode rejects, or
+// still queued are forwarded, not stranded. A vector that came back short
+// means the socket is drained and the next read will block: the reader
+// quiesces, processing the batch itself on every shard whose worker is
+// parked (dataplane.Burst.Quiesce). A full vector means more input is
+// queued: it hands the batch to the rings and keeps reading, and the
+// worker pipeline re-forms by itself under overload. Either way nothing
+// stays buffered across a read. A datagram Decode rejects, or
 // one that holds more than its one header, is discarded and counted by
 // error kind. Arrival times are wall-clock seconds since start, taken per
 // datagram as it is ingested — the instant the router sees it — not per
@@ -557,9 +566,6 @@ func serveUDP(conn net.PacketConn, e *dataplane.Engine, reg *telemetry.Registry,
 	var h wire.Header
 	id := uint64(0)
 	for {
-		// Nothing stays buffered while the read blocks, or behind the
-		// shutdown Advance.
-		p.burst.Flush()
 		n, err := rd.Read()
 		if err != nil {
 			// Closed socket is the clean shutdown path.
@@ -582,6 +588,11 @@ func serveUDP(conn net.PacketConn, e *dataplane.Engine, reg *telemetry.Registry,
 			id++
 			//floclint:allow sim-time live dataplane stamps arrivals from the wall clock
 			p.ingest(&h, id, time.Since(start).Seconds())
+		}
+		if n < udpbatch.MaxBatch {
+			p.burst.Quiesce()
+		} else {
+			p.burst.Flush()
 		}
 	}
 }
@@ -711,11 +722,11 @@ func (t *udpTransport) Close() {
 // forwarded to the next hop's data port, so one daemon's egress becomes
 // another's ingress (the multi-router tree of the cluster harness). Emit
 // only queues the frame; frames leave together, one sendmmsg for up to
-// udpbatch.MaxBatch of them, when the vector fills or a shard worker
-// flushes at quiescence (dataplane.Flusher).
+// udpbatch.MaxBatch of them, when the vector fills or a shard's role
+// holder flushes at quiescence (dataplane.Flusher).
 type udpForwarder struct {
 	conn *net.UDPConn
-	mu   sync.Mutex // shard workers share the one vector
+	mu   sync.Mutex // the shards' role holders share the one vector
 	w    *udpbatch.Writer
 
 	encodeErrs, sendErrs, fallbacks *telemetry.Counter
@@ -749,7 +760,7 @@ func newUDPForwarder(addr string, reg *telemetry.Registry) (*udpForwarder, error
 	}, nil
 }
 
-// Emit implements dataplane.PacketSink. Shard workers call it
+// Emit implements dataplane.PacketSink. The shards' role holders call it
 // concurrently; the mutex covers only the append to the shared vector. A
 // packet that does not encode is counted and dropped.
 // floc:unit now seconds
@@ -772,7 +783,7 @@ func (f *udpForwarder) Emit(pkt *netsim.Packet, now float64) {
 	f.mu.Unlock()
 }
 
-// Flush implements dataplane.Flusher: whatever any worker has queued goes
+// Flush implements dataplane.Flusher: whatever any shard has queued goes
 // out now.
 // floc:hotpath
 func (f *udpForwarder) Flush() {

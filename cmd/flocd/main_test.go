@@ -22,6 +22,7 @@ import (
 	"floc/internal/ledger"
 	"floc/internal/netsim"
 	"floc/internal/pathid"
+	"floc/internal/rng"
 	"floc/internal/telemetry"
 	"floc/internal/wire"
 )
@@ -574,7 +575,8 @@ func TestLiveBatchMetricsExported(t *testing.T) {
 	waitFor(t, "the zero series to be registered", func() bool {
 		text := exposition()
 		for _, want := range []string{"floc_ingest_batch_datagrams_count 0\n",
-			"floc_egress_batch_datagrams_count 0\n", "floc_egress_gso_fallbacks_total 0\n"} {
+			"floc_egress_batch_datagrams_count 0\n", "floc_egress_gso_fallbacks_total 0\n",
+			`floc_dataplane_inline_runs_total{shard="1"} 0` + "\n", `floc_dataplane_worker_wakeups_total{shard="1"} 0` + "\n"} {
 			if !strings.Contains(text, want) {
 				return false
 			}
@@ -821,10 +823,12 @@ func TestTransmitCaptureCountsUnencodableHeaders(t *testing.T) {
 
 // TestBurstFlushedBeforeBarriers: a source's last packets sit in its
 // burst — fewer than one run per shard here, so all of them — until the
-// source flushes, and each source must flush before the Advance that ends
-// it: replayCapture before it returns to the caller that advances,
-// serveUDP before its own shutdown Advance. (Mutation-checked: without
-// either flush the packets never reach a ring and the test fails.)
+// source quiesces, and each source must before the Advance that ends it:
+// replayCapture before it returns to the caller that advances, serveUDP
+// after every short vector and so before its own shutdown Advance.
+// (Mutation-checked: without either quiesce the packets never reach a
+// shard and the test fails.) On a lightly loaded socket the reader finds
+// the workers parked and admits what it read itself.
 func TestBurstFlushedBeforeBarriers(t *testing.T) {
 	const packets = 40
 	t.Run("replay", func(t *testing.T) {
@@ -839,17 +843,24 @@ func TestBurstFlushedBeforeBarriers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := e.Stats().Accepted; got != packets {
+			t.Fatalf("replayCapture returned with %d of %d packets handed to the shards", got, packets)
+		}
 		e.Advance(end)
 		if got := e.Snapshot().Arrived; got != packets {
 			t.Fatalf("router saw %d of %d replayed packets behind the Advance", got, packets)
 		}
 	})
 	t.Run("live", func(t *testing.T) {
-		send, _, e, sink, stop := liveDaemon(t)
+		send, reg, e, sink, stop := liveDaemon(t)
 		for i := 0; i < packets; i++ {
 			send(testFrame(t, uint32(i)))
+			// One datagram at a time: every vector comes back short.
+			waitFor(t, "the datagram to be processed", func() bool { return e.Stats().Processed == int64(i+1) })
 		}
-		waitFor(t, "the datagrams to enter the rings", func() bool { return e.Stats().Accepted == packets })
+		if got := inlineRuns(reg); got == 0 {
+			t.Fatalf("no inline run over %d one-datagram vectors: the reader woke a worker for each", packets)
+		}
 		stop()
 		if got := sink.n.Load(); got != packets {
 			t.Fatalf("egress saw %d of %d packets after the shutdown Advance", got, packets)
@@ -876,16 +887,65 @@ func TestReplayIsDeterministic(t *testing.T) {
 		e.Advance(end)
 		return e.Snapshot()
 	}
-	first, again := replay(), replay()
+	// The same capture through the same producer, cut at seeded random
+	// points by a Flush, by a Quiesce that goes whichever way the workers
+	// allow, or by a Quiesce behind a barrier, which finds them parked: who
+	// admits a run, the worker or the producer, is no more visible than
+	// where the batches were cut.
+	cut := func() core.Snapshot {
+		reg := telemetry.NewRegistry()
+		e := newTestEngine(t, reg, 2)
+		defer e.Close()
+		cr := wire.NewCaptureReader(bytes.NewReader(capture.Bytes()))
+		p, at := newProducer(e), rng.New(5)
+		var h wire.Header
+		n, end := 0, 0.0
+		for {
+			ts, err := cr.Next(&h)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			n++
+			p.ingest(&h, uint64(n), ts)
+			end = ts
+			switch at.Intn(256) {
+			case 0:
+				p.burst.Flush()
+			case 1:
+				p.burst.Quiesce()
+			case 2:
+				e.Drain()
+				p.burst.Quiesce()
+			}
+		}
+		p.burst.Quiesce()
+		if got := inlineRuns(reg); got == 0 {
+			t.Fatal("no run of the cut replay was admitted inline: it compares nothing")
+		}
+		e.Advance(end)
+		return e.Snapshot()
+	}
+	first, again, inline := replay(), replay(), cut()
 	if dropped := first.Arrived - first.Admitted; dropped == 0 {
 		t.Fatal("capture did not congest the link; the test has no teeth")
 	}
-	if first.String() != again.String() {
-		t.Fatalf("two replays of one capture differ:\n%s\n%s", first.String(), again.String())
+	for _, other := range []core.Snapshot{again, inline} {
+		if first.String() != other.String() {
+			t.Fatalf("two replays of one capture differ:\n%s\n%s", first.String(), other.String())
+		}
+		if !reflect.DeepEqual(first.Paths, other.Paths) {
+			t.Fatalf("two replays of one capture differ per path:\n%+v\n%+v", first.Paths, other.Paths)
+		}
 	}
-	if !reflect.DeepEqual(first.Paths, again.Paths) {
-		t.Fatalf("two replays of one capture differ per path:\n%+v\n%+v", first.Paths, again.Paths)
-	}
+}
+
+// inlineRuns sums floc_dataplane_inline_runs_total over a 2-shard engine.
+func inlineRuns(reg *telemetry.Registry) int64 {
+	return reg.CounterValue(`floc_dataplane_inline_runs_total{shard="0"}`) +
+		reg.CounterValue(`floc_dataplane_inline_runs_total{shard="1"}`)
 }
 
 // TestNewEngineRestoresGCPercent: newEngine builds with the collector

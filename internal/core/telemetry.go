@@ -20,7 +20,9 @@ import (
 // so the hot path never takes the registry lock. Every series the router
 // writes per packet, or per path per control run, is a cell of its own:
 // the routers of a sharded engine meter the same series from different
-// workers, and a cell is memory only this router's worker writes.
+// goroutines, and a cell is memory only this router's caller writes — in
+// the dataplane whoever holds the shard's consumer role, one goroutine at
+// a time.
 type routerMetrics struct {
 	arrived     *telemetry.CounterCell
 	admitted    *telemetry.CounterCell

@@ -1,11 +1,14 @@
 // Package dataplane runs FLoc across multiple cores. An Engine partitions
 // traffic by hashing each packet's path identifier onto one of N worker
 // shards; every shard owns a private core.Router (configured with 1/N of
-// the link rate and buffer) plus a bounded MPSC ring queue feeding it, so
-// no router state is ever shared between goroutines. Producers — UDP
-// readers, capture replay, benchmarks — enqueue concurrently; each worker
-// drains its ring in batches through the router's batch-admission API and
-// services the router's output queue against a virtual-time transmitter.
+// the link rate and buffer) plus a bounded MPSC ring queue feeding it, and
+// a shard's state is touched by one goroutine at a time: whoever holds the
+// shard's consumer role (shard.role) — its worker whenever it is awake, or
+// a producer that found the worker parked while it was itself about to
+// block (Burst.Quiesce). Producers — UDP readers, capture replay,
+// benchmarks — enqueue concurrently; the role holder drains the ring in
+// batches, admits them packet by packet and services the router's output
+// queue against a virtual-time transmitter.
 //
 // Partitioning by path identifier is what makes the split faithful to the
 // single-router semantics: FLoc's admission state (token buckets,
@@ -42,9 +45,10 @@ import (
 
 // PacketSink receives packets the virtual transmitter has finished
 // sending — the engine's egress seam. A daemon forwarding traffic to a
-// downstream flocd implements it with a socket writer. Each shard calls
-// its sink from its own worker goroutine; implementations shared across
-// shards must be safe for concurrent use.
+// downstream flocd implements it with a socket writer. A shard's sink is
+// called by whoever holds the shard's consumer role, one goroutine at a
+// time; implementations shared across shards must be safe for concurrent
+// use.
 type PacketSink interface {
 	// Emit is called once per transmitted packet with the virtual time
 	// the transmission completed.
@@ -53,11 +57,13 @@ type PacketSink interface {
 }
 
 // Flusher is the optional second half of a PacketSink that buffers what
-// Emit hands it. A worker that has emitted calls Flush before it next
-// parks and before a barrier command (Drain, Advance, Snapshot, …)
-// returns, so nothing emitted is left buffered while the engine is idle
-// or a caller believes it quiesced. New resolves the interface once; a
-// sink without Flush is never asked.
+// Emit hands it. A role holder that has emitted calls Flush before it lets
+// the role go — a worker before it parks, a producer before Burst.Quiesce
+// returns, once for all the shards it served — and before a barrier
+// command (Drain, Advance, Snapshot, …) returns, so nothing emitted is
+// left buffered while the engine is idle or a caller believes it
+// quiesced. New resolves the interface once; a sink without Flush is
+// never asked.
 type Flusher interface {
 	Flush()
 }
@@ -100,14 +106,14 @@ type Config struct {
 	TraceCapacity int
 	// Sink, when non-nil, receives every shard router's emitted events
 	// with Event.Shard stamped to the emitting shard — the seam the
-	// forensic ledger sealer plugs into. The sink is shared by all shard
-	// workers concurrently and must be safe for concurrent use. Requires
-	// Telemetry.
+	// forensic ledger sealer plugs into. The sink is shared by all shards'
+	// role holders concurrently and must be safe for concurrent use.
+	// Requires Telemetry.
 	Sink telemetry.EventSink
 	// Egress, when non-nil, receives every packet the shard transmitters
 	// finish sending — the seam a multi-router deployment uses to forward
-	// admitted traffic to the next flocd hop. Shared by all shard workers
-	// concurrently; must be safe for concurrent use.
+	// admitted traffic to the next flocd hop. Shared by all shards' role
+	// holders concurrently; must be safe for concurrent use.
 	Egress PacketSink
 }
 
@@ -148,12 +154,13 @@ func (c Config) validate() error {
 // Stats are the engine's own lifetime counters, distinct from router
 // admission counters: they describe the ring boundary, not the policy.
 type Stats struct {
-	// Accepted counts packets that entered a shard ring.
+	// Accepted counts packets that entered a shard: its ring, or its router
+	// directly from a producer holding the consumer role.
 	Accepted int64 //floc:unit packets
 	// RingDrops counts packets dropped because a ring was full, or because
 	// the engine closed while a producer was still handing them in.
 	RingDrops int64 //floc:unit packets
-	// Processed counts packets the workers ran through admission.
+	// Processed counts packets the role holders ran through admission.
 	Processed int64 //floc:unit packets
 	// LimitDrops counts packets dropped by cluster-installed per-path
 	// limits before they reached router admission.
@@ -198,13 +205,20 @@ type Engine struct {
 	wg     sync.WaitGroup
 }
 
-// shard is one worker: ring in, private router, virtual transmitter out.
+// shard is one ring in, one private router, one virtual transmitter out,
+// and the consumer role that says who may run them.
 type shard struct {
 	ring   *ring
 	router *core.Router
 
-	wake     chan struct{} // 1-buffered doorbell
-	sleeping atomic.Bool
+	// role is the shard's consumer role: its holder is the ring's one
+	// consumer and the one goroutine touching the router, the transmitter
+	// and the role-owned state below. The worker holds it whenever it is
+	// not parked; a quiescing producer takes it, with TryLock, only while
+	// the worker is parked (takeRole).
+	role     sync.Mutex
+	wake     chan struct{}     // 1-buffered doorbell
+	sleeping atomic.Bool       // the worker is parked, or about to park on an empty ring
 	cmds     chan func(*shard) // control commands, run by handle
 	stop     chan struct{}
 
@@ -214,7 +228,7 @@ type shard struct {
 	dropCtr   *telemetry.Counter // nil when telemetry is off
 
 	// Cluster limit surface: installed-limit count and limiter drops,
-	// published by the worker for lock-free external reads.
+	// published by the role holder for lock-free external reads.
 	limitCount   atomic.Int64
 	limitDrops   atomic.Int64
 	limitDropCtr *telemetry.Counter // nil when telemetry is off
@@ -225,7 +239,13 @@ type shard struct {
 	latHist  *telemetry.Histogram
 	occGauge *telemetry.Gauge
 
-	// Worker-owned state below; never touched by producers.
+	// Which way packets went (nil when telemetry is off), counted per run,
+	// never per packet: runs a producer processed under the role, and
+	// doorbells that woke the parked worker.
+	inlineRuns *telemetry.Counter
+	wakeups    *telemetry.Counter
+
+	// Role-owned state below: touched only by whoever holds role.
 	buf       []core.BatchItem
 	warm      uint64               // fold of what Prefetch read; never read back
 	free      float64              //floc:unit seconds
@@ -302,6 +322,12 @@ func New(cfg Config) (*Engine, error) {
 			sh.limitGauge = cfg.Telemetry.Gauge(
 				fmt.Sprintf(`floc_cluster_installed_limits{shard="%d"}`, i),
 				"active cluster-installed path limits", "")
+			sh.inlineRuns = cfg.Telemetry.Counter(
+				fmt.Sprintf(`floc_dataplane_inline_runs_total{shard="%d"}`, i),
+				"burst runs a quiescing producer processed itself, the worker being parked", "runs")
+			sh.wakeups = cfg.Telemetry.Counter(
+				fmt.Sprintf(`floc_dataplane_worker_wakeups_total{shard="%d"}`, i),
+				"doorbells that woke the shard's parked worker", "wakeups")
 		}
 		sh.egress = cfg.Egress
 		sh.flusher, _ = cfg.Egress.(Flusher)
@@ -429,18 +455,19 @@ const burstRun = 64 //floc:unit packets
 // cursor CAS, one accepted update and one doorbell for up to burstRun
 // packets instead of one each per packet. Per-shard arrival order is the
 // order of the Enqueue calls. A buffered packet is invisible to the
-// engine: the owner must Flush before any barrier (Drain, Advance,
-// Snapshot, Close) that is meant to cover it, and before it blocks
-// waiting for more input. Not safe for concurrent use — give each
-// producing goroutine its own.
+// engine: the owner must Flush or Quiesce before any barrier (Drain,
+// Advance, Snapshot, Close) that is meant to cover it, and Quiesce before
+// it blocks waiting for more input. Not safe for concurrent use — give
+// each producing goroutine its own.
 type Burst struct {
 	e    *Engine
 	runs [][]core.BatchItem // per shard; cap burstRun
+	held []*shard           // Quiesce's scratch: the roles it holds; cap len(runs)
 }
 
 // NewBurst returns an empty burst for one producer.
 func (e *Engine) NewBurst() *Burst {
-	b := &Burst{e: e, runs: make([][]core.BatchItem, len(e.shards))}
+	b := &Burst{e: e, runs: make([][]core.BatchItem, len(e.shards)), held: make([]*shard, 0, len(e.shards))}
 	for i := range b.runs {
 		b.runs[i] = make([]core.BatchItem, 0, burstRun)
 	}
@@ -461,7 +488,8 @@ func (b *Burst) Enqueue(pkt *netsim.Packet, now float64) {
 	}
 }
 
-// Flush hands every buffered packet to its ring.
+// Flush hands every buffered packet to its ring: hand off and keep
+// producing. The shard workers process beside the producer.
 // floc:hotpath
 func (b *Burst) Flush() {
 	for i, run := range b.runs {
@@ -469,6 +497,73 @@ func (b *Burst) Flush() {
 			b.flushRun(i)
 		}
 	}
+}
+
+// Quiesce is the flush of a producer that is about to block: nothing stays
+// buffered, and where handing off would only wake a parked worker for the
+// producer to park in its place, the producer does the work itself. For
+// every shard it holds a run for and whose worker is parked it takes the
+// consumer role (takeRole), drains what is left in the ring — its own
+// earlier runs first, per-producer FIFO — and processes the run in place:
+// no ring slot, no doorbell. It keeps every role it took until one
+// Flusher.Flush has covered them all. A shard whose worker is awake, or
+// whose role someone else holds, gets its run through the ring exactly as
+// in Flush, so nothing is lost between the two; so does one whose ring
+// still holds a claim its producer has not published — runs of this
+// producer may sit behind it, and must not be overtaken — and so does
+// every shard of a closed engine, for flushRun to count. When Quiesce
+// returns, every packet it processed inline has been admitted and its
+// emissions flushed; the others are in their rings, behind any barrier
+// that follows.
+// floc:hotpath
+func (b *Burst) Quiesce() {
+	held := b.held[:0]
+	var flusher Flusher
+	for i, run := range b.runs {
+		if len(run) == 0 {
+			continue
+		}
+		sh := b.e.shards[i]
+		if !sh.takeRole() {
+			b.flushRun(i)
+			continue
+		}
+		if sh.drainRing(); sh.ring.occupancy() != 0 || b.e.closed.Load() {
+			sh.flushEgress()
+			sh.role.Unlock() // before a ring that may be full, and only this shard's worker empties it
+			b.flushRun(i)
+			continue
+		}
+		held = append(held, sh)
+		b.runs[i] = run[:0]
+		sh.accepted.Add(int64(len(run)))
+		sh.process(run)
+		if sh.inlineRuns != nil {
+			sh.inlineRuns.Inc()
+		}
+		if sh.unflushed {
+			sh.unflushed = false
+			flusher = sh.flusher // one sink, whichever shard names it
+		}
+	}
+	if flusher != nil {
+		flusher.Flush()
+	}
+	for _, sh := range held {
+		sh.role.Unlock()
+	}
+}
+
+// takeRole gives the caller, a producer, the shard's consumer role if the
+// worker is parked and nobody else has it. The worker stores sleeping
+// before it lets the role go and clears it before it asks for it back, and
+// for good before it exits, so a true here is a worker that is parked or
+// on its way to the role.Lock it will block in; TryLock succeeding is what
+// grants the role, and the role's previous Unlock is what orders the
+// caller behind everything the last holder did.
+// floc:hotpath
+func (sh *shard) takeRole() bool {
+	return sh.sleeping.Load() && sh.role.TryLock()
 }
 
 // flushRun moves shard i's run into its ring, as many packets per claim
@@ -500,7 +595,10 @@ func (b *Burst) flushRun(i int) {
 // consistency of the slot sequence store) before loading sleeping, and
 // the worker stores sleeping=true before its final emptiness check — so
 // either the worker sees the item, or the producer sees sleeping and the
-// buffered doorbell survives until the worker selects on it.
+// buffered doorbell survives until the worker selects on it. A producer
+// that holds the role meanwhile changes nothing in this: it never writes
+// sleeping, and an item it does not drain was published behind its last
+// look, by someone who then found sleeping still set and rang.
 // floc:hotpath
 func (sh *shard) ringWake() {
 	if sh.sleeping.Load() {
@@ -513,8 +611,11 @@ func (sh *shard) ringWake() {
 
 // run is the worker loop: drain batches while there is work, handle
 // control commands at quiescent points, park when idle. Egress is flushed
-// after every batch, so the worker never parks on buffered packets.
+// after every batch, so the worker never parks on buffered packets. The
+// worker holds the consumer role throughout, except while parked.
 func (sh *shard) run() {
+	sh.role.Lock()
+	defer sh.role.Unlock()
 	for {
 		if n := sh.ring.dequeueBatch(sh.buf); n > 0 {
 			sh.process(sh.buf[:n])
@@ -537,18 +638,43 @@ func (sh *shard) run() {
 			sh.sleeping.Store(false)
 			continue
 		}
-		select {
-		case <-sh.wake:
-			sh.sleeping.Store(false)
-		case c := <-sh.cmds:
-			sh.sleeping.Store(false)
-			sh.handle(c)
-		case <-sh.stop:
-			sh.sleeping.Store(false)
-			sh.drainAll()
-			return
+		cmd, stopped := sh.park()
+		if stopped {
+			// Sealed, the ring takes nothing more; a producer that claimed
+			// slots just before is waited for, so that whatever was
+			// accepted has been processed when Close returns.
+			for sh.ring.seal(); ; runtime.Gosched() {
+				sh.drainAll()
+				if sh.ring.occupancy() == 0 {
+					return
+				}
+			}
+		}
+		if cmd != nil {
+			sh.handle(cmd)
 		}
 	}
+}
+
+// park lets the role go, waits for a doorbell, a command or stop, and
+// takes the role back — behind a producer that took it meanwhile, which a
+// command, a barrier or Close therefore waits out. sleeping is cleared
+// before the Lock: from then on producers use the ring and ring no bell,
+// and after stop none of them can take the role of a worker that is gone.
+func (sh *shard) park() (cmd func(*shard), stopped bool) {
+	sh.role.Unlock()
+	select {
+	case <-sh.wake:
+		if sh.wakeups != nil {
+			sh.wakeups.Inc()
+		}
+	case cmd = <-sh.cmds:
+	case <-sh.stop:
+		stopped = true
+	}
+	sh.sleeping.Store(false)
+	sh.role.Lock()
+	return cmd, stopped
 }
 
 // process admits one batch. The router first reads ahead, for the whole
@@ -559,7 +685,7 @@ func (sh *shard) run() {
 // interleaves enqueues and dequeues, so the queue a packet meets depends
 // on the arrivals before it and on nothing else — in particular not on
 // where dequeueBatch happened to cut the stream, which is what makes a
-// replay reproducible (DESIGN.md "The worker loop").
+// replay reproducible (DESIGN.md "The hand-off").
 // floc:hotpath
 func (sh *shard) process(items []core.BatchItem) {
 	var start time.Time
@@ -613,7 +739,7 @@ func (sh *shard) serve(now float64) {
 	}
 }
 
-// flushEgress flushes a buffering sink if this worker has emitted into it
+// flushEgress flushes a buffering sink if this shard has emitted into it
 // since the last flush.
 // floc:hotpath
 func (sh *shard) flushEgress() {
@@ -623,18 +749,24 @@ func (sh *shard) flushEgress() {
 	}
 }
 
-// drainAll empties the ring completely (used before commands and at
-// shutdown so barriers see every packet enqueued before them) and flushes
-// the egress sink once at the end.
-func (sh *shard) drainAll() {
+// drainRing empties the ring completely, flushing nothing.
+// floc:hotpath
+func (sh *shard) drainRing() {
 	for {
 		n := sh.ring.dequeueBatch(sh.buf)
 		if n == 0 {
-			sh.flushEgress()
 			return
 		}
 		sh.process(sh.buf[:n])
 	}
+}
+
+// drainAll empties the ring completely (used before commands and at
+// shutdown so barriers see every packet enqueued before them) and flushes
+// the egress sink once at the end.
+func (sh *shard) drainAll() {
+	sh.drainRing()
+	sh.flushEgress()
 }
 
 // handle executes a control command at a quiescent point. Every command
@@ -646,8 +778,8 @@ func (sh *shard) handle(cmd func(*shard)) {
 
 // onAll runs fn on every shard's worker, each at its next quiescent
 // point, and waits for all of them. It returns false, having run nothing,
-// when the engine is closed. fn runs concurrently across shards and may
-// touch worker-owned state of its own shard only.
+// when the engine is closed. fn runs concurrently across shards, under
+// its shard's role, and may touch role-owned state of its own shard only.
 func (e *Engine) onAll(fn func(i int, sh *shard)) bool {
 	e.ctl.Lock()
 	defer e.ctl.Unlock()

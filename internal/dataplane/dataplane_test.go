@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -75,30 +76,97 @@ func runBaseline(t *testing.T, cfg core.Config, sc []arrival, end float64) core.
 // returns the merged snapshot after a full flush.
 func runEngine(t *testing.T, cfg Config, sc []arrival, end float64) (core.Snapshot, Stats) {
 	t.Helper()
-	return runEngineVia(t, cfg, sc, end, false)
+	return runEngineVia(t, cfg, sc, end, viaEnqueue)
 }
 
-// runEngineVia is runEngine with the choice of front end: Engine.Enqueue
-// or one producer's Burst.
-func runEngineVia(t *testing.T, cfg Config, sc []arrival, end float64, burst bool) (core.Snapshot, Stats) {
+// frontEnd is how a test hands packets to the engine.
+type frontEnd int
+
+const (
+	viaEnqueue frontEnd = iota // Engine.Enqueue, packet by packet
+	viaBurst                   // one producer's Burst, flushed at the end
+	viaQuiesce                 // one producer's Burst, cut at seeded random points (cutBurst)
+)
+
+// runEngineVia is runEngine with the choice of front end.
+func runEngineVia(t *testing.T, cfg Config, sc []arrival, end float64, via frontEnd) (core.Snapshot, Stats) {
 	t.Helper()
+	if via == viaQuiesce {
+		cfg.Telemetry = telemetry.NewRegistry()
+	}
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	b := e.NewBurst()
+	b, cut := e.NewBurst(), rng.New(11)
 	for i := range sc {
 		pkt := sc[i].pkt
-		if burst {
-			b.Enqueue(&pkt, sc[i].at)
-		} else {
+		switch via {
+		case viaEnqueue:
 			e.Enqueue(&pkt, sc[i].at)
+		case viaBurst:
+			b.Enqueue(&pkt, sc[i].at)
+		case viaQuiesce:
+			b.Enqueue(&pkt, sc[i].at)
+			cutBurst(e, b, cut, 16)
 		}
 	}
-	b.Flush()
+	if via == viaQuiesce {
+		b.Quiesce()
+		wentBothWays(t, e)
+	} else {
+		b.Flush()
+	}
 	e.Advance(end)
 	return e.Snapshot(), e.Stats()
+}
+
+// parkWorkers returns once every shard's worker has drained its ring and
+// parked, so that the next Quiesce finds every role free.
+func parkWorkers(e *Engine) {
+	e.Drain()
+	for _, sh := range e.shards {
+		for !sh.sleeping.Load() {
+			runtime.Gosched()
+		}
+	}
+}
+
+// cutBurst cuts one producer's stream here with probability 3 in every:
+// a Flush (hand off to the ring), a Quiesce that goes whichever way the
+// workers happen to allow, or a Quiesce behind parked workers, which goes
+// inline for certain.
+func cutBurst(e *Engine, b *Burst, cut *rng.Source, every int) {
+	switch cut.Intn(every) {
+	case 0:
+		b.Flush()
+	case 1:
+		b.Quiesce()
+	case 2:
+		parkWorkers(e)
+		b.Quiesce()
+	}
+}
+
+// shardCounters sums one per-shard counter family over the engine's shards.
+func shardCounters(e *Engine, family string) int64 {
+	n := int64(0)
+	for i := range e.shards {
+		n += e.cfg.Telemetry.CounterValue(fmt.Sprintf(`%s{shard="%d"}`, family, i))
+	}
+	return n
+}
+
+// wentBothWays fails a cut-stream run in which no run was processed inline
+// or no doorbell ever woke a worker: it would compare nothing.
+func wentBothWays(t *testing.T, e *Engine) {
+	t.Helper()
+	inline := shardCounters(e, "floc_dataplane_inline_runs_total")
+	woken := shardCounters(e, "floc_dataplane_worker_wakeups_total")
+	if inline == 0 || woken == 0 {
+		t.Fatalf("%d inline runs, %d worker wake-ups: the cut points did not exercise both hand-offs", inline, woken)
+	}
 }
 
 func testRouterConfig() core.Config {
@@ -149,15 +217,16 @@ func TestOneShardMatchesSingleRouterExactly(t *testing.T) {
 	}
 	// The transmitter is served to every packet's own arrival time, so
 	// neither the admission batch size nor the burst front end — which
-	// change where the worker's batches are cut — may show in the result.
+	// change where the batches are cut — nor who admits a run, the worker
+	// or a quiescing producer, may show in the result.
 	for _, tc := range []struct {
 		name  string
 		batch int
-		burst bool
-	}{{"batch-1", 1, false}, {"batch-64", 64, false}, {"burst", 64, true}} {
+		via   frontEnd
+	}{{"batch-1", 1, viaEnqueue}, {"batch-64", 64, viaEnqueue}, {"burst", 64, viaBurst}, {"quiesce", 64, viaQuiesce}} {
 		got, stats := runEngineVia(t, Config{
 			Router: rc, Shards: 1, Batch: tc.batch, BlockOnFull: true,
-		}, sc, end, tc.burst)
+		}, sc, end, tc.via)
 		if int(stats.RingDrops) != 0 {
 			t.Fatalf("%s: ring drops %d under BlockOnFull", tc.name, stats.RingDrops)
 		}
@@ -312,8 +381,8 @@ func TestBackpressureAccounting(t *testing.T) {
 
 // TestBurstCountsWhatCloseDiscards: a producer that is still handing
 // packets to a Burst when the engine closes — in mid-run, yielding on a
-// full ring under BlockOnFull, or arriving afterwards — loses none of
-// them uncounted.
+// full ring under BlockOnFull, quiescing, or arriving afterwards — loses
+// none of them uncounted, and what was accepted was processed.
 func TestBurstCountsWhatCloseDiscards(t *testing.T) {
 	for _, block := range []bool{false, true} {
 		reg := telemetry.NewRegistry()
@@ -333,6 +402,9 @@ func TestBurstCountsWhatCloseDiscards(t *testing.T) {
 				path := pathid.New(pathid.ASN(i%8), 1)
 				b.Enqueue(&netsim.Packet{ID: uint64(i), Src: 1, Dst: 2, Size: 1000,
 					Kind: netsim.KindUDP, Path: path, PathKey: path.Key()}, float64(i)*1e-5)
+				if i%53 == 52 {
+					b.Quiesce()
+				}
 			}
 			b.Flush()
 		}()
@@ -351,6 +423,25 @@ func TestBurstCountsWhatCloseDiscards(t *testing.T) {
 			reg.CounterValue(`floc_dataplane_ring_full_drops_total{shard="1"}`)
 		if counted != st.RingDrops {
 			t.Fatalf("block=%v: telemetry ring-drop counters %d != stats %d", block, counted, st.RingDrops)
+		}
+		if st.Processed != st.Accepted {
+			t.Fatalf("block=%v: processed %d != accepted %d after Close", block, st.Processed, st.Accepted)
+		}
+		// The workers cleared sleeping on their way out, so a Quiesce after
+		// Close cannot take the role of a worker that is gone: its run is
+		// counted with the ring's drops like a Flush's.
+		for i, sh := range e.shards {
+			if sh.sleeping.Load() {
+				t.Fatalf("block=%v: shard %d's worker exited with sleeping set", block, i)
+			}
+		}
+		b := e.NewBurst()
+		b.Enqueue(&netsim.Packet{Size: 1, Kind: netsim.KindUDP}, 0)
+		b.Quiesce()
+		want := st
+		want.RingDrops++
+		if after := e.Stats(); after != want {
+			t.Fatalf("block=%v: one packet quiesced after Close: stats %+v -> %+v, want %+v", block, st, after, want)
 		}
 	}
 }

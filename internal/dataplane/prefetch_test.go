@@ -23,8 +23,10 @@ import (
 // every counter and histogram series the shard routers wrote. Gauges
 // (last writer wins across shards) and the engine's wall-clock health
 // series are left out; nothing else depends on how the workers were
-// scheduled.
-func replayMixDigest(t *testing.T) string {
+// scheduled — nor, with quiesce set, on the seeded random points at which
+// the producer flushed or quiesced, some runs going through the ring and
+// some being admitted by the producer itself.
+func replayMixDigest(t *testing.T, quiesce bool) string {
 	t.Helper()
 	rc := core.DefaultConfig(80e6, 256) // 10 000 packets/s
 	rc.Seed = 42
@@ -50,7 +52,7 @@ func replayMixDigest(t *testing.T) string {
 			round = append(round, p)
 		}
 	}
-	src := rng.New(7)
+	src, cut := rng.New(7), rng.New(13)
 	b := e.NewBurst()
 	for i, next := 0, len(round); i < packets; i, next = i+1, next+1 {
 		if next == len(round) {
@@ -62,8 +64,16 @@ func replayMixDigest(t *testing.T) string {
 			ID: uint64(i), Src: 0x0a000000 | uint32(p)<<8 | uint32(src.Intn(flowsPer)), Dst: 0xc0a80001,
 			Size: 1000, Kind: netsim.KindUDP, Path: paths[p], PathHandle: handles[p],
 		}, float64(i)*gap)
+		if quiesce {
+			cutBurst(e, b, cut, 512)
+		}
 	}
-	b.Flush()
+	if quiesce {
+		b.Quiesce()
+		wentBothWays(t, e)
+	} else {
+		b.Flush()
+	}
 	e.Advance(packets*gap + 1)
 
 	snap := e.Snapshot()
@@ -96,13 +106,14 @@ func replayMixDigest(t *testing.T) string {
 // shard workers admitted a batch without reading ahead over it first.
 const replayMixRecorded = "6ac64182500eabb73fcfdd2ce6e22aa22d771e7b09c4d744ac884f2bc50167b8"
 
-// TestPrefetchIsInvisible: a shard worker that calls Router.Prefetch on
-// every batch it drains leaves exactly what one that does not leaves —
-// wherever the ring happened to cut the batches, run after run.
+// TestPrefetchIsInvisible: a shard that calls Router.Prefetch on every
+// batch it admits leaves exactly what one that does not leaves — wherever
+// the ring happened to cut the batches and whoever admitted them, the
+// worker or the quiescing producer, run after run.
 func TestPrefetchIsInvisible(t *testing.T) {
 	needTelemetry(t)
-	for run := 0; run < 3; run++ {
-		if got := replayMixDigest(t); got != replayMixRecorded {
+	for run := 0; run < 4; run++ {
+		if got := replayMixDigest(t, run == 3); got != replayMixRecorded {
 			t.Fatalf("run %d: digest %s, want %s (recorded before Prefetch existed)", run, got, replayMixRecorded)
 		}
 	}

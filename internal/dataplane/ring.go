@@ -26,6 +26,11 @@ type ringSlot struct {
 	item core.BatchItem
 }
 
+// ringSealed is the producer-cursor bit seal sets. No position reaches it
+// (2^62 packets), and it is clear of the sign bit the signed comparisons
+// below depend on.
+const ringSealed = 1 << 62
+
 // newRing returns a ring of the given power-of-two size.
 func newRing(size int) *ring {
 	r := &ring{mask: uint64(size) - 1, slots: make([]ringSlot, size)}
@@ -97,6 +102,18 @@ func (r *ring) tryEnqueueBurst(items []core.BatchItem) int {
 	return 0
 }
 
+// seal closes the ring to producers for good. Behind the sealed cursor
+// every slot reads as a lap behind, so tryEnqueue and tryEnqueueBurst
+// report full; what was claimed before the seal is still published by its
+// producer and drained as ever (occupancy counts it down to zero).
+// Consumer-only, at shutdown: it is what makes the consumer's last drain
+// the last — without it a producer that passed its closed check just
+// before Close could publish into a ring nobody will read again.
+func (r *ring) seal() {
+	for pos := r.enq.Load(); !r.enq.CompareAndSwap(pos, pos|ringSealed); pos = r.enq.Load() {
+	}
+}
+
 // dequeueBatch moves up to len(dst) published items into dst and returns
 // how many it moved. Consumer-only.
 // floc:hotpath
@@ -133,5 +150,5 @@ func (r *ring) empty() bool {
 // number of producers mid-publish (never under-read).
 // floc:hotpath
 func (r *ring) occupancy() int {
-	return int(r.enq.Load() - r.deq)
+	return int(r.enq.Load()&^ringSealed - r.deq)
 }

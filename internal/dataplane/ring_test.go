@@ -202,3 +202,42 @@ func TestRingBurstConcurrentProducers(t *testing.T) {
 		t.Fatal("ring not empty after consuming every item")
 	}
 }
+
+// TestRingSeal: a sealed ring reports full to both enqueue paths for good,
+// on any lap, while what was claimed before the seal drains as ever and
+// occupancy counts it down to zero.
+func TestRingSeal(t *testing.T) {
+	r := newRing(4)
+	pkts := make([]netsim.Packet, 8)
+	buf := make([]core.BatchItem, 8)
+	// One and a half laps, so the cursor is off the first lap when sealed.
+	for i := 0; i < 6; i++ {
+		if !r.tryEnqueue(core.BatchItem{Pkt: &pkts[i]}) {
+			t.Fatalf("enqueue %d failed", i)
+		}
+		if i == 3 {
+			if n := r.dequeueBatch(buf); n != 4 {
+				t.Fatalf("dequeued %d, want 4", n)
+			}
+		}
+	}
+	r.seal()
+	if r.tryEnqueue(core.BatchItem{Pkt: &pkts[6]}) {
+		t.Fatal("tryEnqueue succeeded on a sealed ring")
+	}
+	if n := r.tryEnqueueBurst([]core.BatchItem{{Pkt: &pkts[6]}, {Pkt: &pkts[7]}}); n != 0 {
+		t.Fatalf("tryEnqueueBurst claimed %d slots of a sealed ring", n)
+	}
+	if got := r.occupancy(); got != 2 {
+		t.Fatalf("occupancy %d behind the seal, want the 2 items enqueued before it", got)
+	}
+	if n := r.dequeueBatch(buf); n != 2 || buf[0].Pkt != &pkts[4] || buf[1].Pkt != &pkts[5] {
+		t.Fatalf("drained %d items behind the seal, want packets 4 and 5 in order", n)
+	}
+	if !r.empty() || r.occupancy() != 0 {
+		t.Fatalf("sealed ring not empty after its drain: occupancy %d", r.occupancy())
+	}
+	if r.tryEnqueue(core.BatchItem{Pkt: &pkts[6]}) || r.tryEnqueueBurst(buf[:1]) != 0 {
+		t.Fatal("a drained sealed ring took an item")
+	}
+}

@@ -5,14 +5,16 @@ import (
 	"sync/atomic"
 )
 
-// A cell is a private slice of a Counter or Histogram for one writer: a
-// shard router's worker, say. Counter.Inc and Histogram.Observe are
-// read-modify-write instructions on memory every writer shares, so two
-// workers metering the same series trade its cache line back and forth
-// once per packet. A cell is written by exactly one goroutine, with a
-// load and a store, on a cache line nobody else writes; readers add the
-// cells to the shared value, so there is nothing to flush and a read at
-// any instant sees every sample already recorded.
+// A cell is a private slice of a Counter or Histogram for one writer at a
+// time: whoever holds a dataplane shard's consumer role, say. Counter.Inc
+// and Histogram.Observe are read-modify-write instructions on memory
+// every writer shares, so two shards metering the same series trade its
+// cache line back and forth once per packet. A cell is written by one
+// goroutine at a time, each ordered behind the last (the role is a
+// mutex), with a load and a store, on a cache line no other cell's
+// writer touches; readers add the cells to the shared value, so there is
+// nothing to flush and a read at any instant sees every sample already
+// recorded.
 
 // cacheLine is the padding unit. The allocator aligns an object whose
 // size is a multiple of 64 bytes (up to 768) on a 64-byte boundary, so a

@@ -18,7 +18,8 @@
 #   alloc-gate   testing.AllocsPerRun gates asserting 0 allocs/op on the
 #                //floc:hotpath functions reachable without I/O (wire
 #                codec, dropfilter ops, router admission and its
-#                read-ahead pass, dataplane ring, telemetry cells) and on
+#                read-ahead pass, dataplane ring and inline quiesce,
+#                telemetry cells) and on
 #                the loopback socket cycle of internal/udpbatch
 #   bench-smoke  the repo benchmark still builds against this tree and runs:
 #                (cd benchmark && go vet ./...), then
@@ -45,7 +46,11 @@
 #                "one predicted branch per decision point", whose cost
 #                does not shrink when the rest of the admission path
 #                speeds up
-#   dataplane    wire + dataplane + udpbatch + flocd tests under -race, plus the
+#   dataplane    wire + dataplane + udpbatch + flocd tests under -race; the
+#                consumer-role stress test (TestRoleUnderFire: bursts that
+#                flush and quiesce, singles, barriers and a Close at once)
+#                ten more times under -race with a 120 s timeout as its
+#                hang watchdog; plus the
 #                BenchmarkDataplaneEnqueueSharded throughput curve
 #                (1/2/4/8 shards); on a 4+ core runner the 4-shard
 #                aggregate throughput must be >= DATAPLANE_SPEEDUP x the
@@ -228,6 +233,7 @@ fi
 
 begin dataplane
 run go test -race -count=1 ./internal/wire ./internal/dataplane ./internal/udpbatch ./cmd/flocd
+run go test -race -count=10 -timeout 120s -run '^TestRoleUnderFire$' ./internal/dataplane
 bench_out=$(go test -run='^$' -bench='^BenchmarkDataplaneEnqueueSharded$' \
     -benchtime=200000x ./internal/dataplane)
 echo "$bench_out" | grep '^Benchmark' >&2
