@@ -38,7 +38,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -184,7 +183,7 @@ func run(o options) error {
 	}
 	rc := core.DefaultConfig(o.linkRate, o.capacity)
 	rc.Seed = o.seed
-	engine, err := newEngine(dataplane.Config{
+	engine, err := dataplane.New(dataplane.Config{
 		Router:      rc,
 		Shards:      o.shards,
 		RingSize:    o.ringSize,
@@ -293,24 +292,6 @@ func run(o options) error {
 	}
 	snap := finish(engine, reg, o.snapshot, o.printMet)
 	return sealLedger(sealer, o.ledger, snap)
-}
-
-// newEngine builds the engine with the garbage collector off, and turns
-// it back on. The engine's fixed state — the shards' drop filters, 2 MB
-// each — arrives in a few multi-megabyte allocations, and the first
-// collection would start at a 4 MB heap, in the middle of them. Whether
-// its mark phase then overlaps the next one is a race, and the pacer keeps
-// the allocation rate it measured for four cycles — a 15 s run at 40 kpps
-// has about five — so that race could choose a run's collection trigger
-// and with it its peak RSS (it did, 36 or 42 MB, while two 6.5 MB event
-// rings were allocated here too). Nothing built here is garbage, so a
-// collection has nothing to find; the first one runs right after, over a
-// heap that is complete, and every later one is paced by what the packet
-// path really allocates (DESIGN.md "Packet chunk lifetime").
-func newEngine(cfg dataplane.Config) (*dataplane.Engine, error) {
-	percent := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(percent)
-	return dataplane.New(cfg)
 }
 
 // finish takes the final snapshot — itself a drain barrier on every

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -576,7 +575,8 @@ func TestLiveBatchMetricsExported(t *testing.T) {
 		text := exposition()
 		for _, want := range []string{"floc_ingest_batch_datagrams_count 0\n",
 			"floc_egress_batch_datagrams_count 0\n", "floc_egress_gso_fallbacks_total 0\n",
-			`floc_dataplane_inline_runs_total{shard="1"} 0` + "\n", `floc_dataplane_worker_wakeups_total{shard="1"} 0` + "\n"} {
+			`floc_dataplane_inline_runs_total{shard="1"} 0` + "\n", `floc_dataplane_worker_wakeups_total{shard="1"} 0` + "\n",
+			`floc_dataplane_ring_full_yields_total{shard="1"} 0` + "\n"} {
 			if !strings.Contains(text, want) {
 				return false
 			}
@@ -946,22 +946,4 @@ func TestReplayIsDeterministic(t *testing.T) {
 func inlineRuns(reg *telemetry.Registry) int64 {
 	return reg.CounterValue(`floc_dataplane_inline_runs_total{shard="0"}`) +
 		reg.CounterValue(`floc_dataplane_inline_runs_total{shard="1"}`)
-}
-
-// TestNewEngineRestoresGCPercent: newEngine builds with the collector
-// off; whatever setting it found is back afterwards, on the error path
-// too.
-func TestNewEngineRestoresGCPercent(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(37))
-	e, err := newEngine(dataplane.Config{Router: core.DefaultConfig(8e6, 64), Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	if _, err := newEngine(dataplane.Config{Router: core.DefaultConfig(8e6, 64), Shards: 2, RingSize: 3}); err == nil {
-		t.Fatal("ring size 3 accepted")
-	}
-	if got := debug.SetGCPercent(37); got != 37 {
-		t.Fatalf("GC percent after newEngine = %d, want 37", got)
-	}
 }

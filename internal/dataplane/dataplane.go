@@ -226,6 +226,7 @@ type shard struct {
 	ringDrops atomic.Int64
 	processed atomic.Int64
 	dropCtr   *telemetry.Counter // nil when telemetry is off
+	yieldCtr  *telemetry.Counter // BlockOnFull yields on this ring; nil when telemetry is off
 
 	// Cluster limit surface: installed-limit count and limiter drops,
 	// published by the role holder for lock-free external reads.
@@ -309,6 +310,9 @@ func New(cfg Config) (*Engine, error) {
 			sh.dropCtr = cfg.Telemetry.Counter(
 				fmt.Sprintf(`floc_dataplane_ring_full_drops_total{shard="%d"}`, i),
 				"packets dropped at a full shard ring", "packets")
+			sh.yieldCtr = cfg.Telemetry.Counter(
+				fmt.Sprintf(`floc_dataplane_ring_full_yields_total{shard="%d"}`, i),
+				"times a producer found the shard ring full and yielded (BlockOnFull)", "yields")
 			sh.occGauge = cfg.Telemetry.Gauge(
 				fmt.Sprintf(`floc_dataplane_ring_occupancy{shard="%d"}`, i),
 				"shard ring occupancy after the last drained batch", "packets")
@@ -423,10 +427,13 @@ func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
 // slot in sh's ring. It reports whether to try that packet again. Without
 // BlockOnFull it never does; with it, it wakes the worker and yields to
 // it, and says yes until the engine closes. A no is a packet dropped, and
-// counted here.
+// counted here; so is every yield.
 // floc:hotpath
 func (e *Engine) ringFull(sh *shard) (retry bool) {
 	if e.cfg.BlockOnFull {
+		if sh.yieldCtr != nil {
+			sh.yieldCtr.Inc()
+		}
 		sh.ringWake()
 		runtime.Gosched()
 		if !e.closed.Load() {

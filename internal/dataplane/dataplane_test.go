@@ -446,6 +446,64 @@ func TestBurstCountsWhatCloseDiscards(t *testing.T) {
 	}
 }
 
+// TestRingFullYieldsCounted: under BlockOnFull a producer that finds its
+// ring full yields until the worker frees a slot, and every yield counts
+// on floc_dataplane_ring_full_yields_total{shard}, exported from the
+// start; nothing is dropped and what was accepted was processed. Without
+// BlockOnFull the packet is a ring drop and no yield is counted. The
+// worker is held in a command while the ring fills, so that the ring is
+// full for certain, not by a race.
+func TestRingFullYieldsCounted(t *testing.T) {
+	const (
+		ringSize = 8
+		yields   = `floc_dataplane_ring_full_yields_total{shard="0"}`
+	)
+	for _, block := range []bool{false, true} {
+		reg := telemetry.NewRegistry()
+		e, err := New(Config{Router: testRouterConfig(), Shards: 1, RingSize: ringSize, BlockOnFull: block, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text strings.Builder
+		if err := reg.WriteText(&text); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text.String(), yields+" 0\n") {
+			t.Fatalf("block=%v: %s is not exported at 0", block, yields)
+		}
+		release, done := make(chan struct{}), make(chan struct{})
+		e.shards[0].cmds <- func(*shard) { <-release }
+		go func() {
+			defer close(done)
+			for i := 0; i <= ringSize; i++ {
+				path := pathid.New(pathid.ASN(i%4), 1)
+				e.Enqueue(&netsim.Packet{ID: uint64(i), Src: 1, Dst: 2, Size: 1000,
+					Kind: netsim.KindUDP, Path: path, PathKey: path.Key()}, float64(i)*1e-5)
+			}
+		}()
+		if block {
+			for reg.CounterValue(yields) == 0 { // the last packet is waiting on the full ring
+				runtime.Gosched()
+			}
+		} else {
+			<-done
+		}
+		close(release)
+		<-done
+		e.Drain()
+		st, n := e.Stats(), reg.CounterValue(yields)
+		t.Logf("block=%v: %d yields, %+v", block, n, st)
+		if block && (n == 0 || st.RingDrops != 0 || st.Accepted != ringSize+1) ||
+			!block && (n != 0 || st.RingDrops != 1 || st.Accepted != ringSize) {
+			t.Fatalf("block=%v: %d yields, stats %+v for %d packets into a full ring of %d", block, n, st, ringSize+1, ringSize)
+		}
+		if st.Processed != st.Accepted {
+			t.Fatalf("block=%v: processed %d != accepted %d", block, st.Processed, st.Accepted)
+		}
+		e.Close()
+	}
+}
+
 func TestAdvanceFlushesQueues(t *testing.T) {
 	rc := testRouterConfig()
 	sc := genScenario(4, 0.01, 1.0)

@@ -343,15 +343,136 @@ func decodeFrameHex(dst, text []byte) (int, error) {
 	return hex.Decode(dst, text)
 }
 
+// unhex maps a lowercase hex digit to its value and every other byte to
+// 0xff: the digits CaptureWriter emits, and nothing else.
+var unhex = func() (tab [256]byte) {
+	for i := range tab {
+		tab[i] = 0xff
+	}
+	for i, c := range "0123456789abcdef" {
+		tab[c] = byte(i)
+	}
+	return tab
+}()
+
+// hexValue returns the value of the lowercase hex digit c, or 0xff if c is
+// not one: whatever byte the line holds, the result is a digit or the mark
+// of a non-digit.
+//
+// floc:hotpath
+// floc:sanitizes
+func hexValue(c byte) byte { return unhex[c] }
+
+// scanTemplate matches raw against the exact bytes CaptureWriter emits for
+// a time it renders from a short decimal,
+//
+//	{"t":<decimal>,"wire":"<lowercase hex>"}\n
+//
+// in one pass: the time's digits are validated (RFC 8259's leading zero
+// rule, at most 15 significant, no sign, no exponent) and accumulated in
+// one loop and converted as parseNumber converts them, and the hex is
+// decoded into the frame buffer, which bounds it, as it is read. A line
+// that differs from the template in any byte is not rejected but declined
+// (ok false, the other results meaningless), for scanGeneral to parse:
+// whitespace, swapped members, an exponent, a sign, a CR, a missing final
+// LF, an odd or over-long frame, a digit off the table. What it accepts,
+// scanGeneral accepts with the same time, bit for bit, and the same frame
+// (FuzzCaptureTemplate, TestCaptureTemplateTakesWriterLines).
+//
+// floc:hotpath
+// floc:unit t seconds
+// floc:untrusted raw
+func (cr *CaptureReader) scanTemplate(raw []byte) (t float64, frameLen int, ok bool) {
+	const maxExact = 1e15 // 15 significant digits, as in parseNumber
+	if len(raw) < len(capturePrefix) || string(raw[:len(capturePrefix)]) != capturePrefix {
+		return 0, 0, false
+	}
+	b := raw[len(capturePrefix):]
+	var mant uint64
+	end, frac, point := 0, 0, -1
+	for i, c := range b {
+		if c >= '0' && c <= '9' {
+			if i == 1 && b[0] == '0' {
+				return 0, 0, false // a leading zero
+			}
+			if mant = mant*10 + uint64(c-'0'); mant >= maxExact {
+				return 0, 0, false
+			}
+			if point >= 0 {
+				frac++
+			}
+			continue
+		}
+		if c == '.' && point < 0 && i > 0 {
+			point = i
+			continue
+		}
+		end = i
+		break
+	}
+	if end == 0 || end == point+1 || frac >= len(pow10) {
+		return 0, 0, false // no digits, none after the point, or no end
+	}
+	t = float64(mant) / pow10[frac]
+	b = b[end:]
+	if len(b) < len(captureMiddle) || string(b[:len(captureMiddle)]) != captureMiddle {
+		return 0, 0, false
+	}
+	b = b[len(captureMiddle):]
+	buf := cr.buf
+	for n := range buf {
+		if len(b) < len(captureSuffix) {
+			return 0, 0, false
+		}
+		hi, lo := hexValue(b[0]), hexValue(b[1])
+		if hi|lo > 0xf {
+			// The closing quote, or an odd or off-table digit.
+			return t, n, string(b) == captureSuffix
+		}
+		buf[n] = hi<<4 | lo
+		b = b[2:]
+	}
+	return t, len(buf), string(b) == captureSuffix // or longer than any header
+}
+
 // scanLine parses one capture line into h and returns its arrival time,
-// classifying any failure for the malformed counters. The grammar is an
+// classifying any failure for the malformed counters. The line is matched
+// against the writer's own template first (scanTemplate) and, only if it
+// differs, parsed by scanGeneral; either way wire.Decode and the trailing
+// bytes check finish it.
+//
+// floc:hotpath
+// floc:untrusted raw
+func (cr *CaptureReader) scanLine(raw []byte, h *Header) (float64, ErrorKind, error) {
+	t, frameLen, ok := cr.scanTemplate(raw)
+	if !ok {
+		var (
+			kind ErrorKind
+			err  error
+		)
+		if t, frameLen, kind, err = cr.scanGeneral(raw); err != nil {
+			return 0, kind, err
+		}
+	}
+	used, err := Decode(cr.buf[:frameLen], h)
+	if err != nil {
+		return 0, KindOfError(err), err
+	}
+	if used != frameLen {
+		return 0, ErrKindFraming, errTrailing(frameLen - used)
+	}
+	return t, ErrKindNone, nil
+}
+
+// scanGeneral parses the text of any capture line into the arrival time
+// and the frame, which it leaves in the frame buffer. The grammar is an
 // object of exactly the members "t" (an RFC 8259 number) and "wire" (a
 // string of hex digits), in either order, with JSON's insignificant
 // whitespace allowed between tokens and nothing after the closing brace.
 //
 // floc:hotpath
 // floc:untrusted raw
-func (cr *CaptureReader) scanLine(raw []byte, h *Header) (float64, ErrorKind, error) {
+func (cr *CaptureReader) scanGeneral(raw []byte) (float64, int, ErrorKind, error) {
 	const seenT, seenWire = 1, 2
 	var (
 		t        float64 //floc:unit seconds
@@ -362,52 +483,45 @@ func (cr *CaptureReader) scanLine(raw []byte, h *Header) (float64, ErrorKind, er
 	)
 	b, ok := cutByte(raw, '{')
 	if !ok {
-		return 0, ErrKindFraming, errRecordSyntax
+		return 0, 0, ErrKindFraming, errRecordSyntax
 	}
 	for seen != seenT|seenWire {
 		if seen != 0 {
 			if b, ok = cutByte(b, ','); !ok {
-				return 0, ErrKindFraming, errRecordSyntax
+				return 0, 0, ErrKindFraming, errRecordSyntax
 			}
 		}
 		if key, b, ok = cutString(b); !ok {
-			return 0, ErrKindFraming, errRecordSyntax
+			return 0, 0, ErrKindFraming, errRecordSyntax
 		}
 		if b, ok = cutByte(b, ':'); !ok {
-			return 0, ErrKindFraming, errRecordSyntax
+			return 0, 0, ErrKindFraming, errRecordSyntax
 		}
 		switch {
 		case string(key) == "t" && seen&seenT == 0:
 			seen |= seenT
 			if val, b = cutNumber(skipSpace(b)); len(val) == 0 {
-				return 0, ErrKindFraming, errRecordNumber
+				return 0, 0, ErrKindFraming, errRecordNumber
 			}
 			if t, err = parseNumber(val); err != nil {
-				return 0, ErrKindFraming, errRecordNumber
+				return 0, 0, ErrKindFraming, errRecordNumber
 			}
 		case string(key) == "wire" && seen&seenWire == 0:
 			seen |= seenWire
 			if val, b, ok = cutString(b); !ok {
-				return 0, ErrKindFraming, errRecordSyntax
+				return 0, 0, ErrKindFraming, errRecordSyntax
 			}
 			if frameLen, err = decodeFrameHex(cr.buf, val); err != nil {
-				return 0, ErrKindFraming, err
+				return 0, 0, ErrKindFraming, err
 			}
 		default:
-			return 0, ErrKindFraming, errRecordMember
+			return 0, 0, ErrKindFraming, errRecordMember
 		}
 	}
 	if b, ok = cutByte(b, '}'); !ok || len(skipSpace(b)) != 0 {
-		return 0, ErrKindFraming, errRecordSyntax
+		return 0, 0, ErrKindFraming, errRecordSyntax
 	}
-	used, err := Decode(cr.buf[:frameLen], h)
-	if err != nil {
-		return 0, KindOfError(err), err
-	}
-	if used != frameLen {
-		return 0, ErrKindFraming, errTrailing(frameLen - used)
-	}
-	return t, ErrKindNone, nil
+	return t, frameLen, ErrKindNone, nil
 }
 
 // readLine returns the next line with its terminator, valid until the

@@ -8,11 +8,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"floc/internal/netsim"
+	"floc/internal/pathid"
 	"floc/internal/rng"
 )
 
@@ -127,6 +129,137 @@ func FuzzCaptureLine(f *testing.F) {
 			t.Fatalf("round trip of t = %v, %+v gave t = %v, %+v, err %v", at, h, backAt, back, err)
 		}
 	})
+}
+
+// generalScanLine is scanLine with scanGeneral alone — how every line was
+// read before the template existed: the reference FuzzCaptureTemplate
+// holds scanLine to.
+func generalScanLine(cr *CaptureReader, raw []byte, h *Header) (float64, ErrorKind, error) {
+	t, frameLen, kind, err := cr.scanGeneral(raw)
+	if err != nil {
+		return 0, kind, err
+	}
+	used, err := Decode(cr.buf[:frameLen], h)
+	if err != nil {
+		return 0, KindOfError(err), err
+	}
+	if used != frameLen {
+		return 0, ErrKindFraming, errTrailing(frameLen - used)
+	}
+	return t, ErrKindNone, nil
+}
+
+// checkTemplateAgainstGeneral asserts, on one line, that the template
+// changes nothing observable: what scanTemplate accepts, scanGeneral
+// accepts with a bit-identical time and identical frame bytes, and
+// scanLine — template first — returns what generalScanLine returns: the
+// same time, header, ErrorKind and error, whether the template took the
+// line or declined it.
+func checkTemplateAgainstGeneral(t *testing.T, line []byte) {
+	t.Helper()
+	tmpl := NewCaptureReader(strings.NewReader(""))
+	at, frameLen, took := tmpl.scanTemplate(line)
+	gen := NewCaptureReader(strings.NewReader(""))
+	if took {
+		genAt, genLen, _, err := gen.scanGeneral(line)
+		if err != nil {
+			t.Fatalf("template takes %q, the general scanner rejects it: %v", line, err)
+		}
+		if math.Float64bits(at) != math.Float64bits(genAt) {
+			t.Fatalf("line %q: template t = %v (%#x), general %v (%#x)", line, at, math.Float64bits(at), genAt, math.Float64bits(genAt))
+		}
+		if !bytes.Equal(tmpl.buf[:frameLen], gen.buf[:genLen]) {
+			t.Fatalf("line %q: template frame %x, general %x", line, tmpl.buf[:frameLen], gen.buf[:genLen])
+		}
+	}
+	var got, want Header
+	gotAt, gotKind, gotErr := tmpl.scanLine(line, &got)
+	wantAt, wantKind, wantErr := generalScanLine(gen, line, &want)
+	if gotKind != wantKind || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("line %q (template took it: %v): %v, %v; general scanner %v, %v", line, took, gotKind, gotErr, wantKind, wantErr)
+	}
+	if math.Float64bits(gotAt) != math.Float64bits(wantAt) || got != want {
+		t.Fatalf("line %q (template took it: %v): t = %v, %+v; general scanner t = %v, %+v", line, took, gotAt, got, wantAt, want)
+	}
+}
+
+// FuzzCaptureTemplate binds the template to the general scanner
+// (checkTemplateAgainstGeneral). The seeds are the writer's own lines and
+// one line per way of falling through: whitespace, CRLF, no final LF,
+// swapped members, an exponent, a sign, leading zeros, a bare point, 16
+// and more significant digits, 23 fraction digits, odd, off-table,
+// uppercase and over-long hex, and bytes after the closing brace.
+func FuzzCaptureTemplate(f *testing.F) {
+	h := sampleHeader()
+	frame, err := MarshalAppend(nil, &h)
+	if err != nil {
+		f.Fatal(err)
+	}
+	hx := hex.EncodeToString(frame)
+	line := func(t, wire string) string { return `{"t":` + t + `,"wire":"` + wire + "\"}\n" }
+	for _, seed := range []string{
+		line("0.00002", hx), line("19.99998", hx), line("0", hx), line("123456789012345", hx),
+		line("0.0000000000000000000001", hx),
+		` {"t":1,"wire":"` + hx + "\"}\n", `{"t": 1,"wire":"` + hx + "\"}\n", `{"t":1,"wire":"` + hx + "\"} \n",
+		`{"t":1,"wire":"` + hx + "\"}\r\n", `{"t":1,"wire":"` + hx + `"}`, `{"wire":"` + hx + `","t":1}` + "\n",
+		line("1e-7", hx), line("1E2", hx), line("-0", hx), line("-1.5", hx), line("00.1", hx), line("01", hx),
+		line("1.", hx), line(".5", hx), line("1234567890123456", hx), line("0.1234567890123456", hx),
+		line("1.000000000000000", hx), line("0.00000000000000000000001", hx), line("", hx),
+		line("1", hx[1:]), line("1", hx[:len(hx)-2]+"zz"), line("1", strings.ToUpper(hx)),
+		line("1", strings.Repeat("00", MaxEncodedLen)), line("1", strings.Repeat("00", MaxEncodedLen+1)),
+		line("1", hx) + "x", `{"t":1,"wire":"` + hx + "\"}}\n", `{"t":1,"wire":"` + hx, `{"t":1`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(checkTemplateAgainstGeneral)
+}
+
+// TestCaptureTemplateTakesWriterLines: every line CaptureWriter emits for
+// a short-decimal time takes the template, so that an edit which sends the
+// writer's own lines to the general scanner fails here, not only as a
+// slower replay. The times are replay_mix's whole grid (packet i of 10⁶ at
+// i·20/10⁶ s, benchmark/gen.go) and 10⁵ random decimals of at most 15
+// significant digits, none below 1e-6 (there the writer's form has an
+// exponent); the frames are the sample header's and the longest there is.
+func TestCaptureTemplateTakesWriterLines(t *testing.T) {
+	longest := sampleHeader()
+	longest.PathLen = MaxPathLen
+	for i := range longest.Path {
+		longest.Path[i] = pathid.ASN(0xfffff000 + i)
+	}
+	if longest.EncodedLen() != MaxEncodedLen {
+		t.Fatalf("longest header encodes to %d bytes, want %d", longest.EncodedLen(), MaxEncodedLen)
+	}
+	times := make([]float64, 0, 1_100_000)
+	for i := 0; i < 1_000_000; i++ {
+		times = append(times, float64(i)*20/1e6)
+	}
+	src := rng.New(25)
+	for len(times) < cap(times) {
+		digits := 1 + src.Intn(15)
+		mant := src.Uint64n(uint64(pow10[digits]))
+		if at := float64(mant) / pow10[src.Intn(digits+7)]; at == 0 || at >= 1e-6 {
+			times = append(times, at)
+		}
+	}
+	sort.Float64s(times)
+	for _, h := range []Header{sampleHeader(), longest} {
+		var out bytes.Buffer
+		cw := NewCaptureWriter(&out)
+		cr := NewCaptureReader(strings.NewReader(""))
+		for _, at := range times {
+			out.Reset()
+			if err := cw.Write(at, &h); err != nil {
+				t.Fatal(err)
+			}
+			if err := cw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := cr.scanTemplate(out.Bytes()); !ok {
+				t.Fatalf("the writer's line %q for t = %v falls through to the general scanner", out.Bytes(), at)
+			}
+		}
+	}
 }
 
 // TestCaptureLineGrammar pins the accepted grammar and the inputs that

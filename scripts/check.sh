@@ -72,7 +72,8 @@
 #                fails on any family more than PERF_REGRESSION_PCT percent
 #                worse (default 10); families new in the fresh snapshot are
 #                reported but not gated
-#   fuzz smoke   each fuzz target for FUZZTIME (default 10s)
+#   fuzz smoke   every fuzz target of every package (go test -list
+#                '^Fuzz', nothing listed by hand) for FUZZTIME (default 10s)
 #
 # Each stage's wall-clock time is reported in a summary at the end,
 # followed by the size ledger: non-test, non-fixture Go lines per
@@ -369,15 +370,20 @@ fi
 FUZZTIME="${FUZZTIME:-10s}"
 if [ "$FUZZTIME" != "0" ]; then
     begin "fuzz ($FUZZTIME/target)"
-    run go test -run='^$' -fuzz='^FuzzFilterOps$' -fuzztime "$FUZZTIME" ./internal/dropfilter
-    run go test -run='^$' -fuzz='^FuzzTreeOps$' -fuzztime "$FUZZTIME" ./internal/pathid
-    run go test -run='^$' -fuzz='^FuzzParseKey$' -fuzztime "$FUZZTIME" ./internal/pathid
-    run go test -run='^$' -fuzz='^FuzzCapability$' -fuzztime "$FUZZTIME" ./internal/capability
-    run go test -run='^$' -fuzz='^FuzzWireDecode$' -fuzztime "$FUZZTIME" ./internal/wire
-    run go test -run='^$' -fuzz='^FuzzWireRoundTrip$' -fuzztime "$FUZZTIME" ./internal/wire
-    run go test -run='^$' -fuzz='^FuzzControlFrameDecode$' -fuzztime "$FUZZTIME" ./internal/wire
-    run go test -run='^$' -fuzz='^FuzzCaptureLine$' -fuzztime "$FUZZTIME" ./internal/wire
-    run go test -run='^$' -fuzz='^FuzzCaptureNumber$' -fuzztime "$FUZZTIME" ./internal/wire
+    # Every Fuzz target of every package, found rather than listed, so that
+    # none is skipped by omission; -fuzz takes one target per run. go test
+    # -list prints a package's matching names, then its "ok <package>" line.
+    fuzz_list=$(go test -list '^Fuzz' ./...)
+    fuzz_targets=$(printf '%s\n' "$fuzz_list" | awk '
+        /^Fuzz/ { names[++n] = $1; next }
+        $1 == "ok" { for (i = 1; i <= n; i++) print $2 "," names[i]; n = 0 }')
+    if [ -z "$fuzz_targets" ]; then
+        echo "fuzz: go test -list found no Fuzz targets" >&2
+        exit 1
+    fi
+    for target in $fuzz_targets; do
+        run go test -run='^$' -fuzz="^${target#*,}\$" -fuzztime "$FUZZTIME" "${target%,*}"
+    done
     end
 fi
 
