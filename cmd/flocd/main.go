@@ -23,6 +23,8 @@
 // -gen writes a synthetic capture (a deterministic mix of legitimate CBR
 // paths and one flooding path) so the pipeline can be exercised without
 // a packet source.
+//
+// -probe <url> prints one HTTP body and fails unless the status is 2xx.
 package main
 
 import (
@@ -79,6 +81,7 @@ type options struct {
 	forward  string
 	sendto   string
 	pace     float64 //floc:unit ratio
+	probe    string
 }
 
 func main() {
@@ -120,10 +123,14 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.forward, "forward", "", "UDP data address to forward transmitted packets to (the next hop's -listen)")
 	fs.StringVar(&o.sendto, "sendto", "", "transmit the -replay capture as live datagrams to this UDP address instead of replaying locally")
 	fs.Float64Var(&o.pace, "pace", 1.0, "-sendto time scale: real seconds per capture second (0 = no pacing)")
+	fs.StringVar(&o.probe, "probe", "", "fetch this HTTP URL (a daemon's /metrics or /healthz), print the body and exit; non-2xx fails")
 	return o, fs.Parse(args)
 }
 
 func run(o options) error {
+	if o.probe != "" {
+		return probe(os.Stdout, o.probe)
+	}
 	if o.gen > 0 {
 		w := io.Writer(os.Stdout)
 		if o.out != "" {
@@ -397,6 +404,24 @@ func serveMux(reg *telemetry.Registry, h *health, withPprof bool) *http.ServeMux
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return mux
+}
+
+// probe fetches url and copies the body to w: the curl stand-in with
+// which a shell harness reads a daemon's /metrics and /healthz. A non-2xx
+// status is an error, so the harness can branch on the exit status.
+func probe(w io.Writer, url string) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(w, resp.Body); err != nil {
+		return err
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		return fmt.Errorf("%s: status %s", url, resp.Status)
+	}
+	return nil
 }
 
 // replayCapture streams a capture into the engine, assigning packet IDs

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"os"
@@ -220,6 +221,42 @@ func TestRunRejectsAmbiguousModes(t *testing.T) {
 	o.listen, o.replay = ":0", "x.ndjson"
 	if err := run(o); err == nil {
 		t.Fatal("both modes selected should be an error")
+	}
+}
+
+// TestProbe covers the scripts' curl stand-in: a 2xx body is printed and
+// the probe succeeds; a non-2xx status or a refused connection fails,
+// which main turns into a nonzero exit.
+func TestProbe(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			http.Error(w, "no such page", http.StatusNotFound)
+			return
+		}
+		io.WriteString(w, "ok\n")
+	}))
+	defer srv.Close()
+
+	var out bytes.Buffer
+	if err := probe(&out, srv.URL+"/healthz"); err != nil || out.String() != "ok\n" {
+		t.Fatalf("probe 200: body %q, err %v; want \"ok\\n\", nil", out.String(), err)
+	}
+	if err := probe(io.Discard, srv.URL+"/missing"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Fatalf("probe 404: err %v, want a 404 status error", err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := "http://" + ln.Addr().String() + "/healthz"
+	ln.Close()
+	o, err := parseFlags([]string{"-probe", refused})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(o); err == nil {
+		t.Fatal("probe of a closed port succeeded")
 	}
 }
 

@@ -19,7 +19,8 @@
 //     backoff (Tick), and each periodic Publish re-advertises the set;
 //   - sequence numbers make application idempotent and strictly
 //     monotone per origin — a reordered or duplicated frame older than
-//     the last applied one is dropped as stale, never applied.
+//     the last applied one is dropped as stale, never applied, until
+//     that frame's lease and the sender's retransmits have run out.
 //
 // Installed limits carry a TTL lease: a dead downstream stops
 // refreshing and its limits lapse on their own, so no failure can wedge
@@ -163,6 +164,15 @@ type pendingFrame struct {
 	nextAt     float64 //floc:unit seconds
 }
 
+// originState is what a node remembers of the last frame it applied from
+// one downstream origin: its sequence number, its arrival time, and when
+// the node may forget the origin (see HandleFrame).
+type originState struct {
+	seq      uint64
+	recv     float64 //floc:unit seconds
+	forgetAt float64 //floc:unit seconds
+}
+
 // maxPending bounds the retransmit queue; oldest entries fall off first
 // (their state is superseded by everything after them anyway).
 const maxPending = 8
@@ -181,8 +191,10 @@ type Node struct {
 	havePrev bool
 	active   map[string]bool // path key -> currently advertised as limited
 	pend     []*pendingFrame
-	lastSeq  map[uint32]uint64  // origin -> last applied sequence
-	lastRecv map[uint32]float64 // origin -> arrival time of last applied frame
+	origins  map[uint32]originState
+	// retrySpan is how long after its first send a frame may still be
+	// retransmitted (peers are assumed to share this node's schedule).
+	retrySpan float64 //floc:unit seconds
 
 	sendErrs   *telemetry.Counter // resolved in New, so /metrics shows a zero
 	sentCtr    map[string]*telemetry.Counter
@@ -200,11 +212,14 @@ func New(cfg Config) (*Node, error) {
 		cfg:        cfg,
 		prev:       map[string]pathCounts{},
 		active:     map[string]bool{},
-		lastSeq:    map[uint32]uint64{},
-		lastRecv:   map[uint32]float64{},
+		origins:    map[uint32]originState{},
 		sentCtr:    map[string]*telemetry.Counter{},
 		appliedCtr: map[uint32]*telemetry.Counter{},
 		staleCtr:   map[uint32]*telemetry.Counter{},
+	}
+	for i, iv := 0, cfg.RetryBase; i < cfg.RetryBudget; i++ {
+		n.retrySpan += iv
+		iv = min(2*iv, cfg.RetryMax)
 	}
 	n.sendErrs = n.counter("floc_cluster_send_errors_total",
 		"control frames the transport failed to send to a peer", "frames")
@@ -375,12 +390,15 @@ func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 	if f.Origin == n.cfg.RouterID {
 		return 0, nil // own frame looped back
 	}
-	if last, ok := n.lastSeq[f.Origin]; ok && f.Seq <= last {
+	// Forget the origin (a restarted daemon counts from 1 again) once the
+	// last applied frame's limits have lapsed and no older frame, all sent
+	// before it, can still be retransmitted: TTL + retrySpan after its
+	// arrival. The TTL also absorbs tick lateness and network delay.
+	if last, ok := n.origins[f.Origin]; ok && f.Seq <= last.seq && now < last.forgetAt {
 		n.staleCtrLocked(f.Origin).Inc()
 		return 0, nil
 	}
-	n.lastSeq[f.Origin] = f.Seq
-	n.lastRecv[f.Origin] = now
+	n.origins[f.Origin] = originState{seq: f.Seq, recv: now, forgetAt: now + f.TTL() + n.retrySpan}
 	applied := 0
 	for i := 0; i < int(f.NumRecords); i++ {
 		r := &f.Records[i]
@@ -540,11 +558,11 @@ func (n *Node) Health(now float64) Health {
 		PendingFrames: len(n.pend),
 		SendErrors:    n.sendErrs.Value(),
 	}
-	for origin, at := range n.lastRecv {
+	for origin, o := range n.origins {
 		h.Feedback = append(h.Feedback, PeerFeedback{
 			Origin:     origin,
-			LastSeq:    n.lastSeq[origin],
-			AgeSeconds: now - at,
+			LastSeq:    o.seq,
+			AgeSeconds: now - o.recv,
 		})
 	}
 	sort.Slice(h.Feedback, func(i, j int) bool { return h.Feedback[i].Origin < h.Feedback[j].Origin })

@@ -235,6 +235,200 @@ func TestStaleSequenceNeverApplied(t *testing.T) {
 	}
 }
 
+// captureTransport keeps every frame sent, for the test to deliver.
+type captureTransport struct{ frames [][]byte }
+
+func (c *captureTransport) Send(peer string, frame []byte) error {
+	c.frames = append(c.frames, append([]byte(nil), frame...))
+	return nil
+}
+
+// publishFlood has down advertise key as flooded at now: a 40 % drop
+// interval over the cumulative counters of the previous call. It returns
+// the frame sent.
+func publishFlood(t *testing.T, down *Node, tr *captureTransport, key string, n int64, alloc, now float64) []byte {
+	t.Helper()
+	sent := len(tr.frames)
+	down.Publish(floodSnapshot(key, 1000+300*n, 200*n, alloc), now)
+	if len(tr.frames) != sent+1 {
+		t.Fatalf("publish at %v sent %d frames, want 1", now, len(tr.frames)-sent)
+	}
+	return tr.frames[sent]
+}
+
+// feedbackFrame encodes a one-record feedback frame from origin that
+// limits path 100-10-1 to limit (0 releases it).
+func feedbackFrame(t *testing.T, origin uint32, seq uint64, hops uint8, limit uint64) []byte {
+	t.Helper()
+	f := wire.ControlFrame{
+		Version: wire.ControlVersion1, Kind: wire.ControlFeedback,
+		Hops: hops, Origin: origin, Seq: seq, TTLMillis: 2000, NumRecords: 1,
+	}
+	if err := f.Records[0].SetPath(pathid.New(100, 10, 1)); err != nil {
+		t.Fatal(err)
+	}
+	f.Records[0].LimitBits = limit
+	buf, err := wire.MarshalControlAppend(nil, &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestRestartedOriginHeardAfterLease: a restarted downstream daemon
+// numbers its frames from 1 again. Its upstream drops them as stale while
+// the lease of the old incarnation's last frame and the old daemon's
+// retransmit span run, then forgets the old sequence and applies the new
+// daemon's feedback.
+func TestRestartedOriginHeardAfterLease(t *testing.T) {
+	const key = "100-10-1"
+	upInstall := newFakeInstaller()
+	reg := telemetry.NewRegistry()
+	up, err := New(Config{RouterID: 2, Installer: upInstall, PacketSize: 1000, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldTr := &captureTransport{}
+	old, err := New(downConfig(t, oldTr, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old.Publish(floodSnapshot(key, 1000, 0, 500), 0) // baseline
+	for i, now := range []float64{0.5, 1.0, 1.5} {   // seq 1..3, 4 Mb/s
+		if n, _ := up.HandleFrame(publishFlood(t, old, oldTr, key, int64(i+1), 500, now), now); n != 1 {
+			t.Fatalf("old daemon's frame at %v applied %d records, want 1", now, n)
+		}
+	}
+	// The frame applied at 1.5 is remembered to 1.5 + TTL 2 + retransmit
+	// span 3.1 (0.1+0.2+0.4+0.8+1.6) = 6.6.
+
+	newTr := &captureTransport{}
+	restarted, err := New(downConfig(t, newTr, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted.Publish(floodSnapshot(key, 1000, 0, 250), 2.0) // baseline
+	if n, _ := up.HandleFrame(publishFlood(t, restarted, newTr, key, 1, 250, 6.5), 6.5); n != 0 {
+		t.Fatalf("seq 1 before the old origin is forgotten applied %d records, want 0", n)
+	}
+	if got := upInstall.limits[key]; got != 4_000_000 {
+		t.Fatalf("limit = %v before the old origin is forgotten, want the old daemon's 4e6", got)
+	}
+	if n, _ := up.HandleFrame(publishFlood(t, restarted, newTr, key, 2, 250, 7.0), 7.0); n != 1 {
+		t.Fatalf("seq 2 after the old origin is forgotten applied %d records, want 1", n)
+	}
+	if got := upInstall.limits[key]; got != 2_000_000 {
+		t.Fatalf("limit = %v after the old origin is forgotten, want the restarted daemon's 2e6", got)
+	}
+	if h := up.Health(7.0); len(h.Feedback) != 1 || h.Feedback[0].LastSeq != 2 {
+		t.Fatalf("health feedback = %+v, want origin 3 at seq 2", h.Feedback)
+	}
+	if v := reg.CounterValue(`floc_cluster_feedback_stale_dropped_total{peer="3"}`); v != 1 {
+		t.Fatalf("stale counter = %d, want 1", v)
+	}
+}
+
+// TestLowerSeqWithinLeaseIsStale: forgetting an origin waits on the last
+// frame applied from it, not on the first, so a lower sequence number is
+// dropped for as long as any applied frame is remembered (arrival + TTL 2
+// + retransmit span 3.1).
+func TestLowerSeqWithinLeaseIsStale(t *testing.T) {
+	upInstall := newFakeInstaller()
+	up, err := New(Config{RouterID: 2, Installer: upInstall, PacketSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range []struct {
+		seq     uint64
+		now     float64
+		applied int
+	}{
+		{5, 1.0, 1}, // remembered to 6.1
+		{3, 2.9, 0}, // lower, within the lease
+		{6, 3.0, 1}, // fresh: remembered to 8.1
+		{4, 5.5, 0}, // past the first frame's lease, within the span
+		{4, 6.5, 0}, // past the first frame's memory, within the second's
+		{6, 8.0, 0}, // a duplicate, within the memory
+	} {
+		if n, _ := up.HandleFrame(feedbackFrame(t, 9, step.seq, 0, 1_000_000*step.seq), step.now); n != step.applied {
+			t.Fatalf("seq %d at %v applied %d records, want %d", step.seq, step.now, n, step.applied)
+		}
+	}
+	if got := upInstall.limits["100-10-1"]; got != 6_000_000 {
+		t.Fatalf("limit = %v, want seq 6's 6e6", got)
+	}
+}
+
+// TestRelayedRetransmitOutlivesLeaseIsStale: a relay forwards a limit and
+// then its release. The relay keeps retransmitting the limit frame for
+// 3.1 s, past the 2 s lease of the release frame. That last retransmit
+// must still be dropped as stale, or it would reinstall a released limit.
+func TestRelayedRetransmitOutlivesLeaseIsStale(t *testing.T) {
+	const key = "100-10-1"
+	tr := &captureTransport{}
+	mid, err := New(Config{RouterID: 5, Peers: []string{"up"}, Transport: tr,
+		Installer: newFakeInstaller(), PacketSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upInstall := newFakeInstaller()
+	reg := telemetry.NewRegistry()
+	up, err := New(Config{RouterID: 2, Installer: upInstall, PacketSize: 1000, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relay := func(seq, limit uint64, now float64) []byte {
+		sent := len(tr.frames)
+		if _, err := mid.HandleFrame(feedbackFrame(t, 9, seq, 1, limit), now); err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.frames) != sent+1 {
+			t.Fatalf("relay at %v sent %d frames, want 1", now, len(tr.frames)-sent)
+		}
+		return tr.frames[sent]
+	}
+	if n, _ := up.HandleFrame(relay(1, 4_000_000, 1.0), 1.0); n != 1 {
+		t.Fatalf("relayed limit applied %d records, want 1", n)
+	}
+	if n, _ := up.HandleFrame(relay(2, 0, 1.5), 1.5); n != 1 {
+		t.Fatalf("relayed release applied %d records, want 1", n)
+	}
+	if _, ok := upInstall.limits[key]; ok {
+		t.Fatal("limit still installed after the release")
+	}
+
+	// Run the relay's retransmits to exhaustion; keep the last resend of
+	// the limit frame (relayed seq 1) and when it went out.
+	var last []byte
+	lastAt := 0.0
+	for step := 1; step <= 120; step++ {
+		now := 1.0 + 0.05*float64(step)
+		sent := len(tr.frames)
+		mid.Tick(now)
+		for _, buf := range tr.frames[sent:] {
+			var f wire.ControlFrame
+			if _, err := wire.DecodeControl(buf, &f); err != nil {
+				t.Fatal(err)
+			}
+			if f.Seq == 1 {
+				last, lastAt = buf, now
+			}
+		}
+	}
+	if lastAt <= 1.5+2.0 {
+		t.Fatalf("last retransmit of the limit at %v, want after the release's lease end 3.5", lastAt)
+	}
+	if n, _ := up.HandleFrame(last, lastAt); n != 0 {
+		t.Fatalf("retransmit at %v applied %d records, want 0", lastAt, n)
+	}
+	if _, ok := upInstall.limits[key]; ok {
+		t.Fatalf("retransmit at %v reinstalled the released limit", lastAt)
+	}
+	if v := reg.CounterValue(`floc_cluster_feedback_stale_dropped_total{peer="5"}`); v != 1 {
+		t.Fatalf("stale counter = %d, want 1", v)
+	}
+}
+
 // TestReleaseOnCalm asserts a calmed path is released with an explicit
 // zero-limit record.
 func TestReleaseOnCalm(t *testing.T) {

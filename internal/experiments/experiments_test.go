@@ -263,6 +263,9 @@ func TestFig4ModelTable(t *testing.T) {
 	}
 	// Unsynchronized column is flat; synchronized ranges [nW/2, nW].
 	first, last := tab.Rows[0], tab.Rows[19]
+	if first.Label != "phase=0.00" || first.Values[0] != 60 {
+		t.Fatalf("first row %s %v, want phase=0.00 at 60 (3/4 of nW)", first.Label, first.Values[0])
+	}
 	if first.Values[0] != last.Values[0] {
 		t.Fatal("unsync request not flat")
 	}
@@ -401,6 +404,23 @@ func TestFigTopologySmoke(t *testing.T) {
 	for _, r := range tab.Rows {
 		if r.Values[2] != 100 {
 			t.Fatalf("attack ASes = %v", r.Values[2])
+		}
+	}
+}
+
+// TestFigTopologySeparated covers the Fig. 15 placement: with legitimate
+// sources kept out of attack ASes no AS holds both.
+func TestFigTopologySeparated(t *testing.T) {
+	tab, err := FigTopology(100, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != 3 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	for _, r := range tab.Rows {
+		if r.Values[4] != 0 {
+			t.Fatalf("%s: overlap ASes = %v, want 0 when separated", r.Label, r.Values[4])
 		}
 	}
 }

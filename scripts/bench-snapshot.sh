@@ -62,10 +62,10 @@ bench() { # bench <pkg> <regexp>
     printf '%s\n' "$raw" | grep '^Benchmark'
 }
 
-router=$(bench . '^BenchmarkFLocRouterEnqueue$')
-routertel=$(bench . '^BenchmarkFLocRouterEnqueueTelemetry$')
+router=$(bench ./internal/core '^BenchmarkFLocRouterEnqueue$')
+routertel=$(bench ./internal/core '^BenchmarkFLocRouterEnqueueTelemetry$')
 admitws=$(bench ./internal/core '^BenchmarkAdmitWorkingSet$')
-batch=$(bench . '^BenchmarkFLocRouterEnqueueBatch$')
+batch=$(bench ./internal/core '^BenchmarkFLocRouterEnqueueBatch$')
 sharded=$(bench ./internal/dataplane '^BenchmarkDataplaneEnqueueSharded$')
 filter=$(bench ./internal/dropfilter '^BenchmarkFilterUpdate$')
 locality=$(bench ./internal/dropfilter '^BenchmarkFilterLocality$')

@@ -36,8 +36,9 @@
 #                single-threaded simulations, which race instrumentation
 #                slows ~15x past the package timeout)
 #   telemetry-overhead
-#                BenchmarkFLocRouterEnqueue in the default build (telemetry
-#                compiled in but not attached) versus -tags flocnotelemetry
+#                internal/core's BenchmarkFLocRouterEnqueue in the default
+#                build (telemetry compiled in but not attached) versus
+#                -tags flocnotelemetry
 #                (compiled out); fails if the disabled-telemetry hot path
 #                costs more than TELEMETRY_OVERHEAD_NS (default 2.0) ns/op
 #                over the compiled-out baseline, comparing the median of
@@ -192,8 +193,9 @@ TELEMETRY_OVERHEAD_NS="${TELEMETRY_OVERHEAD_NS:-2.0}"
 if [ "$TELEMETRY_OVERHEAD_NS" != "0" ]; then
     begin telemetry-overhead
     echo ">> telemetry-overhead: BenchmarkFLocRouterEnqueue default vs -tags flocnotelemetry" >&2
-    run go test -c -o /tmp/floc-bench-default.test .
-    run go test -tags flocnotelemetry -c -o /tmp/floc-bench-notel.test .
+    bench_tmp=$(mktemp -d "${TMPDIR:-/tmp}/floc-bench-XXXXXX")
+    run go test -c -o "$bench_tmp/default.test" ./internal/core
+    run go test -tags flocnotelemetry -c -o "$bench_tmp/notel.test" ./internal/core
     # Paired comparison: the builds alternate back-to-back, each pair
     # yields one absolute overhead delta in ns/op, and the median delta
     # is the verdict. Pairing cancels machine phase drift (a slow phase
@@ -211,12 +213,12 @@ if [ "$TELEMETRY_OVERHEAD_NS" != "0" ]; then
     }
     overheads="" i=0
     while [ $i -lt 7 ]; do
-        base=$(bench_once /tmp/floc-bench-notel.test)
-        cur=$(bench_once /tmp/floc-bench-default.test)
+        base=$(bench_once "$bench_tmp/notel.test")
+        cur=$(bench_once "$bench_tmp/default.test")
         overheads="$overheads $(awk -v b="$base" -v c="$cur" 'BEGIN { printf "%.3f", c - b }')"
         i=$((i + 1))
     done
-    rm -f /tmp/floc-bench-default.test /tmp/floc-bench-notel.test
+    rm -rf "$bench_tmp"
     echo "   pair overheads (ns/op):$overheads" >&2
     echo "$overheads" | tr ' ' '\n' | grep -v '^$' | sort -n |
         awk -v p="$TELEMETRY_OVERHEAD_NS" '
@@ -284,10 +286,9 @@ begin cluster-gate
 # propagate the opposite way — root originates control frames, mid
 # applies and relays them, leaf installs the limits and sheds the flood
 # before forwarding. Every assertion reads the daemons' own /metrics
-# through topogen -probe (no curl dependency).
+# through flocd -probe (no curl dependency).
 cluster_tmp=$(mktemp -d "${TMPDIR:-/tmp}/floc-cluster-XXXXXX")
 run go build -o "$cluster_tmp/flocd" ./cmd/flocd
-run go build -o "$cluster_tmp/topogen" ./cmd/topogen
 run "$cluster_tmp/flocd" -gen 64000 -out "$cluster_tmp/capture.ndjson"
 "$cluster_tmp/flocd" -listen 127.0.0.1:19103 -router-id 3 -peers 127.0.0.1:19202 \
     -link 20e6 -metrics 127.0.0.1:19303 2>"$cluster_tmp/root.log" &
@@ -302,7 +303,7 @@ cluster_mid=$!
 cluster_leaf=$!
 cluster_up() { # cluster_up <metrics port>
     i=0
-    until "$cluster_tmp/topogen" -probe "http://127.0.0.1:$1/healthz" >/dev/null 2>&1; do
+    until "$cluster_tmp/flocd" -probe "http://127.0.0.1:$1/healthz" >/dev/null 2>&1; do
         i=$((i + 1))
         if [ "$i" -ge 50 ]; then
             echo "cluster-gate: daemon on port $1 never came up" >&2
@@ -318,7 +319,7 @@ sleep 1 # one more publish interval, so in-flight feedback lands
 # metric_sum <metrics port> <series prefix> — sum every matching series,
 # so the assertions hold at any shard count.
 metric_sum() {
-    "$cluster_tmp/topogen" -probe "http://127.0.0.1:$1/metrics" |
+    "$cluster_tmp/flocd" -probe "http://127.0.0.1:$1/metrics" |
         awk -v p="$2" 'index($1, p) == 1 { s += $2 } END { print s + 0 }'
 }
 assert_pos() { # assert_pos <description> <value>

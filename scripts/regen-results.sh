@@ -19,11 +19,12 @@ run go run ./cmd/flocsim -fig 7  -scale "$SCALE" -rates 0.4,2.0,4.0 > results/fi
 run go run ./cmd/flocsim -fig 8  -scale "$SCALE" -rates 0.2,0.4,0.8,1.6,2.4,3.2,4.0 > results/fig8.tsv
 run go run ./cmd/flocsim -fig 9  -scale 0.3      > results/fig9.tsv
 run go run ./cmd/flocsim -fig 10 -scale "$SCALE" -fanouts 1,4,8,12,20 > results/fig10.tsv
-run go run ./cmd/topogen -kind inet -attack-ases 100 > results/fig11.tsv
-run go run ./cmd/topogen -kind inet -attack-ases 300 > results/fig12.tsv
-run go run ./cmd/inetsim -fig 13 -scale "$SCALE" > results/fig13.tsv
-run go run ./cmd/inetsim -fig 14 -scale "$SCALE" > results/fig14.tsv
-run go run ./cmd/inetsim -fig 15 -scale "$SCALE" > results/fig15.tsv
+# Figs. 11-15 keep the seed the Internet-scale results were recorded at.
+run go run ./cmd/flocsim -fig 11 -seed 42 > results/fig11.tsv
+run go run ./cmd/flocsim -fig 12 -seed 42 > results/fig12.tsv
+run go run ./cmd/flocsim -fig 13 -scale "$SCALE" -seed 42 > results/fig13.tsv
+run go run ./cmd/flocsim -fig 14 -scale "$SCALE" -seed 42 > results/fig14.tsv
+run go run ./cmd/flocsim -fig 15 -scale "$SCALE" -seed 42 > results/fig15.tsv
 # Extensions beyond the paper.
 run go run ./cmd/flocsim -fig timed  -scale "$SCALE" > results/fig-timed.tsv
 run go run ./cmd/flocsim -fig deploy -scale "$SCALE" > results/fig-deploy.tsv
