@@ -462,20 +462,16 @@ func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n
 	return n, cr.Malformed(), end, nil
 }
 
-// packetChunk is how many packets a producer allocates at a time.
-const packetChunk = 64 //floc:unit packets
-
 // producer is the ingest state one packet source owns: the interner that
 // maps wire paths to router handles, the burst that batches the handoff
-// to the shard rings, and the chunk the next packets are cut from. A
-// chunk is garbage once the last packet cut from it has left the router,
-// so a queued packet pins at most its own chunk (DESIGN.md "Packet chunk
-// lifetime").
+// to the shard rings, and the one packet every header is decoded into —
+// the burst copies it, so it is free again as soon as Enqueue returns
+// (DESIGN.md "Packet ownership").
 type producer struct {
 	e     *dataplane.Engine
 	in    *wire.Interner
 	burst *dataplane.Burst
-	chunk []netsim.Packet // packets not yet handed out
+	pkt   netsim.Packet
 }
 
 func newProducer(e *dataplane.Engine) *producer {
@@ -496,18 +492,9 @@ func (p *producer) ingest(h *wire.Header, id uint64, t float64) {
 		res.Handle = p.e.InternPath(res.ID)
 		p.in.BindHandle(h, res.Handle)
 	}
-	if len(p.chunk) == 0 {
-		p.chunk = newPacketChunk()
-	}
-	pkt := &p.chunk[0]
-	p.chunk = p.chunk[1:]
-	h.ToPacket(pkt, id, res.ID, res.Key, res.Handle)
-	p.burst.Enqueue(pkt, t)
+	h.ToPacket(&p.pkt, id, res.ID, res.Key, res.Handle)
+	p.burst.Enqueue(&p.pkt, t)
 }
-
-// newPacketChunk allocates the next packetChunk packets.
-// floc:coldpath one allocation per packetChunk packets
-func newPacketChunk() []netsim.Packet { return make([]netsim.Packet, packetChunk) }
 
 // malformedFamily is a counter family for rejected input: an unlabelled
 // total, registered even when nothing is rejected so a clean run exports

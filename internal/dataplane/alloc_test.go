@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"runtime"
 	"testing"
 
 	"floc/internal/core"
@@ -16,25 +17,75 @@ import (
 func TestZeroAllocRingOps(t *testing.T) {
 	r := newRing(64)
 	var pkt netsim.Packet
+	var slots packetSlots
 	dst := make([]core.BatchItem, 16)
+	run := make([]ringItem, 16)
+	drain := func() {
+		if n := r.dequeueBatch(dst, &slots); n != 16 {
+			t.Fatalf("dequeued %d of 16", n)
+		}
+		for _, it := range dst {
+			slots.release(it.Pkt)
+		}
+	}
 	if avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 16; i++ {
-			if !r.tryEnqueue(core.BatchItem{Pkt: &pkt, At: 1.0}) {
+			if !r.tryEnqueue(&pkt, 1.0) {
 				t.Fatal("ring unexpectedly full")
 			}
 		}
-		if n := r.dequeueBatch(dst); n != 16 {
-			t.Fatalf("dequeued %d of 16", n)
-		}
-		// The same 16 handed over as one burst.
-		if n := r.tryEnqueueBurst(dst); n != 16 {
+		drain()
+		// 16 more handed over as one burst.
+		if n := r.tryEnqueueBurst(run); n != 16 {
 			t.Fatalf("burst claimed %d of 16", n)
 		}
-		if n := r.dequeueBatch(dst); n != 16 {
-			t.Fatalf("dequeued %d of 16", n)
-		}
+		drain()
 	}); avg != 0 {
 		t.Fatalf("ring push/pop allocates %.1f times per 16-packet cycle, want 0", avg)
+	}
+}
+
+// TestZeroAllocBurstIngest: replay's steady state — one producer's Burst
+// handing one reused packet after another to the rings of two workers,
+// which copy each into a packet slot of their own, admit it against a
+// congested link and, there being no egress sink, take the slot back —
+// allocates nothing once the slots, the router tables and the rings are
+// warm.
+func TestZeroAllocBurstIngest(t *testing.T) {
+	rc := core.DefaultConfig(80e6, 512) // 10 000 packets/s
+	rc.Seed = 42
+	e, err := New(Config{Router: rc, Shards: 2, BlockOnFull: true, Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const nPaths, flowsPer, gap = 64, 8, 50e-6 // twice the link rate
+	paths, handles := make([]pathid.PathID, nPaths), make([]uint32, nPaths)
+	for p := range paths {
+		paths[p] = pathid.New(pathid.ASN(10000+p), pathid.ASN(100+p/8), 1)
+		handles[p] = e.InternPath(paths[p])
+	}
+	b := e.NewBurst()
+	var pkt netsim.Packet
+	sent := 0
+	ingest := func(n int) {
+		for end := sent + n; sent < end; sent++ {
+			p := sent % nPaths
+			pkt = netsim.Packet{
+				ID: uint64(sent), Src: uint32(p)<<8 | uint32(sent/nPaths%flowsPer), Dst: 1,
+				Size: 1000, Kind: netsim.KindUDP, Path: paths[p], PathHandle: handles[p],
+			}
+			b.Enqueue(&pkt, float64(sent)*gap)
+		}
+		b.Flush()
+		for e.Stats().Processed != int64(sent) {
+			runtime.Gosched()
+		}
+	}
+	ingest(100_000)
+	const perRun = 4096
+	if avg := testing.AllocsPerRun(10, func() { ingest(perRun) }); avg != 0 {
+		t.Fatalf("steady-state burst ingest allocates %.0f times per %d packets, want 0", avg, perRun)
 	}
 }
 

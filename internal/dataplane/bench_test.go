@@ -28,8 +28,7 @@ func BenchmarkDataplaneEnqueueSharded(b *testing.B) {
 			defer e.Close()
 
 			// 64 distinct paths so every shard count gets work on all
-			// shards; per-producer packet blocks are recycled (sizes are
-			// constant, so in-flight reuse cannot corrupt accounting).
+			// shards; each producer reuses one packet, which Enqueue copies.
 			paths := make([]pathid.PathID, 64)
 			keys := make([]string, 64)
 			handles := make([]uint32, 64)
@@ -43,19 +42,17 @@ func BenchmarkDataplaneEnqueueSharded(b *testing.B) {
 			var producer atomic.Int64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				const block = 4096
-				pkts := make([]netsim.Packet, block)
+				var pkt netsim.Packet
 				p := uint64(producer.Add(1))
 				i := uint64(0)
 				for pb.Next() {
-					pkt := &pkts[i%block]
 					pi := (i*7 + p*13) % uint64(len(paths))
-					*pkt = netsim.Packet{
+					pkt = netsim.Packet{
 						ID: i, Src: uint32(p), Dst: 1, Size: 1000,
 						Kind: netsim.KindUDP, Path: paths[pi], PathKey: keys[pi],
 						PathHandle: handles[pi],
 					}
-					e.Enqueue(pkt, 1.0)
+					e.Enqueue(&pkt, 1.0)
 					i++
 				}
 			})

@@ -48,7 +48,8 @@ import (
 // downstream flocd implements it with a socket writer. A shard's sink is
 // called by whoever holds the shard's consumer role, one goroutine at a
 // time; implementations shared across shards must be safe for concurrent
-// use.
+// use. An emitted packet is the sink's: the engine never touches or
+// reuses it again, so a sink may keep it as long as it likes.
 type PacketSink interface {
 	// Emit is called once per transmitted packet with the virtual time
 	// the transmission completed.
@@ -236,9 +237,11 @@ type shard struct {
 	limitGauge   *telemetry.Gauge   // nil when telemetry is off
 
 	// Health surface (nil when telemetry is off): batch admission wall-
-	// clock latency and ring occupancy sampled after each drained batch.
-	latHist  *telemetry.Histogram
-	occGauge *telemetry.Gauge
+	// clock latency, ring occupancy and packet slots owned, sampled after
+	// each admitted batch.
+	latHist   *telemetry.Histogram
+	occGauge  *telemetry.Gauge
+	slotGauge *telemetry.Gauge
 
 	// Which way packets went (nil when telemetry is off), counted per run,
 	// never per packet: runs a producer processed under the role, and
@@ -247,7 +250,8 @@ type shard struct {
 	wakeups    *telemetry.Counter
 
 	// Role-owned state below: touched only by whoever holds role.
-	buf       []core.BatchItem
+	buf       []core.BatchItem     // the batch being admitted; points into slots
+	slots     packetSlots          // the memory of the packets this shard holds
 	warm      uint64               // fold of what Prefetch read; never read back
 	free      float64              //floc:unit seconds
 	rateBytes float64              //floc:unit bytes/s
@@ -256,6 +260,51 @@ type shard struct {
 	unflushed bool                 // emitted since the last Flush
 	bank      *defense.LimiterBank // nil until the first limit install
 	bankDrops int                  // bank.Drops() last published to counters
+}
+
+// slotChunk is how many packet slots a shard allocates at a time, when its
+// free list is empty.
+const slotChunk = 64 //floc:unit packets
+
+// packetSlots is a shard's packet memory. The role holder copies every
+// packet it admits out of the ring, or out of a quiescing producer's run,
+// into a slot taken from the free list, and the router queues that slot.
+// A slot comes back at exactly three points: Router.Enqueue refused it,
+// the LimiterBank dropped it, or the transmitter finished it and there is
+// no egress sink. A slot handed to the sink is the sink's and leaves the
+// shard's count. So without a sink a shard owns at most its router's
+// capacity, one batch and one chunk of slots (DESIGN.md "Packet
+// ownership"). Role-owned.
+type packetSlots struct {
+	free  []*netsim.Packet // LIFO: the slot freed last is reused first
+	owned int              // slots allocated and not handed to the sink: queued, in the batch, or free
+}
+
+// load copies the item's packet into a slot off the free list, allocating a
+// chunk first if the list is empty, and points dst at the slot.
+// floc:hotpath
+func (s *packetSlots) load(dst *core.BatchItem, it *ringItem) {
+	if len(s.free) == 0 {
+		s.grow()
+	}
+	p := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	*p = it.pkt
+	dst.Pkt, dst.At = p, it.at
+}
+
+// release returns a slot the shard is done with to the free list.
+// floc:hotpath
+func (s *packetSlots) release(p *netsim.Packet) { s.free = append(s.free, p) }
+
+// grow allocates the next slotChunk slots onto the free list.
+// floc:coldpath one allocation per slotChunk packets the shard holds at once or hands to its sink
+func (s *packetSlots) grow() {
+	chunk := make([]netsim.Packet, slotChunk)
+	for i := range chunk {
+		s.free = append(s.free, &chunk[i])
+	}
+	s.owned += slotChunk
 }
 
 // New builds an engine and starts its workers.
@@ -316,6 +365,9 @@ func New(cfg Config) (*Engine, error) {
 			sh.occGauge = cfg.Telemetry.Gauge(
 				fmt.Sprintf(`floc_dataplane_ring_occupancy{shard="%d"}`, i),
 				"shard ring occupancy after the last drained batch", "packets")
+			sh.slotGauge = cfg.Telemetry.Gauge(
+				fmt.Sprintf(`floc_dataplane_packet_slots{shard="%d"}`, i),
+				"packet slots the shard owns, queued or free, after the last admitted batch", "packets")
 			sh.latHist = cfg.Telemetry.Histogram(
 				fmt.Sprintf(`floc_dataplane_admission_batch_seconds{shard="%d"}`, i),
 				"wall-clock time to admit one drained batch", "seconds",
@@ -398,13 +450,13 @@ func (e *Engine) shardFor(pkt *netsim.Packet) int {
 	return pathShard(pkt.Path, len(e.shards))
 }
 
-// Enqueue hands a packet to its shard. It returns true when the packet
-// entered the ring. False means one of two things. The ring was full: the
-// packet is dropped, and counted in Stats and telemetry; with BlockOnFull
-// Enqueue yields and retries instead, and drops and counts only if the
-// engine closes while it does. Or the engine was already closed when
-// Enqueue was called: that only the return value reports. The packet must
-// not be mutated after a successful Enqueue.
+// Enqueue hands a copy of a packet to its shard. It returns true when the
+// copy entered the ring. False means one of two things. The ring was full:
+// the packet is dropped, and counted in Stats and telemetry; with
+// BlockOnFull Enqueue yields and retries instead, and drops and counts
+// only if the engine closes while it does. Or the engine was already
+// closed when Enqueue was called: that only the return value reports.
+// Either way the caller may reuse its packet as soon as Enqueue returns.
 // floc:unit now seconds
 // floc:hotpath
 func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
@@ -412,8 +464,7 @@ func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
 		return false
 	}
 	sh := e.shards[e.shardFor(pkt)]
-	it := core.BatchItem{Pkt: pkt, At: now}
-	for !sh.ring.tryEnqueue(it) {
+	for !sh.ring.tryEnqueue(pkt, now) {
 		if !e.ringFull(sh) {
 			return false
 		}
@@ -468,29 +519,35 @@ const burstRun = 64 //floc:unit packets
 // each producing goroutine its own.
 type Burst struct {
 	e    *Engine
-	runs [][]core.BatchItem // per shard; cap burstRun
-	held []*shard           // Quiesce's scratch: the roles it holds; cap len(runs)
+	runs [][]ringItem // per shard; cap burstRun
+	held []*shard     // Quiesce's scratch: the roles it holds; cap len(runs)
 }
 
 // NewBurst returns an empty burst for one producer.
 func (e *Engine) NewBurst() *Burst {
-	b := &Burst{e: e, runs: make([][]core.BatchItem, len(e.shards)), held: make([]*shard, 0, len(e.shards))}
+	b := &Burst{e: e, runs: make([][]ringItem, len(e.shards)), held: make([]*shard, 0, len(e.shards))}
 	for i := range b.runs {
-		b.runs[i] = make([]core.BatchItem, 0, burstRun)
+		b.runs[i] = make([]ringItem, 0, burstRun)
 	}
 	return b
 }
 
-// Enqueue buffers a packet for its shard, handing the shard's run to the
-// ring when it reaches burstRun. What Engine.Enqueue reports per packet —
-// ring full, engine closed — is decided when the run is flushed and
-// shows in Stats. The packet must not be mutated afterwards.
+// Enqueue buffers a copy of a packet for its shard, handing the shard's
+// run to the ring when it reaches burstRun. What Engine.Enqueue reports
+// per packet — ring full, engine closed — is decided when the run is
+// flushed and shows in Stats. The caller may reuse its packet as soon as
+// Enqueue returns.
 // floc:unit now seconds
 // floc:hotpath
 func (b *Burst) Enqueue(pkt *netsim.Packet, now float64) {
 	i := b.e.shardFor(pkt)
-	b.runs[i] = append(b.runs[i], core.BatchItem{Pkt: pkt, At: now})
-	if len(b.runs[i]) == burstRun {
+	// Copied field-wise into the run's next element, not appended as a
+	// literal that would be built on the stack first.
+	run := b.runs[i][:len(b.runs[i])+1]
+	it := &run[len(run)-1]
+	it.pkt, it.at = *pkt, now
+	b.runs[i] = run
+	if len(run) == burstRun {
 		b.flushRun(i)
 	}
 }
@@ -511,17 +568,17 @@ func (b *Burst) Flush() {
 // producer to park in its place, the producer does the work itself. For
 // every shard it holds a run for and whose worker is parked it takes the
 // consumer role (takeRole), drains what is left in the ring — its own
-// earlier runs first, per-producer FIFO — and processes the run in place:
-// no ring slot, no doorbell. It keeps every role it took until one
-// Flusher.Flush has covered them all. A shard whose worker is awake, or
-// whose role someone else holds, gets its run through the ring exactly as
-// in Flush, so nothing is lost between the two; so does one whose ring
-// still holds a claim its producer has not published — runs of this
-// producer may sit behind it, and must not be overtaken — and so does
-// every shard of a closed engine, for flushRun to count. When Quiesce
-// returns, every packet it processed inline has been admitted and its
-// emissions flushed; the others are in their rings, behind any barrier
-// that follows.
+// earlier runs first, per-producer FIFO — and admits the run itself
+// (shard.admitRun): no ring slot, no doorbell. It keeps every role it
+// took until one Flusher.Flush has covered them all. A shard whose worker
+// is awake, or whose role someone else holds, gets its run through the
+// ring exactly as in Flush, so nothing is lost between the two; so does
+// one whose ring still holds a claim its producer has not published —
+// runs of this producer may sit behind it, and must not be overtaken —
+// and so does every shard of a closed engine, for flushRun to count.
+// When Quiesce returns, every packet it processed inline has been
+// admitted and its emissions flushed; the others are in their rings,
+// behind any barrier that follows.
 // floc:hotpath
 func (b *Burst) Quiesce() {
 	held := b.held[:0]
@@ -544,7 +601,7 @@ func (b *Burst) Quiesce() {
 		held = append(held, sh)
 		b.runs[i] = run[:0]
 		sh.accepted.Add(int64(len(run)))
-		sh.process(run)
+		sh.admitRun(run)
 		if sh.inlineRuns != nil {
 			sh.inlineRuns.Inc()
 		}
@@ -624,8 +681,7 @@ func (sh *shard) run() {
 	sh.role.Lock()
 	defer sh.role.Unlock()
 	for {
-		if n := sh.ring.dequeueBatch(sh.buf); n > 0 {
-			sh.process(sh.buf[:n])
+		if sh.drainBatch() {
 			sh.flushEgress()
 			select {
 			case c := <-sh.cmds:
@@ -705,10 +761,12 @@ func (sh *shard) process(items []core.BatchItem) {
 		sh.serve(it.At)
 		// Cluster-installed limits gate admission: a path over its
 		// propagated budget is dropped here, before it spends any router
-		// buffer — the upstream half of the pushback contract.
-		if sh.bank == nil || sh.bank.Admit(it.Pkt.PathHandle, it.Pkt, it.At) {
-			sh.router.Enqueue(it.Pkt, it.At)
+		// buffer — the upstream half of the pushback contract. A packet
+		// the router does not queue, for whichever reason, frees its slot.
+		if (sh.bank == nil || sh.bank.Admit(it.Pkt.PathHandle, it.Pkt, it.At)) && sh.router.Enqueue(it.Pkt, it.At) {
+			continue
 		}
+		sh.slots.release(it.Pkt)
 	}
 	if sh.bank != nil {
 		if d := sh.bank.Drops(); d != sh.bankDrops {
@@ -724,6 +782,22 @@ func (sh *shard) process(items []core.BatchItem) {
 	if sh.latHist != nil {
 		sh.latHist.Observe(time.Since(start).Seconds()) //floclint:allow sim-time wall-clock batch latency is exactly what the health histogram measures
 		sh.occGauge.Set(float64(sh.ring.occupancy()))
+		sh.slotGauge.Set(float64(sh.slots.owned))
+	}
+}
+
+// admitRun admits a quiescing producer's run: len(buf) packets at a time,
+// each copied into a slot first, as drainBatch copies them out of the
+// ring. Where a run is cut into batches changes no decision (process).
+// floc:hotpath
+func (sh *shard) admitRun(run []ringItem) {
+	for len(run) > 0 {
+		n := min(len(run), len(sh.buf))
+		for i := range run[:n] {
+			sh.slots.load(&sh.buf[i], &run[i])
+		}
+		sh.process(sh.buf[:n])
+		run = run[n:]
 	}
 }
 
@@ -739,10 +813,13 @@ func (sh *shard) serve(now float64) {
 			return
 		}
 		sh.free += float64(pkt.Size) / sh.rateBytes
-		if sh.egress != nil {
-			sh.egress.Emit(pkt, sh.free)
-			sh.unflushed = sh.flusher != nil
+		if sh.egress == nil {
+			sh.slots.release(pkt)
+			continue
 		}
+		sh.slots.owned-- // the sink's from here on
+		sh.egress.Emit(pkt, sh.free)
+		sh.unflushed = sh.flusher != nil
 	}
 }
 
@@ -756,15 +833,22 @@ func (sh *shard) flushEgress() {
 	}
 }
 
+// drainBatch moves up to len(buf) packets out of the ring into slots and
+// admits them. It reports whether the ring had any.
+// floc:hotpath
+func (sh *shard) drainBatch() bool {
+	n := sh.ring.dequeueBatch(sh.buf, &sh.slots)
+	if n == 0 {
+		return false
+	}
+	sh.process(sh.buf[:n])
+	return true
+}
+
 // drainRing empties the ring completely, flushing nothing.
 // floc:hotpath
 func (sh *shard) drainRing() {
-	for {
-		n := sh.ring.dequeueBatch(sh.buf)
-		if n == 0 {
-			return
-		}
-		sh.process(sh.buf[:n])
+	for sh.drainBatch() {
 	}
 }
 

@@ -76,7 +76,7 @@ func runBaseline(t *testing.T, cfg core.Config, sc []arrival, end float64) core.
 // returns the merged snapshot after a full flush.
 func runEngine(t *testing.T, cfg Config, sc []arrival, end float64) (core.Snapshot, Stats) {
 	t.Helper()
-	return runEngineVia(t, cfg, sc, end, viaEnqueue)
+	return runEngineVia(t, cfg, sc, end, viaEnqueue, false)
 }
 
 // frontEnd is how a test hands packets to the engine.
@@ -88,8 +88,10 @@ const (
 	viaQuiesce                 // one producer's Burst, cut at seeded random points (cutBurst)
 )
 
-// runEngineVia is runEngine with the choice of front end.
-func runEngineVia(t *testing.T, cfg Config, sc []arrival, end float64, via frontEnd) (core.Snapshot, Stats) {
+// runEngineVia is runEngine with the choice of front end. With reuse one
+// packet carries the whole scenario and is scribbled over as soon as each
+// hand-in returns, which the engine's copy must not see.
+func runEngineVia(t *testing.T, cfg Config, sc []arrival, end float64, via frontEnd, reuse bool) (core.Snapshot, Stats) {
 	t.Helper()
 	if via == viaQuiesce {
 		cfg.Telemetry = telemetry.NewRegistry()
@@ -100,15 +102,22 @@ func runEngineVia(t *testing.T, cfg Config, sc []arrival, end float64, via front
 	}
 	defer e.Close()
 	b, cut := e.NewBurst(), rng.New(11)
+	var one netsim.Packet
 	for i := range sc {
-		pkt := sc[i].pkt
-		switch via {
-		case viaEnqueue:
-			e.Enqueue(&pkt, sc[i].at)
-		case viaBurst:
-			b.Enqueue(&pkt, sc[i].at)
-		case viaQuiesce:
-			b.Enqueue(&pkt, sc[i].at)
+		pkt := &one
+		if !reuse {
+			pkt = new(netsim.Packet)
+		}
+		*pkt = sc[i].pkt
+		if via == viaEnqueue {
+			e.Enqueue(pkt, sc[i].at)
+		} else {
+			b.Enqueue(pkt, sc[i].at)
+		}
+		if reuse {
+			scribble(pkt)
+		}
+		if via == viaQuiesce {
 			cutBurst(e, b, cut, 16)
 		}
 	}
@@ -226,7 +235,7 @@ func TestOneShardMatchesSingleRouterExactly(t *testing.T) {
 	}{{"batch-1", 1, viaEnqueue}, {"batch-64", 64, viaEnqueue}, {"burst", 64, viaBurst}, {"quiesce", 64, viaQuiesce}} {
 		got, stats := runEngineVia(t, Config{
 			Router: rc, Shards: 1, Batch: tc.batch, BlockOnFull: true,
-		}, sc, end, tc.via)
+		}, sc, end, tc.via, false)
 		if int(stats.RingDrops) != 0 {
 			t.Fatalf("%s: ring drops %d under BlockOnFull", tc.name, stats.RingDrops)
 		}

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"floc/internal/core"
 	"floc/internal/netsim"
 	"floc/internal/pathid"
 	"floc/internal/telemetry"
@@ -253,6 +252,9 @@ func TestQuiesceQueuesBehindUnpublishedClaim(t *testing.T) {
 	path := pathid.New(50, 5, 1)
 	h := e.InternPath(path)
 	pkts := []*netsim.Packet{limitPkt(path, h, 1000), limitPkt(path, h, 1000), limitPkt(path, h, 1000)}
+	for i, pkt := range pkts {
+		pkt.ID = uint64(i)
+	}
 	parkWorkers(e)
 
 	// Another producer, stopped between its claim and its publication.
@@ -275,7 +277,7 @@ func TestQuiesceQueuesBehindUnpublishedClaim(t *testing.T) {
 	}
 	// The other producer resumes.
 	s := &r.slots[pos&r.mask]
-	s.item = core.BatchItem{Pkt: pkts[0], At: 0}
+	s.item = ringItem{pkt: *pkts[0], at: 0}
 	s.seq.Store(pos + 1)
 	e.shards[0].accepted.Add(1)
 	e.shards[0].ringWake()
@@ -283,7 +285,7 @@ func TestQuiesceQueuesBehindUnpublishedClaim(t *testing.T) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	for i, pkt := range rec.pkts {
-		if i >= len(pkts) || pkt != pkts[i] {
+		if i >= len(pkts) || pkt.ID != pkts[i].ID {
 			t.Fatalf("packet %d to leave is not the %dth in ring order", i, i)
 		}
 	}

@@ -4,16 +4,16 @@ import (
 	"sync/atomic"
 
 	"floc/internal/core"
+	"floc/internal/netsim"
 )
 
 // ring is a bounded multi-producer single-consumer queue of shard work:
-// packets with their arrival times, in the shape the router's batch
-// admission takes them. It is Vyukov's bounded MPMC design, used here
-// with one consumer. Each slot carries a sequence number: producers claim
-// a slot by CAS on the enqueue cursor and publish it by advancing the
-// slot sequence; the consumer observes publication through the same
-// sequence, so item handoff is properly ordered without locks. Capacity
-// is a power of two so cursor-to-slot mapping is a mask.
+// packets, by value, with their arrival times. It is Vyukov's bounded
+// MPMC design, used here with one consumer. Each slot carries a sequence
+// number: producers claim a slot by CAS on the enqueue cursor and publish
+// it by advancing the slot sequence; the consumer observes publication
+// through the same sequence, so item handoff is properly ordered without
+// locks. Capacity is a power of two so cursor-to-slot mapping is a mask.
 type ring struct {
 	mask  uint64
 	slots []ringSlot
@@ -23,7 +23,13 @@ type ring struct {
 
 type ringSlot struct {
 	seq  atomic.Uint64
-	item core.BatchItem
+	item ringItem
+}
+
+// ringItem is one packet of shard work and its arrival time.
+type ringItem struct {
+	pkt netsim.Packet
+	at  float64 //floc:unit seconds
 }
 
 // ringSealed is the producer-cursor bit seal sets. No position reaches it
@@ -40,10 +46,12 @@ func newRing(size int) *ring {
 	return r
 }
 
-// tryEnqueue publishes one item. It returns false when the ring is full —
-// the caller decides whether to drop (accounted) or back off.
+// tryEnqueue copies one packet into the ring. It returns false when the
+// ring is full — the caller decides whether to drop (accounted) or back
+// off.
+// floc:unit at seconds
 // floc:hotpath
-func (r *ring) tryEnqueue(it core.BatchItem) bool {
+func (r *ring) tryEnqueue(pkt *netsim.Packet, at float64) bool {
 	pos := r.enq.Load()
 	for {
 		s := &r.slots[pos&r.mask]
@@ -51,7 +59,8 @@ func (r *ring) tryEnqueue(it core.BatchItem) bool {
 		switch d := int64(seq) - int64(pos); {
 		case d == 0:
 			if r.enq.CompareAndSwap(pos, pos+1) {
-				s.item = it
+				s.item.pkt = *pkt
+				s.item.at = at
 				s.seq.Store(pos + 1)
 				return true
 			}
@@ -66,15 +75,15 @@ func (r *ring) tryEnqueue(it core.BatchItem) bool {
 	}
 }
 
-// tryEnqueueBurst publishes a prefix of items and returns its length: as
-// many as there are free slots ahead of the producer cursor, 0 when the
-// ring is full. The free slots ahead of the cursor are one contiguous run
-// — the single consumer frees slots in cursor order, so a free slot is
-// never behind an occupied one — which lets one CAS claim the whole run;
-// the slots are then published one by one, in order, exactly as
-// tryEnqueue publishes its one.
+// tryEnqueueBurst copies a prefix of items into the ring and returns its
+// length: as many as there are free slots ahead of the producer cursor, 0
+// when the ring is full. The free slots ahead of the cursor are one
+// contiguous run — the single consumer frees slots in cursor order, so a
+// free slot is never behind an occupied one — which lets one CAS claim the
+// whole run; the slots are then published one by one, in order, exactly
+// as tryEnqueue publishes its one.
 // floc:hotpath
-func (r *ring) tryEnqueueBurst(items []core.BatchItem) int {
+func (r *ring) tryEnqueueBurst(items []ringItem) int {
 	for len(items) > 0 {
 		pos := r.enq.Load()
 		n := uint64(0)
@@ -114,20 +123,19 @@ func (r *ring) seal() {
 	}
 }
 
-// dequeueBatch moves up to len(dst) published items into dst and returns
-// how many it moved. Consumer-only.
+// dequeueBatch moves up to len(dst) published items out of the ring, each
+// packet straight into a slot taken from slots, and points dst at them.
+// It returns how many it moved. Consumer-only.
 // floc:hotpath
-func (r *ring) dequeueBatch(dst []core.BatchItem) int {
+func (r *ring) dequeueBatch(dst []core.BatchItem, slots *packetSlots) int {
 	n := 0
 	for n < len(dst) {
 		pos := r.deq
 		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		if int64(seq)-int64(pos+1) < 0 {
+		if int64(s.seq.Load())-int64(pos+1) < 0 {
 			break // next slot not yet published: ring (momentarily) empty
 		}
-		dst[n] = s.item
-		s.item = core.BatchItem{} // drop the reference for GC
+		slots.load(&dst[n], &s.item)
 		s.seq.Store(pos + uint64(len(r.slots)))
 		r.deq = pos + 1
 		n++

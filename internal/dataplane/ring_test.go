@@ -12,31 +12,38 @@ import (
 
 func TestRingFIFOAndCapacity(t *testing.T) {
 	r := newRing(4)
+	var slots packetSlots
 	pkts := make([]netsim.Packet, 5)
+	for i := range pkts {
+		pkts[i].ID = uint64(i)
+	}
 	for i := 0; i < 4; i++ {
-		if !r.tryEnqueue(core.BatchItem{Pkt: &pkts[i], At: float64(i)}) {
+		if !r.tryEnqueue(&pkts[i], float64(i)) {
 			t.Fatalf("enqueue %d failed on non-full ring", i)
 		}
 	}
-	if r.tryEnqueue(core.BatchItem{Pkt: &pkts[4]}) {
+	if r.tryEnqueue(&pkts[4], 0) {
 		t.Fatal("enqueue succeeded on a full ring")
 	}
 	buf := make([]core.BatchItem, 3)
-	if n := r.dequeueBatch(buf); n != 3 {
+	if n := r.dequeueBatch(buf, &slots); n != 3 {
 		t.Fatalf("dequeued %d, want 3", n)
 	}
 	for i := 0; i < 3; i++ {
-		if buf[i].Pkt != &pkts[i] || buf[i].At != float64(i) {
-			t.Fatalf("slot %d out of order: %+v", i, buf[i])
+		if buf[i].Pkt.ID != uint64(i) || buf[i].At != float64(i) {
+			t.Fatalf("slot %d out of order: packet %d at %v", i, buf[i].Pkt.ID, buf[i].At)
+		}
+		if buf[i].Pkt == &pkts[i] {
+			t.Fatalf("slot %d: the consumer got the producer's packet, not a copy", i)
 		}
 	}
 	// Freed slots are reusable (wraparound).
 	for i := 0; i < 3; i++ {
-		if !r.tryEnqueue(core.BatchItem{Pkt: &pkts[i]}) {
+		if !r.tryEnqueue(&pkts[i], 0) {
 			t.Fatalf("re-enqueue %d failed after frees", i)
 		}
 	}
-	if n := r.dequeueBatch(make([]core.BatchItem, 8)); n != 4 {
+	if n := r.dequeueBatch(make([]core.BatchItem, 8), &slots); n != 4 {
 		t.Fatalf("final drain got %d, want 4", n)
 	}
 	if !r.empty() {
@@ -50,28 +57,30 @@ func TestRingConcurrentProducers(t *testing.T) {
 		perProd   = 10000
 	)
 	r := newRing(256)
-	pkts := make([]netsim.Packet, producers*perProd)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			pkt := netsim.Packet{}
 			for i := 0; i < perProd; i++ {
-				it := core.BatchItem{Pkt: &pkts[p*perProd+i], At: float64(i)}
-				for !r.tryEnqueue(it) {
+				pkt.ID = uint64(p*perProd + i)
+				for !r.tryEnqueue(&pkt, float64(i)) {
 				}
 			}
 		}(p)
 	}
-	seen := make(map[*netsim.Packet]bool, len(pkts))
+	var slots packetSlots
+	seen := make(map[uint64]bool, producers*perProd)
 	buf := make([]core.BatchItem, 64)
-	for len(seen) < len(pkts) {
-		n := r.dequeueBatch(buf)
+	for len(seen) < producers*perProd {
+		n := r.dequeueBatch(buf, &slots)
 		for i := 0; i < n; i++ {
-			if seen[buf[i].Pkt] {
-				t.Fatalf("item delivered twice: %p", buf[i].Pkt)
+			if seen[buf[i].Pkt.ID] {
+				t.Fatalf("item delivered twice: packet %d", buf[i].Pkt.ID)
 			}
-			seen[buf[i].Pkt] = true
+			seen[buf[i].Pkt.ID] = true
+			slots.release(buf[i].Pkt)
 		}
 	}
 	wg.Wait()
@@ -88,19 +97,19 @@ func TestRingBurstAgainstModel(t *testing.T) {
 	const size = 16
 	r := newRing(size)
 	src := rng.New(5)
-	pkts := make([]netsim.Packet, 64)
-	var model []core.BatchItem // what the ring holds, oldest first
-	next := 0.0                // At stamps items uniquely, in enqueue order
-	item := func() core.BatchItem {
+	var slots packetSlots
+	var model []ringItem // what the ring holds, oldest first
+	next := 0.0          // ID and at stamp items uniquely, in enqueue order
+	item := func() ringItem {
 		next++
-		return core.BatchItem{Pkt: &pkts[int(next)%len(pkts)], At: next}
+		return ringItem{pkt: netsim.Packet{ID: uint64(next)}, at: next}
 	}
 	buf := make([]core.BatchItem, size)
 	partial, full := 0, 0
 	for op := 0; op < 20000; op++ {
 		switch src.Intn(3) {
 		case 0:
-			items := make([]core.BatchItem, 1+src.Intn(size+4))
+			items := make([]ringItem, 1+src.Intn(size+4))
 			for i := range items {
 				items[i] = item()
 			}
@@ -119,21 +128,22 @@ func TestRingBurstAgainstModel(t *testing.T) {
 			model = append(model, items[:want]...)
 		case 1:
 			it := item()
-			if got, want := r.tryEnqueue(it), len(model) < size; got != want {
+			if got, want := r.tryEnqueue(&it.pkt, it.at), len(model) < size; got != want {
 				t.Fatalf("op %d: single enqueue into %d held = %v", op, len(model), got)
 			} else if got {
 				model = append(model, it)
 			}
 		default:
 			room := 1 + src.Intn(size)
-			n := r.dequeueBatch(buf[:room])
+			n := r.dequeueBatch(buf[:room], &slots)
 			if want := min(room, len(model)); n != want {
 				t.Fatalf("op %d: dequeued %d of %d held into room for %d", op, n, len(model), room)
 			}
 			for i := 0; i < n; i++ {
-				if buf[i] != model[i] {
-					t.Fatalf("op %d: dequeued %+v, model holds %+v", op, buf[i], model[i])
+				if buf[i].Pkt.ID != model[i].pkt.ID || buf[i].At != model[i].at {
+					t.Fatalf("op %d: dequeued packet %d at %v, model holds %d at %v", op, buf[i].Pkt.ID, buf[i].At, model[i].pkt.ID, model[i].at)
 				}
+				slots.release(buf[i].Pkt)
 			}
 			model = model[n:]
 		}
@@ -158,18 +168,17 @@ func TestRingBurstConcurrentProducers(t *testing.T) {
 		perProd   = 40000
 	)
 	r := newRing(64)
-	var pkt netsim.Packet
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			run := make([]core.BatchItem, 0, 48)
+			run := make([]ringItem, 0, 48)
 			for i := 0; i < perProd; {
 				run = run[:0]
 				for n := 1 + (i+p)%48; len(run) < n && i < perProd; i++ {
-					// At carries producer and sequence number.
-					run = append(run, core.BatchItem{Pkt: &pkt, At: float64(p*perProd + i)})
+					// at carries producer and sequence number.
+					run = append(run, ringItem{at: float64(p*perProd + i)})
 				}
 				for rest := run; len(rest) > 0; {
 					n := r.tryEnqueueBurst(rest)
@@ -182,9 +191,10 @@ func TestRingBurstConcurrentProducers(t *testing.T) {
 		}(p)
 	}
 	var next [producers]int
+	var slots packetSlots
 	buf := make([]core.BatchItem, 32)
 	for got := 0; got < producers*perProd; {
-		n := r.dequeueBatch(buf)
+		n := r.dequeueBatch(buf, &slots)
 		if n == 0 {
 			runtime.Gosched()
 		}
@@ -194,6 +204,7 @@ func TestRingBurstConcurrentProducers(t *testing.T) {
 				t.Fatalf("producer %d: item %d arrived where %d was due", p, seq, next[p])
 			}
 			next[p]++
+			slots.release(it.Pkt)
 		}
 		got += n
 	}
@@ -208,36 +219,40 @@ func TestRingBurstConcurrentProducers(t *testing.T) {
 // occupancy counts it down to zero.
 func TestRingSeal(t *testing.T) {
 	r := newRing(4)
-	pkts := make([]netsim.Packet, 8)
+	var slots packetSlots
+	pkts := make([]ringItem, 8)
+	for i := range pkts {
+		pkts[i].pkt.ID = uint64(i)
+	}
 	buf := make([]core.BatchItem, 8)
 	// One and a half laps, so the cursor is off the first lap when sealed.
 	for i := 0; i < 6; i++ {
-		if !r.tryEnqueue(core.BatchItem{Pkt: &pkts[i]}) {
+		if !r.tryEnqueue(&pkts[i].pkt, 0) {
 			t.Fatalf("enqueue %d failed", i)
 		}
 		if i == 3 {
-			if n := r.dequeueBatch(buf); n != 4 {
+			if n := r.dequeueBatch(buf, &slots); n != 4 {
 				t.Fatalf("dequeued %d, want 4", n)
 			}
 		}
 	}
 	r.seal()
-	if r.tryEnqueue(core.BatchItem{Pkt: &pkts[6]}) {
+	if r.tryEnqueue(&pkts[6].pkt, 0) {
 		t.Fatal("tryEnqueue succeeded on a sealed ring")
 	}
-	if n := r.tryEnqueueBurst([]core.BatchItem{{Pkt: &pkts[6]}, {Pkt: &pkts[7]}}); n != 0 {
+	if n := r.tryEnqueueBurst(pkts[6:]); n != 0 {
 		t.Fatalf("tryEnqueueBurst claimed %d slots of a sealed ring", n)
 	}
 	if got := r.occupancy(); got != 2 {
 		t.Fatalf("occupancy %d behind the seal, want the 2 items enqueued before it", got)
 	}
-	if n := r.dequeueBatch(buf); n != 2 || buf[0].Pkt != &pkts[4] || buf[1].Pkt != &pkts[5] {
+	if n := r.dequeueBatch(buf, &slots); n != 2 || buf[0].Pkt.ID != 4 || buf[1].Pkt.ID != 5 {
 		t.Fatalf("drained %d items behind the seal, want packets 4 and 5 in order", n)
 	}
 	if !r.empty() || r.occupancy() != 0 {
 		t.Fatalf("sealed ring not empty after its drain: occupancy %d", r.occupancy())
 	}
-	if r.tryEnqueue(core.BatchItem{Pkt: &pkts[6]}) || r.tryEnqueueBurst(buf[:1]) != 0 {
+	if r.tryEnqueue(&pkts[6].pkt, 0) || r.tryEnqueueBurst(pkts[:1]) != 0 {
 		t.Fatal("a drained sealed ring took an item")
 	}
 }

@@ -18,7 +18,8 @@
 #   alloc-gate   testing.AllocsPerRun gates asserting 0 allocs/op on the
 #                //floc:hotpath functions reachable without I/O (wire
 #                codec, dropfilter ops, router admission and its
-#                read-ahead pass, dataplane ring and inline quiesce,
+#                read-ahead pass, dataplane ring, steady burst ingest
+#                and inline quiesce,
 #                telemetry cells) and on
 #                the loopback socket cycle of internal/udpbatch
 #   bench-smoke  the repo benchmark still builds against this tree and runs:
@@ -47,12 +48,13 @@
 #                "one predicted branch per decision point", whose cost
 #                does not shrink when the rest of the admission path
 #                speeds up
-#   dataplane    wire + dataplane + udpbatch + flocd tests under -race; the
-#                consumer-role stress test (TestRoleUnderFire: bursts that
-#                flush and quiesce, singles, barriers and a Close at once)
-#                ten more times under -race with a 120 s timeout as its
-#                hang watchdog; plus the
-#                BenchmarkDataplaneEnqueueSharded throughput curve
+#   dataplane    wire + dataplane + udpbatch + flocd tests under -race;
+#                TestRoleUnderFire (bursts that flush and quiesce, singles,
+#                barriers and a Close at once) and TestRecycleUnderFire (a
+#                buffer of 8 behind rings of 16, nearly every packet
+#                dropped and its slot reused) each run ten more times
+#                under -race with a 120 s timeout as the hang watchdog;
+#                plus the BenchmarkDataplaneEnqueueSharded throughput curve
 #                (1/2/4/8 shards); on a 4+ core runner the 4-shard
 #                aggregate throughput must be >= DATAPLANE_SPEEDUP x the
 #                1-shard figure (default 2.5)
@@ -237,6 +239,7 @@ fi
 begin dataplane
 run go test -race -count=1 ./internal/wire ./internal/dataplane ./internal/udpbatch ./cmd/flocd
 run go test -race -count=10 -timeout 120s -run '^TestRoleUnderFire$' ./internal/dataplane
+run go test -race -count=10 -timeout 120s -run '^TestRecycleUnderFire$' ./internal/dataplane
 bench_out=$(go test -run='^$' -bench='^BenchmarkDataplaneEnqueueSharded$' \
     -benchtime=200000x ./internal/dataplane)
 echo "$bench_out" | grep '^Benchmark' >&2
