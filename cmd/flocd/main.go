@@ -262,7 +262,7 @@ func run(o options) error {
 			return err
 		}
 		engine.Advance(end)
-		snap := finish(engine, reg, o.snapshot, o.printMet)
+		snap := finish(os.Stdout, engine, reg, o.snapshot, o.printMet)
 		if err := sealLedger(sealer, o.ledger, snap); err != nil {
 			return err
 		}
@@ -297,23 +297,23 @@ func run(o options) error {
 	if stopLoop != nil {
 		close(stopLoop) // quiesce the control loop before draining the engine
 	}
-	snap := finish(engine, reg, o.snapshot, o.printMet)
+	snap := finish(os.Stdout, engine, reg, o.snapshot, o.printMet)
 	return sealLedger(sealer, o.ledger, snap)
 }
 
 // finish takes the final snapshot — itself a drain barrier on every
-// shard — emits the requested end-of-run reports, and returns it.
-func finish(e *dataplane.Engine, reg *telemetry.Registry, snapshot, printMet bool) core.Snapshot {
+// shard — writes the requested end-of-run reports to w, and returns it.
+func finish(w io.Writer, e *dataplane.Engine, reg *telemetry.Registry, snapshot, printMet bool) core.Snapshot {
 	snap := e.Snapshot()
 	e.Close()
 	if snapshot {
-		fmt.Print(snap.String())
+		fmt.Fprint(w, snap.String())
 		st := e.Stats()
-		fmt.Printf("dataplane: accepted=%d ring-drops=%d processed=%d\n",
+		fmt.Fprintf(w, "dataplane: accepted=%d ring-drops=%d processed=%d\n",
 			st.Accepted, st.RingDrops, st.Processed)
 	}
 	if printMet {
-		_ = reg.WriteText(os.Stdout)
+		_ = reg.WriteText(w)
 	}
 	return snap
 }
@@ -716,7 +716,8 @@ func (t *udpTransport) Close() {
 // another's ingress (the multi-router tree of the cluster harness). Emit
 // only queues the frame; frames leave together, one sendmmsg for up to
 // udpbatch.MaxBatch of them, when the vector fills or a shard's role
-// holder flushes at quiescence (dataplane.Flusher).
+// holder flushes (dataplane.Flusher), after which the shard reuses the
+// packets it emitted.
 type udpForwarder struct {
 	conn *net.UDPConn
 	mu   sync.Mutex // the shards' role holders share the one vector
@@ -753,9 +754,11 @@ func newUDPForwarder(addr string, reg *telemetry.Registry) (*udpForwarder, error
 	}, nil
 }
 
-// Emit implements dataplane.PacketSink. The shards' role holders call it
-// concurrently; the mutex covers only the append to the shared vector. A
-// packet that does not encode is counted and dropped.
+// Emit implements dataplane.PacketSink. It encodes the packet into the
+// vector before it returns and keeps nothing of it, so it is done with
+// the packet long before the Flush that gives it back. The shards' role
+// holders call it concurrently; the mutex covers only the append to the
+// shared vector. A packet that does not encode is counted and dropped.
 // floc:unit now seconds
 // floc:hotpath
 func (f *udpForwarder) Emit(pkt *netsim.Packet, now float64) {

@@ -113,10 +113,10 @@ func TestGenerateReplayEndToEnd(t *testing.T) {
 		t.Fatalf("/metrics not a populated exposition:\n%.200s", text)
 	}
 	// The flow population — what control-run cost scales with — is part of
-	// the exposition -print-metrics and /metrics share.
-	for _, name := range []string{"floc_router_live_flows", "floc_router_attack_flows", "floc_router_expired_flows_total"} {
-		if !strings.Contains(text, "\n"+name+" ") {
-			t.Fatalf("/metrics lacks %s", name)
+	// the exposition -print-metrics and /metrics share, its gauges per shard.
+	for _, series := range []string{`floc_router_live_flows{shard="3"}`, `floc_router_attack_flows{shard="3"}`, "floc_router_expired_flows_total"} {
+		if !strings.Contains(text, "\n"+series+" ") {
+			t.Fatalf("/metrics lacks %s", series)
 		}
 	}
 }
@@ -976,6 +976,67 @@ func TestReplayIsDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(first.Paths, other.Paths) {
 			t.Fatalf("two replays of one capture differ per path:\n%+v\n%+v", first.Paths, other.Paths)
 		}
+	}
+}
+
+// TestReplayMetricsAreDeterministic: two replays of one capture on two
+// shards print the same -print-metrics text, byte for byte, once the
+// families that time the host rather than the replay are set aside. A
+// router gauge that both shards wrote would fail that — it would read
+// whichever shard ran its control loop last — so each shard's gauges are
+// series of their own, and the shards' live flows add up to the flows the
+// final snapshot holds.
+func TestReplayMetricsAreDeterministic(t *testing.T) {
+	var capture bytes.Buffer
+	if err := generateCapture(&capture, 50000, 7); err != nil {
+		t.Fatal(err)
+	}
+	replay := func() (core.Snapshot, *telemetry.Registry, string) {
+		reg := telemetry.NewRegistry()
+		e := newTestEngine(t, reg, 2)
+		_, _, end, err := replayCapture(bytes.NewReader(capture.Bytes()), e, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Advance(end)
+		var out bytes.Buffer
+		snap := finish(&out, e, reg, false, true)
+		return snap, reg, out.String()
+	}
+	hostTimed := []string{
+		"floc_dataplane_admission_batch_seconds", "floc_dataplane_ring_occupancy",
+		"floc_dataplane_ring_full_yields_total", "floc_dataplane_inline_runs_total",
+		"floc_dataplane_worker_wakeups_total", "floc_dataplane_packet_slots", "floc_build_info",
+	}
+	replayed := func(text string) string {
+		var kept strings.Builder
+		for _, line := range strings.SplitAfter(text, "\n") {
+			name := line
+			if fields := strings.Fields(line); len(fields) > 2 && fields[0] == "#" {
+				name = fields[2]
+			}
+			timed := false
+			for _, family := range hostTimed {
+				timed = timed || strings.HasPrefix(name, family)
+			}
+			if !timed {
+				kept.WriteString(line)
+			}
+		}
+		return kept.String()
+	}
+	snap, reg, first := replay()
+	_, _, again := replay()
+	if a, b := replayed(first), replayed(again); a != b {
+		t.Fatalf("two replays of one capture print different metrics:\n%s\n%s", a, b)
+	}
+	flows := 0
+	for _, p := range snap.Paths {
+		flows += p.Flows
+	}
+	live := reg.GaugeValue(`floc_router_live_flows{shard="0"}`) + reg.GaugeValue(`floc_router_live_flows{shard="1"}`)
+	if flows == 0 || live != float64(flows) {
+		t.Fatalf("shards report %v live flows, the snapshot holds %d", live, flows)
 	}
 }
 

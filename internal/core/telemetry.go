@@ -55,21 +55,31 @@ type routerMetrics struct {
 	conformance     *telemetry.HistogramCell // per-path conformance EWMA
 }
 
-func newRouterMetrics(reg *telemetry.Registry) *routerMetrics {
+// newRouterMetrics resolves the router's series on tel's registry. The
+// gauges describe this router's own state, so they carry tel.Labels: the
+// shard routers of an engine each set theirs.
+func newRouterMetrics(tel *telemetry.Telemetry) *routerMetrics {
+	reg := tel.Registry
+	gauge := func(name, help, unit string) *telemetry.Gauge {
+		if tel.Labels != "" {
+			name += "{" + tel.Labels + "}"
+		}
+		return reg.Gauge(name, help, unit)
+	}
 	m := &routerMetrics{
 		arrived:     reg.Counter("floc_router_arrived_packets_total", "packets offered to the router", "packets").Cell(),
 		admitted:    reg.Counter("floc_router_admitted_packets_total", "packets admitted to the output queue", "packets").Cell(),
 		controlRuns: reg.Counter("floc_router_control_runs_total", "control-loop executions", ""),
 
-		queueLen:        reg.Gauge("floc_router_queue_len", "output queue length at last control run", "packets"),
-		qmax:            reg.Gauge("floc_router_qmax", "flooding threshold Q_max", "packets"),
-		guaranteedPaths: reg.Gauge("floc_router_guaranteed_paths", "bandwidth-guaranteed path identifiers", ""),
-		mode:            reg.Gauge("floc_router_mode", "queue mode (1=uncongested 2=congested 3=flooding)", ""),
-		filterLive:      reg.Gauge("floc_filter_live_records", "live drop-filter records at last control run", ""),
-		filterMem:       reg.Gauge("floc_filter_memory_bytes", "drop-filter memory footprint", "bytes"),
+		queueLen:        gauge("floc_router_queue_len", "output queue length at last control run", "packets"),
+		qmax:            gauge("floc_router_qmax", "flooding threshold Q_max", "packets"),
+		guaranteedPaths: gauge("floc_router_guaranteed_paths", "bandwidth-guaranteed path identifiers", ""),
+		mode:            gauge("floc_router_mode", "queue mode (1=uncongested 2=congested 3=flooding)", ""),
+		filterLive:      gauge("floc_filter_live_records", "live drop-filter records at last control run", ""),
+		filterMem:       gauge("floc_filter_memory_bytes", "drop-filter memory footprint", "bytes"),
 
-		liveFlows:    reg.Gauge("floc_router_live_flows", "flows tracked after the last control run's expiry", ""),
-		attackFlows:  reg.Gauge("floc_router_attack_flows", "tracked flows classified as attack flows at the last control run", ""),
+		liveFlows:    gauge("floc_router_live_flows", "flows tracked after the last control run's expiry", ""),
+		attackFlows:  gauge("floc_router_attack_flows", "tracked flows classified as attack flows at the last control run", ""),
 		expiredFlows: reg.Counter("floc_router_expired_flows_total", "idle flows expired by control runs", ""),
 
 		filterRecordOps: reg.Counter("floc_filter_record_ops_total", "drop-filter RecordDrop operations", ""),
@@ -106,7 +116,7 @@ func (r *Router) SetTelemetry(tel *telemetry.Telemetry) {
 	if tel == nil {
 		return
 	}
-	r.met = newRouterMetrics(tel.Registry)
+	r.met = newRouterMetrics(tel)
 	r.lastMode = r.Mode()
 	// Packets already in the queue have unknown admit times; NaN entries
 	// are skipped at dequeue.

@@ -89,6 +89,61 @@ func TestZeroAllocBurstIngest(t *testing.T) {
 	}
 }
 
+// TestZeroAllocLiveForward: flocd's live steady state — one producer's
+// Burst handing one reused packet after another to two workers and
+// quiescing after every short read of 32, so that each run goes through
+// the ring or is admitted inline, whichever the workers allow, against a
+// congested link whose transmitted packets go to a Flusher sink —
+// allocates nothing once warm: the sink gives back at every Flush what it
+// was handed, and the shard reuses those slots.
+func TestZeroAllocLiveForward(t *testing.T) {
+	sink := &bufferingSink{}
+	rc := core.DefaultConfig(80e6, 512) // 10 000 packets/s
+	rc.Seed = 42
+	e, err := New(Config{Router: rc, Shards: 2, BlockOnFull: true, Telemetry: telemetry.NewRegistry(), Egress: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const nPaths, flowsPer, gap, read = 64, 8, 50e-6, 32 // twice the link rate
+	paths, handles := make([]pathid.PathID, nPaths), make([]uint32, nPaths)
+	for p := range paths {
+		paths[p] = pathid.New(pathid.ASN(10000+p), pathid.ASN(100+p/8), 1)
+		handles[p] = e.InternPath(paths[p])
+	}
+	b := e.NewBurst()
+	var pkt netsim.Packet
+	sent := 0
+	ingest := func(n int) {
+		for end := sent + n; sent < end; {
+			p := sent % nPaths
+			pkt = netsim.Packet{
+				ID: uint64(sent), Src: uint32(p)<<8 | uint32(sent/nPaths%flowsPer), Dst: 1,
+				Size: 1000, Kind: netsim.KindUDP, Path: paths[p], PathHandle: handles[p],
+			}
+			b.Enqueue(&pkt, float64(sent)*gap)
+			if sent++; sent%read == 0 {
+				b.Quiesce()
+			}
+		}
+		b.Quiesce()
+		for e.Stats().Processed != int64(sent) {
+			runtime.Gosched()
+		}
+	}
+	ingest(100_000)
+	const perRun = 4096
+	if avg := testing.AllocsPerRun(10, func() { ingest(perRun) }); avg != 0 {
+		t.Fatalf("steady-state forwarding allocates %.0f times per %d packets, want 0", avg, perRun)
+	}
+	if _, flushed := sink.counts(); flushed < sent/4 {
+		t.Fatalf("%d of %d packets forwarded: the link did not transmit", flushed, sent)
+	}
+	if shardCounters(e, "floc_dataplane_inline_runs_total") == 0 {
+		t.Fatal("no run was admitted inline: the gate did not measure the quiescing path")
+	}
+}
+
 // TestZeroAllocQuiesce: a batch handed to a Burst and quiesced behind
 // parked workers — role taken, ring drained, run admitted, transmitter
 // served, sink flushed, role released — allocates nothing.

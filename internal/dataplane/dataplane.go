@@ -48,8 +48,9 @@ import (
 // downstream flocd implements it with a socket writer. A shard's sink is
 // called by whoever holds the shard's consumer role, one goroutine at a
 // time; implementations shared across shards must be safe for concurrent
-// use. An emitted packet is the sink's: the engine never touches or
-// reuses it again, so a sink may keep it as long as it likes.
+// use. Who owns an emitted packet depends on the sink: a Flusher gives it
+// back at its next Flush, and the shard reuses it; a sink without Flush
+// keeps it, and the engine never touches it again.
 type PacketSink interface {
 	// Emit is called once per transmitted packet with the virtual time
 	// the transmission completed.
@@ -58,13 +59,15 @@ type PacketSink interface {
 }
 
 // Flusher is the optional second half of a PacketSink that buffers what
-// Emit hands it. A role holder that has emitted calls Flush before it lets
-// the role go — a worker before it parks, a producer before Burst.Quiesce
-// returns, once for all the shards it served — and before a barrier
-// command (Drain, Advance, Snapshot, …) returns, so nothing emitted is
-// left buffered while the engine is idle or a caller believes it
-// quiesced. New resolves the interface once; a sink without Flush is
-// never asked.
+// Emit hands it. A role holder that has emitted calls Flush after every
+// batch it drains from a ring, before Burst.Quiesce returns — once for
+// all the shards the producer served — and before a barrier command
+// (Drain, Advance, Snapshot, …) returns, so nothing emitted is left
+// buffered while the engine is idle or a caller believes it quiesced.
+// When Flush returns the sink is done with every packet Emit handed it
+// before the call: the role holder puts them back on its shard's free
+// list, to be overwritten by the next packets admitted. New resolves the
+// interface once; a sink without Flush is never asked.
 type Flusher interface {
 	Flush()
 }
@@ -97,8 +100,8 @@ type Config struct {
 	// the engine's backpressure counters. Counters and histograms
 	// aggregate exactly across shards: each shard router writes cells of
 	// its own and a read sums them, at any instant, with nothing to flush.
-	// Gauges are last-writer-wins per control run and are only indicative
-	// under sharding.
+	// The routers' gauges describe one shard's state and are labelled
+	// {shard="i"}, as the engine's own per-shard series are.
 	Telemetry *telemetry.Registry
 	// TraceCapacity, when > 0, attaches a bounded event-trace ring of
 	// that size to each shard router. Wraparound losses from every shard
@@ -257,7 +260,6 @@ type shard struct {
 	rateBytes float64              //floc:unit bytes/s
 	egress    PacketSink           // nil = no forwarding
 	flusher   Flusher              // egress's Flush half; nil when it has none
-	unflushed bool                 // emitted since the last Flush
 	bank      *defense.LimiterBank // nil until the first limit install
 	bankDrops int                  // bank.Drops() last published to counters
 }
@@ -269,15 +271,17 @@ const slotChunk = 64 //floc:unit packets
 // packetSlots is a shard's packet memory. The role holder copies every
 // packet it admits out of the ring, or out of a quiescing producer's run,
 // into a slot taken from the free list, and the router queues that slot.
-// A slot comes back at exactly three points: Router.Enqueue refused it,
-// the LimiterBank dropped it, or the transmitter finished it and there is
-// no egress sink. A slot handed to the sink is the sink's and leaves the
-// shard's count. So without a sink a shard owns at most its router's
-// capacity, one batch and one chunk of slots (DESIGN.md "Packet
-// ownership"). Role-owned.
+// A slot comes back at exactly four points: Router.Enqueue refused it,
+// the LimiterBank dropped it, the transmitter finished it and there is no
+// egress sink, or it was emitted to a Flusher and the role holder's next
+// Flush returned. A slot handed to a sink without Flush is the sink's and
+// leaves the shard's count. So a shard owns at most its router's
+// capacity, one batch — one run, if a run is longer, with a Flusher — and
+// one chunk of slots (DESIGN.md "Packet ownership"). Role-owned.
 type packetSlots struct {
 	free  []*netsim.Packet // LIFO: the slot freed last is reused first
-	owned int              // slots allocated and not handed to the sink: queued, in the batch, or free
+	lent  []*netsim.Packet // emitted to the Flusher since the role holder's last Flush
+	owned int              // slots allocated and not kept by a sink: queued, in the batch, lent, or free
 }
 
 // load copies the item's packet into a slot off the free list, allocating a
@@ -297,8 +301,16 @@ func (s *packetSlots) load(dst *core.BatchItem, it *ringItem) {
 // floc:hotpath
 func (s *packetSlots) release(p *netsim.Packet) { s.free = append(s.free, p) }
 
+// reclaim returns every lent slot to the free list. Call it only once a
+// Flush issued after their Emit has returned.
+// floc:hotpath
+func (s *packetSlots) reclaim() {
+	s.free = append(s.free, s.lent...)
+	s.lent = s.lent[:0]
+}
+
 // grow allocates the next slotChunk slots onto the free list.
-// floc:coldpath one allocation per slotChunk packets the shard holds at once or hands to its sink
+// floc:coldpath one allocation per slotChunk packets the shard holds at once or hands to a sink that keeps them
 func (s *packetSlots) grow() {
 	chunk := make([]netsim.Packet, slotChunk)
 	for i := range chunk {
@@ -345,7 +357,7 @@ func New(cfg Config) (*Engine, error) {
 			rateBytes: rc.LinkRateBits / 8,
 		}
 		if cfg.Telemetry != nil {
-			tel := &telemetry.Telemetry{Registry: cfg.Telemetry}
+			tel := &telemetry.Telemetry{Registry: cfg.Telemetry, Labels: fmt.Sprintf(`shard="%d"`, i)}
 			if cfg.TraceCapacity > 0 {
 				tel.Trace = telemetry.NewTrace(cfg.TraceCapacity)
 				// All shard traces share the one wraparound counter.
@@ -367,7 +379,7 @@ func New(cfg Config) (*Engine, error) {
 				"shard ring occupancy after the last drained batch", "packets")
 			sh.slotGauge = cfg.Telemetry.Gauge(
 				fmt.Sprintf(`floc_dataplane_packet_slots{shard="%d"}`, i),
-				"packet slots the shard owns, queued or free, after the last admitted batch", "packets")
+				"packet slots the shard owns, queued, lent to the egress sink or free, after the last admitted batch", "packets")
 			sh.latHist = cfg.Telemetry.Histogram(
 				fmt.Sprintf(`floc_dataplane_admission_batch_seconds{shard="%d"}`, i),
 				"wall-clock time to admit one drained batch", "seconds",
@@ -570,7 +582,8 @@ func (b *Burst) Flush() {
 // consumer role (takeRole), drains what is left in the ring — its own
 // earlier runs first, per-producer FIFO — and admits the run itself
 // (shard.admitRun): no ring slot, no doorbell. It keeps every role it
-// took until one Flusher.Flush has covered them all. A shard whose worker
+// took until one Flusher.Flush has covered them all and each of those
+// shards has its emitted packets back. A shard whose worker
 // is awake, or whose role someone else holds, gets its run through the
 // ring exactly as in Flush, so nothing is lost between the two; so does
 // one whose ring still holds a claim its producer has not published —
@@ -593,7 +606,6 @@ func (b *Burst) Quiesce() {
 			continue
 		}
 		if sh.drainRing(); sh.ring.occupancy() != 0 || b.e.closed.Load() {
-			sh.flushEgress()
 			sh.role.Unlock() // before a ring that may be full, and only this shard's worker empties it
 			b.flushRun(i)
 			continue
@@ -605,8 +617,7 @@ func (b *Burst) Quiesce() {
 		if sh.inlineRuns != nil {
 			sh.inlineRuns.Inc()
 		}
-		if sh.unflushed {
-			sh.unflushed = false
+		if len(sh.slots.lent) != 0 {
 			flusher = sh.flusher // one sink, whichever shard names it
 		}
 	}
@@ -614,6 +625,7 @@ func (b *Burst) Quiesce() {
 		flusher.Flush()
 	}
 	for _, sh := range held {
+		sh.slots.reclaim()
 		sh.role.Unlock()
 	}
 }
@@ -707,7 +719,7 @@ func (sh *shard) run() {
 			// slots just before is waited for, so that whatever was
 			// accepted has been processed when Close returns.
 			for sh.ring.seal(); ; runtime.Gosched() {
-				sh.drainAll()
+				sh.drainRing()
 				if sh.ring.occupancy() == 0 {
 					return
 				}
@@ -813,23 +825,26 @@ func (sh *shard) serve(now float64) {
 			return
 		}
 		sh.free += float64(pkt.Size) / sh.rateBytes
-		if sh.egress == nil {
+		switch {
+		case sh.egress == nil:
 			sh.slots.release(pkt)
 			continue
+		case sh.flusher != nil:
+			sh.slots.lent = append(sh.slots.lent, pkt) // back at the next Flush
+		default:
+			sh.slots.owned-- // the sink's from here on
 		}
-		sh.slots.owned-- // the sink's from here on
 		sh.egress.Emit(pkt, sh.free)
-		sh.unflushed = sh.flusher != nil
 	}
 }
 
 // flushEgress flushes a buffering sink if this shard has emitted into it
-// since the last flush.
+// since the last flush, and takes back what it emitted.
 // floc:hotpath
 func (sh *shard) flushEgress() {
-	if sh.unflushed {
-		sh.unflushed = false
+	if len(sh.slots.lent) != 0 {
 		sh.flusher.Flush()
+		sh.slots.reclaim()
 	}
 }
 
@@ -845,25 +860,21 @@ func (sh *shard) drainBatch() bool {
 	return true
 }
 
-// drainRing empties the ring completely, flushing nothing.
+// drainRing empties the ring completely, flushing the egress sink after
+// every batch as the worker loop does — before commands and at shutdown,
+// so barriers see every packet enqueued before them, and ahead of a
+// quiescing producer's run.
 // floc:hotpath
 func (sh *shard) drainRing() {
 	for sh.drainBatch() {
+		sh.flushEgress()
 	}
-}
-
-// drainAll empties the ring completely (used before commands and at
-// shutdown so barriers see every packet enqueued before them) and flushes
-// the egress sink once at the end.
-func (sh *shard) drainAll() {
-	sh.drainRing()
-	sh.flushEgress()
 }
 
 // handle executes a control command at a quiescent point. Every command
 // is a barrier: the ring is fully drained first.
 func (sh *shard) handle(cmd func(*shard)) {
-	sh.drainAll()
+	sh.drainRing()
 	cmd(sh)
 }
 

@@ -21,8 +21,9 @@ import (
 // at twice the link rate — through a 2-shard engine from one Burst, and
 // folds what the run leaves behind into a digest: the merged snapshot and
 // every counter and histogram series the shard routers wrote. Gauges
-// (last writer wins across shards) and the engine's wall-clock health
-// series are left out; nothing else depends on how the workers were
+// (recorded when the shards' router gauges still overwrote each other)
+// and the engine's wall-clock health series are left out; nothing else
+// depends on how the workers were
 // scheduled — nor, with quiesce set, on the seeded random points at which
 // the producer flushed or quiesced, some runs going through the ring and
 // some being admitted by the producer itself.

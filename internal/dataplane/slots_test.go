@@ -39,16 +39,71 @@ func slotsOwned(e *Engine, i int) int {
 	return int(e.cfg.Telemetry.GaugeValue(fmt.Sprintf(`floc_dataplane_packet_slots{shard="%d"}`, i)))
 }
 
-// checkSlotBound fails if a shard of an engine without an egress sink
-// owns more packet slots than its share of the buffer, one batch and one
-// allocation chunk.
+// checkSlotBound fails if a shard owns more packet slots than its share
+// of the buffer, one batch — with a Flusher sink, one burst run if that
+// is longer, since a quiescing producer flushes once after its whole run
+// — and one allocation chunk.
 func checkSlotBound(t *testing.T, e *Engine) {
 	t.Helper()
+	inFlight := e.cfg.Batch
+	if e.shards[0].flusher != nil {
+		inFlight = max(inFlight, burstRun)
+	}
 	for i := range e.shards {
-		bound := e.cfg.Router.Capacity/len(e.shards) + e.cfg.Batch + slotChunk
+		bound := e.cfg.Router.Capacity/len(e.shards) + inFlight + slotChunk
 		if got := slotsOwned(e, i); got > bound || got == 0 {
 			t.Errorf("shard %d owns %d packet slots; want 1..%d", i, got, bound)
 		}
+	}
+}
+
+// checkingSink is a Flusher that copies every packet at Emit and, at each
+// Flush, checks that every packet handed to it since the last Flush is
+// still what it was handed: a slot the engine took back before Flush
+// returned would have been overwritten by a later packet.
+type checkingSink struct {
+	t       *testing.T
+	mu      sync.Mutex
+	pending []*netsim.Packet
+	as      []netsim.Packet
+	emitted int
+	flushes int
+	bad     int
+}
+
+// floc:unit now seconds
+func (s *checkingSink) Emit(pkt *netsim.Packet, _ float64) {
+	s.mu.Lock()
+	s.pending = append(s.pending, pkt)
+	s.as = append(s.as, *pkt)
+	s.emitted++
+	s.mu.Unlock()
+}
+
+func (s *checkingSink) Flush() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, pkt := range s.pending {
+		if !reflect.DeepEqual(*pkt, s.as[i]) {
+			if s.bad++; s.bad == 1 {
+				s.t.Errorf("packet %d of %d since the last Flush changed before this one: handed %+v, now %+v",
+					i, len(s.pending), s.as[i], *pkt)
+			}
+		}
+	}
+	s.pending, s.as = s.pending[:0], s.as[:0]
+	s.flushes++
+}
+
+// handedEach fails unless the sink, flushed at least once, was handed
+// every packet the engine admitted and no longer queues, once each.
+func (s *checkingSink) handedEach(t *testing.T, snap core.Snapshot) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.emitted == 0 || s.flushes == 0 || int64(s.emitted) != snap.Admitted-int64(snap.QueueLen) {
+		t.Fatalf("sink was handed %d packets over %d flushes; %d admitted, %d still queued",
+			s.emitted, s.flushes, snap.Admitted, snap.QueueLen)
 	}
 }
 
@@ -152,13 +207,24 @@ func TestSinkOwnsEmittedPackets(t *testing.T) {
 
 // TestPacketSlotsBounded: replay_mix in miniature — 200 000 packets on 64
 // paths at twice the link rate through a 2-shard engine with a buffer of
-// 512, from one Burst, no egress sink — leaves each shard owning at most
-// its 256-packet share of the buffer, one batch and one allocation chunk
-// of packet slots, however many packets went through.
+// 512, from one Burst cut now and then by a Flush or a Quiesce — leaves
+// each shard owning at most its 256-packet share of the buffer, one batch
+// of 64 and one allocation chunk of packet slots, however many packets
+// went through: with no egress sink, and with a Flusher sink, whose
+// emitted packets count as owned until the Flush after them returns.
 func TestPacketSlotsBounded(t *testing.T) {
+	t.Run("no-sink", func(t *testing.T) { packetSlotsBounded(t, nil) })
+	t.Run("flusher", func(t *testing.T) {
+		sink := &checkingSink{t: t}
+		sink.handedEach(t, packetSlotsBounded(t, sink))
+	})
+}
+
+func packetSlotsBounded(t *testing.T, egress PacketSink) core.Snapshot {
 	rc := core.DefaultConfig(80e6, 512) // 10 000 packets/s
 	rc.Seed = 42
-	e, err := New(Config{Router: rc, Shards: 2, RingSize: 1024, Batch: 64, BlockOnFull: true, Telemetry: telemetry.NewRegistry()})
+	e, err := New(Config{Router: rc, Shards: 2, RingSize: 1024, Batch: 64, BlockOnFull: true,
+		Telemetry: telemetry.NewRegistry(), Egress: egress})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +235,7 @@ func TestPacketSlotsBounded(t *testing.T) {
 		paths[p] = pathid.New(pathid.ASN(10000+p), pathid.ASN(100+p/8), 1)
 		handles[p] = e.InternPath(paths[p])
 	}
-	b := e.NewBurst()
+	b, cut := e.NewBurst(), rng.New(13)
 	var pkt netsim.Packet
 	for i := 0; i < packets; i++ {
 		p := i % nPaths
@@ -178,14 +244,17 @@ func TestPacketSlotsBounded(t *testing.T) {
 			Size: 1000, Kind: netsim.KindUDP, Path: paths[p], PathHandle: handles[p],
 		}
 		b.Enqueue(&pkt, float64(i)*gap)
+		cutBurst(e, b, cut, 1024)
 	}
 	b.Flush()
 	e.Drain()
-	if snap := e.Snapshot(); snap.Arrived != packets || snap.QueueLen == 0 {
+	snap := e.Snapshot()
+	if snap.Arrived != packets || snap.QueueLen == 0 {
 		t.Fatalf("%d of %d packets arrived, %d queued at the end: the buffer was not in use", snap.Arrived, packets, snap.QueueLen)
 	}
 	checkSlotBound(t, e)
 	t.Logf("packet slots owned: %d and %d", slotsOwned(e, 0), slotsOwned(e, 1))
+	return snap
 }
 
 // TestRecycleUnderFire: a buffer of 8 behind rings of 16, offered ten times
@@ -196,35 +265,60 @@ func TestPacketSlotsBounded(t *testing.T) {
 // arrivals decides: a slot handed out again while still queued would
 // change the size or the time of a packet in the queue, and so the
 // snapshot. At two shards, three such producers, dropping on full rings,
-// lose nothing and count nothing twice, and the slots stay bounded.
+// lose nothing and count nothing twice, and the slots stay bounded. Each
+// runs again with a Flusher sink (the three producers blocking, not
+// dropping), which must find every packet it was handed unchanged when it
+// flushes and be handed every admitted packet not still queued, once.
 func TestRecycleUnderFire(t *testing.T) {
 	rc := core.DefaultConfig(8e6, 8) // 1 000 packets/s of 1 000 bytes
 	rc.Seed = 42
 	t.Run("one-producer", func(t *testing.T) {
-		sc := varySizes(genScenario(8, 0.0008, 2.0), 17) // 10 000 packets/s
-		want := runBaseline(t, rc, sc, 2.5)
-		if drops := want.Arrived - want.Admitted; drops*10 < want.Arrived*8 {
-			t.Fatalf("the baseline dropped %d of %d: not under fire", drops, want.Arrived)
-		}
-		got, stats := runEngineVia(t, Config{Router: rc, Shards: 1, RingSize: 16, BlockOnFull: true}, sc, 2.5, viaQuiesce, true)
-		if stats.Processed != int64(len(sc)) {
-			t.Fatalf("%d of %d packets processed", stats.Processed, len(sc))
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("1-shard engine diverged from the single router:\n got %+v\nwant %+v", got, want)
-		}
+		recycleOneProducer(t, Config{Router: rc, Shards: 1, RingSize: 16, BlockOnFull: true})
 	})
-	t.Run("three-producers", func(t *testing.T) { recycleThreeProducers(t, rc) })
+	t.Run("one-producer-flusher", func(t *testing.T) {
+		// Batches of 4: a quiesced run is admitted in several batches
+		// before its one Flush, so a slot taken back at Emit would be
+		// overwritten while the sink still holds it.
+		sink := &checkingSink{t: t}
+		sink.handedEach(t, recycleOneProducer(t, Config{Router: rc, Shards: 1, RingSize: 16, Batch: 4, BlockOnFull: true, Egress: sink}))
+	})
+	t.Run("three-producers", func(t *testing.T) {
+		recycleThreeProducers(t, Config{Router: rc, Shards: 2, RingSize: 16})
+	})
+	t.Run("three-producers-flusher", func(t *testing.T) {
+		// Blocking on full rings: workers slowed by the sink under -race
+		// would otherwise let so few packets in that the link is not
+		// under fire.
+		sink := &checkingSink{t: t}
+		sink.handedEach(t, recycleThreeProducers(t, Config{Router: rc, Shards: 2, RingSize: 16, BlockOnFull: true, Egress: sink}))
+	})
 }
 
-func recycleThreeProducers(t *testing.T, rc core.Config) {
+func recycleOneProducer(t *testing.T, cfg Config) core.Snapshot {
+	sc := varySizes(genScenario(8, 0.0008, 2.0), 17) // 10 000 packets/s
+	want := runBaseline(t, cfg.Router, sc, 2.5)
+	if drops := want.Arrived - want.Admitted; drops*10 < want.Arrived*8 {
+		t.Fatalf("the baseline dropped %d of %d: not under fire", drops, want.Arrived)
+	}
+	got, stats := runEngineVia(t, cfg, sc, 2.5, viaQuiesce, true)
+	if stats.Processed != int64(len(sc)) {
+		t.Fatalf("%d of %d packets processed", stats.Processed, len(sc))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("1-shard engine diverged from the single router:\n got %+v\nwant %+v", got, want)
+	}
+	return got
+}
+
+func recycleThreeProducers(t *testing.T, cfg Config) core.Snapshot {
 	const (
 		producers   = 3
 		perProducer = 20000
 		nPaths      = 16
 		gap         = 1e-4 // 10 000 packets/s offered to a 1 000 packets/s link
 	)
-	e, err := New(Config{Router: rc, Shards: 2, RingSize: 16, Telemetry: telemetry.NewRegistry()})
+	cfg.Telemetry = telemetry.NewRegistry()
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,4 +376,5 @@ func recycleThreeProducers(t *testing.T, rc core.Config) {
 		t.Fatalf("%d of %d arrivals dropped: not under fire", drops, snap.Arrived)
 	}
 	checkSlotBound(t, e)
+	return snap
 }

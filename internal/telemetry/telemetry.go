@@ -35,6 +35,12 @@ type Telemetry struct {
 	Trace    *Trace    // nil unless Options.TraceCapacity > 0
 	Recorder *Recorder // nil unless Options.Recorder
 	Sink     EventSink // nil unless an event stream consumer is attached
+	// Labels, such as `shard="1"`, name this producer's own series among
+	// producers sharing Registry: a router adds them to the gauges of its
+	// state, which would otherwise overwrite each other. Counters and
+	// histograms sum across producers and take none. Empty for a producer
+	// alone on its registry.
+	Labels string
 }
 
 // New returns a Telemetry with a fresh registry and, per opts, a trace

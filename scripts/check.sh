@@ -18,8 +18,8 @@
 #   alloc-gate   testing.AllocsPerRun gates asserting 0 allocs/op on the
 #                //floc:hotpath functions reachable without I/O (wire
 #                codec, dropfilter ops, router admission and its
-#                read-ahead pass, dataplane ring, steady burst ingest
-#                and inline quiesce,
+#                read-ahead pass, dataplane ring, steady burst ingest,
+#                inline quiesce and live forwarding into a flushing sink,
 #                telemetry cells) and on
 #                the loopback socket cycle of internal/udpbatch
 #   bench-smoke  the repo benchmark still builds against this tree and runs:
@@ -69,7 +69,9 @@
 #                flooding capture; the root must originate pushback
 #                feedback, the mid must apply and relay it, and the leaf
 #                must install the propagated limits and drop flood
-#                packets before forwarding
+#                packets before forwarding; the leaf's and the mid's
+#                packet slots, forwarded packets given back at every
+#                flush, must stay within -capacity + shards x (batch + 64)
 #   perf-gate    scripts/bench-snapshot.sh to a scratch file, compared
 #                against the latest committed BENCH_*.json by cmd/perfgate;
 #                fails on any family more than PERF_REGRESSION_PCT percent
@@ -304,6 +306,8 @@ cluster_mid=$!
     -forward 127.0.0.1:19102 -link 100e6 \
     -metrics 127.0.0.1:19301 2>"$cluster_tmp/leaf.log" &
 cluster_leaf=$!
+# A failed assertion exits the gate; the daemons go down with it.
+trap 'kill -INT "$cluster_leaf" "$cluster_mid" "$cluster_root" 2>/dev/null || true' EXIT
 cluster_up() { # cluster_up <metrics port>
     i=0
     until "$cluster_tmp/flocd" -probe "http://127.0.0.1:$1/healthz" >/dev/null 2>&1; do
@@ -346,8 +350,27 @@ assert_pos "leaf: installed limits" \
     "$(metric_sum 19301 'floc_cluster_installed_limits')"
 assert_pos "leaf: flood packets shed by propagated limits" \
     "$(metric_sum 19301 'floc_cluster_limit_dropped_total')"
+# The leaf and the mid forward through a buffering socket sink, which
+# gives back at every flush the packets it was handed, so a shard owns at
+# most its share of -capacity (512), one batch and one chunk of 64 packet
+# slots however much it forwarded (DESIGN.md "Packet ownership").
+assert_slots() { # assert_slots <description> <metrics port>
+    "$cluster_tmp/flocd" -probe "http://127.0.0.1:$2/metrics" |
+        awk -v what="$1" 'index($1, "floc_dataplane_packet_slots{") == 1 { s += $2; n++ }
+            END {
+                bound = 512 + n * (64 + 64)
+                printf "   %s = %d (bound %d over %d shards)\n", what, s, bound, n > "/dev/stderr"
+                exit n > 0 && s > 0 && s <= bound ? 0 : 1
+            }' || {
+        echo "cluster-gate: $1 outside the stated bound" >&2
+        exit 1
+    }
+}
+assert_slots "leaf: packet slots" 19301
+assert_slots "mid: packet slots" 19302
 kill -INT "$cluster_leaf" "$cluster_mid" "$cluster_root" 2>/dev/null || true
 wait "$cluster_leaf" "$cluster_mid" "$cluster_root" 2>/dev/null || true
+trap - EXIT
 rm -rf "$cluster_tmp"
 end
 
