@@ -65,10 +65,10 @@ type options struct {
 	out      string
 	seed     uint64
 	shards   int
-	linkRate float64 //floc:unit bits/s
-	capacity int     //floc:unit packets
-	ringSize int     //floc:unit packets
-	batch    int     //floc:unit packets
+	linkRate float64
+	capacity int
+	ringSize int
+	batch    int
 	metrics  string
 	snapshot bool
 	printMet bool
@@ -80,7 +80,7 @@ type options struct {
 	peers    string
 	forward  string
 	sendto   string
-	pace     float64 //floc:unit ratio
+	pace     float64
 	probe    string
 }
 
@@ -359,7 +359,7 @@ type clusterHealth struct {
 func (h *health) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	st := h.engine.Stats()
 	//floclint:allow sim-time the health surface reports real daemon uptime
-	up := time.Since(h.start).Seconds() //floc:unit seconds
+	up := time.Since(h.start).Seconds()
 	var cb *clusterHealth
 	if h.node != nil {
 		cb = &clusterHealth{
@@ -434,7 +434,6 @@ func probe(w io.Writer, url string) error {
 // capture the producer quiesces, so every packet read has been processed
 // or has entered its ring by the time replayCapture returns, and the
 // caller's Advance covers them all.
-// floc:unit end seconds
 func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n int, malformed int64, end float64, err error) {
 	cr := wire.NewCaptureReader(r)
 	cr.SkipMalformed(true)
@@ -481,7 +480,6 @@ func newProducer(e *dataplane.Engine) *producer {
 // ingest hands one decoded header to the engine as packet id arriving at
 // t — the one body both packet sources, socket and capture, share. The
 // packet is buffered in the producer's burst; the source flushes it.
-// floc:unit t seconds
 // floc:hotpath
 func (p *producer) ingest(h *wire.Header, id uint64, t float64) {
 	res := p.in.ResolveFull(h)
@@ -759,7 +757,6 @@ func newUDPForwarder(addr string, reg *telemetry.Registry) (*udpForwarder, error
 // the packet long before the Flush that gives it back. The shards' role
 // holders call it concurrently; the mutex covers only the append to the
 // shared vector. A packet that does not encode is counted and dropped.
-// floc:unit now seconds
 // floc:hotpath
 func (f *udpForwarder) Emit(pkt *netsim.Packet, now float64) {
 	var h wire.Header
@@ -820,7 +817,7 @@ func serveControl(conn net.PacketConn, node *cluster.Node, reg *telemetry.Regist
 			return
 		}
 		//floclint:allow sim-time live control plane stamps arrivals from the wall clock
-		now := time.Since(start).Seconds() //floc:unit seconds
+		now := time.Since(start).Seconds()
 		//floclint:allow taint ReadFrom returns n <= len(buf) by the PacketConn contract; the frame itself is vetted by DecodeControl
 		if _, err := node.HandleFrame(buf[:n], now); err != nil {
 			controlFrameErrors.add(reg, wire.KindOfError(err), 1)
@@ -842,7 +839,7 @@ func clusterLoop(node *cluster.Node, e *dataplane.Engine, start time.Time, stop 
 		case <-tick.C:
 		}
 		//floclint:allow sim-time live control plane stamps publishes from the wall clock
-		now := time.Since(start).Seconds() //floc:unit seconds
+		now := time.Since(start).Seconds()
 		node.Publish(e.Snapshot(), now)
 		node.Tick(now)
 		e.SweepLimits(now)

@@ -14,7 +14,6 @@ import (
 
 // Directive names, as written after "floc:".
 const (
-	dirUnit          = "unit"          // units: <dim> on a field or local, <name> <dim> in a func doc
 	dirEq            = "eq"            // eq-guard: the function implements a paper equation
 	dirHotpath       = "hotpath"       // hotpath: per-packet function, body checked
 	dirColdpath      = "coldpath"      // hotpath: sanctioned cold excursion, <reason> mandatory
@@ -34,8 +33,8 @@ type directive struct {
 }
 
 // parseDirective parses one comment line. The directive must start the
-// line ("//floc:unit …" or "// floc:unit …"): prose that merely mentions
-// a directive does not annotate. An inline "//" starts a trailing comment
+// line ("//floc:eq …" or "// floc:eq …"): prose that merely mentions a
+// directive does not annotate. An inline "//" starts a trailing comment
 // and ends the arguments.
 func parseDirective(c *ast.Comment) (directive, bool) {
 	rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimLeft(c.Text, "/")), "floc:")
@@ -72,9 +71,8 @@ func directivesIn(groups ...*ast.CommentGroup) []directive {
 
 // funcDirectives is everything one function's doc comment declares.
 type funcDirectives struct {
-	units      map[string]dim    // parameter, named-result, or "return" -> dim
 	eq         bool              // floc:eq
-	hot, cold  bool              // floc:hotpath, floc:coldpath (both: a conflict)
+	hot, cold  bool              // floc:hotpath and floc:coldpath (both: a conflict)
 	coldReason bool              // some floc:coldpath line gives its reason
 	untrusted  map[string]bool   // parameter, named-result, or "return"
 	sanitizes  bool              // floc:sanitizes
@@ -84,12 +82,6 @@ type funcDirectives struct {
 // add hands one doc directive to the rule that owns its name.
 func (fd *funcDirectives) add(d directive) {
 	switch d.name {
-	case dirUnit:
-		if len(d.args) >= 2 {
-			if dm, ok := dimByName[d.args[1]]; ok { // else reported by checkUnitDirective
-				fd.units[d.args[0]] = dm
-			}
-		}
 	case dirEq:
 		fd.eq = true
 	case dirHotpath:
@@ -117,9 +109,7 @@ type directives struct {
 	pkgs map[string]bool
 	// funcs is keyed "pkgpath.[Recv.]Func".
 	funcs map[string]*funcDirectives
-	// unitFields and untrustedFields are keyed "pkgpath.Type.Field". For
-	// map- and slice-typed fields a dim describes the element values.
-	unitFields      map[string]dim
+	// untrustedFields is keyed "pkgpath.Type.Field".
 	untrustedFields map[string]bool
 	// enums and enumMembers are keyed "pkgpath.Type": which named types
 	// carry floc:enum, and the constants of every candidate type in
@@ -133,7 +123,6 @@ func newDirectives() *directives {
 	return &directives{
 		pkgs:            map[string]bool{},
 		funcs:           map[string]*funcDirectives{},
-		unitFields:      map[string]dim{},
 		untrustedFields: map[string]bool{},
 		enums:           map[string]bool{},
 		enumMembers:     map[string][]string{},
@@ -196,7 +185,7 @@ func (d *directives) collect(pkgPath string, f *ast.File) {
 			if len(dirs) == 0 {
 				continue
 			}
-			fd := &funcDirectives{units: map[string]dim{}, untrusted: map[string]bool{}, sinks: map[string]string{}}
+			fd := &funcDirectives{untrusted: map[string]bool{}, sinks: map[string]string{}}
 			for _, dir := range dirs {
 				fd.add(dir)
 			}
@@ -215,7 +204,7 @@ func (d *directives) collect(pkgPath string, f *ast.File) {
 }
 
 // collectType records a type's floc:enum mark and, for structs, the
-// per-field floc:unit and floc:untrusted directives (trailing or doc).
+// per-field floc:untrusted directives (trailing or doc).
 func (d *directives) collectType(pkgPath string, gd *ast.GenDecl, ts *ast.TypeSpec) {
 	typeKey := pkgPath + "." + ts.Name.Name
 	groups := []*ast.CommentGroup{ts.Doc, ts.Comment}
@@ -233,18 +222,11 @@ func (d *directives) collectType(pkgPath string, gd *ast.GenDecl, ts *ast.TypeSp
 	}
 	for _, field := range st.Fields.List {
 		for _, dir := range directivesIn(field.Comment, field.Doc) {
+			if dir.name != dirUntrusted {
+				continue
+			}
 			for _, name := range field.Names {
-				key := typeKey + "." + name.Name
-				switch dir.name {
-				case dirUnit:
-					if dm, ok := dirDim(dir); ok {
-						if _, dup := d.unitFields[key]; !dup {
-							d.unitFields[key] = dm
-						}
-					}
-				case dirUntrusted:
-					d.untrustedFields[key] = true
-				}
+				d.untrustedFields[typeKey+"."+name.Name] = true
 			}
 		}
 	}
@@ -266,17 +248,20 @@ func (ld lineDirectives) find(line int, name string) (directive, bool) {
 }
 
 // scanLines indexes every directive in the file by line, handing each to
-// its rule's malformed-directive check on the way.
+// its rule's malformed-directive check on the way and reporting the names
+// no rule reads: a misspelt directive would otherwise exempt silently.
 func (l *linter) scanLines(f *ast.File) lineDirectives {
 	ld := lineDirectives{}
 	for _, d := range directivesIn(f.Comments...) {
 		switch d.name {
-		case dirUnit:
-			l.checkUnitDirective(d)
 		case dirSink:
 			l.checkSinkDirective(d)
 		case dirNonexhaustive:
 			l.checkWaiverDirective(d)
+		case dirEq, dirHotpath, dirColdpath, dirUntrusted, dirSanitizes, dirEnum, dirEnumBound:
+		default:
+			l.report(d.c.Pos(), RuleDirective,
+				"unknown directive floc:%s; no rule reads it, so it annotates nothing", d.name)
 		}
 		line := l.fset.Position(d.c.Pos()).Line
 		ld[line] = append(ld[line], d)

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -21,12 +22,16 @@ const (
 	RuleFloatEq    = "float-eq"
 	RuleMapOrder   = "map-order"
 	RuleEqGuard    = "eq-guard"
-	RuleUnits      = "units"
 	RuleAtomics    = "atomics"
 	RuleHotpath    = "hotpath"
 	RuleTaint      = "taint"
 	RuleExhaustive = "exhaustive"
+	RuleDirective  = "directive"
 )
+
+// rules is every rule name floclint reports.
+var rules = []string{RuleSimTime, RuleFloatEq, RuleMapOrder, RuleEqGuard,
+	RuleAtomics, RuleHotpath, RuleTaint, RuleExhaustive, RuleDirective}
 
 // bannedTimeFuncs are the time-package functions that read the wall clock
 // or schedule on it. Simulation code must take the sim clock (a float64
@@ -88,7 +93,6 @@ func lintPackage(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPa
 			if fn.Body == nil {
 				continue
 			}
-			l.checkUnits(fn, fd, lines)
 			l.checkTaint(fn, fd, lines)
 			l.checkMapOrder(fn)
 			l.checkEqGuard(fn, fd)
@@ -112,13 +116,10 @@ func collectAllows(fset *token.FileSet, f *ast.File) map[int][]string {
 			for _, field := range strings.FieldsFunc(rest, func(r rune) bool {
 				return r == ' ' || r == ',' || r == '\t'
 			}) {
-				switch field {
-				case RuleSimTime, RuleFloatEq, RuleMapOrder, RuleEqGuard, RuleUnits,
-					RuleAtomics, RuleHotpath, RuleTaint, RuleExhaustive:
-					allow[line] = append(allow[line], field)
-				default:
-					// First non-rule token starts the justification text.
+				if !slices.Contains(rules, field) {
+					break // the first non-rule token starts the justification
 				}
+				allow[line] = append(allow[line], field)
 			}
 		}
 	}
@@ -244,21 +245,15 @@ func fieldKeyOf(s *types.Selection) (string, bool) {
 		}
 		fld := st.Field(i)
 		if k == len(idx)-1 {
-			return fieldKey(t, fld)
+			owner := namedName(t)
+			if owner == "" || fld.Pkg() == nil {
+				return "", false
+			}
+			return fld.Pkg().Path() + "." + owner + "." + fld.Name(), true
 		}
 		t = fld.Type()
 	}
 	return "", false
-}
-
-// fieldKey is the directive-table key of field fld of (pointer to) named
-// struct type t.
-func fieldKey(t types.Type, fld *types.Var) (string, bool) {
-	owner := namedName(t)
-	if owner == "" || fld.Pkg() == nil {
-		return "", false
-	}
-	return fld.Pkg().Path() + "." + owner + "." + fld.Name(), true
 }
 
 func underlyingStruct(t types.Type) *types.Struct {

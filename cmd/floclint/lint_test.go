@@ -2,9 +2,11 @@ package main
 
 import (
 	"fmt"
+	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -39,7 +41,7 @@ func lintFixture(t *testing.T, dir string) map[finding]int {
 // TestSeededViolations checks that every seeded violation is reported at
 // its exact position, and nothing else is.
 func TestSeededViolations(t *testing.T) {
-	for _, fixture := range []string{"timeviol", "floateq", "maporder", "eqguard", "units", "atomics", "hotpath", "taint", "exhaustive"} {
+	for _, fixture := range []string{"timeviol", "floateq", "maporder", "eqguard", "atomics", "hotpath", "taint", "exhaustive"} {
 		t.Run(fixture, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", fixture)
 			want := wantMarkers(t, dir)
@@ -60,7 +62,7 @@ func TestSeededViolations(t *testing.T) {
 // TestCleanFixture checks the negative case: files exercising near-miss
 // patterns of every rule yield zero findings.
 func TestCleanFixture(t *testing.T) {
-	for _, fixture := range []string{"clean", "unitsclean", "atomicsclean", "hotpathclean", "taintclean", "exhaustiveclean"} {
+	for _, fixture := range []string{"clean", "atomicsclean", "hotpathclean", "taintclean", "exhaustiveclean"} {
 		t.Run(fixture, func(t *testing.T) {
 			got := lintFixture(t, filepath.Join("testdata", "src", fixture))
 			if len(got) != 0 {
@@ -81,9 +83,36 @@ func TestVerifyCorpus(t *testing.T) {
 	for _, m := range mismatches {
 		t.Errorf("corpus mismatch: %s", m)
 	}
-	for _, rule := range []string{RuleSimTime, RuleFloatEq, RuleMapOrder, RuleEqGuard, RuleUnits, RuleAtomics, RuleHotpath, RuleTaint, RuleExhaustive} {
+	for _, rule := range rules {
 		if counts[rule] == 0 {
 			t.Errorf("corpus exercises no %s findings", rule)
+		}
+	}
+}
+
+// TestCollectAllows pins the waiver grammar, //floclint:allow
+// <rule>[,<rule>...] [justification]: the first token that names no rule
+// starts the justification, and no later word waives anything.
+func TestCollectAllows(t *testing.T) {
+	for _, tc := range []struct {
+		comment string
+		want    []string
+	}{
+		{"//floclint:allow sim-time", []string{RuleSimTime}},
+		{"//floclint:allow sim-time,float-eq both are deliberate", []string{RuleSimTime, RuleFloatEq}},
+		{"//floclint:allow sim-time not on the hotpath", []string{RuleSimTime}},
+		{"//floclint:allow taint, map-order see above", []string{RuleTaint, RuleMapOrder}},
+		{"//floclint:allow because the taint is checked", nil},
+		{"// the hotpath and taint rules are prose here", nil},
+	} {
+		src := "package p\n\n" + tc.comment + "\nvar x int\n"
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := collectAllows(fset, f)[3]; !slices.Equal(got, tc.want) {
+			t.Errorf("%q waives %v, want %v", tc.comment, got, tc.want)
 		}
 	}
 }

@@ -17,10 +17,6 @@
 //	             equation implementations) must guard their inputs: a
 //	             constant comparison, math.IsNaN/IsInf, or an
 //	             internal/invariant assertion.
-//	units      — dimensional analysis over //floc:unit directives and the
-//	             internal/units types: additions, comparisons, and calls
-//	             must agree on packets, bits, bytes, seconds, tokens, and
-//	             their rates; see DESIGN.md for the directive grammar.
 //	atomics    — no function-style sync/atomic operations
 //	             (atomic.AddInt64(&x, 1) and friends): use the wrapper
 //	             types, whose representation rules out mixed plain access
@@ -40,6 +36,11 @@
 //	             (count sentinels excluded via //floc:enumbound) or
 //	             carry //floc:nonexhaustive <reason>; a default clause
 //	             does not satisfy the rule.
+//	directive  — a //floc:<name> comment whose name no rule reads is
+//	             reported: a misspelt directive would annotate nothing.
+//
+// Units are not a rule: internal/units types carry the dimensions and
+// the compiler checks them (DESIGN.md, "Quantities are types").
 //
 // A finding can be suppressed, with justification, by a trailing or
 // preceding comment: //floclint:allow <rule> [reason].
@@ -235,9 +236,9 @@ func runLint(patterns []string) ([]Diagnostic, error) {
 }
 
 // collectDirectiveTables syntax-parses every non-standard package in the
-// load closure and gathers its floc: directives. The units, hotpath,
-// taint, eq-guard, and exhaustive rules need them from every module
-// package, linted or not: export data carries no comments.
+// load closure and gathers its floc: directives. The hotpath, taint,
+// eq-guard, and exhaustive rules need them from every module package,
+// linted or not: export data carries no comments.
 func collectDirectiveTables(pkgs []*listPkg) (*directives, error) {
 	dirs := newDirectives()
 	cfset := token.NewFileSet()

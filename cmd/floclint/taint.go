@@ -19,8 +19,8 @@ package main
 //
 // Taint propagates forward in statement order through assignments,
 // arithmetic, field selects, conversions, and intra-module call/return
-// boundaries, on the statement walk it shares with the units rule
-// (flow.go) and the module-wide directive table. Calls to functions outside the directive
+// boundaries, on the statement walk in flow.go and the module-wide
+// directive table. Calls to functions outside the directive
 // system (stdlib, dynamic) propagate conservatively: if any argument is
 // tainted, the results are tainted and pointer-shaped arguments are
 // treated as tainted out-parameters (this is how json.Unmarshal spreads a
@@ -81,10 +81,10 @@ func (a taintVal) join(b taintVal) taintVal {
 }
 
 // taintChecker propagates taint through one function body; the statement
-// walk is flow's, the hooks below are the join, sink, and sanitizer
+// walk is in flow.go, the hooks below are the join, sink, and sanitizer
 // semantics.
 type taintChecker struct {
-	flow[taintVal]
+	l     *linter
 	lines lineDirectives
 	env   map[types.Object]taintVal
 	// cleaned marks objects a //floc:sanitizes call validated: field
@@ -99,11 +99,11 @@ type taintChecker struct {
 // the function's sanctioned business.
 func (l *linter) checkTaint(fn *ast.FuncDecl, fd *funcDirectives, lines lineDirectives) {
 	c := &taintChecker{
+		l:       l,
 		lines:   lines,
 		env:     map[types.Object]taintVal{},
 		cleaned: map[types.Object]bool{},
 	}
-	c.flow = flow[taintVal]{l: l, rule: c}
 	l.eachParam(func(name *ast.Ident, obj types.Object) {
 		if fd.untrusted[name.Name] {
 			c.env[obj] = taintFrom("parameter " + name.Name)
@@ -119,12 +119,6 @@ func (c *taintChecker) forCond(cond ast.Expr) {
 	if v := c.expr(cond); v.on {
 		c.l.report(cond.Pos(), RuleTaint,
 			"loop bound derived from untrusted input (%s); validate it through a //floc:sanitizes function first", v.src)
-	}
-}
-
-func (c *taintChecker) ret(s *ast.ReturnStmt) {
-	for _, e := range s.Results {
-		c.expr(e)
 	}
 }
 
@@ -145,7 +139,7 @@ func (c *taintChecker) opAssign(s *ast.AssignStmt) {
 // a field or element of an aggregate do not re-taint the aggregate (the
 // validate-then-fill idiom), though their index expressions are still
 // checked as sinks by the expr walk.
-func (c *taintChecker) bind(lhs ast.Expr, v taintVal, _ bool, at token.Pos) {
+func (c *taintChecker) bind(lhs ast.Expr, v taintVal, at token.Pos) {
 	var obj types.Object
 	switch lhs := unparen(lhs).(type) {
 	case *ast.Ident:
@@ -439,6 +433,19 @@ func (c *taintChecker) checkSinkArgs(e *ast.CallExpr, fn *types.Func, fd *funcDi
 			"untrusted value (%s) flows into %s parameter %q of %s; validate it through a //floc:sanitizes function first",
 			argTaint[i].src, what, name, fn.Name())
 	}
+}
+
+// paramName returns the name of the parameter argument i binds to, the
+// variadic parameter taking every extra argument; "?" when out of range.
+func paramName(sig *types.Signature, i int) string {
+	params := sig.Params()
+	if sig.Variadic() && i >= params.Len()-1 {
+		i = params.Len() - 1
+	}
+	if i < 0 || i >= params.Len() {
+		return "?"
+	}
+	return params.At(i).Name()
 }
 
 // untrustedResults taints the call's results the callee's directives

@@ -137,6 +137,17 @@ func badCold() {} // WANT hotpath
 // floc:coldpath because it cannot make up its mind
 func conflicted() {} // WANT hotpath
 
+// misspelt means floc:hotpath, but no rule reads the name it spells: the
+// misspelling is the finding, and the map range below goes unchecked.
+//
+// floc:hotpth // WANT directive
+func misspelt(m map[string]int) (n int) {
+	for range m {
+		n++
+	}
+	return n
+}
+
 // slowPath is a sanctioned cold excursion.
 //
 // floc:coldpath table construction happens once per miss

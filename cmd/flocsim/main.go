@@ -39,6 +39,7 @@ import (
 
 	"floc/internal/experiments"
 	"floc/internal/telemetry"
+	"floc/internal/units"
 )
 
 func main() { os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -271,14 +272,14 @@ func run(fig string, scale float64, seed uint64, rates, fanouts, seeds string, r
 	}
 }
 
-func parseRates(s string) ([]float64, error) {
-	var out []float64
+func parseRates(s string) ([]units.BitsPerSec, error) {
+	var out []units.BitsPerSec
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad rate %q: %w", part, err)
 		}
-		out = append(out, v*1e6)
+		out = append(out, units.BitsPerSec(v*1e6))
 	}
 	return out, nil
 }

@@ -54,8 +54,6 @@ type Transport interface {
 // Installer applies one feedback record ahead of admission.
 // dataplane.Engine satisfies it.
 type Installer interface {
-	// floc:unit expiresAt seconds
-	// floc:unit now seconds
 	InstallLimit(path pathid.PathID, rate units.BitsPerSec, expiresAt float64, peer uint32, now float64) bool
 }
 
@@ -77,14 +75,14 @@ type Config struct {
 	// DropFrac is the per-path interval drop fraction at which the path
 	// is advertised as flooded (default 0.25). A path is released when
 	// its drop fraction falls below half of DropFrac.
-	DropFrac float64 //floc:unit ratio
+	DropFrac float64
 	// MinLimitBits floors every advertised limit so a starving path is
 	// never limited to zero by accident (default 64 kb/s).
 	MinLimitBits units.BitsPerSec
 	// TTL is the lease lifetime stamped on outgoing frames; installed
 	// limits expire TTL seconds after application unless refreshed
 	// (default 2.0, max 65.535 — it must fit the frame's uint16 millis).
-	TTL float64 //floc:unit seconds
+	TTL float64
 	// Hops is the propagation budget on originated frames: how many
 	// further routers a frame may be relayed to (default 2, max
 	// wire.MaxControlHops).
@@ -92,8 +90,8 @@ type Config struct {
 	// RetryBase and RetryMax bound the retransmit backoff (defaults
 	// 0.1 s and 1.6 s); RetryBudget is the retransmit count per frame
 	// (default 5).
-	RetryBase   float64 //floc:unit seconds
-	RetryMax    float64 //floc:unit seconds
+	RetryBase   float64
+	RetryMax    float64
 	RetryBudget int
 	// Telemetry, when non-nil, receives the feedback counters.
 	Telemetry *telemetry.Registry
@@ -160,8 +158,8 @@ type pendingFrame struct {
 	seq        uint64
 	originated bool // built by Publish (superseded by the next Publish)
 	retries    int
-	interval   float64 //floc:unit seconds
-	nextAt     float64 //floc:unit seconds
+	interval   float64
+	nextAt     float64
 }
 
 // originState is what a node remembers of the last frame it applied from
@@ -169,8 +167,8 @@ type pendingFrame struct {
 // the node may forget the origin (see HandleFrame).
 type originState struct {
 	seq      uint64
-	recv     float64 //floc:unit seconds
-	forgetAt float64 //floc:unit seconds
+	recv     float64
+	forgetAt float64
 }
 
 // maxPending bounds the retransmit queue; oldest entries fall off first
@@ -187,14 +185,14 @@ type Node struct {
 	mu       sync.Mutex
 	seq      uint64
 	prev     map[string]pathCounts
-	prevNow  float64 //floc:unit seconds
+	prevNow  float64
 	havePrev bool
 	active   map[string]bool // path key -> currently advertised as limited
 	pend     []*pendingFrame
 	origins  map[uint32]originState
 	// retrySpan is how long after its first send a frame may still be
 	// retransmitted (peers are assumed to share this node's schedule).
-	retrySpan float64 //floc:unit seconds
+	retrySpan float64
 
 	sendErrs   *telemetry.Counter // resolved in New, so /metrics shows a zero
 	sentCtr    map[string]*telemetry.Counter
@@ -236,13 +234,12 @@ func (n *Node) Peers() []string { return n.cfg.Peers }
 // router's guaranteed allocation converted to bits/s, falling back to
 // the measured admitted rate over the interval when the allocation is
 // unknown, floored at MinLimitBits.
-// floc:unit interval seconds
 func (n *Node) limitFor(p core.PathInfo, admittedDelta int64, interval float64) units.BitsPerSec {
-	bitsPerPkt := units.FromPacket(n.cfg.PacketSize)
-	//floclint:allow units packets-to-bits: packets/s times bits per reference packet is the allocation in bits/s
-	rate := units.BitsPerSec(p.AllocPackets * float64(bitsPerPkt))
+	rate := p.AllocPackets.Bits(n.cfg.PacketSize)
 	if rate <= 0 && interval > 0 {
-		rate = (units.Bits(admittedDelta) * bitsPerPkt).Per(units.Seconds(interval))
+		// admittedDelta packets of PacketSize bytes over the interval.
+		admitted := float64(admittedDelta) * float64(units.FromPacket(n.cfg.PacketSize))
+		rate = units.Bits(admitted).Per(units.Seconds(interval))
 	}
 	if rate < n.cfg.MinLimitBits {
 		rate = n.cfg.MinLimitBits
@@ -257,7 +254,6 @@ func (n *Node) limitFor(p core.PathInfo, admittedDelta int64, interval float64) 
 // limited paths that have calmed are released with an explicit
 // zero-limit record. Returns the number of records sent. The first call
 // only records the baseline.
-// floc:unit now seconds
 func (n *Node) Publish(snap core.Snapshot, now float64) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -379,7 +375,6 @@ func (n *Node) Publish(snap core.Snapshot, now float64) int {
 // are relayed to this node's own peers under its own origin and
 // sequence. Returns the number of records applied; the error is non-nil
 // only for undecodable frames (classify it with wire.KindOfError).
-// floc:unit now seconds
 func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 	var f wire.ControlFrame
 	if _, err := wire.DecodeControl(buf, &f); err != nil {
@@ -431,7 +426,6 @@ func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 // and prunes frames that exhausted their retry budget. Call it
 // periodically (the daemon's tick loop); returns the number of frames
 // resent.
-// floc:unit now seconds
 func (n *Node) Tick(now float64) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -474,7 +468,6 @@ func (n *Node) sendLocked(buf []byte) {
 }
 
 // trackLocked queues a frame for retransmission.
-// floc:unit now seconds
 func (n *Node) trackLocked(buf []byte, seq uint64, originated bool, now float64) {
 	if n.cfg.RetryBudget == 0 {
 		return
@@ -535,7 +528,7 @@ func (n *Node) counter(name, help, unit string) *telemetry.Counter {
 type PeerFeedback struct {
 	Origin     uint32  `json:"origin"`
 	LastSeq    uint64  `json:"last_seq"`
-	AgeSeconds float64 `json:"age_seconds"` //floc:unit seconds
+	AgeSeconds float64 `json:"age_seconds"`
 }
 
 // Health is the node's /healthz surface.
@@ -548,7 +541,6 @@ type Health struct {
 }
 
 // Health reports the node's current state, feedback sorted by origin.
-// floc:unit now seconds
 func (n *Node) Health(now float64) Health {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -28,8 +28,6 @@ func newFakeInstaller() *fakeInstaller {
 	}
 }
 
-// floc:unit expiresAt seconds
-// floc:unit now seconds
 func (in *fakeInstaller) InstallLimit(path pathid.PathID, rate units.BitsPerSec, expiresAt float64, peer uint32, now float64) bool {
 	in.calls++
 	key := path.Key()
@@ -105,7 +103,7 @@ func (t *lossyTransport) deliverDue(dst *Node, now float64) {
 
 // floodSnapshot fabricates a snapshot where path key has the given
 // cumulative counters and allocation.
-func floodSnapshot(key string, admitted, dropped int64, allocPkts float64) core.Snapshot {
+func floodSnapshot(key string, admitted, dropped int64, allocPkts units.PacketsPerSec) core.Snapshot {
 	return core.Snapshot{Paths: []core.PathInfo{{
 		Key:             key,
 		AllocPackets:    allocPkts,
@@ -246,7 +244,7 @@ func (c *captureTransport) Send(peer string, frame []byte) error {
 // publishFlood has down advertise key as flooded at now: a 40 % drop
 // interval over the cumulative counters of the previous call. It returns
 // the frame sent.
-func publishFlood(t *testing.T, down *Node, tr *captureTransport, key string, n int64, alloc, now float64) []byte {
+func publishFlood(t *testing.T, down *Node, tr *captureTransport, key string, n int64, alloc units.PacketsPerSec, now float64) []byte {
 	t.Helper()
 	sent := len(tr.frames)
 	down.Publish(floodSnapshot(key, 1000+300*n, 200*n, alloc), now)

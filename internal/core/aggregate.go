@@ -8,6 +8,7 @@ import (
 	"floc/internal/pathid"
 	"floc/internal/telemetry"
 	"floc/internal/tokenbucket"
+	"floc/internal/units"
 )
 
 // planAggregation recomputes the aggregation plan (paper Section IV-C)
@@ -18,7 +19,6 @@ import (
 // The plan is recomputed statelessly each control tick; aggregate states
 // (and their token buckets) are preserved across ticks when the plan is
 // unchanged, keyed by the aggregation node.
-// floc:unit now seconds
 func (r *Router) planAggregation(now float64) {
 	plan := map[string][]*pathState{}
 	kind := map[string]aggKind{}
@@ -225,7 +225,6 @@ func (r *Router) legitAggregationBeneficial(members []*pathState) bool {
 
 // applyPlan rebuilds the aggregate states to match the plan, preserving
 // aggregates whose key (and hence aggregation point) is unchanged.
-// floc:unit now seconds
 func (r *Router) applyPlan(plan map[string][]*pathState, kind map[string]aggKind, now float64) {
 	// Record the old membership before it is torn down so the telemetry
 	// diff can emit PathAggregated/PathReleased transitions.
@@ -248,7 +247,7 @@ func (r *Router) applyPlan(plan map[string][]*pathState, kind map[string]aggKind
 		agg := old[key]
 		if agg == nil {
 			bucket, _ := tokenbucket.New(r.cfg.ControlInterval,
-				math.Max(1, r.cfg.linkRatePackets()*r.cfg.ControlInterval))
+				math.Max(1, r.cfg.linkRatePackets().Times(units.Seconds(r.cfg.ControlInterval))))
 			agg = &pathState{
 				key:         key,
 				rtt:         newEWMA(),

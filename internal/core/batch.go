@@ -8,7 +8,7 @@ import "floc/internal/netsim"
 // backwards.
 type BatchItem struct {
 	Pkt *netsim.Packet
-	At  float64 //floc:unit seconds
+	At  float64
 }
 
 // EnqueueBatch runs a batch of arrivals through the admission path and

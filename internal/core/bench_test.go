@@ -7,6 +7,7 @@ import (
 	"floc/internal/pathid"
 	"floc/internal/rng"
 	"floc/internal/telemetry"
+	"floc/internal/units"
 )
 
 // BenchmarkControlRun times one control-loop execution on a router
@@ -124,7 +125,7 @@ func (w *admitWorkload) admit(n int, prefetch bool) {
 	if prefetch {
 		w.r.Prefetch(w.batch)
 	}
-	rateBytes := w.r.cfg.LinkRateBits / 8
+	rateBytes := units.BitsPerSec(w.r.cfg.LinkRateBits).BytesPerSec()
 	for _, it := range w.batch {
 		for w.free <= it.At {
 			pkt := w.r.Dequeue(w.free)

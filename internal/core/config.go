@@ -12,37 +12,38 @@ import (
 
 	"floc/internal/dropfilter"
 	"floc/internal/pathid"
+	"floc/internal/units"
 )
 
 // Config parameterizes a FLoc router.
 type Config struct {
 	// LinkRateBits is the protected link capacity in bits/second.
-	LinkRateBits float64 //floc:unit bits/s
+	LinkRateBits float64
 	// Capacity is the physical buffer size in packets.
-	Capacity int //floc:unit packets
+	Capacity int
 	// PacketSize is the reference full packet size in bytes; one token
 	// admits one full-sized packet (Section III-D).
 	PacketSize int
 	// QMinFrac positions Q_min as a fraction of Capacity (paper: 0.2).
-	QMinFrac float64 //floc:unit ratio
+	QMinFrac float64
 	// SMax is |S|max, the maximum number of bandwidth-guaranteed path
 	// identifiers; 0 disables attack-path aggregation.
 	SMax int
 	// EThreshold is E_th: leaves with conformance below it form the
 	// attack tree T^A.
-	EThreshold float64 //floc:unit ratio
+	EThreshold float64
 	// Beta is the conformance smoothing factor of Eq. (IV.6).
-	Beta float64 //floc:unit ratio
+	Beta float64
 	// ControlInterval is the period of the measurement/control loop
 	// (parameter recomputation, conformance update, aggregation).
-	ControlInterval float64 //floc:unit seconds
+	ControlInterval float64
 	// RTTScale deflates the measured average RTT to avoid over-estimates
 	// (paper Section V-A: divide by 2).
-	RTTScale float64 //floc:unit ratio
+	RTTScale float64
 	// DefaultRTT seeds a path's RTT estimate before any measurement.
-	DefaultRTT float64 //floc:unit seconds
+	DefaultRTT float64
 	// FlowTimeout expires idle flows from the per-path flow count.
-	FlowTimeout float64 //floc:unit seconds
+	FlowTimeout float64
 	// NMax is the per-source capability fan-out limit (Section IV-B.3);
 	// 0 disables the covert-attack countermeasure (flows are then
 	// accounted individually by (src, dst)).
@@ -55,17 +56,17 @@ type Config struct {
 	Filter dropfilter.Config
 	// AttackExcessThreshold is the filter excess (extra drops per epoch)
 	// at which a flow counts as an attack flow for conformance purposes.
-	AttackExcessThreshold float64 //floc:unit ratio
+	AttackExcessThreshold float64
 	// BlockExcess outright blocks flows whose measured excess exceeds it
 	// (Section V-B.3's "block those high-rate flows"); 0 disables.
-	BlockExcess float64 //floc:unit ratio
+	BlockExcess float64
 	// LegitAggregation enables legitimate-path aggregation (Section
 	// IV-C.2).
 	LegitAggregation bool
 	// LegitAggGuard is the maximal fractional increase of any member
 	// path's bandwidth allocation permitted by legitimate-path
 	// aggregation (paper: 0.5, i.e. +50%).
-	LegitAggGuard float64 //floc:unit ratio
+	LegitAggGuard float64
 	// ProbabilisticUpdate enables the sampled filter updates of Section
 	// V-B.4 (memory-access reduction). Off by default: exact updates.
 	ProbabilisticUpdate bool
@@ -153,8 +154,6 @@ func (c Config) validate() error {
 }
 
 // linkRatePackets returns the link capacity in reference packets/second.
-// floc:unit return packets/s
-func (c Config) linkRatePackets() float64 {
-	//floclint:allow units bits-to-packets: 8*PacketSize is the bits in one reference packet
-	return c.LinkRateBits / 8 / float64(c.PacketSize)
+func (c Config) linkRatePackets() units.PacketsPerSec {
+	return units.BitsPerSec(c.LinkRateBits).Packets(c.PacketSize)
 }

@@ -9,13 +9,13 @@ import (
 	"floc/internal/stats"
 	"floc/internal/tcpmodel"
 	"floc/internal/telemetry"
+	"floc/internal/units"
 )
 
 // runControl is FLoc's periodic measurement and control loop: flow expiry,
 // conformance updates (Eq. IV.6), aggregation (Section IV-C), token-bucket
 // parameter recomputation (Eqs. IV.1-IV.3), and attack-path detection
 // (Section IV-B.1).
-// floc:unit now seconds
 // floc:coldpath the periodic control loop runs once per interval, not per packet
 func (r *Router) runControl(now float64) {
 	interval := now - r.lastControl
@@ -59,7 +59,6 @@ type flaggedFlow struct {
 // share, which counts every member's flows, so members wait until all
 // paths have expired theirs; every other path's verdicts depend on that
 // path alone.
-// floc:unit now seconds
 func (r *Router) controlFlows(now float64) {
 	r.tally = flowTally{}
 	r.flagged = r.flagged[:0]
@@ -113,7 +112,6 @@ func (r *Router) controlFlows(now float64) {
 
 // expirePath drops a path's idle flows and rolls the survivors'
 // admitted/arrival rate meters and escalation.
-// floc:unit now seconds
 func (r *Router) expirePath(ps *pathState, now float64) {
 	if ps.flows.len() == 0 {
 		return
@@ -154,11 +152,7 @@ func (r *Router) expirePath(ps *pathState, now float64) {
 }
 
 // rollRate folds one control interval's token count into a flow's
-// smoothed rate.
-// floc:unit tokens tokens
-// floc:unit rate tokens/s
-// floc:unit interval seconds
-// floc:unit return tokens/s
+// smoothed rate (tokens/s).
 func rollRate(tokens, rate, interval float64) float64 {
 	return 0.5*(tokens/interval) + 0.5*rate
 }
@@ -167,7 +161,6 @@ func rollRate(tokens, rate, interval float64) float64 {
 // advances its conformance EWMA (Eq. IV.6).
 //
 // floc:eq IV.6
-// floc:unit now seconds
 func (r *Router) classifyPath(ps *pathState, now float64) {
 	eff := ps.effective()
 	fair, k := r.fairShare(eff), r.filterK(eff)
@@ -214,7 +207,6 @@ func (r *Router) classifyPath(ps *pathState, now float64) {
 
 // rttOf returns a path's (scaled, under-estimated) RTT for parameter
 // computation; aggregates use the flow-weighted mean of their members.
-// floc:unit return seconds
 // floc:hotpath
 func (r *Router) rttOf(ps *pathState) float64 {
 	raw := 0.0
@@ -291,8 +283,6 @@ func (r *Router) GuaranteedPathCount() int { return len(r.sortedPaths().guarante
 
 // recomputeParams refreshes every guaranteed path's bandwidth share,
 // token-bucket parameters, attack-path flag, and the router's Q_max.
-// floc:unit now seconds
-// floc:unit interval seconds
 func (r *Router) recomputeParams(now, interval float64) {
 	paths := r.sortedPaths().guaranteed
 	if len(paths) == 0 {
@@ -317,7 +307,7 @@ func (r *Router) recomputeParams(now, interval float64) {
 			ps.lambda = 0.5*rate + 0.5*ps.lambda
 		}
 
-		alloc := linkPkts * float64(ps.shares) / float64(totalShares)
+		alloc := float64(linkPkts) * float64(ps.shares) / float64(totalShares)
 		invariant.NonNegative("core.alloc", alloc)
 		ps.alloc = alloc
 
@@ -330,7 +320,7 @@ func (r *Router) recomputeParams(now, interval float64) {
 		}
 		rtt := r.rttOf(ps)
 		invariant.Positive("core.rtt", rtt)
-		params, err := tcpmodel.Compute(alloc, n, rtt)
+		params, err := tcpmodel.Compute(units.PacketsPerSec(alloc), n, rtt)
 		if err == nil {
 			// The reference mean-time-to-drop n_i*T_Si and the bucket
 			// parameters derived from Eqs. IV.1-IV.3 are all positive
@@ -357,8 +347,10 @@ func (r *Router) recomputeParams(now, interval float64) {
 		// above their allocation by design, from being misflagged.
 		if ps.drops > 0 && ps.params.Period > 0 {
 			meanDropInterval := interval / float64(ps.drops)
-			//floclint:allow units one token per period is the reference drop rate (Sec. IV-B.1)
-			overRate := ps.lambda > 1.1*alloc+1/ps.params.Period
+			// One drop per token period is the reference drop rate
+			// (Section IV-B.1), in packets/s like lambda and alloc.
+			refDropRate := 1 / ps.params.Period
+			overRate := ps.lambda > 1.1*alloc+refDropRate
 			if meanDropInterval < ps.params.Period && overRate {
 				ps.attack = true
 			} else if !overRate {
@@ -393,20 +385,17 @@ func (r *Router) recomputeParams(now, interval float64) {
 // estimateFlowCount implements the scalable flow counter of Section V-B.1:
 // infer the steady-state peak window from the observed drop ratio, then
 // n = 4*C*RTT/(3*W).
-// floc:unit alloc packets/s
-// floc:unit interval seconds
 func (r *Router) estimateFlowCount(ps *pathState, alloc, interval float64) int {
 	arrivals := ps.arrivedTokens
 	if arrivals <= 0 || ps.drops == 0 {
 		return ps.flowCount() // no signal this interval; keep exact count
 	}
-	//floclint:allow units drops per token arrived is the drop ratio of Sec. V-B.1
-	gamma := float64(ps.drops) / arrivals //floc:unit ratio
+	gamma := float64(ps.drops) / arrivals // drops per token arrived
 	w := tcpmodel.WindowFromDropRatio(gamma)
 	if math.IsInf(w, 1) {
 		return ps.flowCount()
 	}
-	n := tcpmodel.EstimateFlows(alloc, r.rttOf(ps), w)
+	n := tcpmodel.EstimateFlows(units.PacketsPerSec(alloc), r.rttOf(ps), w)
 	if n < 1 {
 		return 1
 	}
@@ -418,7 +407,7 @@ type PathInfo struct {
 	// Key is the path identifier key.
 	Key string
 	// Conformance is E_Ri in [0, 1].
-	Conformance float64 //floc:unit ratio
+	Conformance float64
 	// Attack reports the path's attack-path flag (inherited from its
 	// aggregate when aggregated).
 	Attack bool
@@ -433,18 +422,18 @@ type PathInfo struct {
 	AttackFlows int
 	// AllocPackets is the guaranteed bandwidth in packets/second of the
 	// path's effective identifier.
-	AllocPackets float64 //floc:unit packets/s
+	AllocPackets units.PacketsPerSec
 	// Period and Bucket are the token-bucket parameters of the effective
 	// identifier.
-	Period float64 //floc:unit seconds
-	Bucket float64 //floc:unit tokens
+	Period float64
+	Bucket float64
 	// RTT is the path's raw measured RTT estimate.
-	RTT float64 //floc:unit seconds
+	RTT float64
 	// AdmittedPackets and DroppedPackets are the path's cumulative
 	// admission counters since creation (origin attribution: an
 	// aggregated path still counts its own packets).
-	AdmittedPackets int64 //floc:unit packets
-	DroppedPackets  int64 //floc:unit packets
+	AdmittedPackets int64
+	DroppedPackets  int64
 }
 
 // PathInfos returns per-origin-path state, sorted by key.
@@ -460,7 +449,7 @@ func (r *Router) PathInfos() []PathInfo {
 			Aggregated:      ps.aggregate != nil,
 			Flows:           ps.flows.len(),
 			AttackFlows:     ps.attackFlows,
-			AllocPackets:    eff.alloc,
+			AllocPackets:    units.PacketsPerSec(eff.alloc),
 			Period:          eff.params.Period,
 			Bucket:          eff.params.Bucket,
 			AdmittedPackets: ps.admittedPkts,
@@ -511,8 +500,6 @@ func newEWMA() *stats.EWMA { return stats.NewEWMA(0.3) }
 // per congestion epoch ("If the number of distinct flows that have packet
 // drops is less than the computed number of flows, there certainly exist
 // attack flows").
-// floc:unit now seconds
-// floc:unit modelEstimate ratio
 func (r *Router) DistinctDroppedFlows(pathKey string, now float64) (distinct int, modelEstimate float64) {
 	ps := r.origins.lookup(pathKey)
 	if ps == nil {
@@ -530,5 +517,5 @@ func (r *Router) DistinctDroppedFlows(pathKey string, now float64) (distinct int
 	if w <= 0 {
 		return distinct, 0
 	}
-	return distinct, tcpmodel.EstimateFlows(eff.alloc, r.rttOf(eff), w)
+	return distinct, tcpmodel.EstimateFlows(units.PacketsPerSec(eff.alloc), r.rttOf(eff), w)
 }

@@ -14,8 +14,8 @@ type Snapshot struct {
 	Mode Mode
 	// QueueLen, QMin and QMax describe the buffer state.
 	QueueLen int
-	QMin     float64 //floc:unit packets
-	QMax     float64 //floc:unit packets
+	QMin     float64
+	QMax     float64
 	// GuaranteedPaths is the number of bandwidth-guaranteed identifiers.
 	GuaranteedPaths int
 	// Paths is the per-origin-path state.

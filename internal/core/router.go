@@ -13,6 +13,7 @@ import (
 	"floc/internal/tcpmodel"
 	"floc/internal/telemetry"
 	"floc/internal/tokenbucket"
+	"floc/internal/units"
 )
 
 // Mode is the router's queue operating mode (paper Section V-A). The
@@ -82,8 +83,8 @@ type flowKey struct {
 // tracking mode. It holds no pointers and lives by value in its path's
 // flowTable slab, so a flow costs the garbage collector nothing.
 type flowState struct {
-	lastSeen float64 //floc:unit seconds
-	synAt    float64 //floc:unit seconds
+	lastSeen float64
+	synAt    float64
 	hash     uint64
 
 	// admitted and arrived count tokens admitted/offered this control
@@ -91,17 +92,17 @@ type flowState struct {
 	// (tokens/second). The arrival rate upper-bounds attack-path flows at
 	// their fair share (Eq. IV.5's stated aim) and classifies attack
 	// flows for the conformance measure.
-	admitted     float64 //floc:unit tokens
-	arrived      float64 //floc:unit tokens
-	admittedRate float64 //floc:unit tokens/s
-	arrivedRate  float64 //floc:unit tokens/s
+	admitted     float64
+	arrived      float64
+	admittedRate float64
+	arrivedRate  float64
 
 	// escalation grows while the flow keeps offering more than its fair
 	// share interval after interval — the paper's "aggressively
 	// penalizes the flows whose MTDs keep decreasing (i.e., flows that
 	// do not respond to packet drops)" — and decays once the flow
 	// responds. Effective fair share = fair / escalation.
-	escalation float64 //floc:unit ratio
+	escalation float64
 
 	awaitingData bool
 	// attackFlagged tracks the last classification verdict so telemetry
@@ -111,8 +112,6 @@ type flowState struct {
 
 // offeredRate returns the flow's best current estimate of its send rate
 // in tokens/second.
-// floc:unit controlInterval seconds
-// floc:unit return tokens/s
 // floc:hotpath
 func (fs *flowState) offeredRate(controlInterval float64) float64 {
 	rate := fs.arrivedRate
@@ -144,35 +143,35 @@ type pathState struct {
 	bucket      *tokenbucket.Bucket
 	params      tcpmodel.Params
 	bucketFlood bool    // bucket currently sized N (flooding) vs N' (congested)
-	alloc       float64 //floc:unit packets/s
+	alloc       float64 // guaranteed bandwidth, packets/s
 
 	rtt         *stats.EWMA
-	conformance float64 //floc:unit ratio
+	conformance float64
 	attack      bool
 
 	flows       flowTable
 	attackFlows int
 
 	// Interval measurement (reset each control tick).
-	arrivedTokens float64 //floc:unit tokens
+	arrivedTokens float64
 	drops         int
-	lambda        float64 //floc:unit tokens/s (smoothed request rate)
+	lambda        float64 // smoothed request rate, tokens/s
 
 	// Previous interval's measurements, stashed by recomputeParams for
 	// the telemetry recorder before the live counters reset.
-	intervalArrived float64 //floc:unit tokens
+	intervalArrived float64
 	intervalDrops   int
 
 	// Cumulative per-origin-path counters (always maintained; cheap).
-	admittedPkts int64 //floc:unit packets
-	droppedPkts  int64 //floc:unit packets
+	admittedPkts int64
+	droppedPkts  int64
 
 	// Pre-resolved registry handles, non-nil only while telemetry is
 	// attached (origin paths only).
 	telAdmitted *telemetry.Counter
 	telDropped  *telemetry.Counter
 
-	createdAt float64 //floc:unit seconds
+	createdAt float64
 }
 
 // effective returns the path identifier that owns this path's bucket.
@@ -205,8 +204,8 @@ type Router struct {
 	rng *rng.Source
 
 	fifo *netsim.FIFO
-	qmin float64 //floc:unit packets
-	qmax float64 //floc:unit packets
+	qmin float64
+	qmax float64
 
 	tree    *pathid.Tree
 	origins *pathTable            // origin paths, handle-indexed
@@ -217,7 +216,7 @@ type Router struct {
 	acct   *capability.Accountant
 	slots  slotTable // capability slot cache
 
-	lastControl float64 //floc:unit seconds
+	lastControl float64
 	controlRuns int
 	planSig     string
 	order       pathOrder     // see sortedPaths
@@ -227,7 +226,7 @@ type Router struct {
 	dropCounts [numDropReasons]int64
 	admitted   int64
 	arrived    int64
-	epochFloor float64 //floc:unit seconds
+	epochFloor float64
 
 	// Observability (see telemetry.go). tel/met are nil when detached;
 	// lastMode backs the ModeChanged event edge detector.
@@ -356,7 +355,6 @@ func (r *Router) InternPath(path pathid.PathID) uint32 {
 // origin returns (creating if necessary) the origin path state for pkt.
 // Resolution order: dense handle (no hashing), then the cold miss path
 // (packets that carry no handle: simulator sources and tests).
-// floc:unit now seconds
 // floc:hotpath
 func (r *Router) origin(pkt *netsim.Packet, now float64) *pathState {
 	if h := pkt.PathHandle; h != 0 {
@@ -373,7 +371,6 @@ func (r *Router) origin(pkt *netsim.Packet, now float64) *pathState {
 // originMiss is origin's slow path: packets without a handle (probed by
 // key, rendered first if the packet carries none) and the first packet of
 // a path (which builds its state).
-// floc:unit now seconds
 // floc:coldpath key rendering and path-state creation happen off the keyed fast path
 func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 	key := pkt.PathKey
@@ -402,7 +399,7 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 		createdAt:   now,
 	}
 	leaf.Conformance = 1.0
-	bucket, _ := tokenbucket.New(r.cfg.ControlInterval, math.Max(1, r.cfg.linkRatePackets()*r.cfg.ControlInterval))
+	bucket, _ := tokenbucket.New(r.cfg.ControlInterval, math.Max(1, r.cfg.linkRatePackets().Times(units.Seconds(r.cfg.ControlInterval))))
 	ps.bucket = bucket
 	ps.params = tcpmodel.Params{Period: r.cfg.ControlInterval, RefMTD: r.cfg.DefaultRTT}
 	r.origins.put(key, ps)
@@ -417,7 +414,6 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 // The queue-mode edge detector runs inside admit's and drop's telemetry
 // blocks — every packet ends in exactly one of the two — so it sees the
 // post-decision queue length without a wrapper call on the hot path.
-// floc:unit now seconds
 // floc:hotpath
 func (r *Router) Enqueue(pkt *netsim.Packet, now float64) bool {
 	if now-r.lastControl >= r.cfg.ControlInterval {
@@ -449,8 +445,9 @@ func (r *Router) Enqueue(pkt *netsim.Packet, now float64) bool {
 		}
 	}
 
-	//floclint:allow units reference-packet conversion: byte size over PacketSize counts tokens (Sec. III-D)
-	tokens := float64(pkt.Size) / float64(r.cfg.PacketSize) //floc:unit tokens
+	// One token admits one reference packet (Section III-D): a packet
+	// costs its size in reference packets.
+	tokens := float64(pkt.Size) / float64(r.cfg.PacketSize)
 	if invariant.Hot {
 		invariant.Positive("core.pkt.tokens", tokens)
 	}
@@ -541,24 +538,18 @@ const minBucketTokens = 2
 
 // normalizeBucket floors the bucket at minBucketTokens while preserving
 // the admitted rate (size/period) by stretching the period with it.
-// floc:unit period seconds
-// floc:unit size tokens
-// floc:unit outPeriod seconds
-// floc:unit outSize tokens
 // floc:hotpath
 func normalizeBucket(period, size float64) (outPeriod, outSize float64) {
 	if size >= minBucketTokens {
 		return period, size
 	}
-	//floclint:allow units minBucketTokens over size is a pure token ratio; the stretch keeps size/period fixed
-	scale := minBucketTokens / size //floc:unit ratio
+	scale := minBucketTokens / size
 	return period * scale, minBucketTokens
 }
 
 // preferentialDrop applies the attack-flow preferential drop policy
 // (Eq. IV.5 with the Section V-B drop-record filter). It returns true if
 // the packet was dropped.
-// floc:unit now seconds
 // floc:hotpath
 func (r *Router) preferentialDrop(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, now float64) bool {
 	if r.cfg.DisablePreferentialDrop {
@@ -605,17 +596,16 @@ func (r *Router) preferentialDrop(pkt *netsim.Packet, orig, eff *pathState, fs *
 // fairShare returns the per-flow fair bandwidth (tokens/second) of a
 // path identifier, floored at one packet per RTT: a responsive flow
 // cannot run below that, so the penalty machinery never demands it.
-// floc:unit return tokens/s
 // floc:hotpath
 func (r *Router) fairShare(eff *pathState) float64 {
 	n := eff.flowCount()
 	if n < 1 {
 		n = 1
 	}
-	fair := eff.alloc / float64(n) //floc:unit tokens/s
-	//floclint:allow units 1 packet per RTT fair-share floor (Sec. IV)
+	fair := eff.alloc / float64(n)
+	// A responsive flow sends at least one packet per RTT (Section IV).
 	if rtt := r.rttOf(eff); rtt > 0 && fair < 1/rtt {
-		fair = 1 / rtt //floclint:allow units 1 packet per RTT fair-share floor (Sec. IV)
+		fair = 1 / rtt
 	}
 	if invariant.Hot {
 		invariant.NonNegative("core.fairshare", fair)
@@ -625,8 +615,6 @@ func (r *Router) fairShare(eff *pathState) float64 {
 
 // FlowExcess returns the drop filter's excess estimate for a flow, for
 // instrumentation and tests. It uses the flow's accounting identity.
-// floc:unit now seconds
-// floc:unit return ratio
 func (r *Router) FlowExcess(src, dst uint32, path pathid.PathID, now float64) float64 {
 	pkt := &netsim.Packet{Src: src, Dst: dst, Path: path}
 	_, hash := r.acctKey(pkt)
@@ -639,8 +627,6 @@ func (r *Router) FlowExcess(src, dst uint32, path pathid.PathID, now float64) fl
 }
 
 // admit puts the packet on the physical queue and meters the flow.
-// floc:unit tokens tokens
-// floc:unit now seconds
 // floc:hotpath
 func (r *Router) admit(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, tokens, now float64) bool {
 	if !r.fifo.Enqueue(pkt, now) {
@@ -663,7 +649,6 @@ func (r *Router) admit(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, 
 // take it, emits its trace event. A separate method so admit's
 // disabled-telemetry path pays one branch and keeps its pre-telemetry
 // stack frame.
-// floc:unit now seconds
 // floc:hotpath
 func (r *Router) observeAdmit(orig *pathState, fs *flowState, now float64) {
 	// arrived == admitted + dropped, so metering it here and in drop
@@ -689,7 +674,6 @@ func (r *Router) observeAdmit(orig *pathState, fs *flowState, now float64) {
 
 // observeDrop meters a dropped packet and emits its trace event; the
 // same frame-size consideration as observeAdmit applies.
-// floc:unit now seconds
 // floc:hotpath
 func (r *Router) observeDrop(orig *pathState, fs *flowState, now float64, reason DropReason) {
 	r.met.arrived.Inc()
@@ -713,7 +697,6 @@ func (r *Router) observeDrop(orig *pathState, fs *flowState, now float64, reason
 
 // epoch returns a path's congestion epoch (W/2 * RTT == RefMTD) for the
 // drop filter, floored to the filter tick.
-// floc:unit return seconds
 // floc:hotpath
 func (r *Router) epoch(eff *pathState) float64 {
 	e := eff.params.RefMTD
@@ -745,7 +728,6 @@ func (r *Router) filterK(eff *pathState) int {
 // filter's saturation point and push its admitted rate far below the fair
 // share, instead of converging at the paper's equilibrium
 // alpha*(1-P_pd) = 1 (admitted == fair share).
-// floc:unit now seconds
 // floc:hotpath
 func (r *Router) drop(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, now float64, reason DropReason) {
 	r.dropCounts[reason]++
@@ -778,7 +760,6 @@ func (r *Router) drop(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, n
 }
 
 // Dequeue implements netsim.Discipline.
-// floc:unit now seconds
 // floc:hotpath
 func (r *Router) Dequeue(now float64) *netsim.Packet {
 	pkt := r.fifo.Dequeue(now)
@@ -791,7 +772,6 @@ func (r *Router) Dequeue(now float64) *netsim.Packet {
 // observeDequeue records the dequeued packet's queue delay and runs the
 // mode-edge detector; a separate method so Dequeue's disabled-telemetry
 // path stays small.
-// floc:unit now seconds
 // floc:hotpath
 func (r *Router) observeDequeue(now float64) {
 	if at := r.delayQ.pop(); !math.IsNaN(at) {

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"floc/internal/telemetry"
+	"floc/internal/units"
 )
 
 // This file is the router's telemetry seam. All emission is guarded by
@@ -145,7 +146,6 @@ func (r *Router) bindPathCounters(ps *pathState) {
 // from the last observed one. Called after every enqueue/dequeue while
 // telemetry is attached; mode is pure function of queue length and the
 // thresholds, so this reconstructs every transition.
-// floc:unit now seconds
 // floc:hotpath
 func (r *Router) noteMode(now float64) {
 	m := r.Mode()
@@ -166,7 +166,6 @@ func (r *Router) noteMode(now float64) {
 // per-path histograms, recorder samples, and the ControlRunCompleted
 // event. Iteration follows sortedPaths' key order so the trace is
 // deterministic.
-// floc:unit now seconds
 func (r *Router) sampleControl(now float64) {
 	r.met.controlRuns.Inc()
 	r.met.queueLen.Set(float64(r.fifo.Len()))
@@ -188,7 +187,7 @@ func (r *Router) sampleControl(now float64) {
 	for _, ps := range order.guaranteed {
 		if size := ps.bucket.Size(); size > 0 {
 			// tokens over bucket-size tokens: the occupancy fraction
-			occupancy := ps.bucket.Available(now) / size //floc:unit ratio
+			occupancy := ps.bucket.Available(now) / size
 			r.met.bucketOccupancy.Observe(occupancy)
 		}
 		r.met.mtd.Observe(ps.params.RefMTD)
@@ -203,7 +202,7 @@ func (r *Router) sampleControl(now float64) {
 				Path:         ps.key,
 				Attack:       ps.attack,
 				Conformance:  ps.conformance,
-				AllocPackets: eff.alloc,
+				AllocPackets: units.PacketsPerSec(eff.alloc),
 				BucketSize:   eff.params.Bucket,
 				Period:       eff.params.Period,
 				Flows:        ps.flows.len(),
@@ -236,15 +235,13 @@ func (r *Router) sampleControl(now float64) {
 // admitted, for the queue-delay histogram. Same head-index compaction
 // trick as netsim.FIFO.
 type timeQueue struct {
-	buf  []float64 //floc:unit seconds
+	buf  []float64
 	head int
 }
 
-// floc:unit t seconds
 // floc:hotpath
 func (q *timeQueue) push(t float64) { q.buf = append(q.buf, t) }
 
-// floc:unit return seconds
 // floc:hotpath
 func (q *timeQueue) pop() float64 {
 	if q.head >= len(q.buf) {

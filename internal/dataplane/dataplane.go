@@ -54,7 +54,6 @@ import (
 type PacketSink interface {
 	// Emit is called once per transmitted packet with the virtual time
 	// the transmission completed.
-	// floc:unit now seconds
 	Emit(pkt *netsim.Packet, now float64)
 }
 
@@ -88,10 +87,10 @@ type Config struct {
 	// RingSize is the per-shard ring capacity in packets. It must be a
 	// power of two (the ring maps cursors to slots with a mask); zero
 	// defaults to 1024.
-	RingSize int //floc:unit packets
+	RingSize int
 	// Batch bounds how many packets a worker admits per ring drain; zero
 	// defaults to 64.
-	Batch int //floc:unit packets
+	Batch int
 	// BlockOnFull makes Enqueue yield until ring space frees instead of
 	// dropping. Use for offline replay, where input has no real arrival
 	// clock and losing packets to producer speed would be nonsense.
@@ -160,15 +159,15 @@ func (c Config) validate() error {
 type Stats struct {
 	// Accepted counts packets that entered a shard: its ring, or its router
 	// directly from a producer holding the consumer role.
-	Accepted int64 //floc:unit packets
+	Accepted int64
 	// RingDrops counts packets dropped because a ring was full, or because
 	// the engine closed while a producer was still handing them in.
-	RingDrops int64 //floc:unit packets
+	RingDrops int64
 	// Processed counts packets the role holders ran through admission.
-	Processed int64 //floc:unit packets
+	Processed int64
 	// LimitDrops counts packets dropped by cluster-installed per-path
 	// limits before they reached router admission.
-	LimitDrops int64 //floc:unit packets
+	LimitDrops int64
 }
 
 // seedStride separates shard RNG streams (64-bit golden ratio, odd).
@@ -178,7 +177,7 @@ const seedStride = 0x9e3779b97f4a7c15
 // admission latency histogram: 1µs to ~16ms in powers of four, wide
 // enough to show a stall without per-observation allocation.
 var admissionLatencyBounds = []float64{
-	1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3, //floc:unit seconds
+	1e-6, 4e-6, 16e-6, 64e-6, 256e-6, 1e-3, 4e-3, 16e-3,
 }
 
 // shardSink stamps the emitting shard's index onto every event bound
@@ -256,8 +255,8 @@ type shard struct {
 	buf       []core.BatchItem     // the batch being admitted; points into slots
 	slots     packetSlots          // the memory of the packets this shard holds
 	warm      uint64               // fold of what Prefetch read; never read back
-	free      float64              //floc:unit seconds
-	rateBytes float64              //floc:unit bytes/s
+	free      float64              // sim time the transmitter is next idle
+	rateBytes float64              // transmitter rate, bytes/s
 	egress    PacketSink           // nil = no forwarding
 	flusher   Flusher              // egress's Flush half; nil when it has none
 	bank      *defense.LimiterBank // nil until the first limit install
@@ -266,7 +265,7 @@ type shard struct {
 
 // slotChunk is how many packet slots a shard allocates at a time, when its
 // free list is empty.
-const slotChunk = 64 //floc:unit packets
+const slotChunk = 64
 
 // packetSlots is a shard's packet memory. The role holder copies every
 // packet it admits out of the ring, or out of a quiescing producer's run,
@@ -347,14 +346,13 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("dataplane: shard %d: %w", i, err)
 		}
 		sh := &shard{
-			ring:   newRing(cfg.RingSize),
-			router: router,
-			wake:   make(chan struct{}, 1),
-			cmds:   make(chan func(*shard)),
-			stop:   make(chan struct{}),
-			buf:    make([]core.BatchItem, cfg.Batch),
-			//floclint:allow units bits-to-bytes: per-shard transmitter rate, 8 bits per byte
-			rateBytes: rc.LinkRateBits / 8,
+			ring:      newRing(cfg.RingSize),
+			router:    router,
+			wake:      make(chan struct{}, 1),
+			cmds:      make(chan func(*shard)),
+			stop:      make(chan struct{}),
+			buf:       make([]core.BatchItem, cfg.Batch),
+			rateBytes: units.BitsPerSec(rc.LinkRateBits).BytesPerSec(),
 		}
 		if cfg.Telemetry != nil {
 			tel := &telemetry.Telemetry{Registry: cfg.Telemetry, Labels: fmt.Sprintf(`shard="%d"`, i)}
@@ -469,7 +467,6 @@ func (e *Engine) shardFor(pkt *netsim.Packet) int {
 // only if the engine closes while it does. Or the engine was already
 // closed when Enqueue was called: that only the return value reports.
 // Either way the caller may reuse its packet as soon as Enqueue returns.
-// floc:unit now seconds
 // floc:hotpath
 func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
 	if e.closed.Load() {
@@ -518,7 +515,7 @@ func (sh *shard) countRingDrops(n int) {
 
 // burstRun is how many packets a Burst buffers per shard before it hands
 // them to the ring in one claim.
-const burstRun = 64 //floc:unit packets
+const burstRun = 64
 
 // Burst is one producer's amortizing front end to Enqueue: packets are
 // buffered per shard and enter the shard's ring a run at a time — one
@@ -549,7 +546,6 @@ func (e *Engine) NewBurst() *Burst {
 // per packet — ring full, engine closed — is decided when the run is
 // flushed and shows in Stats. The caller may reuse its packet as soon as
 // Enqueue returns.
-// floc:unit now seconds
 // floc:hotpath
 func (b *Burst) Enqueue(pkt *netsim.Packet, now float64) {
 	i := b.e.shardFor(pkt)
@@ -815,7 +811,6 @@ func (sh *shard) admitRun(run []ringItem) {
 
 // serve drains the router's output queue through the shard's share of
 // the link until the virtual transmitter catches up with now.
-// floc:unit now seconds
 // floc:hotpath
 func (sh *shard) serve(now float64) {
 	for sh.free <= now {
@@ -924,8 +919,6 @@ func (e *Engine) onOwner(path pathid.PathID, fn func(sh *shard)) bool {
 // FeedbackApplied trace event from the worker — the shard trace is
 // single-writer, so the event must not be added from the caller's
 // goroutine.
-// floc:unit expires seconds
-// floc:unit now seconds
 func (sh *shard) installLimit(path pathid.PathID, rate units.BitsPerSec, expires float64, peer uint32, now float64) bool {
 	handle := sh.router.InternPath(path)
 	if handle == 0 && len(path) > 0 {
@@ -987,8 +980,6 @@ func (e *Engine) InternPath(path pathid.PathID) uint32 {
 // false when the engine is closed, the path is empty, or the shard
 // router's handle space is exhausted. Cold: called per feedback record,
 // never per packet.
-// floc:unit expiresAt seconds
-// floc:unit now seconds
 func (e *Engine) InstallLimit(path pathid.PathID, rate units.BitsPerSec, expiresAt float64, peer uint32, now float64) bool {
 	if len(path) == 0 {
 		return false
@@ -1001,7 +992,6 @@ func (e *Engine) InstallLimit(path pathid.PathID, rate units.BitsPerSec, expires
 // SweepLimits reaps expired cluster limits on every shard so the
 // installed-limit gauge tracks lease expiry even on idle paths. Call
 // periodically from the daemon's tick loop.
-// floc:unit now seconds
 func (e *Engine) SweepLimits(now float64) {
 	e.onAll(func(_ int, sh *shard) {
 		if sh.bank != nil {
@@ -1032,7 +1022,6 @@ func (e *Engine) Drain() {
 // Advance drains all rings and services every shard's output queue up to
 // virtual time now — the flush at end of input, when no further arrivals
 // will drive the transmitters.
-// floc:unit now seconds
 func (e *Engine) Advance(now float64) {
 	e.onAll(func(_ int, sh *shard) {
 		sh.serve(now)

@@ -12,12 +12,13 @@ import (
 	"floc/internal/pathid"
 	"floc/internal/rng"
 	"floc/internal/telemetry"
+	"floc/internal/units"
 )
 
 // arrival is one scripted packet arrival.
 type arrival struct {
 	pkt netsim.Packet
-	at  float64 //floc:unit seconds
+	at  float64
 }
 
 // genScenario scripts a deterministic CBR mix: each of nPaths paths sends
@@ -50,8 +51,7 @@ func runBaseline(t *testing.T, cfg core.Config, sc []arrival, end float64) core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	//floclint:allow units bits-to-bytes: transmitter rate, 8 bits per byte
-	rateBytes := cfg.LinkRateBits / 8
+	rateBytes := units.BitsPerSec(cfg.LinkRateBits).BytesPerSec()
 	free := 0.0
 	serve := func(now float64) {
 		for free <= now {

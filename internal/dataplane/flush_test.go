@@ -19,7 +19,6 @@ type bufferingSink struct {
 	flushes int // Flush calls
 }
 
-// floc:unit now seconds
 func (s *bufferingSink) Emit(*netsim.Packet, float64) {
 	s.mu.Lock()
 	s.pending++

@@ -164,7 +164,6 @@ type egressRecorder struct {
 	pkts []*netsim.Packet
 }
 
-// floc:unit now seconds
 func (r *egressRecorder) Emit(pkt *netsim.Packet, now float64) {
 	r.mu.Lock()
 	r.pkts = append(r.pkts, pkt)

@@ -29,7 +29,7 @@ type ringSlot struct {
 // ringItem is one packet of shard work and its arrival time.
 type ringItem struct {
 	pkt netsim.Packet
-	at  float64 //floc:unit seconds
+	at  float64
 }
 
 // ringSealed is the producer-cursor bit seal sets. No position reaches it
@@ -49,7 +49,6 @@ func newRing(size int) *ring {
 // tryEnqueue copies one packet into the ring. It returns false when the
 // ring is full — the caller decides whether to drop (accounted) or back
 // off.
-// floc:unit at seconds
 // floc:hotpath
 func (r *ring) tryEnqueue(pkt *netsim.Packet, at float64) bool {
 	pos := r.enq.Load()

@@ -24,7 +24,6 @@ type orderSink struct {
 	bad    string               // the first violation
 }
 
-// floc:unit now seconds
 func (s *orderSink) Emit(pkt *netsim.Packet, _ float64) {
 	key := [2]uint32{pkt.Src, uint32(pathShard(pkt.Path, s.shards))}
 	s.mu.Lock()

@@ -71,7 +71,6 @@ type checkingSink struct {
 	bad     int
 }
 
-// floc:unit now seconds
 func (s *checkingSink) Emit(pkt *netsim.Packet, _ float64) {
 	s.mu.Lock()
 	s.pending = append(s.pending, pkt)
@@ -134,7 +133,6 @@ type keepingSink struct {
 	as   []netsim.Packet
 }
 
-// floc:unit now seconds
 func (s *keepingSink) Emit(pkt *netsim.Packet, _ float64) {
 	s.mu.Lock()
 	s.kept = append(s.kept, pkt)

@@ -13,10 +13,8 @@ type passThrough struct{}
 
 var _ netsim.Discipline = passThrough{}
 
-// floc:unit now seconds
 func (passThrough) Enqueue(pkt *netsim.Packet, now float64) bool { return true }
 
-// floc:unit now seconds
 func (passThrough) Dequeue(now float64) *netsim.Packet { return nil }
 
 func (passThrough) Len() int { return 0 }
@@ -27,7 +25,7 @@ func (passThrough) Len() int { return 0 }
 // an upstream forever.
 type bankEntry struct {
 	lim       *Limiter
-	expiresAt float64 //floc:unit seconds (0 = no expiry)
+	expiresAt float64 // 0 = no expiry
 }
 
 // LimiterBank holds per-path rate limits installed by the cluster
@@ -55,7 +53,6 @@ func NewLimiterBank() *LimiterBank {
 // handle. expiresAt is the arrival-clock deadline after which the limit
 // lapses on its own (0 = never). Reinstalling refreshes the lease and
 // re-seeds the limiter's burst allowance via SetRateBits.
-// floc:unit expiresAt seconds
 func (b *LimiterBank) Install(handle uint32, rate units.BitsPerSec, expiresAt float64) {
 	if rate <= 0 {
 		delete(b.entries, handle)
@@ -74,7 +71,6 @@ func (b *LimiterBank) Install(handle uint32, rate units.BitsPerSec, expiresAt fl
 // installed and unexpired. Handle 0 (the unknown path) and handles with
 // no limit pass untouched; an expired limit is reaped lazily on first
 // touch. Returns false when the limiter drops the packet.
-// floc:unit now seconds
 // floc:hotpath
 func (b *LimiterBank) Admit(handle uint32, pkt *netsim.Packet, now float64) bool {
 	if handle == 0 {
@@ -97,7 +93,6 @@ func (b *LimiterBank) Admit(handle uint32, pkt *netsim.Packet, now float64) bool
 
 // Rate returns the handle's installed limit (0 = none installed or
 // expired; expiry is checked but not reaped here).
-// floc:unit now seconds
 func (b *LimiterBank) Rate(handle uint32, now float64) units.BitsPerSec {
 	e := b.entries[handle]
 	if e == nil {
@@ -112,7 +107,6 @@ func (b *LimiterBank) Rate(handle uint32, now float64) units.BitsPerSec {
 // Sweep reaps every expired entry and returns the number removed. Admit
 // reaps lazily; Sweep exists so idle paths' leases still lapse and the
 // active-limit gauge stays honest.
-// floc:unit now seconds
 func (b *LimiterBank) Sweep(now float64) int {
 	removed := 0
 	for h, e := range b.entries {

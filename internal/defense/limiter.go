@@ -20,7 +20,7 @@ type Limiter struct {
 
 	rateBits   units.BitsPerSec // 0 = unlimited
 	tokens     units.Bits
-	lastRefill float64 //floc:unit seconds
+	lastRefill float64
 
 	dropped     int
 	offeredBits units.Bits
@@ -71,7 +71,6 @@ func (l *Limiter) TakeOfferedBits() units.Bits {
 }
 
 // Enqueue implements netsim.Discipline.
-// floc:unit now seconds
 // floc:hotpath
 func (l *Limiter) Enqueue(pkt *netsim.Packet, now float64) bool {
 	bits := units.FromPacket(pkt.Size)
@@ -95,7 +94,6 @@ func (l *Limiter) Enqueue(pkt *netsim.Packet, now float64) bool {
 }
 
 // Dequeue implements netsim.Discipline.
-// floc:unit now seconds
 func (l *Limiter) Dequeue(now float64) *netsim.Packet { return l.inner.Dequeue(now) }
 
 // Len implements netsim.Discipline.

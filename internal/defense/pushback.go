@@ -24,26 +24,25 @@ type PushbackConfig struct {
 	// RED parameterizes the underlying queue.
 	RED REDConfig
 	// LinkRateBits is the protected link's capacity in bits/second.
-	LinkRateBits float64 //floc:unit bits/s
+	LinkRateBits units.BitsPerSec
 	// Interval is the ACC review period in seconds.
-	Interval float64 //floc:unit seconds
+	Interval float64
 	// DropRateTrigger is the drop fraction over an interval that triggers
 	// aggregate rate limiting.
-	DropRateTrigger float64 //floc:unit ratio
+	DropRateTrigger float64
 	// TargetUtil is the fraction of link capacity the water-fill aims
 	// to admit.
-	TargetUtil float64 //floc:unit ratio
+	TargetUtil float64
 	// AggDepth is the path-postfix depth that defines an aggregate
 	// (0 means the full path, i.e. per-origin-domain aggregates).
 	AggDepth int
 	// ReleaseFactor loosens limits each quiet interval; an aggregate is
 	// released when its limit exceeds its demand.
-	ReleaseFactor float64 //floc:unit ratio
+	ReleaseFactor float64
 }
 
 // DefaultPushbackConfig returns the parameterization used in experiments.
-// floc:unit linkRateBits bits/s
-func DefaultPushbackConfig(capacity int, linkRateBits float64, seed uint64) PushbackConfig {
+func DefaultPushbackConfig(capacity int, linkRateBits units.BitsPerSec, seed uint64) PushbackConfig {
 	return PushbackConfig{
 		RED:             DefaultREDConfig(capacity, seed),
 		LinkRateBits:    linkRateBits,
@@ -61,7 +60,7 @@ type aggState struct {
 	limited     bool
 	limitBits   units.BitsPerSec
 	tokens      units.Bits // limiter bucket
-	lastRefill  float64    //floc:unit seconds
+	lastRefill  float64
 }
 
 // Pushback is the ACC discipline. With AttachUpstream it also models the
@@ -72,10 +71,10 @@ type Pushback struct {
 	cfg PushbackConfig
 	red *RED
 
-	intervalStart float64 //floc:unit seconds
+	intervalStart float64
 	aggs          map[string]*aggState
-	arrivals      int //floc:unit packets
-	drops         int //floc:unit packets
+	arrivals      int
+	drops         int
 
 	upstream map[string]*Limiter
 
@@ -170,7 +169,6 @@ func (p *Pushback) aggKey(pkt *netsim.Packet) string {
 
 // review runs at interval boundaries: decides on activation, recomputes
 // limits, releases stale limiters, and resets measurement.
-// floc:unit now seconds
 func (p *Pushback) review(now float64) {
 	// Fold in upstream status reports: a limited aggregate's demand is
 	// what was *offered* upstream, not the residue that reached us.
@@ -185,9 +183,8 @@ func (p *Pushback) review(now float64) {
 	dropFrac := 0.0
 	if p.arrivals > 0 {
 		// Upstream-shed traffic counts as dropped demand when deciding
-		// whether congestion persists.
-		//floclint:allow units reference-packet conversion: 8000 bits per full-size packet
-		shedPkts := float64(upstreamShed) / 8000 //floc:unit packets
+		// whether congestion persists, in full-size 1000-byte packets.
+		shedPkts := float64(upstreamShed) / float64(units.FromPacket(1000))
 		dropFrac = (float64(p.drops) + shedPkts) / (float64(p.arrivals) + shedPkts)
 	}
 	if dropFrac > p.cfg.DropRateTrigger {
@@ -240,7 +237,7 @@ func (p *Pushback) computeLimits() {
 		entries = append(entries, entry{key: k, rate: r})
 		total += r
 	}
-	target := units.BitsPerSec(p.cfg.TargetUtil * p.cfg.LinkRateBits)
+	target := p.cfg.LinkRateBits.Scale(p.cfg.TargetUtil)
 	if total <= target || len(entries) == 0 {
 		return
 	}
@@ -281,7 +278,6 @@ func (p *Pushback) computeLimits() {
 }
 
 // Enqueue implements netsim.Discipline.
-// floc:unit now seconds
 func (p *Pushback) Enqueue(pkt *netsim.Packet, now float64) bool {
 	if now-p.intervalStart >= p.cfg.Interval {
 		p.review(now)
@@ -322,7 +318,6 @@ func (p *Pushback) Enqueue(pkt *netsim.Packet, now float64) bool {
 }
 
 // Dequeue implements netsim.Discipline.
-// floc:unit now seconds
 func (p *Pushback) Dequeue(now float64) *netsim.Packet { return p.red.Dequeue(now) }
 
 // Len implements netsim.Discipline.

@@ -34,7 +34,7 @@ type Config struct {
 	Bits int
 	// TickSeconds is t_base, the time quantization granularity
 	// (paper example: 10 ms).
-	TickSeconds float64 //floc:unit seconds
+	TickSeconds float64
 	// TSMax is the saturation value of t_s (paper: 4 bits -> 15).
 	TSMax uint32
 	// DMax is the saturation value of d. The paper's 2-bits-per-epoch
@@ -194,7 +194,6 @@ func (f *Filter) arraysFor(h uint64, k int) arraySpan {
 }
 
 // Ticks quantizes a time in seconds to filter ticks.
-// floc:unit now seconds
 //
 // floc:hotpath
 func (f *Filter) Ticks(now float64) uint32 {
@@ -248,8 +247,6 @@ func (f *Filter) decay(r *record, nowTicks, epochTicks uint32) {
 // probabilistic-update weight (Section V-B.4): the caller samples drops
 // with probability 1/weight and passes the weight here so expectations are
 // preserved; use 1 for exact recording.
-// floc:unit now seconds
-// floc:unit epoch seconds
 //
 // floc:hotpath
 func (f *Filter) RecordDrop(h uint64, now, epoch float64, k int, weight uint32) {
@@ -310,7 +307,6 @@ type State struct {
 // (extra drops per congestion epoch).
 //
 // floc:eq V-B.2 (P_e = d/t_s)
-// floc:unit return ratio
 //
 // floc:hotpath
 func (s State) Excess() float64 {
@@ -332,7 +328,6 @@ func (s State) Excess() float64 {
 // a 64x flow saturating d at 63 with t_s=1 gives P_pd = 63/64 = 0.984.
 //
 // floc:eq V.1 (P_pd = d/(t_s+d))
-// floc:unit return ratio
 //
 // floc:hotpath
 func (s State) PrefDropProb() float64 {
@@ -346,8 +341,6 @@ func (s State) PrefDropProb() float64 {
 // read-consistently (without mutating the stored records) and taking the
 // minimum d across the flow's arrays (the counting-Bloom conservative
 // read). k must match the k used for RecordDrop for this flow's path.
-// floc:unit now seconds
-// floc:unit epoch seconds
 //
 // floc:hotpath
 func (f *Filter) Query(h uint64, now, epoch float64, k int) State {
@@ -446,7 +439,6 @@ func (f *Filter) Counters() (recordOps, queryOps int64) {
 // width — an exponent, not a data quantity measured in bits.
 //
 // floc:eq V-B.5 (false-positive rate)
-// floc:unit return ratio
 func FalsePositiveRate(n int, log2Slots, k int) float64 {
 	if k < 1 || log2Slots < 1 || n <= 0 {
 		return 0

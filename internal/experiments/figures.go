@@ -8,6 +8,7 @@ import (
 
 	"floc/internal/stats"
 	"floc/internal/tcpmodel"
+	"floc/internal/units"
 )
 
 // Table is a figure's data in printable form: one row per series point.
@@ -131,7 +132,6 @@ func Fig3(scale float64, seed uint64) (*Table, error) {
 // Fig4 reproduces the token-request model illustration: the aggregate
 // window (token request) of n flows across one congestion epoch for each
 // synchronization mode, plus achievable utilization.
-// floc:unit w packets
 func Fig4(n int, w float64) *Table {
 	t := &Table{
 		Title:   "Fig.4: aggregate token request vs epoch phase (packets)",
@@ -200,7 +200,7 @@ func Fig6(kind AttackKind, scale float64, seed uint64) (*Table, *Measurement, er
 // bandwidth of legitimate-path flows under CBR attacks of varying
 // strength, for FLoc, Pushback and RED-PD, plus the no-attack RED
 // reference.
-func Fig7(scale float64, rates []float64, seed uint64) (*Table, error) {
+func Fig7(scale float64, rates []units.BitsPerSec, seed uint64) (*Table, error) {
 	t := &Table{
 		Title:   "Fig.7: legit-path flow bandwidth distribution under CBR attack",
 		Columns: cdfColumns,
@@ -231,7 +231,7 @@ func Fig7(scale float64, rates []float64, seed uint64) (*Table, error) {
 // link bandwidth used by legit-path flows, legitimate flows of attack
 // paths, and attack flows, per defense and per-bot attack rate, with
 // FLoc's attack-path aggregation enabled (|S|max = 25).
-func Fig8(scale float64, rates []float64, seed uint64) (*Table, error) {
+func Fig8(scale float64, rates []units.BitsPerSec, seed uint64) (*Table, error) {
 	t := &Table{
 		Title:   "Fig.8: bandwidth shares by class (fraction of link capacity)",
 		Columns: []string{"legit_path", "legit_in_attack_path", "attack", "utilization"},

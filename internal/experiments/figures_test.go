@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"floc/internal/units"
 )
 
 // shortenFigures shrinks the figure window for smoke tests and restores
@@ -37,7 +39,7 @@ func TestFig6Smoke(t *testing.T) {
 func TestFig7Smoke(t *testing.T) {
 	skipIfShort(t)
 	shortenFigures(t)
-	tab, err := Fig7(0.05, []float64{2e6}, 3)
+	tab, err := Fig7(0.05, []units.BitsPerSec{2e6}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +60,7 @@ func TestFig7Smoke(t *testing.T) {
 func TestFig8Smoke(t *testing.T) {
 	skipIfShort(t)
 	shortenFigures(t)
-	tab, err := Fig8(0.05, []float64{2e6}, 3)
+	tab, err := Fig8(0.05, []units.BitsPerSec{2e6}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

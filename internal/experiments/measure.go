@@ -57,24 +57,24 @@ type Measurement struct {
 	PerPathBits map[string]*stats.TimeSeries
 	// FlowBits accumulates per-flow delivered bits within the
 	// measurement window.
-	FlowBits map[netsim.FlowID]float64 //floc:unit bits
+	FlowBits map[netsim.FlowID]float64
 	// FlowClasses labels each observed flow.
 	FlowClasses map[netsim.FlowID]FlowClass
 	// FlowPaths records each observed flow's path identifier key.
 	FlowPaths map[netsim.FlowID]string
 	// ClassBits accumulates per-class delivered bits within the window.
-	ClassBits map[FlowClass]float64 //floc:unit bits
+	ClassBits map[FlowClass]float64
 	// SizeHist counts delivered packet sizes over the whole run (Fig. 3).
 	SizeHist *stats.Histogram
 
 	// Filled by finish:
 
 	// TargetBits is the target link capacity.
-	TargetBits float64 //floc:unit bits/s
+	TargetBits units.BitsPerSec
 	// Window is the measurement window length in seconds.
-	Window float64 //floc:unit seconds
+	Window float64
 	// Utilization is delivered bits in the window / capacity.
-	Utilization float64 //floc:unit ratio
+	Utilization float64
 	// AttackPathKeys marks the contaminated domains' path keys.
 	AttackPathKeys map[string]bool
 	// LeafKeys[i] is leaf domain i's path identifier key.
@@ -91,13 +91,11 @@ type Measurement struct {
 	// limiters (Pushback with upstream propagation only).
 	PushbackUpstreamDrops int
 
-	measureFrom, measureTo float64 //floc:unit seconds
+	measureFrom, measureTo float64
 }
 
 // newMeasurement wires delivery/drop hooks onto the tree's target link.
 // traceCap > 0 additionally enables the event trace ring.
-// floc:unit from seconds
-// floc:unit to seconds
 func newMeasurement(tree *topology.Tree, attackLeaves []int, from, to float64, traceCap int) *Measurement {
 	m := &Measurement{
 		Tel: telemetry.New(telemetry.Options{
@@ -176,13 +174,11 @@ func (m *Measurement) ServiceBins() []float64 { return m.Tel.Recorder.Series(Ser
 func (m *Measurement) DropBins() []float64 { return m.Tel.Recorder.Series(SeriesDrop).Bins() }
 
 // DeliveredPackets returns the registry's target-link service count.
-// floc:unit return packets
 func (m *Measurement) DeliveredPackets() int64 {
 	return m.Tel.Registry.CounterValue("floc_target_delivered_packets_total")
 }
 
 // DroppedPackets returns the registry's target-link drop count.
-// floc:unit return packets
 func (m *Measurement) DroppedPackets() int64 {
 	return m.Tel.Registry.CounterValue("floc_target_dropped_packets_total")
 }
@@ -201,12 +197,12 @@ func (m *Measurement) classify(pkt *netsim.Packet, pathKey string) FlowClass {
 // finish computes derived metrics after the run.
 func (m *Measurement) finish(sc Scenario, flocRtr *core.Router) {
 	m.Window = m.measureTo - m.measureFrom
-	total := 0.0 //floc:unit bits
+	total := 0.0
 	for _, bits := range m.ClassBits {
 		total += bits
 	}
 	if m.TargetBits > 0 && m.Window > 0 {
-		m.Utilization = total / (m.TargetBits * m.Window)
+		m.Utilization = total / float64(m.TargetBits.Times(units.Seconds(m.Window)))
 	}
 	if flocRtr != nil {
 		m.FLocPaths = flocRtr.PathInfos()
@@ -217,12 +213,11 @@ func (m *Measurement) finish(sc Scenario, flocRtr *core.Router) {
 }
 
 // ClassShare returns a class's fraction of link capacity over the window.
-// floc:unit return ratio
 func (m *Measurement) ClassShare(c FlowClass) float64 {
 	if m.TargetBits <= 0 || m.Window <= 0 {
 		return 0
 	}
-	return m.ClassBits[c] / (m.TargetBits * m.Window)
+	return m.ClassBits[c] / float64(m.TargetBits.Times(units.Seconds(m.Window)))
 }
 
 // FlowBandwidthCDF returns the per-flow delivered-bandwidth CDF (bits/s
@@ -251,9 +246,6 @@ func (m *Measurement) FlowBandwidthCDFForPaths(c FlowClass, keep func(pathKey st
 
 // PathBandwidth returns a path's mean delivered bandwidth (bits/s) over
 // [from, to].
-// floc:unit from seconds
-// floc:unit to seconds
-// floc:unit return bits/s
 func (m *Measurement) PathBandwidth(pathKey string, from, to float64) float64 {
 	ts := m.PerPathBits[pathKey]
 	if ts == nil || to <= from {

@@ -19,6 +19,7 @@ import (
 	"floc/internal/tcp"
 	"floc/internal/topology"
 	"floc/internal/traffic"
+	"floc/internal/units"
 )
 
 // DefenseKind names the queue discipline protecting the target link.
@@ -74,7 +75,7 @@ type Scenario struct {
 	Scale float64
 	// AttackRateBits is the per-bot rate for CBR/Shrew, and the per-flow
 	// rate for covert attacks (paper: 2.0 Mb/s CBR, 0.2 Mb/s covert).
-	AttackRateBits float64
+	AttackRateBits units.BitsPerSec
 	// CovertFanout is the number of concurrent destinations per covert
 	// source (paper: 1..20).
 	CovertFanout int
@@ -196,8 +197,8 @@ func build(sc Scenario) (*built, error) {
 	}
 	net := netsim.New(sc.Seed)
 
-	targetBits := paperTargetBits * sc.Scale //floc:unit bits/s
-	bufPkts := int(targetBits * bufferSecs / 8 / 1000)
+	targetBits := units.BitsPerSec(paperTargetBits * sc.Scale)
+	bufPkts := int(targetBits.Times(bufferSecs).Bytes() / 1000) // 1000-byte packets
 	if bufPkts < 50 {
 		bufPkts = 50
 	}
@@ -309,8 +310,7 @@ func scaleCount(n int, scale float64) int {
 }
 
 // buildDefense constructs the discipline for the target link.
-// floc:unit targetBits bits/s
-func (b *built) buildDefense(targetBits float64, bufPkts int) (netsim.Discipline, error) {
+func (b *built) buildDefense(targetBits units.BitsPerSec, bufPkts int) (netsim.Discipline, error) {
 	sc := b.sc
 	switch sc.Defense {
 	case DefDropTail:
@@ -332,7 +332,7 @@ func (b *built) buildDefense(targetBits float64, bufPkts int) (netsim.Discipline
 		b.pushback = pb
 		return pb, nil
 	case DefFLoc:
-		cfg := core.DefaultConfig(targetBits, bufPkts)
+		cfg := core.DefaultConfig(float64(targetBits), bufPkts)
 		cfg.SMax = sc.SMax
 		cfg.LegitAggregation = sc.LegitAgg
 		cfg.NMax = sc.NMax
@@ -450,7 +450,7 @@ func (b *built) addBot(leaf int, serverIdx *int) error {
 		slot := 6.0
 		sh, err := traffic.NewShrew(host, traffic.ShrewConfig{
 			Src: host.Addr, Dst: server.Addr, Path: path,
-			BurstRateBits: sc.AttackRateBits * float64(groups),
+			BurstRateBits: sc.AttackRateBits.Scale(float64(groups)),
 			Period:        slot * float64(groups),
 			BurstFraction: 1.0 / float64(groups),
 			Start:         float64(attackGroupOf(b.tree, leaf)) * slot,

@@ -16,7 +16,7 @@ type SealerOptions struct {
 	// RotateBytes rotates the bulk events file to the next number once
 	// it exceeds this size (checked at segment boundaries, so a segment
 	// is always contiguous within one file). 0 defaults to 8 MiB.
-	RotateBytes int64 //floc:unit bytes
+	RotateBytes int64
 }
 
 // Sealer is a telemetry.EventSink that seals the event stream into a
@@ -40,7 +40,7 @@ type Sealer struct {
 	fileNum   uint32
 	events    *os.File
 	ew        *bufio.Writer
-	fileBytes int64 //floc:unit bytes
+	fileBytes int64
 
 	seg    uint32
 	chain  Hash

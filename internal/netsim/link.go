@@ -1,6 +1,10 @@
 package netsim
 
-import "fmt"
+import (
+	"fmt"
+
+	"floc/internal/units"
+)
 
 // Discipline is a link's queue management policy — the attachment point
 // for FLoc and the baseline defenses. Implementations are driven entirely
@@ -33,8 +37,8 @@ type LinkStats struct {
 type Link struct {
 	Name string
 
-	rate  float64 //floc:unit bytes/s
-	delay float64 //floc:unit seconds
+	rate  float64 // bytes/s: packet sizes are in bytes
+	delay float64
 	disc  Discipline
 	dst   Endpoint
 
@@ -52,9 +56,7 @@ type Link struct {
 // NewLink creates a link with rate in bits per second (as network links
 // are usually specified), propagation delay in seconds, queue discipline
 // disc, and destination dst.
-// floc:unit rateBits bits/s
-// floc:unit delay seconds
-func NewLink(name string, rateBits float64, delay float64, disc Discipline, dst Endpoint) (*Link, error) {
+func NewLink(name string, rateBits units.BitsPerSec, delay float64, disc Discipline, dst Endpoint) (*Link, error) {
 	if rateBits <= 0 {
 		return nil, fmt.Errorf("netsim: link %s: non-positive rate %v", name, rateBits)
 	}
@@ -67,18 +69,13 @@ func NewLink(name string, rateBits float64, delay float64, disc Discipline, dst 
 	if dst == nil {
 		return nil, fmt.Errorf("netsim: link %s: nil destination", name)
 	}
-	//floclint:allow units bits-to-bytes: the 8 converts the configured bits/s to the stored bytes/s
-	return &Link{Name: name, rate: rateBits / 8, delay: delay, disc: disc, dst: dst}, nil
+	return &Link{Name: name, rate: rateBits.BytesPerSec(), delay: delay, disc: disc, dst: dst}, nil
 }
 
 // RateBits returns the link rate in bits per second.
-// floc:unit return bits/s
-//
-//floclint:allow units bytes-to-bits: the 8 converts the stored bytes/s to bits/s
-func (l *Link) RateBits() float64 { return l.rate * 8 }
+func (l *Link) RateBits() units.BitsPerSec { return units.FromBytesPerSec(l.rate) }
 
 // Delay returns the propagation delay in seconds.
-// floc:unit return seconds
 func (l *Link) Delay() float64 { return l.delay }
 
 // Discipline returns the link's queue discipline.

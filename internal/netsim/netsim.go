@@ -93,7 +93,7 @@ type Packet struct {
 	ID   uint64
 	Src  uint32
 	Dst  uint32
-	Size int //floc:unit bytes (including headers)
+	Size int // bytes, including headers
 	Kind PacketKind
 	Seq  int // data sequence number (packets, not bytes)
 	Ack  int // cumulative acknowledgment
@@ -122,7 +122,7 @@ type Packet struct {
 	Priority bool
 
 	// SentAt is the time the packet left its origin.
-	SentAt float64 //floc:unit seconds
+	SentAt float64
 }
 
 // Flow returns the packet's flow identity.

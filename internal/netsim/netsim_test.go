@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"floc/internal/pathid"
+	"floc/internal/units"
 )
 
 // collector is an Endpoint that records received packets.
@@ -104,9 +105,10 @@ func TestLinkValidation(t *testing.T) {
 	dst := &collector{}
 	fifo := NewFIFO(10)
 	cases := []struct {
-		rate, delay float64
-		disc        Discipline
-		dst         Endpoint
+		rate  units.BitsPerSec
+		delay float64
+		disc  Discipline
+		dst   Endpoint
 	}{
 		{0, 0.01, fifo, dst},
 		{-5, 0.01, fifo, dst},

@@ -6,6 +6,7 @@ import (
 
 	"floc/internal/netsim"
 	"floc/internal/pathid"
+	"floc/internal/units"
 )
 
 // pair is a two-host test topology:
@@ -25,7 +26,7 @@ const (
 	serverAddr = 2
 )
 
-func newPair(t *testing.T, bottleneckBits float64, delay float64, bufPkts int) *pair {
+func newPair(t *testing.T, bottleneckBits units.BitsPerSec, delay float64, bufPkts int) *pair {
 	t.Helper()
 	net := netsim.New(7)
 	client := netsim.NewHost("client", clientAddr)

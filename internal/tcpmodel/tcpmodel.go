@@ -4,14 +4,16 @@
 // bandwidth share, and the token-bucket parameters that guarantee that
 // bandwidth to the flow aggregate of a path identifier.
 //
-// Units: bandwidth is expressed in packets per second, RTT in seconds, and
-// windows in packets. Converting to bits per second is the caller's
-// business (multiply by packet size).
+// Units: bandwidth is a units.PacketsPerSec, RTT is in seconds, and
+// windows are in packets. Converting to bits per second is the caller's
+// business (units.PacketsPerSec.Bits).
 package tcpmodel
 
 import (
 	"fmt"
 	"math"
+
+	"floc/internal/units"
 )
 
 // Epsilon is the bucket-increase factor of Eq. (IV.3). The paper sets it to
@@ -27,14 +29,11 @@ const Epsilon = 3.4641016151377544 // sqrt(12)
 // average window is (3/4)W and bw = (3/4)*W/RTT, giving W = 4*bw*RTT/3.
 //
 // floc:eq IV-A (W = 4*c*RTT/3)
-// floc:unit bw packets/s
-// floc:unit rtt seconds
-// floc:unit return packets
-func PeakWindow(bw, rtt float64) float64 {
+func PeakWindow(bw units.PacketsPerSec, rtt float64) float64 {
 	if bw <= 0 || rtt <= 0 {
 		return 0
 	}
-	return 4 * bw * rtt / 3
+	return 4 * float64(bw) * rtt / 3
 }
 
 // FlowBandwidth is the inverse of PeakWindow: the throughput in packets/s
@@ -42,30 +41,27 @@ func PeakWindow(bw, rtt float64) float64 {
 // rtt seconds.
 //
 // floc:eq IV-A (c = 3*W/(4*RTT))
-// floc:unit w packets
-// floc:unit rtt seconds
-// floc:unit return packets/s
-func FlowBandwidth(w, rtt float64) float64 {
+func FlowBandwidth(w, rtt float64) units.PacketsPerSec {
 	if rtt <= 0 {
 		return 0
 	}
-	return 3 * w / (4 * rtt)
+	return units.PacketsPerSec(3 * w / (4 * rtt))
 }
 
 // Params are the token-bucket parameters computed for one path identifier.
 type Params struct {
 	// Period is the token generation period T_Si in seconds (Eq. IV.1).
-	Period float64 //floc:unit seconds
+	Period float64
 	// Bucket is the ideal bucket size N_Si in tokens (packets), Eq. (IV.2).
-	Bucket float64 //floc:unit tokens
+	Bucket float64
 	// BucketBurst is the burst-tolerant size N'_Si >= Bucket (Eq. IV.3)
 	// used in congested (non-flooding) mode.
-	BucketBurst float64 //floc:unit tokens
+	BucketBurst float64
 	// Window is the per-flow peak window W_i implied by the fair share.
-	Window float64 //floc:unit packets
+	Window float64
 	// RefMTD is the reference mean-time-to-drop n_i*T_Si of a legitimate
 	// flow of this path.
-	RefMTD float64 //floc:unit seconds
+	RefMTD float64
 }
 
 // Compute derives the token-bucket parameters for a path identifier S_i
@@ -83,9 +79,7 @@ type Params struct {
 // below from the two moments rather than a collapsed constant.
 //
 // floc:eq IV.1 IV.2 IV.3
-// floc:unit c packets/s
-// floc:unit rtt seconds
-func Compute(c float64, n int, rtt float64) (Params, error) {
+func Compute(c units.PacketsPerSec, n int, rtt float64) (Params, error) {
 	if c <= 0 {
 		return Params{}, fmt.Errorf("tcpmodel: non-positive bandwidth %v", c)
 	}
@@ -96,10 +90,12 @@ func Compute(c float64, n int, rtt float64) (Params, error) {
 		return Params{}, fmt.Errorf("tcpmodel: non-positive RTT %v", rtt)
 	}
 	nf := float64(n)
-	w := PeakWindow(c/nf, rtt)
-	//floclint:allow units W/2 counts RTTs per congestion epoch, so (W/2)*RTT/n is a time (Eq. IV.1)
-	period := (w / 2) * rtt / nf //floc:unit seconds == (2/3)*c*rtt^2/n^2
-	bucket := c * period
+	w := PeakWindow(units.PacketsPerSec(float64(c)/nf), rtt)
+	// The window climbs W/2 packets between drops, one packet per RTT, so
+	// a congestion epoch is W/2 RTTs; n flows spread their drops over it.
+	epochRTTs := w / 2
+	period := epochRTTs * rtt / nf // == (2/3)*c*rtt^2/n^2
+	bucket := c.Times(units.Seconds(period))
 
 	// Coefficient of variation of the aggregate window request:
 	// per-flow mean (3/4)W, per-flow sd W/(4*sqrt(3)); i.i.d. sum over n.
@@ -133,13 +129,10 @@ func SyncBucketFactor() float64 { return 4.0 / 3.0 }
 // the window climbs from W/2 to W.
 //
 // floc:eq V-B.1 (gamma = 8/(3*W*(W+2)))
-// floc:unit w packets
-// floc:unit return ratio
 func DropRatio(w float64) float64 {
 	if w <= 0 {
 		return 1
 	}
-	//floclint:allow units the numerator counts drops (packets); drops per packets sent is a ratio
 	return 8 / (3 * w * (w + 2))
 }
 
@@ -148,8 +141,6 @@ func DropRatio(w float64) float64 {
 // of 3*gamma*W^2 + 6*gamma*W - 8 = 0).
 //
 // floc:eq V-B.1 (inverse)
-// floc:unit gamma ratio
-// floc:unit return packets
 func WindowFromDropRatio(gamma float64) float64 {
 	if gamma <= 0 {
 		return math.Inf(1)
@@ -157,8 +148,7 @@ func WindowFromDropRatio(gamma float64) float64 {
 	if gamma >= 1 {
 		return smallestWindow
 	}
-	//floclint:allow units inverse of DropRatio: the positive root is the window in packets
-	w := (-6*gamma + math.Sqrt(36*gamma*gamma+96*gamma)) / (6 * gamma) //floc:unit packets
+	w := (-6*gamma + math.Sqrt(36*gamma*gamma+96*gamma)) / (6 * gamma)
 	if w < smallestWindow {
 		return smallestWindow
 	}
@@ -172,14 +162,11 @@ const smallestWindow = 1
 // aggregate with request rate lambda packets/s and drop ratio gamma.
 //
 // floc:eq V-B.1 (delta = lambda*gamma)
-// floc:unit lambda packets/s
-// floc:unit gamma ratio
-// floc:unit return packets/s
-func DropRate(lambda, gamma float64) float64 {
+func DropRate(lambda units.PacketsPerSec, gamma float64) units.PacketsPerSec {
 	if lambda <= 0 || gamma <= 0 {
 		return 0
 	}
-	return lambda * gamma
+	return units.PacketsPerSec(float64(lambda) * gamma)
 }
 
 // EstimateFlows estimates the number of TCP flows n_i sharing a path's
@@ -189,15 +176,11 @@ func DropRate(lambda, gamma float64) float64 {
 // it requires only the aggregate drop ratio, not per-flow state.
 //
 // floc:eq V-B.1 (n = 4*c*RTT/(3*W))
-// floc:unit c packets/s
-// floc:unit rtt seconds
-// floc:unit w packets
-// floc:unit return ratio
-func EstimateFlows(c, rtt, w float64) float64 {
+func EstimateFlows(c units.PacketsPerSec, rtt, w float64) float64 {
 	if w <= 0 {
 		return 0
 	}
-	return 4 * c * rtt / (3 * w)
+	return 4 * float64(c) * rtt / (3 * w)
 }
 
 // MTD returns the mean time to drop of a flow with peak window w and
@@ -206,15 +189,12 @@ func EstimateFlows(c, rtt, w float64) float64 {
 // negative time.
 //
 // floc:eq IV-B (MTD = W/2 * RTT)
-// floc:unit w packets
-// floc:unit rtt seconds
-// floc:unit return seconds
 func MTD(w, rtt float64) float64 {
 	if w <= 0 || rtt <= 0 {
 		return 0
 	}
-	//floclint:allow units W/2 counts RTTs between drops, so (W/2)*RTT is a time (Eq. IV-B)
-	return w / 2 * rtt
+	epochRTTs := w / 2 // one packet of window growth per RTT
+	return epochRTTs * rtt
 }
 
 // SyncMode describes the degree of synchronization of a path's TCP flows,
@@ -251,9 +231,6 @@ func (m SyncMode) String() string {
 // W/2 RTTs between a flow's drops; phase advances linearly with time.
 //
 // The curves correspond to the lower graphs of paper Fig. 4.
-// floc:unit w packets
-// floc:unit t ratio
-// floc:unit return packets
 func AggregateRequest(mode SyncMode, n int, w float64, t float64) float64 {
 	t -= math.Floor(t)
 	nf := float64(n)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"floc/internal/units"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol*(1+math.Abs(b)) }
@@ -15,8 +17,8 @@ func TestPeakWindowRoundTrip(t *testing.T) {
 		}
 		bw = 1 + math.Mod(math.Abs(bw), 1e6)
 		rtt = 0.001 + math.Mod(math.Abs(rtt), 10)
-		w := PeakWindow(bw, rtt)
-		return almost(FlowBandwidth(w, rtt), bw, 1e-9)
+		w := PeakWindow(units.PacketsPerSec(bw), rtt)
+		return almost(float64(FlowBandwidth(w, rtt)), bw, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -92,7 +94,7 @@ func TestComputeBurstRatioFormula(t *testing.T) {
 
 func TestComputeErrors(t *testing.T) {
 	cases := []struct {
-		c   float64
+		c   units.PacketsPerSec
 		n   int
 		rtt float64
 	}{

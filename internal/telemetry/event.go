@@ -108,7 +108,7 @@ func (t *EventType) UnmarshalJSON(b []byte) error {
 // order here is part of the evidence format (new fields append at the
 // end, omitempty, never reorder).
 type Event struct {
-	Time   float64   `json:"t"` //floc:unit seconds
+	Time   float64   `json:"t"`
 	Type   EventType `json:"type"`
 	Path   string    `json:"path,omitempty"`   // origin path key
 	Agg    string    `json:"agg,omitempty"`    // aggregate key

@@ -4,39 +4,40 @@ import (
 	"sort"
 
 	"floc/internal/stats"
+	"floc/internal/units"
 )
 
 // PathSample is one per-path observation taken at a control run. It
 // replaces the ad-hoc per-path accumulation the experiment harness used to
 // keep on the side: the recorder is the single source of truth for
-// per-path allocation, drop, and conformance history.
+// per-path allocation, drop, and conformance history. Time and Period are
+// in seconds, BucketSize and Arrived in tokens.
 type PathSample struct {
-	Time         float64 //floc:unit seconds
+	Time         float64
 	Path         string
 	Aggregate    string // aggregate key, "" if regulated individually
 	Attack       bool
-	Conformance  float64 //floc:unit ratio
-	AllocPackets float64 //floc:unit packets/s
-	BucketSize   float64 //floc:unit tokens
-	Period       float64 //floc:unit seconds
+	Conformance  float64
+	AllocPackets units.PacketsPerSec
+	BucketSize   float64
+	Period       float64
 	Flows        int
 	AttackFlows  int
-	Arrived      float64 //floc:unit tokens
-	Drops        int64   //floc:unit packets
+	Arrived      float64
+	Drops        int64
 }
 
 // Recorder accumulates per-path control-run samples and named fixed-bin
 // time series (e.g. delivered/dropped packets over sim-time). Single
 // writer; reads are expected after the run finishes.
 type Recorder struct {
-	binWidth float64 //floc:unit seconds
+	binWidth float64
 	samples  []PathSample
 	series   map[string]*stats.TimeSeries
 }
 
 // NewRecorder returns a recorder whose time series use the given bin
 // width.
-// floc:unit binWidth seconds
 func NewRecorder(binWidth float64) *Recorder {
 	if binWidth <= 0 {
 		binWidth = 1
@@ -45,7 +46,6 @@ func NewRecorder(binWidth float64) *Recorder {
 }
 
 // BinWidth returns the time-series bin width.
-// floc:unit return seconds
 func (r *Recorder) BinWidth() float64 { return r.binWidth }
 
 // Record appends one per-path sample.

@@ -249,8 +249,7 @@ func (r *Registry) register(name, help, unit string, kind metricKind) {
 
 // Counter returns the counter registered under name, creating it with the
 // given help text and unit label on first use. Unit is documentation (e.g.
-// "packets", "bits/s"); dimension checking happens at the caller via
-// //floc:unit annotations.
+// "packets", "bits/s").
 func (r *Registry) Counter(name, help, unit string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()

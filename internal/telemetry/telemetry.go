@@ -11,7 +11,7 @@ type Options struct {
 	TraceCapacity int
 	// RecorderBinWidth is the recorder time-series bin width in seconds
 	// (defaults to 1s when a recorder is enabled).
-	RecorderBinWidth float64 //floc:unit seconds
+	RecorderBinWidth float64
 	// Recorder enables the control-run time-series recorder.
 	Recorder bool
 }

@@ -18,27 +18,25 @@ import (
 
 // Bucket is a periodic token bucket. It is not safe for concurrent use.
 type Bucket struct {
-	period float64 //floc:unit seconds
-	size   float64 //floc:unit tokens
+	period float64
+	size   float64
 
-	tokens      float64 //floc:unit tokens
-	periodStart float64 //floc:unit seconds
+	tokens      float64
+	periodStart float64
 	started     bool
 
 	// Per-period measurement counters, reset on each refill.
-	requested float64 //floc:unit tokens
-	denied    float64 //floc:unit tokens
+	requested float64
+	denied    float64
 
 	// Cumulative counters since creation or last ResetStats.
-	totalRequested float64 //floc:unit tokens
-	totalGranted   float64 //floc:unit tokens
-	totalDenied    float64 //floc:unit tokens
+	totalRequested float64
+	totalGranted   float64
+	totalDenied    float64
 	totalPeriods   int
 }
 
 // New returns a bucket generating size tokens every period seconds.
-// floc:unit period seconds
-// floc:unit size tokens
 func New(period, size float64) (*Bucket, error) {
 	b := &Bucket{}
 	if err := b.SetParams(period, size); err != nil {
@@ -50,8 +48,6 @@ func New(period, size float64) (*Bucket, error) {
 // SetParams reconfigures the bucket. The new parameters take effect at the
 // next period rollover; the current period's remaining tokens are clamped
 // to the new size.
-// floc:unit period seconds
-// floc:unit size tokens
 // floc:coldpath reconfiguration happens at mode flips and control-run recomputation
 func (b *Bucket) SetParams(period, size float64) error {
 	if period <= 0 {
@@ -69,12 +65,10 @@ func (b *Bucket) SetParams(period, size float64) error {
 }
 
 // Period returns the configured token generation period.
-// floc:unit return seconds
 // floc:hotpath
 func (b *Bucket) Period() float64 { return b.period }
 
 // Size returns the configured tokens per period.
-// floc:unit return tokens
 func (b *Bucket) Size() float64 { return b.size }
 
 // advance rolls the bucket forward to now, refilling at period boundaries.
@@ -84,7 +78,6 @@ func (b *Bucket) Size() float64 { return b.size }
 // once. `now-periodStart < period` also covers stale calls (now before
 // periodStart makes the difference negative), exactly like the two early
 // returns the slow path retains.
-// floc:unit now seconds
 // floc:hotpath
 func (b *Bucket) advance(now float64) {
 	if b.started && now-b.periodStart < b.period {
@@ -95,7 +88,6 @@ func (b *Bucket) advance(now float64) {
 
 // advanceSlow initializes the bucket on first use and performs period
 // rollovers.
-// floc:unit now seconds
 // floc:coldpath runs at most once per period boundary, not per take
 func (b *Bucket) advanceSlow(now float64) {
 	if !b.started {
@@ -127,8 +119,6 @@ func (b *Bucket) advanceSlow(now float64) {
 // Take requests n tokens at time now. It returns true and consumes the
 // tokens if the current period still has n available, false otherwise
 // (consuming nothing).
-// floc:unit now seconds
-// floc:unit n tokens
 // floc:hotpath
 func (b *Bucket) Take(now, n float64) bool {
 	b.advance(now)
@@ -153,8 +143,6 @@ func (b *Bucket) Take(now, n float64) bool {
 }
 
 // Available returns the tokens remaining in the period containing now.
-// floc:unit now seconds
-// floc:unit return tokens
 func (b *Bucket) Available(now float64) float64 {
 	b.advance(now)
 	return b.tokens
@@ -162,8 +150,6 @@ func (b *Bucket) Available(now float64) float64 {
 
 // PeriodRequested returns the tokens requested so far in the current
 // period (after advancing to now).
-// floc:unit now seconds
-// floc:unit return tokens
 func (b *Bucket) PeriodRequested(now float64) float64 {
 	b.advance(now)
 	return b.requested
@@ -171,8 +157,6 @@ func (b *Bucket) PeriodRequested(now float64) float64 {
 
 // Stats returns cumulative request/denial counts and the number of periods
 // elapsed since creation (or ResetStats).
-// floc:unit requested tokens
-// floc:unit denied tokens
 func (b *Bucket) Stats() (requested, denied float64, periods int) {
 	return b.totalRequested, b.totalDenied, b.totalPeriods
 }
@@ -180,7 +164,6 @@ func (b *Bucket) Stats() (requested, denied float64, periods int) {
 // TotalGranted returns the cumulative tokens granted since creation (or
 // ResetStats), completing the requested = granted + denied ledger for
 // telemetry.
-// floc:unit return tokens
 // floc:hotpath
 func (b *Bucket) TotalGranted() float64 { return b.totalGranted }
 
@@ -198,5 +181,4 @@ func (b *Bucket) ResetStats() {
 
 // Rate returns the long-run admitted rate implied by the configuration:
 // size/period tokens per second.
-// floc:unit return tokens/s
 func (b *Bucket) Rate() float64 { return b.size / b.period }

@@ -10,6 +10,7 @@ import (
 
 	"floc/internal/netsim"
 	"floc/internal/pathid"
+	"floc/internal/units"
 )
 
 // TreeConfig describes the functional-evaluation tree (paper Fig. 5).
@@ -18,15 +19,15 @@ type TreeConfig struct {
 	// giving 27 leaf domains (paths).
 	Height, Degree int
 	// TargetRateBits is the flooded link's capacity (paper: 500 Mb/s).
-	TargetRateBits float64 //floc:unit bits/s
+	TargetRateBits units.BitsPerSec
 	// InnerRateBits is the capacity of interior tree links; they must not
 	// be the bottleneck (default: 4x the target link).
-	InnerRateBits float64 //floc:unit bits/s
+	InnerRateBits units.BitsPerSec
 	// HopDelay is the per-link propagation delay in seconds.
-	HopDelay float64 //floc:unit seconds
+	HopDelay float64
 	// DelayJitterFrac perturbs each interior link's delay by up to this
 	// fraction so paths have distinct RTTs.
-	DelayJitterFrac float64 //floc:unit ratio
+	DelayJitterFrac float64
 	// BufferPackets is the queue capacity of interior and reverse links.
 	BufferPackets int
 	// NumServers is how many destination hosts sit behind the target link
@@ -169,7 +170,7 @@ func NewTree(net *netsim.Network, cfg TreeConfig, disc netsim.Discipline) (*Tree
 				asCounter++
 				fwd := netsim.NewRouter(fmt.Sprintf("f%d", as))
 				rev := netsim.NewRouter(fmt.Sprintf("r%d", as))
-				d := cfg.HopDelay * jitter() //floc:unit seconds
+				d := cfg.HopDelay * jitter()
 				path := append(pathid.PathID{as}, parent.path...)
 				var upDisc netsim.Discipline
 				if cfg.UplinkDisc != nil {

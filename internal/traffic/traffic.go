@@ -13,6 +13,7 @@ import (
 
 	"floc/internal/netsim"
 	"floc/internal/pathid"
+	"floc/internal/units"
 )
 
 // CBRConfig configures a constant-bit-rate source.
@@ -22,7 +23,7 @@ type CBRConfig struct {
 	// Path is the origin's path identifier.
 	Path pathid.PathID
 	// RateBits is the send rate in bits per second.
-	RateBits float64
+	RateBits units.BitsPerSec
 	// PacketSize is the packet size in bytes (default 1000).
 	PacketSize int
 	// Start and Stop bound the sending interval; Stop <= Start means
@@ -56,7 +57,7 @@ func NewCBR(host *netsim.Host, cfg CBRConfig) (*CBR, error) {
 	if cfg.Jitter < 0 || cfg.Jitter >= 1 {
 		return nil, fmt.Errorf("traffic: CBR jitter %v out of [0,1)", cfg.Jitter)
 	}
-	gap := float64(cfg.PacketSize*8) / cfg.RateBits
+	gap := float64(units.FromPacket(cfg.PacketSize)) / float64(cfg.RateBits)
 	return &CBR{cfg: cfg, host: host, gap: gap, pathKey: cfg.Path.Key()}, nil
 }
 
@@ -93,7 +94,7 @@ type ShrewConfig struct {
 	Src, Dst uint32
 	Path     pathid.PathID
 	// BurstRateBits is the in-burst send rate, bits/second.
-	BurstRateBits float64
+	BurstRateBits units.BitsPerSec
 	// Period is the pulse period in seconds (the paper uses the flows'
 	// RTT so drops synchronize with legitimate retransmissions).
 	Period float64
@@ -128,7 +129,7 @@ func NewShrew(host *netsim.Host, cfg ShrewConfig) (*Shrew, error) {
 	if cfg.BurstFraction <= 0 || cfg.BurstFraction > 1 {
 		return nil, fmt.Errorf("traffic: shrew burst fraction %v out of (0,1]", cfg.BurstFraction)
 	}
-	gap := float64(cfg.PacketSize*8) / cfg.BurstRateBits
+	gap := float64(units.FromPacket(cfg.PacketSize)) / float64(cfg.BurstRateBits)
 	return &Shrew{cfg: cfg, host: host, gap: gap, pathKey: cfg.Path.Key()}, nil
 }
 
@@ -179,7 +180,7 @@ type CovertConfig struct {
 	Path pathid.PathID
 	// PerFlowRateBits is each flow's rate (paper: 0.2 Mb/s — exactly the
 	// fair share, so each flow looks legitimate).
-	PerFlowRateBits float64
+	PerFlowRateBits units.BitsPerSec
 	// PacketSize in bytes (default 1000).
 	PacketSize  int
 	Start, Stop float64

@@ -38,7 +38,7 @@ type CaptureWriter struct {
 	w     *bufio.Writer
 	frame []byte
 	line  []byte
-	lastT float64 //floc:unit seconds
+	lastT float64
 	n     int
 }
 
@@ -71,7 +71,6 @@ func errCaptureTime(t float64) error {
 // replayable as-is. It does not allocate.
 //
 // floc:hotpath
-// floc:unit t seconds
 func (cw *CaptureWriter) Write(t float64, h *Header) error {
 	if cw.n > 0 && t < cw.lastT {
 		return errCaptureOrder(t, cw.lastT)
@@ -380,7 +379,6 @@ func hexValue(c byte) byte { return unhex[c] }
 // (FuzzCaptureTemplate, TestCaptureTemplateTakesWriterLines).
 //
 // floc:hotpath
-// floc:unit t seconds
 // floc:untrusted raw
 func (cr *CaptureReader) scanTemplate(raw []byte) (t float64, frameLen int, ok bool) {
 	const maxExact = 1e15 // 15 significant digits, as in parseNumber
@@ -475,7 +473,7 @@ func (cr *CaptureReader) scanLine(raw []byte, h *Header) (float64, ErrorKind, er
 func (cr *CaptureReader) scanGeneral(raw []byte) (float64, int, ErrorKind, error) {
 	const seenT, seenWire = 1, 2
 	var (
-		t        float64 //floc:unit seconds
+		t        float64
 		frameLen int
 		seen     int
 		key, val []byte
@@ -563,7 +561,6 @@ func (cr *CaptureReader) readLine() ([]byte, error) {
 // instead). Empty lines are skipped in both modes.
 //
 // floc:hotpath
-// floc:unit t seconds
 func (cr *CaptureReader) Next(h *Header) (t float64, err error) {
 	for {
 		raw, err := cr.readLine()
@@ -576,7 +573,7 @@ func (cr *CaptureReader) Next(h *Header) (t float64, err error) {
 			case "\n", "\r\n", "\r":
 				continue
 			}
-			var t float64 //floc:unit seconds
+			var t float64
 			if t, kind, err = cr.scanLine(raw, h); err == nil {
 				return t, nil
 			}

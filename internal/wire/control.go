@@ -71,7 +71,7 @@ const (
 type FeedbackRecord struct {
 	PathLen   uint8
 	Path      [MaxPathLen]pathid.ASN
-	LimitBits uint64 //floc:unit bits/s
+	LimitBits uint64 // bits/s; Limit returns it typed
 }
 
 // SetPath copies a path identifier into the record's fixed array.
@@ -112,7 +112,6 @@ type ControlFrame struct {
 }
 
 // TTL returns the frame's limit lifetime as seconds.
-// floc:unit return seconds
 func (f *ControlFrame) TTL() float64 { return float64(f.TTLMillis) / 1000 }
 
 // ControlEncodedLen returns the exact number of bytes

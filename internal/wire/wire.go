@@ -112,7 +112,7 @@ type Header struct {
 	Kind    netsim.PacketKind
 	Src     uint32
 	Dst     uint32
-	Length  uint16 //floc:unit bytes
+	Length  uint16 // bytes
 	PathLen uint8
 	Path    [MaxPathLen]pathid.ASN
 	Cap     capability.Capability

@@ -9,8 +9,9 @@
 #                (the arm64 syscall numbers and struct layouts)
 #   format       gofmt -l (fails on any unformatted file)
 #   vet          go vet ./...
-#   floclint     repo-specific determinism/invariant/units rules
-#                (cmd/floclint)
+#   floclint     repo-specific determinism, invariant, hot-path, taint
+#                and exhaustiveness rules (cmd/floclint); units are
+#                internal/units types, checked by the compiler
 #   fixtures     floclint -fixtures: every fixture WANT marker must be
 #                reported and every finding must have a marker, so the
 #                seeded-violation corpus cannot drift from the rules;
