@@ -104,6 +104,9 @@ func (cw *CaptureWriter) Write(t float64, h *Header) error {
 //
 // floc:hotpath
 func appendJSONFloat(dst []byte, t float64) []byte {
+	if mant, frac, ok := shortDecimal(t); ok {
+		return appendDecimal(dst, mant, frac)
+	}
 	format := byte('f')
 	if abs := math.Abs(t); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -115,6 +118,70 @@ func appendJSONFloat(dst []byte, t float64) []byte {
 		dst = dst[:n-1]
 	}
 	return dst
+}
+
+// shortDecimal returns, for a t in [1e-6, 1e15) that a decimal of at most
+// 15 significant digits converts to, that decimal as mant·10^-frac with
+// the fewest fraction digits: the digits of strconv's shortest 'f' form,
+// found without its search. Decimals of 15 significant digits lie at
+// least 10^-15 of their size apart and float64s at most 2^-52, so at most
+// one such decimal value converts to t. If m, t to 15 significant digits,
+// passes the reader's own conversion (exactDecimal), it is that value,
+// and m without its trailing fraction zeros is its shortest form.
+// Otherwise ok is false: t needs 16 or 17 digits, or lies outside the
+// range (zero, negative, or where encoding/json writes an exponent).
+//
+// floc:hotpath
+func shortDecimal(t float64) (mant uint64, frac int, ok bool) {
+	if !(t >= 1e-6 && t < maxExactMant) {
+		return 0, 0, false
+	}
+	// 2^e2 ≤ t < 2^(e2+1), and 78913/2^18 ≈ log10 2, so t's decimal exponent
+	// is e2·log10 2 rounded down, or one more: frac leaves t·10^frac 15
+	// integer digits.
+	e2 := int(math.Float64bits(t)>>52) - 1023
+	frac = 14 - (e2*78913)>>18
+	x := t * pow10[frac]
+	if x >= maxExactMant {
+		frac--
+		x = t * pow10[frac]
+	}
+	mant = uint64(math.Round(x))
+	if f, exact := exactDecimal(mant, frac); !exact || math.Float64bits(f) != math.Float64bits(t) {
+		return 0, 0, false
+	}
+	for _, p := range [...]int{8, 4, 2, 1} { // at most 14 trailing zeros
+		if d := uint64(pow10[p]); frac >= p && mant%d == 0 {
+			mant /= d
+			frac -= p
+		}
+	}
+	return mant, frac, true
+}
+
+// appendDecimal appends mant·10^-frac positionally, with frac fraction
+// digits: "0." and leading zeros below one, no point when frac is 0.
+//
+// floc:hotpath
+func appendDecimal(dst []byte, mant uint64, frac int) []byte {
+	var buf [24]byte // "0." and 22 fraction digits, the longest exactDecimal takes
+	i := len(buf)
+	for n := 0; n < frac; n++ {
+		i--
+		buf[i] = '0' + byte(mant%10)
+		mant /= 10
+	}
+	if frac > 0 {
+		i--
+		buf[i] = '.'
+	}
+	for {
+		i--
+		buf[i] = '0' + byte(mant%10)
+		if mant /= 10; mant == 0 {
+			return append(dst, buf[i:]...)
+		}
+	}
 }
 
 // Flush flushes buffered output.
@@ -283,22 +350,36 @@ var pow10 = [...]float64{
 	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
 }
 
-// parseNumber converts a number cutNumber has accepted. A plain decimal
-// of at most 15 significant digits — every time CaptureWriter renders
-// from a short decimal — is converted here: its digits as an integer and
-// the power of ten that scales them are both exact float64 values, so one
-// correctly rounded division yields the nearest float64 to the decimal,
-// which is what strconv.ParseFloat returns (it is strconv's own exact
-// path, minus its second scan of the text). Anything else — an exponent,
-// more digits, a fraction longer than pow10 — goes to strconv.
+// maxExactMant bounds the digits, read as one integer, of a decimal the
+// exact conversion takes: at most 15 significant digits, below 10^15 < 2^53.
+const maxExactMant = 1e15
+
+// exactDecimal is the short-decimal rule both reader paths and the writer
+// share. The decimal mant·10^-frac, with mant below 10^15 and frac at most
+// 22, converts to float64(mant) / 10^frac: both operands are exact float64
+// values, so the one IEEE division rounds the decimal once, to the nearest
+// float64, which is what strconv.ParseFloat returns (its own exact path).
+// For any other decimal ok is false, and strconv converts it.
+//
+// floc:hotpath
+func exactDecimal(mant uint64, frac int) (f float64, ok bool) {
+	if mant >= maxExactMant || frac >= len(pow10) {
+		return 0, false
+	}
+	return float64(mant) / pow10[frac], true
+}
+
+// parseNumber converts a number cutNumber has accepted: a plain decimal
+// exactDecimal takes — every time CaptureWriter renders from a short
+// decimal — without strconv's second scan of the text, anything else (an
+// exponent, more digits, a fraction longer than pow10) with strconv.
 //
 // floc:hotpath
 func parseNumber(num []byte) (float64, error) {
-	const maxExactDigits = 15 // 10^15 < 2^53
 	var (
-		mant      uint64
-		sig, frac int
-		dot       bool
+		mant uint64
+		frac int
+		dot  bool
 	)
 	digits := num
 	if digits[0] == '-' {
@@ -309,18 +390,20 @@ func parseNumber(num []byte) (float64, error) {
 			dot = true
 			continue
 		}
+		if c < '0' || c > '9' {
+			return strconv.ParseFloat(string(num), 64) // an exponent
+		}
+		if mant = mant*10 + uint64(c-'0'); mant >= maxExactMant {
+			break // too many digits: exactDecimal refuses mant
+		}
 		if dot {
 			frac++
 		}
-		if mant != 0 || c != '0' {
-			sig++
-		}
-		if c < '0' || c > '9' || sig > maxExactDigits || frac >= len(pow10) {
-			return strconv.ParseFloat(string(num), 64) // an exponent, or too long to be exact
-		}
-		mant = mant*10 + uint64(c-'0')
 	}
-	f := float64(mant) / pow10[frac]
+	f, ok := exactDecimal(mant, frac)
+	if !ok {
+		return strconv.ParseFloat(string(num), 64)
+	}
 	if num[0] == '-' {
 		f = -f
 	}
@@ -381,7 +464,6 @@ func hexValue(c byte) byte { return unhex[c] }
 // floc:hotpath
 // floc:untrusted raw
 func (cr *CaptureReader) scanTemplate(raw []byte) (t float64, frameLen int, ok bool) {
-	const maxExact = 1e15 // 15 significant digits, as in parseNumber
 	if len(raw) < len(capturePrefix) || string(raw[:len(capturePrefix)]) != capturePrefix {
 		return 0, 0, false
 	}
@@ -393,7 +475,7 @@ func (cr *CaptureReader) scanTemplate(raw []byte) (t float64, frameLen int, ok b
 			if i == 1 && b[0] == '0' {
 				return 0, 0, false // a leading zero
 			}
-			if mant = mant*10 + uint64(c-'0'); mant >= maxExact {
+			if mant = mant*10 + uint64(c-'0'); mant >= maxExactMant {
 				return 0, 0, false
 			}
 			if point >= 0 {
@@ -408,10 +490,12 @@ func (cr *CaptureReader) scanTemplate(raw []byte) (t float64, frameLen int, ok b
 		end = i
 		break
 	}
-	if end == 0 || end == point+1 || frac >= len(pow10) {
+	if end == 0 || end == point+1 {
 		return 0, 0, false // no digits, none after the point, or no end
 	}
-	t = float64(mant) / pow10[frac]
+	if t, ok = exactDecimal(mant, frac); !ok {
+		return 0, 0, false
+	}
 	b = b[end:]
 	if len(b) < len(captureMiddle) || string(b[:len(captureMiddle)]) != captureMiddle {
 		return 0, 0, false

@@ -214,11 +214,13 @@ func FuzzCaptureTemplate(f *testing.F) {
 	f.Fuzz(checkTemplateAgainstGeneral)
 }
 
-// TestCaptureTemplateTakesWriterLines: every line CaptureWriter emits for
-// a short-decimal time takes the template, so that an edit which sends the
-// writer's own lines to the general scanner fails here, not only as a
-// slower replay. The times are replay_mix's whole grid (packet i of 10⁶ at
-// i·20/10⁶ s, benchmark/gen.go) and 10⁵ random decimals of at most 15
+// TestCaptureTemplateTakesWriterLines: every short-decimal time but 0
+// takes the writer's short-decimal path, and every line CaptureWriter
+// emits for one takes the template, so that an edit which sends the times
+// to strconv or the writer's own lines to the general scanner fails here,
+// not only as a slower set-up or replay. The times are replay_mix's whole
+// grid (packet i of 10⁶ at i·20/10⁶ s, benchmark/gen.go) and 10⁵ random
+// decimals of at most 15
 // significant digits, none below 1e-6 (there the writer's form has an
 // exponent); the frames are the sample header's and the longest there is.
 func TestCaptureTemplateTakesWriterLines(t *testing.T) {
@@ -243,6 +245,11 @@ func TestCaptureTemplateTakesWriterLines(t *testing.T) {
 		}
 	}
 	sort.Float64s(times)
+	for _, at := range times {
+		if _, _, ok := shortDecimal(at); !ok && at != 0 {
+			t.Fatalf("t = %v falls through to strconv in the writer", at)
+		}
+	}
 	for _, h := range []Header{sampleHeader(), longest} {
 		var out bytes.Buffer
 		cw := NewCaptureWriter(&out)
@@ -349,6 +356,14 @@ func TestCaptureLineGrammar(t *testing.T) {
 	}
 }
 
+// captureTimeEdges are the edges of the writer's short-decimal path: its
+// lower bound and the float below it; 0.00014, where t·10^5 is not
+// integral in float64; 0.1+0.2, 17 digits; the largest 15-digit integer,
+// the upper bound and a 16-digit time below it; a 15-digit time that needs
+// 20 fraction digits; 2^53, the smallest subnormal and 1e21.
+var captureTimeEdges = []float64{1e-6, math.Nextafter(1e-6, 0), 0.00014, 0.1 + 0.2,
+	999999999999999, 1e15, 123456789012345.6, 1.23456789012345e-6, 1 << 53, 5e-324, 1e21}
+
 // TestCaptureWriterMatchesJSON walks the float formatting rule's edges:
 // the writer's line must be json.Marshal's, byte for byte.
 func TestCaptureWriterMatchesJSON(t *testing.T) {
@@ -357,8 +372,8 @@ func TestCaptureWriterMatchesJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := []float64{0, 1e-320, 1e-9, 9.99e-7, 1e-6, 0.002, 0.1 + 0.2, 1, 12345.678,
-		1 << 53, 1e20, 9.999999999999999e20, 1e21, 1.5e300, math.MaxFloat64}
+	times := append([]float64{0, 1e-320, 1e-9, 9.99e-7, 0.002, 1, 12345.678,
+		1e20, 9.999999999999999e20, 1.5e300, math.MaxFloat64}, captureTimeEdges...)
 	for _, at := range times {
 		var out bytes.Buffer
 		cw := NewCaptureWriter(&out)
@@ -466,6 +481,44 @@ func FuzzCaptureNumber(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) { checkNumber(t, text) })
 }
 
+// FuzzCaptureTime holds the writer's rendering of any finite float64 to
+// json.Marshal's bytes, and the reader's conversion of the rendering back
+// to the same float64, bit for bit, on and off the short-decimal path: the
+// float64 the input's bits are, and the short decimal they spell (their
+// low 50 bits as digits, the top byte as a fraction length), which random
+// bits almost never are.
+func FuzzCaptureTime(f *testing.F) {
+	for _, at := range captureTimeEdges {
+		f.Add(math.Float64bits(at))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		checkCaptureTime(t, math.Float64frombits(bits))
+		checkCaptureTime(t, float64(bits&(1<<50-1)%1e15)/pow10[bits>>56%uint64(len(pow10))])
+	})
+}
+
+// checkCaptureTime asserts FuzzCaptureTime's two properties on one time.
+func checkCaptureTime(t *testing.T, at float64) {
+	t.Helper()
+	if math.IsNaN(at) || math.IsInf(at, 0) {
+		return
+	}
+	text := appendJSONFloat(nil, at)
+	want, err := json.Marshal(at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(text, want) {
+		t.Fatalf("t = %v: writer renders %q, json.Marshal %q", at, text, want)
+	}
+	if !checkNumber(t, string(text)) {
+		t.Fatalf("reader grammar rejects the writer's rendering %q of %v", text, at)
+	}
+	if back, err := parseNumber(text); err != nil || math.Float64bits(back) != math.Float64bits(at) {
+		t.Fatalf("t = %v rendered %q read back %v (%v)", at, text, back, err)
+	}
+}
+
 // TestCaptureTimeRoundTrip: what the writer renders, the reader's number
 // conversion takes back to the same float64, for 10^5 random times of the
 // kinds captures hold — short decimals (the exact path) and full-precision
@@ -476,7 +529,7 @@ func TestCaptureTimeRoundTrip(t *testing.T) {
 		var at float64
 		switch i % 3 {
 		case 0:
-			at = float64(src.Intn(2000000)) / 1e5 // 0.00002-spaced, as replay_mix writes
+			at = float64(src.Intn(1_000_000)) * 20 / 1e6 // 0.00002-spaced, as replay_mix writes
 		case 1:
 			at = src.Float64() * 100
 		default:
