@@ -1,6 +1,6 @@
 // Command flocd runs the FLoc router as a standalone daemon on the
 // sharded multi-core dataplane. Packets arrive as wire-encoded shim
-// headers (package wire), either over a UDP socket or from an NDJSON
+// headers (package wire), either over a UDP socket or from a pcap
 // capture file, are hashed by path identifier onto per-core router
 // shards, and the whole engine's telemetry is served as Prometheus text
 // on /metrics.
@@ -17,8 +17,8 @@
 // Offline mode — replay a capture hermetically (arrival times come from
 // the capture, so results are reproducible and CI-friendly):
 //
-//	flocd -gen 10000 -out capture.ndjson
-//	flocd -replay capture.ndjson -shards 4 -snapshot -print-metrics
+//	flocd -gen 10000 -out capture.pcap
+//	flocd -replay capture.pcap -shards 4 -snapshot -print-metrics
 //
 // -gen writes a synthetic capture (a deterministic mix of legitimate CBR
 // paths and one flooding path) so the pipeline can be exercised without
@@ -30,6 +30,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -103,7 +104,7 @@ func parseFlags(args []string) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("flocd", flag.ContinueOnError)
 	fs.StringVar(&o.listen, "listen", "", "UDP address to receive wire-encoded packets on (live mode)")
-	fs.StringVar(&o.replay, "replay", "", "NDJSON capture file to replay (offline mode)")
+	fs.StringVar(&o.replay, "replay", "", "pcap capture file to replay (offline mode)")
 	fs.IntVar(&o.gen, "gen", 0, "generate a synthetic capture with this many packets and exit")
 	fs.StringVar(&o.out, "out", "", "output file for -gen (default stdout)")
 	fs.Uint64Var(&o.seed, "seed", 7, "engine and generator seed")
@@ -152,7 +153,7 @@ func run(o options) error {
 			return err
 		}
 		defer f.Close()
-		return sendCapture(f, o.sendto, o.pace)
+		return captureError(o.replay, sendCapture(f, o.sendto, o.pace))
 	}
 	if (o.listen == "") == (o.replay == "") {
 		return fmt.Errorf("exactly one of -listen or -replay is required (or -gen)")
@@ -259,7 +260,7 @@ func run(o options) error {
 		defer f.Close()
 		n, malformed, end, err := replayCapture(f, engine, reg)
 		if err != nil {
-			return err
+			return captureError(o.replay, err)
 		}
 		engine.Advance(end)
 		snap := finish(os.Stdout, engine, reg, o.snapshot, o.printMet)
@@ -424,11 +425,21 @@ func probe(w io.Writer, url string) error {
 	return nil
 }
 
+// captureError adds the file name and the remedy to the error for a file
+// that is not a capture at all; other errors pass through.
+func captureError(path string, err error) error {
+	if errors.Is(err, wire.ErrNotCapture) {
+		return fmt.Errorf("%s: %w; regenerate it with flocd -gen", path, err)
+	}
+	return err
+}
+
 // replayCapture streams a capture into the engine, assigning packet IDs
 // in capture order and interning path identifiers so per-packet decode
-// stays allocation-light. Malformed capture lines are counted and
-// skipped, not fatal: one bad line should not void a long replay. The
-// count is returned for the run summary and published per error kind as
+// stays allocation-light. Malformed capture records are counted and
+// skipped, not fatal: one bad record should not void a long replay; a
+// file that is not a capture fails at once. The count is returned for the
+// run summary and published per error kind as
 // floc_capture_malformed_lines_total. Mid-stream the burst hands full runs
 // to the rings and the shard workers admit beside the parse; at end of
 // capture the producer quiesces, so every packet read has been processed
@@ -917,11 +928,12 @@ func generateCapture(w io.Writer, packets int, seed uint64) error {
 		paths[i] = []pathid.ASN{pathid.ASN(100 + i), pathid.ASN(10 + i%3), 1}
 	}
 	// Per-tick weights: the last path (the flooder) sends 8 packets for
-	// every legitimate path's one.
-	t := 0.0
+	// every legitimate path's one. Tick k is at 2k ms, computed as one
+	// division so that it is a whole number of nanoseconds, which the
+	// writer requires; a running sum of 0.002 is not.
 	written := 0
-	for written < packets {
-		t += 0.002
+	for k := 1; written < packets; k++ {
+		t := float64(2*k) / 1000
 		for p := 0; p <= nPaths && written < packets; p++ {
 			reps := 1
 			if p == nPaths {

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -128,52 +130,116 @@ func ratio(v [2]int64) float64 {
 	return float64(v[0]) / float64(v[0]+v[1])
 }
 
+// splitCapture cuts a capture into its 24-byte global header and its
+// records, each a 16-byte record header and the frame it declares.
+func splitCapture(capture []byte) (header []byte, records [][]byte) {
+	header, rest := capture[:24], capture[24:]
+	for len(rest) > 0 {
+		n := 16 + int(binary.LittleEndian.Uint32(rest[8:]))
+		records, rest = append(records, rest[:n]), rest[n:]
+	}
+	return header, records
+}
+
+// pcapRecord assembles a record by hand: time 1 ms, the captured and
+// original lengths as given, then frame.
+func pcapRecord(incl, orig uint32, frame []byte) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(le.AppendUint32(nil, 0), 1_000_000)
+	return append(le.AppendUint32(le.AppendUint32(b, incl), orig), frame...)
+}
+
 // TestReplayCountsMalformedLines checks the lenient replay path: bad
-// capture lines are skipped, counted in the summary return, and
-// published on the malformed-lines counter family — the good records
-// around them still replay.
+// capture records are skipped by their declared length, counted in the
+// summary return, and published on the malformed-lines counter family —
+// the good records around them still replay.
 func TestReplayCountsMalformedLines(t *testing.T) {
 	var capture bytes.Buffer
 	const packets = 100
 	if err := generateCapture(&capture, packets, 7); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimRight(capture.String(), "\n"), "\n")
-	// Splice breakage between valid records: broken JSON, odd hex, and a
-	// decodable-looking frame with an unsupported version byte.
-	mangled := []string{
-		lines[0],
-		`{"t":0.001,"wire":`,       // truncated JSON
-		`{"t":0.001,"wire":"abc"}`, // odd hex length
-		// A full-size 14-byte header with version 0xff: rejected by the
-		// codec proper, not the framing.
-		`{"t":0.001,"wire":"ff` + strings.Repeat("00", 13) + `"}`,
+	header, records := splitCapture(capture.Bytes())
+	frame := records[0][16:]
+	n := uint32(len(frame))
+	// Splice breakage between valid records: a full-size 14-byte header
+	// with version 0xff, rejected by the codec proper; a packet captured
+	// short of its length; a frame with a byte after the header; and a
+	// frame longer than any header.
+	mangled := [][]byte{
+		header,
+		records[0],
+		pcapRecord(14, 14, append([]byte{0xff}, make([]byte, 13)...)),
+		pcapRecord(n, n+1, frame),
+		pcapRecord(n+1, n+1, append(append([]byte(nil), frame...), 0)),
+		pcapRecord(wire.MaxEncodedLen+1, wire.MaxEncodedLen+1, make([]byte, wire.MaxEncodedLen+1)),
 	}
-	mangled = append(mangled, lines[1:]...)
-	input := strings.Join(mangled, "\n") + "\n"
+	mangled = append(mangled, records[1:]...)
+	input := bytes.Join(mangled, nil)
 
 	reg := telemetry.NewRegistry()
 	e := newTestEngine(t, reg, 2)
 	defer e.Close()
-	n, malformed, end, err := replayCapture(strings.NewReader(input), e, reg)
+	got, malformed, end, err := replayCapture(bytes.NewReader(input), e, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != packets {
-		t.Fatalf("replayed %d packets, want %d despite malformed lines", n, packets)
+	if got != packets {
+		t.Fatalf("replayed %d packets, want %d despite malformed records", got, packets)
 	}
-	if malformed != 3 {
-		t.Fatalf("malformed = %d, want 3", malformed)
+	if malformed != 4 {
+		t.Fatalf("malformed = %d, want 4", malformed)
 	}
 	e.Advance(end + 1)
-	if got := reg.CounterValue("floc_capture_malformed_lines_total"); got != 3 {
-		t.Fatalf("total malformed counter = %d, want 3", got)
+	if got := reg.CounterValue("floc_capture_malformed_lines_total"); got != 4 {
+		t.Fatalf("total malformed counter = %d, want 4", got)
 	}
-	if got := reg.CounterValue(`floc_capture_malformed_lines_total{reason="framing"}`); got != 2 {
-		t.Fatalf("framing malformed counter = %d, want 2", got)
+	if got := reg.CounterValue(`floc_capture_malformed_lines_total{reason="framing"}`); got != 3 {
+		t.Fatalf("framing malformed counter = %d, want 3", got)
 	}
 	if got := reg.CounterValue(`floc_capture_malformed_lines_total{reason="version"}`); got != 1 {
 		t.Fatalf("version malformed counter = %d, want 1", got)
+	}
+}
+
+// TestReplayRefusesNonCaptures: a file that is not a pcap capture — an
+// NDJSON capture from before captures were pcap — fails -replay and
+// -sendto at once, naming the file and the remedy, and is not read as
+// records: nothing is replayed and nothing counted malformed.
+func TestReplayRefusesNonCaptures(t *testing.T) {
+	var lines strings.Builder
+	for i := 0; i < 1000; i++ {
+		lines.WriteString(`{"t":0.002,"wire":"0100050300000001000027100258000000650000000b00000001"}` + "\n")
+	}
+	reg := telemetry.NewRegistry()
+	e := newTestEngine(t, reg, 1)
+	defer e.Close()
+	n, malformed, _, err := replayCapture(strings.NewReader(lines.String()), e, reg)
+	if !errors.Is(err, wire.ErrNotCapture) || n != 0 || malformed != 0 {
+		t.Fatalf("NDJSON replayed %d packets, %d malformed, err %v; want 0, 0, ErrNotCapture", n, malformed, err)
+	}
+
+	path := filepath.Join(t.TempDir(), "capture.ndjson")
+	if err := os.WriteFile(path, []byte(lines.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sink, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	replay, send := testOptions(), testOptions()
+	replay.replay, replay.shards = path, 1
+	send.replay, send.sendto, send.pace = path, sink.LocalAddr().String(), 0
+	for _, c := range []struct {
+		name string
+		o    options
+	}{{"-replay", replay}, {"-sendto", send}} {
+		err := run(c.o)
+		if err == nil || !errors.Is(err, wire.ErrNotCapture) || !strings.Contains(err.Error(), path) ||
+			!strings.Contains(err.Error(), "not a pcap capture") || !strings.Contains(err.Error(), "flocd -gen") {
+			t.Errorf("%s of an NDJSON file: err = %v, want it named as not a pcap capture, to regenerate with flocd -gen", c.name, err)
+		}
 	}
 }
 
@@ -205,10 +271,10 @@ func testOptions() options {
 // TestTraceFlagIsGone: the daemon attaches no event ring, so the knob
 // that sized it is rejected rather than accepted and ignored.
 func TestTraceFlagIsGone(t *testing.T) {
-	if _, err := parseFlags([]string{"-replay", "x.ndjson", "-shards", "2"}); err != nil {
+	if _, err := parseFlags([]string{"-replay", "x.pcap", "-shards", "2"}); err != nil {
 		t.Fatalf("benchmark-style flags rejected: %v", err)
 	}
-	if _, err := parseFlags([]string{"-replay", "x.ndjson", "-trace", "1"}); err == nil {
+	if _, err := parseFlags([]string{"-replay", "x.pcap", "-trace", "1"}); err == nil {
 		t.Fatal("-trace 1 parsed; the flag should no longer exist")
 	}
 }
@@ -218,7 +284,7 @@ func TestRunRejectsAmbiguousModes(t *testing.T) {
 		t.Fatal("no mode selected should be an error")
 	}
 	o := testOptions()
-	o.listen, o.replay = ":0", "x.ndjson"
+	o.listen, o.replay = ":0", "x.pcap"
 	if err := run(o); err == nil {
 		t.Fatal("both modes selected should be an error")
 	}
@@ -268,7 +334,7 @@ func TestLedgerEndToEnd(t *testing.T) {
 		t.Skip("telemetry is compiled out")
 	}
 	dir := t.TempDir()
-	capPath := filepath.Join(dir, "capture.ndjson")
+	capPath := filepath.Join(dir, "capture.pcap")
 	ledgerDir := filepath.Join(dir, "ledger")
 
 	f, err := os.Create(capPath)
@@ -353,25 +419,26 @@ func TestHealthzReportsDataplane(t *testing.T) {
 	}
 }
 
-// TestReplaySurvivesOversizedLine: a line past the reader's bound between
-// two good records costs the lenient replay that line, not the run.
+// TestReplaySurvivesOversizedLine: a 2 MiB record between two good ones
+// is skipped by its declared length, and costs the lenient replay that
+// record, not the run.
 func TestReplaySurvivesOversizedLine(t *testing.T) {
 	var capture bytes.Buffer
 	if err := generateCapture(&capture, 2, 7); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(capture.String(), "\n")
-	input := lines[0] + `{"t":0.002,"wire":"` + strings.Repeat("0", 2<<20) + "\"}\n" + lines[1]
+	header, records := splitCapture(capture.Bytes())
+	input := bytes.Join([][]byte{header, records[0], pcapRecord(2<<20, 2<<20, make([]byte, 2<<20)), records[1]}, nil)
 
 	reg := telemetry.NewRegistry()
 	e := newTestEngine(t, reg, 1)
 	defer e.Close()
-	n, malformed, _, err := replayCapture(strings.NewReader(input), e, reg)
+	n, malformed, _, err := replayCapture(bytes.NewReader(input), e, reg)
 	if err != nil {
-		t.Fatalf("oversized line voided the replay: %v", err)
+		t.Fatalf("oversized record voided the replay: %v", err)
 	}
 	if n != 2 || malformed != 1 {
-		t.Fatalf("replayed %d packets with %d malformed lines, want 2 and 1", n, malformed)
+		t.Fatalf("replayed %d packets with %d malformed records, want 2 and 1", n, malformed)
 	}
 	if got := reg.CounterValue(`floc_capture_malformed_lines_total{reason="framing"}`); got != 1 {
 		t.Fatalf("framing malformed counter = %d, want 1", got)

@@ -28,7 +28,7 @@
 //	             and every module callee must be annotated //floc:hotpath
 //	             or //floc:coldpath <reason>; see DESIGN.md.
 //	taint      — values derived from //floc:untrusted sources (wire
-//	             bytes, capture lines, UDP payloads) must pass through a
+//	             bytes, capture records, UDP payloads) must pass through a
 //	             //floc:sanitizes function before reaching an
 //	             array/slice index, slice bound, make size, loop bound,
 //	             map key, or //floc:sink parameter; see DESIGN.md.

@@ -23,8 +23,8 @@ package main
 // directive table. Calls to functions outside the directive
 // system (stdlib, dynamic) propagate conservatively: if any argument is
 // tainted, the results are tainted and pointer-shaped arguments are
-// treated as tainted out-parameters (this is how json.Unmarshal spreads a
-// capture line's taint into the decoded record).
+// treated as tainted out-parameters (this is how json.Unmarshal spreads
+// its input's taint into the decoded record).
 //
 // Granularity is per-object: assigning a tainted value to a variable (or
 // through a pointer) taints the whole variable; reads of any field or

@@ -110,9 +110,9 @@ func BenchmarkWireMarshalAppend(b *testing.B) {
 	}
 }
 
-// captureLines returns n capture lines of the benchmark's shape: a
-// 3-hop UDP header at millisecond-grained times.
-func captureLines(tb testing.TB, n int) []byte {
+// captureRecords returns a capture of n records of the benchmark's shape:
+// a 3-hop UDP header at millisecond-grained times.
+func captureRecords(tb testing.TB, n int) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	cw := NewCaptureWriter(&buf)
@@ -120,7 +120,7 @@ func captureLines(tb testing.TB, n int) []byte {
 	h.Path[0], h.Path[1], h.Path[2] = 100, 10, 1
 	for i := 0; i < n; i++ {
 		h.Src = uint32(i)
-		if err := cw.Write(float64(i)*0.002, &h); err != nil {
+		if err := cw.Write(float64(2*i)/1000, &h); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -132,7 +132,7 @@ func captureLines(tb testing.TB, n int) []byte {
 
 func TestZeroAllocCaptureNext(t *testing.T) {
 	const runs = 200
-	cr := NewCaptureReader(bytes.NewReader(captureLines(t, runs+2)))
+	cr := NewCaptureReader(bytes.NewReader(captureRecords(t, runs+2)))
 	var h Header
 	if avg := testing.AllocsPerRun(runs, func() {
 		if _, err := cr.Next(&h); err != nil {
@@ -143,42 +143,28 @@ func TestZeroAllocCaptureNext(t *testing.T) {
 	}
 }
 
-// captureTimeKinds are the two kinds of time the writer renders, as the
-// time of write i ≥ 1 after the time at: "short", replay_mix's grid
-// (i·20/10^6 s, benchmark/gen.go), every one a short decimal; "full",
-// flocd -gen's accumulated at + 0.002, whose rounding error leaves 16 or
-// 17 significant digits, for strconv, in 95 % of its first 12 500 sums.
-var captureTimeKinds = []struct {
-	name string
-	next func(at float64, i int) float64
-}{
-	{"short", func(_ float64, i int) float64 { return float64(i) * 20 / 1e6 }},
-	{"full", func(at float64, _ int) float64 { return at + 0.002 }},
-}
-
+// TestZeroAllocCaptureWrite writes replay_mix's grid (i·20/10^6 s,
+// benchmark/gen.go).
 func TestZeroAllocCaptureWrite(t *testing.T) {
 	h := sampleHeader()
-	for _, kind := range captureTimeKinds {
-		cw := NewCaptureWriter(io.Discard)
-		at, i := 0.0, 0
-		if avg := testing.AllocsPerRun(200, func() {
-			i++
-			at = kind.next(at, i)
-			if err := cw.Write(at, &h); err != nil {
-				t.Fatal(err)
-			}
-		}); avg != 0 {
-			t.Fatalf("CaptureWriter.Write allocates %.1f times per record on %s times, want 0", avg, kind.name)
+	cw := NewCaptureWriter(io.Discard)
+	i := 0
+	if avg := testing.AllocsPerRun(200, func() {
+		i++
+		if err := cw.Write(float64(i)*20/1e6, &h); err != nil {
+			t.Fatal(err)
 		}
+	}); avg != 0 {
+		t.Fatalf("CaptureWriter.Write allocates %.1f times per record, want 0", avg)
 	}
 }
 
-// BenchmarkCaptureNext is the replay producer's per-line cost
-// (wire.capture_next_ns in the repo benchmark): read, scan, hex-decode
-// and header-decode one capture line.
+// BenchmarkCaptureNext is the replay producer's per-record cost
+// (wire.capture_next_ns in the repo benchmark): read one record header,
+// bound its frame and decode the header.
 func BenchmarkCaptureNext(b *testing.B) {
-	const lines = 4096
-	data := captureLines(b, lines)
+	const records = 4096
+	data := captureRecords(b, records)
 	src := bytes.NewReader(data)
 	cr := NewCaptureReader(src)
 	var h Header
@@ -186,30 +172,23 @@ func BenchmarkCaptureNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cr.Next(&h); err == io.EOF {
-			src.Reset(data)
+			src.Reset(data[pcapHeaderLen:]) // records only: the reader has the global header
 		} else if err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkCaptureWrite measures the writer: marshal, hex-encode and
-// format one line into the buffered output, on each kind of time
-// (captureTimeKinds): short takes the short-decimal path, full strconv.
+// BenchmarkCaptureWrite measures the writer: marshal one header and its
+// record header into the buffered output, at replay_mix's grid times.
 func BenchmarkCaptureWrite(b *testing.B) {
-	for _, kind := range captureTimeKinds {
-		b.Run(kind.name, func(b *testing.B) {
-			cw := NewCaptureWriter(io.Discard)
-			h := sampleHeader()
-			at := 0.0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 1; i <= b.N; i++ {
-				at = kind.next(at, i)
-				if err := cw.Write(at, &h); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cw := NewCaptureWriter(io.Discard)
+	h := sampleHeader()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		if err := cw.Write(float64(i)*20/1e6, &h); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,13 +2,13 @@ package wire
 
 import (
 	"bytes"
-	"encoding/hex"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"math/big"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,400 +18,413 @@ import (
 	"floc/internal/rng"
 )
 
-// refRecord and refScanLine are the capture codec as it stood on
-// encoding/json: the reference the hand-written scanner and writer are
-// checked against. The reference takes more than the scanner (all of
-// JSON); it must never take less, and must agree wherever both accept.
-type refRecord struct {
-	T    float64 `json:"t"`
-	Wire string  `json:"wire"`
+// goldenPcapHeader is the global header of every capture, spelled out
+// byte by byte from the libpcap file format: the nanosecond magic
+// a1b23c4d, version 2.4, time zone and timestamp accuracy 0, snaplen
+// MaxEncodedLen (95) and link type 147, LINKTYPE_USER0, all little-endian.
+var goldenPcapHeader = []byte{
+	0x4d, 0x3c, 0xb2, 0xa1,
+	0x02, 0x00, 0x04, 0x00,
+	0x00, 0x00, 0x00, 0x00,
+	0x00, 0x00, 0x00, 0x00,
+	0x5f, 0x00, 0x00, 0x00,
+	0x93, 0x00, 0x00, 0x00,
 }
 
-func refScanLine(raw []byte, h *Header) (t float64, frame []byte, err error) {
-	var rec refRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		return 0, nil, err
-	}
-	if len(rec.Wire) > 2*MaxEncodedLen {
-		return 0, nil, fmt.Errorf("frame longer than any header (%d hex chars)", len(rec.Wire))
-	}
-	frame, err = hex.DecodeString(rec.Wire)
-	if err != nil {
-		return 0, nil, err
-	}
-	used, err := Decode(frame, h)
-	if err != nil {
-		return 0, nil, err
-	}
-	if used != len(frame) {
-		return 0, nil, fmt.Errorf("%d trailing bytes after header", len(frame)-used)
-	}
-	return rec.T, frame, nil
+// rawRecord assembles one record by hand: its 16-byte header, with the
+// fields as given, then frame.
+func rawRecord(sec, nsec, incl, orig uint32, frame []byte) []byte {
+	le := binary.LittleEndian
+	b := le.AppendUint32(nil, sec)
+	b = le.AppendUint32(b, nsec)
+	b = le.AppendUint32(b, incl)
+	b = le.AppendUint32(b, orig)
+	return append(b, frame...)
 }
 
-// checkLineAgainstReference asserts property (a) on one line: whatever
-// the scanner accepts, the reference accepts with the same time (bit for
-// bit), header and frame bytes.
-func checkLineAgainstReference(t *testing.T, line []byte) (accepted bool) {
-	t.Helper()
-	cr := NewCaptureReader(strings.NewReader(""))
-	var got, want Header
-	at, kind, err := cr.scanLine(line, &got)
-	if err != nil {
-		if kind == ErrKindNone {
-			t.Fatalf("line %q rejected (%v) without an error kind", line, err)
-		}
-		return false
-	}
-	refAt, frame, refErr := refScanLine(line, &want)
-	if refErr != nil {
-		t.Fatalf("scanner accepts %q, encoding/json reference rejects it: %v", line, refErr)
-	}
-	if math.Float64bits(at) != math.Float64bits(refAt) {
-		t.Fatalf("line %q: t = %v (%#x), reference %v (%#x)", line, at, math.Float64bits(at), refAt, math.Float64bits(refAt))
-	}
-	if got != want || !bytes.Equal(cr.buf[:len(frame)], frame) {
-		t.Fatalf("line %q: header %+v, reference %+v", line, got, want)
-	}
-	return true
-}
-
-// FuzzCaptureLine checks the scanner and the writer against the
-// encoding/json reference: (a) scanner accepts ⇒ reference accepts with
-// identical results; (b) every line the writer produces is accepted by
-// both and round-trips; (c) the writer's bytes are json.Marshal's.
-func FuzzCaptureLine(f *testing.F) {
-	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add([]byte(`{"t":1,"wire":"`+hex.EncodeToString(frame)+`"}`), 0.002, frame)
-	f.Fuzz(func(t *testing.T, line []byte, at float64, hdr []byte) {
-		checkLineAgainstReference(t, line)
-
-		var h Header
-		if _, err := Decode(hdr, &h); err != nil {
-			return
-		}
-		at = math.Abs(at)
-		var out bytes.Buffer
-		cw := NewCaptureWriter(&out)
-		err := cw.Write(at, &h)
-		if math.IsNaN(at) || math.IsInf(at, 0) {
-			if err == nil {
-				t.Fatalf("writer accepted t = %v", at)
-			}
-			return
-		}
-		if err != nil {
-			t.Fatalf("writer rejected t = %v, %+v: %v", at, h, err)
-		}
-		if err := cw.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		canon, err := MarshalAppend(nil, &h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := json.Marshal(refRecord{T: at, Wire: hex.EncodeToString(canon)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out.Bytes(); !bytes.Equal(got, append(want, '\n')) {
-			t.Fatalf("writer emitted %q, json.Marshal %q", got, want)
-		}
-		if !checkLineAgainstReference(t, out.Bytes()) {
-			t.Fatalf("scanner rejects the writer's own line %q", out.Bytes())
-		}
-		var back Header
-		cr := NewCaptureReader(&out)
-		if backAt, err := cr.Next(&back); err != nil || math.Float64bits(backAt) != math.Float64bits(at) || back != h {
-			t.Fatalf("round trip of t = %v, %+v gave t = %v, %+v, err %v", at, h, backAt, back, err)
-		}
-	})
-}
-
-// generalScanLine is scanLine with scanGeneral alone — how every line was
-// read before the template existed: the reference FuzzCaptureTemplate
-// holds scanLine to.
-func generalScanLine(cr *CaptureReader, raw []byte, h *Header) (float64, ErrorKind, error) {
-	t, frameLen, kind, err := cr.scanGeneral(raw)
-	if err != nil {
-		return 0, kind, err
-	}
-	used, err := Decode(cr.buf[:frameLen], h)
-	if err != nil {
-		return 0, KindOfError(err), err
-	}
-	if used != frameLen {
-		return 0, ErrKindFraming, errTrailing(frameLen - used)
-	}
-	return t, ErrKindNone, nil
-}
-
-// checkTemplateAgainstGeneral asserts, on one line, that the template
-// changes nothing observable: what scanTemplate accepts, scanGeneral
-// accepts with a bit-identical time and identical frame bytes, and
-// scanLine — template first — returns what generalScanLine returns: the
-// same time, header, ErrorKind and error, whether the template took the
-// line or declined it.
-func checkTemplateAgainstGeneral(t *testing.T, line []byte) {
-	t.Helper()
-	tmpl := NewCaptureReader(strings.NewReader(""))
-	at, frameLen, took := tmpl.scanTemplate(line)
-	gen := NewCaptureReader(strings.NewReader(""))
-	if took {
-		genAt, genLen, _, err := gen.scanGeneral(line)
-		if err != nil {
-			t.Fatalf("template takes %q, the general scanner rejects it: %v", line, err)
-		}
-		if math.Float64bits(at) != math.Float64bits(genAt) {
-			t.Fatalf("line %q: template t = %v (%#x), general %v (%#x)", line, at, math.Float64bits(at), genAt, math.Float64bits(genAt))
-		}
-		if !bytes.Equal(tmpl.buf[:frameLen], gen.buf[:genLen]) {
-			t.Fatalf("line %q: template frame %x, general %x", line, tmpl.buf[:frameLen], gen.buf[:genLen])
-		}
-	}
-	var got, want Header
-	gotAt, gotKind, gotErr := tmpl.scanLine(line, &got)
-	wantAt, wantKind, wantErr := generalScanLine(gen, line, &want)
-	if gotKind != wantKind || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("line %q (template took it: %v): %v, %v; general scanner %v, %v", line, took, gotKind, gotErr, wantKind, wantErr)
-	}
-	if math.Float64bits(gotAt) != math.Float64bits(wantAt) || got != want {
-		t.Fatalf("line %q (template took it: %v): t = %v, %+v; general scanner t = %v, %+v", line, took, gotAt, got, wantAt, want)
-	}
-}
-
-// FuzzCaptureTemplate binds the template to the general scanner
-// (checkTemplateAgainstGeneral). The seeds are the writer's own lines and
-// one line per way of falling through: whitespace, CRLF, no final LF,
-// swapped members, an exponent, a sign, leading zeros, a bare point, 16
-// and more significant digits, 23 fraction digits, odd, off-table,
-// uppercase and over-long hex, and bytes after the closing brace.
-func FuzzCaptureTemplate(f *testing.F) {
-	h := sampleHeader()
+// frameRecord is the well-formed record of h at ns nanoseconds.
+func frameRecord(tb testing.TB, ns uint64, h Header) []byte {
+	tb.Helper()
 	frame, err := MarshalAppend(nil, &h)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	hx := hex.EncodeToString(frame)
-	line := func(t, wire string) string { return `{"t":` + t + `,"wire":"` + wire + "\"}\n" }
-	for _, seed := range []string{
-		line("0.00002", hx), line("19.99998", hx), line("0", hx), line("123456789012345", hx),
-		line("0.0000000000000000000001", hx),
-		` {"t":1,"wire":"` + hx + "\"}\n", `{"t": 1,"wire":"` + hx + "\"}\n", `{"t":1,"wire":"` + hx + "\"} \n",
-		`{"t":1,"wire":"` + hx + "\"}\r\n", `{"t":1,"wire":"` + hx + `"}`, `{"wire":"` + hx + `","t":1}` + "\n",
-		line("1e-7", hx), line("1E2", hx), line("-0", hx), line("-1.5", hx), line("00.1", hx), line("01", hx),
-		line("1.", hx), line(".5", hx), line("1234567890123456", hx), line("0.1234567890123456", hx),
-		line("1.000000000000000", hx), line("0.00000000000000000000001", hx), line("", hx),
-		line("1", hx[1:]), line("1", hx[:len(hx)-2]+"zz"), line("1", strings.ToUpper(hx)),
-		line("1", strings.Repeat("00", MaxEncodedLen)), line("1", strings.Repeat("00", MaxEncodedLen+1)),
-		line("1", hx) + "x", `{"t":1,"wire":"` + hx + "\"}}\n", `{"t":1,"wire":"` + hx, `{"t":1`,
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(checkTemplateAgainstGeneral)
+	return rawRecord(uint32(ns/1e9), uint32(ns%1e9), uint32(len(frame)), uint32(len(frame)), frame)
 }
 
-// TestCaptureTemplateTakesWriterLines: every short-decimal time but 0
-// takes the writer's short-decimal path, and every line CaptureWriter
-// emits for one takes the template, so that an edit which sends the times
-// to strconv or the writer's own lines to the general scanner fails here,
-// not only as a slower set-up or replay. The times are replay_mix's whole
-// grid (packet i of 10⁶ at i·20/10⁶ s, benchmark/gen.go) and 10⁵ random
-// decimals of at most 15
-// significant digits, none below 1e-6 (there the writer's form has an
-// exponent); the frames are the sample header's and the longest there is.
-func TestCaptureTemplateTakesWriterLines(t *testing.T) {
+// pcapFile is a capture of the given records.
+func pcapFile(records ...[]byte) []byte {
+	return bytes.Join(append([][]byte{goldenPcapHeader}, records...), nil)
+}
+
+// udpHeader is a 3-hop UDP header without a capability: a 26-byte frame.
+func udpHeader() Header {
+	h := Header{Version: Version1, Kind: netsim.KindUDP, Src: 1, Dst: 9999, Length: 1000, PathLen: 3}
+	h.Path[0], h.Path[1], h.Path[2] = 100, 10, 1
+	return h
+}
+
+// TestCaptureGoldenBytes: the writer emits, byte for byte, the global
+// header and records assembled here from the libpcap format by hand, so
+// any pcap reader (tcpdump -r, Wireshark) takes the file.
+func TestCaptureGoldenBytes(t *testing.T) {
+	frame := []byte{
+		Version1, 0x00, byte(netsim.KindUDP), 0x03, // version, flags, kind, path length
+		0x00, 0x00, 0x00, 0x01, // src
+		0x00, 0x00, 0x27, 0x0f, // dst 9999
+		0x03, 0xe8, // length 1000
+		0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x01, // path 100-10-1
+	}
+	want := append(append([]byte(nil), goldenPcapHeader...),
+		0x01, 0x00, 0x00, 0x00, // 1 s
+		0x00, 0x65, 0xcd, 0x1d, // 500 000 000 ns
+		0x1a, 0x00, 0x00, 0x00, // 26 bytes captured
+		0x1a, 0x00, 0x00, 0x00, // of 26
+	)
+	want = append(want, frame...)
+	want = append(want,
+		0x80, 0x51, 0x01, 0x00, // 86 400 s
+		0x01, 0x00, 0x00, 0x00, // 1 ns
+		0x1a, 0x00, 0x00, 0x00,
+		0x1a, 0x00, 0x00, 0x00,
+	)
+	want = append(want, frame...)
+
+	var out bytes.Buffer
+	cw := NewCaptureWriter(&out)
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), goldenPcapHeader) {
+		t.Fatalf("a capture of no records is % x, want the global header % x", out.Bytes(), goldenPcapHeader)
+	}
+	h := udpHeader()
+	for _, at := range []float64{1.5, 86400.000000001} {
+		if err := cw.Write(at, &h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatalf("writer emitted\n% x\nwant\n% x", out.Bytes(), want)
+	}
+}
+
+// FuzzCaptureTemplate holds the writer to the record layout assembled
+// here from the format, for any header Decode accepts at any ns below
+// 2^51: seconds, nanoseconds, captured and original length, then the
+// frame, twice over, so that a record the writer's buffer held before
+// cannot leak into the next. The seeds cross the times at the edges of
+// the seconds and nanoseconds fields and of the benchmarks' grids with
+// the shortest, a capability and the longest header.
+func FuzzCaptureTemplate(f *testing.F) {
 	longest := sampleHeader()
 	longest.PathLen = MaxPathLen
 	for i := range longest.Path {
 		longest.Path[i] = pathid.ASN(0xfffff000 + i)
 	}
-	if longest.EncodedLen() != MaxEncodedLen {
-		t.Fatalf("longest header encodes to %d bytes, want %d", longest.EncodedLen(), MaxEncodedLen)
-	}
-	times := make([]float64, 0, 1_100_000)
-	for i := 0; i < 1_000_000; i++ {
-		times = append(times, float64(i)*20/1e6)
-	}
-	src := rng.New(25)
-	for len(times) < cap(times) {
-		digits := 1 + src.Intn(15)
-		mant := src.Uint64n(uint64(pow10[digits]))
-		if at := float64(mant) / pow10[src.Intn(digits+7)]; at == 0 || at >= 1e-6 {
-			times = append(times, at)
-		}
-	}
-	sort.Float64s(times)
-	for _, at := range times {
-		if _, _, ok := shortDecimal(at); !ok && at != 0 {
-			t.Fatalf("t = %v falls through to strconv in the writer", at)
-		}
-	}
-	for _, h := range []Header{sampleHeader(), longest} {
-		var out bytes.Buffer
-		cw := NewCaptureWriter(&out)
-		cr := NewCaptureReader(strings.NewReader(""))
-		for _, at := range times {
-			out.Reset()
-			if err := cw.Write(at, &h); err != nil {
-				t.Fatal(err)
+	for _, ns := range []uint64{0, 1, 20_000, 2_000_000, 999_999_999, 1e9, 1e9 + 1,
+		19_999_980_000, 86_400e9 + 1, 1 << 50, 1<<51 - 1} {
+		for _, h := range []Header{{Version: Version1, Kind: netsim.KindUDP, Length: 9}, sampleHeader(), longest} {
+			frame, err := MarshalAppend(nil, &h)
+			if err != nil {
+				f.Fatal(err)
 			}
-			if err := cw.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, ok := cr.scanTemplate(out.Bytes()); !ok {
-				t.Fatalf("the writer's line %q for t = %v falls through to the general scanner", out.Bytes(), at)
-			}
+			f.Add(ns, frame)
 		}
 	}
-}
-
-// TestCaptureLineGrammar pins the accepted grammar and the inputs that
-// encoding/json took and the scanner counts as framing errors.
-func TestCaptureLineGrammar(t *testing.T) {
-	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hx := hex.EncodeToString(frame)
-	accept := []struct {
-		line string
-		t    float64
-	}{
-		{`{"t":1,"wire":"` + hx + `"}`, 1},
-		{`{"wire":"` + hx + `","t":2.5}`, 2.5}, // swapped members
-		{" {\t\"t\" : 1e3 , \"wire\" : \"" + hx + "\" } ", 1000},
-		{`{"t":1E-2,"wire":"` + strings.ToUpper(hx) + `"}`, 0.01},
-		{`{"t":-0,"wire":"` + hx + `"}`, math.Copysign(0, -1)},
-		{`{"t":0.000001,"wire":"` + hx + `"}`, 1e-6},
-		{`{"t":1e-999,"wire":"` + hx + `"}`, 0}, // underflow is not a range error
-		{`{"t":12.5e+1,"wire":"` + hx + `"}` + "\r\n", 125},
-	}
-	for _, c := range accept {
-		if !checkLineAgainstReference(t, []byte(c.line)) {
-			t.Errorf("line %q rejected", c.line)
-			continue
-		}
+	f.Fuzz(func(t *testing.T, ns uint64, hdr []byte) {
 		var h Header
-		cr := NewCaptureReader(strings.NewReader(c.line))
-		if at, err := cr.Next(&h); err != nil || math.Float64bits(at) != math.Float64bits(c.t) {
-			t.Errorf("line %q: t = %v, err %v; want %v", c.line, at, err, c.t)
+		if n, err := Decode(hdr, &h); err != nil || n != len(hdr) {
+			return
 		}
-	}
-
-	framing := []string{
-		// JSON that encoding/json took and the narrowed grammar does not.
-		`{"T":1,"wire":"` + hx + `"}`,           // case-folded key
-		`{"\u0074":1,"wire":"` + hx + `"}`,      // escaped key
-		`{"t":1,"wire":"\u0030` + hx[1:] + `"}`, // escaped hex digit
-		`{"t":1,"t":2,"wire":"` + hx + `"}`,     // duplicate member
-		`{"t":1,"wire":"` + hx + `","x":0}`,     // extra member
-		`{"t":null,"wire":"` + hx + `"}`,        // null members
-		`{"t":1,"wire":null}`,
-		`{"wire":"` + hx + `"}`, // missing members
-		`{"t":1}`,
-		`{}`,
-		// Numbers: out of float64 range, then off the RFC 8259 grammar.
-		`{"t":1e999,"wire":"` + hx + `"}`,
-		`{"t":01,"wire":"` + hx + `"}`,
-		`{"t":+1,"wire":"` + hx + `"}`,
-		`{"t":.5,"wire":"` + hx + `"}`,
-		`{"t":1.,"wire":"` + hx + `"}`,
-		`{"t":1e,"wire":"` + hx + `"}`,
-		`{"t":0x10,"wire":"` + hx + `"}`,
-		`{"t":Inf,"wire":"` + hx + `"}`,
-		`{"t":1_0,"wire":"` + hx + `"}`,
-		`{"t":"1","wire":"` + hx + `"}`,
-		// Broken structure.
-		`{"t":1,"wire":"` + hx + `"} x`,
-		`{"t":1,"wire":"` + hx + `"}{`,
-		`{"t":1,"wire":"` + hx + `"`,
-		`{"t":1 "wire":"` + hx + `"}`,
-		`[{"t":1,"wire":"` + hx + `"}]`,
-		`   `,
-		// Frames broken before the codec sees them.
-		`{"t":1,"wire":"` + hx[:len(hx)-1] + `"}`,   // odd hex
-		`{"t":1,"wire":"` + hx[:len(hx)-2] + `zz"}`, // not hex
-		`{"t":1,"wire":"` + hx + `00"}`,             // trailing bytes
-		`{"t":1,"wire":"` + strings.Repeat("00", MaxEncodedLen+1) + `"}`,
-	}
-	reject := map[ErrorKind][]string{
-		ErrKindFraming: framing,
-		ErrKindShort:   {`{"t":1,"wire":"` + hx[:len(hx)-2] + `"}`, `{"t":1,"wire":""}`},
-		ErrKindVersion: {`{"t":1,"wire":"ff` + hx[2:] + `"}`},
-	}
-	for want, lines := range reject {
-		for _, line := range lines {
-			if checkLineAgainstReference(t, []byte(line)) {
-				t.Errorf("line %q accepted", line)
-			}
-			cr := NewCaptureReader(strings.NewReader(""))
-			if _, kind, _ := cr.scanLine([]byte(line), new(Header)); kind != want {
-				t.Errorf("line %q classified %v, want %v", line, kind, want)
-			}
-		}
-	}
-}
-
-// captureTimeEdges are the edges of the writer's short-decimal path: its
-// lower bound and the float below it; 0.00014, where t·10^5 is not
-// integral in float64; 0.1+0.2, 17 digits; the largest 15-digit integer,
-// the upper bound and a 16-digit time below it; a 15-digit time that needs
-// 20 fraction digits; 2^53, the smallest subnormal and 1e21.
-var captureTimeEdges = []float64{1e-6, math.Nextafter(1e-6, 0), 0.00014, 0.1 + 0.2,
-	999999999999999, 1e15, 123456789012345.6, 1.23456789012345e-6, 1 << 53, 5e-324, 1e21}
-
-// TestCaptureWriterMatchesJSON walks the float formatting rule's edges:
-// the writer's line must be json.Marshal's, byte for byte.
-func TestCaptureWriterMatchesJSON(t *testing.T) {
-	h := sampleHeader()
-	frame, err := MarshalAppend(nil, &h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times := append([]float64{0, 1e-320, 1e-9, 9.99e-7, 0.002, 1, 12345.678,
-		1e20, 9.999999999999999e20, 1.5e300, math.MaxFloat64}, captureTimeEdges...)
-	for _, at := range times {
+		ns &= 1<<51 - 1
 		var out bytes.Buffer
 		cw := NewCaptureWriter(&out)
-		if err := cw.Write(at, &h); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 2; i++ {
+			if err := cw.Write(float64(ns)/1e9, &h); err != nil {
+				t.Fatalf("writer refused %d ns: %v", ns, err)
+			}
 		}
 		if err := cw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		want, err := json.Marshal(refRecord{T: at, Wire: hex.EncodeToString(frame)})
-		if err != nil {
-			t.Fatal(err)
+		rec := frameRecord(t, ns, h)
+		if want := pcapFile(rec, rec); !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("%d ns, %+v: writer emitted\n% x\nwant\n% x", ns, h, out.Bytes(), want)
 		}
-		if got := out.String(); got != string(want)+"\n" {
-			t.Errorf("t = %v: writer emitted %q, json.Marshal %q", at, got, want)
+	})
+}
+
+// TestCaptureTimeRoundTrip: every time of replay_mix's grid (packet i of
+// 10^6 at i·20/10^6 s, benchmark/gen.go) is i·20 000 ns exactly, and the
+// writer takes it and the reader gives it back bit for bit; so does every
+// time written as ns/1e9 below 2^51 ns, the range in which t·1e9 rounds
+// back to ns.
+func TestCaptureTimeRoundTrip(t *testing.T) {
+	const grid = 1_000_000
+	times := make([]float64, 0, grid+200_000)
+	for i := 0; i < grid; i++ {
+		at := float64(i) * 20 / 1e6
+		if ns := float64(i*20_000) / 1e9; math.Float64bits(ns) != math.Float64bits(at) {
+			t.Fatalf("grid time %d: %v is not %d ns (%v)", i, at, i*20_000, ns)
+		}
+		times = append(times, at)
+	}
+	src := rng.New(3)
+	extra := make([]uint64, cap(times)-len(times))
+	for i := range extra {
+		extra[i] = src.Uint64n(1 << 51)
+	}
+	slices.Sort(extra)
+	for _, ns := range extra {
+		if at := float64(ns) / 1e9; at >= times[len(times)-1] {
+			times = append(times, at)
 		}
 	}
-	cw := NewCaptureWriter(io.Discard)
-	for _, at := range []float64{math.NaN(), math.Inf(1)} {
+
+	pr, pw := io.Pipe()
+	written := make(chan error, 1)
+	go func() {
+		cw := NewCaptureWriter(pw)
+		h := udpHeader()
+		for i, at := range times {
+			if err := cw.Write(at, &h); err != nil {
+				written <- fmt.Errorf("time %d, %v: %w", i, at, err)
+				pw.Close()
+				return
+			}
+		}
+		written <- cw.Flush()
+		pw.Close()
+	}()
+	cr := NewCaptureReader(pr)
+	var h Header
+	for i, at := range times {
+		back, err := cr.Next(&h)
+		if err != nil {
+			t.Fatalf("record %d: %v (writer: %v)", i, err, <-written)
+		}
+		if math.Float64bits(back) != math.Float64bits(at) {
+			t.Fatalf("record %d: wrote t = %v, read back %v", i, at, back)
+		}
+	}
+	if _, err := cr.Next(&h); err != io.EOF {
+		t.Fatalf("after the last record: %v, want io.EOF", err)
+	}
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// exactNanos is the writer's time rule worked out in exact arithmetic:
+// the whole ns in [0, 2^53) whose ns/10^9, rounded once to float64, is at.
+// Below 2^51 ns there is at most one, as float64 steps there are finer
+// than a nanosecond; a ns that rounds to at lies within one of at·10^9.
+func exactNanos(at float64) (uint64, bool) {
+	if math.IsNaN(at) || math.IsInf(at, 0) || math.Signbit(at) {
+		return 0, false
+	}
+	x := new(big.Rat).Mul(new(big.Rat).SetFloat64(at), big.NewRat(1e9, 1))
+	floor := new(big.Int).Quo(x.Num(), x.Denom())
+	for _, ns := range []*big.Int{floor, new(big.Int).Add(floor, big.NewInt(1))} {
+		if !ns.IsUint64() || ns.Uint64() >= 1<<53 {
+			continue
+		}
+		if back, _ := new(big.Rat).SetFrac(ns, big.NewInt(1e9)).Float64(); back == at {
+			return ns.Uint64(), true
+		}
+	}
+	return 0, false
+}
+
+// checkCaptureTime writes a record at t and reports whether the writer
+// took it. It must take t if t is a whole ns below 2^51, and take nothing
+// exactNanos does not; what it takes it stores as that ns and reads back
+// bit for bit.
+func checkCaptureTime(t *testing.T, at float64) (taken bool) {
+	t.Helper()
+	ns, exact := exactNanos(at)
+	var out bytes.Buffer
+	cw := NewCaptureWriter(&out)
+	h := udpHeader()
+	err := cw.Write(at, &h)
+	switch {
+	case err == nil && !exact:
+		t.Fatalf("writer took t = %v (%#x), which no whole ns below 2^53 is", at, math.Float64bits(at))
+	case err != nil && exact && ns < 1<<51:
+		t.Fatalf("writer refused t = %v, %d ns: %v", at, ns, err)
+	case err != nil:
+		return false
+	}
+	if err := cw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	if rec := out.Bytes()[pcapHeaderLen:]; ns < 1<<51 && (le.Uint32(rec) != uint32(ns/1e9) || le.Uint32(rec[4:]) != uint32(ns%1e9)) {
+		t.Fatalf("t = %v stored as %d s %d ns, want %d ns", at, le.Uint32(rec), le.Uint32(rec[4:]), ns)
+	}
+	if back, err := NewCaptureReader(&out).Next(&h); err != nil || math.Float64bits(back) != math.Float64bits(at) {
+		t.Fatalf("t = %v read back %v, %v", at, back, err)
+	}
+	return true
+}
+
+// FuzzCaptureTime holds the writer's time rule (checkCaptureTime) on any
+// float64 — the one the input's bits are — and on ns/10^9 for the ns its
+// low 51 bits spell, which the writer must take. The seeds are the rule's
+// edges: signed zero, the smallest subnormal, 1 ns, flocd -gen's step,
+// 0.1+0.2 and ten sums of 0.002 (17 digits, between nanoseconds), one ulp
+// above 1 s, 2^51 and 2^53 ns, and 10^21.
+func FuzzCaptureTime(f *testing.F) {
+	tenth, sum := 0.1, 0.0 // variables, so that the sums round as float64s
+	for i := 0; i < 10; i++ {
+		sum += 0.002
+	}
+	for _, at := range []float64{0, math.Copysign(0, -1), 5e-324, 1e-9, 0.002, tenth + 0.2, sum,
+		math.Nextafter(1, 2), float64(1<<51) / 1e9, float64(1<<53) / 1e9, 1e21} {
+		f.Add(math.Float64bits(at))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		checkCaptureTime(t, math.Float64frombits(bits))
+		checkCaptureTime(t, float64(bits&(1<<51-1))/1e9)
+	})
+}
+
+// FuzzCaptureNumber: a time a generator spells in decimal seconds
+// (benchmark/gen.go's i·20/10^6, flocd -gen's 2k/1000) and parses with
+// strconv is one the writer takes and reads back bit for bit whenever the
+// decimal is a whole number of nanoseconds below 2^51, for then both are
+// ns/10^9 rounded once; any other parse is held to checkCaptureTime. The
+// seeds are signed zero, whole and fractional nanoseconds, 15 to 17
+// significant digits, decimals no float64 holds (0.3, 0.1, 2.675),
+// exponents, and values out of range.
+func FuzzCaptureNumber(f *testing.F) {
+	for _, seed := range []string{
+		"0", "-0", "0.0", "-0.000", "0.000001", "19.99998", "0.3", "-0.3", "0.1", "2.675",
+		"123456789012345", "1234567890123456", "12345678901234567",
+		"999999999999999", "9007199254740993", "123456789012345.6", "12345678.9012345",
+		"0.000000000000000000001", "0.0000000000000000000001", "0.00000000000000000000001",
+		"1.0000000000000000000000", "000", "1e22", "1e23", "1e-7", "1E+2", "4.9e-324", "1.8e308",
+		"1e999", "-1e999", "179769313486231570000000000000000000000",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		at, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return
+		}
+		taken := checkCaptureTime(t, at)
+		r, ok := new(big.Rat).SetString(text)
+		if !ok || math.Signbit(at) {
+			return
+		}
+		if ns := r.Mul(r, big.NewRat(1e9, 1)); ns.IsInt() && ns.Num().IsUint64() && ns.Num().Uint64() < 1<<51 && !taken {
+			t.Fatalf("%q, a whole %v ns, parsed to %v, which the writer refused", text, ns.Num(), at)
+		}
+	})
+}
+
+// TestCaptureWriterRefusesInexactTimes: a time the writer cannot store as
+// whole nanoseconds, or that would read back as another float64, is
+// refused, writes nothing, and leaves the writer usable.
+func TestCaptureWriterRefusesInexactTimes(t *testing.T) {
+	sum, tenth := 0.0, 0.1
+	for i := 0; i < 10; i++ {
+		sum += 0.002
+	}
+	refused := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), -1, math.Copysign(0, -1),
+		sum,                      // ten steps of 0.002: 0.020000000000000004
+		tenth + 0.2,              // 0.30000000000000004
+		1e-10,                    // rounds to 0 ns
+		math.Nextafter(1, 2),     // 1 + 2^-52 s
+		float64(1<<53) / 1e9,     // 2^53 ns
+		float64(1<<53+2e9) / 1e9, // beyond it
+		1e300,
+	}
+	accepted := []float64{0, 1e-9, 0.006, float64(1<<50) / 1e9}
+	var out bytes.Buffer
+	cw := NewCaptureWriter(&out)
+	h := udpHeader()
+	for _, at := range refused {
 		if err := cw.Write(at, &h); err == nil {
 			t.Errorf("writer accepted t = %v", at)
 		}
 	}
-}
-
-// TestCaptureReaderOversizedLine puts a 2 MiB line between two good
-// records. A bufio.Scanner stopped for good there; the reader must
-// consume the line, count it once as framing in lenient mode and carry
-// on, and name it in strict mode.
-func TestCaptureReaderOversizedLine(t *testing.T) {
-	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
-	if err != nil {
+	for _, at := range accepted {
+		if err := cw.Write(at, &h); err != nil {
+			t.Errorf("writer refused t = %v: %v", at, err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	good := `{"t":1,"wire":"` + hex.EncodeToString(frame) + `"}`
-	input := good + "\n" + `{"t":1,"wire":"` + strings.Repeat("0", 2<<20) + `"}` + "\n" + good + "\n"
+	if cw.Records() != len(accepted) {
+		t.Fatalf("Records() = %d, want %d", cw.Records(), len(accepted))
+	}
+	cr := NewCaptureReader(&out)
+	for _, at := range accepted {
+		if back, err := cr.Next(new(Header)); err != nil || math.Float64bits(back) != math.Float64bits(at) {
+			t.Fatalf("t = %v read back %v, %v", at, back, err)
+		}
+	}
+	if _, err := cr.Next(new(Header)); err != io.EOF {
+		t.Fatalf("refused times left records behind: %v", err)
+	}
+}
 
-	cr := NewCaptureReader(strings.NewReader(input))
+// TestCaptureReaderRefusesOtherFormats: input that does not start with the
+// global header — an NDJSON capture from before captures were pcap, an
+// empty or cut file, a microsecond or big-endian pcap, another version or
+// link type — fails at once in both modes with ErrNotCapture, is not
+// counted as malformed records, and keeps failing.
+func TestCaptureReaderRefusesOtherFormats(t *testing.T) {
+	with := func(off int, b ...byte) []byte {
+		hdr := append([]byte(nil), goldenPcapHeader...)
+		copy(hdr[off:], b)
+		return hdr
+	}
+	for _, c := range []struct {
+		name string
+		in   []byte
+	}{
+		{"ndjson", []byte(`{"t":0.002,"wire":"0100050300000001000027100258000000650000000b00000001"}` + "\n")},
+		{"empty", nil},
+		{"short", goldenPcapHeader[:pcapHeaderLen-1]},
+		{"microsecond", with(0, 0xd4, 0xc3, 0xb2, 0xa1)},
+		{"big-endian", with(0, 0xa1, 0xb2, 0x3c, 0x4d)},
+		{"version", with(6, 0x03)},
+		{"ethernet", with(20, 0x01)},
+	} {
+		for _, lenient := range []bool{false, true} {
+			cr := NewCaptureReader(bytes.NewReader(c.in))
+			cr.SkipMalformed(lenient)
+			for i := 0; i < 2; i++ {
+				if _, err := cr.Next(new(Header)); !errors.Is(err, ErrNotCapture) {
+					t.Errorf("%s (lenient %v), read %d: err = %v, want ErrNotCapture", c.name, lenient, i, err)
+				}
+			}
+			if cr.Malformed() != 0 || cr.Line() != 0 {
+				t.Errorf("%s (lenient %v): %d malformed over %d records, want none", c.name, lenient, cr.Malformed(), cr.Line())
+			}
+		}
+	}
+}
+
+// TestCaptureReaderOversizedLine puts a 2 MiB record between two good
+// ones. The reader must skip it by its declared length — counted once as
+// framing in lenient mode — and carry on, name it in strict mode, and
+// discard an over-long record without allocating.
+func TestCaptureReaderOversizedLine(t *testing.T) {
+	good := frameRecord(t, 1e9, udpHeader())
+	huge := rawRecord(1, 0, 2<<20, 2<<20, make([]byte, 2<<20))
+	input := pcapFile(good, huge, good)
+
+	cr := NewCaptureReader(bytes.NewReader(input))
 	cr.SkipMalformed(true)
 	var h Header
 	n := 0
@@ -426,125 +439,220 @@ func TestCaptureReaderOversizedLine(t *testing.T) {
 		n++
 	}
 	if n != 2 || cr.Line() != 3 {
-		t.Fatalf("decoded %d records over %d lines, want 2 over 3", n, cr.Line())
+		t.Fatalf("decoded %d records of %d, want 2 of 3", n, cr.Line())
 	}
 	if byKind := cr.MalformedByKind(); cr.Malformed() != 1 || byKind[ErrKindFraming] != 1 {
-		t.Fatalf("malformed counts %v, want one framing line", byKind)
+		t.Fatalf("malformed counts %v, want one framing record", byKind)
 	}
 
-	cr = NewCaptureReader(strings.NewReader(input))
+	cr = NewCaptureReader(bytes.NewReader(input))
 	if _, err := cr.Next(&h); err != nil {
-		t.Fatalf("strict reader failed on the good first line: %v", err)
+		t.Fatalf("strict reader failed on the good first record: %v", err)
 	}
-	_, err = cr.Next(&h)
-	if !errors.Is(err, errLineTooLong) || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("strict reader on the oversized line: err = %v, want line 2 too long", err)
+	if _, err := cr.Next(&h); err == nil || !strings.Contains(err.Error(), "record 2") {
+		t.Fatalf("strict reader on the oversized record: err = %v, want record 2 named", err)
+	}
+
+	const runs = 10
+	over := rawRecord(1, 0, 256<<10, 256<<10, make([]byte, 256<<10))
+	input = pcapFile()
+	for i := 0; i <= runs; i++ {
+		input = append(append(input, over...), good...)
+	}
+	cr = NewCaptureReader(bytes.NewReader(input))
+	cr.SkipMalformed(true)
+	if avg := testing.AllocsPerRun(runs, func() {
+		if _, err := cr.Next(&h); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("skipping an over-long record allocates %.1f times, want 0", avg)
 	}
 }
 
-// checkNumber asserts that parseNumber agrees with strconv.ParseFloat, bit
-// for bit and error for error, on text cutNumber accepts whole; it reports
-// whether the text was such a number.
-func checkNumber(t *testing.T, text string) bool {
-	t.Helper()
-	num, rest := cutNumber([]byte(text))
-	if len(num) == 0 || len(rest) != 0 {
-		return false
+// FuzzCaptureRecord holds the capture codec to two properties. Encode
+// then decode is the identity: any header Decode accepts, written at
+// ns/1e9 s for any ns below 2^51, and at the float64 the input's bits are
+// if the writer takes it, reads back as the same header at the same time,
+// bit for bit. And any bytes after the global header are, record by
+// record, either decoded or counted under one ErrorKind in lenient mode —
+// the records the strict reader rejects, from the first it names — and
+// never panic the reader.
+func FuzzCaptureRecord(f *testing.F) {
+	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
+	if err != nil {
+		f.Fatal(err)
 	}
-	got, gotErr := parseNumber(num)
-	want, wantErr := strconv.ParseFloat(text, 64)
-	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%q: parseNumber error %v, strconv error %v", text, gotErr, wantErr)
-	}
-	if math.Float64bits(got) != math.Float64bits(want) {
-		t.Fatalf("%q: parseNumber = %v (%#x), strconv = %v (%#x)", text, got, math.Float64bits(got), want, math.Float64bits(want))
-	}
-	return true
-}
-
-// FuzzCaptureNumber holds the reader's number conversion to strconv's on
-// everything the grammar lets through. The seeds sit on the edges of the
-// exact path: signed zero, leading-zero fractions, 15/16/17 significant
-// digits, the longest exact fraction, exponents, and 0.3, which a
-// multiply by 10^-k (instead of the divide by 10^k) gets wrong.
-func FuzzCaptureNumber(f *testing.F) {
-	for _, seed := range []string{
-		"0", "-0", "0.0", "-0.000", "0.000001", "19.99998", "0.3", "-0.3", "0.1", "2.675",
-		"123456789012345", "1234567890123456", "12345678901234567",
-		"999999999999999", "9007199254740993", "123456789012345.6", "12345678.9012345",
-		"0.000000000000000000001", "0.0000000000000000000001", "0.00000000000000000000001",
-		"1.0000000000000000000000", "000", "1e22", "1e23", "1e-7", "1E+2", "4.9e-324", "1.8e308",
-		"1e999", "-1e999", "179769313486231570000000000000000000000",
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, text string) { checkNumber(t, text) })
-}
-
-// FuzzCaptureTime holds the writer's rendering of any finite float64 to
-// json.Marshal's bytes, and the reader's conversion of the rendering back
-// to the same float64, bit for bit, on and off the short-decimal path: the
-// float64 the input's bits are, and the short decimal they spell (their
-// low 50 bits as digits, the top byte as a fraction length), which random
-// bits almost never are.
-func FuzzCaptureTime(f *testing.F) {
-	for _, at := range captureTimeEdges {
-		f.Add(math.Float64bits(at))
-	}
-	f.Fuzz(func(t *testing.T, bits uint64) {
-		checkCaptureTime(t, math.Float64frombits(bits))
-		checkCaptureTime(t, float64(bits&(1<<50-1)%1e15)/pow10[bits>>56%uint64(len(pow10))])
+	f.Add(uint64(2_000_000), frame, rawRecord(0, 2_000_000, uint32(len(frame)), uint32(len(frame)), frame))
+	f.Fuzz(func(t *testing.T, tbits uint64, hdr, records []byte) {
+		var h Header
+		if n, err := Decode(hdr, &h); err == nil && n == len(hdr) {
+			checkCaptureRoundTrip(t, float64(tbits&(1<<51-1))/1e9, h, true)
+			checkCaptureRoundTrip(t, math.Float64frombits(tbits), h, false)
+		}
+		checkCaptureRecords(t, pcapFile(records))
 	})
 }
 
-// checkCaptureTime asserts FuzzCaptureTime's two properties on one time.
-func checkCaptureTime(t *testing.T, at float64) {
+// checkCaptureRoundTrip writes h at t and reads it back; must says the
+// writer has to take t.
+func checkCaptureRoundTrip(t *testing.T, at float64, h Header, must bool) {
 	t.Helper()
-	if math.IsNaN(at) || math.IsInf(at, 0) {
+	var out bytes.Buffer
+	cw := NewCaptureWriter(&out)
+	if err := cw.Write(at, &h); err != nil {
+		if must {
+			t.Fatalf("writer refused t = %v (%d ns): %v", at, uint64(math.Round(at*1e9)), err)
+		}
 		return
 	}
-	text := appendJSONFloat(nil, at)
-	want, err := json.Marshal(at)
-	if err != nil {
+	if err := cw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(text, want) {
-		t.Fatalf("t = %v: writer renders %q, json.Marshal %q", at, text, want)
+	var back Header
+	cr := NewCaptureReader(&out)
+	if backAt, err := cr.Next(&back); err != nil || math.Float64bits(backAt) != math.Float64bits(at) || back != h {
+		t.Fatalf("round trip of t = %v, %+v gave t = %v, %+v, err %v", at, h, backAt, back, err)
 	}
-	if !checkNumber(t, string(text)) {
-		t.Fatalf("reader grammar rejects the writer's rendering %q of %v", text, at)
-	}
-	if back, err := parseNumber(text); err != nil || math.Float64bits(back) != math.Float64bits(at) {
-		t.Fatalf("t = %v rendered %q read back %v (%v)", at, text, back, err)
+	if _, err := cr.Next(&back); err != io.EOF {
+		t.Fatalf("one record read back as more: %v", err)
 	}
 }
 
-// TestCaptureTimeRoundTrip: what the writer renders, the reader's number
-// conversion takes back to the same float64, for 10^5 random times of the
-// kinds captures hold — short decimals (the exact path) and full-precision
-// values (strconv's) — so rendering the result again is byte-identical.
-func TestCaptureTimeRoundTrip(t *testing.T) {
-	src := rng.New(3)
-	for i := 0; i < 100000; i++ {
-		var at float64
-		switch i % 3 {
-		case 0:
-			at = float64(src.Intn(1_000_000)) * 20 / 1e6 // 0.00002-spaced, as replay_mix writes
-		case 1:
-			at = src.Float64() * 100
-		default:
-			at = math.Float64frombits(src.Uint64() &^ (1 << 63))
-			if math.IsNaN(at) || math.IsInf(at, 0) {
-				continue
+// checkCaptureRecords reads capture in both modes and checks that the
+// lenient reader decodes what the strict one does up to its first
+// rejection, and counts every record it does not decode under exactly one
+// ErrorKind.
+func checkCaptureRecords(t *testing.T, capture []byte) {
+	t.Helper()
+	strict := NewCaptureReader(bytes.NewReader(capture))
+	var h Header
+	k := 0
+	var strictErr error
+	for {
+		if _, strictErr = strict.Next(&h); strictErr != nil {
+			break
+		}
+		k++
+	}
+	if strictErr != io.EOF && !strings.Contains(strictErr.Error(), fmt.Sprintf("record %d:", k+1)) {
+		t.Fatalf("strict reader's error after %d records does not name record %d: %v", k, k+1, strictErr)
+	}
+	lenient := NewCaptureReader(bytes.NewReader(capture))
+	lenient.SkipMalformed(true)
+	n := 0
+	for {
+		_, err := lenient.Next(&h)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("lenient reader surfaced error: %v", err)
+		}
+		if n++; n <= k && lenient.Malformed() != 0 {
+			t.Fatalf("lenient reader skipped a record the strict reader decoded")
+		}
+	}
+	byKind := lenient.MalformedByKind()
+	var sum int64
+	for _, c := range byKind {
+		sum += c
+	}
+	if byKind[ErrKindNone] != 0 || sum != lenient.Malformed() || int64(n)+sum != int64(lenient.Line()) {
+		t.Fatalf("%d decoded, malformed by kind %v, over %d records", n, byKind, lenient.Line())
+	}
+	if (strictErr == io.EOF) != (sum == 0) {
+		t.Fatalf("strict reader ended with %v, lenient reader counted %d malformed", strictErr, sum)
+	}
+}
+
+// refRecord reads the record at the start of b by the libpcap format
+// alone, the reference FuzzCaptureLine holds the reader to: a 16-byte
+// header whose nanoseconds are below 10^9, whose time is below 2^53 ns
+// (the writer's range) and whose captured length equals the original and
+// fits the global header's snaplen, then that many bytes, one whole shim
+// header; its time is sec + nsec/10^9 rounded once. It returns the record's length, or ok false if b holds none.
+func refRecord(b []byte, h *Header) (at float64, n int, ok bool) {
+	le := binary.LittleEndian
+	if len(b) < recordHeaderLen {
+		return 0, 0, false
+	}
+	sec, nsec, incl, orig := le.Uint32(b), le.Uint32(b[4:]), le.Uint32(b[8:]), le.Uint32(b[12:])
+	if nsec >= 1e9 || uint64(sec)*1e9+uint64(nsec) >= 1<<53 || incl != orig || incl > le.Uint32(goldenPcapHeader[16:]) || uint64(len(b)) < recordHeaderLen+uint64(incl) {
+		return 0, 0, false
+	}
+	n = recordHeaderLen + int(incl)
+	if used, err := Decode(b[recordHeaderLen:n], h); err != nil || used != int(incl) {
+		return 0, 0, false
+	}
+	at, _ = big.NewRat(int64(sec)*1e9+int64(nsec), 1e9).Float64()
+	return at, n, true
+}
+
+// FuzzCaptureLine checks the strict reader and the writer against
+// refRecord: record by record — a line, as CaptureReader.Line counts
+// them — the reader decodes what the reference does, to the same time bit
+// for bit and the same header, and fails where it fails; and whatever the
+// writer takes (FuzzCaptureTime says which times) the reference reads
+// back as written. The seeds keep the names they had when records were
+// text lines, each on the record that now holds or breaks the same way.
+func FuzzCaptureLine(f *testing.F) {
+	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rawRecord(1, 0, uint32(len(frame)), uint32(len(frame)), frame), 0.002, frame)
+	f.Fuzz(func(t *testing.T, records []byte, at float64, hdr []byte) {
+		checkRecordsAgainstReference(t, records)
+
+		var h Header
+		if n, err := Decode(hdr, &h); err != nil || n != len(hdr) {
+			return
+		}
+		var out bytes.Buffer
+		cw := NewCaptureWriter(&out)
+		if cw.Write(at, &h) != nil {
+			return
+		}
+		if err := cw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var back Header
+		if !bytes.HasPrefix(out.Bytes(), goldenPcapHeader) {
+			t.Fatalf("writer's global header is % x", out.Bytes()[:min(out.Len(), pcapHeaderLen)])
+		}
+		rec := out.Bytes()[pcapHeaderLen:]
+		if backAt, n, ok := refRecord(rec, &back); !ok || n != len(rec) || math.Float64bits(backAt) != math.Float64bits(at) || back != h {
+			t.Fatalf("writer's record % x for t = %v, %+v: reference reads t = %v, %+v (ok %v, %d of %d bytes)", rec, at, h, backAt, back, ok, n, len(rec))
+		}
+	})
+}
+
+// checkRecordsAgainstReference reads records, after a global header, with
+// the strict reader and with refRecord side by side until either stops.
+func checkRecordsAgainstReference(t *testing.T, records []byte) {
+	t.Helper()
+	cr := NewCaptureReader(bytes.NewReader(pcapFile(records)))
+	for i := 1; ; i++ {
+		var got, want Header
+		at, err := cr.Next(&got)
+		refAt, n, ok := refRecord(records, &want)
+		switch {
+		case err == io.EOF:
+			if len(records) != 0 {
+				t.Fatalf("reader ended before record %d with %d bytes left", i, len(records))
 			}
+			return
+		case err != nil:
+			if ok {
+				t.Fatalf("reader rejects record %d (%v); the reference reads t = %v, %+v", i, err, refAt, want)
+			}
+			return
+		case !ok:
+			t.Fatalf("reader reads record %d as t = %v, %+v; the reference rejects it", i, at, got)
+		case math.Float64bits(at) != math.Float64bits(refAt) || got != want:
+			t.Fatalf("record %d: reader reads t = %v, %+v; the reference t = %v, %+v", i, at, got, refAt, want)
 		}
-		text := appendJSONFloat(nil, at)
-		if !checkNumber(t, string(text)) {
-			t.Fatalf("reader grammar rejects the writer's rendering %q of %v", text, at)
-		}
-		back, err := parseNumber(text)
-		if err != nil || math.Float64bits(back) != math.Float64bits(at) {
-			t.Fatalf("t = %v rendered %q read back %v (%v)", at, text, back, err)
-		}
+		records = records[n:]
 	}
 }

@@ -12,19 +12,20 @@
 // ErrPathLen, ErrLength). FuzzControlFrameDecode gets the same
 // treatment for control frames: minimal and maximal valid frames plus
 // one seed per typed error (ErrHops, ErrCount, ErrTTL, ...).
-// FuzzCaptureLine gets one capture line per accepted variation and per
-// rejection shape, each paired with a writer time on a different side of
-// the float formatting rule.
+// FuzzCaptureRecord gets one capture record per way a record breaks, a
+// run of good records, and times on the edges of the writer's exact
+// nanosecond rule. FuzzCaptureLine gets the records and times of the
+// seeds it had when records were text lines, under the same names.
 package main
 
 import (
-	"encoding/hex"
+	"encoding/binary"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 
 	"floc/internal/capability"
 	"floc/internal/netsim"
@@ -161,47 +162,72 @@ func main() {
 	}())
 	bytesSeed(dir, "err-record-pathlen", cmutate(18, wire.MaxPathLen+1))
 
-	// FuzzCaptureLine takes (line []byte, t float64, header []byte): the
-	// line goes to the scanner and the encoding/json reference, (t,
-	// header) through the writer and back.
-	hx := hex.EncodeToString(valid)
-	line := func(t, wire string) string { return `{"t":` + t + `,"wire":"` + wire + `"}` }
-	dir = filepath.Join("internal", "wire", "testdata", "fuzz", "FuzzCaptureLine")
-	for _, seed := range []struct {
-		name, line string
-		t          float64
-		header     []byte
-	}{
-		{"valid", line("0.002", hx), 0.002, valid},
-		{"valid-max-path", line("12.5", hex.EncodeToString(marshal(maxPath))), 12.5, marshal(maxPath)},
-		{"valid-swapped-members", `{"wire":"` + hx + `","t":1}`, 1, marshal(withCap)},
-		{"valid-whitespace", " {\t\"t\" : 1 ,\r \"wire\" : \"" + hx + "\" } \r\n", 0, valid},
-		{"valid-negative-zero", line("-0", hx), 1e-7, valid},
-		{"valid-exponent", line("1.25E+2", hx), 1e21, valid},
-		{"valid-small-exponent", line("1e-7", hx), 1.5e-9, valid},
-		{"valid-underflow", line("1e-999", hx), 5e-324, valid},
-		{"err-bad-json", "not json", 999999.999999, valid},
-		{"err-truncated", `{"t":0.001,"wire":`, 1 << 53, valid},
-		{"err-odd-hex", line("1", hx[:len(hx)-1]), 0.3, valid},
-		{"err-not-hex", line("1", "zz"), 0.3, valid},
-		{"err-oversized-frame", line("1", strings.Repeat("00", wire.MaxEncodedLen+1)), 0.3, valid},
-		{"err-trailing-bytes", line("1", hx+"00"), 0.3, valid},
-		{"err-trailing-text", line("1", hx) + "x", 0.3, valid},
-		{"err-short-frame", line("1", hx[:8]), 0.3, valid},
-		{"err-bad-version", line("1", "ff"+hx[2:]), 0.3, valid},
-		{"err-number-range", line("1e999", hx), 1.7976931348623157e308, valid},
-		{"err-number-leading-zero", line("01", hx), 0.3, valid},
-		{"err-number-hex", line("0x1p4", hx), 0.3, valid},
-		{"err-number-string", line(`"1"`, hx), 0.3, valid},
-		{"narrowed-case-folded-key", `{"T":1,"WIRE":"` + hx + `"}`, 0.3, valid},
-		{"narrowed-escaped-key", `{"\u0074":1,"wire":"` + hx + `"}`, 0.3, valid},
-		{"narrowed-escaped-hex", line("1", `\u0030`+hx[1:]), 0.3, valid},
-		{"narrowed-duplicate-member", `{"t":1,"t":2,"wire":"` + hx + `"}`, 0.3, valid},
-		{"narrowed-extra-member", `{"t":1,"wire":"` + hx + `","x":null}`, 0.3, valid},
-		{"narrowed-null", `{"t":null,"wire":"` + hx + `"}`, 0.3, valid},
-		{"narrowed-missing-member", `{"wire":"` + hx + `"}`, 0.3, valid},
-	} {
-		writeSeed(dir, seed.name, "[]byte("+strconv.Quote(seed.line)+")\nfloat64("+
-			strconv.FormatFloat(seed.t, 'g', -1, 64)+")\n[]byte("+strconv.Quote(string(seed.header))+")\n")
+	// FuzzCaptureRecord takes (tbits uint64, header []byte, records
+	// []byte): the header is written at float64(tbits&(2^51-1))/1e9 and at
+	// the float64 tbits is, and read back; the records follow a global
+	// header into both readers.
+	record := func(sec, nsec, incl, orig uint32, frame []byte) []byte {
+		le := binary.LittleEndian
+		b := le.AppendUint32(le.AppendUint32(nil, sec), nsec)
+		return append(le.AppendUint32(le.AppendUint32(b, incl), orig), frame...)
 	}
+	// whole is a well-formed record of frame.
+	whole := func(sec, nsec uint32, frame []byte) []byte {
+		return record(sec, nsec, uint32(len(frame)), uint32(len(frame)), frame)
+	}
+	n := uint32(len(valid))
+	good := whole(0, 2_000_000, valid)
+	capSeed := func(name string, tbits uint64, header []byte, records ...[]byte) {
+		var recs []byte
+		for _, r := range records {
+			recs = append(recs, r...)
+		}
+		writeSeed(filepath.Join("internal", "wire", "testdata", "fuzz", "FuzzCaptureRecord"), name,
+			fmt.Sprintf("uint64(%d)\n[]byte(%s)\n[]byte(%s)\n", tbits, strconv.Quote(string(header)), strconv.Quote(string(recs))))
+	}
+	grid := math.Float64bits(float64(999_999) * 20 / 1e6)
+	capSeed("valid", grid, valid, good)
+	capSeed("valid-max-path", math.Float64bits(86400.000000001), marshal(maxPath), whole(86400, 1, marshal(maxPath)))
+	capSeed("valid-capability", math.Float64bits(0), marshal(withCap), good, good, whole(1, 999_999_999, marshal(withCap)))
+	tenth := 0.1 // a variable, so that the sum is rounded as float64s, not folded exactly
+	capSeed("time-inexact-sum", math.Float64bits(tenth+0.2), valid, good)
+	capSeed("time-negative-zero", math.Float64bits(math.Copysign(0, -1)), valid, good)
+	capSeed("time-2-53-ns", math.Float64bits(float64(1<<53)/1e9), valid, good)
+	capSeed("time-nan", math.Float64bits(math.NaN()), valid, good)
+	capSeed("err-version", grid, valid, whole(0, 0, mutate(0, wire.Version1+1)), good)
+	capSeed("err-short-frame", grid, valid, whole(0, 0, valid[:4]), good)
+	capSeed("err-trailing-bytes", grid, valid, whole(0, 0, append(append([]byte(nil), valid...), 0)), good)
+	capSeed("err-oversized-frame", grid, valid, whole(0, 0, make([]byte, wire.MaxEncodedLen+1)), good)
+	capSeed("err-nanoseconds", grid, valid, record(0, 1e9, n, n, valid), good)
+	capSeed("err-time-range", grid, valid, whole(9_007_199, 254_740_992, valid), good)
+	capSeed("err-truncated-packet", grid, valid, record(0, 0, n, n+1, valid), good)
+	capSeed("err-header-cut", grid, valid, good, good[:7])
+	capSeed("err-frame-cut", grid, valid, good, good[:len(good)-1])
+	capSeed("err-length-past-end", grid, valid, record(0, 0, 0xffffffff, 0xffffffff, valid), good)
+
+	// FuzzCaptureLine takes (records []byte, t float64, header []byte):
+	// the records follow a global header into the strict reader and the
+	// reference; the header is written at t. Each seed is the record that
+	// holds or breaks as the text line of the same name did.
+	lineSeed := func(name string, at float64, header []byte, records ...[]byte) {
+		var recs []byte
+		for _, r := range records {
+			recs = append(recs, r...)
+		}
+		writeSeed(filepath.Join("internal", "wire", "testdata", "fuzz", "FuzzCaptureLine"), name,
+			fmt.Sprintf("[]byte(%s)\nmath.Float64frombits(%#x)\n[]byte(%s)\n", strconv.Quote(string(recs)), math.Float64bits(at), strconv.Quote(string(header))))
+	}
+	lineSeed("valid", 0.002, valid, good)
+	lineSeed("valid-max-path", 12.5, marshal(maxPath), whole(12, 500_000_000, marshal(maxPath)))
+	lineSeed("valid-exponent", 1e21, valid, whole(125, 0, valid))
+	lineSeed("valid-negative-zero", math.Copysign(0, -1), valid, whole(0, 0, valid))
+	lineSeed("valid-small-exponent", 1.5e-9, valid, whole(0, 100, valid))
+	lineSeed("valid-underflow", 5e-324, valid, whole(0, 0, valid))
+	lineSeed("err-bad-version", 0.3, valid, whole(1, 0, mutate(0, wire.Version1+1)), good)
+	lineSeed("err-short-frame", 0.3, valid, whole(1, 0, valid[:4]), good)
+	lineSeed("err-trailing-bytes", 0.3, valid, whole(1, 0, append(append([]byte(nil), valid...), 0)), good)
+	lineSeed("err-oversized-frame", 0.3, valid, whole(1, 0, make([]byte, wire.MaxEncodedLen+1)), good)
+	lineSeed("err-number-range", math.MaxFloat64, valid, record(1, 1e9, n, n, valid), good)
+	lineSeed("err-truncated", float64(1<<53)/1e9, valid, good, good[:len(good)-1])
+	lineSeed("err-trailing-text", 0.3, valid, good, good[:7])
 }

@@ -259,38 +259,53 @@ func TestCaptureRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCaptureReaderRejectsMalformed(t *testing.T) {
-	cases := []string{
-		`{"t":1,"wire":"zz"}`, // bad hex
-		`{"t":1,"wire":"01"}`, // short frame
-		`not json`,            // bad line
-		`{"t":1,"wire":"` + strings.Repeat("00", MaxEncodedLen+1) + `"}`, // oversized frame
-	}
-	for _, line := range cases {
-		cr := NewCaptureReader(strings.NewReader(line + "\n"))
-		if _, err := cr.Next(new(Header)); err == nil || err == io.EOF {
-			t.Errorf("line %q: err = %v, want decode error", line, err)
-		}
-	}
-	// Trailing garbage after a valid header on one line is rejected.
+// malformedRecord is a broken record and the ErrorKind the lenient reader
+// counts it under.
+type malformedRecord struct {
+	name   string
+	record []byte
+	kind   ErrorKind
+}
+
+// malformedRecords are one record per way a record breaks in the middle
+// of a capture.
+func malformedRecords(t *testing.T) []malformedRecord {
 	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := `{"t":1,"wire":"` + hexString(frame) + `00"}`
-	cr := NewCaptureReader(strings.NewReader(rec + "\n"))
-	if _, err := cr.Next(new(Header)); err == nil {
-		t.Fatal("trailing bytes accepted")
+	n := uint32(len(frame))
+	badVersion := append([]byte{0xff}, frame[1:]...)
+	return []malformedRecord{
+		{"version", rawRecord(1, 0, n, n, badVersion), ErrKindVersion},
+		{"short frame", rawRecord(1, 0, 1, 1, []byte{Version1}), ErrKindShort},
+		{"trailing bytes", rawRecord(1, 0, n+1, n+1, append(frame, 0)), ErrKindFraming},
+		{"oversized frame", rawRecord(1, 0, MaxEncodedLen+1, MaxEncodedLen+1, make([]byte, MaxEncodedLen+1)), ErrKindFraming},
+		{"nanoseconds", rawRecord(1, 1e9, n, n, frame), ErrKindFraming},
+		{"time range", rawRecord(9_007_199, 254_740_992, n, n, frame), ErrKindFraming},
+		{"truncated packet", rawRecord(1, 0, n, n+1, frame), ErrKindFraming},
 	}
 }
 
-func hexString(b []byte) string {
-	const digits = "0123456789abcdef"
-	out := make([]byte, 0, 2*len(b))
-	for _, v := range b {
-		out = append(out, digits[v>>4], digits[v&0xf])
+// TestCaptureReaderRejectsMalformed: in strict mode every malformed record
+// fails the read, naming the record, and so does a record cut off by the
+// end of the capture.
+func TestCaptureReaderRejectsMalformed(t *testing.T) {
+	good := frameRecord(t, 1e9, sampleHeader())
+	cases := append(malformedRecords(t),
+		malformedRecord{"header cut", good[:recordHeaderLen/2], ErrKindFraming},
+		malformedRecord{"frame cut", good[:len(good)-1], ErrKindFraming},
+		malformedRecord{"frame empty", good[:recordHeaderLen], ErrKindFraming},
+	)
+	for _, c := range cases {
+		cr := NewCaptureReader(bytes.NewReader(pcapFile(good, c.record)))
+		if _, err := cr.Next(new(Header)); err != nil {
+			t.Fatalf("%s: good first record: %v", c.name, err)
+		}
+		if _, err := cr.Next(new(Header)); err == nil || err == io.EOF || !strings.Contains(err.Error(), "record 2") {
+			t.Errorf("%s: err = %v, want an error naming record 2", c.name, err)
+		}
 	}
-	return string(out)
 }
 
 // TestInternerAtBound churns the interner past internerMax distinct
@@ -371,23 +386,22 @@ func TestInternerReinternStable(t *testing.T) {
 }
 
 // TestCaptureReaderLenientCounts exercises SkipMalformed at the wire
-// level: bad lines are skipped and counted under the right ErrorKind
-// while surrounding good records still decode.
+// level: bad records are skipped and counted under the right ErrorKind
+// while surrounding good records still decode, and a record cut off by
+// the end of the capture counts as framing.
 func TestCaptureReaderLenientCounts(t *testing.T) {
-	frame, err := MarshalAppend(nil, &Header{Version: Version1, Kind: netsim.KindUDP, Length: 9})
-	if err != nil {
-		t.Fatal(err)
+	good := frameRecord(t, 1e9, sampleHeader())
+	bad := malformedRecords(t)
+	records := [][]byte{good}
+	var want [NumErrorKinds]int64
+	for _, c := range bad {
+		records = append(records, c.record)
+		want[c.kind]++
 	}
-	good := `{"t":1,"wire":"` + hexString(frame) + `"}`
-	bad := []string{
-		`not json`,            // ErrKindFraming
-		`{"t":1,"wire":"zz"}`, // ErrKindFraming (bad hex)
-		`{"t":1,"wire":"ff` + strings.Repeat("00", 13) + `"}`, // ErrKindVersion
-		`{"t":1,"wire":"01"}`, // ErrKindShort
-	}
-	input := good + "\n" + strings.Join(bad, "\n") + "\n" + good + "\n"
+	records = append(records, good, good[:len(good)-1])
+	want[ErrKindFraming]++
 
-	cr := NewCaptureReader(strings.NewReader(input))
+	cr := NewCaptureReader(bytes.NewReader(pcapFile(records...)))
 	cr.SkipMalformed(true)
 	var h Header
 	n := 0
@@ -402,11 +416,10 @@ func TestCaptureReaderLenientCounts(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("decoded %d records, want 2", n)
 	}
-	if got := cr.Malformed(); got != int64(len(bad)) {
-		t.Fatalf("Malformed() = %d, want %d", got, len(bad))
+	if got := cr.Malformed(); got != int64(len(bad)+1) {
+		t.Fatalf("Malformed() = %d, want %d", got, len(bad)+1)
 	}
-	byKind := cr.MalformedByKind()
-	if byKind[ErrKindFraming] != 2 || byKind[ErrKindVersion] != 1 || byKind[ErrKindShort] != 1 {
-		t.Fatalf("per-kind counts %v", byKind)
+	if byKind := cr.MalformedByKind(); byKind != want {
+		t.Fatalf("per-kind counts %v, want %v", byKind, want)
 	}
 }

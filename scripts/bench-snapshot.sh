@@ -24,13 +24,11 @@
 #                        record+query over an 8 MiB working set)
 #   wire_decode          BenchmarkWireDecode              ns/op (codec)
 #   capture_next         BenchmarkCaptureNext             ns/op, B/op, allocs/op
-#                        (capture reader: one line read, scanned, decoded)
-#   capture_write        BenchmarkCaptureWrite/short      ns/op, B/op, allocs/op
-#                        (capture writer: one line marshalled and formatted,
-#                        its time a short decimal, replay_mix's grid)
-#   capture_write_full   BenchmarkCaptureWrite/full       ns/op, B/op, allocs/op
-#                        (the same, its time flocd -gen's accumulated sum:
-#                        16-17 digits, formatted by strconv)
+#                        (capture reader: one pcap record read, bounded,
+#                        decoded)
+#   capture_write        BenchmarkCaptureWrite            ns/op, B/op, allocs/op
+#                        (capture writer: one pcap record marshalled at a
+#                        time of replay_mix's grid)
 #   control_run          BenchmarkControlRun              ns/op, B/op, allocs/op
 #                        (one control-loop execution over 2048 paths x 16
 #                        flows, ~5 % of flows expiring, telemetry attached)
@@ -143,12 +141,8 @@ best_by() {
         "$(best_ns "$wire")"
     printf '    "capture_next": {"bench": "BenchmarkCaptureNext", "ns_per_op": %s, %s},\n' \
         "$(best_ns "$capnext")" "$(best_mem "$capnext")"
-    capshort=$(printf '%s\n' "$capwrite" | grep '/short')
-    capfull=$(printf '%s\n' "$capwrite" | grep '/full')
-    printf '    "capture_write": {"bench": "BenchmarkCaptureWrite/short", "ns_per_op": %s, %s},\n' \
-        "$(best_ns "$capshort")" "$(best_mem "$capshort")"
-    printf '    "capture_write_full": {"bench": "BenchmarkCaptureWrite/full", "ns_per_op": %s, %s},\n' \
-        "$(best_ns "$capfull")" "$(best_mem "$capfull")"
+    printf '    "capture_write": {"bench": "BenchmarkCaptureWrite", "ns_per_op": %s, %s},\n' \
+        "$(best_ns "$capwrite")" "$(best_mem "$capwrite")"
     printf '    "control_run": {"bench": "BenchmarkControlRun", "ns_per_op": %s, %s},\n' \
         "$(best_ns "$control")" "$(best_mem "$control")"
     printf '    "feedback_encode": {"bench": "BenchmarkControlEncode", "ns_per_op": %s},\n' \

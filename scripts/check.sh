@@ -277,8 +277,8 @@ begin ledger-gate
 ledger_tmp=$(mktemp -d "${TMPDIR:-/tmp}/floc-ledger-XXXXXX")
 run go build -o "$ledger_tmp/flocd" ./cmd/flocd
 run go build -o "$ledger_tmp/floctrace" ./cmd/floctrace
-run "$ledger_tmp/flocd" -gen 20000 -out "$ledger_tmp/capture.ndjson"
-run "$ledger_tmp/flocd" -replay "$ledger_tmp/capture.ndjson" -shards 2 \
+run "$ledger_tmp/flocd" -gen 20000 -out "$ledger_tmp/capture.pcap"
+run "$ledger_tmp/flocd" -replay "$ledger_tmp/capture.pcap" -shards 2 \
     -ledger "$ledger_tmp/ledger"
 run "$ledger_tmp/floctrace" verify -ledger "$ledger_tmp/ledger"
 run "$ledger_tmp/floctrace" replay -ledger "$ledger_tmp/ledger"
@@ -295,7 +295,7 @@ begin cluster-gate
 # through flocd -probe (no curl dependency).
 cluster_tmp=$(mktemp -d "${TMPDIR:-/tmp}/floc-cluster-XXXXXX")
 run go build -o "$cluster_tmp/flocd" ./cmd/flocd
-run "$cluster_tmp/flocd" -gen 64000 -out "$cluster_tmp/capture.ndjson"
+run "$cluster_tmp/flocd" -gen 64000 -out "$cluster_tmp/capture.pcap"
 "$cluster_tmp/flocd" -listen 127.0.0.1:19103 -router-id 3 -peers 127.0.0.1:19202 \
     -link 20e6 -metrics 127.0.0.1:19303 2>"$cluster_tmp/root.log" &
 cluster_root=$!
@@ -321,7 +321,7 @@ cluster_up() { # cluster_up <metrics port>
     done
 }
 cluster_up 19301; cluster_up 19302; cluster_up 19303
-run "$cluster_tmp/flocd" -replay "$cluster_tmp/capture.ndjson" \
+run "$cluster_tmp/flocd" -replay "$cluster_tmp/capture.pcap" \
     -sendto 127.0.0.1:19101 -pace 0.3
 sleep 1 # one more publish interval, so in-flight feedback lands
 # metric_sum <metrics port> <series prefix> — sum every matching series,
