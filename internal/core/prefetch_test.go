@@ -30,7 +30,7 @@ func observable(t *testing.T, r *Router) string {
 
 // TestPrefetchIsInvisible: the traces of TestControlLoopGolden, driven
 // with the router reading ahead over every step's batch, fold to the
-// digests recorded without Prefetch — at a commit that had none. The
+// digests TestControlLoopGolden pins without Prefetch. The
 // scenarios between them reach aggregated members (smax, legit, churn),
 // capability mode with flows not seen before (capability) and paths and
 // flows that expire and return (churn).

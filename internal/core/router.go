@@ -166,11 +166,6 @@ type pathState struct {
 	admittedPkts int64
 	droppedPkts  int64
 
-	// Pre-resolved registry handles, non-nil only while telemetry is
-	// attached (origin paths only).
-	telAdmitted *telemetry.Counter
-	telDropped  *telemetry.Counter
-
 	createdAt float64
 }
 
@@ -404,9 +399,6 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 	ps.params = tcpmodel.Params{Period: r.cfg.ControlInterval, RefMTD: r.cfg.DefaultRTT}
 	r.origins.put(key, ps)
 	r.order.valid = false
-	if telemetry.Compiled && r.tel != nil {
-		r.bindPathCounters(ps)
-	}
 	return ps
 }
 
@@ -655,7 +647,6 @@ func (r *Router) observeAdmit(orig *pathState, fs *flowState, now float64) {
 	// spares the admission body a separate telemetry branch per packet.
 	r.met.arrived.Inc()
 	r.met.admitted.Inc()
-	orig.telAdmitted.Inc()
 	r.delayQ.push(now)
 	if r.tel.Journals() {
 		var flow uint64
@@ -678,7 +669,6 @@ func (r *Router) observeAdmit(orig *pathState, fs *flowState, now float64) {
 func (r *Router) observeDrop(orig *pathState, fs *flowState, now float64, reason DropReason) {
 	r.met.arrived.Inc()
 	r.met.drops[reason].Inc()
-	orig.telDropped.Inc()
 	if r.tel.Journals() {
 		var flow uint64
 		if fs != nil {

@@ -124,23 +124,10 @@ func (r *Router) SetTelemetry(tel *telemetry.Telemetry) {
 	for i := 0; i < r.fifo.Len(); i++ {
 		r.delayQ.push(math.NaN())
 	}
-	r.origins.each(func(ps *pathState) {
-		r.bindPathCounters(ps)
-	})
 }
 
 // Telemetry returns the attached telemetry instance (nil when disabled).
 func (r *Router) Telemetry() *telemetry.Telemetry { return r.tel }
-
-// bindPathCounters resolves an origin path's labeled registry counters.
-func (r *Router) bindPathCounters(ps *pathState) {
-	ps.telAdmitted = r.tel.Registry.Counter(
-		`floc_path_admitted_packets_total{path="`+ps.key+`"}`,
-		"packets admitted by origin path", "packets")
-	ps.telDropped = r.tel.Registry.Counter(
-		`floc_path_dropped_packets_total{path="`+ps.key+`"}`,
-		"packets dropped by origin path", "packets")
-}
 
 // noteMode emits a ModeChanged event when the derived queue mode differs
 // from the last observed one. Called after every enqueue/dequeue while
@@ -217,9 +204,6 @@ func (r *Router) sampleControl(now float64) {
 				s.Aggregate = ps.aggregate.key
 			}
 			r.tel.Recorder.Record(s)
-			r.tel.Registry.Gauge(
-				`floc_path_conformance{path="`+ps.key+`"}`,
-				"conformance EWMA by origin path", "ratio").Set(ps.conformance)
 		}
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"floc/internal/netsim"
@@ -119,17 +120,12 @@ func TestTelemetryCountersMatchRouter(t *testing.T) {
 		t.Fatalf("drop counters sum %d, router total %d", dropSum, r.TotalDrops())
 	}
 
-	// Per-path labeled counters and PathInfo cumulative counters agree.
+	// The router's per-path counts add up to its totals (no path expires
+	// in this trace; TestReplayExpiryResetsPathState covers expiry).
 	var admitted, dropped int64
 	for _, p := range r.PathInfos() {
-		a := reg.CounterValue(`floc_path_admitted_packets_total{path="` + p.Key + `"}`)
-		dr := reg.CounterValue(`floc_path_dropped_packets_total{path="` + p.Key + `"}`)
-		if a != p.AdmittedPackets || dr != p.DroppedPackets {
-			t.Fatalf("path %s registry (%d,%d) != PathInfo (%d,%d)",
-				p.Key, a, dr, p.AdmittedPackets, p.DroppedPackets)
-		}
-		admitted += a
-		dropped += dr
+		admitted += p.AdmittedPackets
+		dropped += p.DroppedPackets
 	}
 	if admitted != r.Admitted() || dropped != r.TotalDrops() {
 		t.Fatalf("per-path sums (%d,%d) != router totals (%d,%d)",
@@ -141,6 +137,47 @@ func TestTelemetryCountersMatchRouter(t *testing.T) {
 	}
 	if len(tel.Recorder.Samples()) == 0 {
 		t.Fatal("recorder got no control-run samples")
+	}
+}
+
+// TestRegistryBoundedUnderPathChurn: the series a router registers are
+// fixed by its configuration, not by the paths its senders invent. One
+// path stays live while four waves of 1 000 fresh paths arrive and expire;
+// after every wave the registry holds exactly the series it held before
+// the first.
+func TestRegistryBoundedUnderPathChurn(t *testing.T) {
+	needTelemetry(t)
+	r := newTestRouter(t, nil)
+	tel := telemetry.New(telemetry.Options{Recorder: true})
+	r.SetTelemetry(tel)
+	d := &driver{r: r}
+	live := pathid.New(7, 3)
+	idle := func(seconds float64) {
+		for i := 0; i < int(seconds/0.01); i++ {
+			d.step(0.01, []*netsim.Packet{mkpkt(1, 2, 1000, live)}, 2)
+		}
+	}
+	idle(1)
+	want := tel.Registry.Names()
+	for wave := 0; wave < 4; wave++ {
+		for i := 0; i < 1000; i++ {
+			fresh := pathid.New(pathid.ASN(100+wave*1000+i), 5)
+			d.step(0.001, []*netsim.Packet{
+				mkpkt(1, 2, 1000, live),
+				mkpkt(uint32(10+i), 2, 1000, fresh),
+			}, 2)
+		}
+		if n := len(r.PathInfos()); n != 1001 {
+			t.Fatalf("wave %d: %d paths live after the wave, want 1001", wave, n)
+		}
+		idle(r.cfg.FlowTimeout + 1)
+		if n := len(r.PathInfos()); n != 1 {
+			t.Fatalf("wave %d: %d paths live after the timeout, want 1", wave, n)
+		}
+		if got := tel.Registry.Names(); !slices.Equal(got, want) {
+			t.Fatalf("wave %d: registry holds %d series, held %d before the first wave",
+				wave, len(got), len(want))
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func TestShardedRegistryCountsExact(t *testing.T) {
 						continue
 					}
 					name := line[:cut]
-					if !strings.Contains(name, "_total") && !strings.Contains(name, "_bucket{") && !strings.HasSuffix(name, "_count") {
+					if !strings.Contains(name, "_total") && !strings.Contains(name, "_bucket{") && !strings.HasSuffix(name, "_count") && !strings.Contains(name, "_count{") {
 						continue // gauges and float sums
 					}
 					v, err := strconv.ParseFloat(line[cut+1:], 64)

@@ -105,7 +105,7 @@ func TestHealthSurfaceExported(t *testing.T) {
 	for _, name := range []string{
 		`floc_dataplane_ring_occupancy{shard="0"}`,
 		`floc_dataplane_ring_occupancy{shard="1"}`,
-		`floc_dataplane_admission_batch_seconds{shard="0"}`,
+		`floc_dataplane_admission_batch_seconds_count{shard="0"}`,
 		telemetry.TraceDroppedMetric,
 	} {
 		if !strings.Contains(out, name) {

@@ -128,7 +128,7 @@ func TestCellsOwnTheirCacheLines(t *testing.T) {
 		t.Fatalf("HistogramCell is %d bytes, want %d", n, cacheLine)
 	}
 	if n := reflect.TypeOf(Counter{}).Size(); n > 16 {
-		t.Fatalf("Counter is %d bytes; thousands of per-path counters pay for each word", n)
+		t.Fatalf("Counter is %d bytes, want at most two words", n)
 	}
 	if n := cap(newHistogram(make([]float64, 9)).Cell().counts); n%8 != 0 {
 		t.Fatalf("cell bucket array holds %d words, not whole cache lines", n)

@@ -28,7 +28,8 @@ import (
 // Counter is a monotonically increasing integer metric. All methods are
 // safe for concurrent use and allocation-free. A writer that would
 // otherwise share the counter with another per event takes a Cell. Two
-// words on purpose: a replay holds thousands of per-path counters.
+// words on purpose: a counter nobody writes through a cell pays for
+// nothing else.
 type Counter struct {
 	v     atomic.Int64
 	cells cellList[CounterCell]
@@ -397,6 +398,13 @@ func (r *Registry) WriteText(w io.Writer) error {
 		case gaugeKind:
 			fmt.Fprintf(&b, "%s %s\n", s.name, formatFloat(s.g.Value()))
 		case histogramKind:
+			// The suffixes go on the family name, before its labels:
+			// fam_bucket{shard="0",le="1"}, fam_sum{shard="0"}.
+			labels := s.name[len(fam):]
+			sep := "{"
+			if labels != "" {
+				sep = labels[:len(labels)-1] + ","
+			}
 			counts := s.h.Counts()
 			bounds := s.h.Bounds()
 			var cum int64
@@ -406,10 +414,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 				if i < len(bounds) {
 					le = formatFloat(bounds[i])
 				}
-				fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", s.name, le, cum)
+				fmt.Fprintf(&b, "%s_bucket%sle=%q} %d\n", fam, sep, le, cum)
 			}
-			fmt.Fprintf(&b, "%s_sum %s\n", s.name, formatFloat(s.h.Sum()))
-			fmt.Fprintf(&b, "%s_count %d\n", s.name, s.h.Count())
+			fmt.Fprintf(&b, "%s_sum%s %s\n", fam, labels, formatFloat(s.h.Sum()))
+			fmt.Fprintf(&b, "%s_count%s %d\n", fam, labels, s.h.Count())
 		}
 	}
 	_, err := io.WriteString(w, b.String())

@@ -113,6 +113,7 @@ func TestWriteTextDeterministic(t *testing.T) {
 	reg.Counter(`floc_drops_total{reason="overflow"}`, "drops by reason", "packets").Add(2)
 	reg.Gauge("floc_queue_len", "queue length", "packets").Set(17)
 	reg.Histogram("floc_delay", "queue delay", "seconds", []float64{0.001, 0.01}).Observe(0.005)
+	reg.Histogram(`floc_batch{shard="0"}`, "batch time", "seconds", []float64{1e-6}).Observe(0.5)
 
 	var a, b strings.Builder
 	if err := reg.WriteText(&a); err != nil {
@@ -135,6 +136,10 @@ func TestWriteTextDeterministic(t *testing.T) {
 		`floc_delay_bucket{le="+Inf"} 1`,
 		"floc_delay_sum 0.005",
 		"floc_delay_count 1",
+		`floc_batch_bucket{shard="0",le="1e-06"} 0`,
+		`floc_batch_bucket{shard="0",le="+Inf"} 1`,
+		`floc_batch_sum{shard="0"} 0.5`,
+		`floc_batch_count{shard="0"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)

@@ -72,7 +72,11 @@
 #                must install the propagated limits and drop flood
 #                packets before forwarding; the leaf's and the mid's
 #                packet slots, forwarded packets given back at every
-#                flush, must stay within -capacity + shards x (batch + 64)
+#                flush, must stay within -capacity + shards x (batch + 64);
+#                every sample line of the three daemons' /metrics must
+#                read `name{labels} value` (a histogram's suffix before
+#                its labels) and none may carry a path= label, so the
+#                series count stays fixed by configuration, not traffic
 #   perf-gate    scripts/bench-snapshot.sh to a scratch file, compared
 #                against the latest committed BENCH_*.json by cmd/perfgate;
 #                fails on any family more than PERF_REGRESSION_PCT percent
@@ -369,6 +373,31 @@ assert_slots() { # assert_slots <description> <metrics port>
 }
 assert_slots "leaf: packet slots" 19301
 assert_slots "mid: packet slots" 19302
+# The exposition itself: every sample is `name{labels} value` with one
+# label block at the end of the name, and no series is per path — a
+# sender that invents paths must not grow /metrics.
+assert_exposition() { # assert_exposition <description> <metrics port>
+    "$cluster_tmp/flocd" -probe "http://127.0.0.1:$2/metrics" |
+        awk -v what="$1" '
+            /^#/ || /^$/ { next }
+            { n++ }
+            !/^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [^ ]+$/ {
+                print "   " what ": malformed sample: " $0 > "/dev/stderr"; bad++
+            }
+            /[{,]path="/ {
+                print "   " what ": per-path series: " $0 > "/dev/stderr"; bad++
+            }
+            END {
+                printf "   %s: %d samples, %d rejected\n", what, n, bad > "/dev/stderr"
+                exit n > 0 && bad == 0 ? 0 : 1
+            }' || {
+        echo "cluster-gate: $1 /metrics is not well-formed and path-free" >&2
+        exit 1
+    }
+}
+assert_exposition "leaf" 19301
+assert_exposition "mid" 19302
+assert_exposition "root" 19303
 kill -INT "$cluster_leaf" "$cluster_mid" "$cluster_root" 2>/dev/null || true
 wait "$cluster_leaf" "$cluster_mid" "$cluster_root" 2>/dev/null || true
 trap - EXIT
