@@ -491,7 +491,6 @@ func newProducer(e *dataplane.Engine) *producer {
 // ingest hands one decoded header to the engine as packet id arriving at
 // t — the one body both packet sources, socket and capture, share. The
 // packet is buffered in the producer's burst; the source flushes it.
-// floc:hotpath
 func (p *producer) ingest(h *wire.Header, id uint64, t float64) {
 	res := p.in.ResolveFull(h)
 	if !res.Bound {
@@ -768,7 +767,6 @@ func newUDPForwarder(addr string, reg *telemetry.Registry) (*udpForwarder, error
 // the packet long before the Flush that gives it back. The shards' role
 // holders call it concurrently; the mutex covers only the append to the
 // shared vector. A packet that does not encode is counted and dropped.
-// floc:hotpath
 func (f *udpForwarder) Emit(pkt *netsim.Packet, now float64) {
 	var h wire.Header
 	var buf [wire.MaxEncodedLen]byte
@@ -789,7 +787,6 @@ func (f *udpForwarder) Emit(pkt *netsim.Packet, now float64) {
 
 // Flush implements dataplane.Flusher: whatever any shard has queued goes
 // out now.
-// floc:hotpath
 func (f *udpForwarder) Flush() {
 	f.mu.Lock()
 	f.flushLocked()
@@ -799,7 +796,6 @@ func (f *udpForwarder) Flush() {
 // flushLocked sends the vector. Frames the kernel did not take are counted
 // as send losses, one per packet, and never retried — a forwarding daemon
 // must not stall its own transmit loop on the next hop.
-// floc:hotpath
 func (f *udpForwarder) flushLocked() {
 	n := f.w.Len()
 	if n == 0 {
@@ -820,7 +816,7 @@ func (f *udpForwarder) Close() { _ = f.conn.Close() }
 // dropped by HandleFrame and counted by error kind; a closed socket ends
 // the loop.
 func serveControl(conn net.PacketConn, node *cluster.Node, reg *telemetry.Registry, start time.Time) {
-	buf := make([]byte, wire.MaxControlEncodedLen+1) //floc:untrusted
+	buf := make([]byte, wire.MaxControlEncodedLen+1)
 	controlFrameErrors.total(reg)
 	for {
 		n, _, err := conn.ReadFrom(buf)
@@ -829,7 +825,8 @@ func serveControl(conn net.PacketConn, node *cluster.Node, reg *telemetry.Regist
 		}
 		//floclint:allow sim-time live control plane stamps arrivals from the wall clock
 		now := time.Since(start).Seconds()
-		//floclint:allow taint ReadFrom returns n <= len(buf) by the PacketConn contract; the frame itself is vetted by DecodeControl
+		// ReadFrom returns n <= len(buf) by the PacketConn contract; the
+		// frame itself is vetted by DecodeControl.
 		if _, err := node.HandleFrame(buf[:n], now); err != nil {
 			controlFrameErrors.add(reg, wire.KindOfError(err), 1)
 		}

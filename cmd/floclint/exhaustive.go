@@ -21,7 +21,7 @@ package main
 // out-of-range values a cast can produce, not for members. A switch
 // that deliberately handles a subset carries
 // //floc:nonexhaustive <reason> on (or directly above) the switch line;
-// the reason is mandatory, as with //floc:coldpath.
+// the reason is mandatory.
 
 import (
 	"go/ast"
@@ -54,7 +54,7 @@ func (d *directives) collectEnumConsts(pkgPath string, gd *ast.GenDecl) {
 		if curType == "" {
 			continue
 		}
-		if isEnumBound(vs) {
+		if hasDirective(dirEnumBound, vs.Doc, vs.Comment) {
 			continue // count sentinel: one past the last member
 		}
 		key := pkgPath + "." + curType
@@ -65,17 +65,6 @@ func (d *directives) collectEnumConsts(pkgPath string, gd *ast.GenDecl) {
 			d.enumMembers[key] = append(d.enumMembers[key], name.Name)
 		}
 	}
-}
-
-// isEnumBound reports whether the spec's doc or trailing comment carries
-// //floc:enumbound.
-func isEnumBound(vs *ast.ValueSpec) bool {
-	for _, dir := range directivesIn(vs.Doc, vs.Comment) {
-		if dir.name == dirEnumBound {
-			return true
-		}
-	}
-	return false
 }
 
 // checkWaiverDirective reports a //floc:nonexhaustive with no reason (a

@@ -23,15 +23,13 @@ const (
 	RuleMapOrder   = "map-order"
 	RuleEqGuard    = "eq-guard"
 	RuleAtomics    = "atomics"
-	RuleHotpath    = "hotpath"
-	RuleTaint      = "taint"
 	RuleExhaustive = "exhaustive"
 	RuleDirective  = "directive"
 )
 
 // rules is every rule name floclint reports.
 var rules = []string{RuleSimTime, RuleFloatEq, RuleMapOrder, RuleEqGuard,
-	RuleAtomics, RuleHotpath, RuleTaint, RuleExhaustive, RuleDirective}
+	RuleAtomics, RuleExhaustive, RuleDirective}
 
 // bannedTimeFuncs are the time-package functions that read the wall clock
 // or schedule on it. Simulation code must take the sim clock (a float64
@@ -55,20 +53,25 @@ const allowDirective = "floclint:allow"
 
 // linter lints the files of one type-checked package.
 type linter struct {
-	fset    *token.FileSet
-	info    *types.Info
-	pkgPath string
-	dirs    *directives                 // module-wide floc: directive table
-	allows  map[string]map[int][]string // filename -> line -> rules suppressed there
-	diags   []Diagnostic
+	fset   *token.FileSet
+	info   *types.Info
+	dirs   *directives                 // module-wide floc:enum table
+	allows map[string]map[int][]string // filename -> line -> rules suppressed there
+	diags  []Diagnostic
 }
 
 // lintPackage runs every rule over one package's files.
-func lintPackage(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPath string, dirs *directives) []Diagnostic {
-	l := &linter{fset: fset, info: info, pkgPath: pkgPath, dirs: dirs,
+func lintPackage(fset *token.FileSet, files []*ast.File, info *types.Info, dirs *directives) []Diagnostic {
+	l := &linter{fset: fset, info: info, dirs: dirs,
 		allows: map[string]map[int][]string{}}
 	for _, f := range files {
-		l.allows[fset.Position(f.Pos()).Filename] = collectAllows(fset, f)
+		allows, unnamed := collectAllows(fset, f)
+		l.allows[fset.Position(f.Pos()).Filename] = allows
+		for _, pos := range unnamed {
+			// A misspelt rule name would otherwise waive nothing, silently.
+			l.report(pos, RuleDirective, "//floclint:allow names no rule, so it waives nothing; it must start with one of %s",
+				strings.Join(rules, ", "))
+		}
 		lines := l.scanLines(f)
 		l.checkImports(f)
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -85,34 +88,30 @@ func lintPackage(fset *token.FileSet, files []*ast.File, info *types.Info, pkgPa
 		})
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
+			if !ok || fn.Body == nil {
 				continue
 			}
-			fd := dirs.fn(declKey(pkgPath, fn))
-			l.checkHotpath(fn, fd)
-			if fn.Body == nil {
-				continue
-			}
-			l.checkTaint(fn, fd, lines)
 			l.checkMapOrder(fn)
-			l.checkEqGuard(fn, fd)
+			l.checkEqGuard(fn)
 		}
 	}
 	return l.diags
 }
 
 // collectAllows maps source lines to the rules suppressed there via
-// //floclint:allow comments.
-func collectAllows(fset *token.FileSet, f *ast.File) map[int][]string {
-	allow := map[int][]string{}
+// //floclint:allow comments, and returns the positions of the waivers
+// that name no rule. A waiver starts its comment, as a floc: directive
+// does; prose that mentions one waives nothing.
+func collectAllows(fset *token.FileSet, f *ast.File) (allow map[int][]string, unnamed []token.Pos) {
+	allow = map[int][]string{}
 	for _, group := range f.Comments {
 		for _, c := range group.List {
-			idx := strings.Index(c.Text, allowDirective)
-			if idx < 0 {
+			rest, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimLeft(c.Text, "/")), allowDirective)
+			if !ok {
 				continue
 			}
-			rest := c.Text[idx+len(allowDirective):]
 			line := fset.Position(c.Pos()).Line
+			named := len(allow[line])
 			for _, field := range strings.FieldsFunc(rest, func(r rune) bool {
 				return r == ' ' || r == ',' || r == '\t'
 			}) {
@@ -121,9 +120,12 @@ func collectAllows(fset *token.FileSet, f *ast.File) map[int][]string {
 				}
 				allow[line] = append(allow[line], field)
 			}
+			if len(allow[line]) == named {
+				unnamed = append(unnamed, c.Pos())
+			}
 		}
 	}
-	return allow
+	return allow, unnamed
 }
 
 // report records a finding unless an allow comment on the same or the
@@ -165,114 +167,8 @@ func (l *linter) pkgNameOf(expr ast.Expr) string {
 	return pn.Imported().Path()
 }
 
-// objOf resolves an identifier to the object it defines or uses.
-func (l *linter) objOf(id *ast.Ident) types.Object {
-	if obj := l.info.Defs[id]; obj != nil {
-		return obj
-	}
-	return l.info.Uses[id]
-}
-
 // line returns the source line of pos (0 for token.NoPos).
 func (l *linter) line(pos token.Pos) int { return l.fset.Position(pos).Line }
-
-// conversionTarget returns T when the call is a conversion T(x), else nil.
-func (l *linter) conversionTarget(call *ast.CallExpr) types.Type {
-	if tv, ok := l.info.Types[call.Fun]; ok && tv.IsType() {
-		return tv.Type
-	}
-	return nil
-}
-
-// builtinName returns the builtin's name when the call invokes one
-// (len, make, append, ...), else "".
-func (l *linter) builtinName(call *ast.CallExpr) string {
-	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-		if _, ok := l.info.Uses[id].(*types.Builtin); ok {
-			return id.Name
-		}
-	}
-	return ""
-}
-
-// callee resolves a call's static callee (nil for dynamic calls: func
-// values, computed callees) and, for method-shaped calls x.f(...), the
-// receiver expression x.
-func (l *linter) callee(call *ast.CallExpr) (fn *types.Func, recv ast.Expr) {
-	switch fun := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ = l.info.Uses[fun].(*types.Func)
-	case *ast.SelectorExpr:
-		fn, _ = l.info.Uses[fun.Sel].(*types.Func)
-		if _, ok := l.info.Selections[fun]; ok {
-			recv = fun.X
-		}
-	}
-	return fn, recv
-}
-
-// funcKeyOf builds the directive-table key for a resolved function, ""
-// when it has none (no package, or a receiver with no type name).
-func funcKeyOf(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	recvName := ""
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		if recvName = namedName(recv.Type()); recvName == "" {
-			return ""
-		}
-	}
-	return funcKeyFor(fn.Pkg().Path(), recvName, fn.Name())
-}
-
-// calleeDirectives returns the directives of a resolved callee (the empty
-// set for nil).
-func (l *linter) calleeDirectives(fn *types.Func) *funcDirectives {
-	return l.dirs.fn(funcKeyOf(fn))
-}
-
-// fieldKeyOf resolves a field selection to its directive-table key,
-// walking the selection's index path so embedded structs resolve to the
-// field's direct owner.
-func fieldKeyOf(s *types.Selection) (string, bool) {
-	t := s.Recv()
-	idx := s.Index()
-	for k, i := range idx {
-		st := underlyingStruct(t)
-		if st == nil || i >= st.NumFields() {
-			return "", false
-		}
-		fld := st.Field(i)
-		if k == len(idx)-1 {
-			owner := namedName(t)
-			if owner == "" || fld.Pkg() == nil {
-				return "", false
-			}
-			return fld.Pkg().Path() + "." + owner + "." + fld.Name(), true
-		}
-		t = fld.Type()
-	}
-	return "", false
-}
-
-func underlyingStruct(t types.Type) *types.Struct {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	st, _ := t.Underlying().(*types.Struct)
-	return st
-}
-
-func namedName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
-}
 
 func unparen(e ast.Expr) ast.Expr {
 	for {
@@ -281,23 +177,6 @@ func unparen(e ast.Expr) ast.Expr {
 			return e
 		}
 		e = p.X
-	}
-}
-
-// eachParam calls fn for every named entry of the field lists (receiver,
-// parameters, results) with the object it declares.
-func (l *linter) eachParam(fn func(name *ast.Ident, obj types.Object), lists ...*ast.FieldList) {
-	for _, fl := range lists {
-		if fl == nil {
-			continue
-		}
-		for _, field := range fl.List {
-			for _, name := range field.Names {
-				if obj := l.info.Defs[name]; obj != nil {
-					fn(name, obj)
-				}
-			}
-		}
 	}
 }
 
@@ -451,8 +330,8 @@ func outerAppendTarget(info *types.Info, call *ast.CallExpr, rs *ast.RangeStmt) 
 // (implementations of a paper equation) guard their numeric inputs: an if
 // comparing against a constant, a math.IsNaN/IsInf call, or an
 // internal/invariant assertion (rule eq-guard).
-func (l *linter) checkEqGuard(fn *ast.FuncDecl, fd *funcDirectives) {
-	if !fd.eq {
+func (l *linter) checkEqGuard(fn *ast.FuncDecl) {
+	if !hasDirective(dirEq, fn.Doc) {
 		return
 	}
 	guarded := false

@@ -41,7 +41,7 @@ func lintFixture(t *testing.T, dir string) map[finding]int {
 // TestSeededViolations checks that every seeded violation is reported at
 // its exact position, and nothing else is.
 func TestSeededViolations(t *testing.T) {
-	for _, fixture := range []string{"timeviol", "floateq", "maporder", "eqguard", "atomics", "hotpath", "taint", "exhaustive"} {
+	for _, fixture := range []string{"timeviol", "floateq", "maporder", "eqguard", "atomics", "exhaustive"} {
 		t.Run(fixture, func(t *testing.T) {
 			dir := filepath.Join("testdata", "src", fixture)
 			want := wantMarkers(t, dir)
@@ -62,7 +62,7 @@ func TestSeededViolations(t *testing.T) {
 // TestCleanFixture checks the negative case: files exercising near-miss
 // patterns of every rule yield zero findings.
 func TestCleanFixture(t *testing.T) {
-	for _, fixture := range []string{"clean", "atomicsclean", "hotpathclean", "taintclean", "exhaustiveclean"} {
+	for _, fixture := range []string{"clean", "atomicsclean", "exhaustiveclean"} {
 		t.Run(fixture, func(t *testing.T) {
 			got := lintFixture(t, filepath.Join("testdata", "src", fixture))
 			if len(got) != 0 {
@@ -92,18 +92,22 @@ func TestVerifyCorpus(t *testing.T) {
 
 // TestCollectAllows pins the waiver grammar, //floclint:allow
 // <rule>[,<rule>...] [justification]: the first token that names no rule
-// starts the justification, and no later word waives anything.
+// starts the justification, no later word waives anything, and a waiver
+// whose first token names no rule is returned as unnamed.
 func TestCollectAllows(t *testing.T) {
 	for _, tc := range []struct {
 		comment string
 		want    []string
+		unnamed bool
 	}{
-		{"//floclint:allow sim-time", []string{RuleSimTime}},
-		{"//floclint:allow sim-time,float-eq both are deliberate", []string{RuleSimTime, RuleFloatEq}},
-		{"//floclint:allow sim-time not on the hotpath", []string{RuleSimTime}},
-		{"//floclint:allow taint, map-order see above", []string{RuleTaint, RuleMapOrder}},
-		{"//floclint:allow because the taint is checked", nil},
-		{"// the hotpath and taint rules are prose here", nil},
+		{"//floclint:allow sim-time", []string{RuleSimTime}, false},
+		{"//floclint:allow sim-time,float-eq both are deliberate", []string{RuleSimTime, RuleFloatEq}, false},
+		{"//floclint:allow sim-time not float-eq", []string{RuleSimTime}, false},
+		{"//floclint:allow exhaustive, map-order see above", []string{RuleExhaustive, RuleMapOrder}, false},
+		{"//floclint:allow because the map order is sorted", nil, true},
+		{"//floclint:allow sim-tme misspelt", nil, true},
+		{"//floclint:allow", nil, true},
+		{"// the sim-time rule and //floclint:allow are prose here", nil, false},
 	} {
 		src := "package p\n\n" + tc.comment + "\nvar x int\n"
 		fset := token.NewFileSet()
@@ -111,8 +115,12 @@ func TestCollectAllows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := collectAllows(fset, f)[3]; !slices.Equal(got, tc.want) {
+		allow, unnamed := collectAllows(fset, f)
+		if got := allow[3]; !slices.Equal(got, tc.want) {
 			t.Errorf("%q waives %v, want %v", tc.comment, got, tc.want)
+		}
+		if got := len(unnamed) == 1; got != tc.unnamed || len(unnamed) > 1 {
+			t.Errorf("%q: %d unnamed waivers, want unnamed = %v", tc.comment, len(unnamed), tc.unnamed)
 		}
 	}
 }
@@ -187,7 +195,7 @@ func unsuppressedModuleFindings(t *testing.T) []string {
 				}
 			}
 		}
-		for _, d := range lintPackage(fset, files, info, p.ImportPath, dirs) {
+		for _, d := range lintPackage(fset, files, info, dirs) {
 			if d.Rule == RuleAtomics {
 				continue
 			}
@@ -205,12 +213,9 @@ func unsuppressedModuleFindings(t *testing.T) []string {
 // TestUnsuppressedModuleGolden is the same-findings oracle on real code:
 // with every waiver ignored, each rule but atomics must report exactly
 // what testdata/unsuppressed.golden records. The golden was produced by
-// this helper at commit 2efce5a, before the rules moved onto the shared
-// directive scanner and dataflow walker; a difference means a rule now
-// sees the module differently, not that a line moved. One recorded line
-// was removed by hand: the waived string-keyed map probe in
-// wire.Interner.Resolve, a function deleted in the same change (its twin
-// in ResolveFull is still listed).
+// this helper at commit 2efce5a; a difference means a rule now sees the
+// module differently, not that a line moved. Lines have since left it
+// only with the code or the rule that produced them.
 func TestUnsuppressedModuleGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module; skipped with -short")

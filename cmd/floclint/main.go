@@ -21,26 +21,19 @@
 //	             (atomic.AddInt64(&x, 1) and friends): use the wrapper
 //	             types, whose representation rules out mixed plain access
 //	             and misalignment; copies of them are go vet's to report.
-//	hotpath    — functions annotated //floc:hotpath (the per-packet path)
-//	             must avoid allocation-prone constructs (map iteration,
-//	             defer, fmt/string concatenation, interface boxing,
-//	             escaping closures, make/new, un-preallocated append),
-//	             and every module callee must be annotated //floc:hotpath
-//	             or //floc:coldpath <reason>; see DESIGN.md.
-//	taint      — values derived from //floc:untrusted sources (wire
-//	             bytes, capture records, UDP payloads) must pass through a
-//	             //floc:sanitizes function before reaching an
-//	             array/slice index, slice bound, make size, loop bound,
-//	             map key, or //floc:sink parameter; see DESIGN.md.
 //	exhaustive — switches over //floc:enum types must cover every member
 //	             (count sentinels excluded via //floc:enumbound) or
 //	             carry //floc:nonexhaustive <reason>; a default clause
 //	             does not satisfy the rule.
-//	directive  — a //floc:<name> comment whose name no rule reads is
-//	             reported: a misspelt directive would annotate nothing.
+//	directive  — a //floc:<name> comment whose name no rule reads, and a
+//	             //floclint:allow waiver that names no rule, are reported:
+//	             a misspelling would otherwise annotate or waive nothing.
 //
 // Units are not a rule: internal/units types carry the dimensions and
-// the compiler checks them (DESIGN.md, "Quantities are types").
+// the compiler checks them (DESIGN.md, "Quantities are types"). Nor are
+// per-packet allocation and input bounds: TestZeroAlloc* gates and the
+// decoders' fuzz targets check them on the compiled code (DESIGN.md,
+// "Rule ledger").
 //
 // A finding can be suppressed, with justification, by a trailing or
 // preceding comment: //floclint:allow <rule> [reason].
@@ -236,9 +229,9 @@ func runLint(patterns []string) ([]Diagnostic, error) {
 }
 
 // collectDirectiveTables syntax-parses every non-standard package in the
-// load closure and gathers its floc: directives. The hotpath, taint,
-// eq-guard, and exhaustive rules need them from every module package,
-// linted or not: export data carries no comments.
+// load closure and gathers its floc: directives. The exhaustive rule needs
+// them from every module package, linted or not: export data carries no
+// comments.
 func collectDirectiveTables(pkgs []*listPkg) (*directives, error) {
 	dirs := newDirectives()
 	cfset := token.NewFileSet()
@@ -246,7 +239,6 @@ func collectDirectiveTables(pkgs []*listPkg) (*directives, error) {
 		if p.Standard {
 			continue
 		}
-		dirs.pkgs[p.ImportPath] = true
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(cfset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
 			if err != nil {
@@ -264,7 +256,7 @@ func lintOne(fset *token.FileSet, imp types.Importer, p *listPkg, dirs *directiv
 	if err != nil {
 		return nil, err
 	}
-	return lintPackage(fset, files, info, p.ImportPath, dirs), nil
+	return lintPackage(fset, files, info, dirs), nil
 }
 
 // loadPackage parses and type-checks one package. Only non-test Go files
@@ -280,10 +272,9 @@ func loadPackage(fset *token.FileSet, imp types.Importer, p *listPkg) ([]*ast.Fi
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Defs:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: imp, FakeImportC: true}
 	if _, err := conf.Check(p.ImportPath, fset, files, info); err != nil {

@@ -1,7 +1,7 @@
 // Package exhaustive seeds violations of the exhaustive rule: switches
 // over a //floc:enum type that omit members, a default clause standing
-// in for coverage (it does not count), a reasonless waiver, and member
-// collection across separate const blocks.
+// in for coverage (it does not count), a reasonless waiver, member
+// collection across separate const blocks, and a misspelt mark.
 package exhaustive
 
 // Kind dispatches frame handling; the set is closed by contract.
@@ -109,6 +109,25 @@ const (
 func overPlain(p plain) int {
 	switch p {
 	case p1:
+		return 1
+	}
+	return 0
+}
+
+// misspelt means floc:enum, but no rule reads the name it spells: the
+// misspelling is the finding, and the partial switch below goes unchecked.
+//
+// floc:enmu // WANT directive
+type misspelt int
+
+const (
+	m1 misspelt = iota
+	m2
+)
+
+func overMisspelt(m misspelt) int {
+	switch m {
+	case m1:
 		return 1
 	}
 	return 0

@@ -1,5 +1,6 @@
 // Package timeviol seeds violations of the sim-time rule: wall-clock
-// reads and math/rand usage in simulation code.
+// reads and math/rand usage in simulation code, and a waiver that names
+// no rule.
 package timeviol
 
 import (
@@ -23,6 +24,12 @@ func Wait() {
 // Jitter draws from the global, unseeded generator.
 func Jitter() float64 {
 	return rand.Float64()
+}
+
+// Misspelt waives nothing: its waiver names no rule, so the wall-clock
+// read is still reported, and so is the waiver.
+func Misspelt() time.Time {
+	return time.Now() //floclint:allow sim-tme the misspelling is the point // WANT sim-time directive
 }
 
 // FixedDuration only does duration arithmetic — no wall-clock read, so

@@ -10,9 +10,8 @@ import (
 
 // TestZeroAllocEnqueueBatch gates the router's steady-state admission
 // path: once a path and its flow exist, running packets through
-// EnqueueBatch (and draining the output queue) must not allocate. This is
-// the dynamic counterpart of floclint's hotpath rule on Enqueue — the
-// rule bans the constructs, this proves the escape analysis agrees.
+// EnqueueBatch (and draining the output queue) must not allocate, as the
+// compiler's escape analysis actually decides it.
 func TestZeroAllocEnqueueBatch(t *testing.T) {
 	r, err := NewRouter(DefaultConfig(1e9, 1024))
 	if err != nil {

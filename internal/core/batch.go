@@ -16,7 +16,6 @@ type BatchItem struct {
 // Enqueue per item in order; the batch form exists so callers that
 // amortize per-batch overhead (the dataplane shards) have a single
 // entry point, and so future batched fast paths have a seam to land in.
-// floc:hotpath
 func (r *Router) EnqueueBatch(items []BatchItem) int {
 	admitted := 0
 	for i := range items {

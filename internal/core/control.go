@@ -16,7 +16,7 @@ import (
 // conformance updates (Eq. IV.6), aggregation (Section IV-C), token-bucket
 // parameter recomputation (Eqs. IV.1-IV.3), and attack-path detection
 // (Section IV-B.1).
-// floc:coldpath the periodic control loop runs once per interval, not per packet
+// The periodic control loop runs once per interval, not per packet.
 func (r *Router) runControl(now float64) {
 	interval := now - r.lastControl
 	if r.controlRuns == 0 || interval <= 0 {
@@ -207,7 +207,6 @@ func (r *Router) classifyPath(ps *pathState, now float64) {
 
 // rttOf returns a path's (scaled, under-estimated) RTT for parameter
 // computation; aggregates use the flow-weighted mean of their members.
-// floc:hotpath
 func (r *Router) rttOf(ps *pathState) float64 {
 	raw := 0.0
 	if ps.members == nil {

@@ -40,13 +40,11 @@ type flowTable struct {
 
 // home returns the position of hash's home slot, where every probe for it
 // starts. The table must have slots, which a table with a live flow has.
-// floc:hotpath
 func (t *flowTable) home(hash uint64) uint64 { return hash & uint64(len(t.slots)-1) }
 
 // get returns the flow's state, or nil. The pointer is into the slab: it
 // is valid until the next put or expire on this table. A probe reads
 // slots only; the slab line is first touched by the caller.
-// floc:hotpath
 func (t *flowTable) get(hash uint64, key flowKey) *flowState {
 	if len(t.states) == 0 {
 		return nil
@@ -65,7 +63,7 @@ func (t *flowTable) get(hash uint64, key flowKey) *flowState {
 
 // put inserts a new flow with zeroed state and returns it. The caller
 // guarantees key is absent.
-// floc:coldpath flow-state creation is a first-packet event
+// Flow-state creation is a first-packet event.
 func (t *flowTable) put(hash uint64, key flowKey) *flowState {
 	if len(t.states) == cap(t.states) {
 		size := len(t.slots) * 2
@@ -118,7 +116,6 @@ func (t *flowTable) resize(size int) {
 }
 
 // len returns the number of live flows.
-// floc:hotpath
 func (t *flowTable) len() int { return len(t.states) }
 
 // all returns the live flows for in-place iteration (deterministic order
@@ -154,7 +151,7 @@ func (t *flowTable) remove(i int) {
 // ones in place, returning how many it deleted. This is the table's only
 // deletion point, at control-run boundaries. The table is rebuilt only to
 // shrink, when occupancy falls below 1/8.
-// floc:coldpath flow expiry runs in the control loop
+// Flow expiry runs in the control loop.
 func (t *flowTable) expire(keep func(fs *flowState) bool) (expired int) {
 	for i := 0; i < len(t.states); {
 		if keep(&t.states[i]) {
@@ -196,7 +193,6 @@ type slotTable struct {
 }
 
 // get returns the flow's cached slot and salted hash.
-// floc:hotpath
 func (t *slotTable) get(hash uint64, id netsim.FlowID) (slot uint32, salted uint64, ok bool) {
 	if t.n == 0 {
 		return 0, 0, false
@@ -214,7 +210,7 @@ func (t *slotTable) get(hash uint64, id netsim.FlowID) (slot uint32, salted uint
 }
 
 // put caches a freshly issued slot. The caller guarantees id is absent.
-// floc:coldpath capability issue happens once per flow, not per packet
+// Capability issue happens once per flow, not per packet.
 func (t *slotTable) put(hash uint64, id netsim.FlowID, slot uint32, salted uint64) {
 	if len(t.entries) == 0 {
 		t.entries = make([]slotEntry, flowTableMinSize)

@@ -45,7 +45,6 @@ func newPathTable() *pathTable {
 // HandleTag returns the router tag a handle carries in its high bits, or
 // 0 for a value no router issues (no index). Two handles minted by one
 // router share a tag; a sharded dataplane routes on it.
-// floc:hotpath
 func HandleTag(h uint32) uint32 {
 	if h&handleIndexMask == 0 {
 		return 0
@@ -59,7 +58,6 @@ func (r *Router) HandleTag() uint32 { return r.origins.tag }
 // byHandle resolves a handle to its live path state, or nil for foreign,
 // out-of-range, or expired handles (all of which the caller treats as a
 // cache miss).
-// floc:hotpath
 func (t *pathTable) byHandle(h uint32) *pathState {
 	if h&^uint32(handleIndexMask) != t.tag {
 		return nil
@@ -73,7 +71,7 @@ func (t *pathTable) byHandle(h uint32) *pathState {
 
 // intern binds key to a handle (issuing one on first sight) without
 // creating any path state. Returns 0 when the dense space is exhausted.
-// floc:coldpath handle binding happens once per path, not per packet
+// Handle binding happens once per path, not per packet.
 func (t *pathTable) intern(key string) uint32 {
 	if h, ok := t.byKey[key]; ok {
 		return h
@@ -88,7 +86,7 @@ func (t *pathTable) intern(key string) uint32 {
 }
 
 // lookup returns the live state for key, or nil.
-// floc:coldpath first-packet and control-plane lookups only
+// First-packet and control-plane lookups only.
 func (t *pathTable) lookup(key string) *pathState {
 	if h, ok := t.byKey[key]; ok {
 		return t.states[int(h&handleIndexMask)-1]
@@ -97,7 +95,7 @@ func (t *pathTable) lookup(key string) *pathState {
 }
 
 // put stores a freshly created state under key, assigning its handle.
-// floc:coldpath path-state creation is a first-packet event
+// Path-state creation is a first-packet event.
 func (t *pathTable) put(key string, ps *pathState) {
 	if h := t.intern(key); h != 0 {
 		ps.handle = h
@@ -113,7 +111,7 @@ func (t *pathTable) put(key string, ps *pathState) {
 
 // remove expires a state. Dense entries keep their key→handle binding
 // (see the package comment above); overflow entries are forgotten.
-// floc:coldpath expiry runs in the control loop
+// Expiry runs in the control loop.
 func (t *pathTable) remove(ps *pathState) {
 	if ps.handle != 0 {
 		t.states[int(ps.handle&handleIndexMask)-1] = nil

@@ -30,7 +30,6 @@ const prefetchWindow = 64
 //
 // The returned word folds every loaded value so the loads cannot be
 // discarded as dead; callers keep it in memory they own and never read it.
-// floc:hotpath
 func (r *Router) Prefetch(items []BatchItem) uint64 {
 	var warm uint64
 	for len(items) > prefetchWindow {
@@ -41,7 +40,6 @@ func (r *Router) Prefetch(items []BatchItem) uint64 {
 }
 
 // prefetch stages one window of at most prefetchWindow items.
-// floc:hotpath
 func (r *Router) prefetch(items []BatchItem) uint64 {
 	var (
 		paths  [prefetchWindow]*pathState

@@ -48,7 +48,6 @@ var dropReasonNames = [numDropReasons]string{
 
 // String returns the reason's stable label, shared by Snapshot.Drops and
 // the telemetry PacketDropped event's Reason field.
-// floc:hotpath
 func (d DropReason) String() string {
 	if d < numDropReasons {
 		return dropReasonNames[d]

@@ -34,7 +34,6 @@ const (
 )
 
 // String implements fmt.Stringer.
-// floc:hotpath
 func (m Mode) String() string {
 	switch m {
 	case ModeUncongested:
@@ -112,7 +111,6 @@ type flowState struct {
 
 // offeredRate returns the flow's best current estimate of its send rate
 // in tokens/second.
-// floc:hotpath
 func (fs *flowState) offeredRate(controlInterval float64) float64 {
 	rate := fs.arrivedRate
 	if cur := fs.arrived / controlInterval; cur > rate {
@@ -170,7 +168,6 @@ type pathState struct {
 }
 
 // effective returns the path identifier that owns this path's bucket.
-// floc:hotpath
 func (p *pathState) effective() *pathState {
 	if p.aggregate != nil {
 		return p.aggregate
@@ -179,7 +176,6 @@ func (p *pathState) effective() *pathState {
 }
 
 // flowCount returns the number of live flows (aggregates sum members).
-// floc:hotpath
 func (p *pathState) flowCount() int {
 	if p.members == nil {
 		return p.flows.len()
@@ -270,7 +266,6 @@ func NewRouter(cfg Config) (*Router, error) {
 }
 
 // Mode returns the current queue mode.
-// floc:hotpath
 func (r *Router) Mode() Mode {
 	q := float64(r.fifo.Len())
 	switch {
@@ -309,7 +304,6 @@ func (r *Router) ControlRuns() int { return r.controlRuns }
 // acctKey computes a packet's flow accounting identity and hash. One
 // FlowHash per packet: in capability mode the slot table caches the
 // pre-salted accounting hash alongside the slot.
-// floc:hotpath
 func (r *Router) acctKey(pkt *netsim.Packet) (flowKey, uint64) {
 	if r.issuer == nil {
 		k := flowKey{src: pkt.Src, id: pkt.Dst}
@@ -327,7 +321,7 @@ func (r *Router) acctKey(pkt *netsim.Packet) (flowKey, uint64) {
 // openSlot issues a capability for a flow's first packet and caches its
 // fan-out slot plus the salted accounting hash (salted so slot ids don't
 // collide with destination addresses).
-// floc:coldpath capability issue happens once per flow, not per packet
+// Capability issue happens once per flow, not per packet.
 func (r *Router) openSlot(pkt *netsim.Packet, fid netsim.FlowID, h uint64) (uint32, uint64) {
 	c := r.issuer.Issue(pkt.Src, pkt.Dst, pkt.Path)
 	slot := uint32(c.Slot)
@@ -342,7 +336,7 @@ func (r *Router) openSlot(pkt *netsim.Packet, fid netsim.FlowID, h uint64) (uint
 // using string keys). Producers stamp the handle into Packet.PathHandle
 // so steady-state admission needs no hashing at all. No path state is
 // created: that stays lazy, on the first packet.
-// floc:coldpath interning happens once per path per producer
+// Interning happens once per path per producer.
 func (r *Router) InternPath(path pathid.PathID) uint32 {
 	return r.origins.intern(path.Key())
 }
@@ -350,7 +344,6 @@ func (r *Router) InternPath(path pathid.PathID) uint32 {
 // origin returns (creating if necessary) the origin path state for pkt.
 // Resolution order: dense handle (no hashing), then the cold miss path
 // (packets that carry no handle: simulator sources and tests).
-// floc:hotpath
 func (r *Router) origin(pkt *netsim.Packet, now float64) *pathState {
 	if h := pkt.PathHandle; h != 0 {
 		if ps := r.origins.byHandle(h); ps != nil {
@@ -366,7 +359,7 @@ func (r *Router) origin(pkt *netsim.Packet, now float64) *pathState {
 // originMiss is origin's slow path: packets without a handle (probed by
 // key, rendered first if the packet carries none) and the first packet of
 // a path (which builds its state).
-// floc:coldpath key rendering and path-state creation happen off the keyed fast path
+// Key rendering and path-state creation happen off the keyed fast path.
 func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 	key := pkt.PathKey
 	if key == "" {
@@ -406,7 +399,6 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 // The queue-mode edge detector runs inside admit's and drop's telemetry
 // blocks — every packet ends in exactly one of the two — so it sees the
 // post-decision queue length without a wrapper call on the hot path.
-// floc:hotpath
 func (r *Router) Enqueue(pkt *netsim.Packet, now float64) bool {
 	if now-r.lastControl >= r.cfg.ControlInterval {
 		r.runControl(now)
@@ -506,7 +498,6 @@ func (r *Router) Enqueue(pkt *netsim.Packet, now float64) bool {
 
 // sizeBucket switches a path's bucket between N' (congested) and N
 // (flooding) as the router mode changes.
-// floc:hotpath
 func (r *Router) sizeBucket(eff *pathState, flooding bool) {
 	if eff.bucketFlood == flooding {
 		return
@@ -530,7 +521,6 @@ const minBucketTokens = 2
 
 // normalizeBucket floors the bucket at minBucketTokens while preserving
 // the admitted rate (size/period) by stretching the period with it.
-// floc:hotpath
 func normalizeBucket(period, size float64) (outPeriod, outSize float64) {
 	if size >= minBucketTokens {
 		return period, size
@@ -542,7 +532,6 @@ func normalizeBucket(period, size float64) (outPeriod, outSize float64) {
 // preferentialDrop applies the attack-flow preferential drop policy
 // (Eq. IV.5 with the Section V-B drop-record filter). It returns true if
 // the packet was dropped.
-// floc:hotpath
 func (r *Router) preferentialDrop(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, now float64) bool {
 	if r.cfg.DisablePreferentialDrop {
 		return false
@@ -588,7 +577,6 @@ func (r *Router) preferentialDrop(pkt *netsim.Packet, orig, eff *pathState, fs *
 // fairShare returns the per-flow fair bandwidth (tokens/second) of a
 // path identifier, floored at one packet per RTT: a responsive flow
 // cannot run below that, so the penalty machinery never demands it.
-// floc:hotpath
 func (r *Router) fairShare(eff *pathState) float64 {
 	n := eff.flowCount()
 	if n < 1 {
@@ -619,7 +607,6 @@ func (r *Router) FlowExcess(src, dst uint32, path pathid.PathID, now float64) fl
 }
 
 // admit puts the packet on the physical queue and meters the flow.
-// floc:hotpath
 func (r *Router) admit(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, tokens, now float64) bool {
 	if !r.fifo.Enqueue(pkt, now) {
 		// Physical overflow: the effective path still pays for it.
@@ -641,7 +628,6 @@ func (r *Router) admit(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, 
 // take it, emits its trace event. A separate method so admit's
 // disabled-telemetry path pays one branch and keeps its pre-telemetry
 // stack frame.
-// floc:hotpath
 func (r *Router) observeAdmit(orig *pathState, fs *flowState, now float64) {
 	// arrived == admitted + dropped, so metering it here and in drop
 	// spares the admission body a separate telemetry branch per packet.
@@ -665,7 +651,6 @@ func (r *Router) observeAdmit(orig *pathState, fs *flowState, now float64) {
 
 // observeDrop meters a dropped packet and emits its trace event; the
 // same frame-size consideration as observeAdmit applies.
-// floc:hotpath
 func (r *Router) observeDrop(orig *pathState, fs *flowState, now float64, reason DropReason) {
 	r.met.arrived.Inc()
 	r.met.drops[reason].Inc()
@@ -687,7 +672,6 @@ func (r *Router) observeDrop(orig *pathState, fs *flowState, now float64, reason
 
 // epoch returns a path's congestion epoch (W/2 * RTT == RefMTD) for the
 // drop filter, floored to the filter tick.
-// floc:hotpath
 func (r *Router) epoch(eff *pathState) float64 {
 	e := eff.params.RefMTD
 	if e < r.epochFloor {
@@ -697,7 +681,6 @@ func (r *Router) epoch(eff *pathState) float64 {
 }
 
 // filterK returns the array-selection parameter for a path's flows.
-// floc:hotpath
 func (r *Router) filterK(eff *pathState) int {
 	if eff.attack && r.cfg.FilterK > 0 {
 		return r.cfg.FilterK
@@ -718,7 +701,6 @@ func (r *Router) filterK(eff *pathState) int {
 // filter's saturation point and push its admitted rate far below the fair
 // share, instead of converging at the paper's equilibrium
 // alpha*(1-P_pd) = 1 (admitted == fair share).
-// floc:hotpath
 func (r *Router) drop(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, now float64, reason DropReason) {
 	r.dropCounts[reason]++
 	eff.drops++
@@ -750,7 +732,6 @@ func (r *Router) drop(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, n
 }
 
 // Dequeue implements netsim.Discipline.
-// floc:hotpath
 func (r *Router) Dequeue(now float64) *netsim.Packet {
 	pkt := r.fifo.Dequeue(now)
 	if telemetry.Compiled && r.tel != nil && pkt != nil {
@@ -762,7 +743,6 @@ func (r *Router) Dequeue(now float64) *netsim.Packet {
 // observeDequeue records the dequeued packet's queue delay and runs the
 // mode-edge detector; a separate method so Dequeue's disabled-telemetry
 // path stays small.
-// floc:hotpath
 func (r *Router) observeDequeue(now float64) {
 	if at := r.delayQ.pop(); !math.IsNaN(at) {
 		r.met.queueDelay.Observe(now - at)
@@ -771,5 +751,4 @@ func (r *Router) observeDequeue(now float64) {
 }
 
 // Len implements netsim.Discipline.
-// floc:hotpath
 func (r *Router) Len() int { return r.fifo.Len() }

@@ -133,7 +133,6 @@ func (r *Router) Telemetry() *telemetry.Telemetry { return r.tel }
 // from the last observed one. Called after every enqueue/dequeue while
 // telemetry is attached; mode is pure function of queue length and the
 // thresholds, so this reconstructs every transition.
-// floc:hotpath
 func (r *Router) noteMode(now float64) {
 	m := r.Mode()
 	if m == r.lastMode {
@@ -223,10 +222,8 @@ type timeQueue struct {
 	head int
 }
 
-// floc:hotpath
 func (q *timeQueue) push(t float64) { q.buf = append(q.buf, t) }
 
-// floc:hotpath
 func (q *timeQueue) pop() float64 {
 	if q.head >= len(q.buf) {
 		return math.NaN() // desynced (telemetry attached mid-run); skip

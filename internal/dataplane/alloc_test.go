@@ -11,8 +11,8 @@ import (
 )
 
 // The ring is crossed once per packet in each direction; its push and
-// batched pop carry the //floc:hotpath zero-allocation contract, and so
-// does the way around it: a producer's inline run under the consumer role.
+// batched pop must not allocate, and neither may the way around it: a
+// producer's inline run under the consumer role.
 
 func TestZeroAllocRingOps(t *testing.T) {
 	r := newRing(64)
@@ -180,5 +180,46 @@ func TestZeroAllocQuiesce(t *testing.T) {
 	}
 	if got := shardCounters(e, "floc_dataplane_inline_runs_total"); got != int64(2*runs) {
 		t.Fatalf("%d inline runs over %d quiesces of two shards: the gate did not measure the inline path", got, runs)
+	}
+}
+
+// TestZeroAllocEnqueue: single-packet Enqueue without BlockOnFull into a
+// ring of two — most packets find it full and are dropped and counted,
+// the rest are admitted by the worker — allocates nothing once warm.
+func TestZeroAllocEnqueue(t *testing.T) {
+	e, err := New(Config{Router: testRouterConfig(), Shards: 1, RingSize: 2, Telemetry: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	const nPaths = 4
+	paths, handles := make([]pathid.PathID, nPaths), make([]uint32, nPaths)
+	for p := range paths {
+		paths[p] = pathid.New(pathid.ASN(p), 1)
+		handles[p] = e.InternPath(paths[p])
+	}
+	var pkt netsim.Packet
+	sent := 0
+	offer := func(n int) {
+		for end := sent + n; sent < end; sent++ {
+			p := sent % nPaths
+			pkt = netsim.Packet{ID: uint64(sent), Src: 1, Dst: 2, Size: 1000, Kind: netsim.KindUDP,
+				Path: paths[p], PathHandle: handles[p]}
+			e.Enqueue(&pkt, float64(sent)*1e-5)
+		}
+		for st := e.Stats(); st.Processed != st.Accepted; st = e.Stats() {
+			runtime.Gosched()
+		}
+	}
+	offer(20_000)
+	before := e.Stats()
+	const perRun = 2048
+	if avg := testing.AllocsPerRun(10, func() { offer(perRun) }); avg != 0 {
+		t.Fatalf("Enqueue of %d packets allocates %.0f times, want 0", perRun, avg)
+	}
+	st := e.Stats()
+	if st.Accepted == before.Accepted || st.RingDrops == before.RingDrops {
+		t.Fatalf("accepted %d and dropped %d while measured: the ring never filled or never drained",
+			st.Accepted-before.Accepted, st.RingDrops-before.RingDrops)
 	}
 }

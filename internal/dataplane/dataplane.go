@@ -188,7 +188,6 @@ type shardSink struct {
 	dst   telemetry.EventSink
 }
 
-// floc:hotpath
 func (s *shardSink) Emit(e telemetry.Event) {
 	e.Shard = s.shard
 	s.dst.Emit(e)
@@ -285,7 +284,6 @@ type packetSlots struct {
 
 // load copies the item's packet into a slot off the free list, allocating a
 // chunk first if the list is empty, and points dst at the slot.
-// floc:hotpath
 func (s *packetSlots) load(dst *core.BatchItem, it *ringItem) {
 	if len(s.free) == 0 {
 		s.grow()
@@ -297,19 +295,18 @@ func (s *packetSlots) load(dst *core.BatchItem, it *ringItem) {
 }
 
 // release returns a slot the shard is done with to the free list.
-// floc:hotpath
 func (s *packetSlots) release(p *netsim.Packet) { s.free = append(s.free, p) }
 
 // reclaim returns every lent slot to the free list. Call it only once a
 // Flush issued after their Emit has returned.
-// floc:hotpath
 func (s *packetSlots) reclaim() {
 	s.free = append(s.free, s.lent...)
 	s.lent = s.lent[:0]
 }
 
-// grow allocates the next slotChunk slots onto the free list.
-// floc:coldpath one allocation per slotChunk packets the shard holds at once or hands to a sink that keeps them
+// grow allocates the next slotChunk slots onto the free list: one
+// allocation per slotChunk packets the shard holds at once or hands to a
+// sink that keeps them.
 func (s *packetSlots) grow() {
 	chunk := make([]netsim.Packet, slotChunk)
 	for i := range chunk {
@@ -423,10 +420,7 @@ func (e *Engine) ShardOf(path pathid.PathID) int {
 // sequence) onto [0, n). FNV is enough here: path identifiers are
 // assigned by topology, not chosen by the attacker per-packet — a flow
 // cannot re-shard itself by varying header bytes the router would reject.
-// That argument only holds for validated paths, so the parameter is a
-// declared taint sink: raw wire paths must pass a sanitizer first.
-// floc:hotpath
-// floc:sink path shard-hash
+// Any path maps into [0, n), so no input can index past the shards.
 func pathShard(path pathid.PathID, n int) int {
 	const (
 		offset64 = 14695981039346656037
@@ -448,7 +442,6 @@ func pathShard(path pathid.PathID, n int) int {
 // mints a handle on the shard its path hashes to, so the tag names that
 // shard without hashing anything. A packet without a handle, or with one
 // no shard of this engine issued, is routed by the path hash itself.
-// floc:hotpath
 func (e *Engine) shardFor(pkt *netsim.Packet) int {
 	if tag := core.HandleTag(pkt.PathHandle); tag != 0 {
 		for i, t := range e.tags {
@@ -467,7 +460,6 @@ func (e *Engine) shardFor(pkt *netsim.Packet) int {
 // only if the engine closes while it does. Or the engine was already
 // closed when Enqueue was called: that only the return value reports.
 // Either way the caller may reuse its packet as soon as Enqueue returns.
-// floc:hotpath
 func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
 	if e.closed.Load() {
 		return false
@@ -488,7 +480,6 @@ func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
 // BlockOnFull it never does; with it, it wakes the worker and yields to
 // it, and says yes until the engine closes. A no is a packet dropped, and
 // counted here; so is every yield.
-// floc:hotpath
 func (e *Engine) ringFull(sh *shard) (retry bool) {
 	if e.cfg.BlockOnFull {
 		if sh.yieldCtr != nil {
@@ -505,7 +496,6 @@ func (e *Engine) ringFull(sh *shard) (retry bool) {
 }
 
 // countRingDrops counts n packets dropped at sh's ring.
-// floc:hotpath
 func (sh *shard) countRingDrops(n int) {
 	sh.ringDrops.Add(int64(n))
 	if sh.dropCtr != nil {
@@ -546,7 +536,6 @@ func (e *Engine) NewBurst() *Burst {
 // per packet — ring full, engine closed — is decided when the run is
 // flushed and shows in Stats. The caller may reuse its packet as soon as
 // Enqueue returns.
-// floc:hotpath
 func (b *Burst) Enqueue(pkt *netsim.Packet, now float64) {
 	i := b.e.shardFor(pkt)
 	// Copied field-wise into the run's next element, not appended as a
@@ -562,7 +551,6 @@ func (b *Burst) Enqueue(pkt *netsim.Packet, now float64) {
 
 // Flush hands every buffered packet to its ring: hand off and keep
 // producing. The shard workers process beside the producer.
-// floc:hotpath
 func (b *Burst) Flush() {
 	for i, run := range b.runs {
 		if len(run) > 0 {
@@ -588,7 +576,6 @@ func (b *Burst) Flush() {
 // When Quiesce returns, every packet it processed inline has been
 // admitted and its emissions flushed; the others are in their rings,
 // behind any barrier that follows.
-// floc:hotpath
 func (b *Burst) Quiesce() {
 	held := b.held[:0]
 	var flusher Flusher
@@ -633,7 +620,6 @@ func (b *Burst) Quiesce() {
 // on its way to the role.Lock it will block in; TryLock succeeding is what
 // grants the role, and the role's previous Unlock is what orders the
 // caller behind everything the last holder did.
-// floc:hotpath
 func (sh *shard) takeRole() bool {
 	return sh.sleeping.Load() && sh.role.TryLock()
 }
@@ -643,7 +629,6 @@ func (sh *shard) takeRole() bool {
 // same policy as in Engine.Enqueue; what is still buffered when the engine
 // closes is dropped and counted with the ring's drops, since nobody is
 // left to tell.
-// floc:hotpath
 func (b *Burst) flushRun(i int) {
 	sh, items := b.e.shards[i], b.runs[i]
 	b.runs[i] = items[:0]
@@ -671,7 +656,6 @@ func (b *Burst) flushRun(i int) {
 // that holds the role meanwhile changes nothing in this: it never writes
 // sleeping, and an item it does not drain was published behind its last
 // look, by someone who then found sleeping still set and rang.
-// floc:hotpath
 func (sh *shard) ringWake() {
 	if sh.sleeping.Load() {
 		select {
@@ -757,7 +741,6 @@ func (sh *shard) park() (cmd func(*shard), stopped bool) {
 // on the arrivals before it and on nothing else — in particular not on
 // where dequeueBatch happened to cut the stream, which is what makes a
 // replay reproducible (DESIGN.md "The hand-off").
-// floc:hotpath
 func (sh *shard) process(items []core.BatchItem) {
 	var start time.Time
 	if sh.latHist != nil {
@@ -797,7 +780,6 @@ func (sh *shard) process(items []core.BatchItem) {
 // admitRun admits a quiescing producer's run: len(buf) packets at a time,
 // each copied into a slot first, as drainBatch copies them out of the
 // ring. Where a run is cut into batches changes no decision (process).
-// floc:hotpath
 func (sh *shard) admitRun(run []ringItem) {
 	for len(run) > 0 {
 		n := min(len(run), len(sh.buf))
@@ -811,7 +793,6 @@ func (sh *shard) admitRun(run []ringItem) {
 
 // serve drains the router's output queue through the shard's share of
 // the link until the virtual transmitter catches up with now.
-// floc:hotpath
 func (sh *shard) serve(now float64) {
 	for sh.free <= now {
 		pkt := sh.router.Dequeue(sh.free)
@@ -835,7 +816,6 @@ func (sh *shard) serve(now float64) {
 
 // flushEgress flushes a buffering sink if this shard has emitted into it
 // since the last flush, and takes back what it emitted.
-// floc:hotpath
 func (sh *shard) flushEgress() {
 	if len(sh.slots.lent) != 0 {
 		sh.flusher.Flush()
@@ -845,7 +825,6 @@ func (sh *shard) flushEgress() {
 
 // drainBatch moves up to len(buf) packets out of the ring into slots and
 // admits them. It reports whether the ring had any.
-// floc:hotpath
 func (sh *shard) drainBatch() bool {
 	n := sh.ring.dequeueBatch(sh.buf, &sh.slots)
 	if n == 0 {
@@ -859,7 +838,6 @@ func (sh *shard) drainBatch() bool {
 // every batch as the worker loop does — before commands and at shutdown,
 // so barriers see every packet enqueued before them, and ahead of a
 // quiescing producer's run.
-// floc:hotpath
 func (sh *shard) drainRing() {
 	for sh.drainBatch() {
 		sh.flushEgress()
@@ -962,7 +940,7 @@ func (sh *shard) publishLimitCount() {
 // since Enqueue routes a path's packets to that same shard, the handle is
 // always presented to the router that minted it — and Enqueue can route
 // by the handle alone (shardFor).
-// floc:coldpath a barrier on the owning shard: call once per path, not per packet
+// A barrier on the owning shard: call once per path, not per packet.
 func (e *Engine) InternPath(path pathid.PathID) uint32 {
 	var handle uint32
 	e.onOwner(path, func(sh *shard) { handle = sh.router.InternPath(path) })

@@ -49,7 +49,6 @@ func newRing(size int) *ring {
 // tryEnqueue copies one packet into the ring. It returns false when the
 // ring is full — the caller decides whether to drop (accounted) or back
 // off.
-// floc:hotpath
 func (r *ring) tryEnqueue(pkt *netsim.Packet, at float64) bool {
 	pos := r.enq.Load()
 	for {
@@ -81,7 +80,6 @@ func (r *ring) tryEnqueue(pkt *netsim.Packet, at float64) bool {
 // free slot is never behind an occupied one — which lets one CAS claim the
 // whole run; the slots are then published one by one, in order, exactly
 // as tryEnqueue publishes its one.
-// floc:hotpath
 func (r *ring) tryEnqueueBurst(items []ringItem) int {
 	for len(items) > 0 {
 		pos := r.enq.Load()
@@ -125,7 +123,6 @@ func (r *ring) seal() {
 // dequeueBatch moves up to len(dst) published items out of the ring, each
 // packet straight into a slot taken from slots, and points dst at them.
 // It returns how many it moved. Consumer-only.
-// floc:hotpath
 func (r *ring) dequeueBatch(dst []core.BatchItem, slots *packetSlots) int {
 	n := 0
 	for n < len(dst) {
@@ -145,7 +142,6 @@ func (r *ring) dequeueBatch(dst []core.BatchItem, slots *packetSlots) int {
 // empty reports whether the consumer has caught up with all published
 // items. Consumer-side check; a concurrent producer can make it stale
 // immediately.
-// floc:hotpath
 func (r *ring) empty() bool {
 	s := &r.slots[r.deq&r.mask]
 	return int64(s.seq.Load())-int64(r.deq+1) < 0
@@ -155,7 +151,6 @@ func (r *ring) empty() bool {
 // drained. Consumer-side health sample; the producer cursor counts
 // claimed-but-unpublished slots too, so the value can over-read by the
 // number of producers mid-publish (never under-read).
-// floc:hotpath
 func (r *ring) occupancy() int {
 	return int(r.enq.Load()&^ringSealed - r.deq)
 }

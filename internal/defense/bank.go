@@ -71,7 +71,6 @@ func (b *LimiterBank) Install(handle uint32, rate units.BitsPerSec, expiresAt fl
 // installed and unexpired. Handle 0 (the unknown path) and handles with
 // no limit pass untouched; an expired limit is reaped lazily on first
 // touch. Returns false when the limiter drops the packet.
-// floc:hotpath
 func (b *LimiterBank) Admit(handle uint32, pkt *netsim.Packet, now float64) bool {
 	if handle == 0 {
 		return true
@@ -123,5 +122,4 @@ func (b *LimiterBank) Sweep(now float64) int {
 func (b *LimiterBank) Active() int { return len(b.entries) }
 
 // Drops returns packets dropped by the bank's limiters via Admit.
-// floc:hotpath
 func (b *LimiterBank) Drops() int { return b.drops }

@@ -71,7 +71,6 @@ func (l *Limiter) TakeOfferedBits() units.Bits {
 }
 
 // Enqueue implements netsim.Discipline.
-// floc:hotpath
 func (l *Limiter) Enqueue(pkt *netsim.Packet, now float64) bool {
 	bits := units.FromPacket(pkt.Size)
 	l.offeredBits += bits

@@ -2,8 +2,8 @@ package dropfilter
 
 import "testing"
 
-// RecordDrop and Query are on the router's per-drop path and carry the
-// //floc:hotpath zero-allocation contract. These gates are also the
+// RecordDrop and Query are on the router's per-drop path and must not
+// allocate. These gates are also the
 // regression lock for the arraySpan refactor: arraysFor used to build a
 // fresh []int of array indices on every operation.
 

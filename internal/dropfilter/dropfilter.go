@@ -122,8 +122,6 @@ func (f *Filter) Live() int { return f.live }
 
 // FlowHash hashes a flow identifier (source, destination) to the 64-bit
 // value the filter indexes with (FNV-1a).
-//
-// floc:hotpath
 func FlowHash(src, dst uint32) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -142,8 +140,6 @@ func FlowHash(src, dst uint32) uint64 {
 
 // blockBase returns the index into recs of flow h's record block: the m
 // per-array records start here and are contiguous.
-//
-// floc:hotpath
 func (f *Filter) blockBase(h uint64) uint64 {
 	return (h & f.mask) * uint64(f.cfg.Arrays)
 }
@@ -152,8 +148,6 @@ func (f *Filter) blockBase(h uint64) uint64 {
 // RecordDrop for h starts from — and returns a fold of what it read. It
 // writes nothing and counts nothing: callers use it to pull the block
 // into cache ahead of the operation that needs it.
-//
-// floc:hotpath
 func (f *Filter) Peek(h uint64) uint64 {
 	base := f.blockBase(h)
 	return uint64(f.recs[base].tl) ^ uint64(f.recs[base+uint64(f.cfg.Arrays)-1].tl)
@@ -170,8 +164,6 @@ type arraySpan struct {
 }
 
 // index returns the j'th array of the span.
-//
-// floc:hotpath
 func (s arraySpan) index(j int) int {
 	i := s.start + j
 	if i >= s.m {
@@ -183,8 +175,6 @@ func (s arraySpan) index(j int) int {
 // arraysFor returns which arrays a flow touches when restricted to k of m
 // (probabilistic array selection, Section V-B.5). k <= 0 or k >= m means
 // all arrays.
-//
-// floc:hotpath
 func (f *Filter) arraysFor(h uint64, k int) arraySpan {
 	m := f.cfg.Arrays
 	if k <= 0 || k >= m {
@@ -194,8 +184,6 @@ func (f *Filter) arraysFor(h uint64, k int) arraySpan {
 }
 
 // Ticks quantizes a time in seconds to filter ticks.
-//
-// floc:hotpath
 func (f *Filter) Ticks(now float64) uint32 {
 	if now <= 0 {
 		return 0
@@ -208,8 +196,6 @@ func (f *Filter) Ticks(now float64) uint32 {
 // elapsed since t_l. If d reaches zero the record clears (a legitimate
 // flow's normal drop is removed from the filter). epochTicks is the path's
 // congestion epoch (W/2 * RTT) in ticks.
-//
-// floc:hotpath
 func (f *Filter) decay(r *record, nowTicks, epochTicks uint32) {
 	if r.ts == 0 && r.d == 0 {
 		return // empty
@@ -247,8 +233,6 @@ func (f *Filter) decay(r *record, nowTicks, epochTicks uint32) {
 // probabilistic-update weight (Section V-B.4): the caller samples drops
 // with probability 1/weight and passes the weight here so expectations are
 // preserved; use 1 for exact recording.
-//
-// floc:hotpath
 func (f *Filter) RecordDrop(h uint64, now, epoch float64, k int, weight uint32) {
 	f.recordOps++
 	if weight < 1 {
@@ -307,8 +291,6 @@ type State struct {
 // (extra drops per congestion epoch).
 //
 // floc:eq V-B.2 (P_e = d/t_s)
-//
-// floc:hotpath
 func (s State) Excess() float64 {
 	if s.TS == 0 {
 		return 0
@@ -328,8 +310,6 @@ func (s State) Excess() float64 {
 // a 64x flow saturating d at 63 with t_s=1 gives P_pd = 63/64 = 0.984.
 //
 // floc:eq V.1 (P_pd = d/(t_s+d))
-//
-// floc:hotpath
 func (s State) PrefDropProb() float64 {
 	if s.D == 0 {
 		return 0
@@ -341,8 +321,6 @@ func (s State) PrefDropProb() float64 {
 // read-consistently (without mutating the stored records) and taking the
 // minimum d across the flow's arrays (the counting-Bloom conservative
 // read). k must match the k used for RecordDrop for this flow's path.
-//
-// floc:hotpath
 func (f *Filter) Query(h uint64, now, epoch float64, k int) State {
 	return f.QueryTicks(h, f.Ticks(now), f.Ticks(epoch), k)
 }
@@ -350,8 +328,6 @@ func (f *Filter) Query(h uint64, now, epoch float64, k int) State {
 // QueryTicks is Query with the time and the congestion epoch already in
 // ticks (see Ticks), for callers that query many flows of one path at one
 // instant and quantize once.
-//
-// floc:hotpath
 func (f *Filter) QueryTicks(h uint64, nowTicks, epochTicks uint32, k int) State {
 	f.queryOps++
 	if epochTicks == 0 {
@@ -387,8 +363,6 @@ func (f *Filter) QueryTicks(h uint64, nowTicks, epochTicks uint32, k int) State 
 }
 
 // decayCopy is decay without live-count bookkeeping, for query-time copies.
-//
-// floc:hotpath
 func (f *Filter) decayCopy(r *record, nowTicks, epochTicks uint32) {
 	if r.ts == 0 && r.d == 0 {
 		return

@@ -46,14 +46,12 @@ func SetHandler(h func(violation string)) (prev func(string)) {
 
 // fail reports one violation through the current handler.
 //
-// floc:coldpath violation reporting formats once and then panics
+// Violation reporting formats once and then panics.
 func fail(format string, args ...any) {
 	handler(fmt.Sprintf(format, args...))
 }
 
 // Finite checks that v is neither NaN nor infinite.
-//
-// floc:hotpath
 func Finite(name string, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		fail("%s: non-finite value %v", name, v)
@@ -62,8 +60,6 @@ func Finite(name string, v float64) {
 
 // NonNegative checks that v is a finite value >= 0. Negative MTDs,
 // allocations, rates, or queue depths have no meaning in the model.
-//
-// floc:hotpath
 func NonNegative(name string, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 		fail("%s: negative or non-finite value %v", name, v)
@@ -71,8 +67,6 @@ func NonNegative(name string, v float64) {
 }
 
 // Positive checks that v is a finite value > 0.
-//
-// floc:hotpath
 func Positive(name string, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 		fail("%s: non-positive or non-finite value %v", name, v)
@@ -81,8 +75,6 @@ func Positive(name string, v float64) {
 
 // Conformance01 checks that a conformance measure (Eq. IV.6) or any other
 // probability-like quantity lies in [0, 1].
-//
-// floc:hotpath
 func Conformance01(name string, v float64) {
 	if math.IsNaN(v) || v < 0 || v > 1 {
 		fail("%s: value %v outside [0, 1]", name, v)
@@ -90,8 +82,6 @@ func Conformance01(name string, v float64) {
 }
 
 // InRange checks lo <= v <= hi.
-//
-// floc:hotpath
 func InRange(name string, v, lo, hi float64) {
 	if math.IsNaN(v) || v < lo || v > hi {
 		fail("%s: value %v outside [%v, %v]", name, v, lo, hi)
@@ -103,8 +93,6 @@ func InRange(name string, v, lo, hi float64) {
 // granted + denied up to float accumulation error), and no component is
 // negative. A drift here means admitted bandwidth no longer matches the
 // computed allocation (Eqs. IV.1-IV.3).
-//
-// floc:hotpath
 func TokensConserved(name string, requested, granted, denied float64) {
 	if requested < 0 || granted < 0 || denied < 0 {
 		fail("%s: negative token count (requested=%v granted=%v denied=%v)",
@@ -122,8 +110,6 @@ func TokensConserved(name string, requested, granted, denied float64) {
 
 // True checks an arbitrary condition, for invariants that are not simple
 // numeric ranges (e.g. saturating-counter bounds on integer fields).
-//
-// floc:hotpath
 func True(name string, cond bool) {
 	if !cond {
 		fail("%s: condition violated", name)

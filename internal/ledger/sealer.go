@@ -107,7 +107,8 @@ func (s *Sealer) openEvents() error {
 // Emit implements telemetry.EventSink: buffer the event's canonical
 // encoding, and seal the pending segment when a control run completes.
 //
-// floc:coldpath forensic sealing is an opt-in excursion; encoding and hashing evidence is its whole point and never runs when no ledger is attached
+// Forensic sealing is an opt-in excursion: encoding and hashing evidence
+// is its whole point, and it never runs when no ledger is attached.
 func (s *Sealer) Emit(e telemetry.Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -133,7 +134,7 @@ func (s *Sealer) Emit(e telemetry.Event) {
 // past the budget, spill the buffered lines, and append the chained
 // record. Caller holds s.mu.
 //
-// floc:coldpath sealing runs once per control-run boundary, never per packet
+// Sealing runs once per control-run boundary, never per packet.
 func (s *Sealer) seal(controlRun uint64, flags uint32) {
 	if s.count == 0 || s.err != nil {
 		return
@@ -185,7 +186,7 @@ func (s *Sealer) seal(controlRun uint64, flags uint32) {
 
 // rotate advances to the next numbered events file. Caller holds s.mu.
 //
-// floc:coldpath rotation happens at most once per sealed segment
+// Rotation happens at most once per sealed segment.
 func (s *Sealer) rotate() {
 	if err := s.ew.Flush(); err != nil {
 		s.err = fmt.Errorf("ledger: flushing events: %w", err)

@@ -145,7 +145,6 @@ func NewFIFO(capacity int) *FIFO {
 }
 
 // Enqueue implements Discipline.
-// floc:hotpath
 func (f *FIFO) Enqueue(pkt *Packet, _ float64) bool {
 	if f.Len() >= f.cap {
 		return false
@@ -155,7 +154,6 @@ func (f *FIFO) Enqueue(pkt *Packet, _ float64) bool {
 }
 
 // Dequeue implements Discipline.
-// floc:hotpath
 func (f *FIFO) Dequeue(_ float64) *Packet {
 	if f.head >= len(f.q) {
 		return nil
@@ -175,7 +173,6 @@ func (f *FIFO) Dequeue(_ float64) *Packet {
 }
 
 // Len implements Discipline.
-// floc:hotpath
 func (f *FIFO) Len() int { return len(f.q) - f.head }
 
 // Cap returns the queue capacity in packets.

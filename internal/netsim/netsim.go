@@ -126,7 +126,6 @@ type Packet struct {
 }
 
 // Flow returns the packet's flow identity.
-// floc:hotpath
 func (p *Packet) Flow() FlowID { return FlowID{Src: p.Src, Dst: p.Dst} }
 
 // Endpoint consumes packets delivered by a link.

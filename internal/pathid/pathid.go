@@ -65,15 +65,13 @@ func (p PathID) String() string { return "S[" + p.Key() + "]" }
 // is the strict inverse of Key: it accepts exactly the strings Key
 // produces for non-empty paths (decimal AS numbers without leading
 // zeros, joined by '-'), so Parse(p.Key()) == p and parsed.Key() == s.
-//
-// floc:untrusted s
-// floc:sanitizes
 func Parse(s string) (PathID, error) {
 	if s == "" {
 		return nil, fmt.Errorf("pathid: empty path key")
 	}
 	parts := strings.Split(s, "-")
-	//floclint:allow taint split yields at most one part per input byte, so the allocation is bounded by len(s)
+	// Split yields at most one part per input byte, so the allocation is
+	// bounded by len(s).
 	p := make(PathID, len(parts))
 	for i, part := range parts {
 		if part != "0" && strings.HasPrefix(part, "0") {
@@ -89,7 +87,6 @@ func Parse(s string) (PathID, error) {
 }
 
 // Equal reports whether two path identifiers are identical.
-// floc:hotpath
 func (p PathID) Equal(q PathID) bool {
 	if len(p) != len(q) {
 		return false

@@ -46,7 +46,6 @@ func splitMix64(x *uint64) uint64 {
 }
 
 // Uint64 returns the next 64 uniformly random bits.
-// floc:hotpath
 func (s *Source) Uint64() uint64 {
 	result := rotl(s.s[1]*5, 7) * 9
 
@@ -61,7 +60,6 @@ func (s *Source) Uint64() uint64 {
 	return result
 }
 
-// floc:hotpath
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
 
 // Split returns a new Source whose stream is statistically independent of
@@ -71,7 +69,6 @@ func (s *Source) Split() *Source {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-// floc:hotpath
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }

@@ -84,7 +84,6 @@ func NewEWMA(beta float64) *EWMA {
 }
 
 // Add incorporates one observation and returns the updated average.
-// floc:hotpath
 func (e *EWMA) Add(x float64) float64 {
 	if !e.init {
 		e.value, e.init = x, true
@@ -95,11 +94,9 @@ func (e *EWMA) Add(x float64) float64 {
 }
 
 // Value returns the current average (0 before any sample).
-// floc:hotpath
 func (e *EWMA) Value() float64 { return e.value }
 
 // Initialized reports whether at least one sample has been added.
-// floc:hotpath
 func (e *EWMA) Initialized() bool { return e.init }
 
 // Set forces the average to v and marks it initialized.

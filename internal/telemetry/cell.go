@@ -62,7 +62,6 @@ func (c *Counter) Cell() *CounterCell {
 }
 
 // Inc adds one.
-// floc:hotpath
 func (c *CounterCell) Inc() { c.v.Store(c.v.Load() + 1) }
 
 // HistogramCell is one writer's share of a Histogram, with the same
@@ -89,7 +88,6 @@ func (h *Histogram) Cell() *HistogramCell {
 
 // Observe records one sample, in the bucket Histogram.Observe would
 // have put it.
-// floc:hotpath
 func (c *HistogramCell) Observe(v float64) {
 	n := &c.counts[bucket(c.bounds, v)]
 	n.Store(n.Load() + 1)
@@ -101,7 +99,6 @@ func (c *HistogramCell) Observe(v float64) {
 // compares false with every bound. A linear scan: histograms here have
 // at most ten bounds, and sort.Search's closure call per probe costs
 // more than the comparisons it saves.
-// floc:hotpath
 func bucket(bounds []float64, v float64) int {
 	i := 0
 	for i < len(bounds) && !(bounds[i] >= v) {

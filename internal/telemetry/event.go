@@ -144,7 +144,6 @@ func NewTrace(capacity int) *Trace {
 func (t *Trace) SetDropCounter(c *Counter) { t.dropped = c }
 
 // Add appends one event, overwriting the oldest if the ring is full.
-// floc:hotpath
 func (t *Trace) Add(e Event) {
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, e)

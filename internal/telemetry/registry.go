@@ -36,12 +36,10 @@ type Counter struct {
 }
 
 // Inc adds one to the counter.
-// floc:hotpath
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (which must be non-negative for the exposition to stay
 // monotone; this is not enforced on the hot path).
-// floc:hotpath
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count: what Inc and Add put in the counter
@@ -61,7 +59,6 @@ type Gauge struct {
 }
 
 // Set stores v.
-// floc:hotpath
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the last value stored (zero before any Set).
@@ -87,7 +84,6 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one sample.
-// floc:hotpath
 func (h *Histogram) Observe(v float64) {
 	h.counts[bucket(h.bounds, v)].Add(1)
 	h.n.Add(1)

@@ -64,7 +64,6 @@ func New(opts Options) *Telemetry {
 // it unconditionally off the hot path. The nil fast path must stay
 // inlinable — a disabled pipeline's whole budget is one predicted
 // branch — so everything past the receiver check lives in emit.
-// floc:hotpath
 func (t *Telemetry) Emit(e Event) {
 	if t == nil {
 		return
@@ -76,10 +75,8 @@ func (t *Telemetry) Emit(e Event) {
 // sink. A producer that emits per packet asks before it builds the
 // event, so a pipeline with only a registry attached constructs nothing
 // for Emit to discard. t must not be nil.
-// floc:hotpath
 func (t *Telemetry) Journals() bool { return t.Trace != nil || t.Sink != nil }
 
-// floc:hotpath
 func (t *Telemetry) emit(e Event) {
 	if t.Trace != nil {
 		t.Trace.Add(e)

@@ -48,7 +48,7 @@ func New(period, size float64) (*Bucket, error) {
 // SetParams reconfigures the bucket. The new parameters take effect at the
 // next period rollover; the current period's remaining tokens are clamped
 // to the new size.
-// floc:coldpath reconfiguration happens at mode flips and control-run recomputation
+// Reconfiguration happens at mode flips and control-run recomputation.
 func (b *Bucket) SetParams(period, size float64) error {
 	if period <= 0 {
 		return fmt.Errorf("tokenbucket: non-positive period %v", period)
@@ -65,7 +65,6 @@ func (b *Bucket) SetParams(period, size float64) error {
 }
 
 // Period returns the configured token generation period.
-// floc:hotpath
 func (b *Bucket) Period() float64 { return b.period }
 
 // Size returns the configured tokens per period.
@@ -78,7 +77,6 @@ func (b *Bucket) Size() float64 { return b.size }
 // once. `now-periodStart < period` also covers stale calls (now before
 // periodStart makes the difference negative), exactly like the two early
 // returns the slow path retains.
-// floc:hotpath
 func (b *Bucket) advance(now float64) {
 	if b.started && now-b.periodStart < b.period {
 		return
@@ -88,7 +86,7 @@ func (b *Bucket) advance(now float64) {
 
 // advanceSlow initializes the bucket on first use and performs period
 // rollovers.
-// floc:coldpath runs at most once per period boundary, not per take
+// Runs at most once per period boundary, not per take.
 func (b *Bucket) advanceSlow(now float64) {
 	if !b.started {
 		b.started = true
@@ -119,7 +117,6 @@ func (b *Bucket) advanceSlow(now float64) {
 // Take requests n tokens at time now. It returns true and consumes the
 // tokens if the current period still has n available, false otherwise
 // (consuming nothing).
-// floc:hotpath
 func (b *Bucket) Take(now, n float64) bool {
 	b.advance(now)
 	b.requested += n
@@ -164,7 +161,6 @@ func (b *Bucket) Stats() (requested, denied float64, periods int) {
 // TotalGranted returns the cumulative tokens granted since creation (or
 // ResetStats), completing the requested = granted + denied ledger for
 // telemetry.
-// floc:hotpath
 func (b *Bucket) TotalGranted() float64 { return b.totalGranted }
 
 // ResetStats zeroes the cumulative counters, e.g. at the start of a

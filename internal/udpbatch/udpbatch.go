@@ -34,8 +34,6 @@ type frames struct {
 // Add copies a non-empty frame onto the vector and reports whether the
 // vector is now full; a full vector must be flushed before the next Add.
 // frame is not retained.
-//
-// floc:hotpath
 func (f *frames) Add(frame []byte) (full bool) {
 	f.buf = append(f.buf, frame...)
 	f.n++
@@ -44,11 +42,8 @@ func (f *frames) Add(frame []byte) (full bool) {
 }
 
 // Len returns the number of frames waiting for Flush.
-//
-// floc:hotpath
 func (f *frames) Len() int { return f.n }
 
-// floc:hotpath
 func (f *frames) reset() {
 	f.buf = f.buf[:0]
 	f.n = 0

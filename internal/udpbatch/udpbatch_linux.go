@@ -34,7 +34,7 @@ const (
 type Reader struct {
 	rc   syscall.RawConn
 	size int
-	buf  []byte //floc:untrusted
+	buf  []byte
 	msgs [MaxBatch]mmsghdr
 	iovs [MaxBatch]syscall.Iovec
 	poll func(fd uintptr) bool // r.recv, bound once so Read does not allocate
@@ -65,8 +65,6 @@ func NewReader(conn *net.UDPConn, size int) (*Reader, error) {
 // Datagram(0) … Datagram(n-1) are valid until the next Read. The wait is
 // the runtime netpoller's, so closing the connection ends a blocked Read
 // with an error.
-//
-// floc:hotpath
 func (r *Reader) Read() (int, error) {
 	if err := r.rc.Read(r.poll); err != nil {
 		return 0, err
@@ -79,8 +77,6 @@ func (r *Reader) Read() (int, error) {
 
 // recv is Read's body under the netpoller: false means "nothing queued,
 // wait for readability".
-//
-// floc:hotpath
 func (r *Reader) recv(fd uintptr) bool {
 	for {
 		n, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
@@ -101,15 +97,11 @@ func (r *Reader) recv(fd uintptr) bool {
 
 // Datagram returns the i-th datagram of the last Read. The bytes are the
 // sender's: nothing about them has been checked.
-//
-// floc:hotpath
-// floc:untrusted return
 func (r *Reader) Datagram(i int) []byte {
 	off := i * r.size
 	return r.buf[off : off+min(int(r.msgs[i].n), r.size)]
 }
 
-// floc:coldpath error construction happens once, when the socket fails
 func syscallError(call string, errno syscall.Errno) error {
 	return os.NewSyscallError(call, errno)
 }
@@ -156,16 +148,12 @@ func NewWriter(conn *net.UDPConn, frameCap int) (*Writer, error) {
 }
 
 // Segmenting reports whether equal-length runs are still coalesced.
-//
-// floc:hotpath
 func (w *Writer) Segmenting() bool { return w.segment }
 
 // Flush hands every pending frame to the kernel, in order, and empties
 // the vector. It never waits for the socket: a frame the kernel does not
 // take at once — full send buffer, refused or closed connection — is lost,
 // and the call moves on to the next. It returns how many frames were lost.
-//
-// floc:hotpath
 func (w *Writer) Flush() (lost int) {
 	w.lost = 0
 	if w.n > 0 && w.rc.Write(w.poll) != nil {
@@ -182,8 +170,6 @@ func (w *Writer) Flush() (lost int) {
 // message. sendmmsg stops at the first message that fails: send counts
 // that message's frames lost and resumes after it, so a dead peer costs
 // syscalls but never stalls the caller.
-//
-// floc:hotpath
 func (w *Writer) send(fd uintptr) bool {
 	m := w.layOut(0)
 	for j := 0; j < m; {
@@ -219,13 +205,9 @@ func (w *Writer) send(fd uintptr) bool {
 }
 
 // segments returns how many frames message j of the last layOut carries.
-//
-// floc:hotpath
 func (w *Writer) segments(j int) int { return w.first[j+1] - w.first[j] }
 
 // layOut describes frames [from, Len()) as messages msgs[0:m] and returns m.
-//
-// floc:hotpath
 func (w *Writer) layOut(from int) (m int) {
 	for i := from; i < w.n; m++ {
 		size := w.offs[i+1] - w.offs[i]

@@ -8,7 +8,7 @@ import "net"
 // Read.
 type Reader struct {
 	conn *net.UDPConn
-	buf  []byte //floc:untrusted
+	buf  []byte
 	n    int
 }
 
@@ -32,8 +32,6 @@ func (r *Reader) Read() (int, error) {
 
 // Datagram returns the datagram of the last Read. The bytes are the
 // sender's: nothing about them has been checked.
-//
-// floc:untrusted return
 func (r *Reader) Datagram(int) []byte { return r.buf[:r.n] }
 
 // Writer collects frames (Add) and sends them as one datagram each
@@ -52,8 +50,6 @@ func NewWriter(conn *net.UDPConn, frameCap int) (*Writer, error) {
 }
 
 // Segmenting reports whether equal-length runs are coalesced: never, here.
-//
-// floc:hotpath
 func (w *Writer) Segmenting() bool { return false }
 
 // Flush writes every pending frame, in order, and empties the vector. A

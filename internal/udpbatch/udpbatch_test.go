@@ -207,7 +207,7 @@ func TestRefusedPeerCountsLosses(t *testing.T) {
 }
 
 // TestZeroAllocUDPBatch holds the steady-state socket cycle to the
-// //floc:hotpath contract: Add, Flush and Read allocate nothing.
+// per-packet contract: Add, Flush and Read allocate nothing.
 func TestZeroAllocUDPBatch(t *testing.T) {
 	r, w, _ := loopback(t)
 	frames := mixedFrames(t, 200)[140:160] // the tail of a run, then mixed lengths

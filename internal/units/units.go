@@ -33,7 +33,6 @@ const bitsPerByte = 8
 // FromPacket returns the wire size of a packet of sizeBytes bytes, in
 // bits. It is the single blessed bytes→bits conversion; every discipline
 // that meters traffic volume goes through it.
-// floc:hotpath
 func FromPacket(sizeBytes int) Bits { return Bits(sizeBytes) * bitsPerByte }
 
 // Bytes returns the amount in bytes.
@@ -49,7 +48,6 @@ func (b Bits) Per(t Seconds) BitsPerSec {
 }
 
 // Times returns the amount accumulated at rate r over t seconds.
-// floc:hotpath
 func (r BitsPerSec) Times(t Seconds) Bits {
 	if t <= 0 {
 		return 0

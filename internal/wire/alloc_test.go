@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"floc/internal/netsim"
+	"floc/internal/pathid"
 )
 
-// The codec carries a zero-allocation contract on its //floc:hotpath
+// The codec carries a zero-allocation contract on its per-packet
 // functions: decode into a caller-owned Header, marshal into a
 // caller-owned buffer, and steady-state interner hits must not touch the
-// heap. floclint's hotpath rule enforces this statically; these gates
-// enforce it against the compiler's actual escape analysis.
+// heap. These gates enforce it against the compiler's actual escape
+// analysis; the fuzz targets extend it to every input a decoder accepts.
 
 func TestZeroAllocDecode(t *testing.T) {
 	h := sampleHeader()
@@ -190,5 +191,49 @@ func BenchmarkCaptureWrite(b *testing.B) {
 		if err := cw.Write(float64(i)*20/1e6, &h); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestZeroAllocToPacket(t *testing.T) {
+	h := sampleHeader()
+	path := h.PathID()
+	key := path.Key()
+	var pkt netsim.Packet
+	if avg := testing.AllocsPerRun(200, func() {
+		h.ToPacket(&pkt, 1, path, key, 3)
+	}); avg != 0 {
+		t.Fatalf("ToPacket allocates %.1f times per op, want 0", avg)
+	}
+	if pkt.PathKey != key || pkt.Size != int(h.Length) {
+		t.Fatalf("ToPacket filled %+v", pkt)
+	}
+}
+
+// TestZeroAllocDecodeUnseenHeaders: decoding headers whose addresses and
+// paths the decoder has never seen allocates nothing, so Decode keeps no
+// state that grows with the values a sender picks. Every run decodes
+// fresh values, the warm-up included.
+func TestZeroAllocDecodeUnseenHeaders(t *testing.T) {
+	const perRun = 1 << 14
+	h := sampleHeader()
+	buf, err := MarshalAppend(nil, &h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := uint32(0)
+	var got Header
+	if avg := testing.AllocsPerRun(1, func() {
+		for i := 0; i < perRun; i++ {
+			next++
+			h.Src, h.Path[0] = next, pathid.ASN(next)
+			if _, err := MarshalAppend(buf[:0], &h); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Decode(buf, &got); err != nil || got.Src != next {
+				t.Fatalf("decoded src %d, err %v; want %d", got.Src, err, next)
+			}
+		}
+	}); avg != 0 {
+		t.Fatalf("decoding %d unseen headers allocates %.0f times, want 0", perRun, avg)
 	}
 }

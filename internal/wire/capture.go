@@ -64,8 +64,6 @@ func NewCaptureWriter(w io.Writer) *CaptureWriter {
 }
 
 // errCaptureTime reports a time the writer refuses.
-//
-// floc:coldpath error construction is off the codec fast path
 func errCaptureTime(t float64, why string) error {
 	return fmt.Errorf("wire: capture time %v is not %s", t, why)
 }
@@ -74,8 +72,6 @@ func errCaptureTime(t float64, why string) error {
 // last record's and must be ns/1e9, bit for bit, for a whole ns in [0, 2^53)
 // (where float64 holds every ns), so that it reads back exactly: 0.02 is,
 // ten sums of 0.002 are not. It does not allocate.
-//
-// floc:hotpath
 func (cw *CaptureWriter) Write(t float64, h *Header) error {
 	if cw.n > 0 && t < cw.lastT {
 		return errCaptureTime(t, "at or after the previous record's")
@@ -146,8 +142,6 @@ func (cr *CaptureReader) MalformedByKind() [NumErrorKinds]int64 { return cr.malf
 func (cr *CaptureReader) Line() int { return cr.records }
 
 // recordError names the offending record in a strict-mode failure.
-//
-// floc:coldpath error construction is off the codec fast path
 func (cr *CaptureReader) recordError(err error) error {
 	return fmt.Errorf("wire: capture record %d: %w", cr.records, err)
 }
@@ -155,7 +149,7 @@ func (cr *CaptureReader) recordError(err error) error {
 // readPcapHeader consumes the global header, or fails if there is none: the
 // magic, version and link type must match; snaplen and the rest are moot.
 //
-// floc:coldpath once per capture
+// Once per capture.
 func (cr *CaptureReader) readPcapHeader() error {
 	b, err := cr.r.Peek(pcapHeaderLen)
 	if err != nil && err != io.EOF {
@@ -172,10 +166,6 @@ func (cr *CaptureReader) readPcapHeader() error {
 // frame length by the longest header there is. A time is whole ns below
 // 2^53, as the writer writes them, so that float64 holds it before the
 // one rounding of the division.
-//
-// floc:hotpath
-// floc:untrusted rh
-// floc:sanitizes
 func recordHeader(rh []byte) (t float64, frameLen int, err error) {
 	le := binary.LittleEndian
 	sec, nsec, incl, orig := le.Uint32(rh), le.Uint32(rh[4:]), le.Uint32(rh[8:]), le.Uint32(rh[12:])
@@ -196,8 +186,6 @@ func recordHeader(rh []byte) (t float64, frameLen int, err error) {
 // readRecord decodes the next record into h and returns its time, or the
 // kind of its breakage, having consumed it to its declared length or the
 // end of input. Clean EOF and read errors come back bare, ErrKindNone.
-//
-// floc:hotpath
 func (cr *CaptureReader) readRecord(h *Header) (float64, ErrorKind, error) {
 	rh, err := cr.r.Peek(recordHeaderLen)
 	if len(rh) == 0 || (err != nil && err != io.EOF) {
@@ -232,8 +220,6 @@ func (cr *CaptureReader) readRecord(h *Header) (float64, ErrorKind, error) {
 // Next decodes the next record into h and returns its arrival time.
 // io.EOF signals a clean end of capture; any other error names the
 // offending record, unless lenient mode skipped it.
-//
-// floc:hotpath
 func (cr *CaptureReader) Next(h *Header) (float64, error) {
 	if !cr.started {
 		if err := cr.readPcapHeader(); err != nil {

@@ -116,7 +116,6 @@ func (f *ControlFrame) TTL() float64 { return float64(f.TTLMillis) / 1000 }
 
 // ControlEncodedLen returns the exact number of bytes
 // MarshalControlAppend would write.
-// floc:hotpath
 func (f *ControlFrame) ControlEncodedLen() int {
 	n := controlFixedLen
 	for i := 0; i < int(f.NumRecords); i++ {
@@ -128,8 +127,6 @@ func (f *ControlFrame) ControlEncodedLen() int {
 // validateControl checks the frame's encodable range; shared by
 // MarshalControlAppend (reject before writing) and DecodeControl (reject
 // foreign input).
-// floc:hotpath
-// floc:sanitizes
 func validateControl(f *ControlFrame) error {
 	if f.Version != ControlVersion1 {
 		return errValue(ErrVersion, int(f.Version))
@@ -151,8 +148,6 @@ func validateControl(f *ControlFrame) error {
 
 // checkRecordPathLen range-checks one on-wire record path length; the
 // per-record walk must not trust it as a loop bound before this.
-// floc:hotpath
-// floc:sanitizes
 func checkRecordPathLen(p int) error {
 	if p > MaxPathLen {
 		return errRange(ErrPathLen, p, MaxPathLen)
@@ -164,7 +159,6 @@ func checkRecordPathLen(p int) error {
 // extended slice. It does not allocate when dst has spare capacity
 // (allocate once with make([]byte, 0, wire.MaxControlEncodedLen) and
 // reuse).
-// floc:hotpath
 func MarshalControlAppend(dst []byte, f *ControlFrame) ([]byte, error) {
 	if err := validateControl(f); err != nil {
 		return dst, err
@@ -198,10 +192,6 @@ func MarshalControlAppend(dst []byte, f *ControlFrame) ([]byte, error) {
 // DecodeControl is the validation boundary for control-channel bytes: buf
 // is peer-controlled (and a peer may itself be fed by an attacker) until
 // every field is range-checked.
-//
-// floc:hotpath
-// floc:untrusted buf
-// floc:sanitizes
 func DecodeControl(buf []byte, f *ControlFrame) (int, error) {
 	if len(buf) < controlFixedLen {
 		return 0, errShort(len(buf), controlFixedLen)

@@ -191,11 +191,15 @@ func TestZeroAllocControlDecode(t *testing.T) {
 	}
 	var got ControlFrame
 	if avg := testing.AllocsPerRun(200, func() {
-		if _, err := DecodeControl(buf, &got); err != nil {
+		n, err := DecodeControl(buf, &got)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if n != got.ControlEncodedLen() {
+			t.Fatalf("consumed %d bytes but ControlEncodedLen = %d", n, got.ControlEncodedLen())
+		}
 	}); avg != 0 {
-		t.Fatalf("DecodeControl allocates %.1f times per op, want 0", avg)
+		t.Fatalf("DecodeControl and ControlEncodedLen allocate %.1f times per op, want 0", avg)
 	}
 }
 
@@ -251,9 +255,9 @@ func BenchmarkControlDecode(b *testing.B) {
 }
 
 // FuzzControlFrameDecode feeds arbitrary bytes to DecodeControl. It must
-// never panic, and anything it accepts must re-encode to exactly the
-// bytes it consumed (decode is the partial inverse of marshal) — the
-// same identity FuzzWireDecode enforces for data headers.
+// never panic, anything it accepts must decode without allocating, and
+// must re-encode to exactly the bytes it consumed (decode is the partial
+// inverse of marshal) — what FuzzWireDecode enforces for data headers.
 func FuzzControlFrameDecode(f *testing.F) {
 	cf := sampleControlFrame()
 	seed, err := MarshalControlAppend(nil, &cf)
@@ -271,6 +275,9 @@ func FuzzControlFrameDecode(f *testing.F) {
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		if avg := testing.AllocsPerRun(1, func() { _, _ = DecodeControl(data, &frame) }); avg != 0 {
+			t.Fatalf("DecodeControl of an accepted frame allocates %.0f times", avg)
 		}
 		if n != frame.ControlEncodedLen() {
 			t.Fatalf("consumed %d bytes but ControlEncodedLen = %d", n, frame.ControlEncodedLen())

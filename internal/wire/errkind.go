@@ -65,8 +65,6 @@ func (k ErrorKind) String() string {
 
 // KindOfError maps an error to its kind: the sentinel it wraps, or
 // ErrKindNone for nil and errors from outside the codec.
-//
-// floc:coldpath classification runs only for input already rejected
 func KindOfError(err error) ErrorKind {
 	switch {
 	case err == nil:

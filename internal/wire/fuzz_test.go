@@ -30,8 +30,9 @@ func fuzzSeeds(tb testing.TB) [][]byte {
 }
 
 // FuzzWireDecode feeds arbitrary bytes to Decode. Decode must never
-// panic, and anything it accepts must re-encode to exactly the bytes it
-// consumed (decode is the partial inverse of marshal).
+// panic, anything it accepts must decode without allocating, and must
+// re-encode to exactly the bytes it consumed (decode is the partial
+// inverse of marshal). Rejections build their error and may allocate.
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -46,6 +47,9 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		if avg := testing.AllocsPerRun(1, func() { _, _ = Decode(data, &h) }); avg != 0 {
+			t.Fatalf("Decode of an accepted header allocates %.0f times", avg)
 		}
 		if n != h.EncodedLen() {
 			t.Fatalf("consumed %d bytes but EncodedLen = %d", n, h.EncodedLen())

@@ -124,40 +124,26 @@ type Header struct {
 // outcome — a flood of malformed packets pays for its own formatting).
 
 // errValue wraps a sentinel with a single numeric detail.
-//
-// floc:coldpath error construction is off the codec fast path
 func errValue(sentinel error, v int) error { return fmt.Errorf("%w: %d", sentinel, v) }
 
 // errRange wraps a sentinel with a value/limit pair.
-//
-// floc:coldpath error construction is off the codec fast path
 func errRange(sentinel error, v, limit int) error {
 	return fmt.Errorf("%w: %d > %d", sentinel, v, limit)
 }
 
 // errShort reports a have/need buffer shortfall.
-//
-// floc:coldpath error construction is off the codec fast path
 func errShort(have, need int) error { return fmt.Errorf("%w: %d < %d", ErrShort, have, need) }
 
 // errBadFlags reports the offending unknown bits.
-//
-// floc:coldpath error construction is off the codec fast path
 func errBadFlags(bad Flags) error { return fmt.Errorf("%w: %#02x", ErrFlags, uint8(bad)) }
 
 // errZeroLength reports a zero declared length.
-//
-// floc:coldpath error construction is off the codec fast path
 func errZeroLength() error { return fmt.Errorf("%w: zero", ErrLength) }
 
 // errZeroTTL reports a zero control-frame TTL.
-//
-// floc:coldpath error construction is off the codec fast path
 func errZeroTTL() error { return fmt.Errorf("%w: zero", ErrTTL) }
 
 // EncodedLen returns the exact number of bytes MarshalAppend would write.
-//
-// floc:hotpath
 func (h *Header) EncodedLen() int {
 	n := headerFixedLen + 4*int(h.PathLen)
 	if h.Flags&FlagCapability != 0 {
@@ -168,9 +154,6 @@ func (h *Header) EncodedLen() int {
 
 // validate checks the header's encodable range; shared by MarshalAppend
 // (reject before writing) and Decode (reject foreign input).
-//
-// floc:hotpath
-// floc:sanitizes
 func (h *Header) validate() error {
 	if err := validateShallow(h); err != nil {
 		return err
@@ -184,8 +167,6 @@ func (h *Header) validate() error {
 // MarshalAppend appends the encoded header to dst and returns the
 // extended slice. It does not allocate when dst has spare capacity
 // (allocate once with make([]byte, 0, wire.MaxEncodedLen) and reuse).
-//
-// floc:hotpath
 func MarshalAppend(dst []byte, h *Header) ([]byte, error) {
 	if err := h.validate(); err != nil {
 		return dst, err
@@ -215,10 +196,6 @@ func MarshalAppend(dst []byte, h *Header) ([]byte, error) {
 // Decode is the module's validation boundary for wire bytes: buf is
 // attacker-controlled until validateShallow range-checks the decoded
 // fields, and a successful return hands the caller a vetted header.
-//
-// floc:hotpath
-// floc:untrusted buf
-// floc:sanitizes
 func Decode(buf []byte, h *Header) (int, error) {
 	if len(buf) < headerFixedLen {
 		return 0, errShort(len(buf), headerFixedLen)
@@ -257,9 +234,6 @@ func Decode(buf []byte, h *Header) (int, error) {
 // validateShallow is validate minus the capability-slot check, which
 // cannot fail on decode (one byte is always in range) and whose field is
 // not yet populated when Decode calls this.
-//
-// floc:hotpath
-// floc:sanitizes
 func validateShallow(h *Header) error {
 	if h.Version != Version1 {
 		return errValue(ErrVersion, int(h.Version))
@@ -281,8 +255,6 @@ func validateShallow(h *Header) error {
 
 // PathSlice returns the valid prefix of the path array. The slice aliases
 // the header; copy it (or use PathID) to outlive h.
-//
-// floc:hotpath
 func (h *Header) PathSlice() []pathid.ASN { return h.Path[:h.PathLen] }
 
 // PathID returns a freshly allocated path identifier.
@@ -293,8 +265,6 @@ func (h *Header) PathID() pathid.PathID {
 // FromPacket fills h from a simulator packet (the capture/daemon egress
 // direction). The capability trailer is omitted: capabilities are issued
 // by the measuring router, not carried by the simulator's packets.
-//
-// floc:hotpath
 func FromPacket(h *Header, pkt *netsim.Packet) error {
 	if len(pkt.Path) > MaxPathLen {
 		return errRange(ErrPathLen, len(pkt.Path), MaxPathLen)
@@ -329,8 +299,6 @@ func FromPacket(h *Header, pkt *netsim.Packet) error {
 // the ones a header does not carry with zero — so a recycled packet
 // leaks nothing; the stores go field by field because a composite
 // literal is built on the stack and then copied, 112 bytes twice.
-//
-// floc:hotpath
 func (h *Header) ToPacket(pkt *netsim.Packet, id uint64, path pathid.PathID, key string, handle uint32) {
 	pkt.ID = id
 	pkt.Src = h.Src
@@ -407,8 +375,6 @@ func NewInterner() *Interner {
 // topology, not chosen per packet by a sender (the argument
 // dataplane.pathShard makes for FNV), so the mix needs spread, not
 // secrecy.
-//
-// floc:hotpath
 func hashPath(path []pathid.ASN) uint32 {
 	const mult = 0x9e3779b97f4a7c15 // 2^64 / golden ratio, odd
 	x := uint64(len(path)) + 1
@@ -422,8 +388,6 @@ func hashPath(path []pathid.ASN) uint32 {
 // find returns the entry holding path, whose hash is hash, or nil. Only
 // the valid prefix takes part: a caller-built Header may hold anything
 // past PathLen.
-//
-// floc:hotpath
 func (in *Interner) find(hash uint32, path []pathid.ASN) *internEntry {
 	mask := uint32(len(in.slots) - 1)
 	for i := hash & mask; ; i = (i + 1) & mask {
@@ -446,16 +410,12 @@ func (in *Interner) find(hash uint32, path []pathid.ASN) *internEntry {
 // Packet.PathHandle: resolve, and on !Bound intern the path with the
 // router once (cold) and BindHandle the result. Hits are allocation-free;
 // misses take the cold intern path.
-//
-// floc:hotpath
 func (in *Interner) ResolveFull(h *Header) Resolved {
 	return in.resolve(hashPath(h.PathSlice()), h)
 }
 
 // resolve is ResolveFull with the hash as a parameter, so tests can
 // drive the table through degenerate hash functions.
-//
-// floc:hotpath
 func (in *Interner) resolve(hash uint32, h *Header) Resolved {
 	if e := in.find(hash, h.PathSlice()); e != nil {
 		return Resolved{ID: e.id, Key: e.key, Handle: e.handle, Bound: e.bound}
@@ -467,7 +427,7 @@ func (in *Interner) resolve(hash uint32, h *Header) Resolved {
 // ResolveFull calls return it. A no-op for paths past the interner bound
 // (they re-resolve per call anyway).
 //
-// floc:coldpath handle binding happens once per path
+// Handle binding happens once per path.
 func (in *Interner) BindHandle(h *Header, handle uint32) {
 	in.bind(hashPath(h.PathSlice()), h, handle)
 }
@@ -483,7 +443,7 @@ func (in *Interner) bind(hash uint32, h *Header, handle uint32) {
 // intern is resolve's miss path: the first sighting of a path allocates
 // its canonical PathID and key and (up to internerMax) remembers them.
 //
-// floc:coldpath first sighting of a path allocates its canonical entry
+// First sighting of a path allocates its canonical entry.
 func (in *Interner) intern(hash uint32, h *Header) Resolved {
 	id := h.PathID()
 	res := Resolved{ID: id, Key: id.Key()}

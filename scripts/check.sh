@@ -9,19 +9,23 @@
 #                (the arm64 syscall numbers and struct layouts)
 #   format       gofmt -l (fails on any unformatted file)
 #   vet          go vet ./...
-#   floclint     repo-specific determinism, invariant, hot-path, taint
-#                and exhaustiveness rules (cmd/floclint); units are
-#                internal/units types, checked by the compiler
+#   floclint     repo-specific determinism, equation-guard, atomics and
+#                exhaustiveness rules (cmd/floclint); units are
+#                internal/units types, checked by the compiler, and
+#                per-packet allocation and input bounds are the
+#                alloc-gate's and the fuzz targets' to check
 #   fixtures     floclint -fixtures: every fixture WANT marker must be
 #                reported and every finding must have a marker, so the
 #                seeded-violation corpus cannot drift from the rules;
 #                per-rule finding counts resurface in the final summary
-#   alloc-gate   testing.AllocsPerRun gates asserting 0 allocs/op on the
-#                //floc:hotpath functions reachable without I/O (wire
-#                codec, dropfilter ops, router admission and its
-#                read-ahead pass, dataplane ring, steady burst ingest,
-#                inline quiesce and live forwarding into a flushing sink,
-#                telemetry cells) and on
+#   alloc-gate   every TestZeroAlloc* test of every package (go test -run
+#                '^TestZeroAlloc' ./..., nothing listed by hand): 0
+#                allocs/op on the per-packet paths (wire codec and its
+#                decoders over unseen headers, dropfilter ops, limiter
+#                bank, router admission and its read-ahead pass,
+#                dataplane ring, single and burst enqueue, inline quiesce
+#                and live forwarding into a flushing sink, telemetry
+#                cells, flocd's ingest and its forwarding sink) and on
 #                the loopback socket cycle of internal/udpbatch
 #   bench-smoke  the repo benchmark still builds against this tree and runs:
 #                (cd benchmark && go vet ./...), then
@@ -164,11 +168,10 @@ rule_counts=$(printf '%s\n' "$fixtures_out" | grep '^per-rule fixture findings:'
 end
 
 begin alloc-gate
-# Dynamic half of the //floc:hotpath contract: testing.AllocsPerRun must
-# agree with the static rule that the annotated paths are allocation-free.
-run go test -count=1 -run '^TestZeroAlloc' \
-    ./internal/wire ./internal/dropfilter ./internal/core ./internal/dataplane \
-    ./internal/udpbatch ./internal/telemetry
+# The per-packet paths allocate nothing, as the compiler's escape analysis
+# actually decides it. Every package's gates, found rather than listed, so
+# that none is skipped by omission.
+run go test -count=1 -run '^TestZeroAlloc' ./...
 end
 
 begin bench-smoke
@@ -276,8 +279,7 @@ begin ledger-gate
 # The forensic loop, end to end through the real binaries: seal a replay,
 # then verify and replay the sealed evidence. Sealing rides inside the
 # telemetry budget because it only runs when -ledger is given and hashes
-# at control-run boundaries, never on the admission path (floclint's
-# hotpath rule enforces the latter statically).
+# at control-run boundaries, never on the admission path.
 ledger_tmp=$(mktemp -d "${TMPDIR:-/tmp}/floc-ledger-XXXXXX")
 run go build -o "$ledger_tmp/flocd" ./cmd/flocd
 run go build -o "$ledger_tmp/floctrace" ./cmd/floctrace
