@@ -330,9 +330,6 @@ func TestProbe(t *testing.T) {
 // a capture, replay it with -ledger sealing on a sharded engine, then
 // verify the sealed evidence and replay it against the claimed snapshot.
 func TestLedgerEndToEnd(t *testing.T) {
-	if !telemetry.Compiled {
-		t.Skip("telemetry is compiled out")
-	}
 	dir := t.TempDir()
 	capPath := filepath.Join(dir, "capture.pcap")
 	ledgerDir := filepath.Join(dir, "ledger")

@@ -105,78 +105,3 @@ func (is *Issuer) mac(key []byte, a, b uint32, p pathid.PathID) uint64 {
 	}
 	return binary.BigEndian.Uint64(h.Sum(nil)[:8])
 }
-
-// FlowKey is the accounting identity of a flow at a router: all flows of a
-// source that share a fan-out slot collapse to one key, implementing the
-// covert-attack countermeasure of Section IV-B.3.
-type FlowKey struct {
-	Src  uint32
-	C1   uint64
-	Slot int
-}
-
-// Key returns the accounting key covered by capability c for source src.
-func Key(src uint32, c Capability) FlowKey {
-	return FlowKey{Src: src, C1: c.C1, Slot: c.Slot}
-}
-
-// Accountant tracks, per source, which fan-out slots are in use and rejects
-// capability issuance beyond n_max concurrent destinations whose slots are
-// all distinct — i.e. it limits the number of *capabilities* (virtual
-// flows) a source can hold through the router.
-type Accountant struct {
-	nmax int
-	// perSource maps a source to its active destination count per slot.
-	perSource map[uint32]map[int]int
-}
-
-// NewAccountant returns an Accountant enforcing the issuer's n_max.
-func NewAccountant(nmax int) *Accountant {
-	if nmax < 1 {
-		nmax = 1
-	}
-	return &Accountant{nmax: nmax, perSource: map[uint32]map[int]int{}}
-}
-
-// Open records a new flow for src in the capability's slot. It never
-// rejects: the point of the slot construction is that excess flows pile
-// into an existing slot and are rate-accounted together, not refused.
-// It returns the number of flows now sharing the slot.
-func (a *Accountant) Open(src uint32, c Capability) int {
-	slots := a.perSource[src]
-	if slots == nil {
-		slots = map[int]int{}
-		a.perSource[src] = slots
-	}
-	slots[c.Slot]++
-	return slots[c.Slot]
-}
-
-// Close records flow termination.
-func (a *Accountant) Close(src uint32, c Capability) {
-	slots := a.perSource[src]
-	if slots == nil {
-		return
-	}
-	if slots[c.Slot] > 0 {
-		slots[c.Slot]--
-	}
-	if slots[c.Slot] == 0 {
-		delete(slots, c.Slot)
-	}
-	if len(slots) == 0 {
-		delete(a.perSource, src)
-	}
-}
-
-// ActiveSlots returns how many distinct fan-out slots src currently uses;
-// it is bounded by n_max.
-func (a *Accountant) ActiveSlots(src uint32) int { return len(a.perSource[src]) }
-
-// SlotFlows returns how many concurrent flows of src share slot.
-func (a *Accountant) SlotFlows(src uint32, slot int) int {
-	return a.perSource[src][slot]
-}
-
-// Sources returns the number of sources with at least one open flow.
-func (a *Accountant) Sources() int { return len(a.perSource) }

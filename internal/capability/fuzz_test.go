@@ -9,8 +9,8 @@ import (
 // FuzzCapability drives issuance and verification of the two-part flow
 // capability (C0, C1) with arbitrary secrets, fan-out limits, flow
 // endpoints, and paths, checking the verification contract: issued
-// capabilities verify, any tampered part fails, slots stay in [0, nmax),
-// and the accountant's slot bookkeeping balances.
+// capabilities verify, any tampered part fails, and slots stay in
+// [0, nmax).
 func FuzzCapability(f *testing.F) {
 	f.Add([]byte("router-secret"), 4, uint32(0x0a000001), uint32(0x0a000002), []byte{1, 2, 3}, uint64(1))
 	f.Add([]byte{0}, 1, uint32(0), uint32(0), []byte{}, uint64(0))
@@ -66,35 +66,6 @@ func FuzzCapability(f *testing.F) {
 		}
 		if is2.Verify(c, src, dst, path) {
 			t.Fatal("capability verified under a different router secret")
-		}
-
-		// Accountant slot bookkeeping: opens accumulate in one slot,
-		// active slots never exceed nmax, closes drain back to zero.
-		acct := NewAccountant(nmax)
-		if n := acct.Open(src, c); n != 1 {
-			t.Fatalf("first open: slot flows = %d, want 1", n)
-		}
-		if n := acct.Open(src, c); n != 2 {
-			t.Fatalf("second open: slot flows = %d, want 2", n)
-		}
-		if got := acct.ActiveSlots(src); got < 1 || got > nmax {
-			t.Fatalf("active slots %d outside [1, %d]", got, nmax)
-		}
-		if got := acct.SlotFlows(src, c.Slot); got != 2 {
-			t.Fatalf("slot flows = %d, want 2", got)
-		}
-		acct.Close(src, c)
-		acct.Close(src, c)
-		if got := acct.ActiveSlots(src); got != 0 {
-			t.Fatalf("active slots %d after closing all flows, want 0", got)
-		}
-		if got := acct.Sources(); got != 0 {
-			t.Fatalf("sources %d after closing all flows, want 0", got)
-		}
-		// Closing more than was opened must not underflow.
-		acct.Close(src, c)
-		if got := acct.SlotFlows(src, c.Slot); got != 0 {
-			t.Fatalf("slot flows %d after excess close, want 0", got)
 		}
 	})
 }

@@ -194,7 +194,10 @@ type Node struct {
 	// retransmitted (peers are assumed to share this node's schedule).
 	retrySpan float64
 
-	sendErrs   *telemetry.Counter // resolved in New, so /metrics shows a zero
+	// Resolved in New, so /metrics shows a zero.
+	sendErrs   *telemetry.Counter
+	emptyPath  *telemetry.Counter
+	refused    *telemetry.Counter
 	sentCtr    map[string]*telemetry.Counter
 	appliedCtr map[uint32]*telemetry.Counter
 	staleCtr   map[uint32]*telemetry.Counter
@@ -221,6 +224,9 @@ func New(cfg Config) (*Node, error) {
 	}
 	n.sendErrs = n.counter("floc_cluster_send_errors_total",
 		"control frames the transport failed to send to a peer", "frames")
+	const refusedHelp = "feedback records decoded but not installed, by reason"
+	n.emptyPath = n.counter(`floc_cluster_feedback_refused_total{reason="empty_path"}`, refusedHelp, "records")
+	n.refused = n.counter(`floc_cluster_feedback_refused_total{reason="refused"}`, refusedHelp, "records")
 	return n, nil
 }
 
@@ -397,11 +403,13 @@ func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 	applied := 0
 	for i := 0; i < int(f.NumRecords); i++ {
 		r := &f.Records[i]
-		if r.PathLen == 0 {
-			continue
-		}
-		if n.cfg.Installer.InstallLimit(r.PathID(), r.Limit(), now+f.TTL(), f.Origin, now) {
+		switch {
+		case r.PathLen == 0:
+			n.emptyPath.Inc()
+		case n.cfg.Installer.InstallLimit(r.PathID(), r.Limit(), now+f.TTL(), f.Origin, now):
 			applied++
+		default:
+			n.refused.Inc()
 		}
 	}
 	if applied > 0 {

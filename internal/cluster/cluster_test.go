@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"floc/internal/core"
@@ -587,5 +588,65 @@ func TestHealthSurface(t *testing.T) {
 	}
 	if got := h.Feedback[0].AgeSeconds; got < 1.499 || got > 1.501 {
 		t.Fatalf("feedback age = %v, want 1.5", got)
+	}
+}
+
+// refusingInstaller refuses every limit, as an engine that is closed or
+// whose handle space is exhausted does.
+type refusingInstaller struct{ calls int }
+
+func (in *refusingInstaller) InstallLimit(pathid.PathID, units.BitsPerSec, float64, uint32, float64) bool {
+	in.calls++
+	return false
+}
+
+// TestRefusedFeedbackIsCounted: a record with an empty path decodes but
+// is never offered to the Installer, and a record the Installer refuses
+// is not applied; both are counted by reason, on a series that exists
+// from the start and carries no peer label.
+func TestRefusedFeedbackIsCounted(t *testing.T) {
+	in := &refusingInstaller{}
+	reg := telemetry.NewRegistry()
+	up, err := New(Config{RouterID: 2, Installer: in, PacketSize: 1000, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const empty = `floc_cluster_feedback_refused_total{reason="empty_path"}`
+	const refused = `floc_cluster_feedback_refused_total{reason="refused"}`
+	var text strings.Builder
+	reg.WriteText(&text)
+	for _, series := range []string{empty, refused} {
+		if !strings.Contains(text.String(), series+" 0\n") {
+			t.Fatalf("%s is not exported at zero before any frame", series)
+		}
+	}
+	f := wire.ControlFrame{
+		Version: wire.ControlVersion1, Kind: wire.ControlFeedback,
+		Origin: 9, Seq: 1, TTLMillis: 2000, NumRecords: 3,
+	}
+	for i, p := range []pathid.PathID{pathid.New(100, 10, 1), nil, pathid.New(200, 20, 1)} {
+		if err := f.Records[i].SetPath(p); err != nil {
+			t.Fatal(err)
+		}
+		f.Records[i].LimitBits = 5_000_000
+	}
+	buf, err := wire.MarshalControlAppend(nil, &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := up.HandleFrame(buf, 1.0); err != nil || n != 0 {
+		t.Fatalf("HandleFrame = %d, %v; want 0 applied", n, err)
+	}
+	if in.calls != 2 {
+		t.Fatalf("Installer offered %d records, want the 2 with a path", in.calls)
+	}
+	if got := reg.CounterValue(empty); got != 1 {
+		t.Fatalf("empty_path = %d, want 1", got)
+	}
+	if got := reg.CounterValue(refused); got != 2 {
+		t.Fatalf("refused = %d, want 2", got)
+	}
+	if got := reg.CounterValue(`floc_cluster_feedback_applied_total{peer="9"}`); got != 0 {
+		t.Fatalf("applied = %d, want 0", got)
 	}
 }

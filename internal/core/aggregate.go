@@ -229,7 +229,7 @@ func (r *Router) applyPlan(plan map[string][]*pathState, kind map[string]aggKind
 	// Record the old membership before it is torn down so the telemetry
 	// diff can emit PathAggregated/PathReleased transitions.
 	var oldAgg map[string]string
-	if telemetry.Compiled && r.tel != nil {
+	if r.tel != nil {
 		oldAgg = make(map[string]string, r.origins.size())
 		r.origins.each(func(ps *pathState) {
 			if ps.aggregate != nil {
@@ -279,7 +279,7 @@ func (r *Router) applyPlan(plan map[string][]*pathState, kind map[string]aggKind
 
 	r.order.valid = false
 
-	if telemetry.Compiled && r.tel != nil {
+	if r.tel != nil {
 		for _, ps := range r.sortedPaths().origins {
 			key := ps.key
 			newKey := ""

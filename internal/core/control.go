@@ -29,7 +29,7 @@ func (r *Router) runControl(now float64) {
 	r.planAggregation(now)
 	r.recomputeParams(now, interval)
 
-	if telemetry.Compiled && r.tel != nil {
+	if r.tel != nil {
 		r.sampleControl(now)
 	}
 }
@@ -77,7 +77,7 @@ func (r *Router) controlFlows(now float64) {
 		for _, ps := range expiredPaths {
 			r.origins.remove(ps)
 			r.tree.Remove(ps.id)
-			if telemetry.Compiled && r.tel != nil {
+			if r.tel != nil {
 				r.tel.Emit(telemetry.Event{Time: now, Type: telemetry.EventPathExpired, Path: ps.key})
 			}
 		}
@@ -167,7 +167,7 @@ func (r *Router) classifyPath(ps *pathState, now float64) {
 	// One instant and one epoch for the whole path: quantized here, not
 	// per flow inside the filter.
 	nowTicks, epochTicks := r.filter.Ticks(now), r.filter.Ticks(r.epoch(eff))
-	traced := telemetry.Compiled && r.tel != nil
+	traced := r.tel != nil
 	attack := 0
 	flows := ps.flows.all()
 	for i := range flows {

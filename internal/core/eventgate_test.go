@@ -52,7 +52,6 @@ const (
 // journal the parent commit wrote — one PacketAdmitted or PacketDropped
 // per offered packet, same fields, same order.
 func TestEventGatingInvisibleToConsumers(t *testing.T) {
-	needTelemetry(t)
 	consumers := map[string]func() (*telemetry.Telemetry, func() []telemetry.Event){
 		"sink": func() (*telemetry.Telemetry, func() []telemetry.Event) {
 			s := &recordingSink{}
@@ -92,7 +91,6 @@ func TestEventGatingInvisibleToConsumers(t *testing.T) {
 // ring or sink — what flocd attaches — nothing is journalled, a packet
 // allocates nothing, and every router counter still matches Snapshot.
 func TestRegistryOnlyTelemetryCountsWithoutEvents(t *testing.T) {
-	needTelemetry(t)
 	r := newTestRouter(t, nil)
 	reg := telemetry.NewRegistry()
 	r.SetTelemetry(&telemetry.Telemetry{Registry: reg})

@@ -40,7 +40,6 @@ import (
 // values below. The tree without those series hashes its registry text
 // unfiltered and reproduces them, so nothing but the deleted lines moved.
 func TestControlLoopGolden(t *testing.T) {
-	needTelemetry(t)
 	for _, sc := range goldenScenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {

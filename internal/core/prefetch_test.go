@@ -35,7 +35,6 @@ func observable(t *testing.T, r *Router) string {
 // capability mode with flows not seen before (capability) and paths and
 // flows that expire and return (churn).
 func TestPrefetchIsInvisible(t *testing.T) {
-	needTelemetry(t)
 	for _, sc := range goldenScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			if got, _ := runGolden(t, sc, true); got != sc.digest {
@@ -239,7 +238,6 @@ var prefetchCases = []prefetchCase{
 // nothing an outsider can read, and leaves the router where a twin that
 // never read ahead ends up.
 func TestPrefetchReadsThroughAnything(t *testing.T) {
-	needTelemetry(t)
 	for _, pc := range prefetchCases {
 		t.Run(pc.name, func(t *testing.T) {
 			var ends [2]string

@@ -204,7 +204,6 @@ type Router struct {
 
 	filter *dropfilter.Filter
 	issuer *capability.Issuer
-	acct   *capability.Accountant
 	slots  slotTable // capability slot cache
 
 	lastControl float64
@@ -239,13 +238,11 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	var issuer *capability.Issuer
-	var acct *capability.Accountant
 	if cfg.NMax > 0 {
 		issuer, err = capability.NewIssuer(cfg.Secret, cfg.NMax)
 		if err != nil {
 			return nil, err
 		}
-		acct = capability.NewAccountant(cfg.NMax)
 	}
 	qmin := cfg.QMinFrac * float64(cfg.Capacity)
 	return &Router{
@@ -260,7 +257,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		aggs:       map[string]*pathState{},
 		filter:     filter,
 		issuer:     issuer,
-		acct:       acct,
 		epochFloor: 2 * cfg.Filter.TickSeconds,
 	}, nil
 }
@@ -327,7 +323,6 @@ func (r *Router) openSlot(pkt *netsim.Packet, fid netsim.FlowID, h uint64) (uint
 	slot := uint32(c.Slot)
 	salted := dropfilter.FlowHash(pkt.Src, slot^0x5a5a5a5a)
 	r.slots.put(h, fid, slot, salted)
-	r.acct.Open(pkt.Src, c)
 	return slot, salted
 }
 
@@ -618,7 +613,7 @@ func (r *Router) admit(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, 
 	if fs != nil && (pkt.Kind == netsim.KindData || pkt.Kind == netsim.KindUDP) {
 		fs.admitted += tokens
 	}
-	if telemetry.Compiled && r.tel != nil {
+	if r.tel != nil {
 		r.observeAdmit(orig, fs, now)
 	}
 	return true
@@ -705,7 +700,7 @@ func (r *Router) drop(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, n
 	r.dropCounts[reason]++
 	eff.drops++
 	orig.droppedPkts++
-	if telemetry.Compiled && r.tel != nil {
+	if r.tel != nil {
 		r.observeDrop(orig, fs, now, reason)
 	}
 	if reason == DropPreferential || reason == DropBlocked {
@@ -734,7 +729,7 @@ func (r *Router) drop(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, n
 // Dequeue implements netsim.Discipline.
 func (r *Router) Dequeue(now float64) *netsim.Packet {
 	pkt := r.fifo.Dequeue(now)
-	if telemetry.Compiled && r.tel != nil && pkt != nil {
+	if r.tel != nil && pkt != nil {
 		r.observeDequeue(now)
 	}
 	return pkt

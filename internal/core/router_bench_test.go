@@ -29,8 +29,8 @@ func benchEnqueue(b *testing.B, r *Router) {
 }
 
 // BenchmarkFLocRouterEnqueue measures the router's per-packet cost on a
-// steady stream (the data-plane hot path). The CI overhead gate runs it
-// in the default build and under -tags flocnotelemetry.
+// steady stream (the data-plane hot path) with no telemetry attached.
+// check.sh's perf-gate runs it paired against the parent commit.
 func BenchmarkFLocRouterEnqueue(b *testing.B) {
 	r, err := NewRouter(DefaultConfig(1e9, 1000))
 	if err != nil {
@@ -86,9 +86,7 @@ func BenchmarkFLocRouterEnqueueBatch(b *testing.B) {
 // BenchmarkFLocRouterEnqueueTelemetry is the same hot path with what
 // flocd attaches: a registry (counter and histogram cells, per-path
 // counters) and no event ring, showing the enabled-path cost a daemon
-// pays. The disabled-path cost — the one the CI overhead gate bounds — is
-// BenchmarkFLocRouterEnqueue in the default build versus the same bench
-// under -tags flocnotelemetry.
+// pays. The detached-path cost is BenchmarkFLocRouterEnqueue.
 func BenchmarkFLocRouterEnqueueTelemetry(b *testing.B) {
 	r, err := NewRouter(DefaultConfig(1e9, 1000))
 	if err != nil {

@@ -8,10 +8,10 @@ import (
 )
 
 // This file is the router's telemetry seam. All emission is guarded by
-// `telemetry.Compiled && r.tel != nil`: with the flocnotelemetry build tag
-// the branches are compiled out entirely (the overhead baseline), and in
-// normal builds a router without SetTelemetry pays one predictable branch
-// per decision point and allocates nothing.
+// `r.tel != nil`: a router without SetTelemetry pays one predictable
+// branch per decision point and allocates nothing. check.sh's
+// telemetry-inline stage holds the observers behind those branches out
+// of line, so the branch is all the detached path carries.
 //
 // Telemetry is strictly passive: it never touches the RNG or any state the
 // admission policy reads, so enabling it cannot change a simulation's

@@ -911,16 +911,14 @@ func (sh *shard) installLimit(path pathid.PathID, rate units.BitsPerSec, expires
 	sh.bank.Install(handle, rate, expires)
 	sh.bankDrops = sh.bank.Drops()
 	sh.publishLimitCount()
-	if telemetry.Compiled {
-		if tel := sh.router.Telemetry(); tel != nil {
-			tel.Emit(telemetry.Event{
-				Time:  now,
-				Type:  telemetry.EventFeedbackApplied,
-				Path:  path.Key(),
-				Value: float64(rate),
-				Peer:  peer,
-			})
-		}
+	if tel := sh.router.Telemetry(); tel != nil {
+		tel.Emit(telemetry.Event{
+			Time:  now,
+			Type:  telemetry.EventFeedbackApplied,
+			Path:  path.Key(),
+			Value: float64(rate),
+			Peer:  peer,
+		})
 	}
 	return true
 }

@@ -533,7 +533,6 @@ func TestAdvanceFlushesQueues(t *testing.T) {
 }
 
 func TestTelemetryMergesAcrossShards(t *testing.T) {
-	needTelemetry(t)
 	reg := telemetry.NewRegistry()
 	rc := testRouterConfig()
 	sc := genScenario(12, 0.04, 2.0)

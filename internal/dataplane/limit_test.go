@@ -125,7 +125,6 @@ func TestInstallLimitReleaseAndExpiry(t *testing.T) {
 }
 
 func TestInstallLimitEmitsFeedbackApplied(t *testing.T) {
-	needTelemetry(t)
 	reg := telemetry.NewRegistry()
 	cfg := limitTestConfig(1)
 	cfg.Telemetry = reg
@@ -198,8 +197,8 @@ func TestEgressSinkSeesTransmittedPackets(t *testing.T) {
 	}
 }
 
-// BenchmarkLimitInstall is the limit-install perf family
-// (scripts/bench-snapshot.sh): ns/op for one InstallLimit barrier round
+// BenchmarkLimitInstall is the limit_install family of check.sh's
+// perf-gate: ns/op for one InstallLimit barrier round
 // trip into the owning shard, the rate at which a daemon can absorb
 // cluster feedback records.
 func BenchmarkLimitInstall(b *testing.B) {

@@ -117,7 +117,6 @@ const replayMixRecorded = "ff09690a4d5e57391ab0a00811f1b98d07c8c9bff50327ed4a564
 // the ring happened to cut the batches and whoever admitted them, the
 // worker or the quiescing producer, run after run.
 func TestPrefetchIsInvisible(t *testing.T) {
-	needTelemetry(t)
 	for run := 0; run < 4; run++ {
 		if got := replayMixDigest(t, run == 3); got != replayMixRecorded {
 			t.Fatalf("run %d: digest %s, want %s (ae83768's, less the per-path series)", run, got, replayMixRecorded)

@@ -10,22 +10,12 @@ import (
 	"floc/internal/telemetry"
 )
 
-// needTelemetry skips a test that reads what the shard routers emit when
-// the build compiles emission out (-tags flocnotelemetry).
-func needTelemetry(t *testing.T) {
-	t.Helper()
-	if !telemetry.Compiled {
-		t.Skip("telemetry is compiled out")
-	}
-}
-
 // TestShardedRegistryCountsExact: shard routers meter through cells only
 // their own worker writes, and a reader sums the cells. So a scrape taken
 // while packets flow never sees a counter go backwards, and once the
 // rings are drained the registry agrees with the routers to the packet —
 // with no flush between the last packet and the read.
 func TestShardedRegistryCountsExact(t *testing.T) {
-	needTelemetry(t)
 	rc := core.DefaultConfig(80e6, 256) // 10 000 packets/s; the mix offers 20 000
 	rc.Seed = 42
 	sc := genScenario(40, 0.002, 10) // 200 000 packets

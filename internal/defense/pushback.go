@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"floc/internal/netsim"
-	"floc/internal/telemetry"
 	"floc/internal/units"
 )
 
@@ -214,7 +213,7 @@ func (p *Pushback) review(now float64) {
 	p.arrivals = 0
 	p.drops = 0
 	p.intervalStart = now
-	if telemetry.Compiled && p.met != nil {
+	if p.met != nil {
 		p.met.limitedAggs.Set(float64(p.LimitedAggregates()))
 	}
 }
@@ -223,7 +222,7 @@ func (p *Pushback) review(now float64) {
 // L so the admitted total meets TargetUtil * LinkRateBits.
 func (p *Pushback) computeLimits() {
 	p.activations++
-	if telemetry.Compiled && p.met != nil {
+	if p.met != nil {
 		p.met.activations.Inc()
 	}
 	type entry struct {
@@ -303,7 +302,7 @@ func (p *Pushback) Enqueue(pkt *netsim.Packet, now float64) bool {
 		if a.tokens < bits {
 			p.limiterDrops++
 			p.drops++
-			if telemetry.Compiled && p.met != nil {
+			if p.met != nil {
 				p.met.limiterDrops.Inc()
 			}
 			return false

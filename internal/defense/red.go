@@ -12,7 +12,6 @@ import (
 
 	"floc/internal/netsim"
 	"floc/internal/rng"
-	"floc/internal/telemetry"
 )
 
 // REDConfig configures a RED queue (Floyd & Jacobson).
@@ -115,19 +114,19 @@ func (r *RED) Enqueue(pkt *netsim.Packet, now float64) bool {
 			r.count = 0
 		}
 	}
-	if telemetry.Compiled && r.met != nil {
+	if r.met != nil {
 		r.met.avgQueue.Set(r.avg)
 	}
 	if drop {
 		r.drops++
-		if telemetry.Compiled && r.met != nil {
+		if r.met != nil {
 			r.met.drops.Inc()
 		}
 		return false
 	}
 	if !r.fifo.Enqueue(pkt, now) {
 		r.drops++
-		if telemetry.Compiled && r.met != nil {
+		if r.met != nil {
 			r.met.drops.Inc()
 		}
 		r.count = 0

@@ -4,8 +4,8 @@ import "floc/internal/telemetry"
 
 // Optional registry wiring for the baseline disciplines, so experiment
 // runs expose the same observability surface regardless of which defense
-// guards the link. All emission is guarded by telemetry.Compiled plus a
-// nil check, mirroring the core router's seam.
+// guards the link. All emission is guarded by a nil check, mirroring the
+// core router's seam.
 
 type redMetrics struct {
 	drops    *telemetry.Counter

@@ -75,8 +75,8 @@ func TestArraysForSpan(t *testing.T) {
 	}
 }
 
-// BenchmarkFilterUpdate is the drop-filter family of the perf baseline
-// (scripts/bench-snapshot.sh): ns/op for one RecordDrop with array
+// BenchmarkFilterUpdate is the dropfilter_update family of check.sh's
+// perf-gate: ns/op for one RecordDrop with array
 // subsetting active, over a spread of flow hashes.
 func BenchmarkFilterUpdate(b *testing.B) {
 	f, err := New(DefaultConfig())

@@ -18,9 +18,6 @@ import (
 // uses on sealed evidence, so this test also pins the forensic tool to
 // the live router's semantics.
 func TestTraceReplayMatchesSnapshot(t *testing.T) {
-	if !telemetry.Compiled {
-		t.Skip("telemetry is compiled out")
-	}
 	skipIfShort(t)
 	sc := shortScenario(DefFLoc, AttackCBR)
 	sc.SMax = 25 // force attack-path aggregation so transitions appear

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"floc/internal/rng"
-	"floc/internal/telemetry"
 	"floc/internal/topology"
 )
 
@@ -275,12 +274,12 @@ func (s *Sim) Run() Result {
 		s.advanceFlows()
 		if s.tick%20 == 19 {
 			s.policy.control(s)
-			if telemetry.Compiled && s.met != nil {
+			if s.met != nil {
 				s.publishTelemetry()
 			}
 		}
 	}
-	if telemetry.Compiled && s.met != nil {
+	if s.met != nil {
 		s.publishTelemetry()
 	}
 	capacity := float64(s.cfg.CapacityPerTick) * float64(s.cfg.Ticks-s.cfg.WarmupTicks)

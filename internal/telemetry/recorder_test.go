@@ -42,8 +42,20 @@ func TestRecorderSeries(t *testing.T) {
 	}
 }
 
+// TestCompiledDefault: telemetry is always compiled in, and what a
+// pipeline journals is decided when it is built. The default (a registry
+// only, what flocd attaches) journals nothing, so per-packet producers
+// build no events; a trace ring or a sink makes Journals true.
 func TestCompiledDefault(t *testing.T) {
-	if !Compiled {
-		t.Skip("flocnotelemetry build: telemetry compiled out")
+	if New(Options{}).Journals() {
+		t.Fatal("a registry-only pipeline journals events")
+	}
+	if !New(Options{TraceCapacity: 8}).Journals() {
+		t.Fatal("a pipeline with a trace ring journals nothing")
+	}
+	withSink := New(Options{})
+	withSink.Sink = &collectSink{}
+	if !withSink.Journals() {
+		t.Fatal("a pipeline with a sink journals nothing")
 	}
 }

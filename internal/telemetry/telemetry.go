@@ -27,9 +27,9 @@ type EventSink interface {
 }
 
 // Telemetry bundles the observability surfaces. A nil *Telemetry is
-// the disabled state: producers guard emission with
-// `if telemetry.Compiled && t != nil`, so a disabled pipeline takes a
-// single predictable branch and allocates nothing.
+// the disabled state: producers guard emission with `if t != nil`, so a
+// disabled pipeline takes a single predictable branch and allocates
+// nothing.
 type Telemetry struct {
 	Registry *Registry
 	Trace    *Trace    // nil unless Options.TraceCapacity > 0

@@ -76,8 +76,8 @@ func TestZeroAllocFromPacket(t *testing.T) {
 	}
 }
 
-// BenchmarkWireDecode is the codec half of the perf baseline
-// (scripts/bench-snapshot.sh): ns/op to decode one representative header
+// BenchmarkWireDecode is the wire_decode family of check.sh's
+// perf-gate: ns/op to decode one representative header
 // with a path and capability trailer.
 func BenchmarkWireDecode(b *testing.B) {
 	h := sampleHeader()

@@ -219,8 +219,8 @@ func TestZeroAllocControlMarshalAppend(t *testing.T) {
 	}
 }
 
-// BenchmarkControlEncode is the feedback-encode perf family
-// (scripts/bench-snapshot.sh): ns/op to marshal one representative
+// BenchmarkControlEncode is the feedback_encode family of check.sh's
+// perf-gate: ns/op to marshal one representative
 // feedback frame into a recycled buffer, the shape the cluster sender
 // uses on every publish and retry.
 func BenchmarkControlEncode(b *testing.B) {

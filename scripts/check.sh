@@ -41,18 +41,14 @@
 #   race         go test -race -short ./... (-short skips the multi-second
 #                single-threaded simulations, which race instrumentation
 #                slows ~15x past the package timeout)
-#   telemetry-overhead
-#                internal/core's BenchmarkFLocRouterEnqueue in the default
-#                build (telemetry compiled in but not attached) versus
-#                -tags flocnotelemetry
-#                (compiled out); fails if the disabled-telemetry hot path
-#                costs more than TELEMETRY_OVERHEAD_NS (default 2.0) ns/op
-#                over the compiled-out baseline, comparing the median of
-#                paired back-to-back runs to damp scheduler noise. The
-#                budget is absolute, not a percentage: the contract is
-#                "one predicted branch per decision point", whose cost
-#                does not shrink when the rest of the admission path
-#                speeds up
+#   telemetry-inline
+#                the detached-telemetry contract, "one predicted branch per
+#                decision point", as the compiler decides it (go build
+#                -gcflags=-m=2): (*Telemetry).Emit and Journals stay
+#                inlinable, and the router's observeAdmit, observeDrop and
+#                observeDequeue stay out of line behind their nil checks.
+#                What the branch costs is perf-gate's router_enqueue
+#                family, and the attached path router_enqueue_telemetry
 #   dataplane    wire + dataplane + udpbatch + flocd tests under -race;
 #                TestRoleUnderFire (bursts that flush and quiesce, singles,
 #                barriers and a Close at once) and TestRecycleUnderFire (a
@@ -81,39 +77,37 @@
 #                read `name{labels} value` (a histogram's suffix before
 #                its labels) and none may carry a path= label, so the
 #                series count stays fixed by configuration, not traffic
-#   perf-gate    scripts/bench-snapshot.sh to a scratch file, compared
-#                against the latest committed BENCH_*.json by cmd/perfgate;
-#                fails on any family more than PERF_REGRESSION_PCT percent
-#                worse (default 10); families new in the fresh snapshot are
-#                reported but not gated
+#   perf-gate    scripts/perf-pair.sh micro: the micro-benchmark families
+#                in 10 pairs against the parent commit on this host,
+#                alternating which side runs first, every run appended to
+#                results/perf/PR-<n>.jsonl; cmd/perfgate fails a family
+#                slower in 9 of 10 pairs with a median gap beyond the
+#                parent's quartile distance, one whose allocs/op rise in
+#                every pair, and one the change no longer reports. Fails,
+#                rather than skips, when there is no parent commit
 #   fuzz smoke   every fuzz target of every package (go test -list
 #                '^Fuzz', nothing listed by hand) for FUZZTIME (default 10s)
 #
 # Each stage's wall-clock time is reported in a summary at the end,
 # followed by the size ledger: non-test, non-fixture Go lines per
-# top-level directory and the delta against the parent commit (HEAD~1 in
-# this repo's one-commit-per-PR history; HEAD while the tree still has
-# uncommitted work), so "every PR states its net line delta" (ROADMAP) is
-# read off the gate rather than counted by hand. Informational only: it
-# never fails the gate and prints what it can outside a git checkout or
-# in a shallow clone.
+# top-level directory and the delta against the parent commit, so "every
+# PR states its net line delta" (ROADMAP) is read off the gate rather than
+# counted by hand. Informational only: it never fails the gate and prints
+# what it can outside a git checkout or in a shallow clone. The parent
+# commit is resolved once, before any stage runs (scripts/pairing.sh:
+# HEAD~1 on a clean tree, HEAD while it has uncommitted work), and both
+# perf-gate and the ledger use that one value, so the runs perf-gate
+# appends cannot move the ledger's base.
 #
 # Environment:
 #   FUZZTIME=10s   per-target fuzz budget; set FUZZTIME=0 to skip fuzzing.
-#   TELEMETRY_OVERHEAD_NS=2.0
-#                  disabled-telemetry overhead budget in ns/op (covers the
-#                  guard branch plus code-size/layout effects of the
-#                  compiled-in observers, measured ~1 ns on the reference
-#                  runner, with margin for pairing noise); set to 0 to
-#                  skip the benchmark comparison.
 #   DATAPLANE_SPEEDUP=2.5
 #                  required 4-shard vs 1-shard enqueue speedup on 4+ core
 #                  machines; set to 0 to skip the ratio check.
-#   PERF_REGRESSION_PCT=10
-#                  allowed per-family regression against the latest
-#                  committed BENCH_*.json; set to 0 to skip the perf gate.
 set -eu
 cd "$(dirname "$0")/.."
+. scripts/pairing.sh
+parent=$(parent_commit)
 
 run() { echo ">> $*" >&2; "$@"; }
 
@@ -201,50 +195,17 @@ begin race
 run go test -race -short ./...
 end
 
-TELEMETRY_OVERHEAD_NS="${TELEMETRY_OVERHEAD_NS:-2.0}"
-if [ "$TELEMETRY_OVERHEAD_NS" != "0" ]; then
-    begin telemetry-overhead
-    echo ">> telemetry-overhead: BenchmarkFLocRouterEnqueue default vs -tags flocnotelemetry" >&2
-    bench_tmp=$(mktemp -d "${TMPDIR:-/tmp}/floc-bench-XXXXXX")
-    run go test -c -o "$bench_tmp/default.test" ./internal/core
-    run go test -tags flocnotelemetry -c -o "$bench_tmp/notel.test" ./internal/core
-    # Paired comparison: the builds alternate back-to-back, each pair
-    # yields one absolute overhead delta in ns/op, and the median delta
-    # is the verdict. Pairing cancels machine phase drift (a slow phase
-    # hits both sides of a pair) and the median rejects outlier pairs,
-    # which single-shot or min-of-N comparisons of two separate binaries
-    # cannot. The budget is absolute because the guarded branch costs a
-    # fixed number of cycles: a percentage budget silently tightens
-    # every time the admission path itself gets faster.
-    bench_once() {
-        ns=$("$1" -test.run='^$' -test.bench='^BenchmarkFLocRouterEnqueue$' \
-            -test.benchtime=2000000x 2>/dev/null |
-            awk '/^BenchmarkFLocRouterEnqueue/ { print $3; exit }')
-        [ -n "$ns" ] || { echo "telemetry-overhead: no benchmark output from $1" >&2; exit 1; }
-        echo "$ns"
-    }
-    overheads="" i=0
-    while [ $i -lt 7 ]; do
-        base=$(bench_once "$bench_tmp/notel.test")
-        cur=$(bench_once "$bench_tmp/default.test")
-        overheads="$overheads $(awk -v b="$base" -v c="$cur" 'BEGIN { printf "%.3f", c - b }')"
-        i=$((i + 1))
-    done
-    rm -rf "$bench_tmp"
-    echo "   pair overheads (ns/op):$overheads" >&2
-    echo "$overheads" | tr ' ' '\n' | grep -v '^$' | sort -n |
-        awk -v p="$TELEMETRY_OVERHEAD_NS" '
-            { a[NR] = $1 }
-            END {
-                med = a[int((NR + 1) / 2)]
-                printf "   median disabled-telemetry overhead %+.3f ns/op (budget %s ns/op)\n", med, p > "/dev/stderr"
-                exit med > p ? 1 : 0
-            }' || {
-        echo "telemetry-overhead: disabled-telemetry hot path exceeds ${TELEMETRY_OVERHEAD_NS} ns/op budget" >&2
+begin telemetry-inline
+inline=$(go build -gcflags=-m=2 ./internal/telemetry ./internal/core 2>&1)
+for want in 'can inline (*Telemetry).Emit ' 'can inline (*Telemetry).Journals ' \
+    'cannot inline (*Router).observeAdmit:' 'cannot inline (*Router).observeDrop:' \
+    'cannot inline (*Router).observeDequeue:'; do
+    printf '%s\n' "$inline" | grep -qF "$want" || {
+        echo "telemetry-inline: go build -gcflags=-m=2 no longer reports \"$want\"" >&2
         exit 1
     }
-    end
-fi
+done
+end
 
 begin dataplane
 run go test -race -count=1 ./internal/wire ./internal/dataplane ./internal/udpbatch ./cmd/flocd
@@ -277,9 +238,9 @@ end
 
 begin ledger-gate
 # The forensic loop, end to end through the real binaries: seal a replay,
-# then verify and replay the sealed evidence. Sealing rides inside the
-# telemetry budget because it only runs when -ledger is given and hashes
-# at control-run boundaries, never on the admission path.
+# then verify and replay the sealed evidence. Sealing costs the admission
+# path nothing: it only runs when -ledger is given and hashes at
+# control-run boundaries.
 ledger_tmp=$(mktemp -d "${TMPDIR:-/tmp}/floc-ledger-XXXXXX")
 run go build -o "$ledger_tmp/flocd" ./cmd/flocd
 run go build -o "$ledger_tmp/floctrace" ./cmd/floctrace
@@ -406,25 +367,13 @@ trap - EXIT
 rm -rf "$cluster_tmp"
 end
 
-PERF_REGRESSION_PCT="${PERF_REGRESSION_PCT:-10}"
-if [ "$PERF_REGRESSION_PCT" != "0" ]; then
-    begin perf-gate
-    # Latest committed snapshot by sequence number (BENCH_0, BENCH_1, ...).
-    baseline=$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1 || true)
-    if [ -z "$baseline" ]; then
-        echo "   perf-gate skipped (no committed BENCH_*.json baseline)" >&2
-    else
-        fresh=$(mktemp "${TMPDIR:-/tmp}/floc-bench-XXXXXX")
-        # Best-of-5 rather than the snapshot default of 3: the gate
-        # compares minima, and the min of a noisy family (the batch
-        # benchmarks swing ~15% run to run on a shared runner) only
-        # converges near the floor with the extra samples.
-        BENCH_RUNS="${BENCH_RUNS:-5}" run scripts/bench-snapshot.sh "$fresh"
-        run go run ./cmd/perfgate -old "$baseline" -new "$fresh" -pct "$PERF_REGRESSION_PCT"
-        rm -f "$fresh"
-    fi
-    end
+begin perf-gate
+if [ -z "$parent" ]; then
+    echo "perf-gate: no parent commit to measure against; a shallow clone needs HEAD~1" >&2
+    exit 1
 fi
+run env PARENT="$parent" scripts/perf-pair.sh micro
+end
 
 FUZZTIME="${FUZZTIME:-10s}"
 if [ "$FUZZTIME" != "0" ]; then
@@ -463,9 +412,7 @@ go_lines() {
 }
 
 line_ledger() {
-    base=HEAD~1
-    [ -z "$(git status --porcelain)" ] || base=HEAD
-    git rev-parse -q --verify "$base^{commit}" >/dev/null || base=""
+    base=$parent
     {
         go_lines | sed 's/^/new:/'
         [ -z "$base" ] || go_lines "$base" | sed 's/^/old:/'
@@ -480,7 +427,7 @@ line_ledger() {
             return sprintf("%8d  %7s  %s", new, base == "" ? "-" : sprintf("%+d", new - old), name)
         }
         END {
-            printf "non-test, non-fixture Go lines%s:\n", base == "" ? "" : " (delta vs " base ")"
+            printf "non-test, non-fixture Go lines%s:\n", base == "" ? "" : " (delta vs " substr(base, 1, 12) ")"
             for (d in dirs) {
                 print row(d, lines["new", d], lines["old", d]) | "sort -k3"
                 new += lines["new", d]; old += lines["old", d]
