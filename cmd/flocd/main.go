@@ -211,7 +211,6 @@ func run(o options) error {
 	// The daemon's arrival clock: every live timestamp — packet arrivals,
 	// control frames, limit leases, health ages — is seconds since this
 	// instant, so the clocks of all the daemon's surfaces agree.
-	//floclint:allow sim-time the live daemon anchors its arrival clock at startup
 	start := time.Now()
 
 	var node *cluster.Node
@@ -359,7 +358,6 @@ type clusterHealth struct {
 
 func (h *health) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	st := h.engine.Stats()
-	//floclint:allow sim-time the health surface reports real daemon uptime
 	up := time.Since(h.start).Seconds()
 	var cb *clusterHealth
 	if h.node != nil {
@@ -570,7 +568,6 @@ func serveUDP(conn net.PacketConn, e *dataplane.Engine, reg *telemetry.Registry,
 		n, err := rd.Read()
 		if err != nil {
 			// Closed socket is the clean shutdown path.
-			//floclint:allow sim-time the live dataplane flushes its queue up to the wall clock
 			e.Advance(time.Since(start).Seconds())
 			return nil
 		}
@@ -587,7 +584,6 @@ func serveUDP(conn net.PacketConn, e *dataplane.Engine, reg *telemetry.Registry,
 				continue
 			}
 			id++
-			//floclint:allow sim-time live dataplane stamps arrivals from the wall clock
 			p.ingest(&h, id, time.Since(start).Seconds())
 		}
 		if n < udpbatch.MaxBatch {
@@ -823,10 +819,10 @@ func serveControl(conn net.PacketConn, node *cluster.Node, reg *telemetry.Regist
 		if err != nil {
 			return
 		}
-		//floclint:allow sim-time live control plane stamps arrivals from the wall clock
 		now := time.Since(start).Seconds()
-		// ReadFrom returns n <= len(buf) by the PacketConn contract; the
-		// frame itself is vetted by DecodeControl.
+		// ReadFrom returns n <= len(buf) by the PacketConn contract, so a
+		// datagram longer than any frame arrives one byte too long, and
+		// HandleFrame refuses bytes after the frame as framing.
 		if _, err := node.HandleFrame(buf[:n], now); err != nil {
 			controlFrameErrors.add(reg, wire.KindOfError(err), 1)
 		}
@@ -837,7 +833,6 @@ func serveControl(conn net.PacketConn, node *cluster.Node, reg *telemetry.Regist
 // publish fresh feedback derived from the engine snapshot, retransmit
 // pending frames, and sweep expired limit leases.
 func clusterLoop(node *cluster.Node, e *dataplane.Engine, start time.Time, stop <-chan struct{}) {
-	//floclint:allow sim-time the live control loop paces itself on the wall clock
 	tick := time.NewTicker(250 * time.Millisecond)
 	defer tick.Stop()
 	for {
@@ -846,7 +841,6 @@ func clusterLoop(node *cluster.Node, e *dataplane.Engine, start time.Time, stop 
 			return
 		case <-tick.C:
 		}
-		//floclint:allow sim-time live control plane stamps publishes from the wall clock
 		now := time.Since(start).Seconds()
 		node.Publish(e.Snapshot(), now)
 		node.Tick(now)
@@ -882,7 +876,6 @@ func sendCapture(r io.Reader, addr string, pace float64) error {
 func transmitCapture(next func(*wire.Header) (float64, error), conn io.Writer, pace float64) (sent, unencodable int, err error) {
 	var h wire.Header
 	buf := make([]byte, 0, wire.MaxEncodedLen)
-	//floclint:allow sim-time the paced sender replays capture time on the wall clock
 	start := time.Now()
 	for {
 		t, err := next(&h)
@@ -894,9 +887,7 @@ func transmitCapture(next func(*wire.Header) (float64, error), conn io.Writer, p
 		}
 		if pace > 0 {
 			due := time.Duration(t * pace * float64(time.Second))
-			//floclint:allow sim-time the paced sender replays capture time on the wall clock
 			if d := due - time.Since(start); d > 0 {
-				//floclint:allow sim-time the paced sender replays capture time on the wall clock
 				time.Sleep(d)
 			}
 		}

@@ -382,7 +382,6 @@ func TestHealthzReportsDataplane(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := newTestEngine(t, reg, 2)
 	defer e.Close()
-	//floclint:allow sim-time the health surface reports real daemon uptime
 	h := &health{engine: e, start: time.Now()}
 	srv := httptest.NewServer(serveMux(reg, h, true))
 	defer srv.Close()
@@ -482,7 +481,6 @@ func liveDaemonTo(t *testing.T, reg *telemetry.Registry, egress dataplane.Packet
 	}
 	t.Cleanup(func() { out.Close() })
 	done := make(chan error, 1)
-	//floclint:allow sim-time the live daemon anchors its arrival clock at startup
 	go func() { done <- serveUDP(conn, e, reg, time.Now()) }()
 	send = func(b []byte) {
 		t.Helper()
@@ -621,7 +619,7 @@ func TestForwarderCountsEgressErrors(t *testing.T) {
 	}
 	buf := make([]byte, 2*wire.MaxEncodedLen)
 	for i := 0; i < 2; i++ {
-		_ = next.SetReadDeadline(time.Now().Add(2 * time.Second)) //floclint:allow sim-time test-side socket deadline
+		_ = next.SetReadDeadline(time.Now().Add(2 * time.Second))
 		n, _, err := next.ReadFrom(buf)
 		if err != nil {
 			t.Fatalf("forwarded datagram %d: %v", i, err)
@@ -820,7 +818,6 @@ func TestServeControlCountsFrameErrors(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		//floclint:allow sim-time the live daemon anchors its arrival clock at startup
 		serveControl(conn, node, reg, time.Now())
 	}()
 	const total = "floc_cluster_control_frame_errors_total"
@@ -836,20 +833,24 @@ func TestServeControlCountsFrameErrors(t *testing.T) {
 	good := testControlFrame(t, 1, 1)
 	badVersion := append([]byte(nil), good...)
 	badVersion[0] = wire.Version1 // a data header's version on the control port
-	for _, frame := range [][]byte{good, good[:7], badVersion, testControlFrame(t, 1, 2)} {
+	// A datagram longer than any frame is cut to MaxControlEncodedLen+1
+	// bytes by the read, so it too reads as a frame with bytes after it.
+	trailing := append(testControlFrame(t, 1, 3), 0)
+	oversize := append(testControlFrame(t, 1, 4), make([]byte, wire.MaxControlEncodedLen)...)
+	for _, frame := range [][]byte{good, good[:7], badVersion, testControlFrame(t, 1, 2), trailing, oversize} {
 		if _, err := out.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, "four frames to be handled", func() bool {
-		return reg.CounterValue(total) == 2 &&
+	waitFor(t, "six frames to be handled", func() bool {
+		return reg.CounterValue(total) == 4 &&
 			reg.CounterValue(`floc_cluster_feedback_applied_total{peer="1"}`) == 2
 	})
 	conn.Close()
 	<-done
-	for _, reason := range []string{"short", "version"} {
-		if got := reg.CounterValue(total + `{reason="` + reason + `"}`); got != 1 {
-			t.Errorf("%s{reason=%q} = %d, want 1", total, reason, got)
+	for reason, want := range map[string]int64{"short": 1, "version": 1, "framing": 2} {
+		if got := reg.CounterValue(total + `{reason="` + reason + `"}`); got != want {
+			t.Errorf("%s{reason=%q} = %d, want %d", total, reason, got, want)
 		}
 	}
 }

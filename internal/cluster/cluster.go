@@ -198,6 +198,8 @@ type Node struct {
 	sendErrs   *telemetry.Counter
 	emptyPath  *telemetry.Counter
 	refused    *telemetry.Counter
+	ownOrigin  *telemetry.Counter
+	retrySpent *telemetry.Counter
 	sentCtr    map[string]*telemetry.Counter
 	appliedCtr map[uint32]*telemetry.Counter
 	staleCtr   map[uint32]*telemetry.Counter
@@ -227,6 +229,9 @@ func New(cfg Config) (*Node, error) {
 	const refusedHelp = "feedback records decoded but not installed, by reason"
 	n.emptyPath = n.counter(`floc_cluster_feedback_refused_total{reason="empty_path"}`, refusedHelp, "records")
 	n.refused = n.counter(`floc_cluster_feedback_refused_total{reason="refused"}`, refusedHelp, "records")
+	const discardedHelp = "control frames discarded unapplied or unacknowledged, by reason"
+	n.ownOrigin = n.counter(`floc_cluster_frames_discarded_total{reason="own_origin"}`, discardedHelp, "frames")
+	n.retrySpent = n.counter(`floc_cluster_frames_discarded_total{reason="retry_budget"}`, discardedHelp, "frames")
 	return n, nil
 }
 
@@ -379,17 +384,23 @@ func (n *Node) Publish(snap core.Snapshot, now float64) int {
 // sequences are dropped whole, fresh records are installed through the
 // Installer with a TTL lease, and — hop budget permitting — the records
 // are relayed to this node's own peers under its own origin and
-// sequence. Returns the number of records applied; the error is non-nil
-// only for undecodable frames (classify it with wire.KindOfError).
+// sequence. buf is one control datagram, so bytes after its frame refuse
+// it whole. Returns the number of records applied; the error is non-nil
+// only for undecodable datagrams (classify it with wire.KindOfError).
 func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 	var f wire.ControlFrame
-	if _, err := wire.DecodeControl(buf, &f); err != nil {
+	used, err := wire.DecodeControl(buf, &f)
+	if err != nil {
 		return 0, err
+	}
+	if used != len(buf) {
+		return 0, wire.ErrTrailing
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if f.Origin == n.cfg.RouterID {
-		return 0, nil // own frame looped back
+		n.ownOrigin.Inc() // own frame looped back
+		return 0, nil
 	}
 	// Forget the origin (a restarted daemon counts from 1 again) once the
 	// last applied frame's limits have lapsed and no older frame, all sent
@@ -452,6 +463,8 @@ func (n *Node) Tick(now float64) int {
 		}
 		if p.retries < n.cfg.RetryBudget {
 			kept = append(kept, p)
+		} else {
+			n.retrySpent.Inc()
 		}
 	}
 	n.pend = kept

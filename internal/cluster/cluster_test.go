@@ -526,12 +526,14 @@ func TestRelayDecrementsHops(t *testing.T) {
 }
 
 // TestTickBackoffAndBudget asserts retransmit pacing: intervals double
-// up to the cap and the frame is pruned after the budget.
+// up to the cap, and the frame is pruned after the budget and counted
+// once as discarded.
 func TestTickBackoffAndBudget(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	tr := &lossyTransport{src: rng.New(3), dropProb: 1.0} // every frame lost
 	down, err := New(Config{
 		RouterID: 3, Peers: []string{"up"}, Transport: tr,
-		Installer: newFakeInstaller(), PacketSize: 1000,
+		Installer: newFakeInstaller(), PacketSize: 1000, Telemetry: reg,
 		RetryBase: 0.1, RetryMax: 0.4, RetryBudget: 3,
 	})
 	if err != nil {
@@ -554,6 +556,9 @@ func TestTickBackoffAndBudget(t *testing.T) {
 	if h := down.Health(10.0); h.PendingFrames != 0 {
 		t.Fatalf("pending frames = %d after budget exhaustion, want 0", h.PendingFrames)
 	}
+	if got := reg.CounterValue(discardedSeries("retry_budget")); got != 1 {
+		t.Fatalf("retry_budget discards = %d, want 1", got)
+	}
 }
 
 // TestHealthSurface asserts the /healthz payload fields.
@@ -564,19 +569,7 @@ func TestHealthSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := wire.ControlFrame{
-		Version: wire.ControlVersion1, Kind: wire.ControlFeedback,
-		Origin: 3, Seq: 11, TTLMillis: 2000, NumRecords: 1,
-	}
-	if err := f.Records[0].SetPath(pathid.New(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	f.Records[0].LimitBits = 1
-	buf, err := wire.MarshalControlAppend(nil, &f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := up.HandleFrame(buf, 2.0); err != nil {
+	if _, err := up.HandleFrame(oneRecordFrame(t, 3, 11), 2.0); err != nil {
 		t.Fatal(err)
 	}
 	h := up.Health(3.5)
@@ -601,9 +594,10 @@ func (in *refusingInstaller) InstallLimit(pathid.PathID, units.BitsPerSec, float
 }
 
 // TestRefusedFeedbackIsCounted: a record with an empty path decodes but
-// is never offered to the Installer, and a record the Installer refuses
-// is not applied; both are counted by reason, on a series that exists
-// from the start and carries no peer label.
+// is never offered to the Installer, a record the Installer refuses is
+// not applied, and a frame of the node's own origin that loops back is
+// discarded; each is counted by reason, on a series that exists from the
+// start and carries no peer label.
 func TestRefusedFeedbackIsCounted(t *testing.T) {
 	in := &refusingInstaller{}
 	reg := telemetry.NewRegistry()
@@ -613,9 +607,10 @@ func TestRefusedFeedbackIsCounted(t *testing.T) {
 	}
 	const empty = `floc_cluster_feedback_refused_total{reason="empty_path"}`
 	const refused = `floc_cluster_feedback_refused_total{reason="refused"}`
+	ownOrigin := discardedSeries("own_origin")
 	var text strings.Builder
 	reg.WriteText(&text)
-	for _, series := range []string{empty, refused} {
+	for _, series := range []string{empty, refused, ownOrigin} {
 		if !strings.Contains(text.String(), series+" 0\n") {
 			t.Fatalf("%s is not exported at zero before any frame", series)
 		}
@@ -649,4 +644,63 @@ func TestRefusedFeedbackIsCounted(t *testing.T) {
 	if got := reg.CounterValue(`floc_cluster_feedback_applied_total{peer="9"}`); got != 0 {
 		t.Fatalf("applied = %d, want 0", got)
 	}
+	if n, err := up.HandleFrame(oneRecordFrame(t, 2, 1), 1.0); n != 0 || err != nil || in.calls != 2 {
+		t.Fatalf("HandleFrame(own origin) = %d, %v with %d offers; want 0 applied, none offered", n, err, in.calls-2)
+	}
+	if got := reg.CounterValue(ownOrigin); got != 1 {
+		t.Fatalf("own_origin = %d, want 1", got)
+	}
+}
+
+// oneRecordFrame marshals a valid feedback frame from origin with one
+// record limiting path 1-2.
+func oneRecordFrame(t *testing.T, origin uint32, seq uint64) []byte {
+	t.Helper()
+	f := wire.ControlFrame{
+		Version: wire.ControlVersion1, Kind: wire.ControlFeedback,
+		Origin: origin, Seq: seq, TTLMillis: 2000, NumRecords: 1,
+	}
+	if err := f.Records[0].SetPath(pathid.New(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	f.Records[0].LimitBits = 5_000_000
+	buf, err := wire.MarshalControlAppend(nil, &f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestTrailingBytesRefuseTheDatagram: a control datagram carries one
+// frame, so a valid frame followed by anything is refused whole, as
+// framing, before a record is installed. The daemon reads into a buffer
+// one byte longer than any frame, so an oversize datagram arrives in the
+// same shape.
+func TestTrailingBytesRefuseTheDatagram(t *testing.T) {
+	in := newFakeInstaller()
+	up, err := New(Config{RouterID: 2, Installer: in, PacketSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := oneRecordFrame(t, 9, 1)
+	oversize := append(append([]byte(nil), frame...), make([]byte, wire.MaxControlEncodedLen+1-len(frame))...)
+	for _, buf := range [][]byte{append(frame, 0), oversize} {
+		n, err := up.HandleFrame(buf, 1.0)
+		if n != 0 || wire.KindOfError(err) != wire.ErrKindFraming {
+			t.Fatalf("HandleFrame(%d bytes after the frame) = %d, %v; want 0 applied, a framing error",
+				len(buf)-len(frame), n, err)
+		}
+	}
+	if in.calls != 0 {
+		t.Fatalf("Installer offered %d records from refused datagrams", in.calls)
+	}
+	if n, err := up.HandleFrame(frame, 1.0); n != 1 || err != nil {
+		t.Fatalf("HandleFrame(the frame alone) = %d, %v; want 1 applied", n, err)
+	}
+}
+
+// discardedSeries is the one counter family for frames a node drops
+// without applying or acknowledging them; it carries no peer label.
+func discardedSeries(reason string) string {
+	return `floc_cluster_frames_discarded_total{reason="` + reason + `"}`
 }

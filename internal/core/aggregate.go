@@ -183,8 +183,6 @@ func (r *Router) planLegitAggregation(plan map[string][]*pathState, kind map[str
 
 // legitAggregationBeneficial checks Eq. (IV.8) and the bandwidth-increase
 // guard for a prospective legitimate aggregate.
-//
-// floc:eq IV.8
 func (r *Router) legitAggregationBeneficial(members []*pathState) bool {
 	k := float64(len(members))
 	sumE, sumN, sumEN := 0.0, 0.0, 0.0

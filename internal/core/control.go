@@ -159,8 +159,6 @@ func rollRate(tokens, rate, interval float64) float64 {
 
 // classifyPath counts a path's attack flows via the drop filter and
 // advances its conformance EWMA (Eq. IV.6).
-//
-// floc:eq IV.6
 func (r *Router) classifyPath(ps *pathState, now float64) {
 	eff := ps.effective()
 	fair, k := r.fairShare(eff), r.filterK(eff)

@@ -16,10 +16,7 @@ import (
 	"floc/internal/units"
 )
 
-// Mode is the router's queue operating mode (paper Section V-A). The
-// set is closed: switches over it must be exhaustive.
-//
-//floc:enum
+// Mode is the router's queue operating mode (paper Section V-A).
 type Mode uint8
 
 // Queue modes.
@@ -47,12 +44,9 @@ func (m Mode) String() string {
 	}
 }
 
-// DropReason classifies router drops, for instrumentation. The set is
-// closed: switches over it must be exhaustive, and the label table in
-// report.go is sized by numDropReasons so a new reason cannot ship
-// without a label.
-//
-//floc:enum
+// DropReason classifies router drops, for instrumentation. The label
+// table in report.go is sized by numDropReasons, so a new reason cannot
+// ship without a label.
 type DropReason uint8
 
 // Drop reasons.
@@ -67,7 +61,7 @@ const (
 	DropBlocked
 	// DropOverflow: physical buffer full.
 	DropOverflow
-	numDropReasons //floc:enumbound
+	numDropReasons
 )
 
 // flowKey is a flow's accounting identity: with NMax > 0 the id is the
@@ -410,7 +404,8 @@ func (r *Router) Enqueue(pkt *netsim.Packet, now float64) bool {
 		fs = orig.flows.put(hash, key)
 	}
 	fs.lastSeen = now
-	//floc:nonexhaustive RTT sampling keys on SYN and first forward data; SYNACK/ACK travel the reverse path and never reach this router's measurement
+	// RTT sampling keys on SYN and first forward data; SYNACK/ACK travel
+	// the reverse path and never reach this router's measurement.
 	switch pkt.Kind {
 	case netsim.KindSYN:
 		fs.synAt = now

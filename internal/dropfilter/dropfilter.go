@@ -290,7 +290,7 @@ type State struct {
 // Excess returns P_e, the flow's estimated excess send-rate factor
 // (extra drops per congestion epoch).
 //
-// floc:eq V-B.2 (P_e = d/t_s)
+// Paper §V-B.2: P_e = d/t_s.
 func (s State) Excess() float64 {
 	if s.TS == 0 {
 		return 0
@@ -309,7 +309,7 @@ func (s State) Excess() float64 {
 // paper: t_s=16, d=1 gives P_e = 1/16 = 6.25% and P_pd = 1/17 = 5.88%;
 // a 64x flow saturating d at 63 with t_s=1 gives P_pd = 63/64 = 0.984.
 //
-// floc:eq V.1 (P_pd = d/(t_s+d))
+// Paper Eq. V.1: P_pd = d/(t_s+d).
 func (s State) PrefDropProb() float64 {
 	if s.D == 0 {
 		return 0
@@ -412,7 +412,7 @@ func (f *Filter) Counters() (recordOps, queryOps int64) {
 // log2Slots is Config.Bits, the base-2 logarithm of the per-array table
 // width — an exponent, not a data quantity measured in bits.
 //
-// floc:eq V-B.5 (false-positive rate)
+// Paper §V-B.5: the false-positive rate.
 func FalsePositiveRate(n int, log2Slots, k int) float64 {
 	if k < 1 || log2Slots < 1 || n <= 0 {
 		return 0

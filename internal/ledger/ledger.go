@@ -113,8 +113,6 @@ func chainHash(prev Hash, covered []byte) Hash {
 }
 
 // ErrorKind discriminates verification failures.
-//
-//floc:enum
 type ErrorKind uint8
 
 const (
@@ -145,7 +143,7 @@ const (
 	// (only checked when events are collected for replay).
 	ErrEventDecode
 
-	numErrorKinds //floc:enumbound
+	numErrorKinds
 )
 
 // errorKindNames is indexed by ErrorKind; the exhaustiveness test

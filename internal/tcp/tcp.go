@@ -143,7 +143,8 @@ func (s *Source) sendSYN(net *netsim.Network) {
 
 // Deliver implements netsim.Agent (packets from the peer arrive here).
 func (s *Source) Deliver(net *netsim.Network, pkt *netsim.Packet) {
-	//floc:nonexhaustive a source consumes only the reverse-path SYNACK/ACK; forward kinds are what it emits
+	// A source consumes only the reverse-path SYNACK/ACK; forward kinds
+	// are what it emits.
 	switch pkt.Kind {
 	case netsim.KindSYNACK:
 		if s.state != stateSYNSent {
@@ -382,7 +383,8 @@ func NewSink(host *netsim.Host, peer uint32, reversePath pathid.PathID) *Sink {
 
 // Deliver implements netsim.Agent.
 func (k *Sink) Deliver(net *netsim.Network, pkt *netsim.Packet) {
-	//floc:nonexhaustive a sink answers the forward-path SYN/Data; reverse kinds and UDP are not addressed to it
+	// A sink answers the forward-path SYN/Data; reverse kinds and UDP are
+	// not addressed to it.
 	switch pkt.Kind {
 	case netsim.KindSYN:
 		k.send(net, netsim.KindSYNACK, 0)

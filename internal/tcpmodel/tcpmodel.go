@@ -28,7 +28,7 @@ const Epsilon = 3.4641016151377544 // sqrt(12)
 // The model (paper Fig. 4) treats the window as uniform on [W/2, W], so the
 // average window is (3/4)W and bw = (3/4)*W/RTT, giving W = 4*bw*RTT/3.
 //
-// floc:eq IV-A (W = 4*c*RTT/3)
+// Paper §IV-A: W = 4*c*RTT/3.
 func PeakWindow(bw units.PacketsPerSec, rtt float64) float64 {
 	if bw <= 0 || rtt <= 0 {
 		return 0
@@ -40,7 +40,7 @@ func PeakWindow(bw units.PacketsPerSec, rtt float64) float64 {
 // of a persistent TCP flow with peak window w packets and round-trip time
 // rtt seconds.
 //
-// floc:eq IV-A (c = 3*W/(4*RTT))
+// Paper §IV-A: c = 3*W/(4*RTT).
 func FlowBandwidth(w, rtt float64) units.PacketsPerSec {
 	if rtt <= 0 {
 		return 0
@@ -78,7 +78,7 @@ type Params struct {
 // 1/(3*sqrt(3*n))... i.e. cv = 1/(sqrt(3*n) * ... ) — computed exactly
 // below from the two moments rather than a collapsed constant.
 //
-// floc:eq IV.1 IV.2 IV.3
+// Paper Eqs. IV.1–IV.3.
 func Compute(c units.PacketsPerSec, n int, rtt float64) (Params, error) {
 	if c <= 0 {
 		return Params{}, fmt.Errorf("tcpmodel: non-positive bandwidth %v", c)
@@ -128,7 +128,7 @@ func SyncBucketFactor() float64 { return 4.0 / 3.0 }
 // One drop per congestion epoch over the (3/8)W(W+2) packets sent while
 // the window climbs from W/2 to W.
 //
-// floc:eq V-B.1 (gamma = 8/(3*W*(W+2)))
+// Paper §V-B.1: gamma = 8/(3*W*(W+2)).
 func DropRatio(w float64) float64 {
 	if w <= 0 {
 		return 1
@@ -140,7 +140,7 @@ func DropRatio(w float64) float64 {
 // gamma, it returns the implied steady-state peak window (the positive root
 // of 3*gamma*W^2 + 6*gamma*W - 8 = 0).
 //
-// floc:eq V-B.1 (inverse)
+// Paper §V-B.1, inverted.
 func WindowFromDropRatio(gamma float64) float64 {
 	if gamma <= 0 {
 		return math.Inf(1)
@@ -161,7 +161,7 @@ const smallestWindow = 1
 // DropRate returns delta_Si, the packet drop rate (drops/s) of a path
 // aggregate with request rate lambda packets/s and drop ratio gamma.
 //
-// floc:eq V-B.1 (delta = lambda*gamma)
+// Paper §V-B.1: delta = lambda*gamma.
 func DropRate(lambda units.PacketsPerSec, gamma float64) units.PacketsPerSec {
 	if lambda <= 0 || gamma <= 0 {
 		return 0
@@ -175,7 +175,7 @@ func DropRate(lambda units.PacketsPerSec, gamma float64) units.PacketsPerSec {
 // This is the router's scalable flow-counting primitive (Section V-B.1):
 // it requires only the aggregate drop ratio, not per-flow state.
 //
-// floc:eq V-B.1 (n = 4*c*RTT/(3*W))
+// Paper §V-B.1: n = 4*c*RTT/(3*W).
 func EstimateFlows(c units.PacketsPerSec, rtt, w float64) float64 {
 	if w <= 0 {
 		return 0
@@ -188,7 +188,7 @@ func EstimateFlows(c units.PacketsPerSec, rtt, w float64) float64 {
 // MTD is a duration: non-positive or non-finite inputs yield 0, never a
 // negative time.
 //
-// floc:eq IV-B (MTD = W/2 * RTT)
+// Paper §IV-B: MTD = W/2 * RTT.
 func MTD(w, rtt float64) float64 {
 	if w <= 0 || rtt <= 0 {
 		return 0

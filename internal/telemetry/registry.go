@@ -137,8 +137,6 @@ func (h *Histogram) Sum() float64 {
 
 // metricKind discriminates the exposition families; the text encoder
 // switches over it and must render every kind.
-//
-//floc:enum
 type metricKind uint8
 
 const (

@@ -44,7 +44,6 @@ var (
 	errTimeRange    = errors.New("record time at or above 2^53 ns")
 	errPacketCut    = errors.New("record holds less than the whole packet")
 	errFrameTooLong = fmt.Errorf("record frame longer than any header (%d bytes)", MaxEncodedLen)
-	errTrailing     = errors.New("trailing bytes after header")
 )
 
 // CaptureWriter writes capture records.
@@ -212,7 +211,7 @@ func (cr *CaptureReader) readRecord(h *Header) (float64, ErrorKind, error) {
 	case err != nil:
 		return 0, KindOfError(err), err
 	case used != n:
-		return 0, ErrKindFraming, errTrailing
+		return 0, ErrKindFraming, ErrTrailing
 	}
 	return t, ErrKindNone, nil
 }

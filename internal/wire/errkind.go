@@ -2,18 +2,17 @@ package wire
 
 import "errors"
 
-// ErrorKind classifies the codec's typed errors into a closed set, so
-// tooling that aggregates malformed input (the capture reader's
-// per-kind malformed-line counts, a future pushback-frame parser) can
-// switch over the classification and be held exhaustive when the
-// congestion-feedback frames add error shapes.
-//
-//floc:enum
+// ErrorKind classifies the codec's typed errors into a closed set. Its
+// String is the reason label of every malformed-input counter: the
+// capture reader's per-kind counts and the daemon's data and control
+// datagram errors.
 type ErrorKind uint8
 
 // Error kinds. ErrKindNone classifies nil and foreign errors;
-// ErrKindFraming classifies capture-stream records broken before the
-// codec ever saw bytes (bad NDJSON, bad hex).
+// ErrKindFraming classifies input broken around its frame, which the
+// decoders never see: a capture record cut short, with a bad time or
+// with bytes after its frame, and a datagram with bytes after its frame
+// (ErrTrailing).
 const (
 	ErrKindNone ErrorKind = iota
 	ErrKindShort
@@ -27,7 +26,7 @@ const (
 	ErrKindHops
 	ErrKindCount
 	ErrKindTTL
-	NumErrorKinds //floc:enumbound
+	NumErrorKinds
 )
 
 // String returns the kind's stable label, used as the reason tag on
@@ -83,6 +82,8 @@ func KindOfError(err error) ErrorKind {
 		return ErrKindLength
 	case errors.Is(err, ErrSlot):
 		return ErrKindSlot
+	case errors.Is(err, ErrTrailing):
+		return ErrKindFraming
 	case errors.Is(err, ErrHops):
 		return ErrKindHops
 	case errors.Is(err, ErrCount):

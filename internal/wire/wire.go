@@ -92,6 +92,9 @@ var (
 	ErrLength = errors.New("wire: invalid packet length")
 	// ErrSlot reports a capability slot outside the encodable [0, 255].
 	ErrSlot = errors.New("wire: capability slot out of range")
+	// ErrTrailing reports bytes after the one frame a datagram or
+	// capture record carries; KindOfError classifies it as framing.
+	ErrTrailing = errors.New("wire: trailing bytes after frame")
 	// ErrHops reports a control-frame hop budget above MaxControlHops.
 	ErrHops = errors.New("wire: control hop budget out of range")
 	// ErrCount reports a control-frame record count outside

@@ -9,15 +9,6 @@
 #                (the arm64 syscall numbers and struct layouts)
 #   format       gofmt -l (fails on any unformatted file)
 #   vet          go vet ./...
-#   floclint     repo-specific determinism, equation-guard, atomics and
-#                exhaustiveness rules (cmd/floclint); units are
-#                internal/units types, checked by the compiler, and
-#                per-packet allocation and input bounds are the
-#                alloc-gate's and the fuzz targets' to check
-#   fixtures     floclint -fixtures: every fixture WANT marker must be
-#                reported and every finding must have a marker, so the
-#                seeded-violation corpus cannot drift from the rules;
-#                per-rule finding counts resurface in the final summary
 #   alloc-gate   every TestZeroAlloc* test of every package (go test -run
 #                '^TestZeroAlloc' ./..., nothing listed by hand): 0
 #                allocs/op on the per-packet paths (wire codec and its
@@ -146,19 +137,6 @@ end
 
 begin vet
 run go vet ./...
-end
-
-begin floclint
-run go run ./cmd/floclint ./...
-end
-
-begin fixtures
-echo ">> go run ./cmd/floclint -fixtures cmd/floclint/testdata/src" >&2
-fixtures_out=$(go run ./cmd/floclint -fixtures cmd/floclint/testdata/src)
-echo "$fixtures_out" >&2
-# The per-rule counts line resurfaces in the stage timing summary so a
-# rule whose fixture coverage collapses to zero is visible at a glance.
-rule_counts=$(printf '%s\n' "$fixtures_out" | grep '^per-rule fixture findings:' || true)
 end
 
 begin alloc-gate
@@ -397,9 +375,6 @@ fi
 
 echo "check.sh: all gates passed; stage timings:" >&2
 printf '%s' "$timings" >&2
-if [ -n "${rule_counts:-}" ]; then
-    echo "$rule_counts" >&2
-fi
 
 # go_lines [<ref>] — "<path>:<lines>" for every Go file in the work tree
 # (tracked or not yet added), or in the tree of <ref>.
