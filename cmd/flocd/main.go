@@ -68,8 +68,6 @@ type options struct {
 	shards   int
 	linkRate float64
 	capacity int
-	ringSize int
-	batch    int
 	metrics  string
 	snapshot bool
 	printMet bool
@@ -111,8 +109,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.shards, "shards", 0, "dataplane shards (0 = one per core)")
 	fs.Float64Var(&o.linkRate, "link", 8e6, "protected link rate in bits/s")
 	fs.IntVar(&o.capacity, "capacity", 512, "aggregate buffer capacity in packets")
-	fs.IntVar(&o.ringSize, "ring", 1024, "per-shard ring capacity in packets (power of two)")
-	fs.IntVar(&o.batch, "batch", 64, "per-shard admission batch size")
 	fs.StringVar(&o.metrics, "metrics", "", "HTTP address to serve /metrics and /healthz on (empty = off)")
 	fs.BoolVar(&o.snapshot, "snapshot", false, "print the merged router snapshot at exit")
 	fs.BoolVar(&o.printMet, "print-metrics", false, "print the metric registry as Prometheus text at exit")
@@ -194,8 +190,6 @@ func run(o options) error {
 	engine, err := dataplane.New(dataplane.Config{
 		Router:      rc,
 		Shards:      o.shards,
-		RingSize:    o.ringSize,
-		Batch:       o.batch,
 		BlockOnFull: o.replay != "", // a capture has no real clock: pace, don't drop
 		Telemetry:   reg,
 		Sink:        sink,

@@ -265,7 +265,7 @@ func TestGenerateCaptureDeterministic(t *testing.T) {
 
 // testOptions mirrors the daemon's flag defaults for in-process runs.
 func testOptions() options {
-	return options{seed: 1, linkRate: 8e6, capacity: 512, ringSize: 1024, batch: 64}
+	return options{seed: 1, linkRate: 8e6, capacity: 512}
 }
 
 // TestTraceFlagIsGone: the daemon attaches no event ring, so the knob

@@ -72,55 +72,39 @@ type Config struct {
 	// the router's packets/s allocations into bits/s limits. Must match
 	// the router config.
 	PacketSize int
-	// DropFrac is the per-path interval drop fraction at which the path
-	// is advertised as flooded (default 0.25). A path is released when
-	// its drop fraction falls below half of DropFrac.
-	DropFrac float64
-	// MinLimitBits floors every advertised limit so a starving path is
-	// never limited to zero by accident (default 64 kb/s).
-	MinLimitBits units.BitsPerSec
-	// TTL is the lease lifetime stamped on outgoing frames; installed
-	// limits expire TTL seconds after application unless refreshed
-	// (default 2.0, max 65.535 — it must fit the frame's uint16 millis).
-	TTL float64
-	// Hops is the propagation budget on originated frames: how many
-	// further routers a frame may be relayed to (default 2, max
-	// wire.MaxControlHops).
-	Hops uint8
-	// RetryBase and RetryMax bound the retransmit backoff (defaults
-	// 0.1 s and 1.6 s); RetryBudget is the retransmit count per frame
-	// (default 5).
-	RetryBase   float64
-	RetryMax    float64
-	RetryBudget int
 	// Telemetry, when non-nil, receives the feedback counters.
 	Telemetry *telemetry.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.DropFrac == 0 {
-		c.DropFrac = 0.25
-	}
-	if c.MinLimitBits == 0 {
-		c.MinLimitBits = 64_000
-	}
-	if c.TTL == 0 {
-		c.TTL = 2.0
-	}
-	if c.Hops == 0 {
-		c.Hops = 2
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 0.1
-	}
-	if c.RetryMax == 0 {
-		c.RetryMax = 1.6
-	}
-	if c.RetryBudget == 0 {
-		c.RetryBudget = 5
-	}
-	return c
-}
+// The protocol's fixed parameters. Every daemon of a deployment must
+// share the retransmit schedule: a receiver's staleness window assumes
+// its sender's retrySpan.
+const (
+	// dropFrac is the per-path interval drop fraction at which the path
+	// is advertised as flooded. A path is released when its drop
+	// fraction falls below half of dropFrac.
+	dropFrac = 0.25
+	// minLimitBits floors every advertised limit so a starving path is
+	// never limited to zero by accident.
+	minLimitBits units.BitsPerSec = 64_000
+	// leaseTTL is the lease lifetime, in seconds, stamped on outgoing
+	// frames; installed limits expire leaseTTL after application unless
+	// refreshed. It must fit the frame's uint16 milliseconds.
+	leaseTTL = 2.0
+	// hopBudget is the propagation budget on originated frames: how many
+	// further routers a frame may be relayed to (at most
+	// wire.MaxControlHops).
+	hopBudget = 2
+	// retryBase and retryMax bound the retransmit backoff in seconds;
+	// retryBudget is the retransmit count per frame.
+	retryBase   = 0.1
+	retryMax    = 1.6
+	retryBudget = 5
+	// retrySpan is how long after its first send a frame may still be
+	// retransmitted: the retryBudget backoff intervals,
+	// 0.1 + 0.2 + 0.4 + 0.8 + 1.6 s.
+	retrySpan = 3.1
+)
 
 func (c Config) validate() error {
 	switch {
@@ -132,16 +116,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("cluster: Transport is required with peers")
 	case c.PacketSize <= 0:
 		return fmt.Errorf("cluster: packet size %d <= 0", c.PacketSize)
-	case c.DropFrac <= 0 || c.DropFrac > 1:
-		return fmt.Errorf("cluster: DropFrac %v out of (0,1]", c.DropFrac)
-	case c.TTL <= 0 || c.TTL > 65.535:
-		return fmt.Errorf("cluster: TTL %v out of (0, 65.535]", c.TTL)
-	case c.Hops > wire.MaxControlHops:
-		return fmt.Errorf("cluster: hop budget %d > %d", c.Hops, wire.MaxControlHops)
-	case c.RetryBase <= 0 || c.RetryMax < c.RetryBase:
-		return fmt.Errorf("cluster: retry backoff [%v, %v] invalid", c.RetryBase, c.RetryMax)
-	case c.RetryBudget < 0:
-		return fmt.Errorf("cluster: retry budget %d < 0", c.RetryBudget)
 	}
 	return nil
 }
@@ -190,9 +164,6 @@ type Node struct {
 	active   map[string]bool // path key -> currently advertised as limited
 	pend     []*pendingFrame
 	origins  map[uint32]originState
-	// retrySpan is how long after its first send a frame may still be
-	// retransmitted (peers are assumed to share this node's schedule).
-	retrySpan float64
 
 	// Resolved in New, so /metrics shows a zero.
 	sendErrs   *telemetry.Counter
@@ -207,7 +178,6 @@ type Node struct {
 
 // New builds a cluster node.
 func New(cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -219,10 +189,6 @@ func New(cfg Config) (*Node, error) {
 		sentCtr:    map[string]*telemetry.Counter{},
 		appliedCtr: map[uint32]*telemetry.Counter{},
 		staleCtr:   map[uint32]*telemetry.Counter{},
-	}
-	for i, iv := 0, cfg.RetryBase; i < cfg.RetryBudget; i++ {
-		n.retrySpan += iv
-		iv = min(2*iv, cfg.RetryMax)
 	}
 	n.sendErrs = n.counter("floc_cluster_send_errors_total",
 		"control frames the transport failed to send to a peer", "frames")
@@ -244,7 +210,7 @@ func (n *Node) Peers() []string { return n.cfg.Peers }
 // limitFor computes the limit advertised for a flooded path: the
 // router's guaranteed allocation converted to bits/s, falling back to
 // the measured admitted rate over the interval when the allocation is
-// unknown, floored at MinLimitBits.
+// unknown, floored at minLimitBits.
 func (n *Node) limitFor(p core.PathInfo, admittedDelta int64, interval float64) units.BitsPerSec {
 	rate := p.AllocPackets.Bits(n.cfg.PacketSize)
 	if rate <= 0 && interval > 0 {
@@ -252,15 +218,15 @@ func (n *Node) limitFor(p core.PathInfo, admittedDelta int64, interval float64) 
 		admitted := float64(admittedDelta) * float64(units.FromPacket(n.cfg.PacketSize))
 		rate = units.Bits(admitted).Per(units.Seconds(interval))
 	}
-	if rate < n.cfg.MinLimitBits {
-		rate = n.cfg.MinLimitBits
+	if rate < minLimitBits {
+		rate = minLimitBits
 	}
 	return rate
 }
 
 // Publish diffs snap against the previous snapshot, derives the current
 // per-path limit set, and advertises it to every peer as one or more
-// control frames. Paths whose interval drop fraction reaches DropFrac
+// control frames. Paths whose interval drop fraction reaches dropFrac
 // (or that the router marks as attack paths) are limited; previously
 // limited paths that have calmed are released with an explicit
 // zero-limit record. Returns the number of records sent. The first call
@@ -292,12 +258,12 @@ func (n *Node) Publish(snap core.Snapshot, now float64) int {
 			// Counter reset (path expired and reappeared): new baseline.
 			continue
 		}
-		dropFrac := 0.0
+		frac := 0.0
 		if arrived > 0 {
-			dropFrac = float64(dropped) / float64(arrived)
+			frac = float64(dropped) / float64(arrived)
 		}
-		flooded := arrived > 0 && (dropFrac >= n.cfg.DropFrac || p.Attack)
-		calm := dropFrac < n.cfg.DropFrac/2 && !p.Attack
+		flooded := arrived > 0 && (frac >= dropFrac || p.Attack)
+		calm := frac < dropFrac/2 && !p.Attack
 		switch {
 		case flooded || (n.active[p.Key] && !calm):
 			path, err := pathid.Parse(p.Key)
@@ -357,10 +323,10 @@ func (n *Node) Publish(snap core.Snapshot, now float64) int {
 		f := wire.ControlFrame{
 			Version:    wire.ControlVersion1,
 			Kind:       wire.ControlFeedback,
-			Hops:       n.cfg.Hops,
+			Hops:       hopBudget,
 			Origin:     n.cfg.RouterID,
 			Seq:        n.nextSeqLocked(),
-			TTLMillis:  uint16(n.cfg.TTL * 1000),
+			TTLMillis:  leaseTTL * 1000,
 			NumRecords: uint8(len(chunk)),
 		}
 		for i, r := range chunk {
@@ -410,7 +376,7 @@ func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 		n.staleCtrLocked(f.Origin).Inc()
 		return 0, nil
 	}
-	n.origins[f.Origin] = originState{seq: f.Seq, recv: now, forgetAt: now + f.TTL() + n.retrySpan}
+	n.origins[f.Origin] = originState{seq: f.Seq, recv: now, forgetAt: now + f.TTL() + retrySpan}
 	applied := 0
 	for i := 0; i < int(f.NumRecords); i++ {
 		r := &f.Records[i]
@@ -441,13 +407,18 @@ func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 	return applied, nil
 }
 
-// Tick retransmits due pending frames with capped exponential backoff
-// and prunes frames that exhausted their retry budget. Call it
-// periodically (the daemon's tick loop); returns the number of frames
-// resent.
+// Tick retransmits due pending frames with capped exponential backoff,
+// prunes frames that exhausted their retry budget, and forgets origins
+// whose window (see HandleFrame) has ended. Call it periodically (the
+// daemon's tick loop); returns the number of frames resent.
 func (n *Node) Tick(now float64) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	for origin, o := range n.origins {
+		if now >= o.forgetAt {
+			delete(n.origins, origin)
+		}
+	}
 	resent := 0
 	kept := n.pend[:0]
 	for _, p := range n.pend {
@@ -456,12 +427,12 @@ func (n *Node) Tick(now float64) int {
 			resent++
 			p.retries++
 			p.interval *= 2
-			if p.interval > n.cfg.RetryMax {
-				p.interval = n.cfg.RetryMax
+			if p.interval > retryMax {
+				p.interval = retryMax
 			}
 			p.nextAt = now + p.interval
 		}
-		if p.retries < n.cfg.RetryBudget {
+		if p.retries < retryBudget {
 			kept = append(kept, p)
 		} else {
 			n.retrySpent.Inc()
@@ -490,16 +461,13 @@ func (n *Node) sendLocked(buf []byte) {
 
 // trackLocked queues a frame for retransmission.
 func (n *Node) trackLocked(buf []byte, seq uint64, originated bool, now float64) {
-	if n.cfg.RetryBudget == 0 {
-		return
-	}
 	n.pend = append(n.pend, &pendingFrame{
 		buf:        buf,
 		seq:        seq,
 		originated: originated,
 		retries:    0,
-		interval:   n.cfg.RetryBase,
-		nextAt:     now + n.cfg.RetryBase,
+		interval:   retryBase,
+		nextAt:     now + retryBase,
 	})
 	if len(n.pend) > maxPending {
 		n.pend = n.pend[len(n.pend)-maxPending:]

@@ -358,6 +358,32 @@ func TestLowerSeqWithinLeaseIsStale(t *testing.T) {
 	}
 }
 
+// TestOriginsForgottenAfterLease: an origin is remembered only until its
+// last frame's lease and retransmit span have run, so a receiver heard
+// by many short-lived origins holds none of them once Tick passes their
+// windows, and /healthz lists none.
+func TestOriginsForgottenAfterLease(t *testing.T) {
+	up, err := New(Config{RouterID: 2, Installer: newFakeInstaller(), PacketSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const origins = 10_000
+	for i := uint32(0); i < origins; i++ {
+		if n, _ := up.HandleFrame(feedbackFrame(t, 100+i, 1, 0, 1_000_000), 1.0); n != 1 {
+			t.Fatalf("origin %d: applied %d records, want 1", 100+i, n)
+		}
+	}
+	// Each origin is remembered to 1.0 + TTL 2 + retransmit span 3.1 = 6.1.
+	up.Tick(6.0)
+	if got := len(up.Health(6.0).Feedback); got != origins {
+		t.Fatalf("%d origins reported within their windows, want %d", got, origins)
+	}
+	up.Tick(6.1)
+	if fb := up.Health(6.1).Feedback; len(fb) != 0 {
+		t.Fatalf("%d origins still reported after their windows ended", len(fb))
+	}
+}
+
 // TestRelayedRetransmitOutlivesLeaseIsStale: a relay forwards a limit and
 // then its release. The relay keeps retransmitting the limit frame for
 // 3.1 s, past the 2 s lease of the release frame. That last retransmit
@@ -534,7 +560,6 @@ func TestTickBackoffAndBudget(t *testing.T) {
 	down, err := New(Config{
 		RouterID: 3, Peers: []string{"up"}, Transport: tr,
 		Installer: newFakeInstaller(), PacketSize: 1000, Telemetry: reg,
-		RetryBase: 0.1, RetryMax: 0.4, RetryBudget: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -545,13 +570,27 @@ func TestTickBackoffAndBudget(t *testing.T) {
 	if base == 0 {
 		t.Fatal("publish sent nothing")
 	}
-	// Backoff schedule from t=0.5: retries due at 0.6, 0.8, 1.2 (cap 0.4).
+	// Backoff schedule from t=0.5: retries due at 0.6, 0.8, 1.2, 2.0 and
+	// 3.6 (intervals 0.1 doubling to the 1.6 cap), then the budget of
+	// five is spent. Each due tick runs 1 µs after the last one's due
+	// time, so rounding in now+interval cannot hold a resend back; a tick
+	// 50 ms early finds nothing due.
 	resends := 0
-	for _, now := range []float64{0.55, 0.6, 0.7, 0.8, 1.0, 1.2, 5.0, 10.0} {
-		resends += down.Tick(now)
+	for _, tick := range []struct {
+		now    float64
+		resent int
+	}{
+		{0.55, 0}, {0.600001, 1}, {0.75, 0}, {0.800002, 1}, {1.15, 0}, {1.200003, 1},
+		{1.95, 0}, {2.000004, 1}, {3.55, 0}, {3.600005, 1}, {5.3, 0}, {10.0, 0},
+	} {
+		n := down.Tick(tick.now)
+		if n != tick.resent {
+			t.Fatalf("tick at %v resent %d frames, want %d", tick.now, n, tick.resent)
+		}
+		resends += n
 	}
-	if resends != 3 {
-		t.Fatalf("resent %d times, want exactly the budget of 3", resends)
+	if resends != 5 {
+		t.Fatalf("resent %d times, want exactly the budget of 5", resends)
 	}
 	if h := down.Health(10.0); h.PendingFrames != 0 {
 		t.Fatalf("pending frames = %d after budget exhaustion, want 0", h.PendingFrames)

@@ -87,7 +87,7 @@ type aggCandidate struct {
 func (r *Router) planAttackAggregation(plan map[string][]*pathState, kind map[string]aggKind) {
 	legit, attack := 0, 0
 	r.origins.each(func(ps *pathState) {
-		if ps.conformance < r.cfg.EThreshold {
+		if ps.conformance < eThreshold {
 			attack++
 		} else {
 			legit++
@@ -133,7 +133,7 @@ func (r *Router) planAttackAggregation(plan map[string][]*pathState, kind map[st
 // planLegitAggregation implements Section IV-C.2: aggregate sibling
 // legitimate paths where the net conformance change C^L (Eq. IV.8) is
 // non-positive, unless aggregation would raise any member path's
-// bandwidth allocation by more than LegitAggGuard (the covert-attack
+// bandwidth allocation by more than legitAggGuard (the covert-attack
 // guard).
 func (r *Router) planLegitAggregation(plan map[string][]*pathState, kind map[string]aggKind) {
 	assigned := map[string]bool{}
@@ -211,10 +211,10 @@ func (r *Router) legitAggregationBeneficial(members []*pathState) bool {
 	}
 	// Guard: member path j's allocation changes from one share to
 	// k*n_j/sum(n) shares; reject if any member gains more than the
-	// configured fraction.
+	// legitAggGuard fraction.
 	for _, m := range members {
 		n := math.Max(1, float64(m.flows.len()))
-		if k*n/sumN > 1+r.cfg.LegitAggGuard {
+		if k*n/sumN > 1+legitAggGuard {
 			return false
 		}
 	}

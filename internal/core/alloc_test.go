@@ -126,7 +126,7 @@ func TestZeroAllocCapabilitySlots(t *testing.T) {
 
 // controlFixture is a router holding nPaths x flowsPer flows, each on a
 // handle-stamped packet of its own, with telemetry attached the way flocd
-// attaches it (registry plus trace ring, no recorder).
+// attaches it (registry plus trace ring).
 type controlFixture struct {
 	r    *Router
 	pkts []netsim.Packet // pkts[p*flowsPer+f]
@@ -143,7 +143,7 @@ func newControlFixture(tb testing.TB, nPaths, flowsPer int, mut func(*Config)) *
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r.SetTelemetry(telemetry.New(telemetry.Options{TraceCapacity: 1 << 16}))
+	r.SetTelemetry(telemetry.New(1 << 16))
 	fx := &controlFixture{r: r, pkts: make([]netsim.Packet, nPaths*flowsPer), now: 1}
 	for p := 0; p < nPaths; p++ {
 		path := pathid.New(pathid.ASN(1000+p), pathid.ASN(p%16+1), 1)

@@ -15,6 +15,31 @@ import (
 	"floc/internal/units"
 )
 
+// The parameters the paper fixes for its whole evaluation. They are
+// constants, not Config fields: no experiment varies them.
+const (
+	// qMinFrac positions Q_min as a fraction of Capacity (§V-A: 0.2·Q).
+	qMinFrac = 0.2
+	// eThreshold is E_th: leaves with conformance below it form the
+	// attack tree T^A (§IV-C.1).
+	eThreshold = 0.5
+	// beta is the conformance smoothing factor of Eq. (IV.6).
+	beta = 0.2
+	// rttScale deflates the measured average RTT to avoid over-estimates
+	// (§V-A: divide by 2).
+	rttScale = 0.5
+	// attackExcess is the filter excess (extra drops per epoch) at which
+	// a flow counts as an attack flow for conformance purposes.
+	attackExcess = 0.5
+	// blockExcess outright blocks flows whose measured excess reaches it
+	// (§V-B.3's "block those high-rate flows").
+	blockExcess = 64
+	// legitAggGuard is the maximal fractional increase of any member
+	// path's bandwidth allocation that legitimate-path aggregation may
+	// cause (§IV-C.2: +50 %).
+	legitAggGuard = 0.5
+)
+
 // Config parameterizes a FLoc router.
 type Config struct {
 	// LinkRateBits is the protected link capacity in bits/second.
@@ -24,22 +49,12 @@ type Config struct {
 	// PacketSize is the reference full packet size in bytes; one token
 	// admits one full-sized packet (Section III-D).
 	PacketSize int
-	// QMinFrac positions Q_min as a fraction of Capacity (paper: 0.2).
-	QMinFrac float64
 	// SMax is |S|max, the maximum number of bandwidth-guaranteed path
 	// identifiers; 0 disables attack-path aggregation.
 	SMax int
-	// EThreshold is E_th: leaves with conformance below it form the
-	// attack tree T^A.
-	EThreshold float64
-	// Beta is the conformance smoothing factor of Eq. (IV.6).
-	Beta float64
 	// ControlInterval is the period of the measurement/control loop
 	// (parameter recomputation, conformance update, aggregation).
 	ControlInterval float64
-	// RTTScale deflates the measured average RTT to avoid over-estimates
-	// (paper Section V-A: divide by 2).
-	RTTScale float64
 	// DefaultRTT seeds a path's RTT estimate before any measurement.
 	DefaultRTT float64
 	// FlowTimeout expires idle flows from the per-path flow count.
@@ -54,19 +69,9 @@ type Config struct {
 	Secret []byte
 	// Filter configures the drop-record filter.
 	Filter dropfilter.Config
-	// AttackExcessThreshold is the filter excess (extra drops per epoch)
-	// at which a flow counts as an attack flow for conformance purposes.
-	AttackExcessThreshold float64
-	// BlockExcess outright blocks flows whose measured excess exceeds it
-	// (Section V-B.3's "block those high-rate flows"); 0 disables.
-	BlockExcess float64
 	// LegitAggregation enables legitimate-path aggregation (Section
 	// IV-C.2).
 	LegitAggregation bool
-	// LegitAggGuard is the maximal fractional increase of any member
-	// path's bandwidth allocation permitted by legitimate-path
-	// aggregation (paper: 0.5, i.e. +50%).
-	LegitAggGuard float64
 	// ProbabilisticUpdate enables the sampled filter updates of Section
 	// V-B.4 (memory-access reduction). Off by default: exact updates.
 	ProbabilisticUpdate bool
@@ -91,32 +96,18 @@ type Config struct {
 func DefaultConfig(linkRateBits float64, capacity int) Config {
 	filter := dropfilter.DefaultConfig()
 	// The preferential-drop equilibrium needs d to reach (alpha-1)*t_s for
-	// the strongest attack factor alpha (BlockExcess); a 10-bit counter
+	// the strongest attack factor alpha (blockExcess); a 10-bit counter
 	// covers alpha = 64 at t_s = 15 (the paper instead rescales t_s).
 	filter.DMax = 1023
 	return Config{
-		LinkRateBits:          linkRateBits,
-		Capacity:              capacity,
-		PacketSize:            1000,
-		QMinFrac:              0.2,
-		SMax:                  0,
-		EThreshold:            0.5,
-		Beta:                  0.2,
-		ControlInterval:       0.5,
-		RTTScale:              0.5,
-		DefaultRTT:            0.2,
-		FlowTimeout:           5.0,
-		NMax:                  0,
-		RouterAS:              0,
-		Secret:                []byte("floc-router-secret"),
-		Filter:                filter,
-		AttackExcessThreshold: 0.5,
-		BlockExcess:           64,
-		LegitAggregation:      false,
-		LegitAggGuard:         0.5,
-		ProbabilisticUpdate:   false,
-		FilterK:               0,
-		EstimateFlows:         false,
+		LinkRateBits:    linkRateBits,
+		Capacity:        capacity,
+		PacketSize:      1000,
+		ControlInterval: 0.5,
+		DefaultRTT:      0.2,
+		FlowTimeout:     5.0,
+		Secret:          []byte("floc-router-secret"),
+		Filter:          filter,
 	}
 }
 
@@ -129,16 +120,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: capacity %d < 4", c.Capacity)
 	case c.PacketSize <= 0:
 		return fmt.Errorf("core: packet size %d <= 0", c.PacketSize)
-	case c.QMinFrac <= 0 || c.QMinFrac >= 1:
-		return fmt.Errorf("core: QMinFrac %v out of (0,1)", c.QMinFrac)
-	case c.EThreshold < 0 || c.EThreshold > 1:
-		return fmt.Errorf("core: EThreshold %v out of [0,1]", c.EThreshold)
-	case c.Beta <= 0 || c.Beta > 1:
-		return fmt.Errorf("core: Beta %v out of (0,1]", c.Beta)
 	case c.ControlInterval <= 0:
 		return fmt.Errorf("core: control interval %v <= 0", c.ControlInterval)
-	case c.RTTScale <= 0 || c.RTTScale > 1:
-		return fmt.Errorf("core: RTTScale %v out of (0,1]", c.RTTScale)
 	case c.DefaultRTT <= 0:
 		return fmt.Errorf("core: DefaultRTT %v <= 0", c.DefaultRTT)
 	case c.FlowTimeout <= 0:
@@ -147,8 +130,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: NMax %d < 0", c.NMax)
 	case len(c.Secret) == 0:
 		return fmt.Errorf("core: empty secret")
-	case c.LegitAggGuard < 0:
-		return fmt.Errorf("core: LegitAggGuard %v < 0", c.LegitAggGuard)
 	}
 	return nil
 }

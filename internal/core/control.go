@@ -175,7 +175,7 @@ func (r *Router) classifyPath(ps *pathState, now float64) {
 		// drops (Section IV-B.2) or its offered rate persistently
 		// exceeds its fair share (the signal Eq. IV.5's bound acts
 		// on).
-		isAttack := st.Excess() >= r.cfg.AttackExcessThreshold ||
+		isAttack := st.Excess() >= attackExcess ||
 			(fair > 0 && fs.arrivedRate > 1.5*fair)
 		if isAttack {
 			attack++
@@ -190,7 +190,7 @@ func (r *Router) classifyPath(ps *pathState, now float64) {
 	n := len(flows)
 	if n > 0 {
 		sample := 1 - float64(attack)/float64(n)
-		ps.conformance = r.cfg.Beta*sample + (1-r.cfg.Beta)*ps.conformance
+		ps.conformance = beta*sample + (1-beta)*ps.conformance
 	}
 	// The conformance EWMA (Eq. IV.6) is a convex combination of values
 	// in [0, 1]; leaving that interval means the measurement drifted out
@@ -199,7 +199,7 @@ func (r *Router) classifyPath(ps *pathState, now float64) {
 	if ps.leaf != nil {
 		ps.leaf.Conformance = ps.conformance
 		ps.leaf.Flows = n
-		ps.leaf.Attack = ps.conformance < r.cfg.EThreshold
+		ps.leaf.Attack = ps.conformance < eThreshold
 	}
 }
 
@@ -228,7 +228,7 @@ func (r *Router) rttOf(ps *pathState) float64 {
 	if raw <= 0 {
 		raw = r.cfg.DefaultRTT
 	}
-	return raw * r.cfg.RTTScale
+	return raw * rttScale
 }
 
 // pathOrder is the router's one key-sorted view of its path set, kept
@@ -360,8 +360,6 @@ func (r *Router) recomputeParams(now, interval float64) {
 			m.attack = ps.attack
 		}
 
-		ps.intervalArrived = ps.arrivedTokens
-		ps.intervalDrops = ps.drops
 		ps.arrivedTokens = 0
 		ps.drops = 0
 	}

@@ -56,17 +56,11 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.LinkRateBits = 0 },
 		func(c *Config) { c.Capacity = 2 },
 		func(c *Config) { c.PacketSize = 0 },
-		func(c *Config) { c.QMinFrac = 0 },
-		func(c *Config) { c.QMinFrac = 1 },
-		func(c *Config) { c.EThreshold = 1.5 },
-		func(c *Config) { c.Beta = 0 },
 		func(c *Config) { c.ControlInterval = 0 },
-		func(c *Config) { c.RTTScale = 0 },
 		func(c *Config) { c.DefaultRTT = 0 },
 		func(c *Config) { c.FlowTimeout = 0 },
 		func(c *Config) { c.NMax = -1 },
 		func(c *Config) { c.Secret = nil },
-		func(c *Config) { c.LegitAggGuard = -1 },
 		func(c *Config) { c.Filter.Arrays = 0 },
 	}
 	for i, mut := range mutations {
@@ -301,10 +295,7 @@ func TestPreferentialDropWithinPath(t *testing.T) {
 }
 
 func TestAttackAggregationReducesPathCount(t *testing.T) {
-	r := newTestRouter(t, func(c *Config) {
-		c.SMax = 6
-		c.EThreshold = 0.5
-	})
+	r := newTestRouter(t, func(c *Config) { c.SMax = 6 })
 	d := &driver{r: r}
 	// 8 paths: 4 legit (low rate), 4 attack (hogs sharing parent AS 20).
 	legitPaths := []pathid.PathID{
@@ -477,9 +468,7 @@ func TestRTTMeasuredFromSYN(t *testing.T) {
 }
 
 func TestBlockedFlowsDropReason(t *testing.T) {
-	r := newTestRouter(t, func(c *Config) {
-		c.BlockExcess = 4 // low threshold for the test
-	})
+	r := newTestRouter(t, nil)
 	d := &driver{r: r}
 	path := pathid.New(7, 1)
 	for i := 0; i < 4000; i++ {

@@ -40,8 +40,8 @@ func runDifferential(t *testing.T, seed uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strTel := telemetry.New(telemetry.Options{TraceCapacity: 1 << 12})
-	hdlTel := telemetry.New(telemetry.Options{TraceCapacity: 1 << 12})
+	strTel := telemetry.New(1 << 12)
+	hdlTel := telemetry.New(1 << 12)
 	strRouter.SetTelemetry(strTel)
 	hdlRouter.SetTelemetry(hdlTel)
 

@@ -59,7 +59,7 @@ func TestEventGatingInvisibleToConsumers(t *testing.T) {
 				func() []telemetry.Event { return s.events }
 		},
 		"ring": func() (*telemetry.Telemetry, func() []telemetry.Event) {
-			tel := telemetry.New(telemetry.Options{TraceCapacity: 1 << 15})
+			tel := telemetry.New(1 << 15)
 			return tel, tel.Trace.Events
 		},
 	}

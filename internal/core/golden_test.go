@@ -21,8 +21,7 @@ import (
 // digests recorded from the commit *before* the flow table and control
 // pass were rebuilt (c7a73ab): seeded traces are driven through a router
 // and everything an outsider can see — periodic Snapshot.String() and
-// PathInfos(), DistinctDroppedFlows, the recorder samples, the full event
-// stream, the trace ring's NDJSON and the registry text — is folded into
+// PathInfos(), DistinctDroppedFlows, the full event stream, the trace ring's NDJSON and the registry text — is folded into
 // one SHA-256 per trace. A control-loop change that reorders, delays or
 // alters a single admission, classification, expiry or aggregation
 // decision changes a digest. Unlike the handle-vs-string differential
@@ -32,13 +31,17 @@ import (
 // dependent) and without the three flow gauges/counters that did not
 // exist when the digests were taken (goldenSkippedFamilies).
 //
-// The digests were re-recorded once, when the per-path registry series
-// (floc_path_admitted_packets_total, floc_path_dropped_packets_total and
-// floc_path_conformance, all labelled {path=}) were deleted: ef8c6e6,
-// which still matched c7a73ab's digests, was run with every registry
-// line containing "floc_path_" left out of the hash, and printed the
-// values below. The tree without those series hashes its registry text
-// unfiltered and reproduces them, so nothing but the deleted lines moved.
+// The digests were re-recorded twice, each time by running the last
+// commit that matched them with only the deleted record left out of the
+// hash; the tree without the record reproduces the printed values, so
+// nothing but the deleted record moved. First, when the per-path
+// registry series (floc_path_admitted_packets_total,
+// floc_path_dropped_packets_total and floc_path_conformance, all
+// labelled {path=}) were deleted: ef8c6e6, which still matched c7a73ab's
+// digests, hashed its registry text without every line containing
+// "floc_path_". Second, when the write-only per-path control-run
+// recorder (telemetry.PathSample) was deleted: a4c99fa hashed everything
+// but its "recorder" line.
 func TestControlLoopGolden(t *testing.T) {
 	for _, sc := range goldenScenarios {
 		sc := sc
@@ -126,7 +129,7 @@ func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCo
 		t.Fatal(err)
 	}
 	h := sha256.New()
-	tel := telemetry.New(telemetry.Options{TraceCapacity: 1 << 12, Recorder: true})
+	tel := telemetry.New(1 << 12)
 	tel.Sink = hashSink{h}
 	r.SetTelemetry(tel)
 
@@ -231,7 +234,6 @@ func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCo
 		}
 	}
 
-	fmt.Fprintf(h, "recorder %+v\n", tel.Recorder.Samples())
 	var ring bytes.Buffer
 	if err := tel.Trace.WriteNDJSON(&ring); err != nil {
 		t.Fatal(err)
@@ -300,7 +302,7 @@ var goldenScenarios = []goldenScenario{
 	{
 		// Plain per-path guarantees: a dozen legitimate paths of differing
 		// flow counts and two flooders congest the link.
-		digest: "e44adffa68139b2041a242ec978d10d93d2852507dfeb365e4a40053c6c4ef8f",
+		digest: "66f0cc543f8f64b61c36486c52226b5417e3d7ce443e6f4c1886ec59723b4498",
 		name:   "plain", seed: 3, seconds: 24,
 		sources: slices.Concat(
 			goldenGentle(pathid.New(11, 1), 100, 3, 40, 0, goldenForever),
@@ -325,7 +327,7 @@ var goldenScenarios = []goldenScenario{
 		// inside the aggregates expire run by run; the hogs stop one by one
 		// from 14 s. (Members never expire while aggregated: their own
 		// arrivedTokens is only reset while they are guaranteed paths.)
-		digest: "981b5518f3947921f77b46adb04bba1137c71b07458e5285cec11924268c7e99",
+		digest: "06191b9ae0dba5e2ba7e800677922c557190587c96b6ca39698c3d6c69f1f69b",
 		name:   "smax", seed: 5, seconds: 30,
 		mut: func(c *Config) {
 			c.SMax = 6
@@ -363,7 +365,7 @@ var goldenScenarios = []goldenScenario{
 	{
 		// Legitimate-path aggregation of differently populated siblings; a
 		// population change at 10 s and a hog sibling at 16 s re-plan it.
-		digest: "640ec597bd7428e9dbf8904952d1524f99399fa12a3a35a0c43b910025f3cbfd",
+		digest: "095d38692087ffd13641334745800393a74a64895facd758535b3a317603c829",
 		name:   "legit", seed: 7, seconds: 28,
 		mut: func(c *Config) { c.LegitAggregation = true },
 		sources: slices.Concat(
@@ -388,7 +390,7 @@ var goldenScenarios = []goldenScenario{
 	{
 		// Capability mode: sources fan out over many destinations and
 		// collapse onto NMax accounting slots; one of them floods.
-		digest: "a39003a883d1b6b86521133cffffa1f8dd49ade16b1102141e97639055930ca1",
+		digest: "62871890e9bc89aef1e1a50519472150648bea176468534baa1f0fc44fc1733c",
 		name:   "capability", seed: 11, seconds: 20,
 		mut: func(c *Config) { c.NMax = 3 },
 		sources: []goldenSource{
@@ -410,7 +412,7 @@ var goldenScenarios = []goldenScenario{
 		// expires and returns on a surviving path, a path that expires and
 		// returns, and a large flow population that collapses (table
 		// shrink). The scalable-mode knobs ride along.
-		digest: "fd7f931bb2d3a615451f91c0f8a998cc41a2ea77e13c3d403eefc697a5d25e0f",
+		digest: "f9c1a37bccd69b61d48840322c45741d6d611466f8da27c6039005a32787598e",
 		name:   "churn", seed: 13, seconds: 36,
 		mut: func(c *Config) {
 			c.SMax = 10

@@ -57,7 +57,7 @@ const (
 	DropRandomThreshold
 	// DropPreferential: attack-flow preferential drop (Eq. IV.5 / V.1).
 	DropPreferential
-	// DropBlocked: flow exceeded BlockExcess and is blocked outright.
+	// DropBlocked: flow reached blockExcess and is blocked outright.
 	DropBlocked
 	// DropOverflow: physical buffer full.
 	DropOverflow
@@ -149,11 +149,6 @@ type pathState struct {
 	drops         int
 	lambda        float64 // smoothed request rate, tokens/s
 
-	// Previous interval's measurements, stashed by recomputeParams for
-	// the telemetry recorder before the live counters reset.
-	intervalArrived float64
-	intervalDrops   int
-
 	// Cumulative per-origin-path counters (always maintained; cheap).
 	admittedPkts int64
 	droppedPkts  int64
@@ -238,7 +233,7 @@ func NewRouter(cfg Config) (*Router, error) {
 			return nil, err
 		}
 	}
-	qmin := cfg.QMinFrac * float64(cfg.Capacity)
+	qmin := qMinFrac * float64(cfg.Capacity)
 	return &Router{
 		cfg:        cfg,
 		rng:        rng.New(cfg.Seed),
@@ -530,7 +525,7 @@ func (r *Router) preferentialDrop(pkt *netsim.Packet, orig, eff *pathState, fs *
 		return false
 	}
 	st := r.filter.Query(fs.hash, now, r.epoch(eff), r.filterK(eff))
-	if r.cfg.BlockExcess > 0 && st.Excess() >= r.cfg.BlockExcess {
+	if st.Excess() >= blockExcess {
 		r.drop(pkt, orig, eff, fs, now, DropBlocked)
 		return true
 	}

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"floc/internal/telemetry"
-	"floc/internal/units"
 )
 
 // This file is the router's telemetry seam. All emission is guarded by
@@ -149,9 +148,8 @@ func (r *Router) noteMode(now float64) {
 }
 
 // sampleControl records the per-control-run observability: gauges,
-// per-path histograms, recorder samples, and the ControlRunCompleted
-// event. Iteration follows sortedPaths' key order so the trace is
-// deterministic.
+// per-path histograms, and the ControlRunCompleted event. Iteration
+// follows sortedPaths' key order so the trace is deterministic.
 func (r *Router) sampleControl(now float64) {
 	r.met.controlRuns.Inc()
 	r.met.queueLen.Set(float64(r.fifo.Len()))
@@ -178,32 +176,6 @@ func (r *Router) sampleControl(now float64) {
 		}
 		r.met.mtd.Observe(ps.params.RefMTD)
 		r.met.conformance.Observe(ps.conformance)
-	}
-
-	if r.tel.Recorder != nil {
-		for _, ps := range order.origins {
-			eff := ps.effective()
-			s := telemetry.PathSample{
-				Time:         now,
-				Path:         ps.key,
-				Attack:       ps.attack,
-				Conformance:  ps.conformance,
-				AllocPackets: units.PacketsPerSec(eff.alloc),
-				BucketSize:   eff.params.Bucket,
-				Period:       eff.params.Period,
-				Flows:        ps.flows.len(),
-				AttackFlows:  ps.attackFlows,
-				// Interval arrivals are metered on the effective (bucket-
-				// owning) identifier; drops are the origin's cumulative
-				// count.
-				Arrived: eff.intervalArrived,
-				Drops:   ps.droppedPkts,
-			}
-			if ps.aggregate != nil {
-				s.Aggregate = ps.aggregate.key
-			}
-			r.tel.Recorder.Record(s)
-		}
 	}
 
 	r.tel.Emit(telemetry.Event{

@@ -84,7 +84,7 @@ func Fig2(scale float64, seed uint64) (*Table, error) {
 		Title:   "Fig.2: packet service rate vs drop rate (pkts/s), legitimate TCP only",
 		Columns: []string{"service_pps", "drop_pps", "drop_ratio"},
 	}
-	service, drops := m.ServiceBins(), m.DropBins()
+	service, drops := m.Service.Bins(), m.Dropped.Bins()
 	for i := 0; i < len(service); i++ {
 		d := 0.0
 		if i < len(drops) {

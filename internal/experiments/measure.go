@@ -36,21 +36,16 @@ func (c FlowClass) String() string {
 	}
 }
 
-// Recorder series names for the target-link tallies (Fig. 2).
-const (
-	// SeriesService counts packets serviced per second at the target link.
-	SeriesService = "target_service"
-	// SeriesDrop counts packets dropped per second at the target link.
-	SeriesDrop = "target_drop"
-)
-
 // Measurement collects everything the figures need from one run, by
 // observing deliveries over the target link.
 type Measurement struct {
-	// Tel is the run's telemetry: the registry and recorder are always on
-	// (the recorder's series are the source of truth for the target-link
-	// tallies below); the event trace is enabled by Scenario.TraceCapacity.
+	// Tel is the run's telemetry: the registry is always on; the event
+	// trace is enabled by Scenario.TraceCapacity.
 	Tel *telemetry.Telemetry
+
+	// Service and Dropped count packets serviced and dropped at the
+	// target link in 1-second bins (full run, for Fig. 2).
+	Service, Dropped *stats.TimeSeries
 
 	// PerPathBits accumulates delivered payload bits per path identifier
 	// in 1-second bins (full run, for Fig. 6 time series).
@@ -98,11 +93,9 @@ type Measurement struct {
 // traceCap > 0 additionally enables the event trace ring.
 func newMeasurement(tree *topology.Tree, attackLeaves []int, from, to float64, traceCap int) *Measurement {
 	m := &Measurement{
-		Tel: telemetry.New(telemetry.Options{
-			TraceCapacity:    traceCap,
-			Recorder:         true,
-			RecorderBinWidth: 1.0,
-		}),
+		Tel:            telemetry.New(traceCap),
+		Service:        stats.NewTimeSeries(1.0),
+		Dropped:        stats.NewTimeSeries(1.0),
 		PerPathBits:    map[string]*stats.TimeSeries{},
 		FlowBits:       map[netsim.FlowID]float64{},
 		FlowClasses:    map[netsim.FlowID]FlowClass{},
@@ -121,17 +114,15 @@ func newMeasurement(tree *topology.Tree, attackLeaves []int, from, to float64, t
 	}
 	m.TargetBits = tree.Target.RateBits()
 
-	// Target-link tallies live in the telemetry recorder and registry; the
-	// handles are resolved once so the hooks stay allocation-free.
-	serviceSeries := m.Tel.Recorder.Series(SeriesService)
-	dropSeries := m.Tel.Recorder.Series(SeriesDrop)
+	// The registry handles are resolved once so the hooks stay
+	// allocation-free.
 	delivered := m.Tel.Registry.Counter("floc_target_delivered_packets_total",
 		"packets serviced by the target link", "packets")
 	droppedAtTarget := m.Tel.Registry.Counter("floc_target_dropped_packets_total",
 		"packets dropped at the target link", "packets")
 
 	tree.Target.DeliverHook = func(pkt *netsim.Packet, now float64) {
-		serviceSeries.Add(now, 1)
+		m.Service.Add(now, 1)
 		delivered.Inc()
 		m.SizeHist.Add(float64(pkt.Size))
 		if pkt.Kind != netsim.KindData && pkt.Kind != netsim.KindUDP {
@@ -161,26 +152,10 @@ func newMeasurement(tree *topology.Tree, attackLeaves []int, from, to float64, t
 		m.ClassBits[m.FlowClasses[flow]] += bits
 	}
 	tree.Target.DropHook = func(pkt *netsim.Packet, now float64) {
-		dropSeries.Add(now, 1)
+		m.Dropped.Add(now, 1)
 		droppedAtTarget.Inc()
 	}
 	return m
-}
-
-// ServiceBins returns per-second packets serviced at the target link.
-func (m *Measurement) ServiceBins() []float64 { return m.Tel.Recorder.Series(SeriesService).Bins() }
-
-// DropBins returns per-second packets dropped at the target link.
-func (m *Measurement) DropBins() []float64 { return m.Tel.Recorder.Series(SeriesDrop).Bins() }
-
-// DeliveredPackets returns the registry's target-link service count.
-func (m *Measurement) DeliveredPackets() int64 {
-	return m.Tel.Registry.CounterValue("floc_target_delivered_packets_total")
-}
-
-// DroppedPackets returns the registry's target-link drop count.
-func (m *Measurement) DroppedPackets() int64 {
-	return m.Tel.Registry.CounterValue("floc_target_dropped_packets_total")
 }
 
 func (m *Measurement) classify(pkt *netsim.Packet, pathKey string) FlowClass {

@@ -110,7 +110,7 @@ type Scenario struct {
 	MarkingFraction float64
 
 	// TraceCapacity, when > 0, enables the telemetry event trace with a
-	// ring of that many events (the registry and recorder are always on).
+	// ring of that many events (the registry is always on).
 	TraceCapacity int
 
 	// Duration is total simulated seconds (paper: 80); measurement covers

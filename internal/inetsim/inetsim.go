@@ -46,23 +46,27 @@ type Config struct {
 	// CapacityPerTick is the target link's service capacity in packets
 	// per tick (paper: 16000).
 	CapacityPerTick int
-	// InteriorFactor scales interior AS uplinks relative to the target
-	// link; interior links are finite (heavily contaminated subtrees
-	// clog their own uplinks, as the paper observes) but the target is
-	// the bottleneck.
-	InteriorFactor int
-	// QueueFactor bounds each link's backlog at QueueFactor * capacity.
-	QueueFactor int
 	// Ticks and WarmupTicks control run length and the measurement
 	// window (measurement covers ticks in [WarmupTicks, Ticks)).
 	Ticks, WarmupTicks int
 	// AttackRate is each bot's send rate in packets/tick.
 	AttackRate float64
-	// MaxWindow caps legitimate TCP windows (packets).
-	MaxWindow float64
 	// Seed drives all randomness.
 	Seed uint64
 }
+
+// The model's fixed link and window parameters.
+const (
+	// interiorFactor scales interior AS uplinks relative to the target
+	// link; interior links are finite (heavily contaminated subtrees
+	// clog their own uplinks, as the paper observes) but the target is
+	// the bottleneck.
+	interiorFactor = 4
+	// queueFactor bounds each link's backlog at queueFactor * capacity.
+	queueFactor = 2
+	// maxWindow caps legitimate TCP windows (packets).
+	maxWindow = 64
+)
 
 // DefaultConfig returns the paper's Section VII parameters for a
 // topology.
@@ -72,12 +76,9 @@ func DefaultConfig(topo *topology.Inet, def DefenseKind) Config {
 		Defense:         def,
 		SMax:            0,
 		CapacityPerTick: 16000,
-		InteriorFactor:  4,
-		QueueFactor:     2,
 		Ticks:           600,
 		WarmupTicks:     200,
 		AttackRate:      0.64,
-		MaxWindow:       64,
 		Seed:            11,
 	}
 }
@@ -200,17 +201,8 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Ticks <= cfg.WarmupTicks {
 		return nil, fmt.Errorf("inetsim: ticks %d <= warmup %d", cfg.Ticks, cfg.WarmupTicks)
 	}
-	if cfg.QueueFactor < 1 {
-		cfg.QueueFactor = 1
-	}
-	if cfg.InteriorFactor < 1 {
-		cfg.InteriorFactor = 1
-	}
 	if cfg.AttackRate <= 0 {
 		return nil, fmt.Errorf("inetsim: attack rate %v <= 0", cfg.AttackRate)
-	}
-	if cfg.MaxWindow < 1 {
-		cfg.MaxWindow = 64
 	}
 	s := &Sim{cfg: cfg, rng: rng.New(cfg.Seed), topo: cfg.Topology}
 
@@ -315,8 +307,8 @@ func (s *Sim) inject() {
 // backlog+inbox into the downstream link's next-tick inbox, keeps a
 // bounded backlog, and randomly drops the excess.
 func (s *Sim) transit() {
-	capacity := s.cfg.CapacityPerTick * s.cfg.InteriorFactor
-	maxBacklog := capacity * s.cfg.QueueFactor
+	capacity := s.cfg.CapacityPerTick * interiorFactor
+	maxBacklog := capacity * queueFactor
 	for i := range s.links {
 		l := &s.links[i]
 		if len(l.inbox) == 0 && len(l.backlog) == 0 {
@@ -361,7 +353,7 @@ func (s *Sim) transit() {
 
 // serveTarget applies the defense policy to the target link's tick
 // queue: the carried backlog plus this tick's arrivals. Unserved packets
-// wait in the router buffer up to QueueFactor * capacity; the excess is
+// wait in the router buffer up to queueFactor * capacity; the excess is
 // dropped at random (paper VII-B: "a router randomly selects a packet
 // from the all queued packets").
 func (s *Sim) serveTarget() {
@@ -379,7 +371,7 @@ func (s *Sim) serveTarget() {
 		}
 	}
 	s.res.DroppedAtTarget += int64(len(queued) - len(served) - len(wait))
-	maxBacklog := s.cfg.CapacityPerTick * s.cfg.QueueFactor
+	maxBacklog := s.cfg.CapacityPerTick * queueFactor
 	if len(wait) > maxBacklog {
 		s.rng.Shuffle(len(wait), func(a, b int) { wait[a], wait[b] = wait[b], wait[a] })
 		for _, fi := range wait[maxBacklog:] {
@@ -432,8 +424,8 @@ func (s *Sim) advanceFlows() {
 			} else {
 				f.cwnd++
 			}
-			if f.cwnd > float32(s.cfg.MaxWindow) {
-				f.cwnd = float32(s.cfg.MaxWindow)
+			if f.cwnd > maxWindow {
+				f.cwnd = maxWindow
 			}
 		}
 	}

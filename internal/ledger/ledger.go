@@ -160,9 +160,6 @@ var errorKindNames = [numErrorKinds]string{
 	ErrEventDecode:      "event-decode",
 }
 
-// NumErrorKinds returns the number of defined verification error kinds.
-func NumErrorKinds() int { return int(numErrorKinds) }
-
 // String returns the kind's stable label.
 func (k ErrorKind) String() string {
 	if k < numErrorKinds {

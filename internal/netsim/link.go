@@ -75,9 +75,6 @@ func NewLink(name string, rateBits units.BitsPerSec, delay float64, disc Discipl
 // RateBits returns the link rate in bits per second.
 func (l *Link) RateBits() units.BitsPerSec { return units.FromBytesPerSec(l.rate) }
 
-// Delay returns the propagation delay in seconds.
-func (l *Link) Delay() float64 { return l.delay }
-
 // Discipline returns the link's queue discipline.
 func (l *Link) Discipline() Discipline { return l.disc }
 

@@ -109,9 +109,9 @@ func TestReadNDJSONSkipsBlankRejectsGarbage(t *testing.T) {
 func TestEmitNilSafe(t *testing.T) {
 	var tel *Telemetry
 	tel.Emit(Event{Type: EventPacketAdmitted}) // must not panic
-	tel = New(Options{})
+	tel = New(0)
 	tel.Emit(Event{Type: EventPacketAdmitted}) // trace disabled: no-op
-	tel = New(Options{TraceCapacity: 2})
+	tel = New(2)
 	tel.Emit(Event{Type: EventPacketAdmitted})
 	if tel.Trace.Len() != 1 {
 		t.Fatalf("trace len = %d, want 1", tel.Trace.Len())

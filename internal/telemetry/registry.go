@@ -1,15 +1,13 @@
 // Package telemetry is FLoc's observability layer: a metrics registry cheap
-// enough for the per-packet hot path, a bounded ring buffer of typed
-// decision events with an NDJSON exporter, and a control-run time-series
-// recorder. The pipeline (router, control loop, drop filter, defenses,
-// experiment harness) emits into it; binaries surface it behind -metrics
-// and -trace flags.
+// enough for the per-packet hot path and a bounded ring buffer of typed
+// decision events with an NDJSON exporter. The pipeline (router, control
+// loop, drop filter, defenses, experiment harness) emits into it;
+// binaries surface it behind -metrics and -trace flags.
 //
 // Everything here is passive and deterministic: the package never reads
 // clocks or random state, it only stamps what callers hand it (sim-time).
 // Counters, gauges and histograms are safe for concurrent use; their
-// cells (cell.go), Trace and Recorder are single-writer like the
-// simulator itself.
+// cells (cell.go) and Trace are single-writer like the simulator itself.
 package telemetry
 
 import (

@@ -5,17 +5,6 @@ package telemetry
 // wired to a registry, so a clean run exports an explicit zero.
 const TraceDroppedMetric = "floc_trace_dropped_events_total"
 
-// Options configures a Telemetry instance.
-type Options struct {
-	// TraceCapacity is the event ring size; 0 disables the trace.
-	TraceCapacity int
-	// RecorderBinWidth is the recorder time-series bin width in seconds
-	// (defaults to 1s when a recorder is enabled).
-	RecorderBinWidth float64
-	// Recorder enables the control-run time-series recorder.
-	Recorder bool
-}
-
 // EventSink receives a copy of every emitted event, in emission order.
 // It is the seam the forensic ledger plugs into: the bounded Trace ring
 // keeps a recent window in memory, while a sink can stream the full
@@ -32,8 +21,7 @@ type EventSink interface {
 // nothing.
 type Telemetry struct {
 	Registry *Registry
-	Trace    *Trace    // nil unless Options.TraceCapacity > 0
-	Recorder *Recorder // nil unless Options.Recorder
+	Trace    *Trace    // nil unless New was given a trace capacity
 	Sink     EventSink // nil unless an event stream consumer is attached
 	// Labels, such as `shard="1"`, name this producer's own series among
 	// producers sharing Registry: a router adds them to the gauges of its
@@ -43,18 +31,15 @@ type Telemetry struct {
 	Labels string
 }
 
-// New returns a Telemetry with a fresh registry and, per opts, a trace
-// ring and recorder. A trace created here counts its wraparound losses
-// on the registry's TraceDroppedMetric counter.
-func New(opts Options) *Telemetry {
+// New returns a Telemetry with a fresh registry and, when traceCapacity
+// is positive, an event ring of that many events that counts its
+// wraparound losses on the registry's TraceDroppedMetric counter.
+func New(traceCapacity int) *Telemetry {
 	t := &Telemetry{Registry: NewRegistry()}
-	if opts.TraceCapacity > 0 {
-		t.Trace = NewTrace(opts.TraceCapacity)
+	if traceCapacity > 0 {
+		t.Trace = NewTrace(traceCapacity)
 		t.Trace.SetDropCounter(t.Registry.Counter(TraceDroppedMetric,
 			"events lost to trace ring wraparound", "events"))
-	}
-	if opts.Recorder {
-		t.Recorder = NewRecorder(opts.RecorderBinWidth)
 	}
 	return t
 }

@@ -11,7 +11,7 @@ type collectSink struct{ events []Event }
 func (c *collectSink) Emit(e Event) { c.events = append(c.events, e) }
 
 func TestTraceDropCounterCountsWraparound(t *testing.T) {
-	tel := New(Options{TraceCapacity: 4})
+	tel := New(4)
 	for i := 0; i < 10; i++ {
 		tel.Emit(Event{Time: float64(i), Type: EventPacketAdmitted})
 	}
@@ -24,7 +24,7 @@ func TestTraceDropCounterCountsWraparound(t *testing.T) {
 }
 
 func TestTraceDropCounterExportsZeroWhenClean(t *testing.T) {
-	tel := New(Options{TraceCapacity: 16})
+	tel := New(16)
 	tel.Emit(Event{Type: EventPacketAdmitted})
 	var buf bytes.Buffer
 	if err := tel.Registry.WriteText(&buf); err != nil {
@@ -37,7 +37,7 @@ func TestTraceDropCounterExportsZeroWhenClean(t *testing.T) {
 
 func TestEmitForwardsToTraceAndSink(t *testing.T) {
 	sink := &collectSink{}
-	tel := New(Options{TraceCapacity: 8})
+	tel := New(8)
 	tel.Sink = sink
 	tel.Emit(Event{Type: EventPacketDropped, Reason: "no-token"})
 	if tel.Trace.Len() != 1 {
@@ -52,7 +52,7 @@ func TestEmitSafeWhenDisabled(t *testing.T) {
 	var tel *Telemetry
 	tel.Emit(Event{Type: EventPacketAdmitted}) // nil receiver: no-op
 
-	tel = New(Options{}) // no trace, no sink
+	tel = New(0) // no trace, no sink
 	tel.Emit(Event{Type: EventPacketAdmitted})
 	if tel.Trace != nil {
 		t.Fatal("zero TraceCapacity must leave the trace disabled")
@@ -67,5 +67,23 @@ func TestRegistryStampsBuildInfo(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, `floc_build_info{version="`) || !strings.Contains(out, `go="go`) {
 		t.Fatalf("registry must stamp floc_build_info with version and go labels:\n%s", out)
+	}
+}
+
+// TestCompiledDefault: telemetry is always compiled in, and what a
+// pipeline journals is decided when it is built. The default (a registry
+// only, what flocd attaches) journals nothing, so per-packet producers
+// build no events; a trace ring or a sink makes Journals true.
+func TestCompiledDefault(t *testing.T) {
+	if New(0).Journals() {
+		t.Fatal("a registry-only pipeline journals events")
+	}
+	if !New(8).Journals() {
+		t.Fatal("a pipeline with a trace ring journals nothing")
+	}
+	withSink := New(0)
+	withSink.Sink = &collectSink{}
+	if !withSink.Journals() {
+		t.Fatal("a pipeline with a sink journals nothing")
 	}
 }
