@@ -111,7 +111,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.capacity, "capacity", 512, "aggregate buffer capacity in packets")
 	fs.StringVar(&o.metrics, "metrics", "", "HTTP address to serve /metrics and /healthz on (empty = off)")
 	fs.BoolVar(&o.snapshot, "snapshot", false, "print the merged router snapshot at exit")
-	fs.BoolVar(&o.printMet, "print-metrics", false, "print the metric registry as Prometheus text at exit")
+	fs.BoolVar(&o.printMet, "print-metrics", false, "print the metric registry as Prometheus text at exit (the routers meter only under this, -metrics or -ledger)")
 	fs.StringVar(&o.ledger, "ledger", "", "directory to seal the forensic event ledger into (must not hold one already)")
 	fs.BoolVar(&o.pprof, "pprof", false, "also serve net/http/pprof on the -metrics listener")
 	fs.UintVar(&o.routerID, "router-id", 0, "this daemon's cluster router ID (nonzero enables the control plane)")
@@ -187,11 +187,18 @@ func run(o options) error {
 	}
 	rc := core.DefaultConfig(o.linkRate, o.capacity)
 	rc.Seed = o.seed
+	// The engine meters into the registry only when something reads it:
+	// /metrics, the exit print, or the ledger's sink, which needs it. A
+	// run with none of them admits on detached routers.
+	var engineReg *telemetry.Registry
+	if o.metrics != "" || o.printMet || sink != nil {
+		engineReg = reg
+	}
 	engine, err := dataplane.New(dataplane.Config{
 		Router:      rc,
 		Shards:      o.shards,
 		BlockOnFull: o.replay != "", // a capture has no real clock: pace, don't drop
-		Telemetry:   reg,
+		Telemetry:   engineReg,
 		Sink:        sink,
 		Egress:      egress,
 	})

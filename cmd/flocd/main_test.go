@@ -268,6 +268,57 @@ func testOptions() options {
 	return options{seed: 1, linkRate: 8e6, capacity: 512}
 }
 
+// TestUnreadReplaySnapshotUnchanged: a replay that nothing meters (no
+// -metrics, -print-metrics or -ledger) admits on routers with no registry
+// attached, and prints the same -snapshot, byte for byte, as a replay of
+// the same capture that prints its metrics, where the router families
+// still appear.
+func TestUnreadReplaySnapshotUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	capPath := filepath.Join(dir, "capture.pcap")
+	var capture bytes.Buffer
+	if err := generateCapture(&capture, 50000, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(capPath, capture.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replay := func(printMet bool) string {
+		out, err := os.CreateTemp(dir, "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		stdout := os.Stdout
+		os.Stdout = out
+		o := testOptions()
+		o.replay, o.shards, o.snapshot, o.printMet = capPath, 2, true, printMet
+		err = run(o)
+		os.Stdout = stdout
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		text, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(text)
+	}
+	bare, metered := replay(false), replay(true)
+	if !strings.Contains(bare, "dataplane: accepted=50000 ") || strings.Contains(bare, "floc_") {
+		t.Fatalf("unmetered replay printed no snapshot, or metrics:\n%s", bare)
+	}
+	metrics, ok := strings.CutPrefix(metered, bare)
+	if !ok {
+		t.Fatalf("the snapshot depends on whether metrics are read:\n%s\n%s", bare, metered)
+	}
+	for _, series := range []string{"floc_router_arrived_packets_total ", `floc_router_live_flows{shard="1"} `} {
+		if !strings.Contains(metrics, "\n"+series) {
+			t.Fatalf("-print-metrics lacks %s:\n%.300s", series, metrics)
+		}
+	}
+}
+
 // TestTraceFlagIsGone: the daemon attaches no event ring, so the knob
 // that sized it is rejected rather than accepted and ignored.
 func TestTraceFlagIsGone(t *testing.T) {

@@ -126,7 +126,8 @@ func TestZeroAllocCapabilitySlots(t *testing.T) {
 
 // controlFixture is a router holding nPaths x flowsPer flows, each on a
 // handle-stamped packet of its own, with telemetry attached the way flocd
-// attaches it (registry plus trace ring).
+// attaches it when something reads its metrics: a registry, and no trace
+// ring or sink.
 type controlFixture struct {
 	r    *Router
 	pkts []netsim.Packet // pkts[p*flowsPer+f]
@@ -143,7 +144,7 @@ func newControlFixture(tb testing.TB, nPaths, flowsPer int, mut func(*Config)) *
 	if err != nil {
 		tb.Fatal(err)
 	}
-	r.SetTelemetry(telemetry.New(1 << 16))
+	r.SetTelemetry(telemetry.New(0))
 	fx := &controlFixture{r: r, pkts: make([]netsim.Packet, nPaths*flowsPer), now: 1}
 	for p := 0; p < nPaths; p++ {
 		path := pathid.New(pathid.ASN(1000+p), pathid.ASN(p%16+1), 1)
@@ -172,12 +173,17 @@ func (fx *controlFixture) send(i int) {
 // TestZeroAllocControlRunSteadyState gates the control loop's allocation
 // behaviour. With no path churn a control run allocates nothing, at 64
 // paths as at 4096 — nothing per flow, nothing per path, no rebuilt table
-// or re-sorted path list — and re-creating expired flows after warm-up
-// allocates nothing either, because an expired flow's slab slot is reused.
+// or re-sorted path list — with a registry attached and detached (a
+// replay nothing reads runs detached), and re-creating expired flows
+// after warm-up allocates nothing either, because an expired flow's slab
+// slot is reused.
 func TestZeroAllocControlRunSteadyState(t *testing.T) {
 	const flowsPer = 16
-	perRun := func(nPaths int) float64 {
+	perRun := func(nPaths int, detached bool) float64 {
 		fx := newControlFixture(t, nPaths, flowsPer, func(c *Config) { c.FlowTimeout = 1e9 })
+		if detached {
+			fx.r.SetTelemetry(nil)
+		}
 		step := func() {
 			fx.now += fx.r.cfg.ControlInterval
 			fx.r.runControl(fx.now)
@@ -187,9 +193,11 @@ func TestZeroAllocControlRunSteadyState(t *testing.T) {
 		}
 		return testing.AllocsPerRun(10, step)
 	}
-	if small, large := perRun(64), perRun(4096); small != 0 || large != 0 {
-		t.Fatalf("control run allocates %.1f objects at 64x%d flows and %.1f at 4096x%d, want 0",
-			small, flowsPer, large, flowsPer)
+	for _, detached := range []bool{false, true} {
+		if small, large := perRun(64, detached), perRun(4096, detached); small != 0 || large != 0 {
+			t.Fatalf("detached %v: control run allocates %.1f objects at 64x%d flows and %.1f at 4096x%d, want 0",
+				detached, small, flowsPer, large, flowsPer)
+		}
 	}
 
 	// Flow churn: a cycle is three control intervals. The first flow of

@@ -110,8 +110,8 @@ func (r *Router) controlFlows(now float64) {
 	}
 }
 
-// expirePath drops a path's idle flows and rolls the survivors'
-// admitted/arrival rate meters and escalation.
+// expirePath drops a path's idle flows and rolls the survivors' arrival
+// rate meters and escalation.
 func (r *Router) expirePath(ps *pathState, now float64) {
 	if ps.flows.len() == 0 {
 		return
@@ -125,16 +125,13 @@ func (r *Router) expirePath(ps *pathState, now float64) {
 		if now-fs.lastSeen > timeout {
 			return false
 		}
-		if fs.arrived == 0 && fs.admitted == 0 {
+		if fs.arrived == 0 {
 			// Silent this interval, as most flows of a large population
 			// are: rollRate(0, x, interval) is 0.5*x to the bit for
 			// x >= +0, without the division.
-			fs.admittedRate *= 0.5
 			fs.arrivedRate *= 0.5
 		} else {
-			fs.admittedRate = rollRate(fs.admitted, fs.admittedRate, interval)
 			fs.arrivedRate = rollRate(fs.arrived, fs.arrivedRate, interval)
-			fs.admitted = 0
 			fs.arrived = 0
 		}
 		// Escalate penalties for flows that keep over-subscribing
@@ -165,7 +162,7 @@ func (r *Router) classifyPath(ps *pathState, now float64) {
 	// One instant and one epoch for the whole path: quantized here, not
 	// per flow inside the filter.
 	nowTicks, epochTicks := r.filter.Ticks(now), r.filter.Ticks(r.epoch(eff))
-	traced := r.tel != nil
+	journaled := r.tel != nil && r.tel.Journals()
 	attack := 0
 	flows := ps.flows.all()
 	for i := range flows {
@@ -179,7 +176,7 @@ func (r *Router) classifyPath(ps *pathState, now float64) {
 			(fair > 0 && fs.arrivedRate > 1.5*fair)
 		if isAttack {
 			attack++
-			if traced && !fs.attackFlagged {
+			if journaled && !fs.attackFlagged {
 				r.flagged = append(r.flagged, flaggedFlow{path: ps.key, hash: fs.hash})
 			}
 		}

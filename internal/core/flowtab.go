@@ -32,7 +32,10 @@ func flowCapacity(slots int) int { return slots * 3 / 4 }
 // live by value in one dense slab per path — states[:n] are exactly the
 // live flows, so the control loop walks them as a plain slice — and the
 // probe table indexes into it. The slab's capacity is the probe table's
-// load limit, so one check grows both.
+// load limit, so one check grows both. A slab of n slots' records is 48n
+// bytes, which the Go allocator serves from a size class that is a
+// multiple of 64 (or from whole pages), so every record starts a cache
+// line; checkFlowTable checks it.
 type flowTable struct {
 	slots  []flowSlot  // power-of-two length, or nil before first put
 	states []flowState // live flows, dense; cap == flowCapacity(len(slots))

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"floc/internal/rng"
 )
@@ -65,6 +66,9 @@ func checkFlowTable(t *testing.T, tab *flowTable, model map[flowKey]flowState, h
 	}
 	if cap(tab.states) != flowCapacity(len(tab.slots)) {
 		t.Fatalf("%s: slab capacity %d with %d slots", what, cap(tab.states), len(tab.slots))
+	}
+	if p := uintptr(unsafe.Pointer(unsafe.SliceData(tab.states))); p%64 != 0 {
+		t.Fatalf("%s: slab of %d records at %#x does not start a cache line", what, cap(tab.states), p)
 	}
 	seen := make([]bool, len(tab.states))
 	used := 0
@@ -161,7 +165,7 @@ func runFlowTableModel(t *testing.T, h flowHasher, seed uint64) {
 				if int(mix64(fs.hash^uint64(fs.lastSeen))%100) < share {
 					return false
 				}
-				fs.admitted++ // keep may update survivors in place
+				fs.arrived++ // keep may update survivors in place
 				return true
 			})
 			if len(visits) != before {
@@ -176,7 +180,7 @@ func runFlowTableModel(t *testing.T, h flowHasher, seed uint64) {
 				if int(mix64(m.hash^uint64(m.lastSeen))%100) < share {
 					delete(model, k)
 				} else {
-					m.admitted++
+					m.arrived++
 					model[k] = m
 				}
 			}
@@ -234,5 +238,13 @@ func TestFlowTableGrowShrinkCycle(t *testing.T) {
 	}
 	if slots != &tab.slots[0] || states != &tab.states[0] {
 		t.Fatal("an expiry that removed nothing reallocated the table")
+	}
+}
+
+// TestFlowRecordIsOneLine pins the layout the one-line-per-flow claim
+// rests on; checkFlowTable checks that the slab starts on a line.
+func TestFlowRecordIsOneLine(t *testing.T) {
+	if n := unsafe.Sizeof(flowState{}); n != 64 {
+		t.Fatalf("flowState is %d bytes, want one 64-byte cache line", n)
 	}
 }

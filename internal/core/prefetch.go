@@ -78,8 +78,8 @@ func (r *Router) prefetch(items []BatchItem) uint64 {
 			warm ^= uint64(t.slots[t.home(hashes[i])].idx)
 		}
 	}
-	// Stage 3: probe (the slots are warm now) -> the flow's slab entry,
-	// both ends of it: an entry can straddle two lines.
+	// Stage 3: probe (the slots are warm now) -> the flow's slab record,
+	// one aligned line.
 	for i := range items {
 		ps := paths[i]
 		if ps == nil {
@@ -87,9 +87,6 @@ func (r *Router) prefetch(items []BatchItem) uint64 {
 		}
 		if fs := ps.flows.get(hashes[i], keys[i]); fs != nil {
 			warm ^= math.Float64bits(fs.lastSeen)
-			if fs.awaitingData {
-				warm++
-			}
 		}
 	}
 	// Stage 4: effective path -> its token bucket and, on attack paths,

@@ -74,21 +74,21 @@ type flowKey struct {
 
 // flowState is the per-active-flow record of the (non-scalable) exact
 // tracking mode. It holds no pointers and lives by value in its path's
-// flowTable slab, so a flow costs the garbage collector nothing.
+// flowTable slab, so a flow costs the garbage collector nothing, and it
+// is exactly one 64-byte cache line: a packet's flow lookup and a control
+// run's walk touch one line per flow.
 type flowState struct {
 	lastSeen float64
 	synAt    float64
 	hash     uint64
 
-	// admitted and arrived count tokens admitted/offered this control
-	// interval; admittedRate and arrivedRate are the smoothed rates
-	// (tokens/second). The arrival rate upper-bounds attack-path flows at
-	// their fair share (Eq. IV.5's stated aim) and classifies attack
-	// flows for the conformance measure.
-	admitted     float64
-	arrived      float64
-	admittedRate float64
-	arrivedRate  float64
+	// arrived counts the tokens the flow offered this control interval;
+	// arrivedRate is their smoothed rate (tokens/second). The rate
+	// upper-bounds attack-path flows at their fair share (Eq. IV.5's
+	// stated aim) and classifies attack flows for the conformance
+	// measure.
+	arrived     float64
+	arrivedRate float64
 
 	// escalation grows while the flow keeps offering more than its fair
 	// share interval after interval — the paper's "aggressively
@@ -101,6 +101,8 @@ type flowState struct {
 	// attackFlagged tracks the last classification verdict so telemetry
 	// emits FlowClassifiedAttack only on the transition into attack.
 	attackFlagged bool
+
+	_ [14]byte // pads the record to its cache line
 }
 
 // offeredRate returns the flow's best current estimate of its send rate
@@ -435,7 +437,7 @@ func (r *Router) Enqueue(pkt *netsim.Packet, now float64) bool {
 	}
 
 	if qcur <= qminEff {
-		return r.admit(pkt, orig, eff, fs, tokens, now)
+		return r.admit(pkt, orig, eff, fs, now)
 	}
 
 	flooding := qcur > r.qmax
@@ -453,12 +455,12 @@ func (r *Router) Enqueue(pkt *netsim.Packet, now float64) bool {
 			r.drop(pkt, orig, eff, fs, now, DropNoToken)
 			return false
 		}
-		return r.admit(pkt, orig, eff, fs, tokens, now)
+		return r.admit(pkt, orig, eff, fs, now)
 	}
 
 	// Congested mode.
 	if eff.bucket.Take(now, tokens) {
-		return r.admit(pkt, orig, eff, fs, tokens, now)
+		return r.admit(pkt, orig, eff, fs, now)
 	}
 	// No token. The neutral random-threshold policy exists to spare
 	// conforming flows unnecessary drops caused by under-estimated
@@ -478,7 +480,7 @@ func (r *Router) Enqueue(pkt *netsim.Packet, now float64) bool {
 		r.drop(pkt, orig, eff, fs, now, DropRandomThreshold)
 		return false
 	}
-	return r.admit(pkt, orig, eff, fs, tokens, now)
+	return r.admit(pkt, orig, eff, fs, now)
 }
 
 // sizeBucket switches a path's bucket between N' (congested) and N
@@ -591,8 +593,8 @@ func (r *Router) FlowExcess(src, dst uint32, path pathid.PathID, now float64) fl
 	return r.filter.Query(hash, now, r.epoch(eff), r.filterK(eff)).Excess()
 }
 
-// admit puts the packet on the physical queue and meters the flow.
-func (r *Router) admit(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, tokens, now float64) bool {
+// admit puts the packet on the physical queue and counts it.
+func (r *Router) admit(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, now float64) bool {
 	if !r.fifo.Enqueue(pkt, now) {
 		// Physical overflow: the effective path still pays for it.
 		r.drop(pkt, orig, eff, fs, now, DropOverflow)
@@ -600,9 +602,6 @@ func (r *Router) admit(pkt *netsim.Packet, orig, eff *pathState, fs *flowState, 
 	}
 	r.admitted++
 	orig.admittedPkts++
-	if fs != nil && (pkt.Kind == netsim.KindData || pkt.Kind == netsim.KindUDP) {
-		fs.admitted += tokens
-	}
 	if r.tel != nil {
 		r.observeAdmit(orig, fs, now)
 	}

@@ -73,7 +73,7 @@ type Filter struct {
 	cfg  Config
 	mask uint64
 	recs []record // blocked: slot s, array i at recs[s*Arrays+i]
-	live int      // number of non-empty records (approximate, for stats)
+	live int      // non-empty records, never fewer (cleared ones leave lazily)
 
 	// Cumulative operation counters, for telemetry.
 	recordOps int64
@@ -327,9 +327,14 @@ func (f *Filter) Query(h uint64, now, epoch float64, k int) State {
 
 // QueryTicks is Query with the time and the congestion epoch already in
 // ticks (see Ticks), for callers that query many flows of one path at one
-// instant and quantize once.
+// instant and quantize once. A filter that holds no record answers
+// without reading any: live counts out a record only when it clears, so
+// live == 0 proves every record empty.
 func (f *Filter) QueryTicks(h uint64, nowTicks, epochTicks uint32, k int) State {
 	f.queryOps++
+	if f.live == 0 {
+		return State{}
+	}
 	if epochTicks == 0 {
 		epochTicks = 1
 	}

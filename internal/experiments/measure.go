@@ -170,7 +170,7 @@ func (m *Measurement) classify(pkt *netsim.Packet, pathKey string) FlowClass {
 }
 
 // finish computes derived metrics after the run.
-func (m *Measurement) finish(sc Scenario, flocRtr *core.Router) {
+func (m *Measurement) finish(flocRtr *core.Router) {
 	m.Window = m.measureTo - m.measureFrom
 	total := 0.0
 	for _, bits := range m.ClassBits {
@@ -184,7 +184,6 @@ func (m *Measurement) finish(sc Scenario, flocRtr *core.Router) {
 		m.FLocAggregates = flocRtr.Aggregates()
 		m.FLocSnapshot = flocRtr.Snapshot()
 	}
-	_ = sc
 }
 
 // ClassShare returns a class's fraction of link capacity over the window.

@@ -490,7 +490,7 @@ func Run(sc Scenario) (*Measurement, error) {
 		return nil, err
 	}
 	b.net.Run(sc.Duration)
-	b.meas.finish(b.sc, b.flocRtr)
+	b.meas.finish(b.flocRtr)
 	if b.pushback != nil {
 		b.meas.PushbackUpstreamDrops = b.pushback.UpstreamDrops()
 	}
