@@ -40,7 +40,6 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -169,7 +168,7 @@ func run(o options) error {
 	var sealer *ledger.Sealer
 	var sink telemetry.EventSink
 	if o.ledger != "" {
-		s, err := ledger.NewSealer(o.ledger, ledger.SealerOptions{})
+		s, err := ledger.NewSealer(o.ledger)
 		if err != nil {
 			return err
 		}
@@ -327,10 +326,7 @@ func sealLedger(sealer *ledger.Sealer, dir string, snap core.Snapshot) error {
 	if sealer == nil {
 		return nil
 	}
-	if err := sealer.Close(); err != nil {
-		return err
-	}
-	if err := ledger.WriteSnapshot(filepath.Join(dir, ledger.SnapshotName), snap); err != nil {
+	if err := sealer.CloseWithSnapshot(snap); err != nil {
 		return err
 	}
 	head := sealer.Head()

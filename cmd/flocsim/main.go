@@ -13,13 +13,16 @@
 // Besides the figures, -scenario runs one attack scenario and prints the
 // router's snapshot, optionally with full observability output:
 //
-//	flocsim -scenario floc:cbr -metrics -trace out.ndjson
+//	flocsim -scenario floc:cbr -metrics -ledger dir
+//	floctrace replay -ledger dir
 //
 // -metrics appends the metric registry in Prometheus text format (of a
-// scenario or figs 13-15); -trace writes the typed event trace (one JSON
-// event per line), from which the run's admission decisions replay
-// exactly. An unknown -format, -fig with -scenario, -metrics on a figure
-// but 13-15 and -trace without -scenario are usage errors (exit 2).
+// scenario or figs 13-15); -ledger seals the FLoc router's typed events
+// into a ledger directory with the run's final snapshot, exactly as
+// flocd -ledger does, so floctrace verifies and replays a simulated run
+// like a daemon's. An unknown -format, -fig with -scenario, -metrics on
+// a figure but 13-15 and -ledger without a floc:… scenario are usage
+// errors (exit 2).
 //
 // Scale 1.0 reproduces the paper's full size (500 Mb/s target link, 810
 // legitimate sources, 360 bots, 80 simulated seconds; 10,000 legitimate
@@ -38,6 +41,7 @@ import (
 	"strings"
 
 	"floc/internal/experiments"
+	"floc/internal/ledger"
 	"floc/internal/telemetry"
 	"floc/internal/units"
 )
@@ -59,8 +63,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	scenario := fs.String("scenario", "", "run one scenario instead of a figure: defense:attack (e.g. floc:cbr)")
 	duration := fs.Float64("duration", 30, "scenario duration in simulated seconds (-scenario only)")
 	metrics := fs.Bool("metrics", false, "print the metric registry in Prometheus text format after the run (-scenario, figs 13-15)")
-	trace := fs.String("trace", "", "write the NDJSON event trace to this file (-scenario only)")
-	traceCap := fs.Int("tracecap", 1<<20, "event trace ring capacity (-trace only)")
+	ledgerDir := fs.String("ledger", "", "seal the run's events and final snapshot into this new ledger directory (-scenario floc:… only)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -71,13 +74,13 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	if err := checkFlags(*fig, *scenario, *format, *metrics, *trace); err != nil {
+	if err := checkFlags(*fig, *scenario, *format, *metrics, *ledgerDir); err != nil {
 		fmt.Fprintln(stderr, "flocsim:", err)
 		return 2
 	}
 
 	if *scenario != "" {
-		if err := runScenario(stdout, *scenario, *scale, *seed, *duration, *metrics, *trace, *traceCap); err != nil {
+		if err := runScenario(stdout, *scenario, *scale, *seed, *duration, *metrics, *ledgerDir); err != nil {
 			fmt.Fprintln(stderr, "flocsim:", err)
 			return 1
 		}
@@ -103,7 +106,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 }
 
 // checkFlags rejects the combinations the run would otherwise ignore.
-func checkFlags(fig, scenario, format string, metrics bool, trace string) error {
+func checkFlags(fig, scenario, format string, metrics bool, ledgerDir string) error {
 	switch {
 	case format != "tsv" && format != "json":
 		return fmt.Errorf("-format %q: want tsv or json", format)
@@ -111,8 +114,8 @@ func checkFlags(fig, scenario, format string, metrics bool, trace string) error 
 		return fmt.Errorf("-fig and -scenario are exclusive")
 	case metrics && fig != "" && fig != "13" && fig != "14" && fig != "15":
 		return fmt.Errorf("-metrics applies to -scenario and figs 13-15, not fig %s", fig)
-	case trace != "" && scenario == "":
-		return fmt.Errorf("-trace requires -scenario")
+	case ledgerDir != "" && !strings.HasPrefix(scenario, string(experiments.DefFLoc)+":"):
+		return fmt.Errorf("-ledger requires a -scenario floc:…: only FLoc emits events")
 	}
 	return nil
 }
@@ -142,8 +145,9 @@ func parseScenario(spec string) (experiments.DefenseKind, experiments.AttackKind
 
 // runScenario executes one scenario with the paper's FLoc defaults
 // (SMax 25, NMax 2) and prints the class shares plus, for FLoc, the
-// router snapshot; -metrics and -trace add the observability dumps.
-func runScenario(w io.Writer, spec string, scale float64, seed uint64, duration float64, metrics bool, tracePath string, traceCap int) error {
+// router snapshot; -metrics adds the registry dump, and -ledger seals
+// the run's events into ledgerDir.
+func runScenario(w io.Writer, spec string, scale float64, seed uint64, duration float64, metrics bool, ledgerDir string) error {
 	def, atk, err := parseScenario(spec)
 	if err != nil {
 		return err
@@ -154,11 +158,18 @@ func runScenario(w io.Writer, spec string, scale float64, seed uint64, duration 
 	sc.MeasureFrom = duration / 4
 	sc.SMax = 25
 	sc.NMax = 2
-	if tracePath != "" {
-		sc.TraceCapacity = traceCap
+	var sealer *ledger.Sealer
+	if ledgerDir != "" {
+		if sealer, err = ledger.NewSealer(ledgerDir); err != nil {
+			return err
+		}
+		sc.Sink = sealer
 	}
 	m, err := experiments.Run(sc)
 	if err != nil {
+		if sealer != nil {
+			sealer.Close()
+		}
 		return err
 	}
 	fmt.Fprintf(w, "scenario %s scale=%v seed=%d duration=%vs\n", spec, scale, seed, duration)
@@ -170,20 +181,13 @@ func runScenario(w io.Writer, spec string, scale float64, seed uint64, duration 
 	if def == experiments.DefFLoc {
 		fmt.Fprint(w, m.FLocSnapshot.String())
 	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
+	if sealer != nil {
+		if err := sealer.CloseWithSnapshot(m.FLocSnapshot); err != nil {
 			return err
 		}
-		if err := m.Tel.Trace.WriteNDJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trace: %d events -> %s (%d overwritten)\n",
-			m.Tel.Trace.Len(), tracePath, m.Tel.Trace.Overwritten())
+		head := sealer.Head()
+		fmt.Fprintf(w, "ledger: sealed %d segments (%d events) in %s; head %x\n",
+			sealer.Segments(), sealer.Events(), ledgerDir, head[:])
 	}
 	if metrics {
 		fmt.Fprintln(w)

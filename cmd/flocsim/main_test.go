@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"floc/internal/ledger"
 )
 
 // buildInfo matches the registry's floc_build_info series, whose labels
@@ -53,7 +56,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{[]string{"-fig", "4", "-format", "jsn"}, `-format "jsn"`},
 		{[]string{"-fig", "8", "-scenario", "floc:cbr"}, "-fig and -scenario are exclusive"},
 		{[]string{"-fig", "4", "-metrics"}, "-metrics applies to -scenario and figs 13-15"},
-		{[]string{"-fig", "4", "-trace", "out.ndjson"}, "-trace requires -scenario"},
+		{[]string{"-fig", "4", "-ledger", "out"}, "-ledger requires a -scenario floc:"},
+		{[]string{"-scenario", "pushback:cbr", "-ledger", "out"}, "only FLoc emits events"},
+		{[]string{"-scenario", "floc:cbr", "-trace", "out.ndjson"}, "not defined"},
+		{[]string{"-scenario", "floc:cbr", "-tracecap", "8"}, "not defined"},
 		{[]string{"-scale", "0.1"}, "Usage"},
 		{[]string{"-nosuchflag"}, "not defined"},
 	} {
@@ -137,5 +143,37 @@ func TestParseScenario(t *testing.T) {
 		if _, _, err := parseScenario(bad); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}
+	}
+}
+
+// TestScenarioLedgerVerifiesAndReplays: -ledger seals a simulated run
+// the way flocd -ledger seals a daemon's, so the ledger verifies and its
+// events fold to the snapshot sealed beside it.
+func TestScenarioLedgerVerifiesAndReplays(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ledger")
+	var stdout, stderr bytes.Buffer
+	if code := cli([]string{"-scenario", "floc:cbr", "-duration", "5", "-ledger", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	rep, events, err := ledger.Verify(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := fmt.Sprintf("head %x\n", rep.Head)
+	if rep.Segments == 0 || !strings.HasSuffix(stdout.String(), head) {
+		t.Fatalf("verified %d segments to %sbut flocsim printed:\n%s", rep.Segments, head, stdout.String())
+	}
+	snap, err := ledger.ReadSnapshot(filepath.Join(dir, ledger.SnapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Arrived == 0 {
+		t.Fatal("the sealed snapshot saw no packets")
+	}
+	if diffs := ledger.Replay(events).Diff(snap); len(diffs) != 0 {
+		t.Fatalf("sealed events do not reproduce the sealed snapshot:\n  %s", strings.Join(diffs, "\n  "))
+	}
+	if code := cli([]string{"-scenario", "floc:cbr", "-duration", "5", "-ledger", dir}, &stdout, &stderr); code != 1 {
+		t.Fatalf("resealing over a ledger: exit %d, want 1", code)
 	}
 }

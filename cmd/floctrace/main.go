@@ -1,19 +1,18 @@
-// Command floctrace is the forensic toolchain for FLoc event-trace
-// ledgers (package ledger): sealing an event stream into tamper-evident
-// storage, verifying a sealed ledger byte-for-byte, and replaying the
-// sealed events against the Snapshot the run claims to have ended in.
+// Command floctrace is the forensic toolchain for FLoc event ledgers
+// (package ledger), as sealed by flocd -ledger or flocsim -ledger:
+// verifying a sealed ledger byte-for-byte, and replaying the sealed
+// events against the Snapshot the run claims to have ended in.
 //
-//	floctrace seal   -trace events.ndjson -out ledgerdir
 //	floctrace verify -ledger ledgerdir
 //	floctrace replay -ledger ledgerdir [-snapshot snapshot.json]
 //
 // verify recomputes every segment's Merkle root from the stored bytes,
-// checks the record hash chain and spot inclusion proofs, and fails with
-// a typed error naming the offending segment. replay is verify plus the
-// replay-equals-snapshot fold: the sealed events are decoded and folded
-// into the router state they imply, and any disagreement with the
-// claimed snapshot is printed one line per field. Exit status is 0 only
-// when everything checks out.
+// checks the record hash chain, decodes every sealed line, and fails
+// with a typed error naming the offending segment. replay is verify plus
+// the replay-equals-snapshot fold: the sealed events are folded into the
+// router state they imply, and any disagreement with the claimed
+// snapshot is printed one line per field. Exit status is 0 only when
+// everything checks out.
 package main
 
 import (
@@ -25,7 +24,6 @@ import (
 	"strings"
 
 	"floc/internal/ledger"
-	"floc/internal/telemetry"
 )
 
 func main() {
@@ -37,60 +35,16 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: floctrace <seal|verify|replay> [flags]")
+		return fmt.Errorf("usage: floctrace <verify|replay> [flags]")
 	}
 	switch cmd, rest := args[0], args[1:]; cmd {
-	case "seal":
-		return runSeal(rest, out)
 	case "verify":
 		return runVerify(rest, out)
 	case "replay":
 		return runReplay(rest, out)
 	default:
-		return fmt.Errorf("unknown subcommand %q (want seal, verify, or replay)", cmd)
+		return fmt.Errorf("unknown subcommand %q (want verify or replay)", cmd)
 	}
-}
-
-// runSeal seals an NDJSON event stream (e.g. a dumped trace ring) into a
-// fresh ledger directory, segmenting at control-run boundaries exactly
-// like live sealing in flocd.
-func runSeal(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("seal", flag.ContinueOnError)
-	trace := fs.String("trace", "", "NDJSON event stream to seal (default stdin)")
-	dir := fs.String("out", "", "ledger directory to create (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("seal: -out is required")
-	}
-	in := os.Stdin
-	if *trace != "" {
-		f, err := os.Open(*trace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		in = f
-	}
-	events, err := telemetry.ReadNDJSON(in)
-	if err != nil {
-		return fmt.Errorf("seal: %w", err)
-	}
-	s, err := ledger.NewSealer(*dir, ledger.SealerOptions{})
-	if err != nil {
-		return err
-	}
-	for _, e := range events {
-		s.Emit(e)
-	}
-	if err := s.Close(); err != nil {
-		return err
-	}
-	head := s.Head()
-	fmt.Fprintf(out, "sealed %d events into %d segments in %s\nhead %x\n",
-		s.Events(), s.Segments(), *dir, head[:])
-	return nil
 }
 
 // runVerify checks a ledger end-to-end and prints the report.
@@ -103,7 +57,7 @@ func runVerify(args []string, out io.Writer) error {
 	if *dir == "" {
 		return fmt.Errorf("verify: -ledger is required")
 	}
-	rep, err := ledger.Verify(*dir)
+	rep, _, err := ledger.Verify(*dir)
 	if err != nil {
 		return err
 	}
@@ -126,7 +80,7 @@ func runReplay(args []string, out io.Writer) error {
 	if *snapPath == "" {
 		*snapPath = filepath.Join(*dir, ledger.SnapshotName)
 	}
-	rep, events, err := ledger.VerifyCollect(*dir)
+	rep, events, err := ledger.Verify(*dir)
 	if err != nil {
 		return err
 	}
@@ -148,6 +102,6 @@ func runReplay(args []string, out io.Writer) error {
 // printReport renders a verification report, head last so the anchor
 // value is the easiest line to copy out.
 func printReport(out io.Writer, rep *ledger.VerifyReport) {
-	fmt.Fprintf(out, "verified %d segments, %d events, %d files, %d inclusion proofs\nhead %x\n",
-		rep.Segments, rep.Events, rep.Files, rep.ProofChecks, rep.Head[:])
+	fmt.Fprintf(out, "verified %d segments, %d events, %d files\nhead %x\n",
+		rep.Segments, rep.Events, rep.Files, rep.Head[:])
 }

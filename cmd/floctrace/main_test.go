@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,24 +12,6 @@ import (
 	"floc/internal/ledger"
 	"floc/internal/telemetry"
 )
-
-// writeTrace dumps events as NDJSON, the same framing a trace ring dump
-// or flocd ledger uses.
-func writeTrace(t *testing.T, path string, events []telemetry.Event) {
-	t.Helper()
-	var buf bytes.Buffer
-	for _, e := range events {
-		b, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // traceEvents is a small single-router stream: two admits, one drop, one
 // control run, plus an unsealed tail admit.
@@ -59,19 +40,23 @@ func claimedSnapshot() core.Snapshot {
 	}
 }
 
+// sealAndVerify seals traceEvents into a fresh ledger directory through
+// the sealer flocd and flocsim attach as their event sink.
 func sealAndVerify(t *testing.T) (dir string) {
 	t.Helper()
-	base := t.TempDir()
-	trace := filepath.Join(base, "events.ndjson")
-	dir = filepath.Join(base, "ledger")
-	writeTrace(t, trace, traceEvents())
-
-	var out bytes.Buffer
-	if err := run([]string{"seal", "-trace", trace, "-out", dir}, &out); err != nil {
-		t.Fatalf("seal: %v", err)
+	dir = filepath.Join(t.TempDir(), "ledger")
+	s, err := ledger.NewSealer(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "sealed 5 events into 2 segments") {
-		t.Fatalf("seal output: %q", out.String())
+	for _, e := range traceEvents() {
+		s.Emit(e)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Events() != 5 || s.Segments() != 2 {
+		t.Fatalf("sealed %d events into %d segments, want 5 into 2", s.Events(), s.Segments())
 	}
 	return dir
 }
@@ -154,8 +139,8 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"verify"}, &out); err == nil {
 		t.Fatal("verify without -ledger must error")
 	}
-	if err := run([]string{"seal"}, &out); err == nil {
-		t.Fatal("seal without -out must error")
+	if err := run([]string{"seal"}, &out); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+		t.Fatalf("seal = %v; sealing is the sealer sink's alone", err)
 	}
 	if err := run([]string{"replay"}, &out); err == nil {
 		t.Fatal("replay without -ledger must error")

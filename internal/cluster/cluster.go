@@ -171,9 +171,9 @@ type Node struct {
 	refused    *telemetry.Counter
 	ownOrigin  *telemetry.Counter
 	retrySpent *telemetry.Counter
+	applied    *telemetry.Counter
+	stale      *telemetry.Counter
 	sentCtr    map[string]*telemetry.Counter
-	appliedCtr map[uint32]*telemetry.Counter
-	staleCtr   map[uint32]*telemetry.Counter
 }
 
 // New builds a cluster node.
@@ -182,13 +182,11 @@ func New(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:        cfg,
-		prev:       map[string]pathCounts{},
-		active:     map[string]bool{},
-		origins:    map[uint32]originState{},
-		sentCtr:    map[string]*telemetry.Counter{},
-		appliedCtr: map[uint32]*telemetry.Counter{},
-		staleCtr:   map[uint32]*telemetry.Counter{},
+		cfg:     cfg,
+		prev:    map[string]pathCounts{},
+		active:  map[string]bool{},
+		origins: map[uint32]originState{},
+		sentCtr: map[string]*telemetry.Counter{},
 	}
 	n.sendErrs = n.counter("floc_cluster_send_errors_total",
 		"control frames the transport failed to send to a peer", "frames")
@@ -198,6 +196,10 @@ func New(cfg Config) (*Node, error) {
 	const discardedHelp = "control frames discarded unapplied or unacknowledged, by reason"
 	n.ownOrigin = n.counter(`floc_cluster_frames_discarded_total{reason="own_origin"}`, discardedHelp, "frames")
 	n.retrySpent = n.counter(`floc_cluster_frames_discarded_total{reason="retry_budget"}`, discardedHelp, "frames")
+	n.applied = n.counter("floc_cluster_feedback_applied_total",
+		"feedback records applied", "records")
+	n.stale = n.counter("floc_cluster_feedback_stale_dropped_total",
+		"control frames dropped as stale", "frames")
 	return n, nil
 }
 
@@ -373,7 +375,7 @@ func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 	// before it, can still be retransmitted: TTL + retrySpan after its
 	// arrival. The TTL also absorbs tick lateness and network delay.
 	if last, ok := n.origins[f.Origin]; ok && f.Seq <= last.seq && now < last.forgetAt {
-		n.staleCtrLocked(f.Origin).Inc()
+		n.stale.Inc()
 		return 0, nil
 	}
 	n.origins[f.Origin] = originState{seq: f.Seq, recv: now, forgetAt: now + f.TTL() + retrySpan}
@@ -389,9 +391,7 @@ func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 			n.refused.Inc()
 		}
 	}
-	if applied > 0 {
-		n.appliedCtrLocked(f.Origin).Add(int64(applied))
-	}
+	n.applied.Add(int64(applied))
 	// Relay upstream with a decremented hop budget, re-originated so the
 	// next hop's staleness tracking sees one monotone stream per sender.
 	if f.Hops > 0 && len(n.cfg.Peers) > 0 {
@@ -480,26 +480,6 @@ func (n *Node) sentCtrLocked(peer string) *telemetry.Counter {
 		c = n.counter(`floc_cluster_feedback_sent_total{peer="`+peer+`"}`,
 			"control frames sent to an upstream peer", "frames")
 		n.sentCtr[peer] = c
-	}
-	return c
-}
-
-func (n *Node) appliedCtrLocked(origin uint32) *telemetry.Counter {
-	c := n.appliedCtr[origin]
-	if c == nil {
-		c = n.counter(fmt.Sprintf(`floc_cluster_feedback_applied_total{peer="%d"}`, origin),
-			"feedback records applied, by advertising router", "records")
-		n.appliedCtr[origin] = c
-	}
-	return c
-}
-
-func (n *Node) staleCtrLocked(origin uint32) *telemetry.Counter {
-	c := n.staleCtr[origin]
-	if c == nil {
-		c = n.counter(fmt.Sprintf(`floc_cluster_feedback_stale_dropped_total{peer="%d"}`, origin),
-			"control frames dropped as stale, by advertising router", "frames")
-		n.staleCtr[origin] = c
 	}
 	return c
 }

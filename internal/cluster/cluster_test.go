@@ -180,8 +180,8 @@ func TestConvergenceUnderLossAndReorder(t *testing.T) {
 		// every install seen by the upstream carries the same rate, so a
 		// stale frame could only have re-applied identical state — catch
 		// regressions through the stale counter instead.
-		stale := reg.CounterValue(`floc_cluster_feedback_stale_dropped_total{peer="3"}`)
-		applied := reg.CounterValue(`floc_cluster_feedback_applied_total{peer="3"}`)
+		stale := reg.CounterValue("floc_cluster_feedback_stale_dropped_total")
+		applied := reg.CounterValue("floc_cluster_feedback_applied_total")
 		if applied == 0 {
 			t.Fatalf("seed %d: applied counter is zero despite convergence", seed)
 		}
@@ -225,7 +225,7 @@ func TestStaleSequenceNeverApplied(t *testing.T) {
 	if got := upInstall.limits["100-10-1"]; got != 5_000_000 {
 		t.Fatalf("limit = %v after stale frame, want the fresh frame's 5e6", got)
 	}
-	if v := reg.CounterValue(`floc_cluster_feedback_stale_dropped_total{peer="9"}`); v != 1 {
+	if v := reg.CounterValue("floc_cluster_feedback_stale_dropped_total"); v != 1 {
 		t.Fatalf("stale counter = %d, want 1", v)
 	}
 	// A duplicate of the fresh frame is equally stale (seq equality).
@@ -322,7 +322,7 @@ func TestRestartedOriginHeardAfterLease(t *testing.T) {
 	if h := up.Health(7.0); len(h.Feedback) != 1 || h.Feedback[0].LastSeq != 2 {
 		t.Fatalf("health feedback = %+v, want origin 3 at seq 2", h.Feedback)
 	}
-	if v := reg.CounterValue(`floc_cluster_feedback_stale_dropped_total{peer="3"}`); v != 1 {
+	if v := reg.CounterValue("floc_cluster_feedback_stale_dropped_total"); v != 1 {
 		t.Fatalf("stale counter = %d, want 1", v)
 	}
 }
@@ -361,17 +361,26 @@ func TestLowerSeqWithinLeaseIsStale(t *testing.T) {
 // TestOriginsForgottenAfterLease: an origin is remembered only until its
 // last frame's lease and retransmit span have run, so a receiver heard
 // by many short-lived origins holds none of them once Tick passes their
-// windows, and /healthz lists none.
+// windows, and /healthz lists none. Nor does the registry grow with
+// them: the feedback counters carry no origin label.
 func TestOriginsForgottenAfterLease(t *testing.T) {
-	up, err := New(Config{RouterID: 2, Installer: newFakeInstaller(), PacketSize: 1000})
+	reg := telemetry.NewRegistry()
+	up, err := New(Config{RouterID: 2, Installer: newFakeInstaller(), PacketSize: 1000, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const origins = 10_000
+	var oneOrigin int
 	for i := uint32(0); i < origins; i++ {
 		if n, _ := up.HandleFrame(feedbackFrame(t, 100+i, 1, 0, 1_000_000), 1.0); n != 1 {
 			t.Fatalf("origin %d: applied %d records, want 1", 100+i, n)
 		}
+		if i == 0 {
+			oneOrigin = len(reg.Names())
+		}
+	}
+	if got := len(reg.Names()); got != oneOrigin {
+		t.Fatalf("registry holds %d series after %d origins, %d after one", got, origins, oneOrigin)
 	}
 	// Each origin is remembered to 1.0 + TTL 2 + retransmit span 3.1 = 6.1.
 	up.Tick(6.0)
@@ -449,7 +458,7 @@ func TestRelayedRetransmitOutlivesLeaseIsStale(t *testing.T) {
 	if _, ok := upInstall.limits[key]; ok {
 		t.Fatalf("retransmit at %v reinstalled the released limit", lastAt)
 	}
-	if v := reg.CounterValue(`floc_cluster_feedback_stale_dropped_total{peer="5"}`); v != 1 {
+	if v := reg.CounterValue("floc_cluster_feedback_stale_dropped_total"); v != 1 {
 		t.Fatalf("stale counter = %d, want 1", v)
 	}
 }
@@ -649,7 +658,8 @@ func TestRefusedFeedbackIsCounted(t *testing.T) {
 	ownOrigin := discardedSeries("own_origin")
 	var text strings.Builder
 	reg.WriteText(&text)
-	for _, series := range []string{empty, refused, ownOrigin} {
+	for _, series := range []string{empty, refused, ownOrigin,
+		"floc_cluster_feedback_applied_total", "floc_cluster_feedback_stale_dropped_total"} {
 		if !strings.Contains(text.String(), series+" 0\n") {
 			t.Fatalf("%s is not exported at zero before any frame", series)
 		}
@@ -680,7 +690,7 @@ func TestRefusedFeedbackIsCounted(t *testing.T) {
 	if got := reg.CounterValue(refused); got != 2 {
 		t.Fatalf("refused = %d, want 2", got)
 	}
-	if got := reg.CounterValue(`floc_cluster_feedback_applied_total{peer="9"}`); got != 0 {
+	if got := reg.CounterValue("floc_cluster_feedback_applied_total"); got != 0 {
 		t.Fatalf("applied = %d, want 0", got)
 	}
 	if n, err := up.HandleFrame(oneRecordFrame(t, 2, 1), 1.0); n != 0 || err != nil || in.calls != 2 {

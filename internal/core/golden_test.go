@@ -234,11 +234,14 @@ func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCo
 		}
 	}
 
-	var ring bytes.Buffer
-	if err := tel.Trace.WriteNDJSON(&ring); err != nil {
-		t.Fatal(err)
+	// The ring, oldest first, one canonical event encoding per line.
+	for _, e := range tel.Trace.Events() {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(append(line, '\n'))
 	}
-	h.Write(ring.Bytes())
 	var text bytes.Buffer
 	if err := tel.Registry.WriteText(&text); err != nil {
 		t.Fatal(err)

@@ -39,8 +39,8 @@ func (c FlowClass) String() string {
 // Measurement collects everything the figures need from one run, by
 // observing deliveries over the target link.
 type Measurement struct {
-	// Tel is the run's telemetry: the registry is always on; the event
-	// trace is enabled by Scenario.TraceCapacity.
+	// Tel is the run's telemetry: the registry is always on; events go
+	// to Scenario.Sink, when one is set.
 	Tel *telemetry.Telemetry
 
 	// Service and Dropped count packets serviced and dropped at the
@@ -90,10 +90,10 @@ type Measurement struct {
 }
 
 // newMeasurement wires delivery/drop hooks onto the tree's target link.
-// traceCap > 0 additionally enables the event trace ring.
-func newMeasurement(tree *topology.Tree, attackLeaves []int, from, to float64, traceCap int) *Measurement {
+// sink, when non-nil, receives the run's events.
+func newMeasurement(tree *topology.Tree, attackLeaves []int, from, to float64, sink telemetry.EventSink) *Measurement {
 	m := &Measurement{
-		Tel:            telemetry.New(traceCap),
+		Tel:            telemetry.New(0),
 		Service:        stats.NewTimeSeries(1.0),
 		Dropped:        stats.NewTimeSeries(1.0),
 		PerPathBits:    map[string]*stats.TimeSeries{},
@@ -106,6 +106,7 @@ func newMeasurement(tree *topology.Tree, attackLeaves []int, from, to float64, t
 		measureFrom:    from,
 		measureTo:      to,
 	}
+	m.Tel.Sink = sink
 	for _, leaf := range attackLeaves {
 		m.AttackPathKeys[tree.Path(leaf).Key()] = true
 	}

@@ -17,6 +17,7 @@ import (
 	"floc/internal/netsim"
 	"floc/internal/pathid"
 	"floc/internal/tcp"
+	"floc/internal/telemetry"
 	"floc/internal/topology"
 	"floc/internal/traffic"
 	"floc/internal/units"
@@ -109,9 +110,10 @@ type Scenario struct {
 	// shared identifier. 0 means 1.0 (full deployment).
 	MarkingFraction float64
 
-	// TraceCapacity, when > 0, enables the telemetry event trace with a
-	// ring of that many events (the registry is always on).
-	TraceCapacity int
+	// Sink, when set, receives every event the FLoc router emits, in
+	// order (the registry is always on): flocsim -ledger attaches a
+	// ledger.Sealer here. Only FLoc emits events.
+	Sink telemetry.EventSink
 
 	// Duration is total simulated seconds (paper: 80); measurement covers
 	// [MeasureFrom, Duration] (paper: 20..80).
@@ -237,7 +239,7 @@ func build(sc Scenario) (*built, error) {
 		smallLeaf[l] = true
 	}
 
-	b.meas = newMeasurement(tree, attackLeaves, sc.MeasureFrom, sc.Duration, sc.TraceCapacity)
+	b.meas = newMeasurement(tree, attackLeaves, sc.MeasureFrom, sc.Duration, sc.Sink)
 
 	// Every defense that exposes a telemetry seam shares the run's registry
 	// so figures and dumps read one surface regardless of the discipline.

@@ -1,51 +1,48 @@
 package experiments
 
 import (
-	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"floc/internal/ledger"
-	"floc/internal/telemetry"
 )
 
 // TestTraceReplayMatchesSnapshot is the observability acceptance test: a
-// full FLoc attack run with the event trace enabled must emit an NDJSON
-// stream from which the per-domain admission counters, the aggregation
-// membership, and the final queue mode reconstruct *exactly* — the trace
-// is a faithful journal of the run, not a sampled approximation. The
-// reconstruction itself is ledger.Replay/Diff, the same fold floctrace
-// uses on sealed evidence, so this test also pins the forensic tool to
-// the live router's semantics.
+// full FLoc attack run sealed through Scenario.Sink must leave a ledger
+// that verifies and from whose events the per-domain admission counters,
+// the aggregation membership, and the final queue mode reconstruct
+// *exactly* — the journal is a faithful record of the run, not a sampled
+// approximation. The reconstruction itself is ledger.Replay/Diff, the
+// same fold floctrace uses on sealed evidence, so this test also pins
+// the forensic tool to the live router's semantics.
 func TestTraceReplayMatchesSnapshot(t *testing.T) {
 	skipIfShort(t)
+	dir := filepath.Join(t.TempDir(), "ledger")
+	sealer, err := ledger.NewSealer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc := shortScenario(DefFLoc, AttackCBR)
 	sc.SMax = 25 // force attack-path aggregation so transitions appear
-	sc.TraceCapacity = 1 << 20
+	sc.Sink = sealer
 	m, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := m.Tel.Trace
-	if tr == nil {
-		t.Fatal("TraceCapacity set but no trace attached")
-	}
-	if tr.Overwritten() != 0 {
-		t.Fatalf("trace overwrote %d events; replay would be incomplete", tr.Overwritten())
-	}
-
-	// Round-trip through the NDJSON exporter: the replay below reads only
-	// the decoded stream, never the in-memory ring.
-	var buf bytes.Buffer
-	if err := tr.WriteNDJSON(&buf); err != nil {
+	if err := sealer.Close(); err != nil {
 		t.Fatal(err)
 	}
-	events, err := telemetry.ReadNDJSON(&buf)
+
+	// The replay below reads only what Verify decoded from disk, never
+	// the events the run emitted.
+	rep, events, err := ledger.Verify(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != tr.Len() {
-		t.Fatalf("round-trip lost events: %d decoded, %d in ring", len(events), tr.Len())
+	if head := sealer.Head(); rep.Events != sealer.Events() || rep.Head != head {
+		t.Fatalf("verified %d events to head %x, sealed %d to %x",
+			rep.Events, rep.Head[:8], sealer.Events(), head[:8])
 	}
 
 	res := ledger.Replay(events)

@@ -133,14 +133,9 @@ const (
 	// ErrTrailingEvents: event lines exist beyond what the ledger
 	// seals — the ledger tail was truncated or events were appended.
 	ErrTrailingEvents
-	// ErrProofInvalid: a recomputed inclusion proof failed against the
-	// sealed root (internal inconsistency in the proof machinery or a
-	// mid-verification mutation of the stored bytes).
-	ErrProofInvalid
 	// ErrMissingFile: a file the ledger references does not exist.
 	ErrMissingFile
-	// ErrEventDecode: a sealed line is not a decodable telemetry event
-	// (only checked when events are collected for replay).
+	// ErrEventDecode: a sealed line is not a decodable telemetry event.
 	ErrEventDecode
 
 	numErrorKinds
@@ -155,7 +150,6 @@ var errorKindNames = [numErrorKinds]string{
 	ErrRootMismatch:     "root-mismatch",
 	ErrSegmentTruncated: "segment-truncated",
 	ErrTrailingEvents:   "trailing-events",
-	ErrProofInvalid:     "proof-invalid",
 	ErrMissingFile:      "missing-file",
 	ErrEventDecode:      "event-decode",
 }

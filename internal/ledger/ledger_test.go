@@ -38,13 +38,20 @@ func synthRun(runs, count, tail int) []telemetry.Event {
 }
 
 // sealDir seals events into a fresh ledger under t.TempDir.
-func sealDir(t *testing.T, opts SealerOptions, events []telemetry.Event) (string, Hash) {
+func sealDir(t *testing.T, events []telemetry.Event) (string, Hash) {
+	return sealDirRotating(t, rotateBytes, events)
+}
+
+// sealDirRotating is sealDir with the events file rotating at rotateAt
+// bytes.
+func sealDirRotating(t *testing.T, rotateAt int64, events []telemetry.Event) (string, Hash) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "ledger")
-	s, err := NewSealer(dir, opts)
+	s, err := NewSealer(dir)
 	if err != nil {
 		t.Fatalf("NewSealer: %v", err)
 	}
+	s.rotateAt = rotateAt
 	for _, e := range events {
 		s.Emit(e)
 	}
@@ -56,9 +63,9 @@ func sealDir(t *testing.T, opts SealerOptions, events []telemetry.Event) (string
 
 func TestSealVerifyRoundTrip(t *testing.T) {
 	events := synthRun(3, 20, 5)
-	dir, head := sealDir(t, SealerOptions{}, events)
+	dir, head := sealDir(t, events)
 
-	rep, err := Verify(dir)
+	rep, got, err := Verify(dir)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -70,14 +77,6 @@ func TestSealVerifyRoundTrip(t *testing.T) {
 	}
 	if rep.Head != head {
 		t.Fatalf("verified head %x != sealer head %x", rep.Head[:8], head[:8])
-	}
-	if rep.ProofChecks == 0 {
-		t.Fatal("no inclusion proofs were checked")
-	}
-
-	_, got, err := VerifyCollect(dir)
-	if err != nil {
-		t.Fatalf("VerifyCollect: %v", err)
 	}
 	if len(got) != len(events) {
 		t.Fatalf("collected %d events, want %d", len(got), len(events))
@@ -91,12 +90,12 @@ func TestSealVerifyRoundTrip(t *testing.T) {
 
 func TestSealIsDeterministic(t *testing.T) {
 	events := synthRun(2, 10, 0)
-	_, h1 := sealDir(t, SealerOptions{}, events)
-	_, h2 := sealDir(t, SealerOptions{}, events)
+	_, h1 := sealDir(t, events)
+	_, h2 := sealDir(t, events)
 	if h1 != h2 {
 		t.Fatalf("identical event streams sealed to different heads: %x != %x", h1[:8], h2[:8])
 	}
-	_, h3 := sealDir(t, SealerOptions{}, synthRun(2, 11, 0))
+	_, h3 := sealDir(t, synthRun(2, 11, 0))
 	if h3 == h1 {
 		t.Fatal("different event streams sealed to the same head")
 	}
@@ -104,8 +103,8 @@ func TestSealIsDeterministic(t *testing.T) {
 
 func TestRotationSpansFiles(t *testing.T) {
 	events := synthRun(8, 30, 0)
-	dir, _ := sealDir(t, SealerOptions{RotateBytes: 512}, events)
-	rep, err := Verify(dir)
+	dir, _ := sealDirRotating(t, 512, events)
+	rep, _, err := Verify(dir)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -118,8 +117,8 @@ func TestRotationSpansFiles(t *testing.T) {
 }
 
 func TestNoTailNoPartialSegment(t *testing.T) {
-	dir, _ := sealDir(t, SealerOptions{}, synthRun(2, 5, 0))
-	rep, err := Verify(dir)
+	dir, _ := sealDir(t, synthRun(2, 5, 0))
+	rep, _, err := Verify(dir)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -129,8 +128,8 @@ func TestNoTailNoPartialSegment(t *testing.T) {
 }
 
 func TestEmptyRunVerifies(t *testing.T) {
-	dir, _ := sealDir(t, SealerOptions{}, nil)
-	rep, err := Verify(dir)
+	dir, _ := sealDir(t, nil)
+	rep, _, err := Verify(dir)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -143,8 +142,8 @@ func TestEmptyRunVerifies(t *testing.T) {
 }
 
 func TestResealRefused(t *testing.T) {
-	dir, _ := sealDir(t, SealerOptions{}, synthRun(1, 3, 0))
-	if _, err := NewSealer(dir, SealerOptions{}); err == nil {
+	dir, _ := sealDir(t, synthRun(1, 3, 0))
+	if _, err := NewSealer(dir); err == nil {
 		t.Fatal("NewSealer over an existing ledger must refuse")
 	}
 }

@@ -1,21 +1,24 @@
 // Package ledger is FLoc's forensic evidence layer. The router's typed
-// event trace is ultimately an accusation — "domain X is contaminated,
+// event stream is ultimately an accusation — "domain X is contaminated,
 // these flows are attack flows" — and an accusation is only as good as
 // the evidence chain behind it. This package seals the event stream
-// into tamper-evident storage: events are batched into segments at
-// control-run boundaries, each segment's canonical NDJSON lines are
-// hashed into a Merkle tree, and the segment roots are chained into a
-// compact append-only ledger file. Bulk event bytes rotate across
-// numbered NDJSON files so the hot in-memory trace ring stays bounded
-// while the full history survives on cheap storage.
+// into tamper-evident storage: a Sealer, attached as the run's event
+// sink (flocd -ledger, flocsim -ledger), batches events into segments
+// at control-run boundaries, hashes each segment's canonical NDJSON
+// lines into a Merkle tree, and chains the segment roots into a compact
+// append-only ledger file. Bulk event bytes go to numbered NDJSON files
+// that rotate at 8 MiB, so the full history lives on disk, not in
+// memory.
 //
 // Verification (cmd/floctrace) recomputes every segment root from the
 // raw stored bytes, checks the hash chain across segment records, and
-// spot-checks per-event inclusion proofs — so a flipped byte, a
-// reordered pair of events, or a truncated tail is detected and named.
-// Replay then folds the verified events through the same reconstruction
-// the replay-equals-snapshot test uses, turning that test into a
-// forensic tool: "this Snapshot really is what these events produce."
+// decodes every sealed line — so a flipped byte, a reordered pair of
+// events, a truncated tail, or a line that is no event is detected and
+// named. Replay then folds the verified events through the same
+// reconstruction the replay-equals-snapshot test uses, turning that
+// test into a forensic tool: "this Snapshot really is what these events
+// produce." The tree is RFC 6962's, so a segment root also commits to
+// each event's position; the verifier needs only the root.
 package ledger
 
 import "crypto/sha256"
@@ -79,60 +82,4 @@ func RootOf(leaves []Hash) Hash {
 	}
 	k := splitPoint(len(leaves))
 	return nodeHash(RootOf(leaves[:k]), RootOf(leaves[k:]))
-}
-
-// Proof returns the inclusion proof for leaf index i among n leaves:
-// the sibling hashes from the leaf up to the root, in verification
-// order. Returns nil when i is out of range.
-func Proof(leaves []Hash, i int) []Hash {
-	if i < 0 || i >= len(leaves) {
-		return nil
-	}
-	return proofRec(leaves, i, make([]Hash, 0, 64))
-}
-
-func proofRec(leaves []Hash, i int, acc []Hash) []Hash {
-	if len(leaves) == 1 {
-		return acc
-	}
-	k := splitPoint(len(leaves))
-	if i < k {
-		acc = proofRec(leaves[:k], i, acc)
-		return append(acc, RootOf(leaves[k:]))
-	}
-	acc = proofRec(leaves[k:], i-k, acc)
-	return append(acc, RootOf(leaves[:k]))
-}
-
-// VerifyInclusion checks that leaf sits at index i of an n-leaf tree
-// with the given root, using proof as produced by Proof (siblings
-// ordered leaf-upward). The recompute walks the same split geometry as
-// RootOf top-down, consuming the proof from its far end, so a proof
-// transplanted to a different index or tree size fails.
-func VerifyInclusion(leaf Hash, i, n int, proof []Hash, root Hash) bool {
-	if i < 0 || i >= n {
-		return false
-	}
-	got, ok := rootFromProof(leaf, i, n, proof)
-	return ok && got == root
-}
-
-// rootFromProof recomputes the root a proof claims; ok is false when
-// the proof length does not match the tree geometry exactly.
-func rootFromProof(leaf Hash, i, n int, proof []Hash) (Hash, bool) {
-	if n == 1 {
-		return leaf, len(proof) == 0
-	}
-	if len(proof) == 0 {
-		return leaf, false
-	}
-	sib := proof[len(proof)-1]
-	rest := proof[:len(proof)-1]
-	k := splitPoint(n)
-	if i < k {
-		sub, ok := rootFromProof(leaf, i, k, rest)
-		return nodeHash(sub, sib), ok
-	}
-	sub, ok := rootFromProof(leaf, i-k, n-k, rest)
-	return nodeHash(sib, sub), ok
 }

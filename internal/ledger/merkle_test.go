@@ -40,53 +40,3 @@ func TestLeafNodeDomainSeparation(t *testing.T) {
 		t.Fatal("interior node collided with leaf")
 	}
 }
-
-func TestInclusionProofAllIndices(t *testing.T) {
-	for n := 1; n <= 17; n++ {
-		leaves := mkLeaves(n)
-		root := RootOf(leaves)
-		for i := 0; i < n; i++ {
-			proof := Proof(leaves, i)
-			if !VerifyInclusion(leaves[i], i, n, proof, root) {
-				t.Fatalf("n=%d i=%d: valid proof rejected", n, i)
-			}
-		}
-	}
-}
-
-func TestInclusionProofRejectsTampering(t *testing.T) {
-	leaves := mkLeaves(11)
-	root := RootOf(leaves)
-	proof := Proof(leaves, 5)
-
-	if VerifyInclusion(leaves[6], 5, 11, proof, root) {
-		t.Fatal("accepted proof for the wrong leaf")
-	}
-	if VerifyInclusion(leaves[5], 6, 11, proof, root) {
-		t.Fatal("accepted proof transplanted to another index")
-	}
-	// A claimed size with different geometry changes the proof length
-	// the verifier demands. (Sizes sharing the leaf's split path, e.g.
-	// 12 for index 5, recompute the same root — harmless, since the
-	// root itself commits to the real tree.)
-	if VerifyInclusion(leaves[5], 5, 8, proof, root) {
-		t.Fatal("accepted proof against the wrong tree size")
-	}
-	if VerifyInclusion(leaves[5], 5, 11, proof[:len(proof)-1], root) {
-		t.Fatal("accepted truncated proof")
-	}
-	if VerifyInclusion(leaves[5], 5, 11, append(append([]Hash(nil), proof...), Hash{}), root) {
-		t.Fatal("accepted padded proof")
-	}
-	bad := append([]Hash(nil), proof...)
-	bad[0][0] ^= 0xff
-	if VerifyInclusion(leaves[5], 5, 11, bad, root) {
-		t.Fatal("accepted corrupted sibling hash")
-	}
-	if Proof(leaves, -1) != nil || Proof(leaves, 11) != nil {
-		t.Fatal("out-of-range proof request must return nil")
-	}
-	if VerifyInclusion(leaves[0], 0, 0, nil, root) {
-		t.Fatal("accepted proof against an empty tree")
-	}
-}

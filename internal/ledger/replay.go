@@ -88,7 +88,7 @@ func Replay(events []telemetry.Event) *ReplayResult {
 			shardRuns[e.Shard] = int64(e.Value)
 		case telemetry.EventFlowClassifiedAttack:
 			// Flow-level accusations carry no snapshot counterpart to
-			// reconcile; they stand on their own inclusion proofs.
+			// reconcile; they stand on their sealed segment roots.
 		case telemetry.EventFeedbackApplied:
 			// Cluster limit installs gate admission *before* the router,
 			// so they change no router counter the snapshot records; the

@@ -8,16 +8,14 @@ import (
 	"path/filepath"
 	"sync"
 
+	"floc/internal/core"
 	"floc/internal/telemetry"
 )
 
-// SealerOptions parameterizes a Sealer.
-type SealerOptions struct {
-	// RotateBytes rotates the bulk events file to the next number once
-	// it exceeds this size (checked at segment boundaries, so a segment
-	// is always contiguous within one file). 0 defaults to 8 MiB.
-	RotateBytes int64
-}
+// rotateBytes is the size past which the bulk events file rotates to
+// the next number. It is checked at segment boundaries, so a segment is
+// always contiguous within one file.
+const rotateBytes = 8 << 20
 
 // Sealer is a telemetry.EventSink that seals the event stream into a
 // ledger directory. Events buffer in memory until a ControlRunCompleted
@@ -30,9 +28,9 @@ type SealerOptions struct {
 // further sealing and is reported by Close/Err, because a forensic
 // ledger that silently drops segments would be worse than none.
 type Sealer struct {
-	mu   sync.Mutex
-	dir  string
-	opts SealerOptions
+	mu       sync.Mutex
+	dir      string
+	rotateAt int64 // rotateBytes; lowered only by the rotation test
 
 	ledger *os.File
 	lw     *bufio.Writer
@@ -56,10 +54,7 @@ type Sealer struct {
 // first events files inside it. An existing ledger.bin is refused: the
 // ledger is evidence, and silently resealing over it would break the
 // chain anchored by any previously published head.
-func NewSealer(dir string, opts SealerOptions) (*Sealer, error) {
-	if opts.RotateBytes <= 0 {
-		opts.RotateBytes = 8 << 20
-	}
+func NewSealer(dir string) (*Sealer, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ledger: %w", err)
 	}
@@ -69,12 +64,12 @@ func NewSealer(dir string, opts SealerOptions) (*Sealer, error) {
 		return nil, fmt.Errorf("ledger: refusing to reseal: %w", err)
 	}
 	s := &Sealer{
-		dir:     dir,
-		opts:    opts,
-		ledger:  lf,
-		lw:      bufio.NewWriter(lf),
-		fileNum: 1,
-		chain:   chainSeed(),
+		dir:      dir,
+		rotateAt: rotateBytes,
+		ledger:   lf,
+		lw:       bufio.NewWriter(lf),
+		fileNum:  1,
+		chain:    chainSeed(),
 	}
 	var hdr [headerSize]byte
 	copy(hdr[:], ledgerMagic[:])
@@ -139,7 +134,7 @@ func (s *Sealer) seal(controlRun uint64, flags uint32) {
 	if s.count == 0 || s.err != nil {
 		return
 	}
-	if s.fileBytes >= s.opts.RotateBytes {
+	if s.fileBytes >= s.rotateAt {
 		s.rotate()
 		if s.err != nil {
 			return
@@ -232,6 +227,16 @@ func (s *Sealer) Close() error {
 		s.ledger = nil
 	}
 	return s.err
+}
+
+// CloseWithSnapshot closes the sealer and stores snap, the state the run
+// claims to have ended in, as SnapshotName beside the ledger: the claim
+// floctrace replay checks against the sealed events.
+func (s *Sealer) CloseWithSnapshot(snap core.Snapshot) error {
+	if err := s.Close(); err != nil {
+		return err
+	}
+	return WriteSnapshot(filepath.Join(s.dir, SnapshotName), snap)
 }
 
 // Head returns the current chain head: the value to publish out-of-band

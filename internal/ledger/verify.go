@@ -13,28 +13,10 @@ import (
 
 // VerifyReport summarizes a successful verification.
 type VerifyReport struct {
-	Segments    int
-	Events      int64
-	Files       int
-	ProofChecks int
-	Head        Hash // final chain value; publish to anchor the ledger
-}
-
-// Verify checks a ledger directory end-to-end: header and record
-// structure, the chain across records, every segment's recomputed
-// Merkle root against its stored bytes, spot inclusion proofs per
-// segment, and that no unsealed event lines trail the ledger. Any
-// failure is a *VerifyError naming the offending segment.
-func Verify(dir string) (*VerifyReport, error) {
-	rep, _, err := walk(dir, false)
-	return rep, err
-}
-
-// VerifyCollect is Verify plus decoding: the sealed events are returned
-// oldest-first for replay, and an undecodable line is itself a
-// verification failure (the canonical encoding must parse).
-func VerifyCollect(dir string) (*VerifyReport, []telemetry.Event, error) {
-	return walk(dir, true)
+	Segments int
+	Events   int64
+	Files    int
+	Head     Hash // final chain value; publish to anchor the ledger
 }
 
 // eventsCursor reads event lines across the numbered bulk files in
@@ -81,8 +63,13 @@ func (c *eventsCursor) close() {
 	}
 }
 
-// walk drives the shared verification pass.
-func walk(dir string, collect bool) (*VerifyReport, []telemetry.Event, error) {
+// Verify checks a ledger directory end-to-end: header and record
+// structure, the chain across records, every segment's recomputed
+// Merkle root against its stored bytes, that every sealed line decodes
+// as an event, and that no unsealed event lines trail the ledger. Any
+// failure is a *VerifyError naming the offending segment. The sealed
+// events are returned oldest-first, for Replay.
+func Verify(dir string) (*VerifyReport, []telemetry.Event, error) {
 	lf, err := os.Open(filepath.Join(dir, LedgerName))
 	if err != nil {
 		return nil, nil, verifyErrf(ErrMissingFile, NoSegment, "%v", err)
@@ -95,13 +82,9 @@ func walk(dir string, collect bool) (*VerifyReport, []telemetry.Event, error) {
 
 	cur := &eventsCursor{dir: dir}
 	defer cur.close()
+	// The first events file must exist even for an empty run, so a
+	// deleted bulk file cannot masquerade as "no events".
 	if err := cur.open(1); err != nil {
-		if len(recs) == 0 {
-			// An empty ledger with no events file is a validly sealed
-			// empty run only if the first file exists; require it, so a
-			// deleted bulk file cannot masquerade as "no events".
-			return nil, nil, err
-		}
 		return nil, nil, err
 	}
 
@@ -123,7 +106,10 @@ func walk(dir string, collect bool) (*VerifyReport, []telemetry.Event, error) {
 				return nil, nil, err
 			}
 		}
+		// A line that fails to decode is reported only once the root
+		// matched: a line altered after sealing is a root mismatch.
 		leaves = leaves[:0]
+		var undecodable error
 		for i := uint32(0); i < rec.Events; i++ {
 			line, more, err := cur.next()
 			if err != nil {
@@ -135,24 +121,19 @@ func walk(dir string, collect bool) (*VerifyReport, []telemetry.Event, error) {
 					"events file %d ended after %d of %d events", cur.fileNum, i, rec.Events)
 			}
 			leaves = append(leaves, LeafHash(line))
-			if collect {
-				var e telemetry.Event
-				if err := json.Unmarshal(line, &e); err != nil {
-					return nil, nil, verifyErrf(ErrEventDecode, rec.Segment,
-						"event %d: %v", i, err)
-				}
-				events = append(events, e)
+			var e telemetry.Event
+			if err := json.Unmarshal(line, &e); err != nil && undecodable == nil {
+				undecodable = verifyErrf(ErrEventDecode, rec.Segment, "event %d: %v", i, err)
 			}
+			events = append(events, e)
 		}
 		if got := RootOf(leaves); got != rec.Root {
 			return nil, nil, verifyErrf(ErrRootMismatch, rec.Segment,
 				"recomputed root %x != sealed %x", got[:8], rec.Root[:8])
 		}
-		checks, err := proveSamples(rec, leaves)
-		if err != nil {
-			return nil, nil, err
+		if undecodable != nil {
+			return nil, nil, undecodable
 		}
-		rep.ProofChecks += checks
 		rep.Events += int64(rec.Events)
 		rep.Head = rec.Chain
 	}
@@ -182,29 +163,6 @@ func walk(dir string, collect bool) (*VerifyReport, []telemetry.Event, error) {
 	rep.Segments = len(recs)
 	rep.Files = cur.opened
 	return rep, events, nil
-}
-
-// proveSamples exercises the inclusion-proof machinery on up to three
-// distinct leaves per segment (first, middle, last). A failure here
-// after the root already matched means Proof/VerifyInclusion disagree
-// with RootOf about the same bytes — still reported as a typed error
-// rather than trusted silently.
-func proveSamples(rec Record, leaves []Hash) (int, error) {
-	n := len(leaves)
-	checks := 0
-	prev := -1
-	for _, i := range [3]int{0, n / 2, n - 1} {
-		if i <= prev || i >= n {
-			continue
-		}
-		prev = i
-		if !VerifyInclusion(leaves[i], i, n, Proof(leaves, i), rec.Root) {
-			return checks, verifyErrf(ErrProofInvalid, rec.Segment,
-				"inclusion proof for leaf %d failed", i)
-		}
-		checks++
-	}
-	return checks, nil
 }
 
 // clip bounds a line excerpt for error messages.

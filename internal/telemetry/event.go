@@ -1,10 +1,8 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // EventType enumerates the pipeline decision points recorded in the trace.
@@ -121,12 +119,11 @@ type Event struct {
 }
 
 // Trace is a bounded ring buffer of events. Once full, the oldest events
-// are overwritten; Total and Overwritten report how much history was lost.
-// It is single-writer, like the simulator loop that feeds it.
+// are overwritten, and the drop counter, when attached, counts each one
+// lost. It is single-writer, like the simulator loop that feeds it.
 type Trace struct {
 	buf     []Event
 	next    int
-	total   int64
 	dropped *Counter // optional wraparound-loss counter (nil = uncounted)
 }
 
@@ -147,30 +144,17 @@ func (t *Trace) SetDropCounter(c *Counter) { t.dropped = c }
 func (t *Trace) Add(e Event) {
 	if len(t.buf) < cap(t.buf) {
 		t.buf = append(t.buf, e)
-	} else {
-		if t.dropped != nil {
-			t.dropped.Inc()
-		}
-		t.buf[t.next] = e
-		t.next++
-		if t.next == len(t.buf) {
-			t.next = 0
-		}
+		return
 	}
-	t.total++
+	if t.dropped != nil {
+		t.dropped.Inc()
+	}
+	t.buf[t.next] = e
+	t.next++
+	if t.next == len(t.buf) {
+		t.next = 0
+	}
 }
-
-// Len returns the number of events currently held.
-func (t *Trace) Len() int { return len(t.buf) }
-
-// Cap returns the ring capacity.
-func (t *Trace) Cap() int { return cap(t.buf) }
-
-// Total returns the number of events ever added.
-func (t *Trace) Total() int64 { return t.total }
-
-// Overwritten returns how many events were lost to ring wraparound.
-func (t *Trace) Overwritten() int64 { return t.total - int64(len(t.buf)) }
 
 // Events returns the held events oldest-first as a fresh slice.
 func (t *Trace) Events() []Event {
@@ -178,48 +162,4 @@ func (t *Trace) Events() []Event {
 	out = append(out, t.buf[t.next:]...)
 	out = append(out, t.buf[:t.next]...)
 	return out
-}
-
-// WriteNDJSON writes the held events oldest-first, one JSON object per
-// line.
-func (t *Trace) WriteNDJSON(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range t.Events() {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadNDJSON parses an NDJSON event stream produced by WriteNDJSON. Blank
-// lines are skipped; any malformed line is an error.
-func ReadNDJSON(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return nil, fmt.Errorf("telemetry: NDJSON line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

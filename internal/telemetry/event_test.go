@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -30,16 +31,18 @@ func TestEventTypeLabelsExhaustive(t *testing.T) {
 
 func TestTraceWraparound(t *testing.T) {
 	tr := NewTrace(4)
+	reg := NewRegistry()
+	tr.SetDropCounter(reg.Counter(TraceDroppedMetric, "", ""))
 	for i := 0; i < 10; i++ {
 		tr.Add(Event{Time: float64(i), Type: EventPacketAdmitted})
 	}
-	if tr.Len() != 4 || tr.Cap() != 4 {
-		t.Fatalf("len/cap = %d/%d, want 4/4", tr.Len(), tr.Cap())
-	}
-	if tr.Total() != 10 || tr.Overwritten() != 6 {
-		t.Fatalf("total/overwritten = %d/%d, want 10/6", tr.Total(), tr.Overwritten())
+	if got := reg.CounterValue(TraceDroppedMetric); got != 6 {
+		t.Fatalf("dropped = %d, want 6 (10 events into a 4-slot ring)", got)
 	}
 	evs := tr.Events()
+	if len(evs) != 4 {
+		t.Fatalf("held %d events, want 4", len(evs))
+	}
 	for i, e := range evs {
 		if want := float64(6 + i); e.Time != want {
 			t.Fatalf("event %d time = %v, want %v (oldest-first after wrap)", i, e.Time, want)
@@ -49,10 +52,12 @@ func TestTraceWraparound(t *testing.T) {
 
 func TestTracePartialFill(t *testing.T) {
 	tr := NewTrace(8)
+	reg := NewRegistry()
+	tr.SetDropCounter(reg.Counter(TraceDroppedMetric, "", ""))
 	tr.Add(Event{Time: 1})
 	tr.Add(Event{Time: 2})
-	if tr.Overwritten() != 0 {
-		t.Fatalf("overwritten = %d, want 0", tr.Overwritten())
+	if got := reg.CounterValue(TraceDroppedMetric); got != 0 {
+		t.Fatalf("dropped = %d, want 0", got)
 	}
 	evs := tr.Events()
 	if len(evs) != 2 || evs[0].Time != 1 || evs[1].Time != 2 {
@@ -60,8 +65,9 @@ func TestTracePartialFill(t *testing.T) {
 	}
 }
 
+// TestNDJSONRoundTrip: every event type's canonical encoding, the bytes
+// the ledger seals one per line, decodes back to the same event.
 func TestNDJSONRoundTrip(t *testing.T) {
-	tr := NewTrace(16)
 	in := []Event{
 		{Time: 0.000125, Type: EventPacketAdmitted, Path: "10.0.0.0/8", Flow: 0xdeadbeefcafe},
 		{Time: 0.5, Type: EventPacketDropped, Path: "10.0.0.0/8", Flow: 7, Reason: "no_token"},
@@ -69,40 +75,47 @@ func TestNDJSONRoundTrip(t *testing.T) {
 		{Time: 2, Type: EventPathAggregated, Path: "a/b", Agg: "agg:1"},
 		{Time: 3, Type: EventPathReleased, Path: "a/b", Agg: "agg:1"},
 		{Time: 4, Type: EventPathExpired, Path: "a/b"},
-		{Time: 5, Type: EventModeChanged, Mode: "Flooding", Value: 900},
+		{Time: 5, Type: EventModeChanged, Mode: "Flooding", Value: 900, Shard: 3},
 		{Time: 6, Type: EventControlRunCompleted, Value: 3},
+		{Time: 7, Type: EventFeedbackApplied, Path: "a/b", Value: 2e6, Peer: 9},
 	}
+	seen := map[EventType]bool{}
 	for _, e := range in {
-		tr.Add(e)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteNDJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ReadNDJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("round trip length %d, want %d", len(out), len(in))
-	}
-	for i := range in {
-		if out[i] != in[i] {
-			t.Fatalf("event %d round trip mismatch:\n in: %+v\nout: %+v", i, in[i], out[i])
+		seen[e.Type] = true
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if bytes.ContainsRune(line, '\n') {
+			t.Fatalf("canonical encoding spans lines: %s", line)
+		}
+		var out Event
+		if err := json.Unmarshal(line, &out); err != nil {
+			t.Fatalf("decoding %s: %v", line, err)
+		}
+		if out != e {
+			t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", e, out)
+		}
+	}
+	if len(seen) != NumEventTypes() {
+		t.Fatalf("round trip covers %d of %d event types", len(seen), NumEventTypes())
 	}
 }
 
+// TestReadNDJSONSkipsBlankRejectsGarbage: decoding a sealed line fails
+// on anything that is not an event: no JSON, or an unknown type label.
 func TestReadNDJSONSkipsBlankRejectsGarbage(t *testing.T) {
-	evs, err := ReadNDJSON(strings.NewReader("\n{\"t\":1,\"type\":\"PacketAdmitted\"}\n\n"))
-	if err != nil || len(evs) != 1 {
-		t.Fatalf("evs=%v err=%v", evs, err)
+	var e Event
+	if err := json.Unmarshal([]byte(`{"t":1,"type":"PacketAdmitted"}`), &e); err != nil || e.Type != EventPacketAdmitted {
+		t.Fatalf("valid line: %+v, %v", e, err)
 	}
-	if _, err := ReadNDJSON(strings.NewReader("{not json}\n")); err == nil {
-		t.Fatal("garbage line must error")
+	for _, bad := range []string{"{not json}", `{"t":1,"type":"Bogus"}`, `{"t":1,"type":7}`, ""} {
+		if err := json.Unmarshal([]byte(bad), &e); err == nil {
+			t.Fatalf("%q decoded as an event", bad)
+		}
 	}
-	if _, err := ReadNDJSON(strings.NewReader(`{"t":1,"type":"Bogus"}` + "\n")); err == nil {
-		t.Fatal("unknown event type must error")
+	if _, err := json.Marshal(Event{Type: EventType(NumEventTypes())}); err == nil {
+		t.Fatal("an out-of-range event type encoded")
 	}
 }
 
@@ -113,7 +126,7 @@ func TestEmitNilSafe(t *testing.T) {
 	tel.Emit(Event{Type: EventPacketAdmitted}) // trace disabled: no-op
 	tel = New(2)
 	tel.Emit(Event{Type: EventPacketAdmitted})
-	if tel.Trace.Len() != 1 {
-		t.Fatalf("trace len = %d, want 1", tel.Trace.Len())
+	if n := len(tel.Trace.Events()); n != 1 {
+		t.Fatalf("trace len = %d, want 1", n)
 	}
 }

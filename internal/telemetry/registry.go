@@ -1,8 +1,9 @@
 // Package telemetry is FLoc's observability layer: a metrics registry cheap
-// enough for the per-packet hot path and a bounded ring buffer of typed
-// decision events with an NDJSON exporter. The pipeline (router, control
-// loop, drop filter, defenses, experiment harness) emits into it;
-// binaries surface it behind -metrics and -trace flags.
+// enough for the per-packet hot path, and typed decision events handed to
+// an EventSink (the forensic ledger's sealer) or held in a bounded ring
+// for tests. The pipeline (router, control loop, drop filter, defenses,
+// experiment harness) emits into it; binaries surface it behind -metrics
+// and -ledger flags.
 //
 // Everything here is passive and deterministic: the package never reads
 // clocks or random state, it only stamps what callers hand it (sim-time).

@@ -6,11 +6,11 @@ package telemetry
 const TraceDroppedMetric = "floc_trace_dropped_events_total"
 
 // EventSink receives a copy of every emitted event, in emission order.
-// It is the seam the forensic ledger plugs into: the bounded Trace ring
-// keeps a recent window in memory, while a sink can stream the full
-// event history somewhere durable. An implementation shared by several
-// emitters (e.g. the dataplane's shard routers) must be safe for
-// concurrent use; the Trace itself stays single-writer.
+// It is the one way events leave a process: flocd -ledger and flocsim
+// -ledger attach a ledger.Sealer here, which streams the full history
+// to disk. An implementation shared by several emitters (e.g. the
+// dataplane's shard routers) must be safe for concurrent use; the
+// bounded Trace ring, which tests read, stays single-writer.
 type EventSink interface {
 	Emit(Event)
 }

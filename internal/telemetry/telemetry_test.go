@@ -18,8 +18,8 @@ func TestTraceDropCounterCountsWraparound(t *testing.T) {
 	if got := tel.Registry.CounterValue(TraceDroppedMetric); got != 6 {
 		t.Fatalf("%s = %d, want 6 (10 events into a 4-slot ring)", TraceDroppedMetric, got)
 	}
-	if tel.Trace.Overwritten() != 6 {
-		t.Fatalf("Overwritten = %d, want 6", tel.Trace.Overwritten())
+	if n := len(tel.Trace.Events()); n != 4 {
+		t.Fatalf("trace holds %d events, want 4", n)
 	}
 }
 
@@ -40,8 +40,8 @@ func TestEmitForwardsToTraceAndSink(t *testing.T) {
 	tel := New(8)
 	tel.Sink = sink
 	tel.Emit(Event{Type: EventPacketDropped, Reason: "no-token"})
-	if tel.Trace.Len() != 1 {
-		t.Fatalf("trace len = %d, want 1", tel.Trace.Len())
+	if n := len(tel.Trace.Events()); n != 1 {
+		t.Fatalf("trace len = %d, want 1", n)
 	}
 	if len(sink.events) != 1 || sink.events[0].Reason != "no-token" {
 		t.Fatalf("sink got %+v", sink.events)
@@ -55,7 +55,7 @@ func TestEmitSafeWhenDisabled(t *testing.T) {
 	tel = New(0) // no trace, no sink
 	tel.Emit(Event{Type: EventPacketAdmitted})
 	if tel.Trace != nil {
-		t.Fatal("zero TraceCapacity must leave the trace disabled")
+		t.Fatal("New(0) must leave the trace disabled")
 	}
 }
 
