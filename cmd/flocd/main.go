@@ -43,6 +43,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"floc/internal/cluster"
@@ -279,8 +280,10 @@ func run(o options) error {
 	fmt.Fprintf(os.Stderr, "flocd: listening on %s, %d shards\n", conn.LocalAddr(), engine.Shards())
 	drops := watchKernelDrops(conn.LocalAddr(), reg)
 
+	// SIGTERM is what kill, systemd and container runtimes send: it stops
+	// the daemon as SIGINT does, with the ledger sealed.
 	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-stop
 		drops.refresh() // the socket's /proc row goes with the socket

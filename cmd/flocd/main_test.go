@@ -404,7 +404,8 @@ func TestLedgerEndToEnd(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
-	rep, events, err := ledger.Verify(ledgerDir)
+	replayer := ledger.NewReplayer()
+	rep, err := ledger.Verify(ledgerDir, replayer.Fold)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -418,7 +419,7 @@ func TestLedgerEndToEnd(t *testing.T) {
 	if snap.Arrived != 5000 {
 		t.Fatalf("claimed snapshot arrived = %d, want 5000", snap.Arrived)
 	}
-	if diffs := ledger.Replay(events).Diff(snap); len(diffs) != 0 {
+	if diffs := replayer.Result().Diff(snap); len(diffs) != 0 {
 		t.Fatalf("sealed events do not reproduce the claimed snapshot:\n%s",
 			strings.Join(diffs, "\n"))
 	}

@@ -155,7 +155,8 @@ func TestScenarioLedgerVerifiesAndReplays(t *testing.T) {
 	if code := cli([]string{"-scenario", "floc:cbr", "-duration", "5", "-ledger", dir}, &stdout, &stderr); code != 0 {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
-	rep, events, err := ledger.Verify(dir)
+	replayer := ledger.NewReplayer()
+	rep, err := ledger.Verify(dir, replayer.Fold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestScenarioLedgerVerifiesAndReplays(t *testing.T) {
 	if snap.Arrived == 0 {
 		t.Fatal("the sealed snapshot saw no packets")
 	}
-	if diffs := ledger.Replay(events).Diff(snap); len(diffs) != 0 {
+	if diffs := replayer.Result().Diff(snap); len(diffs) != 0 {
 		t.Fatalf("sealed events do not reproduce the sealed snapshot:\n  %s", strings.Join(diffs, "\n  "))
 	}
 	if code := cli([]string{"-scenario", "floc:cbr", "-duration", "5", "-ledger", dir}, &stdout, &stderr); code != 1 {

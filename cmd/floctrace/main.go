@@ -57,7 +57,7 @@ func runVerify(args []string, out io.Writer) error {
 	if *dir == "" {
 		return fmt.Errorf("verify: -ledger is required")
 	}
-	rep, _, err := ledger.Verify(*dir)
+	rep, err := ledger.Verify(*dir, nil)
 	if err != nil {
 		return err
 	}
@@ -65,8 +65,9 @@ func runVerify(args []string, out io.Writer) error {
 	return nil
 }
 
-// runReplay verifies, decodes, folds, and diffs against the claimed
-// snapshot. Any diff is an error: the evidence does not support the claim.
+// runReplay verifies and folds the ledger segment by segment, then diffs
+// the fold against the claimed snapshot. Any diff is an error: the
+// evidence does not support the claim.
 func runReplay(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	dir := fs.String("ledger", "", "ledger directory to replay (required)")
@@ -80,16 +81,17 @@ func runReplay(args []string, out io.Writer) error {
 	if *snapPath == "" {
 		*snapPath = filepath.Join(*dir, ledger.SnapshotName)
 	}
-	rep, events, err := ledger.Verify(*dir)
-	if err != nil {
-		return err
-	}
-	printReport(out, rep)
 	snap, err := ledger.ReadSnapshot(*snapPath)
 	if err != nil {
 		return err
 	}
-	res := ledger.Replay(events)
+	replayer := ledger.NewReplayer()
+	rep, err := ledger.Verify(*dir, replayer.Fold)
+	if err != nil {
+		return err
+	}
+	printReport(out, rep)
+	res := replayer.Result()
 	if diffs := res.Diff(snap); len(diffs) != 0 {
 		return fmt.Errorf("replayed events do not reproduce the claimed snapshot:\n  %s",
 			strings.Join(diffs, "\n  "))

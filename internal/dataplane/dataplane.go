@@ -86,7 +86,8 @@ type Config struct {
 	Shards int
 	// RingSize is the per-shard ring capacity in packets. It must be a
 	// power of two (the ring maps cursors to slots with a mask); zero
-	// defaults to 1024.
+	// defaults to liveRingSize, or under BlockOnFull to the shard's share
+	// of replayRingBudget.
 	RingSize int
 	// Batch bounds how many packets a worker admits per ring drain; zero
 	// defaults to 64.
@@ -120,13 +121,30 @@ type Config struct {
 	Egress PacketSink
 }
 
+// Default ring depths (DESIGN.md "Ring depth"). A ring that drops when
+// full bounds the latency and the blind loss in front of its shard, so a
+// live engine keeps liveRingSize slots a shard. A BlockOnFull ring loses
+// nothing, and a shallow one only hands the CPUs back and forth: its
+// producer yields whenever the ring fills, and each refill wakes the
+// parked worker. So BlockOnFull engines split replayRingBudget packets
+// over their shards, each shard taking the largest power of two no larger
+// than max(liveRingSize, replayRingBudget/Shards): 2 MB of slots at two
+// shards.
+const (
+	liveRingSize     = 1024
+	replayRingBudget = 16384
+)
+
 // withDefaults resolves zero values.
 func (c Config) withDefaults() Config {
 	if c.Shards == 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
 	if c.RingSize == 0 {
-		c.RingSize = 1024
+		c.RingSize = liveRingSize
+		for c.BlockOnFull && 2*c.RingSize <= replayRingBudget/c.Shards {
+			c.RingSize *= 2
+		}
 	}
 	if c.Batch == 0 {
 		c.Batch = 64

@@ -248,6 +248,62 @@ func TestOneShardMatchesSingleRouterExactly(t *testing.T) {
 	}
 }
 
+// TestRingDepthIsInvisible: a BlockOnFull ring's depth decides when its
+// producer waits, never what a shard decides. Each shard admits its
+// ring's FIFO order and serves the transmitter to every packet's own
+// arrival time, so a congested run reads the same at 2 slots a shard, at
+// liveRingSize and at the default budget: at one shard the same as a
+// plain core.Router, at two the same as each other.
+func TestRingDepthIsInvisible(t *testing.T) {
+	rc := testRouterConfig()
+	sc := genScenario(8, 0.004, 3.0)
+	end := 3.5
+	want := runBaseline(t, rc, sc, end)
+	for _, shards := range []int{1, 2} {
+		var first core.Snapshot
+		for i, ring := range []int{2, liveRingSize, 0} {
+			got, stats := runEngineVia(t, Config{
+				Router: rc, Shards: shards, RingSize: ring, BlockOnFull: true,
+			}, sc, end, viaBurst, false)
+			name := fmt.Sprintf("%d shards, ring %d", shards, ring)
+			if stats.RingDrops != 0 || stats.Processed != int64(len(sc)) {
+				t.Fatalf("%s: stats %+v, want all %d processed", name, stats, len(sc))
+			}
+			if got.Drops["no-token"]+got.Drops["preferential"]+got.Drops["random-threshold"] == 0 {
+				t.Fatalf("%s: the scenario did not congest; the test has no teeth", name)
+			}
+			switch {
+			case shards == 1 && !reflect.DeepEqual(got, want):
+				t.Fatalf("%s: diverged from a single router:\n got %+v\nwant %+v", name, got, want)
+			case i == 0:
+				first = got
+			case !reflect.DeepEqual(got, first):
+				t.Fatalf("%s: diverged from ring 2:\n got %+v\nwant %+v", name, got, first)
+			}
+		}
+	}
+}
+
+// TestDefaultRingDepth pins the default rule: BlockOnFull engines split
+// replayRingBudget over their shards in powers of two, never below
+// liveRingSize a shard; drop-on-full engines keep liveRingSize at every
+// shard count; a caller's RingSize is left alone.
+func TestDefaultRingDepth(t *testing.T) {
+	for _, tc := range []struct{ shards, block int }{
+		{1, 16384}, {2, 8192}, {3, 4096}, {4, 4096}, {64, 1024},
+	} {
+		for block, want := range map[bool]int{true: tc.block, false: 1024} {
+			cfg := Config{Shards: tc.shards, BlockOnFull: block}.withDefaults()
+			if cfg.RingSize != want {
+				t.Errorf("%d shards, BlockOnFull %v: ring %d, want %d", tc.shards, block, cfg.RingSize, want)
+			}
+		}
+	}
+	if got := (Config{Shards: 2, RingSize: 64, BlockOnFull: true}).withDefaults().RingSize; got != 64 {
+		t.Errorf("caller's RingSize 64 resolved to %d", got)
+	}
+}
+
 // pathTally extracts per-path admit/drop counters.
 func pathTally(s core.Snapshot) map[string][2]int64 {
 	out := make(map[string][2]int64, len(s.Paths))

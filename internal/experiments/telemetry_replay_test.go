@@ -36,7 +36,8 @@ func TestTraceReplayMatchesSnapshot(t *testing.T) {
 
 	// The replay below reads only what Verify decoded from disk, never
 	// the events the run emitted.
-	rep, events, err := ledger.Verify(dir)
+	replayer := ledger.NewReplayer()
+	rep, err := ledger.Verify(dir, replayer.Fold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestTraceReplayMatchesSnapshot(t *testing.T) {
 			rep.Events, rep.Head[:8], sealer.Events(), head[:8])
 	}
 
-	res := ledger.Replay(events)
+	res := replayer.Result()
 	if len(res.Aggregates) == 0 {
 		t.Error("no aggregation transitions replayed despite SMax pressure")
 	}

@@ -65,7 +65,8 @@ func TestSealVerifyRoundTrip(t *testing.T) {
 	events := synthRun(3, 20, 5)
 	dir, head := sealDir(t, events)
 
-	rep, got, err := Verify(dir)
+	var got []telemetry.Event
+	rep, err := Verify(dir, func(segment []telemetry.Event) { got = append(got, segment...) })
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestSealIsDeterministic(t *testing.T) {
 func TestRotationSpansFiles(t *testing.T) {
 	events := synthRun(8, 30, 0)
 	dir, _ := sealDirRotating(t, 512, events)
-	rep, _, err := Verify(dir)
+	rep, err := Verify(dir, nil)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -118,7 +119,7 @@ func TestRotationSpansFiles(t *testing.T) {
 
 func TestNoTailNoPartialSegment(t *testing.T) {
 	dir, _ := sealDir(t, synthRun(2, 5, 0))
-	rep, _, err := Verify(dir)
+	rep, err := Verify(dir, nil)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -129,7 +130,7 @@ func TestNoTailNoPartialSegment(t *testing.T) {
 
 func TestEmptyRunVerifies(t *testing.T) {
 	dir, _ := sealDir(t, nil)
-	rep, _, err := Verify(dir)
+	rep, err := Verify(dir, nil)
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}

@@ -47,19 +47,35 @@ func modeSeverity(label string) core.Mode {
 	return core.ModeUncongested
 }
 
-// Replay folds an event stream oldest-first into a ReplayResult.
-func Replay(events []telemetry.Event) *ReplayResult {
-	res := &ReplayResult{
-		AdmittedByPath: map[string]int64{},
-		DroppedByPath:  map[string]int64{},
-		DropsByReason:  map[string]int64{},
-		Aggregates:     map[string][]string{},
-		Mode:           core.ModeUncongested,
-		Events:         len(events),
+// Replayer folds a sealed event stream into a ReplayResult one segment
+// at a time, so a replay holds the reconstructed state and never the
+// stream: its Fold is what Verify hands each verified segment to.
+type Replayer struct {
+	res       ReplayResult
+	member    map[string]string    // origin path -> aggregate key
+	shardMode map[uint32]core.Mode // shard -> last observed mode
+	shardRuns map[uint32]int64     // shard -> last cumulative control-run count
+}
+
+// NewReplayer returns a Replayer that has folded nothing.
+func NewReplayer() *Replayer {
+	return &Replayer{
+		res: ReplayResult{
+			AdmittedByPath: map[string]int64{},
+			DroppedByPath:  map[string]int64{},
+			DropsByReason:  map[string]int64{},
+		},
+		member:    map[string]string{},
+		shardMode: map[uint32]core.Mode{},
+		shardRuns: map[uint32]int64{},
 	}
-	member := map[string]string{}       // origin path -> aggregate key
-	shardMode := map[uint32]core.Mode{} // shard -> last observed mode
-	shardRuns := map[uint32]int64{}     // shard -> last cumulative control-run count
+}
+
+// Fold folds the next events of the stream, oldest first. It keeps no
+// reference to events.
+func (p *Replayer) Fold(events []telemetry.Event) {
+	res := &p.res
+	res.Events += len(events)
 	for _, e := range events {
 		switch e.Type {
 		case telemetry.EventPacketAdmitted:
@@ -75,17 +91,17 @@ func Replay(events []telemetry.Event) *ReplayResult {
 			// its aggregate without a release event.
 			delete(res.AdmittedByPath, e.Path)
 			delete(res.DroppedByPath, e.Path)
-			delete(member, e.Path)
+			delete(p.member, e.Path)
 		case telemetry.EventPathAggregated:
-			member[e.Path] = e.Agg
+			p.member[e.Path] = e.Agg
 		case telemetry.EventPathReleased:
-			if member[e.Path] == e.Agg {
-				delete(member, e.Path)
+			if p.member[e.Path] == e.Agg {
+				delete(p.member, e.Path)
 			}
 		case telemetry.EventModeChanged:
-			shardMode[e.Shard] = modeSeverity(e.Mode)
+			p.shardMode[e.Shard] = modeSeverity(e.Mode)
 		case telemetry.EventControlRunCompleted:
-			shardRuns[e.Shard] = int64(e.Value)
+			p.shardRuns[e.Shard] = int64(e.Value)
 		case telemetry.EventFlowClassifiedAttack:
 			// Flow-level accusations carry no snapshot counterpart to
 			// reconcile; they stand on their sealed segment roots.
@@ -96,24 +112,33 @@ func Replay(events []telemetry.Event) *ReplayResult {
 			// no-op to keep replay-equals-snapshot exact.
 		}
 	}
+}
+
+// Result returns the state the events folded so far reconstruct. The
+// result shares its per-path and per-reason maps with the Replayer, so
+// read it once the stream is done.
+func (p *Replayer) Result() *ReplayResult {
+	res := p.res
 	res.Arrived = res.Admitted + res.Dropped
-	for path, agg := range member {
+	res.Aggregates = map[string][]string{}
+	for path, agg := range p.member {
 		res.Aggregates[agg] = append(res.Aggregates[agg], path)
 	}
 	for _, members := range res.Aggregates {
 		sort.Strings(members)
 	}
-	for _, m := range shardMode {
+	res.Mode = core.ModeUncongested
+	for _, m := range p.shardMode {
 		if m > res.Mode {
 			res.Mode = m
 		}
 	}
 	var runs int64
-	for _, n := range shardRuns {
+	for _, n := range p.shardRuns {
 		runs += n
 	}
 	res.ControlRuns = int(runs)
-	return res
+	return &res
 }
 
 // Diff compares the reconstruction against a claimed Snapshot and

@@ -39,6 +39,13 @@ func shardedEvents() []telemetry.Event {
 	}
 }
 
+// replay folds a whole stream in one call.
+func replay(events []telemetry.Event) *ReplayResult {
+	p := NewReplayer()
+	p.Fold(events)
+	return p.Result()
+}
+
 // matchingSnapshot is the Snapshot shardedEvents folds to.
 func matchingSnapshot() core.Snapshot {
 	return core.Snapshot{
@@ -56,7 +63,7 @@ func matchingSnapshot() core.Snapshot {
 }
 
 func TestReplayFoldsShardedStream(t *testing.T) {
-	res := Replay(shardedEvents())
+	res := replay(shardedEvents())
 	if res.Admitted != 4 || res.Dropped != 1 || res.Arrived != 5 {
 		t.Fatalf("counters admitted=%d dropped=%d arrived=%d", res.Admitted, res.Dropped, res.Arrived)
 	}
@@ -75,7 +82,7 @@ func TestReplayFoldsShardedStream(t *testing.T) {
 }
 
 func TestReplayDiffNamesDisagreements(t *testing.T) {
-	res := Replay(shardedEvents())
+	res := replay(shardedEvents())
 
 	snap := matchingSnapshot()
 	snap.Admitted = 7
@@ -115,7 +122,7 @@ func TestReplayExpiryResetsPathState(t *testing.T) {
 		{Type: telemetry.EventPathAggregated, Path: "10-9-1", Agg: "10-9"},
 		{Type: telemetry.EventPathExpired, Path: "10-9-1"},
 	}
-	res := Replay(events)
+	res := replay(events)
 	if len(res.AdmittedByPath) != 0 {
 		t.Fatalf("expired path retained counters: %v", res.AdmittedByPath)
 	}
@@ -138,7 +145,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
-	if diffs := Replay(shardedEvents()).Diff(got); len(diffs) != 0 {
+	if diffs := replay(shardedEvents()).Diff(got); len(diffs) != 0 {
 		t.Fatalf("snapshot changed across the round trip: %v", diffs)
 	}
 }

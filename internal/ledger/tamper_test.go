@@ -19,7 +19,7 @@ func sealTampered(t *testing.T) string {
 // the expected kind and segment.
 func wantVerifyError(t *testing.T, dir string, kind ErrorKind, segment uint32) {
 	t.Helper()
-	_, _, err := Verify(dir)
+	_, err := Verify(dir, nil)
 	if err == nil {
 		t.Fatal("Verify accepted a tampered ledger")
 	}

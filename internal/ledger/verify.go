@@ -67,17 +67,22 @@ func (c *eventsCursor) close() {
 // structure, the chain across records, every segment's recomputed
 // Merkle root against its stored bytes, that every sealed line decodes
 // as an event, and that no unsealed event lines trail the ledger. Any
-// failure is a *VerifyError naming the offending segment. The sealed
-// events are returned oldest-first, for Replay.
-func Verify(dir string) (*VerifyReport, []telemetry.Event, error) {
+// failure is a *VerifyError naming the offending segment.
+//
+// Verify holds one segment at a time. When fold is non-nil it is handed
+// each segment's decoded events, oldest first, once that segment's root
+// has matched; the slice is reused for the next segment, so fold must not
+// keep it. A later segment can still fail, so a caller trusts what it
+// folded only when Verify returns no error.
+func Verify(dir string, fold func([]telemetry.Event)) (*VerifyReport, error) {
 	lf, err := os.Open(filepath.Join(dir, LedgerName))
 	if err != nil {
-		return nil, nil, verifyErrf(ErrMissingFile, NoSegment, "%v", err)
+		return nil, verifyErrf(ErrMissingFile, NoSegment, "%v", err)
 	}
 	defer lf.Close()
 	recs, err := readLedger(bufio.NewReader(lf))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	cur := &eventsCursor{dir: dir}
@@ -85,39 +90,39 @@ func Verify(dir string) (*VerifyReport, []telemetry.Event, error) {
 	// The first events file must exist even for an empty run, so a
 	// deleted bulk file cannot masquerade as "no events".
 	if err := cur.open(1); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	rep := &VerifyReport{Head: chainSeed()}
-	var events []telemetry.Event
+	var events []telemetry.Event // the current segment's, when fold reads them
 	leaves := make([]Hash, 0, 4096)
 	for _, rec := range recs {
 		// Advance to the record's file. Leftover lines in an earlier
 		// file mean the stored bytes and the ledger disagree.
 		for cur.fileNum < rec.File {
 			if line, more, err := cur.next(); err != nil {
-				return nil, nil, verifyErrf(ErrSegmentTruncated, rec.Segment,
+				return nil, verifyErrf(ErrSegmentTruncated, rec.Segment,
 					"reading events file %d: %v", cur.fileNum, err)
 			} else if more {
-				return nil, nil, verifyErrf(ErrTrailingEvents, rec.Segment,
+				return nil, verifyErrf(ErrTrailingEvents, rec.Segment,
 					"events file %d holds lines (%q…) beyond its sealed segments", cur.fileNum, clip(line))
 			}
 			if err := cur.open(cur.fileNum + 1); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		// A line that fails to decode is reported only once the root
 		// matched: a line altered after sealing is a root mismatch.
-		leaves = leaves[:0]
+		leaves, events = leaves[:0], events[:0]
 		var undecodable error
 		for i := uint32(0); i < rec.Events; i++ {
 			line, more, err := cur.next()
 			if err != nil {
-				return nil, nil, verifyErrf(ErrSegmentTruncated, rec.Segment,
+				return nil, verifyErrf(ErrSegmentTruncated, rec.Segment,
 					"reading events file %d: %v", cur.fileNum, err)
 			}
 			if !more {
-				return nil, nil, verifyErrf(ErrSegmentTruncated, rec.Segment,
+				return nil, verifyErrf(ErrSegmentTruncated, rec.Segment,
 					"events file %d ended after %d of %d events", cur.fileNum, i, rec.Events)
 			}
 			leaves = append(leaves, LeafHash(line))
@@ -125,14 +130,19 @@ func Verify(dir string) (*VerifyReport, []telemetry.Event, error) {
 			if err := json.Unmarshal(line, &e); err != nil && undecodable == nil {
 				undecodable = verifyErrf(ErrEventDecode, rec.Segment, "event %d: %v", i, err)
 			}
-			events = append(events, e)
+			if fold != nil {
+				events = append(events, e)
+			}
 		}
 		if got := RootOf(leaves); got != rec.Root {
-			return nil, nil, verifyErrf(ErrRootMismatch, rec.Segment,
+			return nil, verifyErrf(ErrRootMismatch, rec.Segment,
 				"recomputed root %x != sealed %x", got[:8], rec.Root[:8])
 		}
 		if undecodable != nil {
-			return nil, nil, undecodable
+			return nil, undecodable
+		}
+		if fold != nil {
+			fold(events)
 		}
 		rep.Events += int64(rec.Events)
 		rep.Head = rec.Chain
@@ -146,23 +156,23 @@ func Verify(dir string) (*VerifyReport, []telemetry.Event, error) {
 	}
 	for {
 		if line, more, err := cur.next(); err != nil {
-			return nil, nil, verifyErrf(ErrSegmentTruncated, lastSeg,
+			return nil, verifyErrf(ErrSegmentTruncated, lastSeg,
 				"reading events file %d: %v", cur.fileNum, err)
 		} else if more {
-			return nil, nil, verifyErrf(ErrTrailingEvents, lastSeg,
+			return nil, verifyErrf(ErrTrailingEvents, lastSeg,
 				"events file %d holds lines (%q…) beyond the sealed ledger", cur.fileNum, clip(line))
 		}
 		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf(EventsPattern, cur.fileNum+1))); err != nil {
 			break
 		}
 		if err := cur.open(cur.fileNum + 1); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 
 	rep.Segments = len(recs)
 	rep.Files = cur.opened
-	return rep, events, nil
+	return rep, nil
 }
 
 // clip bounds a line excerpt for error messages.

@@ -52,8 +52,9 @@
 #                1-shard figure (default 2.5)
 #   ledger-gate  end-to-end forensic loop: generate a capture, replay it
 #                through flocd with -ledger sealing on a sharded engine,
-#                and seal a flocsim FLoc scenario with -ledger too; for
-#                both ledgers require floctrace verify (Merkle roots,
+#                send it to a live -ledger daemon stopped by SIGTERM, and
+#                seal a flocsim FLoc scenario with -ledger too; for all
+#                three ledgers require floctrace verify (Merkle roots,
 #                record chain, every line decodes) and floctrace replay
 #                (sealed events fold to the claimed snapshot) to pass
 #   cluster-gate the cluster control plane end to end through real UDP
@@ -217,8 +218,8 @@ end
 
 begin ledger-gate
 # The forensic loop, end to end through the real binaries: seal a daemon
-# replay and a simulated run through the same sealer, then verify and
-# replay the sealed evidence of each. Sealing costs the admission
+# replay, a live daemon and a simulated run through the same sealer, then
+# verify and replay the sealed evidence of each. Sealing costs the admission
 # path nothing: it only runs when -ledger is given and hashes at
 # control-run boundaries.
 ledger_tmp=$(mktemp -d "${TMPDIR:-/tmp}/floc-ledger-XXXXXX")
@@ -230,6 +231,26 @@ run "$ledger_tmp/flocd" -replay "$ledger_tmp/capture.pcap" -shards 2 \
     -ledger "$ledger_tmp/ledger"
 run "$ledger_tmp/floctrace" verify -ledger "$ledger_tmp/ledger"
 run "$ledger_tmp/floctrace" replay -ledger "$ledger_tmp/ledger"
+# A live daemon stopped by SIGTERM, as kill, systemd and container
+# runtimes stop one, must leave a sealed ledger and snapshot as well.
+"$ledger_tmp/flocd" -listen 127.0.0.1:19110 -shards 2 -ledger "$ledger_tmp/live" \
+    2>"$ledger_tmp/live.log" &
+ledger_live=$!
+i=0
+until grep -q 'listening on' "$ledger_tmp/live.log"; do
+    i=$((i + 1))
+    if [ "$i" -ge 50 ]; then
+        echo "ledger-gate: live daemon never came up" >&2
+        kill -KILL "$ledger_live" 2>/dev/null || true
+        exit 1
+    fi
+    sleep 0.1
+done
+run "$ledger_tmp/flocd" -replay "$ledger_tmp/capture.pcap" -sendto 127.0.0.1:19110 -pace 0
+run kill -TERM "$ledger_live"
+run wait "$ledger_live"
+run "$ledger_tmp/floctrace" verify -ledger "$ledger_tmp/live"
+run "$ledger_tmp/floctrace" replay -ledger "$ledger_tmp/live"
 run "$ledger_tmp/flocsim" -scenario floc:cbr -duration 10 -ledger "$ledger_tmp/sim"
 run "$ledger_tmp/floctrace" verify -ledger "$ledger_tmp/sim"
 run "$ledger_tmp/floctrace" replay -ledger "$ledger_tmp/sim"
