@@ -29,6 +29,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -253,12 +254,18 @@ func run(o options) error {
 	}
 
 	if o.replay != "" {
+		// A signal ends a replay as the end of the capture does: the read
+		// fails on the closed file, and what was read is finished and
+		// sealed.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
 		f, err := os.Open(o.replay)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		n, malformed, end, err := replayCapture(f, engine, reg)
+		defer context.AfterFunc(ctx, func() { f.Close() })()
+		n, malformed, end, err := replayCapture(ctx, f, engine, reg)
 		if err != nil {
 			return captureError(o.replay, err)
 		}
@@ -442,8 +449,9 @@ func captureError(path string, err error) error {
 // to the rings and the shard workers admit beside the parse; at end of
 // capture the producer quiesces, so every packet read has been processed
 // or has entered its ring by the time replayCapture returns, and the
-// caller's Advance covers them all.
-func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n int, malformed int64, end float64, err error) {
+// caller's Advance covers them all. A read that fails once ctx is done
+// ends the capture there.
+func replayCapture(ctx context.Context, r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n int, malformed int64, end float64, err error) {
 	cr := wire.NewCaptureReader(r)
 	cr.SkipMalformed(true)
 	p := newProducer(e)
@@ -451,7 +459,7 @@ func replayCapture(r io.Reader, e *dataplane.Engine, reg *telemetry.Registry) (n
 	var h wire.Header
 	for {
 		t, err := cr.Next(&h)
-		if err == io.EOF {
+		if err == io.EOF || err != nil && ctx.Err() != nil {
 			break
 		}
 		if err != nil {

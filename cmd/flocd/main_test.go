@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -52,7 +53,7 @@ func TestGenerateReplayEndToEnd(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := newTestEngine(t, reg, 4)
 	defer e.Close()
-	n, malformed, end, err := replayCapture(bytes.NewReader(capture.Bytes()), e, reg)
+	n, malformed, end, err := replayCapture(context.Background(), bytes.NewReader(capture.Bytes()), e, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestReplayCountsMalformedLines(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := newTestEngine(t, reg, 2)
 	defer e.Close()
-	got, malformed, end, err := replayCapture(bytes.NewReader(input), e, reg)
+	got, malformed, end, err := replayCapture(context.Background(), bytes.NewReader(input), e, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestReplayRefusesNonCaptures(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := newTestEngine(t, reg, 1)
 	defer e.Close()
-	n, malformed, _, err := replayCapture(strings.NewReader(lines.String()), e, reg)
+	n, malformed, _, err := replayCapture(context.Background(), strings.NewReader(lines.String()), e, reg)
 	if !errors.Is(err, wire.ErrNotCapture) || n != 0 || malformed != 0 {
 		t.Fatalf("NDJSON replayed %d packets, %d malformed, err %v; want 0, 0, ErrNotCapture", n, malformed, err)
 	}
@@ -481,7 +482,7 @@ func TestReplaySurvivesOversizedLine(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := newTestEngine(t, reg, 1)
 	defer e.Close()
-	n, malformed, _, err := replayCapture(bytes.NewReader(input), e, reg)
+	n, malformed, _, err := replayCapture(context.Background(), bytes.NewReader(input), e, reg)
 	if err != nil {
 		t.Fatalf("oversized record voided the replay: %v", err)
 	}
@@ -993,7 +994,7 @@ func TestBurstFlushedBeforeBarriers(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		e := newTestEngine(t, reg, 2)
 		defer e.Close()
-		_, _, end, err := replayCapture(&capture, e, reg)
+		_, _, end, err := replayCapture(context.Background(), &capture, e, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1034,7 +1035,7 @@ func TestReplayIsDeterministic(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		e := newTestEngine(t, reg, 2)
 		defer e.Close()
-		_, _, end, err := replayCapture(bytes.NewReader(capture.Bytes()), e, reg)
+		_, _, end, err := replayCapture(context.Background(), bytes.NewReader(capture.Bytes()), e, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1111,7 +1112,7 @@ func TestReplayMetricsAreDeterministic(t *testing.T) {
 	replay := func() (core.Snapshot, *telemetry.Registry, string) {
 		reg := telemetry.NewRegistry()
 		e := newTestEngine(t, reg, 2)
-		_, _, end, err := replayCapture(bytes.NewReader(capture.Bytes()), e, reg)
+		_, _, end, err := replayCapture(context.Background(), bytes.NewReader(capture.Bytes()), e, reg)
 		if err != nil {
 			t.Fatal(err)
 		}

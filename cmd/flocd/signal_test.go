@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"net"
 	"net/http"
@@ -142,6 +143,102 @@ func TestSIGTERMSealsLedger(t *testing.T) {
 	}
 	if snap.Arrived != packets {
 		t.Fatalf("sealed snapshot saw %d arrivals, want %d", snap.Arrived, packets)
+	}
+	replayer := ledger.NewReplayer()
+	if _, err := ledger.Verify(ledgerDir, replayer.Fold); err != nil {
+		t.Fatal(err)
+	}
+	if diffs := replayer.Result().Diff(snap); len(diffs) != 0 {
+		t.Fatalf("sealed events do not reproduce the snapshot:\n  %s", strings.Join(diffs, "\n  "))
+	}
+}
+
+// TestSIGTERMSealsReplay: a signal stops a -replay -ledger run as the end
+// of its capture does. The capture is a FIFO whose writer stays open, so
+// the replay is still reading when SIGTERM arrives; the daemon stops
+// reading, exits 0 with snapshot.json beside its ledger, and the sealed
+// events replay to that snapshot exactly.
+func TestSIGTERMSealsReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts a daemon process")
+	}
+	const packets = 20000
+	dir := t.TempDir()
+	fifo, ledgerDir := filepath.Join(dir, "capture.pcap"), filepath.Join(dir, "ledger")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Skipf("no FIFO to replay from: %v", err)
+	}
+	var capture bytes.Buffer
+	if err := generateCapture(&capture, packets, 1); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), daemonArgsEnv+"="+strings.Join([]string{
+		"-replay", fifo, "-shards", "1", "-ledger", ledgerDir,
+	}, "\n"))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	waited := false
+	defer func() {
+		if !waited {
+			cmd.Process.Kill()
+			<-exited
+		}
+	}()
+
+	// Opening the FIFO's write end waits for the daemon to open its read
+	// end, which it does with its signal handler installed. The write
+	// returns once all but a pipe buffer of the capture has been read.
+	written := make(chan *os.File, 1)
+	go func() {
+		w, err := os.OpenFile(fifo, os.O_WRONLY, 0)
+		if err != nil {
+			t.Error(err)
+			close(written)
+			return
+		}
+		if _, err := w.Write(capture.Bytes()[:capture.Len()/2]); err != nil {
+			t.Error(err)
+		}
+		written <- w
+	}()
+	select {
+	case w := <-written:
+		if w == nil {
+			return
+		}
+		defer w.Close() // after the signal: the replay sees no end of capture
+	case err := <-exited:
+		waited = true
+		t.Fatalf("daemon exited before it read the capture: %v\n%s", err, stderr.Bytes())
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never read the capture")
+	}
+
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		waited = true
+		if err != nil {
+			t.Fatalf("replay stopped by SIGTERM: %v, want exit status 0\n%s", err, stderr.Bytes())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("replay still running 10 s after SIGTERM")
+	}
+
+	snap, err := ledger.ReadSnapshot(filepath.Join(ledgerDir, ledger.SnapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Arrived == 0 || snap.Arrived >= packets {
+		t.Fatalf("sealed snapshot saw %d arrivals, want some of the %d written", snap.Arrived, packets/2)
 	}
 	replayer := ledger.NewReplayer()
 	if _, err := ledger.Verify(ledgerDir, replayer.Fold); err != nil {

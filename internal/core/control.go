@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-	"strings"
 
 	"floc/internal/invariant"
 	"floc/internal/stats"
@@ -127,31 +126,21 @@ func (r *Router) expirePath(ps *pathState, now float64) {
 		}
 		if fs.arrived == 0 {
 			// Silent this interval, as most flows of a large population
-			// are: rollRate(0, x, interval) is 0.5*x to the bit for
+			// are: RollRate(0, x, interval) is 0.5*x to the bit for
 			// x >= +0, without the division.
 			fs.arrivedRate *= 0.5
 		} else {
-			fs.arrivedRate = rollRate(fs.arrived, fs.arrivedRate, interval)
+			fs.arrivedRate = RollRate(fs.arrived, fs.arrivedRate, interval)
 			fs.arrived = 0
 		}
 		// Escalate penalties for flows that keep over-subscribing
 		// their fair share; relax as soon as they respond.
 		if escalate {
-			if fs.arrivedRate > 1.2*fair {
-				fs.escalation = math.Min(8, math.Max(1, fs.escalation)*1.25)
-			} else {
-				fs.escalation = math.Max(1, fs.escalation*0.7)
-			}
+			fs.escalation = Escalate(fs.escalation, fs.arrivedRate, fair)
 		}
 		return true
 	})
 	r.tally.live += ps.flows.len()
-}
-
-// rollRate folds one control interval's token count into a flow's
-// smoothed rate (tokens/s).
-func rollRate(tokens, rate, interval float64) float64 {
-	return 0.5*(tokens/interval) + 0.5*rate
 }
 
 // classifyPath counts a path's attack flows via the drop filter and
@@ -170,10 +159,8 @@ func (r *Router) classifyPath(ps *pathState, now float64) {
 		st := r.filter.QueryTicks(fs.hash, nowTicks, epochTicks, k)
 		// A flow is an attack flow if its drop record shows excess
 		// drops (Section IV-B.2) or its offered rate persistently
-		// exceeds its fair share (the signal Eq. IV.5's bound acts
-		// on).
-		isAttack := st.Excess() >= attackExcess ||
-			(fair > 0 && fs.arrivedRate > 1.5*fair)
+		// exceeds its fair share.
+		isAttack := st.Excess() >= attackExcess || AttackRate(fs.arrivedRate, fair)
 		if isAttack {
 			attack++
 			if journaled && !fs.attackFlagged {
@@ -184,19 +171,14 @@ func (r *Router) classifyPath(ps *pathState, now float64) {
 	}
 	ps.attackFlows = attack
 	r.tally.attack += attack
-	n := len(flows)
-	if n > 0 {
-		sample := 1 - float64(attack)/float64(n)
-		ps.conformance = beta*sample + (1-beta)*ps.conformance
-	}
+	ps.conformance = ConformanceStep(ps.conformance, attack, len(flows))
 	// The conformance EWMA (Eq. IV.6) is a convex combination of values
 	// in [0, 1]; leaving that interval means the measurement drifted out
 	// of the modeled state space.
 	invariant.Conformance01("core.conformance", ps.conformance)
 	if ps.leaf != nil {
 		ps.leaf.Conformance = ps.conformance
-		ps.leaf.Flows = n
-		ps.leaf.Attack = ps.conformance < eThreshold
+		ps.leaf.Attack = InAttackTree(ps.conformance)
 	}
 }
 
@@ -294,11 +276,10 @@ func (r *Router) recomputeParams(now, interval float64) {
 
 	for _, ps := range paths {
 		// Smoothed request rate (tokens/second).
-		rate := ps.arrivedTokens / interval
 		if ps.lambda == 0 {
-			ps.lambda = rate
+			ps.lambda = ps.arrivedTokens / interval
 		} else {
-			ps.lambda = 0.5*rate + 0.5*ps.lambda
+			ps.lambda = RollRate(ps.arrivedTokens, ps.lambda, interval)
 		}
 
 		alloc := float64(linkPkts) * float64(ps.shares) / float64(totalShares)
@@ -337,14 +318,12 @@ func (r *Router) recomputeParams(now, interval float64) {
 		// Attack-path detection: the aggregate's mean drop interval fell
 		// below the token period while the request rate exceeds the
 		// allocation plus the reference drop rate.
-		// The 10% margin keeps adaptive TCP aggregates, which probe just
-		// above their allocation by design, from being misflagged.
 		if ps.drops > 0 && ps.params.Period > 0 {
 			meanDropInterval := interval / float64(ps.drops)
 			// One drop per token period is the reference drop rate
 			// (Section IV-B.1), in packets/s like lambda and alloc.
 			refDropRate := 1 / ps.params.Period
-			overRate := ps.lambda > 1.1*alloc+refDropRate
+			overRate := OverAllocated(ps.lambda, alloc, refDropRate)
 			if meanDropInterval < ps.params.Period && overRate {
 				ps.attack = true
 			} else if !overRate {
@@ -456,29 +435,6 @@ func (r *Router) PathInfos() []PathInfo {
 		out = append(out, info)
 	}
 	return out
-}
-
-// planSignature canonicalizes an aggregation plan for change detection.
-func planSignature(plan map[string][]*pathState) string {
-	keys := make([]string, 0, len(plan))
-	for k := range plan {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		members := plan[k]
-		names := make([]string, len(members))
-		for i, m := range members {
-			names[i] = m.key
-		}
-		sort.Strings(names)
-		b.WriteString(strings.Join(names, ","))
-		b.WriteByte(';')
-	}
-	return b.String()
 }
 
 // newEWMA is a tiny helper so aggregate states get a fresh RTT estimator.

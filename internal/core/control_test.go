@@ -8,7 +8,7 @@ import (
 )
 
 // TestSilentFlowRateRollIsExact: expirePath halves the rate meters of a
-// flow that sent nothing this interval instead of calling rollRate with
+// flow that sent nothing this interval instead of calling RollRate with
 // zero tokens. The two must agree to the bit for every rate a meter can
 // hold — zero, subnormals, the largest finite value, infinity — and every
 // control interval, or TestControlLoopGolden's digests would move with
@@ -30,7 +30,7 @@ func TestSilentFlowRateRollIsExact(t *testing.T) {
 	}
 	for _, rate := range rates {
 		for _, interval := range append(intervals, 1e-6+src.Float64()) {
-			if got, want := 0.5*rate, rollRate(0, rate, interval); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := 0.5*rate, RollRate(0, rate, interval); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("rate %v (%#x), interval %v: halved %#x, rolled %#x",
 					rate, math.Float64bits(rate), interval, math.Float64bits(got), math.Float64bits(want))
 			}

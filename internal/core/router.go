@@ -354,18 +354,20 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 	if ps := r.origins.lookup(key); ps != nil {
 		return ps
 	}
-	leaf, err := r.tree.Insert(pkt.Path)
+	id := pkt.Path
+	leaf, err := r.tree.Insert(id)
 	if err != nil {
 		// Unmarked packet: account it under a synthetic unknown path.
-		leaf, _ = r.tree.Insert(pathid.New(0))
-		key = pathid.New(0).Key()
+		id = pathid.New(0)
+		leaf, _ = r.tree.Insert(id)
+		key = id.Key()
 		if ps := r.origins.lookup(key); ps != nil {
 			return ps
 		}
 	}
 	ps := &pathState{
 		key:         key,
-		id:          pkt.Path,
+		id:          id,
 		leaf:        leaf,
 		shares:      1,
 		rtt:         stats.NewEWMA(0.3),

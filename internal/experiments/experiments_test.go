@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -21,6 +23,26 @@ func skipIfShort(t *testing.T) {
 	}
 }
 
+// runs memoises Run within the test binary. A run is a pure function of
+// its seeded scenario, so the tests that assert on the same scenario
+// share one run; TestRunDeterministic still runs its scenario twice.
+var runs sync.Map // fmt.Sprintf("%#v", scenario) -> *memoRun
+
+type memoRun struct {
+	once sync.Once
+	m    *Measurement
+	err  error
+}
+
+// runScenario returns Run(sc), running each distinct scenario once. The
+// measurement is shared: callers only read it.
+func runScenario(sc Scenario) (*Measurement, error) {
+	v, _ := runs.LoadOrStore(fmt.Sprintf("%#v", sc), new(memoRun))
+	r := v.(*memoRun)
+	r.once.Do(func() { r.m, r.err = Run(sc) })
+	return r.m, r.err
+}
+
 func shortScenario(def DefenseKind, atk AttackKind) Scenario {
 	sc := DefaultScenario(def, atk, testScale)
 	sc.Duration = 30
@@ -29,6 +51,7 @@ func shortScenario(def DefenseKind, atk AttackKind) Scenario {
 }
 
 func TestRunValidation(t *testing.T) {
+	t.Parallel()
 	sc := shortScenario(DefFLoc, AttackCBR)
 	sc.Scale = 0
 	if _, err := Run(sc); err == nil {
@@ -51,8 +74,9 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestNoAttackBaselineHealthy(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
-	m, err := Run(shortScenario(DefRED, AttackNone))
+	m, err := runScenario(shortScenario(DefRED, AttackNone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +98,13 @@ func TestNoAttackBaselineHealthy(t *testing.T) {
 }
 
 func TestFLocConfinesCBRAttack(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
-	floc, err := Run(shortScenario(DefFLoc, AttackCBR))
+	floc, err := runScenario(shortScenario(DefFLoc, AttackCBR))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd, err := Run(shortScenario(DefDropTail, AttackCBR))
+	nd, err := runScenario(shortScenario(DefDropTail, AttackCBR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +128,9 @@ func TestFLocConfinesCBRAttack(t *testing.T) {
 }
 
 func TestFLocDifferentialGuaranteesWithinAttackPaths(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
-	m, err := Run(shortScenario(DefFLoc, AttackCBR))
+	m, err := runScenario(shortScenario(DefFLoc, AttackCBR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +151,9 @@ func TestFLocDifferentialGuaranteesWithinAttackPaths(t *testing.T) {
 }
 
 func TestFLocAttackPathsFlagged(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
-	m, err := Run(shortScenario(DefFLoc, AttackCBR))
+	m, err := runScenario(shortScenario(DefFLoc, AttackCBR))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,8 +181,9 @@ func TestFLocAttackPathsFlagged(t *testing.T) {
 }
 
 func TestFLocShrewHandledLikeCBR(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
-	shrew, err := Run(shortScenario(DefFLoc, AttackShrew))
+	shrew, err := runScenario(shortScenario(DefFLoc, AttackShrew))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +195,9 @@ func TestFLocShrewHandledLikeCBR(t *testing.T) {
 }
 
 func TestFLocHighPopulationTCPEqualPaths(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
-	m, err := Run(shortScenario(DefFLoc, AttackTCPPop))
+	m, err := runScenario(shortScenario(DefFLoc, AttackTCPPop))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,10 +227,11 @@ func TestFLocHighPopulationTCPEqualPaths(t *testing.T) {
 }
 
 func TestFLocAggregationUnderSMax(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	sc := shortScenario(DefFLoc, AttackCBR)
 	sc.SMax = 25
-	m, err := Run(sc)
+	m, err := runScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,6 +253,7 @@ func TestFLocAggregationUnderSMax(t *testing.T) {
 }
 
 func TestCovertAttackCountermeasure(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	// Fanout 8 at 0.2 Mb/s per flow: each source sends 1.6 Mb/s spread
 	// over 8 "legitimate-looking" flows.
@@ -232,11 +263,11 @@ func TestCovertAttackCountermeasure(t *testing.T) {
 
 	withNMax := base
 	withNMax.NMax = 2
-	protected, err := Run(withNMax)
+	protected, err := runScenario(withNMax)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unprotected, err := Run(base)
+	unprotected, err := runScenario(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +284,7 @@ func TestCovertAttackCountermeasure(t *testing.T) {
 }
 
 func TestFig4ModelTable(t *testing.T) {
+	t.Parallel()
 	tab := Fig4(10, 8)
 	if len(tab.Rows) != 22 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -275,6 +307,7 @@ func TestFig4ModelTable(t *testing.T) {
 }
 
 func TestFig2And3Smoke(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	t2, err := Fig2(0.05, 3)
 	if err != nil {
@@ -317,12 +350,14 @@ func TestFig2And3Smoke(t *testing.T) {
 }
 
 func TestScaleCount(t *testing.T) {
+	t.Parallel()
 	if scaleCount(30, 0.1) != 3 || scaleCount(30, 1) != 30 || scaleCount(1, 0.01) != 1 {
 		t.Fatal("scaleCount wrong")
 	}
 }
 
 func TestAttackLeaves(t *testing.T) {
+	t.Parallel()
 	leaves := attackLeavesFor(27)
 	if len(leaves) != 6 {
 		t.Fatalf("attack leaves = %v", leaves)
@@ -333,6 +368,7 @@ func TestAttackLeaves(t *testing.T) {
 }
 
 func TestFlowClassString(t *testing.T) {
+	t.Parallel()
 	if ClassLegitLegit.String() == "" || ClassAttack.String() == "" ||
 		ClassLegitAttackPath.String() == "" || FlowClass(9).String() != "unknown" {
 		t.Fatal("class strings wrong")
@@ -340,33 +376,37 @@ func TestFlowClassString(t *testing.T) {
 }
 
 func TestFigInternetSmoke(t *testing.T) {
+	t.Parallel()
 	cfg, err := DefaultInetFigConfig("fig13", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Profiles = cfg.Profiles[:1]
 	cfg.Ticks = 200
 	cfg.WarmupTicks = 80
 	tab, err := FigInternet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != len(InetScenarios()) {
+	scenarios := InetScenarios()
+	if len(tab.Rows) != len(cfg.Profiles)*len(scenarios) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// Shape: FLoc-NA legit share beats ND's.
-	var nd, na float64
-	for _, r := range tab.Rows {
-		legit := r.Values[0] + r.Values[1]
-		switch {
-		case len(r.Label) >= 2 && r.Label[len(r.Label)-2:] == "ND":
-			nd = legit
-		case len(r.Label) >= 7 && r.Label[len(r.Label)-7:] == "FLoc-NA":
-			na = legit
+	// Shape, per profile: the legitimate share orders ND < FF < FLoc-NA,
+	// and a tighter |S|max never guarantees more paths.
+	for i, profile := range cfg.Profiles {
+		legit, paths := map[string]float64{}, map[string]float64{}
+		for _, r := range tab.Rows[i*len(scenarios) : (i+1)*len(scenarios)] {
+			label := strings.TrimPrefix(r.Label, fmt.Sprint(profile, "/"))
+			legit[label], paths[label] = r.Values[0]+r.Values[1], r.Values[3]
 		}
-	}
-	if na <= nd {
-		t.Fatalf("FLoc-NA (%v) did not beat ND (%v)", na, nd)
+		if !(legit["ND"] < legit["FF"] && legit["FF"] < legit["FLoc-NA"]) {
+			t.Errorf("%s: legitimate share ND %v, FF %v, FLoc-NA %v: want ND < FF < FLoc-NA",
+				profile, legit["ND"], legit["FF"], legit["FLoc-NA"])
+		}
+		if !(paths["FLoc-A100"] <= paths["FLoc-A200"] && paths["FLoc-A200"] <= paths["FLoc-NA"]) {
+			t.Errorf("%s: guaranteed paths A-100 %v, A-200 %v, NA %v: want A-100 <= A-200 <= NA",
+				profile, paths["FLoc-A100"], paths["FLoc-A200"], paths["FLoc-NA"])
+		}
 	}
 	// Invalid scale rejected.
 	cfg.Scale = 0
@@ -376,6 +416,7 @@ func TestFigInternetSmoke(t *testing.T) {
 }
 
 func TestFigInternetConfigs(t *testing.T) {
+	t.Parallel()
 	for _, fig := range []string{"fig13", "fig14", "fig15"} {
 		cfg, err := DefaultInetFigConfig(fig, 0.1)
 		if err != nil {
@@ -394,6 +435,7 @@ func TestFigInternetConfigs(t *testing.T) {
 }
 
 func TestFigTopologySmoke(t *testing.T) {
+	t.Parallel()
 	tab, err := FigTopology(100, false, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -411,6 +453,7 @@ func TestFigTopologySmoke(t *testing.T) {
 // TestFigTopologySeparated covers the Fig. 15 placement: with legitimate
 // sources kept out of attack ASes no AS holds both.
 func TestFigTopologySeparated(t *testing.T) {
+	t.Parallel()
 	tab, err := FigTopology(100, true, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -426,11 +469,12 @@ func TestFigTopologySeparated(t *testing.T) {
 }
 
 func TestAblationFlagsPlumbed(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	sc := shortScenario(DefFLoc, AttackCBR)
 	sc.NoPreferentialDrop = true
 	sc.NoEscalation = true
-	m, err := Run(sc)
+	m, err := runScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,15 +489,16 @@ func TestAblationFlagsPlumbed(t *testing.T) {
 }
 
 func TestPushbackUpstreamPropagation(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	local := shortScenario(DefPushback, AttackCBR)
-	lm, err := Run(local)
+	lm, err := runScenario(local)
 	if err != nil {
 		t.Fatal(err)
 	}
 	up := local
 	up.PushbackUpstream = true
-	um, err := Run(up)
+	um, err := runScenario(up)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,12 +517,13 @@ func TestPushbackUpstreamPropagation(t *testing.T) {
 }
 
 func TestTimedAttacksHandled(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	// FLoc's MTD-based identification keys on behaviour, not sustained
 	// volume, so timed attacks must not do materially better against it
 	// than the steady CBR attack.
 	for _, atk := range []AttackKind{AttackOnOff, AttackRolling} {
-		m, err := Run(shortScenario(DefFLoc, atk))
+		m, err := runScenario(shortScenario(DefFLoc, atk))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,6 +539,7 @@ func TestTimedAttacksHandled(t *testing.T) {
 }
 
 func TestReplicate(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	sc := shortScenario(DefFLoc, AttackCBR)
 	sc.Duration = 15
@@ -517,6 +564,7 @@ func TestReplicate(t *testing.T) {
 }
 
 func TestTableJSON(t *testing.T) {
+	t.Parallel()
 	tab := Fig4(4, 8)
 	out, err := tab.MarshalJSON()
 	if err != nil {
@@ -529,16 +577,17 @@ func TestTableJSON(t *testing.T) {
 }
 
 func TestScalableModePreservesConfinement(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	// The Section V-B efficient design must preserve the headline
 	// confinement result within a modest margin of the exact mode.
-	exact, err := Run(shortScenario(DefFLoc, AttackCBR))
+	exact, err := runScenario(shortScenario(DefFLoc, AttackCBR))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := shortScenario(DefFLoc, AttackCBR)
 	sc.ScalableMode = true
-	scalable, err := Run(sc)
+	scalable, err := runScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,14 +601,15 @@ func TestScalableModePreservesConfinement(t *testing.T) {
 }
 
 func TestFLocNoAttackFairnessComparableToRED(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	// Paper Fig. 7: "FLoc provides per-flow fairness comparable to that
 	// of the RED queue in the normal (no-attack) case".
-	red, err := Run(shortScenario(DefRED, AttackNone))
+	red, err := runScenario(shortScenario(DefRED, AttackNone))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := Run(shortScenario(DefFLoc, AttackNone))
+	fl, err := runScenario(shortScenario(DefFLoc, AttackNone))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,6 +628,7 @@ func TestFLocNoAttackFairnessComparableToRED(t *testing.T) {
 }
 
 func TestRunDeterministic(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	sc := shortScenario(DefFLoc, AttackCBR)
 	sc.Duration = 15

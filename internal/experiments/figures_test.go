@@ -2,21 +2,26 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"floc/internal/units"
 )
 
-// shortenFigures shrinks the figure window for smoke tests and restores
-// it afterwards.
+// shortened sets the short figure window once for the test binary.
+var shortened sync.Once
+
+// shortenFigures shrinks the figure window for smoke tests. Every test
+// that calls it wants the same window and none in this package wants
+// the long one, so it is set once and left, and the smoke tests run in
+// parallel.
 func shortenFigures(t *testing.T) {
 	t.Helper()
-	oldD, oldM := figDuration, figMeasureFrom
-	figDuration, figMeasureFrom = 12, 4
-	t.Cleanup(func() { figDuration, figMeasureFrom = oldD, oldM })
+	shortened.Do(func() { figDuration, figMeasureFrom = 12, 4 })
 }
 
 func TestFig6Smoke(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	shortenFigures(t)
 	for _, kind := range []AttackKind{AttackTCPPop, AttackCBR, AttackShrew} {
@@ -37,6 +42,7 @@ func TestFig6Smoke(t *testing.T) {
 }
 
 func TestFig7Smoke(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	shortenFigures(t)
 	tab, err := Fig7(0.05, []units.BitsPerSec{2e6}, 3)
@@ -58,6 +64,7 @@ func TestFig7Smoke(t *testing.T) {
 }
 
 func TestFig8Smoke(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	shortenFigures(t)
 	tab, err := Fig8(0.05, []units.BitsPerSec{2e6}, 3)
@@ -83,6 +90,7 @@ func TestFig8Smoke(t *testing.T) {
 }
 
 func TestFig9Smoke(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	shortenFigures(t)
 	tab, err := Fig9(0.05, 3)
@@ -106,6 +114,7 @@ func TestFig9Smoke(t *testing.T) {
 }
 
 func TestFig10Smoke(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	shortenFigures(t)
 	tab, err := Fig10(0.05, []int{4}, 3)
@@ -118,6 +127,7 @@ func TestFig10Smoke(t *testing.T) {
 }
 
 func TestFigTimedSmoke(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	shortenFigures(t)
 	tab, err := FigTimed(0.05, 3)
@@ -130,6 +140,7 @@ func TestFigTimedSmoke(t *testing.T) {
 }
 
 func TestFigDeploymentSmoke(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	shortenFigures(t)
 	tab, err := FigDeployment(0.05, []float64{0.5, 1.0}, 3)
@@ -148,6 +159,7 @@ func TestFigDeploymentSmoke(t *testing.T) {
 }
 
 func TestDeploymentMonotoneBenefit(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	// More marking must not make legitimate traffic materially worse;
 	// full deployment should clearly beat sparse deployment under attack.

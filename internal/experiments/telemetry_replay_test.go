@@ -17,6 +17,7 @@ import (
 // same fold floctrace uses on sealed evidence, so this test also pins
 // the forensic tool to the live router's semantics.
 func TestTraceReplayMatchesSnapshot(t *testing.T) {
+	t.Parallel()
 	skipIfShort(t)
 	dir := filepath.Join(t.TempDir(), "ledger")
 	sealer, err := ledger.NewSealer(dir)

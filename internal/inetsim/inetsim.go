@@ -140,9 +140,9 @@ type flow struct {
 	// attack rate (bots).
 	rate float32
 	// FLoc per-flow measurement.
-	sent     float32 // packets injected this control period
-	sentRate float32 // smoothed send rate (pkts/tick)
-	escal    float32
+	sent     float64 // packets injected this control period
+	sentRate float64 // smoothed send rate (pkts/tick)
+	escal    float64
 }
 
 // link is one AS's uplink toward the target.
@@ -250,7 +250,11 @@ func New(cfg Config) (*Sim, error) {
 	case FairFlow:
 		s.policy = newFFPolicy(s)
 	case FLoc:
-		s.policy = newFLocPolicy(s)
+		p, err := newFLocPolicy(s)
+		if err != nil {
+			return nil, err
+		}
+		s.policy = p
 	default:
 		return nil, fmt.Errorf("inetsim: unknown defense %q", cfg.Defense)
 	}

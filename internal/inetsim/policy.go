@@ -1,6 +1,11 @@
 package inetsim
 
-import "sort"
+import (
+	"fmt"
+
+	"floc/internal/core"
+	"floc/internal/pathid"
+)
 
 // ndPolicy is the no-defense baseline: serve up to capacity, chosen
 // uniformly at random among the tick's queued packets (paper VII-B), drop
@@ -85,17 +90,26 @@ func (p *ffPolicy) admit(s *Sim, queued []int32) (served, wait []int32) {
 // fair share with non-responsiveness escalation, conformance tracking,
 // and attack-path aggregation under |S|max.
 //
-// It re-derives internal/core's mechanisms at tick granularity, exactly
-// as the paper's own Internet-scale simulator re-implemented the ns-2
-// router model coarsely.
+// It models internal/core's router at tick granularity, as the paper's
+// own Internet-scale simulator modeled the ns-2 router coarsely, and
+// takes every per-interval rule — the conformance step, the escalation
+// step, the rate EWMA, attack-path detection and Algorithm 1 — from core.
 type flocPolicy struct {
-	// pathOf[asIdx] = current guaranteed-path index of the AS.
-	pathOf []int32
-	paths  []flocPath
-	// conformEWMA[asIdx] is the AS's conformance measure (Eq. IV.6).
-	conformEWMA []float64
-	// planSig detects aggregation-plan changes so path state (attack
-	// flags, lambda) survives control ticks with an unchanged plan.
+	// tree holds the AS path of every AS with sources; the set is fixed
+	// for a run, so it is built once. leaf[as] is the AS's path node
+	// (nil for an AS without sources).
+	tree *pathid.Tree
+	leaf []*pathid.Node
+	// origin[as] is the AS's own path identifier; pathOf[as] the
+	// guaranteed identifier its packets draw on (its origin, or the
+	// aggregate it is merged into).
+	origin []flocPath
+	pathOf []*flocPath
+	// aggs holds the aggregates by key, so one that survives a plan
+	// change keeps its state (attack flag, lambda).
+	aggs map[string]*flocPath
+	// paths is the guaranteed identifiers.
+	paths   []*flocPath
 	planSig string
 }
 
@@ -109,257 +123,144 @@ type flocPath struct {
 	arrived     float64
 	lambda      float64
 	conformance float64
-	// members lists the AS indices merged into this path (single AS for
+	// members lists the AS indices merged into an aggregate (nil for
 	// origin paths).
 	members []int
 }
 
-func newFLocPolicy(s *Sim) *flocPolicy {
+func newFLocPolicy(s *Sim) (*flocPolicy, error) {
+	n := len(s.topo.ASes)
 	p := &flocPolicy{
-		pathOf:      make([]int32, len(s.topo.ASes)),
-		conformEWMA: make([]float64, len(s.topo.ASes)),
+		tree:   pathid.NewTree(0),
+		leaf:   make([]*pathid.Node, n),
+		origin: make([]flocPath, n),
+		pathOf: make([]*flocPath, n),
 	}
-	for i := range p.conformEWMA {
-		p.conformEWMA[i] = 1
+	for i := range s.topo.ASes {
+		a := &s.topo.ASes[i]
+		if a.LegitHosts+a.Bots == 0 {
+			continue
+		}
+		leaf, err := p.tree.Insert(a.Path)
+		if err != nil {
+			return nil, fmt.Errorf("inetsim: AS %d: %w", a.Num, err)
+		}
+		p.leaf[i] = leaf
+		p.origin[i].conformance = 1
+		p.origin[i].flows = a.LegitHosts + a.Bots
 	}
-	p.rebuild(s, nil)
-	return p
+	p.apply(s, nil)
+	return p, nil
 }
 
 func (p *flocPolicy) guaranteedPaths() int { return len(p.paths) }
 
-// rebuild assigns ASes to guaranteed paths. groups maps a group id to
-// member AS indices for aggregation; ASes not in a group get their own
-// path. Only ASes with sources participate.
-func (p *flocPolicy) rebuild(s *Sim, groups [][]int) {
+// apply installs an aggregation plan: ASes not in a group use their own
+// path. Aggregates whose key the plan keeps keep their state.
+func (p *flocPolicy) apply(s *Sim, plan []core.Group) {
+	for as := range p.leaf {
+		if p.leaf[as] != nil {
+			p.pathOf[as] = &p.origin[as]
+		}
+	}
+	old := p.aggs
+	p.aggs = make(map[string]*flocPath, len(plan))
+	for _, g := range plan {
+		agg := old[g.Key]
+		if agg == nil {
+			agg = &flocPath{conformance: 1}
+		}
+		agg.members, agg.flows = agg.members[:0], 0
+		for _, m := range g.Members {
+			as := int(m.AS) - 1 // AS numbers are index + 1
+			agg.members = append(agg.members, as)
+			agg.flows += p.origin[as].flows
+			p.pathOf[as] = agg
+		}
+		p.aggs[g.Key] = agg
+	}
 	p.paths = p.paths[:0]
-	for i := range p.pathOf {
-		p.pathOf[i] = -1
-	}
-	inGroup := map[int]bool{}
-	for _, members := range groups {
-		idx := int32(len(p.paths))
-		p.paths = append(p.paths, flocPath{conformance: 1, members: members})
-		for _, as := range members {
-			p.pathOf[as] = idx
-			inGroup[as] = true
+	for as := range p.leaf {
+		if p.leaf[as] != nil && p.pathOf[as] == &p.origin[as] {
+			p.paths = append(p.paths, &p.origin[as])
 		}
 	}
-	for i := range s.topo.ASes {
-		a := &s.topo.ASes[i]
-		if a.LegitHosts+a.Bots == 0 || inGroup[i] {
-			continue
-		}
-		p.pathOf[i] = int32(len(p.paths))
-		p.paths = append(p.paths, flocPath{conformance: 1, members: []int{i}})
+	for _, g := range plan {
+		p.paths = append(p.paths, p.aggs[g.Key])
 	}
-	// Count flows per path.
-	for i := range s.flows {
-		pi := p.pathOf[s.flows[i].asIdx]
-		if pi >= 0 {
-			p.paths[pi].flows++
-		}
-	}
-	p.setQuotas(s)
-}
-
-func (p *flocPolicy) setQuotas(s *Sim) {
-	if len(p.paths) == 0 {
-		return
-	}
-	quota := float64(s.cfg.CapacityPerTick) / float64(len(p.paths))
-	for i := range p.paths {
-		p.paths[i].quota = quota
+	quota := float64(s.cfg.CapacityPerTick) / float64(max(len(p.paths), 1))
+	for _, path := range p.paths {
+		path.quota = quota
 	}
 }
 
-// control updates per-flow rates, attack flags, conformance, and the
-// aggregation plan.
+// fairShare is a flow's fair share of its path's quota. A flow cannot be
+// expected to run below one packet per RTT, no matter how populous its
+// domain: the share is floored there so responsive flows of large
+// legitimate domains are never classified as attack flows.
+func fairShare(path *flocPath, f *flow) float64 {
+	return max(path.quota/float64(max(path.flows, 1)), 1/float64(f.rttTicks))
+}
+
+// control runs core's control loop at the target link, in core's order:
+// per-flow rates, escalation and attack-flow classification, then each
+// AS's conformance (Eq. IV.6), the aggregation plan (Algorithm 1), and
+// each guaranteed path's request rate and attack flag.
 func (p *flocPolicy) control(s *Sim) {
 	const period = 20.0 // ticks between control runs (see Sim.Run)
 
-	// Per-flow send rates and attack-flow classification.
-	type asAgg struct{ flows, attack int }
-	perAS := make([]asAgg, len(s.topo.ASes))
+	attackFlows := make([]int, len(s.topo.ASes))
 	for i := range s.flows {
 		f := &s.flows[i]
-		f.sentRate = 0.5*f.sentRate + 0.5*(f.sent/period)
+		f.sentRate = core.RollRate(f.sent, f.sentRate, period)
 		f.sent = 0
-		pi := p.pathOf[f.asIdx]
-		if pi < 0 {
-			continue
-		}
-		path := &p.paths[pi]
-		// A flow cannot be expected to run below one packet per RTT, no
-		// matter how populous its domain: floor the fair share there so
-		// responsive flows of large legitimate domains are never
-		// classified as attack flows.
-		fair := maxFloat(path.quota/float64(maxInt(path.flows, 1)), 1/float64(f.rttTicks))
-		over := float64(f.sentRate) > 1.5*fair
-		if over {
-			f.escal = minf(8, maxf(1, f.escal)*1.25)
-		} else {
-			f.escal = maxf(1, f.escal*0.7)
-		}
-		perAS[f.asIdx].flows++
-		if over {
-			perAS[f.asIdx].attack++
+		fair := fairShare(p.pathOf[f.asIdx], f)
+		f.escal = core.Escalate(f.escal, f.sentRate, fair)
+		if core.AttackRate(f.sentRate, fair) {
+			attackFlows[f.asIdx]++
 		}
 	}
-
-	// Conformance EWMA per AS (Eq. IV.6, beta = 0.2).
-	for i := range perAS {
-		if perAS[i].flows == 0 {
+	for as, leaf := range p.leaf {
+		if leaf == nil {
 			continue
 		}
-		sample := 1 - float64(perAS[i].attack)/float64(perAS[i].flows)
-		p.conformEWMA[i] = 0.2*sample + 0.8*p.conformEWMA[i]
+		o := &p.origin[as]
+		o.conformance = core.ConformanceStep(o.conformance, attackFlows[as], o.flows)
+		leaf.Conformance = o.conformance
+		leaf.Attack = core.InAttackTree(o.conformance)
 	}
 
-	// Path conformance (flow-weighted member mean), lambda, and
-	// attack-path detection: a path joins the attack tree only when it
-	// both over-subscribes its quota and has low conformance (Section
-	// IV-C) — an over-subscribed but fully conformant (populous,
-	// responsive) domain keeps the lenient policy.
-	for i := range p.paths {
-		path := &p.paths[i]
-		sumN, sumEN := 0.0, 0.0
-		for _, as := range path.members {
-			n := float64(s.topo.ASes[as].LegitHosts + s.topo.ASes[as].Bots)
-			sumN += n
-			sumEN += p.conformEWMA[as] * n
+	plan := core.PlanAttack(p.tree, s.cfg.SMax)
+	if sig := core.PlanSignature(plan); sig != p.planSig {
+		p.planSig = sig
+		p.apply(s, plan)
+	}
+
+	// A path joins the attack tree only when it both over-subscribes its
+	// quota and has low conformance (Section IV-C): an over-subscribed
+	// but fully conformant (populous, responsive) domain keeps the
+	// lenient policy.
+	for _, path := range p.paths {
+		if path.members != nil {
+			var w core.FlowWeighted
+			for _, as := range path.members {
+				w.Add(p.origin[as].conformance, p.origin[as].flows)
+			}
+			path.conformance = w.Mean()
 		}
-		if sumN > 0 {
-			path.conformance = sumEN / sumN
-		}
-		rate := path.arrived / period
-		path.lambda = 0.5*rate + 0.5*path.lambda
+		path.lambda = core.RollRate(path.arrived, path.lambda, period)
 		path.arrived = 0
-		path.attack = path.lambda > 1.1*path.quota && path.conformance < 0.5
-	}
-
-	// Aggregation when the active path count exceeds SMax.
-	if s.cfg.SMax > 0 {
-		p.aggregate(s)
-	}
-}
-
-// planSignature canonicalizes a grouping for change detection.
-func planSignature(groups [][]int) string {
-	var b []byte
-	for _, g := range groups {
-		for _, as := range g {
-			b = appendInt(b, as)
-			b = append(b, ',')
-		}
-		b = append(b, ';')
-	}
-	return string(b)
-}
-
-func appendInt(b []byte, v int) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [12]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
-}
-
-// aggregate lifts low-conformance origin ASes into shared-parent groups
-// (longest postfix first) until the guaranteed-path count fits SMax.
-func (p *flocPolicy) aggregate(s *Sim) {
-	active := 0
-	var attackASes []int
-	for i := range s.topo.ASes {
-		if s.topo.ASes[i].LegitHosts+s.topo.ASes[i].Bots == 0 {
-			continue
-		}
-		active++
-		if p.conformEWMA[i] < 0.5 {
-			attackASes = append(attackASes, i)
-		}
-	}
-	if active <= s.cfg.SMax || len(attackASes) < 2 {
-		return
-	}
-	need := active - s.cfg.SMax
-
-	// Group attack ASes by progressively shorter postfixes of their
-	// paths (nearest shared domains first).
-	sort.Ints(attackASes)
-	var groups [][]int
-	assigned := map[int]bool{}
-	for level := 1; need > 0 && level < s.topo.MaxDepth; level++ {
-		byKey := map[string][]int{}
-		for _, as := range attackASes {
-			if assigned[as] {
-				continue
-			}
-			path := s.topo.ASes[as].Path
-			if path.Len() <= level {
-				continue
-			}
-			key := path.Postfix(path.Len() - level).Key()
-			byKey[key] = append(byKey[key], as)
-		}
-		keys := make([]string, 0, len(byKey))
-		for k := range byKey {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			members := byKey[k]
-			if len(members) < 2 || need <= 0 {
-				continue
-			}
-			groups = append(groups, members)
-			for _, as := range members {
-				assigned[as] = true
-			}
-			need -= len(members) - 1
-		}
-	}
-	if need > 0 {
-		// Last resort: one global aggregate of all remaining attack ASes.
-		var rest []int
-		for _, as := range attackASes {
-			if !assigned[as] {
-				rest = append(rest, as)
-			}
-		}
-		if len(rest) >= 2 {
-			groups = append(groups, rest)
-		}
-	}
-	if len(groups) == 0 {
-		return
-	}
-	sig := planSignature(groups)
-	if sig == p.planSig {
-		return // unchanged plan: keep path state (attack flags, lambda)
-	}
-	p.planSig = sig
-	p.rebuild(s, groups)
-	// Fresh aggregates are built from low-conformance ASes: start them
-	// flagged so their quota is strict from the first tick.
-	for i := range groups {
-		p.paths[i].attack = true
+		path.attack = core.OverAllocated(path.lambda, path.quota, 0) && core.InAttackTree(path.conformance)
 	}
 }
 
 // admit implements the per-tick FLoc service decision.
 func (p *flocPolicy) admit(s *Sim, queued []int32) (served, wait []int32) {
 	capacity := s.cfg.CapacityPerTick
-	for i := range p.paths {
-		p.paths[i].used = 0
+	for _, path := range p.paths {
+		path.used = 0
 	}
-	served = make([]int32, 0, minInt(len(queued), capacity))
+	served = make([]int32, 0, min(len(queued), capacity))
 	var overflow []int32
 
 	// Shuffle so quota contention within a tick is unbiased.
@@ -367,21 +268,15 @@ func (p *flocPolicy) admit(s *Sim, queued []int32) (served, wait []int32) {
 
 	for _, fi := range queued {
 		f := &s.flows[fi]
-		pi := p.pathOf[f.asIdx]
-		if pi < 0 {
-			overflow = append(overflow, fi)
-			continue
-		}
-		path := &p.paths[pi]
+		path := p.pathOf[f.asIdx]
 		path.arrived++
 
 		// Preferential drop: flows of attack paths offering more than
 		// their (escalation-scaled) fair share.
 		if path.attack {
-			fair := maxFloat(path.quota/float64(maxInt(path.flows, 1)), 1/float64(f.rttTicks))
-			rate := float64(f.sentRate)
-			if rate > fair {
-				pd := 1 - fair/(float64(f.escal)*rate)
+			fair := fairShare(path, f)
+			if f.sentRate > fair {
+				pd := 1 - fair/(f.escal*f.sentRate)
 				if s.rng.Float64() < pd {
 					s.dropAtTarget(fi)
 					continue
@@ -401,9 +296,7 @@ func (p *flocPolicy) admit(s *Sim, queued []int32) (served, wait []int32) {
 	// overflow beyond capacity waits in the router buffer.
 	room := capacity - len(served)
 	for _, fi := range overflow {
-		f := &s.flows[fi]
-		pi := p.pathOf[f.asIdx]
-		if pi >= 0 && p.paths[pi].attack {
+		if p.pathOf[s.flows[fi].asIdx].attack {
 			s.dropAtTarget(fi)
 			continue
 		}
@@ -415,39 +308,4 @@ func (p *flocPolicy) admit(s *Sim, queued []int32) (served, wait []int32) {
 		wait = append(wait, fi)
 	}
 	return served, wait
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float32) float32 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float32) float32 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,8 +1,11 @@
 package inetsim
 
 import (
+	"strings"
 	"testing"
 
+	"floc/internal/core"
+	"floc/internal/pathid"
 	"floc/internal/topology"
 )
 
@@ -119,8 +122,8 @@ func TestFLocPolicyStrictOnAttackPaths(t *testing.T) {
 	s := tinySim(t, FLoc)
 	p := s.policy.(*flocPolicy)
 	as := s.flows[0].asIdx
-	pi := p.pathOf[as]
-	p.paths[pi].attack = true
+	path := p.pathOf[as]
+	path.attack = true
 	var queued []int32
 	for i := range s.flows {
 		if s.flows[i].asIdx == as {
@@ -133,66 +136,80 @@ func TestFLocPolicyStrictOnAttackPaths(t *testing.T) {
 		}
 	}
 	served, wait := p.admit(s, queued)
-	quota := p.paths[pi].quota
-	if float64(len(served)) > quota+1 {
-		t.Fatalf("attack path served %d beyond quota %v", len(served), quota)
+	if float64(len(served)) > path.quota+1 {
+		t.Fatalf("attack path served %d beyond quota %v", len(served), path.quota)
 	}
 	if len(wait) != 0 {
 		t.Fatalf("attack-path overflow should drop, not wait: %d", len(wait))
 	}
 }
 
+// lowConformancePlan marks every AS with sources low-conformance, as a
+// control run would, and returns core's Algorithm 1 plan for the tree.
+func lowConformancePlan(p *flocPolicy, smax int) []core.Group {
+	for _, leaf := range p.leaf {
+		if leaf != nil {
+			leaf.Conformance = 0.1
+			leaf.Attack = core.InAttackTree(leaf.Conformance)
+		}
+	}
+	return core.PlanAttack(p.tree, smax)
+}
+
+// TestFLocAggregationGroupsByPostfix: the simulator aggregates with core's
+// Algorithm 1 on the topology's AS paths. Every aggregate sits on a
+// shared postfix of its members' paths (an AS homed at the aggregation
+// point itself included), no AS lands in two identifiers, and the
+// guaranteed-path count falls.
 func TestFLocAggregationGroupsByPostfix(t *testing.T) {
 	s := tinySim(t, FLoc)
-	s.cfg.SMax = 5
 	p := s.policy.(*flocPolicy)
-	// Mark every populated AS as low-conformance and aggregate.
-	for i := range p.conformEWMA {
-		p.conformEWMA[i] = 0.1
-	}
 	before := p.guaranteedPaths()
-	p.aggregate(s)
-	after := p.guaranteedPaths()
-	if after >= before {
+	plan := lowConformancePlan(p, 5)
+	if len(plan) == 0 {
+		t.Fatal("no aggregates planned for an all-attack tree over |S|max")
+	}
+	p.apply(s, plan)
+	if after := p.guaranteedPaths(); after >= before {
 		t.Fatalf("aggregation did not reduce paths: %d -> %d", before, after)
 	}
-	// Aggregates must only contain populated ASes, each assigned once.
 	seen := map[int]bool{}
-	for _, path := range p.paths {
-		for _, as := range path.members {
+	for _, g := range plan {
+		point, err := pathid.Parse(strings.TrimPrefix(g.Key, "agg-A:"))
+		if err != nil {
+			t.Fatalf("aggregate key %q names no path: %v", g.Key, err)
+		}
+		for _, m := range g.Members {
+			as := int(m.AS) - 1
 			if seen[as] {
-				t.Fatalf("AS %d in two paths", as)
+				t.Fatalf("AS %d in two aggregates", as)
 			}
 			seen[as] = true
+			path := s.topo.ASes[as].Path
+			if !path.Postfix(point.Len()).Equal(point) {
+				t.Fatalf("member %v of aggregate %s does not pass %v", path, g.Key, point)
+			}
+			if p.pathOf[as] != p.aggs[g.Key] {
+				t.Fatalf("AS %d does not draw on its aggregate %s", as, g.Key)
+			}
 		}
 	}
 }
 
+// TestPlanSignatureStable: core's plan signature, on the simulator's
+// tree, is a pure function of the plan: one plan signs alike twice, a
+// different plan differently, and no plan as "".
 func TestPlanSignatureStable(t *testing.T) {
-	a := planSignature([][]int{{1, 2}, {5}})
-	b := planSignature([][]int{{1, 2}, {5}})
-	if a != b {
-		t.Fatal("identical plans hash differently")
+	s := tinySim(t, FLoc)
+	p := s.policy.(*flocPolicy)
+	a := core.PlanSignature(lowConformancePlan(p, 5))
+	if b := core.PlanSignature(lowConformancePlan(p, 5)); a != b {
+		t.Fatalf("identical plans sign differently:\n%s\n%s", a, b)
 	}
-	if planSignature([][]int{{1, 2, 5}}) == a {
+	if core.PlanSignature(lowConformancePlan(p, p.guaranteedPaths()-1)) == a {
 		t.Fatal("different plans collide")
 	}
-	if planSignature(nil) != "" {
+	if core.PlanSignature(nil) != "" {
 		t.Fatal("empty plan not empty")
-	}
-}
-
-func TestHelpers(t *testing.T) {
-	if minInt(2, 3) != 2 || maxInt(2, 3) != 3 {
-		t.Fatal("int helpers")
-	}
-	if minf(1, 2) != 1 || maxf(1, 2) != 2 {
-		t.Fatal("float32 helpers")
-	}
-	if maxFloat(1, 2) != 2 {
-		t.Fatal("float helpers")
-	}
-	if string(appendInt(nil, 0)) != "0" || string(appendInt(nil, 123)) != "123" {
-		t.Fatal("appendInt")
 	}
 }

@@ -14,7 +14,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"floc/internal/pathid"
@@ -136,27 +135,53 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap is a min-heap ordered by (time, sequence).
+// eventHeap is a min-heap ordered by (time, sequence). Sequence numbers
+// are unique, so the order is total and the heap pops events in exactly
+// one order.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at < h[j].at {
-		return true
-	}
-	if h[j].at < h[i].at {
-		return false
+func (h eventHeap) less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	*h = old[:n-1]
-	return ev
+
+// push adds an event: typed, so scheduling boxes nothing.
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+	*h = q
+}
+
+// pop removes the earliest event.
+func (h *eventHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], event{} // the cleared slot lets fn's closure go
+	q = q[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && q.less(r, m) {
+			m = r
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
 }
 
 // Network is the simulation engine. Create one with New, attach links and
@@ -193,7 +218,7 @@ func (n *Network) Schedule(at float64, fn func()) {
 		at = n.now
 	}
 	n.nextSeq++
-	heap.Push(&n.events, event{at: at, seq: n.nextSeq, fn: fn})
+	n.events.push(event{at: at, seq: n.nextSeq, fn: fn})
 }
 
 // ScheduleIn runs fn after delay seconds.
@@ -211,7 +236,7 @@ func (n *Network) Run(until float64) float64 {
 			n.now = until
 			break
 		}
-		heap.Pop(&n.events)
+		n.events.pop()
 		n.now = ev.at
 		ev.fn()
 	}

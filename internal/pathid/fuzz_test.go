@@ -55,7 +55,9 @@ func FuzzTreeOps(f *testing.F) {
 		tr := NewTree(0)
 		var paths []PathID
 		for i := 0; i+2 < len(raw) && len(paths) < 16; i += 3 {
-			p := New(ASN(raw[i])+1, ASN(raw[i+1])+1, ASN(raw[i+2])+1)
+			// One to three domains: shorter paths end at inner nodes of
+			// longer ones, as sources homed in interior ASes do.
+			p := New(ASN(raw[i])+1, ASN(raw[i+1])+1, ASN(raw[i+2])+1).Postfix(1 + int(raw[i])%3)
 			if _, err := tr.Insert(p); err != nil {
 				t.Fatal(err)
 			}
@@ -84,6 +86,9 @@ func FuzzTreeOps(f *testing.F) {
 			if tr.Leaf(p) == nil {
 				t.Fatalf("removing %v destroyed %v", victim, p)
 			}
+		}
+		if got := len(tr.Leaves()); got != tr.NumLeaves() {
+			t.Fatalf("after removing %v: %d reachable leaves, %d paths", victim, got, tr.NumLeaves())
 		}
 	})
 }

@@ -124,24 +124,23 @@ func (p PathID) SharedPostfix(q PathID) int {
 }
 
 // Node is one domain in a router's traffic tree. The root represents the
-// measuring router's own domain; leaves are origin domains of active paths.
-// Exported measurement fields are maintained by the FLoc core.
+// measuring router's own domain; a leaf is a node where an inserted path
+// ends — an origin domain. Sources may be homed in an interior AS, so a
+// leaf can have children. Exported measurement fields are maintained by
+// the FLoc core.
 type Node struct {
 	AS       ASN
 	Parent   *Node
 	Children map[ASN]*Node
 
-	// Conformance is the node's path-conformance measure E_Ri in [0, 1]
-	// (Eq. IV.6), meaningful on leaves; inner nodes hold derived values.
+	// Conformance is the path-conformance measure E_Ri in [0, 1] (Eq.
+	// IV.6) of the path ending here, meaningful on leaves.
 	Conformance float64
-	// Flows is the number of active flows whose paths traverse this node.
-	Flows int
-	// Attack marks the node as part of the attack tree T^A (leaf
-	// conformance below the threshold E_th).
+	// Attack marks the leaf as part of the attack tree T^A (conformance
+	// below the threshold E_th).
 	Attack bool
-	// AggregatedAt is non-nil when this leaf's path has been aggregated
-	// into the identifier rooted at that ancestor node.
-	AggregatedAt *Node
+
+	leaf bool // an inserted path ends here
 }
 
 // Depth returns the number of edges from the node to the root.
@@ -153,8 +152,8 @@ func (n *Node) Depth() int {
 	return d
 }
 
-// IsLeaf reports whether the node has no children.
-func (n *Node) IsLeaf() bool { return len(n.Children) == 0 }
+// IsLeaf reports whether an inserted path ends at the node.
+func (n *Node) IsLeaf() bool { return n.leaf }
 
 // Path returns the PathID from this node's subtree origin-side end...
 // Specifically, it reconstructs the identifier of the (possibly aggregated)
@@ -168,8 +167,8 @@ func (n *Node) Path() PathID {
 	return PathID(rev)
 }
 
-// Leaves returns all leaves of the subtree rooted at n, in deterministic
-// (AS-sorted) order.
+// Leaves returns all leaves of the subtree rooted at n, n itself included,
+// in deterministic (depth-first, AS-sorted) order.
 func (n *Node) Leaves() []*Node {
 	var out []*Node
 	n.walk(func(m *Node) {
@@ -194,21 +193,6 @@ func (n *Node) walk(visit func(*Node)) {
 	for _, as := range asns {
 		n.Children[as].walk(visit)
 	}
-}
-
-// MeanLeafConformance returns the average Conformance of the subtree's
-// leaves — the aggregation cost C^A(R_i) of paper Eq. (IV.7) — and the
-// number of leaves. It returns (0, 0) for a childless inner node.
-func (n *Node) MeanLeafConformance() (mean float64, leaves int) {
-	ls := n.Leaves()
-	if len(ls) == 0 {
-		return 0, 0
-	}
-	sum := 0.0
-	for _, l := range ls {
-		sum += l.Conformance
-	}
-	return sum / float64(len(ls)), len(ls)
 }
 
 // Tree is a router's traffic tree T_R0 over the path identifiers of its
@@ -250,6 +234,7 @@ func (t *Tree) Insert(p PathID) (*Node, error) {
 		}
 		cur = next
 	}
+	cur.leaf = true
 	t.leaves[p.Key()] = cur
 	return cur, nil
 }
@@ -257,39 +242,37 @@ func (t *Tree) Insert(p PathID) (*Node, error) {
 // Leaf returns the leaf node for a path identifier, or nil if absent.
 func (t *Tree) Leaf(p PathID) *Node { return t.leaves[p.Key()] }
 
-// Leaves returns all leaves in deterministic order. A childless root is
-// not a leaf: an empty tree has no paths.
-func (t *Tree) Leaves() []*Node {
-	if t.root.IsLeaf() {
-		return nil
-	}
-	return t.root.Leaves()
-}
+// Leaves returns all leaves in deterministic order.
+func (t *Tree) Leaves() []*Node { return t.root.Leaves() }
 
 // NumLeaves returns the number of distinct inserted paths.
 func (t *Tree) NumLeaves() int { return len(t.leaves) }
 
-// InnerNodes returns all non-root, non-leaf nodes in deterministic order —
-// the aggregation candidate set C of Algorithm 1.
+// InnerNodes returns, in deterministic order, every non-root node with a
+// leaf strictly below it — the aggregation candidate set C of Algorithm 1.
+// A leaf with children is an inner node too.
 func (t *Tree) InnerNodes() []*Node {
 	var out []*Node
 	t.root.walk(func(m *Node) {
-		if m != t.root && !m.IsLeaf() {
+		// Remove prunes childless non-leaves, so a child means a leaf below.
+		if m != t.root && len(m.Children) > 0 {
 			out = append(out, m)
 		}
 	})
 	return out
 }
 
-// Remove deletes a path's leaf and prunes now-empty ancestors.
+// Remove deletes a path's leaf and prunes the nodes it leaves with neither
+// a path of their own nor children.
 func (t *Tree) Remove(p PathID) {
 	leaf, ok := t.leaves[p.Key()]
 	if !ok {
 		return
 	}
 	delete(t.leaves, p.Key())
+	leaf.leaf = false
 	cur := leaf
-	for cur != nil && cur != t.root && cur.IsLeaf() {
+	for cur != nil && cur != t.root && !cur.leaf && len(cur.Children) == 0 {
 		parent := cur.Parent
 		if parent != nil {
 			delete(parent.Children, cur.AS)

@@ -193,21 +193,35 @@ func TestInnerNodes(t *testing.T) {
 	}
 }
 
-func TestMeanLeafConformance(t *testing.T) {
+// TestTreeNestedOrigins: a path may end at an AS other paths traverse
+// (sources homed in an interior AS). It stays a leaf below its inner
+// node, and removing the longer path neither hides nor detaches it.
+func TestTreeNestedOrigins(t *testing.T) {
 	tr := NewTree(0)
-	l1, _ := tr.Insert(New(4, 2, 1))
-	l2, _ := tr.Insert(New(5, 2, 1))
-	l1.Conformance = 0.2
-	l2.Conformance = 0.8
-	as2 := tr.Root().Children[1].Children[2]
-	mean, n := as2.MeanLeafConformance()
-	if n != 2 || mean != 0.5 {
-		t.Fatalf("MeanLeafConformance = (%v, %d)", mean, n)
+	inner, _ := tr.Insert(New(1, 2))
+	tr.Insert(New(3, 1, 2))
+	if got := len(tr.Leaves()); got != 2 {
+		t.Fatalf("Leaves() = %d paths, want 2", got)
 	}
-	// A leaf's own mean is its conformance.
-	mean, n = l1.MeanLeafConformance()
-	if n != 1 || mean != 0.2 {
-		t.Fatalf("leaf MeanLeafConformance = (%v, %d)", mean, n)
+	if !inner.IsLeaf() {
+		t.Fatal("path [1 2] with a child is not a leaf")
+	}
+	if nodes := tr.InnerNodes(); len(nodes) != 2 || nodes[0].AS != 2 || nodes[1] != inner {
+		t.Fatalf("InnerNodes() = %v, want AS 2 and the path node [1 2]", nodes)
+	}
+	if got := len(inner.Leaves()); got != 2 {
+		t.Fatalf("[1 2].Leaves() = %d, want itself and [3 1 2]", got)
+	}
+	tr.Remove(New(3, 1, 2))
+	if got, n := len(tr.Leaves()), tr.NumLeaves(); got != 1 || n != 1 {
+		t.Fatalf("after removing [3 1 2]: Leaves() = %d, NumLeaves() = %d, want 1 and 1", got, n)
+	}
+	if len(tr.InnerNodes()) != 1 {
+		t.Fatalf("InnerNodes() = %v, want AS 2 only", tr.InnerNodes())
+	}
+	again, _ := tr.Insert(New(1, 2))
+	if again != inner || tr.Root().Children[2].Children[1] != inner {
+		t.Fatal("re-inserting [1 2] returned a node detached from the tree")
 	}
 }
 
@@ -258,9 +272,7 @@ func TestLeafPathReconstructionProperty(t *testing.T) {
 			inserted[p.Key()] = true
 		}
 		// Reconstruction must recover every inserted path exactly, and the
-		// number of leaves equals the number of distinct paths, except
-		// that a path that is a strict postfix of another stops being a
-		// leaf; our generator uses fixed length 3, so that cannot happen.
+		// number of leaves equals the number of distinct paths.
 		if tr.NumLeaves() != len(inserted) {
 			return false
 		}

@@ -20,8 +20,9 @@
 #                the loopback socket cycle of internal/udpbatch
 #   bench-smoke  the repo benchmark still builds against this tree and runs:
 #                (cd benchmark && go vet ./...), then
-#                bash benchmark/run.sh -quick -trace 0 on replay_mix and
-#                udp_clean must exit 0 with "correct":true for both. The
+#                bash benchmark/run.sh -quick -trace 0 on all four
+#                workloads (replay_mix, udp_clean, udp_flood, udp_limited)
+#                must exit 0 with "correct":true for each. The
 #                benchmark module compiles against internal signatures and
 #                parses flocd's output, and the PR driver runs it after
 #                the fact — a change that breaks it must fail here first.
@@ -154,10 +155,11 @@ begin bench-smoke
 bench_cache="${GOCACHE:-$PWD/.bench_build/gocache}"
 echo ">> (cd benchmark && go vet ./...)" >&2
 (cd benchmark && GOCACHE="$bench_cache" go vet ./...)
-echo ">> bash benchmark/run.sh -quick -trace 0 -workload replay_mix -workload udp_clean" >&2
-smoke_out=$(bash benchmark/run.sh -quick -trace 0 -workload replay_mix -workload udp_clean)
+smoke_workloads="-workload replay_mix -workload udp_clean -workload udp_flood -workload udp_limited"
+echo ">> bash benchmark/run.sh -quick -trace 0 $smoke_workloads" >&2
+smoke_out=$(bash benchmark/run.sh -quick -trace 0 $smoke_workloads)
 printf '%s\n' "$smoke_out" | grep '^{' >&2
-if [ "$(printf '%s\n' "$smoke_out" | grep -c '^{"correct":true')" -ne 2 ]; then
+if [ "$(printf '%s\n' "$smoke_out" | grep -c '^{"correct":true')" -ne 4 ]; then
     echo "bench-smoke: a workload did not report \"correct\":true" >&2
     exit 1
 fi
