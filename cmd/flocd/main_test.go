@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -1021,6 +1022,73 @@ func TestBurstFlushedBeforeBarriers(t *testing.T) {
 			t.Fatalf("egress saw %d of %d packets after the shutdown Advance", got, packets)
 		}
 	})
+}
+
+// handleSink records the path handle of every packet the engine emits.
+type handleSink struct {
+	mu      sync.Mutex
+	handles []uint32
+}
+
+func (s *handleSink) Emit(pkt *netsim.Packet, _ float64) {
+	s.mu.Lock()
+	s.handles = append(s.handles, pkt.PathHandle)
+	s.mu.Unlock()
+}
+
+// TestIngestPastInternerBound: once the producer's interner is full, a
+// path it will not remember is admitted without a handle, resolved by key
+// in the router, instead of being interned with its shard router — a
+// shard barrier — on every one of its packets. Its packet must leave
+// ingest, and reach egress, with PathHandle 0, and a limit installed on
+// the path must still hold its packets.
+func TestIngestPastInternerBound(t *testing.T) {
+	rc := core.DefaultConfig(8e12, 512)
+	rc.Seed = 7
+	sink := &handleSink{}
+	e, err := dataplane.New(dataplane.Config{Router: rc, Shards: 2, BlockOnFull: true, Egress: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	p := newProducer(e)
+	h := wire.Header{Version: wire.Version1, Kind: netsim.KindUDP, Src: 1, Dst: 9, Length: 1000, PathLen: 3}
+	h.Path[2] = 1
+	for i := 0; ; i++ {
+		h.Path[0], h.Path[1] = pathid.ASN(i>>8), pathid.ASN(i&0xff)
+		before := p.in.Len()
+		if p.in.ResolveFull(&h); p.in.Len() == before {
+			break // the first path the full interner did not remember
+		}
+	}
+	h.Path[0], h.Path[1] = 999_999, 42
+	p.ingest(&h, 1, 1e-3)
+	if p.pkt.PathHandle != 0 {
+		t.Fatalf("a path past the interner bound was stamped with handle %#x: ingest interned it with the router", p.pkt.PathHandle)
+	}
+	p.burst.Quiesce()
+	e.Advance(1)
+	if s := e.Stats(); s.Processed != 1 {
+		t.Fatalf("engine processed %d packets, want the 1 ingested", s.Processed)
+	}
+	sink.mu.Lock()
+	if len(sink.handles) != 1 || sink.handles[0] != 0 {
+		t.Fatalf("egress saw handles %v, want one packet with handle 0", sink.handles)
+	}
+	sink.mu.Unlock()
+
+	// 1 Mb/s against 8 Mb/s offered: the bank must drop most of them.
+	if !e.InstallLimit(h.PathID(), 1_000_000, 0, 42, 1) {
+		t.Fatal("InstallLimit failed")
+	}
+	for i := 0; i < 200; i++ {
+		p.ingest(&h, uint64(2+i), 1+1e-3*float64(i))
+	}
+	p.burst.Quiesce()
+	e.Advance(2)
+	if s := e.Stats(); s.LimitDrops == 0 {
+		t.Fatalf("none of 200 handle-less packets at 8x the installed limit was dropped by it (processed %d)", s.Processed)
+	}
 }
 
 // TestReplayIsDeterministic: the transmitter is served to each packet's

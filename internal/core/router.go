@@ -327,6 +327,20 @@ func (r *Router) InternPath(path pathid.PathID) uint32 {
 	return r.origins.intern(path.Key())
 }
 
+// HandleOf returns the handle this router bound pkt's path to: the
+// packet's own when it carries one, else a probe by key, 0 when the path
+// was never interned. It binds and creates nothing.
+func (r *Router) HandleOf(pkt *netsim.Packet) uint32 {
+	if pkt.PathHandle != 0 {
+		return pkt.PathHandle
+	}
+	key := pkt.PathKey
+	if key == "" {
+		key = pkt.Path.Key()
+	}
+	return r.origins.byKey[key]
+}
+
 // origin returns (creating if necessary) the origin path state for pkt.
 // Resolution order: dense handle (no hashing), then the cold miss path
 // (packets that carry no handle: simulator sources and tests).

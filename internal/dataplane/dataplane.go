@@ -770,9 +770,12 @@ func (sh *shard) process(items []core.BatchItem) {
 		sh.serve(it.At)
 		// Cluster-installed limits gate admission: a path over its
 		// propagated budget is dropped here, before it spends any router
-		// buffer — the upstream half of the pushback contract. A packet
-		// the router does not queue, for whichever reason, frees its slot.
-		if (sh.bank == nil || sh.bank.Admit(it.Pkt.PathHandle, it.Pkt, it.At)) && sh.router.Enqueue(it.Pkt, it.At) {
+		// buffer — the upstream half of the pushback contract. The bank
+		// is keyed by this router's handle, which installLimit bound, so a
+		// packet that carries none is held to its path's limit by key. A
+		// packet the router does not queue, for whichever reason, frees
+		// its slot.
+		if (sh.bank == nil || sh.bank.Admit(sh.router.HandleOf(it.Pkt), it.Pkt, it.At)) && sh.router.Enqueue(it.Pkt, it.At) {
 			continue
 		}
 		sh.slots.release(it.Pkt)

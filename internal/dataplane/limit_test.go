@@ -86,6 +86,30 @@ func TestInstallLimitDropsExcess(t *testing.T) {
 	}
 }
 
+// TestInstallLimitHoldsHandlelessPackets: a packet that carries no handle
+// (its producer's interner was full, or a simulator source sent it) is
+// held to its path's installed limit all the same. The bank is keyed by
+// handle, so the worker resolves the packet's by key.
+func TestInstallLimitHoldsHandlelessPackets(t *testing.T) {
+	e, err := New(limitTestConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+
+	victim := pathid.New(100, 10, 1)
+	if !e.InstallLimit(victim, 1_000_000, 0, 42, 0) {
+		t.Fatal("InstallLimit failed")
+	}
+	for i := 0; i < 200; i++ {
+		e.Enqueue(limitPkt(victim, 0, 1500), 0.001*float64(i))
+	}
+	e.Drain()
+	if st := e.Stats(); st.LimitDrops == 0 {
+		t.Fatal("no limit drops: handle-less packets 12x over the installed limit bypassed the bank")
+	}
+}
+
 func TestInstallLimitReleaseAndExpiry(t *testing.T) {
 	e, err := New(limitTestConfig(1))
 	if err != nil {

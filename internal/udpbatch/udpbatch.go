@@ -7,6 +7,18 @@
 // daemon's socket loops pay one kernel crossing per burst instead of one
 // per packet.
 //
+// Both calls are raw (syscall.RawSyscall6), and both pass MSG_DONTWAIT,
+// so neither can block: a read cycle — netpoller wake, recvmmsg, the
+// caller's work, sendmmsg, recvmmsg finding the socket empty, park —
+// never enters the runtime's entersyscall/exitsyscall, which woke a
+// sleeping sysmon and handed the P around on every cycle. The rule is
+// all or nothing: a cycle with one wrapped call left paid as much as
+// one with two. MSG_DONTWAIT is the contract that makes it safe: a raw
+// call that blocked would hold its P, and with GOMAXPROCS=1 the whole
+// program (TestReadParksWithOneP). A raw call holds its P for at most
+// one vector's kernel work — 64 datagrams copied — which bounds how long
+// a GC stop-the-world waits on it.
+//
 // The vectored implementation is Linux on amd64 and arm64. Everywhere else
 // the same two types move one datagram per call through the net package,
 // so callers build and behave identically, just without the batching.

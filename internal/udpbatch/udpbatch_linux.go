@@ -76,10 +76,13 @@ func (r *Reader) Read() (int, error) {
 }
 
 // recv is Read's body under the netpoller: false means "nothing queued,
-// wait for readability".
+// wait for readability". The call is raw, like sendmmsg in Writer.send:
+// MSG_DONTWAIT means it never blocks, so it skips the runtime's
+// entersyscall/exitsyscall, and the netpoller stays the read cycle's
+// only wait (see the package comment).
 func (r *Reader) recv(fd uintptr) bool {
 	for {
-		n, _, errno := syscall.Syscall6(sysRecvmmsg, fd,
+		n, _, errno := syscall.RawSyscall6(sysRecvmmsg, fd,
 			uintptr(unsafe.Pointer(&r.msgs[0])), MaxBatch, syscall.MSG_DONTWAIT, 0, 0)
 		switch errno {
 		case 0:
@@ -169,12 +172,14 @@ func (w *Writer) Flush() (lost int) {
 // once and delivers as one datagram per frame; a run of one is a plain
 // message. sendmmsg stops at the first message that fails: send counts
 // that message's frames lost and resumes after it, so a dead peer costs
-// syscalls but never stalls the caller.
+// syscalls but never stalls the caller. The call is raw, like recvmmsg
+// in Reader.recv, and for the same reason: MSG_DONTWAIT, so it cannot
+// block while it holds its P (see the package comment).
 func (w *Writer) send(fd uintptr) bool {
 	m := w.layOut(0)
 	for j := 0; j < m; {
 		run := w.segments(j) > 1
-		sent, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+		sent, _, errno := syscall.RawSyscall6(sysSendmmsg, fd,
 			uintptr(unsafe.Pointer(&w.msgs[j])), uintptr(m-j), syscall.MSG_DONTWAIT, 0, 0)
 		switch {
 		case errno == syscall.EINTR:

@@ -320,7 +320,8 @@ func (h *Header) ToPacket(pkt *netsim.Packet, id uint64, path pathid.PathID, key
 
 // internerMax bounds the interner's table so adversarial path churn
 // cannot grow it without limit; past the bound, ResolveFull falls back to
-// per-call allocation (correct, just slower).
+// per-call allocation (correct, just slower) and reports the path Bound
+// with no handle.
 const internerMax = 1 << 16
 
 // Interner canonicalizes decoded path identifiers: one PathID and one
@@ -357,7 +358,10 @@ type internEntry struct {
 }
 
 // Resolved is ResolveFull's result: the canonical path identity plus the
-// router handle binding, if BindHandle has recorded one.
+// router handle binding. Bound means the binding is settled: BindHandle
+// recorded Handle, or the interner is full and will never remember the
+// path, whose Handle stays 0 so the router resolves it by key — interning
+// such a path with the router would cost a barrier on every packet.
 type Resolved struct {
 	ID     pathid.PathID
 	Key    string
@@ -451,6 +455,7 @@ func (in *Interner) intern(hash uint32, h *Header) Resolved {
 	id := h.PathID()
 	res := Resolved{ID: id, Key: id.Key()}
 	if len(in.entries) >= internerMax {
+		res.Bound = true
 		return res
 	}
 	e := internEntry{id: res.ID, key: res.Key, n: h.PathLen}

@@ -354,8 +354,8 @@ func TestInternerAtBound(t *testing.T) {
 		t.Fatal("overflow path was interned despite a full table")
 	}
 	in.BindHandle(&h, 78) // a no-op past the bound
-	if r := in.ResolveFull(&h); r.Bound || r.Handle != 0 {
-		t.Fatalf("overflow path took a binding: bound=%v handle=%d", r.Bound, r.Handle)
+	if r := in.ResolveFull(&h); !r.Bound || r.Handle != 0 {
+		t.Fatalf("overflow path: bound=%v handle=%d, want settled to no handle", r.Bound, r.Handle)
 	}
 
 	// Paths interned before the bound are unaffected by the churn.

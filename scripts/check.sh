@@ -47,6 +47,9 @@
 #                buffer of 8 behind rings of 16, nearly every packet
 #                dropped and its slot reused) each run ten more times
 #                under -race with a 120 s timeout as the hang watchdog;
+#                TestReadParksWithOneP (a Read under GOMAXPROCS=1 must park
+#                and wake: the raw socket calls never block) five times
+#                with a 60 s timeout;
 #                plus the BenchmarkDataplaneEnqueueSharded throughput curve
 #                (1/2/4/8 shards); on a 4+ core runner the 4-shard
 #                aggregate throughput must be >= DATAPLANE_SPEEDUP x the
@@ -192,6 +195,7 @@ end
 begin dataplane
 run go test -race -count=1 ./internal/wire ./internal/dataplane ./internal/udpbatch ./cmd/flocd
 run go test -race -count=10 -timeout 120s -run '^TestRoleUnderFire$' ./internal/dataplane
+run go test -count=5 -timeout 60s -run '^TestReadParksWithOneP$' ./internal/udpbatch
 run go test -race -count=10 -timeout 120s -run '^TestRecycleUnderFire$' ./internal/dataplane
 bench_out=$(go test -run='^$' -bench='^BenchmarkDataplaneEnqueueSharded$' \
     -benchtime=200000x ./internal/dataplane)
