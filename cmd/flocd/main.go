@@ -28,7 +28,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -38,10 +37,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"net/netip"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -285,7 +282,7 @@ func run(o options) error {
 	}
 	defer conn.Close()
 	fmt.Fprintf(os.Stderr, "flocd: listening on %s, %d shards\n", conn.LocalAddr(), engine.Shards())
-	drops := watchKernelDrops(conn.LocalAddr(), reg)
+	drops := watchKernelDrops(conn, reg)
 
 	// SIGTERM is what kill, systemd and container runtimes send: it stops
 	// the daemon as SIGINT does, with the ledger sealed.
@@ -293,7 +290,7 @@ func run(o options) error {
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-stop
-		drops.refresh() // the socket's /proc row goes with the socket
+		drops.refresh() // the socket's count goes with the socket
 		conn.Close()    // unblocks the read loop
 	}()
 	var stopLoop chan struct{}
@@ -478,11 +475,11 @@ func replayCapture(ctx context.Context, r io.Reader, e *dataplane.Engine, reg *t
 	return n, cr.Malformed(), end, nil
 }
 
-// producer is the ingest state one packet source owns: the interner that
-// maps wire paths to router handles, the burst that batches the handoff
-// to the shard rings, and the one packet every header is decoded into —
-// the burst copies it, so it is free again as soon as Enqueue returns
-// (DESIGN.md "Packet ownership").
+// producer is the ingest state of the engine's one packet source: the
+// interner that maps wire paths to router handles, the engine's burst,
+// which stages packets in the shard rings, and the one packet every
+// header is decoded into — the burst copies it, so it is free again as
+// soon as Enqueue returns (DESIGN.md "Packet ownership").
 type producer struct {
 	e     *dataplane.Engine
 	in    *wire.Interner
@@ -496,7 +493,7 @@ func newProducer(e *dataplane.Engine) *producer {
 
 // ingest hands one decoded header to the engine as packet id arriving at
 // t — the one body both packet sources, socket and capture, share. The
-// packet is buffered in the producer's burst; the source flushes it.
+// packet is staged by the producer's burst; the source flushes it.
 func (p *producer) ingest(h *wire.Header, id uint64, t float64) {
 	res := p.in.ResolveFull(h)
 	if !res.Bound {
@@ -549,7 +546,7 @@ var batchBounds = []float64{1, 2, 4, 8, 16, 32, 64}
 // parked (dataplane.Burst.Quiesce). A full vector means more input is
 // queued: it hands the batch to the rings and keeps reading, and the
 // worker pipeline re-forms by itself under overload. Either way nothing
-// stays buffered across a read. A datagram Decode rejects, or
+// stays staged across a read. A datagram Decode rejects, or
 // one that holds more than its one header, is discarded and counted by
 // error kind. Arrival times are wall-clock seconds since start, taken per
 // datagram as it is ingested — the instant the router sees it — not per
@@ -604,49 +601,41 @@ func serveUDP(conn net.PacketConn, e *dataplane.Engine, reg *telemetry.Registry,
 
 // kernelDrops exports the one loss no code path of the daemon sees:
 // datagrams the kernel discarded because the -listen socket's receive
-// buffer was full. The count is the drops column of the socket's row in
-// /proc/net/udp (udp6 for a v6 socket), read when someone looks — at
-// scrape, at -print-metrics, at shutdown — and never per packet. A nil
-// *kernelDrops (no readable table: not Linux) exports nothing.
+// buffer was full. The count is the socket's own
+// (udpbatch.ReceiveDrops), read when someone looks — at scrape, at
+// -print-metrics, at shutdown — and never per packet. A nil *kernelDrops
+// (a platform where the count cannot be read) exports nothing.
 type kernelDrops struct {
-	table, local string // /proc file and the socket's local_address column
-	ctr          *telemetry.Counter
+	conn *net.UDPConn
+	ctr  *telemetry.Counter
 
 	mu   sync.Mutex
 	seen int64 // drops already added to ctr
 }
 
-// watchKernelDrops registers floc_ingest_kernel_drops_total for the socket
-// bound to local and refreshes it before every exposition.
-func watchKernelDrops(local net.Addr, reg *telemetry.Registry) *kernelDrops {
-	ap, err := netip.ParseAddrPort(local.String())
-	if err != nil {
+// watchKernelDrops registers floc_ingest_kernel_drops_total for conn and
+// refreshes it before every exposition.
+func watchKernelDrops(conn net.PacketConn, reg *telemetry.Registry) *kernelDrops {
+	uc, ok := conn.(*net.UDPConn)
+	if !ok {
 		return nil
 	}
-	k := &kernelDrops{table: "/proc/net/udp", local: procNetAddr(ap)}
-	if !ap.Addr().Is4() {
-		k.table = "/proc/net/udp6"
-	}
-	if _, err := os.Stat(k.table); err != nil {
+	if _, ok := udpbatch.ReceiveDrops(uc); !ok {
 		return nil
 	}
-	k.ctr = reg.Counter("floc_ingest_kernel_drops_total",
-		"datagrams the kernel dropped at the -listen socket's full receive buffer", "datagrams")
+	k := &kernelDrops{conn: uc, ctr: reg.Counter("floc_ingest_kernel_drops_total",
+		"datagrams the kernel dropped at the -listen socket's full receive buffer", "datagrams")}
 	reg.OnCollect(k.refresh)
 	return k
 }
 
 // refresh brings the counter up to the kernel's figure. Once the socket
-// is closed its row is gone and the last figure read stands.
+// is closed the figure cannot be read and the last one read stands.
 func (k *kernelDrops) refresh() {
 	if k == nil {
 		return
 	}
-	table, err := os.ReadFile(k.table)
-	if err != nil {
-		return
-	}
-	if drops, ok := parseUDPDrops(table, k.local); ok {
+	if drops, ok := udpbatch.ReceiveDrops(k.conn); ok {
 		k.mu.Lock()
 		if drops > k.seen {
 			k.ctr.Add(drops - k.seen)
@@ -654,35 +643,6 @@ func (k *kernelDrops) refresh() {
 		}
 		k.mu.Unlock()
 	}
-}
-
-// procNetAddr renders a socket address the way /proc/net/udp{,6} prints
-// local_address: each 32-bit word of the IP as host-order hex, then the
-// port. Linux runs this daemon on little-endian machines only.
-func procNetAddr(ap netip.AddrPort) string {
-	ip := ap.Addr().AsSlice()
-	var b strings.Builder
-	for w := 0; w < len(ip); w += 4 {
-		fmt.Fprintf(&b, "%02X%02X%02X%02X", ip[w+3], ip[w+2], ip[w+1], ip[w])
-	}
-	fmt.Fprintf(&b, ":%04X", ap.Port())
-	return b.String()
-}
-
-// parseUDPDrops finds the row of /proc/net/udp{,6} whose local_address is
-// local and returns its last column, drops.
-//
-//	sl local_address rem_address st tx_queue:rx_queue tr:tm->when retrnsmt uid timeout inode ref pointer drops
-func parseUDPDrops(table []byte, local string) (int64, bool) {
-	for _, line := range bytes.Split(table, []byte{'\n'}) {
-		f := bytes.Fields(line)
-		if len(f) < 13 || string(f[1]) != local {
-			continue
-		}
-		drops, err := strconv.ParseInt(string(f[12]), 10, 64)
-		return drops, err == nil
-	}
-	return 0, false
 }
 
 // udpTransport carries cluster control frames: it dials each peer once,
@@ -726,10 +686,10 @@ func (t *udpTransport) Close() {
 // every packet the router transmits is re-encoded as a wire header and
 // forwarded to the next hop's data port, so one daemon's egress becomes
 // another's ingress (the multi-router tree of the cluster harness). Emit
-// only queues the frame; frames leave together, one sendmmsg for up to
+// encodes the packet into a queued frame and keeps nothing of it, as a
+// dataplane.Flusher must; frames leave together, one sendmmsg for up to
 // udpbatch.MaxBatch of them, when the vector fills or a shard's role
-// holder flushes (dataplane.Flusher), after which the shard reuses the
-// packets it emitted.
+// holder flushes.
 type udpForwarder struct {
 	conn *net.UDPConn
 	mu   sync.Mutex // the shards' role holders share the one vector
@@ -767,10 +727,10 @@ func newUDPForwarder(addr string, reg *telemetry.Registry) (*udpForwarder, error
 }
 
 // Emit implements dataplane.PacketSink. It encodes the packet into the
-// vector before it returns and keeps nothing of it, so it is done with
-// the packet long before the Flush that gives it back. The shards' role
-// holders call it concurrently; the mutex covers only the append to the
-// shared vector. A packet that does not encode is counted and dropped.
+// vector before it returns and keeps nothing of it, so the shard reuses
+// the packet as soon as Emit returns. The shards' role holders call it
+// concurrently; the mutex covers only the append to the shared vector. A
+// packet that does not encode is counted and dropped.
 func (f *udpForwarder) Emit(pkt *netsim.Packet, now float64) {
 	var h wire.Header
 	var buf [wire.MaxEncodedLen]byte

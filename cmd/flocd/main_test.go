@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/netip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -28,6 +27,7 @@ import (
 	"floc/internal/pathid"
 	"floc/internal/rng"
 	"floc/internal/telemetry"
+	"floc/internal/udpbatch"
 	"floc/internal/wire"
 )
 
@@ -756,72 +756,95 @@ func TestLiveBatchMetricsExported(t *testing.T) {
 	}
 }
 
-// TestParseUDPDrops reads the drops column of the row whose local address
-// matches, in both tables' address widths, and reports a missing row.
-func TestParseUDPDrops(t *testing.T) {
-	const udp4 = `   sl  local_address rem_address   st tx_queue rx_queue tr tm->when retrnsmt   uid  timeout inode ref pointer drops
- 1411: 00000000:14E9 00000000:0000 07 00000000:00000000 00:00000000 00000000   102        0 20961 2 0000000000000000 0
- 2965: 0100007F:A2C4 00000000:0000 07 00000000:00021C00 00:00000000 00000000     0        0 99201 2 0000000000000000 4711
- 2966: 0100007F:A2C5 0100007F:A2C4 01 00000000:00000000 00:00000000 00000000     0        0 99202 2 0000000000000000 3
-`
-	const udp6 = `  sl  local_address                         remote_address                        st tx_queue rx_queue tr tm->when retrnsmt   uid  timeout inode ref pointer drops
- 1411: 00000000000000000000000000000000:2328 00000000000000000000000000000000:0000 07 00000000:00000000 00:00000000 00000000     0        0 31337 2 0000000000000000 12
-`
-	addr := func(s string) string { return procNetAddr(netip.MustParseAddrPort(s)) }
-	for _, tc := range []struct {
-		table, local string
-		drops        int64
-		ok           bool
-	}{
-		{udp4, addr("127.0.0.1:41668"), 4711, true},
-		{udp4, addr("127.0.0.1:41669"), 3, true},
-		{udp4, addr("0.0.0.0:5353"), 0, true},
-		{udp4, addr("127.0.0.1:9"), 0, false},
-		{udp6, addr("[::]:9000"), 12, true},
-		{udp6, addr("[::1]:9000"), 0, false},
-		{"", addr("127.0.0.1:41668"), 0, false},
-	} {
-		drops, ok := parseUDPDrops([]byte(tc.table), tc.local)
-		if drops != tc.drops || ok != tc.ok {
-			t.Errorf("parseUDPDrops(…, %q) = %d, %v; want %d, %v", tc.local, drops, ok, tc.drops, tc.ok)
+// floodedSocket returns a loopback UDP socket with a 4 KiB receive
+// buffer and a function that sends it n datagrams, which it does not
+// read: most of them overflow the buffer.
+func floodedSocket(t *testing.T) (*net.UDPConn, func(n int)) {
+	t.Helper()
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	if err := conn.SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	out, err := net.DialUDP("udp", nil, conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { out.Close() })
+	frame := testFrame(t, 1)
+	return conn, func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := out.Write(frame); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if got := addr("[2001:db8::1]:9000"); got != "B80D0120000000000000000001000000:2328" {
-		t.Errorf("v6 local_address rendered as %q", got)
+}
+
+// queued reads every datagram waiting on conn and returns how many.
+func queued(t *testing.T, conn *net.UDPConn) int {
+	t.Helper()
+	buf := make([]byte, 2048)
+	for n := 0; ; n++ {
+		if err := conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Read(buf); err != nil {
+			return n
+		}
+	}
+}
+
+// TestParseUDPDrops: the kernel's drop count of a real socket is read off
+// the socket itself. 2 000 datagrams into a 4 KiB receive buffer nobody
+// reads: every one is either still queued or one the kernel dropped.
+func TestParseUDPDrops(t *testing.T) {
+	conn, flood := floodedSocket(t)
+	if drops, ok := udpbatch.ReceiveDrops(conn); !ok || drops != 0 {
+		t.Skipf("drops of a fresh socket read %d, %v: this platform cannot read them", drops, ok)
+	}
+	const sent = 2000
+	flood(sent)
+	drops, ok := udpbatch.ReceiveDrops(conn)
+	got := queued(t, conn)
+	if !ok || drops == 0 || got == 0 || int64(got)+drops != sent {
+		t.Fatalf("%d datagrams sent, %d queued, %d dropped (read %v)", sent, got, drops, ok)
+	}
+	conn.Close()
+	if _, ok := udpbatch.ReceiveDrops(conn); ok {
+		t.Fatal("drops read from a closed socket")
 	}
 }
 
 // TestKernelDropsFollowTheTable: the counter rises to the kernel's figure
-// at each refresh and keeps its last value once the socket's row is gone.
+// at each refresh and keeps its last value once the socket is closed.
 func TestKernelDropsFollowTheTable(t *testing.T) {
-	table := filepath.Join(t.TempDir(), "udp")
-	row := func(drops string) {
-		t.Helper()
-		line := " 7: 0100007F:2328 00000000:0000 07 00000000:00000000 00:00000000 00000000 0 0 1 2 0000000000000000 " + drops + "\n"
-		if err := os.WriteFile(table, []byte("header\n"+line), 0o600); err != nil {
-			t.Fatal(err)
-		}
-	}
+	conn, flood := floodedSocket(t)
 	reg := telemetry.NewRegistry()
-	k := &kernelDrops{table: table, local: "0100007F:2328",
-		ctr: reg.Counter("floc_ingest_kernel_drops_total", "", "")}
-	for _, step := range []struct {
-		drops string
-		want  int64
-	}{{"0", 0}, {"5", 5}, {"5", 5}, {"9", 9}} {
-		row(step.drops)
+	k := watchKernelDrops(conn, reg)
+	if k == nil {
+		t.Skip("this platform cannot read a socket's drops")
+	}
+	last := int64(0)
+	for round := 0; round < 3; round++ {
+		flood(1000)
 		k.refresh()
-		if got := k.ctr.Value(); got != step.want {
-			t.Fatalf("after the table said %s: counter = %d, want %d", step.drops, got, step.want)
+		drops, _ := udpbatch.ReceiveDrops(conn)
+		if got := reg.CounterValue("floc_ingest_kernel_drops_total"); got != drops || got <= last {
+			t.Fatalf("round %d: counter = %d, the socket says %d dropped, %d before", round, got, drops, last)
 		}
+		last = drops
+		queued(t, conn)
 	}
-	if err := os.Remove(table); err != nil {
-		t.Fatal(err)
-	}
+	conn.Close()
 	k.refresh()
-	(*kernelDrops)(nil).refresh() // no table on this platform: nothing to do
-	if got := k.ctr.Value(); got != 9 {
-		t.Fatalf("counter = %d after the row vanished, want the last figure 9", got)
+	(*kernelDrops)(nil).refresh() // nothing to read on this platform: nothing to do
+	if got := reg.CounterValue("floc_ingest_kernel_drops_total"); got != last {
+		t.Fatalf("counter = %d after the socket closed, want the last figure %d", got, last)
 	}
 }
 

@@ -10,16 +10,15 @@ import (
 	"floc/internal/telemetry"
 )
 
-// The ring is crossed once per packet in each direction; its push and
-// batched pop must not allocate, and neither may the way around it: a
-// producer's inline run under the consumer role.
+// The ring is crossed once per packet in each direction; its staging,
+// publish and batched pop must not allocate, and neither may the way
+// around a worker: a producer's inline drain under the consumer role.
 
 func TestZeroAllocRingOps(t *testing.T) {
 	r := newRing(64)
 	var pkt netsim.Packet
 	var slots packetSlots
 	dst := make([]core.BatchItem, 16)
-	run := make([]ringItem, 16)
 	drain := func() {
 		if n := r.dequeueBatch(dst, &slots); n != 16 {
 			t.Fatalf("dequeued %d of 16", n)
@@ -30,14 +29,18 @@ func TestZeroAllocRingOps(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, func() {
 		for i := 0; i < 16; i++ {
-			if !r.tryEnqueue(&pkt, 1.0) {
+			if !push(r, &pkt, 1.0) {
 				t.Fatal("ring unexpectedly full")
 			}
 		}
 		drain()
-		// 16 more handed over as one burst.
-		if n := r.tryEnqueueBurst(run); n != 16 {
-			t.Fatalf("burst claimed %d of 16", n)
+		// 16 more published as one run.
+		for i := 0; i < 16; i++ {
+			it := r.stage()
+			it.pkt, it.at = pkt, 1.0
+		}
+		if n, ok := r.publish(); n != 16 || !ok {
+			t.Fatalf("published %d of 16", n)
 		}
 		drain()
 	}); avg != 0 {
@@ -45,7 +48,7 @@ func TestZeroAllocRingOps(t *testing.T) {
 	}
 }
 
-// TestZeroAllocBurstIngest: replay's steady state — one producer's Burst
+// TestZeroAllocBurstIngest: replay's steady state — the producer's Burst
 // handing one reused packet after another to the rings of two workers,
 // which copy each into a packet slot of their own, admit it against a
 // congested link and, there being no egress sink, take the slot back —
@@ -89,13 +92,12 @@ func TestZeroAllocBurstIngest(t *testing.T) {
 	}
 }
 
-// TestZeroAllocLiveForward: flocd's live steady state — one producer's
+// TestZeroAllocLiveForward: flocd's live steady state — the producer's
 // Burst handing one reused packet after another to two workers and
-// quiescing after every short read of 32, so that each run goes through
-// the ring or is admitted inline, whichever the workers allow, against a
-// congested link whose transmitted packets go to a Flusher sink —
-// allocates nothing once warm: the sink gives back at every Flush what it
-// was handed, and the shard reuses those slots.
+// quiescing after every short read of 32, so that each run is drained by
+// the worker or inline, whichever the workers allow, against a congested
+// link whose transmitted packets go to a Flusher sink — allocates nothing
+// once warm: the sink copies at Emit, and the shard reuses those slots.
 func TestZeroAllocLiveForward(t *testing.T) {
 	sink := &bufferingSink{}
 	rc := core.DefaultConfig(80e6, 512) // 10 000 packets/s
@@ -145,8 +147,8 @@ func TestZeroAllocLiveForward(t *testing.T) {
 }
 
 // TestZeroAllocQuiesce: a batch handed to a Burst and quiesced behind
-// parked workers — role taken, ring drained, run admitted, transmitter
-// served, sink flushed, role released — allocates nothing.
+// parked workers — run published, role taken, ring drained, transmitter
+// served, role released, sink flushed — allocates nothing.
 func TestZeroAllocQuiesce(t *testing.T) {
 	cfg := limitTestConfig(2)
 	cfg.Egress = &bufferingSink{}

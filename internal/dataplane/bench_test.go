@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"floc/internal/core"
@@ -11,11 +10,13 @@ import (
 )
 
 // BenchmarkDataplaneEnqueueSharded measures aggregate enqueue-to-admission
-// throughput at 1/2/4/8 shards: GOMAXPROCS producer goroutines push CBR
-// packets through the rings while the shard workers run admission. With
-// BlockOnFull the producers are paced by the workers, so ns/op tracks the
-// whole pipeline, not just ring contention; on a multi-core runner the
-// per-shard routers run concurrently and ns/op drops with the shard count.
+// throughput at 1/2/4/8 shards, driving the engine as flocd's replay
+// does: the one producer hands CBR packets to the engine's Burst, which
+// publishes them a run at a time, and quiesces at the end, while the
+// shard workers run admission. With BlockOnFull the producer is paced by
+// the workers, so ns/op tracks the whole pipeline, not just the hand-off;
+// on a multi-core runner the per-shard routers run concurrently and ns/op
+// drops with the shard count, until the one producer is the bottleneck.
 func BenchmarkDataplaneEnqueueSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -28,7 +29,7 @@ func BenchmarkDataplaneEnqueueSharded(b *testing.B) {
 			defer e.Close()
 
 			// 64 distinct paths so every shard count gets work on all
-			// shards; each producer reuses one packet, which Enqueue copies.
+			// shards; the producer reuses one packet, which Enqueue copies.
 			paths := make([]pathid.PathID, 64)
 			keys := make([]string, 64)
 			handles := make([]uint32, 64)
@@ -39,23 +40,19 @@ func BenchmarkDataplaneEnqueueSharded(b *testing.B) {
 				// admission is handle-indexed.
 				handles[i] = e.InternPath(paths[i])
 			}
-			var producer atomic.Int64
+			burst := e.NewBurst()
+			var pkt netsim.Packet
 			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				var pkt netsim.Packet
-				p := uint64(producer.Add(1))
-				i := uint64(0)
-				for pb.Next() {
-					pi := (i*7 + p*13) % uint64(len(paths))
-					pkt = netsim.Packet{
-						ID: i, Src: uint32(p), Dst: 1, Size: 1000,
-						Kind: netsim.KindUDP, Path: paths[pi], PathKey: keys[pi],
-						PathHandle: handles[pi],
-					}
-					e.Enqueue(&pkt, 1.0)
-					i++
+			for i := 0; i < b.N; i++ {
+				pi := (i * 7) % len(paths)
+				pkt = netsim.Packet{
+					ID: uint64(i), Src: 1, Dst: 1, Size: 1000,
+					Kind: netsim.KindUDP, Path: paths[pi], PathKey: keys[pi],
+					PathHandle: handles[pi],
 				}
-			})
+				burst.Enqueue(&pkt, 1.0)
+			}
+			burst.Quiesce()
 			e.Drain()
 			b.StopTimer()
 		})

@@ -1,12 +1,13 @@
 // Package dataplane runs FLoc across multiple cores. An Engine partitions
 // traffic by hashing each packet's path identifier onto one of N worker
 // shards; every shard owns a private core.Router (configured with 1/N of
-// the link rate and buffer) plus a bounded MPSC ring queue feeding it, and
-// a shard's state is touched by one goroutine at a time: whoever holds the
-// shard's consumer role (shard.role) — its worker whenever it is awake, or
-// a producer that found the worker parked while it was itself about to
-// block (Burst.Quiesce). Producers — UDP readers, capture replay,
-// benchmarks — enqueue concurrently; the role holder drains the ring in
+// the link rate and buffer) plus a bounded single-producer ring feeding
+// it, and a shard's state is touched by one goroutine at a time: whoever
+// holds the shard's consumer role (shard.role) — its worker whenever it is
+// awake, or the producer when it found the worker parked while it was
+// itself about to block (Burst.Quiesce). An engine has one producer — the
+// UDP reader, the capture replay or the benchmark's driver — which stages
+// packets straight into the rings; the role holder drains a ring in
 // batches, admits them packet by packet and services the router's output
 // queue against a virtual-time transmitter.
 //
@@ -48,9 +49,10 @@ import (
 // downstream flocd implements it with a socket writer. A shard's sink is
 // called by whoever holds the shard's consumer role, one goroutine at a
 // time; implementations shared across shards must be safe for concurrent
-// use. Who owns an emitted packet depends on the sink: a Flusher gives it
-// back at its next Flush, and the shard reuses it; a sink without Flush
-// keeps it, and the engine never touches it again.
+// use. Who owns an emitted packet depends on the sink: a Flusher copies
+// what it keeps before Emit returns, and the shard reuses the packet at
+// once; a sink without Flush keeps it, and the engine never touches it
+// again.
 type PacketSink interface {
 	// Emit is called once per transmitted packet with the virtual time
 	// the transmission completed.
@@ -58,15 +60,14 @@ type PacketSink interface {
 }
 
 // Flusher is the optional second half of a PacketSink that buffers what
-// Emit hands it. A role holder that has emitted calls Flush after every
-// batch it drains from a ring, before Burst.Quiesce returns — once for
-// all the shards the producer served — and before a barrier command
-// (Drain, Advance, Snapshot, …) returns, so nothing emitted is left
-// buffered while the engine is idle or a caller believes it quiesced.
-// When Flush returns the sink is done with every packet Emit handed it
-// before the call: the role holder puts them back on its shard's free
-// list, to be overwritten by the next packets admitted. New resolves the
-// interface once; a sink without Flush is never asked.
+// Emit hands it. Its Emit copies what it keeps: the packet goes back on
+// its shard's free list as soon as Emit returns. Whoever emitted calls
+// Flush — a worker after every batch it drains, a quiescing producer once
+// before Burst.Quiesce returns for all the shards it drained, a barrier
+// command (Drain, Advance, Snapshot, …) before it returns — so nothing
+// emitted is left buffered while the engine is idle or a caller believes
+// it quiesced. Flush may run beside another shard's Emit. New resolves
+// the interface once; a sink without Flush is never asked.
 type Flusher interface {
 	Flush()
 }
@@ -175,8 +176,7 @@ func (c Config) validate() error {
 // Stats are the engine's own lifetime counters, distinct from router
 // admission counters: they describe the ring boundary, not the policy.
 type Stats struct {
-	// Accepted counts packets that entered a shard: its ring, or its router
-	// directly from a producer holding the consumer role.
+	// Accepted counts packets published into a shard's ring.
 	Accepted int64
 	// RingDrops counts packets dropped because a ring was full, or because
 	// the engine closed while a producer was still handing them in.
@@ -211,14 +211,17 @@ func (s *shardSink) Emit(e telemetry.Event) {
 	s.dst.Emit(e)
 }
 
-// Engine is the sharded dataplane. Enqueue is safe for concurrent use by
-// any number of producers; Drain, Advance, Snapshot and Close serialize
-// through an internal mutex and must not race with further Enqueues'
-// expectations (see each method).
+// Engine is the sharded dataplane. It has one producer: Enqueue and the
+// Burst that NewBurst hands out are the one producer state, and only one
+// goroutine at a time may use them. Drain, Advance, Snapshot and Close
+// serialize through an internal mutex, may be called from any goroutine,
+// and must not race with further Enqueues' expectations (see each
+// method).
 type Engine struct {
 	cfg    Config
 	shards []*shard
 	tags   []uint32 // tags[i] is shard i's router handle tag (core.HandleTag)
+	burst  Burst    // the one producer
 
 	ctl    sync.Mutex // serializes control-plane ops (Drain/Advance/Snapshot/Close)
 	closed atomic.Bool
@@ -263,8 +266,8 @@ type shard struct {
 	slotGauge *telemetry.Gauge
 
 	// Which way packets went (nil when telemetry is off), counted per run,
-	// never per packet: runs a producer processed under the role, and
-	// doorbells that woke the parked worker.
+	// never per packet: inline drains of the producer's runs under the
+	// role, and doorbells that woke the parked worker.
 	inlineRuns *telemetry.Counter
 	wakeups    *telemetry.Counter
 
@@ -276,6 +279,7 @@ type shard struct {
 	rateBytes float64              // transmitter rate, bytes/s
 	egress    PacketSink           // nil = no forwarding
 	flusher   Flusher              // egress's Flush half; nil when it has none
+	unflushed bool                 // emitted to flusher since the last Flush
 	bank      *defense.LimiterBank // nil until the first limit install
 	bankDrops int                  // bank.Drops() last published to counters
 }
@@ -285,19 +289,17 @@ type shard struct {
 const slotChunk = 64
 
 // packetSlots is a shard's packet memory. The role holder copies every
-// packet it admits out of the ring, or out of a quiescing producer's run,
-// into a slot taken from the free list, and the router queues that slot.
-// A slot comes back at exactly four points: Router.Enqueue refused it,
-// the LimiterBank dropped it, the transmitter finished it and there is no
-// egress sink, or it was emitted to a Flusher and the role holder's next
-// Flush returned. A slot handed to a sink without Flush is the sink's and
-// leaves the shard's count. So a shard owns at most its router's
-// capacity, one batch — one run, if a run is longer, with a Flusher — and
-// one chunk of slots (DESIGN.md "Packet ownership"). Role-owned.
+// packet it admits out of the ring into a slot taken from the free list,
+// and the router queues that slot. A slot comes back at exactly three
+// points: Router.Enqueue refused it, the LimiterBank dropped it, or the
+// transmitter finished it and either there is no egress sink or the sink
+// is a Flusher, whose Emit has returned. A slot handed to a sink without
+// Flush is the sink's and leaves the shard's count. So a shard owns at
+// most its router's capacity, one batch and one chunk of slots (DESIGN.md
+// "Packet ownership"). Role-owned.
 type packetSlots struct {
 	free  []*netsim.Packet // LIFO: the slot freed last is reused first
-	lent  []*netsim.Packet // emitted to the Flusher since the role holder's last Flush
-	owned int              // slots allocated and not kept by a sink: queued, in the batch, lent, or free
+	owned int              // slots allocated and not kept by a sink: queued, in the batch, or free
 }
 
 // load copies the item's packet into a slot off the free list, allocating a
@@ -314,13 +316,6 @@ func (s *packetSlots) load(dst *core.BatchItem, it *ringItem) {
 
 // release returns a slot the shard is done with to the free list.
 func (s *packetSlots) release(p *netsim.Packet) { s.free = append(s.free, p) }
-
-// reclaim returns every lent slot to the free list. Call it only once a
-// Flush issued after their Emit has returned.
-func (s *packetSlots) reclaim() {
-	s.free = append(s.free, s.lent...)
-	s.lent = s.lent[:0]
-}
 
 // grow allocates the next slotChunk slots onto the free list: one
 // allocation per slotChunk packets the shard holds at once or hands to a
@@ -345,6 +340,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	n := cfg.Shards
 	e := &Engine{cfg: cfg, shards: make([]*shard, n), tags: make([]uint32, n)}
+	e.burst.e = e
 	baseCap, remCap := cfg.Router.Capacity/n, cfg.Router.Capacity%n
 	for i := 0; i < n; i++ {
 		rc := cfg.Router
@@ -392,7 +388,7 @@ func New(cfg Config) (*Engine, error) {
 				"shard ring occupancy after the last drained batch", "packets")
 			sh.slotGauge = cfg.Telemetry.Gauge(
 				fmt.Sprintf(`floc_dataplane_packet_slots{shard="%d"}`, i),
-				"packet slots the shard owns, queued, lent to the egress sink or free, after the last admitted batch", "packets")
+				"packet slots the shard owns, queued, in the batch or free, after the last admitted batch", "packets")
 			sh.latHist = cfg.Telemetry.Histogram(
 				fmt.Sprintf(`floc_dataplane_admission_batch_seconds{shard="%d"}`, i),
 				"wall-clock time to admit one drained batch", "seconds",
@@ -405,7 +401,7 @@ func New(cfg Config) (*Engine, error) {
 				"active cluster-installed path limits", "")
 			sh.inlineRuns = cfg.Telemetry.Counter(
 				fmt.Sprintf(`floc_dataplane_inline_runs_total{shard="%d"}`, i),
-				"burst runs a quiescing producer processed itself, the worker being parked", "runs")
+				"burst runs a quiescing producer drained itself, the worker being parked", "runs")
 			sh.wakeups = cfg.Telemetry.Counter(
 				fmt.Sprintf(`floc_dataplane_worker_wakeups_total{shard="%d"}`, i),
 				"doorbells that woke the shard's parked worker", "wakeups")
@@ -471,25 +467,39 @@ func (e *Engine) shardFor(pkt *netsim.Packet) int {
 	return pathShard(pkt.Path, len(e.shards))
 }
 
-// Enqueue hands a copy of a packet to its shard. It returns true when the
-// copy entered the ring. False means one of two things. The ring was full:
-// the packet is dropped, and counted in Stats and telemetry; with
-// BlockOnFull Enqueue yields and retries instead, and drops and counts
-// only if the engine closes while it does. Or the engine was already
-// closed when Enqueue was called: that only the return value reports.
-// Either way the caller may reuse its packet as soon as Enqueue returns.
+// Enqueue hands a copy of a packet to its shard: the one-packet form of
+// the engine's one producer, so only that producer may call it (see
+// NewBurst). It returns true when the copy entered the ring, with
+// whatever the producer's Burst had staged for that shard ahead of it.
+// False means one of two things. The ring was full: the packet is
+// dropped, and counted in Stats and telemetry; with BlockOnFull Enqueue
+// yields and retries instead, and drops and counts only if the engine
+// closes while it does. Or the engine was already closed when Enqueue was
+// called: that only the return value reports. Either way the caller may
+// reuse its packet as soon as Enqueue returns.
 func (e *Engine) Enqueue(pkt *netsim.Packet, now float64) bool {
 	if e.closed.Load() {
 		return false
 	}
 	sh := e.shards[e.shardFor(pkt)]
-	for !sh.ring.tryEnqueue(pkt, now) {
-		if !e.ringFull(sh) {
+	return e.stage(sh, pkt, now) && sh.handOff()
+}
+
+// stage copies pkt into the next free slot of sh's ring, past the
+// published tail. A full ring gets what is staged in it published and
+// the worker rung, and then meets the full-ring policy (ringFull); false
+// is a packet that policy dropped.
+func (e *Engine) stage(sh *shard, pkt *netsim.Packet, now float64) bool {
+	it := sh.ring.stage()
+	for it == nil {
+		if sh.ring.staged() != 0 {
+			sh.handOff() // the worker frees no slot it cannot see
+		} else if !e.ringFull(sh) {
 			return false
 		}
+		it = sh.ring.stage()
 	}
-	sh.accepted.Add(1)
-	sh.ringWake()
+	it.pkt, it.at = *pkt, now
 	return true
 }
 
@@ -521,159 +531,127 @@ func (sh *shard) countRingDrops(n int) {
 	}
 }
 
-// burstRun is how many packets a Burst buffers per shard before it hands
-// them to the ring in one claim.
+// publish makes what the producer staged in sh's ring visible to the
+// worker and counts it accepted — or, on a ring sealed by Close, counts
+// it dropped, since nobody is left to tell, and reports false.
+// Producer-only.
+func (sh *shard) publish() bool {
+	n, ok := sh.ring.publish()
+	switch {
+	case n == 0:
+	case ok:
+		sh.accepted.Add(int64(n))
+	default:
+		sh.countRingDrops(n)
+	}
+	return ok
+}
+
+// handOff publishes what is staged in sh's ring, rings the worker, and
+// reports what publish reported.
+func (sh *shard) handOff() bool {
+	ok := sh.publish()
+	sh.ringWake()
+	return ok
+}
+
+// burstRun is how many packets a Burst stages in a shard's ring before it
+// publishes them.
 const burstRun = 64
 
-// Burst is one producer's amortizing front end to Enqueue: packets are
-// buffered per shard and enter the shard's ring a run at a time — one
-// cursor CAS, one accepted update and one doorbell for up to burstRun
-// packets instead of one each per packet. Per-shard arrival order is the
-// order of the Enqueue calls. A buffered packet is invisible to the
-// engine: the owner must Flush or Quiesce before any barrier (Drain,
-// Advance, Snapshot, Close) that is meant to cover it, and Quiesce before
-// it blocks waiting for more input. Not safe for concurrent use — give
-// each producing goroutine its own.
-type Burst struct {
-	e    *Engine
-	runs [][]ringItem // per shard; cap burstRun
-	held []*shard     // Quiesce's scratch: the roles it holds; cap len(runs)
-}
+// Burst is the engine's one producer, amortizing what Engine.Enqueue pays
+// per packet: Enqueue copies each packet straight into a slot of its
+// shard's ring and publishes a shard's run once it holds burstRun packets
+// — one tail CAS, one accepted update and one doorbell for the run
+// instead of one each per packet. Per-shard arrival order is the order of
+// the Enqueue calls. A staged packet is invisible to the engine: the
+// owner must Flush or Quiesce before any barrier (Drain, Advance,
+// Snapshot, Close) that is meant to cover it, and Quiesce before it
+// blocks waiting for more input.
+type Burst struct{ e *Engine }
 
-// NewBurst returns an empty burst for one producer.
-func (e *Engine) NewBurst() *Burst {
-	b := &Burst{e: e, runs: make([][]ringItem, len(e.shards)), held: make([]*shard, 0, len(e.shards))}
-	for i := range b.runs {
-		b.runs[i] = make([]ringItem, 0, burstRun)
-	}
-	return b
-}
+// NewBurst returns the engine's one producer. Every call returns the same
+// Burst, whose state Engine.Enqueue shares: one goroutine at a time may
+// use them, and a second producing goroutine needs an engine of its own.
+func (e *Engine) NewBurst() *Burst { return &e.burst }
 
-// Enqueue buffers a copy of a packet for its shard, handing the shard's
-// run to the ring when it reaches burstRun. What Engine.Enqueue reports
-// per packet — ring full, engine closed — is decided when the run is
-// flushed and shows in Stats. The caller may reuse its packet as soon as
-// Enqueue returns.
+// Enqueue stages a copy of a packet in its shard's ring, publishing the
+// shard's run when it reaches burstRun. What Engine.Enqueue reports per
+// packet — ring full, engine closed — is decided when the packet is
+// staged or published and shows in Stats. The caller may reuse its packet
+// as soon as Enqueue returns.
 func (b *Burst) Enqueue(pkt *netsim.Packet, now float64) {
-	i := b.e.shardFor(pkt)
-	// Copied field-wise into the run's next element, not appended as a
-	// literal that would be built on the stack first.
-	run := b.runs[i][:len(b.runs[i])+1]
-	it := &run[len(run)-1]
-	it.pkt, it.at = *pkt, now
-	b.runs[i] = run
-	if len(run) == burstRun {
-		b.flushRun(i)
+	sh := b.e.shards[b.e.shardFor(pkt)]
+	if b.e.stage(sh, pkt, now) && sh.ring.staged() == burstRun {
+		sh.handOff()
 	}
 }
 
-// Flush hands every buffered packet to its ring: hand off and keep
-// producing. The shard workers process beside the producer.
+// Flush publishes every staged packet: hand off and keep producing. The
+// shard workers process beside the producer.
 func (b *Burst) Flush() {
-	for i, run := range b.runs {
-		if len(run) > 0 {
-			b.flushRun(i)
+	for _, sh := range b.e.shards {
+		if sh.ring.staged() != 0 {
+			sh.handOff()
 		}
 	}
 }
 
 // Quiesce is the flush of a producer that is about to block: nothing stays
-// buffered, and where handing off would only wake a parked worker for the
+// staged, and where handing off would only wake a parked worker for the
 // producer to park in its place, the producer does the work itself. For
-// every shard it holds a run for and whose worker is parked it takes the
-// consumer role (takeRole), drains what is left in the ring — its own
-// earlier runs first, per-producer FIFO — and admits the run itself
-// (shard.admitRun): no ring slot, no doorbell. It keeps every role it
-// took until one Flusher.Flush has covered them all and each of those
-// shards has its emitted packets back. A shard whose worker
-// is awake, or whose role someone else holds, gets its run through the
-// ring exactly as in Flush, so nothing is lost between the two; so does
-// one whose ring still holds a claim its producer has not published —
-// runs of this producer may sit behind it, and must not be overtaken —
-// and so does every shard of a closed engine, for flushRun to count.
-// When Quiesce returns, every packet it processed inline has been
+// every shard it has staged packets for it publishes them and, if the
+// worker is parked, takes the consumer role (takeRole), drains the ring
+// with the worker's drainBatch — its own earlier runs first — and lets
+// the role go; a shard whose worker is awake, or whose role it cannot
+// take, is rung instead. One Flusher.Flush at the end covers every shard
+// it drained. When Quiesce returns, every packet it drained has been
 // admitted and its emissions flushed; the others are in their rings,
 // behind any barrier that follows.
 func (b *Burst) Quiesce() {
-	held := b.held[:0]
 	var flusher Flusher
-	for i, run := range b.runs {
-		if len(run) == 0 {
+	for _, sh := range b.e.shards {
+		if sh.ring.staged() == 0 {
 			continue
 		}
-		sh := b.e.shards[i]
-		if !sh.takeRole() {
-			b.flushRun(i)
+		if !sh.publish() || !sh.takeRole() {
+			sh.ringWake()
 			continue
 		}
-		if sh.drainRing(); sh.ring.occupancy() != 0 || b.e.closed.Load() {
-			sh.role.Unlock() // before a ring that may be full, and only this shard's worker empties it
-			b.flushRun(i)
-			continue
+		for sh.drainBatch() {
 		}
-		held = append(held, sh)
-		b.runs[i] = run[:0]
-		sh.accepted.Add(int64(len(run)))
-		sh.admitRun(run)
 		if sh.inlineRuns != nil {
 			sh.inlineRuns.Inc()
 		}
-		if len(sh.slots.lent) != 0 {
-			flusher = sh.flusher // one sink, whichever shard names it
+		if sh.unflushed {
+			flusher, sh.unflushed = sh.flusher, false // one sink, whichever shard names it
 		}
+		sh.role.Unlock()
 	}
 	if flusher != nil {
 		flusher.Flush()
 	}
-	for _, sh := range held {
-		sh.slots.reclaim()
-		sh.role.Unlock()
-	}
 }
 
-// takeRole gives the caller, a producer, the shard's consumer role if the
-// worker is parked and nobody else has it. The worker stores sleeping
-// before it lets the role go and clears it before it asks for it back, and
-// for good before it exits, so a true here is a worker that is parked or
-// on its way to the role.Lock it will block in; TryLock succeeding is what
-// grants the role, and the role's previous Unlock is what orders the
-// caller behind everything the last holder did.
+// takeRole gives the caller, the producer, the shard's consumer role if
+// the worker is parked. The worker stores sleeping before it lets the
+// role go and clears it before it asks for it back, and for good before
+// it exits, so a true here is a worker that is parked or on its way to
+// the role.Lock it will block in; TryLock succeeding is what grants the
+// role, and the role's previous Unlock is what orders the caller behind
+// everything the last holder did.
 func (sh *shard) takeRole() bool {
 	return sh.sleeping.Load() && sh.role.TryLock()
 }
 
-// flushRun moves shard i's run into its ring, as many packets per claim
-// as the ring has room for. A packet that finds the ring full meets the
-// same policy as in Engine.Enqueue; what is still buffered when the engine
-// closes is dropped and counted with the ring's drops, since nobody is
-// left to tell.
-func (b *Burst) flushRun(i int) {
-	sh, items := b.e.shards[i], b.runs[i]
-	b.runs[i] = items[:0]
-	for len(items) > 0 {
-		if b.e.closed.Load() {
-			sh.countRingDrops(len(items))
-			return
-		}
-		if n := sh.ring.tryEnqueueBurst(items); n > 0 {
-			items = items[n:]
-			sh.accepted.Add(int64(n))
-			sh.ringWake()
-		} else if !b.e.ringFull(sh) {
-			items = items[1:]
-		}
-	}
-}
-
 // ringWake rings the shard's doorbell if the worker is parked. The
-// ordering argument: a producer publishes the item (sequential
-// consistency of the slot sequence store) before loading sleeping, and
-// the worker stores sleeping=true before its final emptiness check — so
-// either the worker sees the item, or the producer sees sleeping and the
-// buffered doorbell survives until the worker selects on it. A producer
-// that holds the role meanwhile changes nothing in this: it never writes
-// sleeping, and an item it does not drain was published behind its last
-// look, by someone who then found sleeping still set and rang.
+// ordering argument: the producer publishes (the tail CAS, sequentially
+// consistent) before loading sleeping, and the worker stores
+// sleeping=true before its final emptiness check — so either the worker
+// sees the items, or the producer sees sleeping and the buffered doorbell
+// survives until the worker selects on it. Quiesce rings only when it
+// cannot take the role; the items it publishes and then drains itself
+// need no worker.
 func (sh *shard) ringWake() {
 	if sh.sleeping.Load() {
 		select {
@@ -713,15 +691,11 @@ func (sh *shard) run() {
 		}
 		cmd, stopped := sh.park()
 		if stopped {
-			// Sealed, the ring takes nothing more; a producer that claimed
-			// slots just before is waited for, so that whatever was
-			// accepted has been processed when Close returns.
-			for sh.ring.seal(); ; runtime.Gosched() {
-				sh.drainRing()
-				if sh.ring.occupancy() == 0 {
-					return
-				}
-			}
+			// Sealed, the ring takes nothing more, so whatever was accepted
+			// has been processed when Close returns.
+			sh.ring.seal()
+			sh.drainRing()
+			return
 		}
 		if cmd != nil {
 			sh.handle(cmd)
@@ -730,10 +704,11 @@ func (sh *shard) run() {
 }
 
 // park lets the role go, waits for a doorbell, a command or stop, and
-// takes the role back — behind a producer that took it meanwhile, which a
-// command, a barrier or Close therefore waits out. sleeping is cleared
-// before the Lock: from then on producers use the ring and ring no bell,
-// and after stop none of them can take the role of a worker that is gone.
+// takes the role back — behind the producer if it took it meanwhile,
+// which a command, a barrier or Close therefore waits out. sleeping is
+// cleared before the Lock: from then on the producer leaves the ring to
+// the worker, and after stop it cannot take the role of a worker that is
+// gone.
 func (sh *shard) park() (cmd func(*shard), stopped bool) {
 	sh.role.Unlock()
 	select {
@@ -798,20 +773,6 @@ func (sh *shard) process(items []core.BatchItem) {
 	}
 }
 
-// admitRun admits a quiescing producer's run: len(buf) packets at a time,
-// each copied into a slot first, as drainBatch copies them out of the
-// ring. Where a run is cut into batches changes no decision (process).
-func (sh *shard) admitRun(run []ringItem) {
-	for len(run) > 0 {
-		n := min(len(run), len(sh.buf))
-		for i := range run[:n] {
-			sh.slots.load(&sh.buf[i], &run[i])
-		}
-		sh.process(sh.buf[:n])
-		run = run[n:]
-	}
-}
-
 // serve drains the router's output queue through the shard's share of
 // the link until the virtual transmitter catches up with now.
 func (sh *shard) serve(now float64) {
@@ -824,23 +785,24 @@ func (sh *shard) serve(now float64) {
 		sh.free += float64(pkt.Size) / sh.rateBytes
 		switch {
 		case sh.egress == nil:
-			sh.slots.release(pkt)
-			continue
 		case sh.flusher != nil:
-			sh.slots.lent = append(sh.slots.lent, pkt) // back at the next Flush
+			sh.egress.Emit(pkt, sh.free) // copies what it keeps
+			sh.unflushed = true
 		default:
 			sh.slots.owned-- // the sink's from here on
+			sh.egress.Emit(pkt, sh.free)
+			continue
 		}
-		sh.egress.Emit(pkt, sh.free)
+		sh.slots.release(pkt)
 	}
 }
 
 // flushEgress flushes a buffering sink if this shard has emitted into it
-// since the last flush, and takes back what it emitted.
+// since the last flush.
 func (sh *shard) flushEgress() {
-	if len(sh.slots.lent) != 0 {
+	if sh.unflushed {
+		sh.unflushed = false
 		sh.flusher.Flush()
-		sh.slots.reclaim()
 	}
 }
 
@@ -857,8 +819,7 @@ func (sh *shard) drainBatch() bool {
 
 // drainRing empties the ring completely, flushing the egress sink after
 // every batch as the worker loop does — before commands and at shutdown,
-// so barriers see every packet enqueued before them, and ahead of a
-// quiescing producer's run.
+// so barriers see every packet enqueued before them.
 func (sh *shard) drainRing() {
 	for sh.drainBatch() {
 		sh.flushEgress()

@@ -93,7 +93,7 @@ const (
 // hand-in returns, which the engine's copy must not see.
 func runEngineVia(t *testing.T, cfg Config, sc []arrival, end float64, via frontEnd, reuse bool) (core.Snapshot, Stats) {
 	t.Helper()
-	if via == viaQuiesce {
+	if via == viaQuiesce && cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
 	e, err := New(cfg)
@@ -132,13 +132,15 @@ func runEngineVia(t *testing.T, cfg Config, sc []arrival, end float64, via front
 }
 
 // parkWorkers returns once every shard's worker has drained its ring and
-// parked, so that the next Quiesce finds every role free.
+// parked, so that the next Quiesce finds every role free. A worker sets
+// sleeping before it lets the role go, so the role is what says parked.
 func parkWorkers(e *Engine) {
 	e.Drain()
 	for _, sh := range e.shards {
-		for !sh.sleeping.Load() {
+		for !sh.sleeping.Load() || !sh.role.TryLock() {
 			runtime.Gosched()
 		}
+		sh.role.Unlock()
 	}
 }
 

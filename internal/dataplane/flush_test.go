@@ -125,14 +125,14 @@ func TestEgressFlushedAtQuiescence(t *testing.T) {
 	}
 	pe.Advance(10)
 	for _, sh := range pe.shards {
-		if len(sh.slots.lent) != 0 {
-			t.Fatal("a shard without a Flusher lent a packet to its sink")
+		if sh.unflushed {
+			t.Fatal("a shard without a Flusher owes its sink a Flush")
 		}
 	}
 }
 
 // TestQuiesceProcessesInlineAndFlushesOnce pins what Quiesce promises a
-// producer about to block. Behind parked workers every run is admitted by
+// producer about to block. Behind parked workers every run is drained by
 // the producer itself: when Quiesce returns every packet handed in has
 // been processed, nothing emitted is unflushed, the sink was flushed once
 // for a quiesce that fed two shards, and no worker was woken. A shard
@@ -177,7 +177,7 @@ func TestQuiesceProcessesInlineAndFlushesOnce(t *testing.T) {
 		before := flushes()
 		hand(1 + round%7)
 		if st := e.Stats(); st.Accepted != sent-int64(2*(1+round%7)) {
-			t.Fatalf("round %d: accepted %d before the quiesce: a buffered packet reached the engine", round, st.Accepted)
+			t.Fatalf("round %d: accepted %d before the quiesce: a staged packet reached the engine", round, st.Accepted)
 		}
 		b.Quiesce()
 		if st := e.Stats(); st.Accepted != sent || st.Processed != sent {
@@ -195,8 +195,8 @@ func TestQuiesceProcessesInlineAndFlushesOnce(t *testing.T) {
 			if !sh.sleeping.Load() || !sh.role.TryLock() {
 				t.Fatalf("round %d: shard %d's role not free behind the quiesce", round, i)
 			}
-			if n := len(sh.slots.lent); n != 0 {
-				t.Fatalf("round %d: shard %d has not taken back %d emitted packets", round, i, n)
+			if sh.unflushed {
+				t.Fatalf("round %d: shard %d still owes its sink a Flush", round, i)
 			}
 			sh.role.Unlock()
 		}
@@ -234,10 +234,12 @@ func TestQuiesceProcessesInlineAndFlushesOnce(t *testing.T) {
 	}
 }
 
-// TestQuiesceQueuesBehindUnpublishedClaim: a slot another producer has
-// claimed and not yet published stops the consumer, and runs this producer
-// flushed earlier may sit behind it. A quiesce that finds such a claim
-// must not admit its run ahead of them: it hands the run to the ring.
+// TestQuiesceQueuesBehindUnpublishedClaim: the producer's runs leave a
+// shard in the order it staged them, whoever drains them. Two runs are
+// published to a parked worker that nobody rings, the way a run can sit
+// in the ring when the worker parked just before it: a quiesce that finds
+// the worker parked drains them ahead of its own run, inline, and wakes
+// nobody.
 func TestQuiesceQueuesBehindUnpublishedClaim(t *testing.T) {
 	rec := &egressRecorder{}
 	cfg := limitTestConfig(1)
@@ -250,42 +252,37 @@ func TestQuiesceQueuesBehindUnpublishedClaim(t *testing.T) {
 	defer e.Close()
 	path := pathid.New(50, 5, 1)
 	h := e.InternPath(path)
-	pkts := []*netsim.Packet{limitPkt(path, h, 1000), limitPkt(path, h, 1000), limitPkt(path, h, 1000)}
-	for i, pkt := range pkts {
-		pkt.ID = uint64(i)
+	pkts := make([]*netsim.Packet, 5)
+	for i := range pkts {
+		pkts[i] = limitPkt(path, h, 1000)
+		pkts[i].ID = uint64(i)
 	}
 	parkWorkers(e)
 
-	// Another producer, stopped between its claim and its publication.
-	r := e.shards[0].ring
-	pos := r.enq.Load()
-	if !r.enq.CompareAndSwap(pos, pos+1) {
-		t.Fatal("the ring has another producer")
+	b, sh := e.NewBurst(), e.shards[0]
+	for i, pkt := range pkts[:4] {
+		b.Enqueue(pkt, 0.001*float64(i+1))
+		if i%2 == 1 {
+			sh.publish() // no doorbell: the worker stays parked
+		}
 	}
-	b := e.NewBurst()
-	b.Enqueue(pkts[1], 0.001)
-	b.Flush() // behind the claim
-	b.Enqueue(pkts[2], 0.002)
+	if st := e.Stats(); st.Accepted != 4 || st.Processed != 0 || sh.ring.occupancy() != 4 {
+		t.Fatalf("%d accepted, %d processed, %d in the ring; want 4 waiting in the ring", st.Accepted, st.Processed, sh.ring.occupancy())
+	}
+	b.Enqueue(pkts[4], 0.005)
 	b.Quiesce()
-	// Errorf, not Fatalf: Close waits for the claim to be published.
-	if st := e.Stats(); st.Accepted != 2 || st.Processed != 0 {
-		t.Errorf("%d accepted, %d processed behind an unpublished claim; want 2 queued, none admitted", st.Accepted, st.Processed)
+	if st := e.Stats(); st.Accepted != 5 || st.Processed != 5 {
+		t.Fatalf("%d accepted, %d processed after the quiesce; want all 5", st.Accepted, st.Processed)
 	}
-	if got := shardCounters(e, "floc_dataplane_inline_runs_total"); got != 0 {
-		t.Errorf("%d inline runs: the quiesce overtook the run it flushed before", got)
+	if inline, woken := shardCounters(e, "floc_dataplane_inline_runs_total"), shardCounters(e, "floc_dataplane_worker_wakeups_total"); inline != 1 || woken != 0 {
+		t.Fatalf("%d inline runs, %d wake-ups; want the one quiesce drained inline", inline, woken)
 	}
-	// The other producer resumes.
-	s := &r.slots[pos&r.mask]
-	s.item = ringItem{pkt: *pkts[0], at: 0}
-	s.seq.Store(pos + 1)
-	e.shards[0].accepted.Add(1)
-	e.shards[0].ringWake()
 	e.Advance(1)
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	for i, pkt := range rec.pkts {
 		if i >= len(pkts) || pkt.ID != pkts[i].ID {
-			t.Fatalf("packet %d to leave is not the %dth in ring order", i, i)
+			t.Fatalf("packet %d to leave is not the %dth staged", i, i)
 		}
 	}
 	if len(rec.pkts) != len(pkts) {

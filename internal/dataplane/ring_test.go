@@ -2,13 +2,23 @@ package dataplane
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 
 	"floc/internal/core"
 	"floc/internal/netsim"
 	"floc/internal/rng"
 )
+
+// push stages one packet and publishes it: the ring's one-packet form.
+func push(r *ring, pkt *netsim.Packet, at float64) bool {
+	it := r.stage()
+	if it == nil {
+		return false
+	}
+	it.pkt, it.at = *pkt, at
+	_, ok := r.publish()
+	return ok
+}
 
 func TestRingFIFOAndCapacity(t *testing.T) {
 	r := newRing(4)
@@ -18,12 +28,12 @@ func TestRingFIFOAndCapacity(t *testing.T) {
 		pkts[i].ID = uint64(i)
 	}
 	for i := 0; i < 4; i++ {
-		if !r.tryEnqueue(&pkts[i], float64(i)) {
+		if !push(r, &pkts[i], float64(i)) {
 			t.Fatalf("enqueue %d failed on non-full ring", i)
 		}
 	}
-	if r.tryEnqueue(&pkts[4], 0) {
-		t.Fatal("enqueue succeeded on a full ring")
+	if r.stage() != nil {
+		t.Fatal("staged into a full ring")
 	}
 	buf := make([]core.BatchItem, 3)
 	if n := r.dequeueBatch(buf, &slots); n != 3 {
@@ -39,7 +49,7 @@ func TestRingFIFOAndCapacity(t *testing.T) {
 	}
 	// Freed slots are reusable (wraparound).
 	for i := 0; i < 3; i++ {
-		if !r.tryEnqueue(&pkts[i], 0) {
+		if !push(r, &pkts[i], 0) {
 			t.Fatalf("re-enqueue %d failed after frees", i)
 		}
 	}
@@ -51,183 +61,158 @@ func TestRingFIFOAndCapacity(t *testing.T) {
 	}
 }
 
+// TestRingConcurrentProducers: the ring's one producer publishes every
+// packet on its own while its one consumer drains beside it (run it under
+// -race); nothing is lost, duplicated or reordered.
 func TestRingConcurrentProducers(t *testing.T) {
-	const (
-		producers = 4
-		perProd   = 10000
-	)
+	const packets = 40000
 	r := newRing(256)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			pkt := netsim.Packet{}
-			for i := 0; i < perProd; i++ {
-				pkt.ID = uint64(p*perProd + i)
-				for !r.tryEnqueue(&pkt, float64(i)) {
-				}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pkt := netsim.Packet{}
+		for i := 0; i < packets; i++ {
+			pkt.ID = uint64(i)
+			for !push(r, &pkt, float64(i)) {
+				runtime.Gosched()
 			}
-		}(p)
-	}
+		}
+	}()
+	consumeInOrder(t, r, packets)
+	<-done
+}
+
+// consumeInOrder drains n items from r as its consumer and fails unless
+// they come out numbered 0, 1, 2, … by their at stamps.
+func consumeInOrder(t *testing.T, r *ring, n int) {
+	t.Helper()
 	var slots packetSlots
-	seen := make(map[uint64]bool, producers*perProd)
-	buf := make([]core.BatchItem, 64)
-	for len(seen) < producers*perProd {
-		n := r.dequeueBatch(buf, &slots)
-		for i := 0; i < n; i++ {
-			if seen[buf[i].Pkt.ID] {
-				t.Fatalf("item delivered twice: packet %d", buf[i].Pkt.ID)
+	buf := make([]core.BatchItem, 32)
+	for got := 0; got < n; {
+		k := r.dequeueBatch(buf, &slots)
+		if k == 0 {
+			runtime.Gosched()
+		}
+		for _, it := range buf[:k] {
+			if int(it.At) != got {
+				t.Fatalf("item %v arrived where %d was due", it.At, got)
 			}
-			seen[buf[i].Pkt.ID] = true
-			slots.release(buf[i].Pkt)
+			got++
+			slots.release(it.Pkt)
 		}
 	}
-	wg.Wait()
 	if !r.empty() {
 		t.Fatal("ring not empty after consuming every item")
 	}
 }
 
-// TestRingBurstAgainstModel runs random burst sizes, single enqueues and
-// batch dequeues against a slice model over many laps of a small ring: a
-// burst takes exactly the free slots (all of it, a prefix, or nothing
-// when full) and everything comes out once, in order.
+// TestRingBurstAgainstModel runs random staging, publishes and batch
+// dequeues against a slice model over many laps of a small ring: staging
+// takes exactly the free slots and refuses the rest, a staged item is
+// invisible until its publish, and everything comes out once, in order.
 func TestRingBurstAgainstModel(t *testing.T) {
 	const size = 16
 	r := newRing(size)
 	src := rng.New(5)
 	var slots packetSlots
-	var model []ringItem // what the ring holds, oldest first
-	next := 0.0          // ID and at stamp items uniquely, in enqueue order
-	item := func() ringItem {
-		next++
-		return ringItem{pkt: netsim.Packet{ID: uint64(next)}, at: next}
-	}
+	var published, staged []ringItem // the consumer's items and the producer's, oldest first
+	next := 0.0                      // ID and at stamp items uniquely, in staging order
 	buf := make([]core.BatchItem, size)
-	partial, full := 0, 0
+	refused := 0
 	for op := 0; op < 20000; op++ {
 		switch src.Intn(3) {
 		case 0:
-			items := make([]ringItem, 1+src.Intn(size+4))
-			for i := range items {
-				items[i] = item()
+			for k := 1 + src.Intn(size+4); k > 0; k-- {
+				it := r.stage()
+				if full := len(published)+len(staged) == size; (it == nil) != full {
+					t.Fatalf("op %d: stage with %d held returned %v", op, len(published)+len(staged), it)
+				}
+				if it == nil {
+					refused++
+					break
+				}
+				next++
+				*it = ringItem{pkt: netsim.Packet{ID: uint64(next)}, at: next}
+				staged = append(staged, *it)
 			}
-			free := size - len(model)
-			want := len(items)
-			if want > free {
-				want = free
-				partial++
-			}
-			if got := r.tryEnqueueBurst(items); got != want {
-				t.Fatalf("op %d: burst of %d into %d free slots claimed %d", op, len(items), free, got)
-			}
-			if want == 0 {
-				full++
-			}
-			model = append(model, items[:want]...)
 		case 1:
-			it := item()
-			if got, want := r.tryEnqueue(&it.pkt, it.at), len(model) < size; got != want {
-				t.Fatalf("op %d: single enqueue into %d held = %v", op, len(model), got)
-			} else if got {
-				model = append(model, it)
+			if n, ok := r.publish(); n != len(staged) || !ok {
+				t.Fatalf("op %d: published %d (ok %v), %d staged", op, n, ok, len(staged))
 			}
+			published, staged = append(published, staged...), staged[:0]
 		default:
 			room := 1 + src.Intn(size)
 			n := r.dequeueBatch(buf[:room], &slots)
-			if want := min(room, len(model)); n != want {
-				t.Fatalf("op %d: dequeued %d of %d held into room for %d", op, n, len(model), room)
+			if want := min(room, len(published)); n != want {
+				t.Fatalf("op %d: dequeued %d of %d published into room for %d", op, n, len(published), room)
 			}
 			for i := 0; i < n; i++ {
-				if buf[i].Pkt.ID != model[i].pkt.ID || buf[i].At != model[i].at {
-					t.Fatalf("op %d: dequeued packet %d at %v, model holds %d at %v", op, buf[i].Pkt.ID, buf[i].At, model[i].pkt.ID, model[i].at)
+				if buf[i].Pkt.ID != published[i].pkt.ID || buf[i].At != published[i].at {
+					t.Fatalf("op %d: dequeued packet %d at %v, model holds %d at %v", op, buf[i].Pkt.ID, buf[i].At, published[i].pkt.ID, published[i].at)
 				}
 				slots.release(buf[i].Pkt)
 			}
-			model = model[n:]
+			published = published[n:]
 		}
-		if r.empty() != (len(model) == 0) || r.occupancy() != len(model) {
-			t.Fatalf("op %d: empty=%v occupancy=%d, model holds %d", op, r.empty(), r.occupancy(), len(model))
+		if r.empty() != (len(published) == 0) || r.occupancy() != len(published) || r.staged() != len(staged) {
+			t.Fatalf("op %d: empty=%v occupancy=%d staged=%d, model holds %d published and %d staged",
+				op, r.empty(), r.occupancy(), r.staged(), len(published), len(staged))
 		}
 	}
-	if laps := r.deq / size; laps < 3 || partial == 0 || full == 0 {
-		t.Fatalf("run too tame: %d laps, %d partial claims, %d full refusals", laps, partial, full)
+	if laps := r.head.Load() / size; laps < 3 || refused == 0 {
+		t.Fatalf("run too tame: %d laps, %d refusals", laps, refused)
 	}
-	if r.tryEnqueueBurst(nil) != 0 {
-		t.Fatal("empty burst claimed slots")
+	if n, ok := r.publish(); n != len(staged) || !ok {
+		t.Fatalf("final publish: %d (ok %v), %d staged", n, ok, len(staged))
+	}
+	if n, ok := r.publish(); n != 0 || !ok {
+		t.Fatalf("publishing nothing published %d (ok %v)", n, ok)
 	}
 }
 
-// TestRingBurstConcurrentProducers: two producers push runs of varying
-// length while the consumer drains; nothing is lost or duplicated and
-// each producer's items arrive in the order it pushed them.
+// TestRingBurstConcurrentProducers: the ring's one producer stages runs
+// of varying length, waiting out a full ring, and publishes each whole
+// while its one consumer drains beside it (run it under -race); nothing
+// is lost or duplicated and the items arrive in the order staged.
 func TestRingBurstConcurrentProducers(t *testing.T) {
-	const (
-		producers = 2
-		perProd   = 40000
-	)
+	const packets = 80000
 	r := newRing(64)
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			run := make([]ringItem, 0, 48)
-			for i := 0; i < perProd; {
-				run = run[:0]
-				for n := 1 + (i+p)%48; len(run) < n && i < perProd; i++ {
-					// at carries producer and sequence number.
-					run = append(run, ringItem{at: float64(p*perProd + i)})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < packets; {
+			for n := 1 + i%48; n > 0 && i < packets; n-- {
+				it := r.stage()
+				for it == nil {
+					r.publish() // the consumer frees no slot it cannot see
+					runtime.Gosched()
+					it = r.stage()
 				}
-				for rest := run; len(rest) > 0; {
-					n := r.tryEnqueueBurst(rest)
-					if n == 0 {
-						runtime.Gosched()
-					}
-					rest = rest[n:]
-				}
+				it.at = float64(i) // at carries the sequence number
+				i++
 			}
-		}(p)
-	}
-	var next [producers]int
-	var slots packetSlots
-	buf := make([]core.BatchItem, 32)
-	for got := 0; got < producers*perProd; {
-		n := r.dequeueBatch(buf, &slots)
-		if n == 0 {
-			runtime.Gosched()
+			r.publish()
 		}
-		for _, it := range buf[:n] {
-			p, seq := int(it.At)/perProd, int(it.At)%perProd
-			if seq != next[p] {
-				t.Fatalf("producer %d: item %d arrived where %d was due", p, seq, next[p])
-			}
-			next[p]++
-			slots.release(it.Pkt)
-		}
-		got += n
-	}
-	wg.Wait()
-	if !r.empty() {
-		t.Fatal("ring not empty after consuming every item")
-	}
+	}()
+	consumeInOrder(t, r, packets)
+	<-done
 }
 
-// TestRingSeal: a sealed ring reports full to both enqueue paths for good,
-// on any lap, while what was claimed before the seal drains as ever and
-// occupancy counts it down to zero.
+// TestRingSeal: a sealed ring refuses every publish for good, on any lap,
+// and gives the refused run's slots back to the producer, while what was
+// published before the seal drains as ever and occupancy counts it down
+// to zero.
 func TestRingSeal(t *testing.T) {
 	r := newRing(4)
 	var slots packetSlots
-	pkts := make([]ringItem, 8)
+	pkts := make([]netsim.Packet, 8)
 	for i := range pkts {
-		pkts[i].pkt.ID = uint64(i)
+		pkts[i].ID = uint64(i)
 	}
 	buf := make([]core.BatchItem, 8)
 	// One and a half laps, so the cursor is off the first lap when sealed.
 	for i := 0; i < 6; i++ {
-		if !r.tryEnqueue(&pkts[i].pkt, 0) {
+		if !push(r, &pkts[i], 0) {
 			t.Fatalf("enqueue %d failed", i)
 		}
 		if i == 3 {
@@ -236,15 +221,16 @@ func TestRingSeal(t *testing.T) {
 			}
 		}
 	}
+	r.stage().pkt = pkts[6]
 	r.seal()
-	if r.tryEnqueue(&pkts[6].pkt, 0) {
-		t.Fatal("tryEnqueue succeeded on a sealed ring")
+	if n, ok := r.publish(); n != 1 || ok {
+		t.Fatalf("publish on a sealed ring: %d (ok %v), want the 1 staged refused", n, ok)
 	}
-	if n := r.tryEnqueueBurst(pkts[6:]); n != 0 {
-		t.Fatalf("tryEnqueueBurst claimed %d slots of a sealed ring", n)
+	if r.staged() != 0 {
+		t.Fatalf("%d items still staged after a refused publish", r.staged())
 	}
 	if got := r.occupancy(); got != 2 {
-		t.Fatalf("occupancy %d behind the seal, want the 2 items enqueued before it", got)
+		t.Fatalf("occupancy %d behind the seal, want the 2 items published before it", got)
 	}
 	if n := r.dequeueBatch(buf, &slots); n != 2 || buf[0].Pkt.ID != 4 || buf[1].Pkt.ID != 5 {
 		t.Fatalf("drained %d items behind the seal, want packets 4 and 5 in order", n)
@@ -252,7 +238,12 @@ func TestRingSeal(t *testing.T) {
 	if !r.empty() || r.occupancy() != 0 {
 		t.Fatalf("sealed ring not empty after its drain: occupancy %d", r.occupancy())
 	}
-	if r.tryEnqueue(&pkts[6].pkt, 0) || r.tryEnqueueBurst(pkts[:1]) != 0 {
-		t.Fatal("a drained sealed ring took an item")
+	for i := 0; i < 4; i++ { // a whole lap of slots is free to stage, and none publishes
+		if r.stage() == nil {
+			t.Fatalf("stage %d refused on a drained sealed ring", i)
+		}
+	}
+	if n, ok := r.publish(); n != 4 || ok || !r.empty() {
+		t.Fatalf("a drained sealed ring took %d items (ok %v)", n, ok)
 	}
 }

@@ -14,38 +14,37 @@ import (
 	"floc/internal/telemetry"
 )
 
-// orderSink checks, as packets leave, that each producer's packets leave
-// each shard in the order the producer handed them in: Src names the
-// producer, ID counts its packets from 1.
+// orderSink checks, as packets leave, that the producer's packets leave
+// each shard in the order it handed them in: ID counts them from 1. It is
+// a Flusher, so it keeps nothing of a packet past Emit.
 type orderSink struct {
 	shards int
 	mu     sync.Mutex
-	last   map[[2]uint32]uint64 // (producer, shard) -> last ID seen
-	bad    string               // the first violation
+	last   map[int]uint64 // shard -> last ID seen
+	bad    string         // the first violation
 }
 
 func (s *orderSink) Emit(pkt *netsim.Packet, _ float64) {
-	key := [2]uint32{pkt.Src, uint32(pathShard(pkt.Path, s.shards))}
+	shard := pathShard(pkt.Path, s.shards)
 	s.mu.Lock()
-	if last := s.last[key]; pkt.ID <= last && s.bad == "" {
-		s.bad = fmt.Sprintf("producer %d, shard %d: packet %d left after packet %d", key[0], key[1], pkt.ID, last)
+	if last := s.last[shard]; pkt.ID <= last && s.bad == "" {
+		s.bad = fmt.Sprintf("shard %d: packet %d left after packet %d", shard, pkt.ID, last)
 	}
-	s.last[key] = pkt.ID
+	s.last[shard] = pkt.ID
 	s.mu.Unlock()
 }
 
 func (s *orderSink) Flush() {}
 
-// TestRoleUnderFire runs everything that can reach a shard at once: three
-// producers each mixing Enqueue, Flush and Quiesce on a Burst of its own,
-// one goroutine of Engine.Enqueue singles, one looping the barriers
-// (Snapshot, InstallLimit, SweepLimits, Drain), and a Close that lands in
-// mid-stream — on rings of 2 and of 1024 slots, dropping and blocking. A
-// producer holding shard 0's role while it yields on shard 1's full ring
-// must not deadlock a barrier (go test's -timeout is the watchdog). Every
-// packet handed in is accepted or counted as a ring drop, every accepted
-// packet is processed by the time Close returns, and on an uncongested
-// link each producer's packets leave each shard in order.
+// TestRoleUnderFire runs everything that can reach a shard at once: the
+// one producer mixing Engine.Enqueue singles with a Burst's Enqueue,
+// Flush and Quiesce, a goroutine looping the barriers (Snapshot,
+// InstallLimit, SweepLimits, Drain), and a Close that lands in
+// mid-stream — on rings of 2 and of 1024 slots, dropping and blocking.
+// Every packet handed in is accepted or counted as a ring drop, every
+// accepted packet is processed by the time Close returns, an Enqueue
+// after Close is refused, and on an uncongested link the producer's
+// packets leave each shard in order.
 func TestRoleUnderFire(t *testing.T) {
 	for _, ringSize := range []int{2, 1024} {
 		for _, block := range []bool{false, true} {
@@ -58,13 +57,12 @@ func TestRoleUnderFire(t *testing.T) {
 
 func roleUnderFire(t *testing.T, ringSize int, block bool) {
 	const (
-		producers   = 3
-		perProducer = 20000
-		nPaths      = 16
-		gap         = 10e-6 // 100 000 packets/s offered to a 1 000 000 packets/s link
+		packets = 60000
+		nPaths  = 16
+		gap     = 10e-6 // 100 000 packets/s offered to a 1 000 000 packets/s link
 	)
 	reg := telemetry.NewRegistry()
-	sink := &orderSink{shards: 2, last: map[[2]uint32]uint64{}}
+	sink := &orderSink{shards: 2, last: map[int]uint64{}}
 	rc := core.DefaultConfig(8e9, 2048)
 	rc.Seed = 3
 	e, err := New(Config{Router: rc, Shards: 2, RingSize: ringSize, BlockOnFull: block, Telemetry: reg, Egress: sink})
@@ -76,64 +74,56 @@ func roleUnderFire(t *testing.T, ringSize int, block bool) {
 		paths[i] = pathid.New(pathid.ASN(2000+i), pathid.ASN(i%4), 1)
 		keys[i], handles[i] = paths[i].Key(), e.InternPath(paths[i])
 	}
-	var clock, handed atomic.Int64 // arrival ticks; packets handed in and accounted for
-	pkt := func(producer, n, p int) (*netsim.Packet, float64) {
+	var clock atomic.Int64 // arrival ticks, read by the barrier loop
+	pkt := func(n, p int) (*netsim.Packet, float64) {
 		return &netsim.Packet{
-			ID: uint64(n), Src: uint32(producer), Dst: 9, Size: 1000, Kind: netsim.KindUDP,
+			ID: uint64(n), Src: 1, Dst: 9, Size: 1000, Kind: netsim.KindUDP,
 			Path: paths[p], PathKey: keys[p], PathHandle: handles[p],
 		}, float64(clock.Add(1)) * gap
 	}
 
-	var bursts, singles, control sync.WaitGroup
-	// Close lands while the producers are in their middle third: they
-	// report in after the first and hold the last back until it returned.
-	loaded, closed := make(chan struct{}, producers), make(chan struct{})
-	for i := 1; i <= producers; i++ {
-		bursts.Add(1)
-		go func(producer int) {
-			defer bursts.Done()
-			b, src := e.NewBurst(), rng.New(uint64(100*ringSize+producer))
-			for n := 1; n <= perProducer; n++ {
-				b.Enqueue(pkt(producer, n, src.Intn(nPaths)))
-				switch src.Intn(48) {
-				case 0:
-					b.Flush()
-				case 1, 2:
-					b.Quiesce()
-				}
-				switch n {
-				case perProducer / 3:
-					loaded <- struct{}{}
-				case 2 * perProducer / 3:
-					<-closed
-				}
-			}
-			b.Quiesce()
-			handed.Add(perProducer)
-		}(i)
-	}
-	// Engine.Enqueue reports an engine already closed through its return
-	// value alone, so the singles stop before Close begins: each of theirs
-	// is then accepted or a counted drop.
-	stopSingles := make(chan struct{})
-	singles.Add(1)
+	// Close lands while the producer is in its middle third: it reports in
+	// after the first and holds the last back until Close returned. Only
+	// the Burst runs in the middle third: an Engine.Enqueue that meets
+	// Close reports through its return value alone, which may be a ring
+	// drop or an engine already closed. After Close every single must be
+	// refused, and every Burst packet counts as a ring drop.
+	loaded, closed, produced := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	handed := 0
 	go func() {
-		defer singles.Done()
-		src := rng.New(uint64(ringSize))
-		for n := 0; ; runtime.Gosched() { // one of five goroutines, not a spin that starves them
-			select {
-			case <-stopSingles:
-				handed.Add(int64(n))
-				return
+		defer close(produced)
+		b, src := e.NewBurst(), rng.New(uint64(100*ringSize))
+		for n := 1; n <= packets; n++ {
+			middle := n > packets/3 && n <= 2*packets/3
+			switch {
+			case middle || src.Intn(4) != 0:
+				b.Enqueue(pkt(n, src.Intn(nPaths)))
+				handed++
+			case n <= packets/3:
+				e.Enqueue(pkt(n, src.Intn(nPaths)))
+				handed++
 			default:
+				if e.Enqueue(pkt(n, src.Intn(nPaths))) {
+					t.Errorf("packet %d: Enqueue accepted a packet after Close", n)
+				}
 			}
-			if n < perProducer { // then its share is in: wait to be stopped
-				n++
-				e.Enqueue(pkt(producers+1, n, src.Intn(nPaths)))
+			switch src.Intn(48) {
+			case 0:
+				b.Flush()
+			case 1, 2:
+				b.Quiesce()
+			}
+			switch n {
+			case packets / 3:
+				close(loaded)
+			case 2 * packets / 3:
+				<-closed
 			}
 		}
+		b.Quiesce()
 	}()
 	stopControl := make(chan struct{})
+	var control sync.WaitGroup
 	control.Add(1)
 	go func() {
 		defer control.Done()
@@ -153,20 +143,16 @@ func roleUnderFire(t *testing.T, ringSize int, block bool) {
 		}
 	}()
 
-	for i := 0; i < producers; i++ {
-		<-loaded
-	}
-	close(stopSingles)
-	singles.Wait()
+	<-loaded
 	e.Close()
 	close(closed)
-	bursts.Wait()
+	<-produced
 	close(stopControl)
 	control.Wait()
 
 	st := e.Stats()
-	if st.Accepted+st.RingDrops != handed.Load() {
-		t.Fatalf("accepted %d + ring drops %d != %d packets handed in", st.Accepted, st.RingDrops, handed.Load())
+	if st.Accepted+st.RingDrops != int64(handed) {
+		t.Fatalf("accepted %d + ring drops %d != %d packets handed in", st.Accepted, st.RingDrops, handed)
 	}
 	if st.Processed != st.Accepted {
 		t.Fatalf("processed %d != accepted %d after Close", st.Processed, st.Accepted)

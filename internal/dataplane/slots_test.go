@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"floc/internal/core"
@@ -34,64 +33,77 @@ func varySizes(sc []arrival, seed uint64) []arrival {
 	return sc
 }
 
-// slotsOwned reads shard i's floc_dataplane_packet_slots gauge.
-func slotsOwned(e *Engine, i int) int {
-	return int(e.cfg.Telemetry.GaugeValue(fmt.Sprintf(`floc_dataplane_packet_slots{shard="%d"}`, i)))
+// slotsOwned reads shard i's floc_dataplane_packet_slots gauge from the
+// registry of an engine built from cfg.
+func slotsOwned(cfg Config, i int) int {
+	return int(cfg.Telemetry.GaugeValue(fmt.Sprintf(`floc_dataplane_packet_slots{shard="%d"}`, i)))
 }
 
-// checkSlotBound fails if a shard owns more packet slots than its share
-// of the buffer, one batch — with a Flusher sink, one burst run if that
-// is longer, since a quiescing producer flushes once after its whole run
-// — and one allocation chunk.
-func checkSlotBound(t *testing.T, e *Engine) {
+// checkSlotBound fails if a shard of an engine built from cfg owns more
+// packet slots than its share of the buffer, one batch and one allocation
+// chunk.
+func checkSlotBound(t *testing.T, cfg Config) {
 	t.Helper()
-	inFlight := e.cfg.Batch
-	if e.shards[0].flusher != nil {
-		inFlight = max(inFlight, burstRun)
-	}
-	for i := range e.shards {
-		bound := e.cfg.Router.Capacity/len(e.shards) + inFlight + slotChunk
-		if got := slotsOwned(e, i); got > bound || got == 0 {
+	cfg = cfg.withDefaults()
+	for i := 0; i < cfg.Shards; i++ {
+		bound := cfg.Router.Capacity/cfg.Shards + cfg.Batch + slotChunk
+		if got := slotsOwned(cfg, i); got > bound || got == 0 {
 			t.Errorf("shard %d owns %d packet slots; want 1..%d", i, got, bound)
 		}
 	}
 }
 
-// checkingSink is a Flusher that copies every packet at Emit and, at each
-// Flush, checks that every packet handed to it since the last Flush is
-// still what it was handed: a slot the engine took back before Flush
-// returned would have been overwritten by a later packet.
+// checkingSink is a Flusher that holds the engine to the copy contract
+// from the sink's side: it keeps only the copy it takes at Emit, never
+// the packet, and checks each copy against the packets the producer sent
+// — a slot handed out again while still queued would show as a packet
+// that was never sent, or as one sent once and handed over twice.
 type checkingSink struct {
 	t       *testing.T
 	mu      sync.Mutex
-	pending []*netsim.Packet
-	as      []netsim.Packet
+	sent    map[uint64]netsim.Packet // by ID
+	seen    map[uint64]bool
 	emitted int
 	flushes int
 	bad     int
 }
 
-func (s *checkingSink) Emit(pkt *netsim.Packet, _ float64) {
+func newCheckingSink(t *testing.T) *checkingSink {
+	return &checkingSink{t: t, sent: map[uint64]netsim.Packet{}, seen: map[uint64]bool{}}
+}
+
+// sending records a packet the producer is about to hand in.
+func (s *checkingSink) sending(pkt *netsim.Packet) {
 	s.mu.Lock()
-	s.pending = append(s.pending, pkt)
-	s.as = append(s.as, *pkt)
-	s.emitted++
+	s.sent[pkt.ID] = *pkt
 	s.mu.Unlock()
+}
+
+func (s *checkingSink) Emit(pkt *netsim.Packet, _ float64) {
+	got := *pkt
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.emitted++
+	want, ok := s.sent[got.ID]
+	switch {
+	case !ok || got.Size != want.Size || got.Src != want.Src || got.Path.Key() != want.Path.Key():
+		s.fail("emitted %+v, which was never sent", got)
+	case s.seen[got.ID]:
+		s.fail("packet %d emitted twice", got.ID)
+	}
+	s.seen[got.ID] = true
+}
+
+func (s *checkingSink) fail(format string, args ...any) {
+	if s.bad++; s.bad == 1 {
+		s.t.Errorf(format, args...)
+	}
 }
 
 func (s *checkingSink) Flush() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, pkt := range s.pending {
-		if !reflect.DeepEqual(*pkt, s.as[i]) {
-			if s.bad++; s.bad == 1 {
-				s.t.Errorf("packet %d of %d since the last Flush changed before this one: handed %+v, now %+v",
-					i, len(s.pending), s.as[i], *pkt)
-			}
-		}
-	}
-	s.pending, s.as = s.pending[:0], s.as[:0]
 	s.flushes++
+	s.mu.Unlock()
 }
 
 // handedEach fails unless the sink, flushed at least once, was handed
@@ -205,24 +217,30 @@ func TestSinkOwnsEmittedPackets(t *testing.T) {
 
 // TestPacketSlotsBounded: replay_mix in miniature — 200 000 packets on 64
 // paths at twice the link rate through a 2-shard engine with a buffer of
-// 512, from one Burst cut now and then by a Flush or a Quiesce — leaves
-// each shard owning at most its 256-packet share of the buffer, one batch
-// of 64 and one allocation chunk of packet slots, however many packets
-// went through: with no egress sink, and with a Flusher sink, whose
-// emitted packets count as owned until the Flush after them returns.
+// 480, from the Burst cut now and then by a Flush or a Quiesce — leaves
+// each shard owning at most its 240-packet share of the buffer, one batch
+// of 4 and one allocation chunk of packet slots, however many packets
+// went through: with no egress sink, and with a Flusher sink, which
+// copies at Emit and so holds no slot at all. The share is 16 short of a
+// chunk boundary: an engine that held a run's emitted packets until the
+// Flush after them would pass it by some 30 slots at an inline drain and
+// own a fifth chunk, over the bound.
 func TestPacketSlotsBounded(t *testing.T) {
 	t.Run("no-sink", func(t *testing.T) { packetSlotsBounded(t, nil) })
 	t.Run("flusher", func(t *testing.T) {
-		sink := &checkingSink{t: t}
+		sink := newCheckingSink(t)
 		sink.handedEach(t, packetSlotsBounded(t, sink))
 	})
 }
 
-func packetSlotsBounded(t *testing.T, egress PacketSink) core.Snapshot {
-	rc := core.DefaultConfig(80e6, 512) // 10 000 packets/s
+func packetSlotsBounded(t *testing.T, sink *checkingSink) core.Snapshot {
+	rc := core.DefaultConfig(80e6, 480) // 10 000 packets/s
 	rc.Seed = 42
-	e, err := New(Config{Router: rc, Shards: 2, RingSize: 1024, Batch: 64, BlockOnFull: true,
-		Telemetry: telemetry.NewRegistry(), Egress: egress})
+	cfg := Config{Router: rc, Shards: 2, RingSize: 1024, Batch: 4, BlockOnFull: true, Telemetry: telemetry.NewRegistry()}
+	if sink != nil {
+		cfg.Egress = sink
+	}
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,6 +259,9 @@ func packetSlotsBounded(t *testing.T, egress PacketSink) core.Snapshot {
 			ID: uint64(i), Src: uint32(p)<<8 | uint32(i/nPaths%flowsPer), Dst: 1,
 			Size: 1000, Kind: netsim.KindUDP, Path: paths[p], PathHandle: handles[p],
 		}
+		if sink != nil {
+			sink.sending(&pkt)
+		}
 		b.Enqueue(&pkt, float64(i)*gap)
 		cutBurst(e, b, cut, 1024)
 	}
@@ -250,129 +271,106 @@ func packetSlotsBounded(t *testing.T, egress PacketSink) core.Snapshot {
 	if snap.Arrived != packets || snap.QueueLen == 0 {
 		t.Fatalf("%d of %d packets arrived, %d queued at the end: the buffer was not in use", snap.Arrived, packets, snap.QueueLen)
 	}
-	checkSlotBound(t, e)
-	t.Logf("packet slots owned: %d and %d", slotsOwned(e, 0), slotsOwned(e, 1))
+	checkSlotBound(t, cfg)
+	t.Logf("packet slots owned: %d and %d", slotsOwned(cfg, 0), slotsOwned(cfg, 1))
 	return snap
 }
 
 // TestRecycleUnderFire: a buffer of 8 behind rings of 16, offered ten times
 // the link, so that nearly every packet is dropped and its slot taken
-// again at once. At one shard, one producer handing in one reused packet
-// and cutting its stream with Flush and Quiesce at seeded points makes
-// the engine decide exactly what a plain core.Router given the same
-// arrivals decides: a slot handed out again while still queued would
+// again at once, from the producer handing in one reused packet and
+// cutting its stream with Flush and Quiesce at seeded points. At one
+// shard the engine decides exactly what a plain core.Router given the
+// same arrivals decides: a slot handed out again while still queued would
 // change the size or the time of a packet in the queue, and so the
-// snapshot. At two shards, three such producers, dropping on full rings,
-// lose nothing and count nothing twice, and the slots stay bounded. Each
-// runs again with a Flusher sink (the three producers blocking, not
-// dropping), which must find every packet it was handed unchanged when it
-// flushes and be handed every admitted packet not still queued, once.
+// snapshot. At two shards the producer multiplexes three sources; blocking
+// on full rings, it decides exactly what the same engine fed without cuts
+// decides, and dropping on them it loses nothing and counts nothing
+// twice. Either way the slots stay bounded. Each runs again with a
+// Flusher sink, which must be handed, once each, every admitted packet
+// not still queued, each as it was sent. That the link is under fire is
+// read off the baseline, which the arrivals alone decide.
 func TestRecycleUnderFire(t *testing.T) {
 	rc := core.DefaultConfig(8e6, 8) // 1 000 packets/s of 1 000 bytes
 	rc.Seed = 42
-	t.Run("one-producer", func(t *testing.T) {
-		recycleOneProducer(t, Config{Router: rc, Shards: 1, RingSize: 16, BlockOnFull: true})
-	})
-	t.Run("one-producer-flusher", func(t *testing.T) {
-		// Batches of 4: a quiesced run is admitted in several batches
-		// before its one Flush, so a slot taken back at Emit would be
-		// overwritten while the sink still holds it.
-		sink := &checkingSink{t: t}
-		sink.handedEach(t, recycleOneProducer(t, Config{Router: rc, Shards: 1, RingSize: 16, Batch: 4, BlockOnFull: true, Egress: sink}))
-	})
-	t.Run("three-producers", func(t *testing.T) {
-		recycleThreeProducers(t, Config{Router: rc, Shards: 2, RingSize: 16})
-	})
-	t.Run("three-producers-flusher", func(t *testing.T) {
-		// Blocking on full rings: workers slowed by the sink under -race
-		// would otherwise let so few packets in that the link is not
-		// under fire.
-		sink := &checkingSink{t: t}
-		sink.handedEach(t, recycleThreeProducers(t, Config{Router: rc, Shards: 2, RingSize: 16, BlockOnFull: true, Egress: sink}))
-	})
+	one := varySizes(genScenario(8, 0.0008, 2.0), 17) // 10 000 packets/s
+	three := threeSources(60000)
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		sc      []arrival
+		flusher bool
+	}{
+		{"one-producer", Config{Router: rc, Shards: 1, RingSize: 16, BlockOnFull: true}, one, false},
+		// Batches of 4: an inline drain admits several batches before its
+		// one Flush, and every slot emitted in them is reused meanwhile.
+		{"one-producer-flusher", Config{Router: rc, Shards: 1, RingSize: 16, Batch: 4, BlockOnFull: true}, one, true},
+		{"three-producers", Config{Router: rc, Shards: 2, RingSize: 16}, three, false},
+		{"three-producers-flusher", Config{Router: rc, Shards: 2, RingSize: 16, BlockOnFull: true}, three, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { recycleUnderFire(t, tc.cfg, tc.sc, tc.flusher) })
+	}
 }
 
-func recycleOneProducer(t *testing.T, cfg Config) core.Snapshot {
-	sc := varySizes(genScenario(8, 0.0008, 2.0), 17) // 10 000 packets/s
-	want := runBaseline(t, cfg.Router, sc, 2.5)
+// threeSources scripts n arrivals, 10 000 a second, from three sources
+// that one producer multiplexes in a seeded order, the way flocd's one
+// reader serves many senders: each source draws its own paths, of 16,
+// and sizes, of 64 to 1499 bytes.
+func threeSources(n int) []arrival {
+	const nPaths = 16
+	paths := make([]pathid.PathID, nPaths)
+	for i := range paths {
+		paths[i] = pathid.New(pathid.ASN(3000+i), pathid.ASN(i/4), 1)
+	}
+	srcs, pick := []*rng.Source{rng.New(1), rng.New(2), rng.New(3)}, rng.New(4)
+	sc := make([]arrival, n)
+	for i := range sc {
+		s := pick.Intn(len(srcs))
+		p := srcs[s].Intn(nPaths)
+		sc[i] = arrival{at: float64(i+1) * 1e-4, pkt: netsim.Packet{
+			ID: uint64(i + 1), Src: uint32(s + 1), Dst: 9, Size: 64 + srcs[s].Intn(1436),
+			Kind: netsim.KindUDP, Path: paths[p], PathKey: paths[p].Key(),
+		}}
+	}
+	return sc
+}
+
+func recycleUnderFire(t *testing.T, cfg Config, sc []arrival, flusher bool) {
+	end := sc[len(sc)-1].at + 0.5
+	var want core.Snapshot
+	if cfg.Shards == 1 {
+		want = runBaseline(t, cfg.Router, sc, end)
+	} else {
+		want, _ = runEngineVia(t, Config{Router: cfg.Router, Shards: cfg.Shards, BlockOnFull: true}, sc, end, viaBurst, false)
+	}
 	if drops := want.Arrived - want.Admitted; drops*10 < want.Arrived*8 {
 		t.Fatalf("the baseline dropped %d of %d: not under fire", drops, want.Arrived)
 	}
-	got, stats := runEngineVia(t, cfg, sc, 2.5, viaQuiesce, true)
-	if stats.Processed != int64(len(sc)) {
-		t.Fatalf("%d of %d packets processed", stats.Processed, len(sc))
+	var sink *checkingSink
+	if flusher {
+		sink = newCheckingSink(t)
+		for i := range sc {
+			sink.sending(&sc[i].pkt)
+		}
+		cfg.Egress = sink
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("1-shard engine diverged from the single router:\n got %+v\nwant %+v", got, want)
-	}
-	return got
-}
-
-func recycleThreeProducers(t *testing.T, cfg Config) core.Snapshot {
-	const (
-		producers   = 3
-		perProducer = 20000
-		nPaths      = 16
-		gap         = 1e-4 // 10 000 packets/s offered to a 1 000 packets/s link
-	)
 	cfg.Telemetry = telemetry.NewRegistry()
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	got, st := runEngineVia(t, cfg, sc, end, viaQuiesce, true)
+	if st.Accepted+st.RingDrops != int64(len(sc)) || st.Processed != st.Accepted {
+		t.Fatalf("%d handed in: accepted %d, ring drops %d, processed %d", len(sc), st.Accepted, st.RingDrops, st.Processed)
 	}
-	defer e.Close()
-	paths, keys, handles := make([]pathid.PathID, nPaths), make([]string, nPaths), make([]uint32, nPaths)
-	for i := range paths {
-		paths[i] = pathid.New(pathid.ASN(3000+i), pathid.ASN(i/4), 1)
-		keys[i], handles[i] = paths[i].Key(), e.InternPath(paths[i])
-	}
-	var clock atomic.Int64
-	var wg sync.WaitGroup
-	for i := 1; i <= producers; i++ {
-		wg.Add(1)
-		go func(producer int) {
-			defer wg.Done()
-			b, src := e.NewBurst(), rng.New(uint64(producer))
-			var pkt netsim.Packet
-			for n := 1; n <= perProducer; n++ {
-				p := src.Intn(nPaths)
-				pkt = netsim.Packet{
-					ID: uint64(n), Src: uint32(producer), Dst: 9, Size: 64 + src.Intn(1436),
-					Kind: netsim.KindUDP, Path: paths[p], PathKey: keys[p], PathHandle: handles[p],
-				}
-				b.Enqueue(&pkt, float64(clock.Add(1))*gap)
-				scribble(&pkt)
-				switch src.Intn(16) {
-				case 0:
-					b.Flush()
-				case 1:
-					b.Quiesce()
-				}
-			}
-			b.Quiesce()
-		}(i)
-	}
-	wg.Wait()
-	e.Drain()
-
-	st := e.Stats()
-	if st.Accepted+st.RingDrops != producers*perProducer {
-		t.Fatalf("accepted %d + ring drops %d != %d packets handed in", st.Accepted, st.RingDrops, producers*perProducer)
-	}
-	if st.Processed != st.Accepted {
-		t.Fatalf("processed %d != accepted %d after Drain", st.Processed, st.Accepted)
-	}
-	snap := e.Snapshot()
 	drops := int64(0)
-	for _, n := range snap.Drops {
+	for _, n := range got.Drops {
 		drops += n
 	}
-	if snap.Arrived != st.Processed || snap.Arrived != snap.Admitted+drops {
-		t.Fatalf("routers saw %d arrivals, %d admitted + %d dropped; shards processed %d", snap.Arrived, snap.Admitted, drops, st.Processed)
+	if got.Arrived != st.Processed || got.Arrived != got.Admitted+drops {
+		t.Fatalf("routers saw %d arrivals, %d admitted + %d dropped; shards processed %d", got.Arrived, got.Admitted, drops, st.Processed)
 	}
-	if drops*10 < snap.Arrived*8 {
-		t.Fatalf("%d of %d arrivals dropped: not under fire", drops, snap.Arrived)
+	if cfg.BlockOnFull && !reflect.DeepEqual(got, want) {
+		t.Fatalf("engine diverged from its baseline:\n got %+v\nwant %+v", got, want)
 	}
-	checkSlotBound(t, e)
-	return snap
+	checkSlotBound(t, cfg)
+	if sink != nil {
+		sink.handedEach(t, got)
+	}
 }

@@ -5,7 +5,8 @@
 // datagram per frame. It is the module's only unsafe code — the raw
 // syscalls Go's frozen syscall package stops short of — and exists so the
 // daemon's socket loops pay one kernel crossing per burst instead of one
-// per packet.
+// per packet. ReceiveDrops reads the one socket figure the daemon
+// exports, the datagrams the kernel dropped at a full receive buffer.
 //
 // Both calls are raw (syscall.RawSyscall6), and both pass MSG_DONTWAIT,
 // so neither can block: a read cycle — netpoller wake, recvmmsg, the

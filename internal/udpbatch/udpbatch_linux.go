@@ -28,7 +28,33 @@ type segmentCmsg struct {
 const (
 	solUDP     = 17  // SOL_UDP
 	udpSegment = 103 // UDP_SEGMENT, Linux 4.18
+
+	soMeminfo      = 55 // SO_MEMINFO, Linux 3.17
+	skMeminfoDrops = 8  // SK_MEMINFO_DROPS: the socket's sk_drops
+	skMeminfoVars  = 9  // SK_MEMINFO_VARS: length of the SO_MEMINFO array
 )
+
+// ReceiveDrops returns how many datagrams the kernel has dropped at
+// conn's full receive buffer — SK_MEMINFO_DROPS of getsockopt(SOL_SOCKET,
+// SO_MEMINFO), the count /proc/net/udp prints as drops. ok is false when
+// it cannot be read: the socket is closed.
+func ReceiveDrops(conn *net.UDPConn) (drops int64, ok bool) {
+	rc, err := conn.SyscallConn()
+	if err != nil {
+		return 0, false
+	}
+	var mem [skMeminfoVars]uint32
+	var errno syscall.Errno
+	err = rc.Control(func(fd uintptr) {
+		size := uint32(unsafe.Sizeof(mem))
+		_, _, errno = syscall.Syscall6(syscall.SYS_GETSOCKOPT, fd, syscall.SOL_SOCKET, soMeminfo,
+			uintptr(unsafe.Pointer(&mem)), uintptr(unsafe.Pointer(&size)), 0)
+	})
+	if err != nil || errno != 0 {
+		return 0, false
+	}
+	return int64(mem[skMeminfoDrops]), true
+}
 
 // Reader receives datagrams from a UDP socket up to MaxBatch at a time.
 type Reader struct {

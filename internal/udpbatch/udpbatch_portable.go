@@ -34,6 +34,9 @@ func (r *Reader) Read() (int, error) {
 // sender's: nothing about them has been checked.
 func (r *Reader) Datagram(int) []byte { return r.buf[:r.n] }
 
+// ReceiveDrops reports nothing on this platform: ok is always false.
+func ReceiveDrops(*net.UDPConn) (drops int64, ok bool) { return 0, false }
+
 // Writer collects frames (Add) and sends them as one datagram each
 // (Flush).
 type Writer struct {

@@ -42,16 +42,19 @@
 #                What the branch costs is perf-gate's router_enqueue
 #                family, and the attached path router_enqueue_telemetry
 #   dataplane    wire + dataplane + udpbatch + flocd tests under -race;
-#                TestRoleUnderFire (bursts that flush and quiesce, singles,
-#                barriers and a Close at once) and TestRecycleUnderFire (a
-#                buffer of 8 behind rings of 16, nearly every packet
-#                dropped and its slot reused) each run ten more times
-#                under -race with a 120 s timeout as the hang watchdog;
+#                TestRoleUnderFire (the one producer's bursts, flushes,
+#                quiesces and singles, barriers and a Close at once) and
+#                TestRecycleUnderFire (a buffer of 8 behind rings of 16,
+#                nearly every packet dropped and its slot reused) each run
+#                ten more times under -race with a 120 s timeout as the
+#                hang watchdog;
 #                TestReadParksWithOneP (a Read under GOMAXPROCS=1 must park
 #                and wake: the raw socket calls never block) five times
 #                with a 60 s timeout;
 #                plus the BenchmarkDataplaneEnqueueSharded throughput curve
-#                (1/2/4/8 shards); on a 4+ core runner the 4-shard
+#                (1/2/4/8 shards, the engine driven as flocd's replay
+#                drives it: one producer through the engine's Burst); on a
+#                4+ core runner the 4-shard
 #                aggregate throughput must be >= DATAPLANE_SPEEDUP x the
 #                1-shard figure (default 2.5)
 #   ledger-gate  end-to-end forensic loop: generate a capture, replay it
@@ -68,8 +71,8 @@
 #                feedback, the mid must apply and relay it, and the leaf
 #                must install the propagated limits and drop flood
 #                packets before forwarding; the leaf's and the mid's
-#                packet slots, forwarded packets given back at every
-#                flush, must stay within -capacity + shards x (batch + 64);
+#                packet slots, forwarded packets copied at Emit, must stay
+#                within -capacity + shards x (batch + 64);
 #                every sample line of the three daemons' /metrics must
 #                read `name{labels} value` (a histogram's suffix before
 #                its labels) and none may carry a path= label, so the
@@ -330,7 +333,7 @@ assert_pos "leaf: installed limits" \
 assert_pos "leaf: flood packets shed by propagated limits" \
     "$(metric_sum 19301 'floc_cluster_limit_dropped_total')"
 # The leaf and the mid forward through a buffering socket sink, which
-# gives back at every flush the packets it was handed, so a shard owns at
+# encodes each packet at Emit and keeps nothing of it, so a shard owns at
 # most its share of -capacity (512), one batch and one chunk of 64 packet
 # slots however much it forwarded (DESIGN.md "Packet ownership").
 assert_slots() { # assert_slots <description> <metrics port>

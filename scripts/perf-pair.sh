@@ -23,8 +23,10 @@
 # from seed to seed; the workloads share each seed so that the row a PR
 # claims and the rows it says must not move come from one invocation and
 # the same phases of the host. A line is the run's JSON, flattened, with
-# the workload, the seed and the share of CPU time the hypervisor stole
-# during the run (/proc/stat). The summary gives, per workload and
+# the workload, the seed, the share of CPU time the hypervisor stole
+# during the run (/proc/stat) and the run's stderr (its last 4 000
+# bytes): a run that exits 1 may have failed a correctness check
+# ("CHECK FAILED") or met a harness error, and only its stderr tells which. The summary gives, per workload and
 # BENCHMARK.json end_to_end metric, both medians, the parent's quartile
 # distance, the pairs won and lost, and whether the change's median is
 # inside the metric's bound; it exits 1 when one is beyond it, or when
@@ -56,8 +58,9 @@ fi
 
 # The micro families: name, package under internal/, benchmark pattern
 # and iterations. The iteration counts are fixed here, the same on both
-# sides, for runs of 0.1-0.4 s; dataplane_sharded stops at the two shards
-# two cpus can measure.
+# sides, for runs of 0.1-0.4 s; dataplane_sharded (one producer through
+# the engine's Burst, as flocd drives it) stops at the two shards two cpus
+# can measure.
 families=(
     "router_enqueue            core        ^BenchmarkFLocRouterEnqueue$                       10000000"
     "router_enqueue_telemetry  core        ^BenchmarkFLocRouterEnqueueTelemetry$              5000000"
@@ -99,7 +102,8 @@ declare -A dir=([parent]=$parent_dir [change]=.)
 
 runs=$(mktemp)
 bins=$(mktemp -d)
-trap 'rm -rf "$runs" "$bins"' EXIT
+errs=$(mktemp)
+trap 'rm -rf "$runs" "$bins" "$errs"' EXIT
 
 # order <n> prints the two sides in the order pair <n> runs them.
 order() { if (($1 % 2 == 0)); then echo parent change; else echo change parent; fi; }
@@ -112,14 +116,15 @@ steal() { awk '/^cpu / { t = 0; for (i = 2; i <= NF; i++) t += $i; print $9, t }
 one() {
     local side=$1 workload=$2 seed=$3 before after line status=0
     before=$(steal)
-    line=$(bash "${dir[$side]}/benchmark/run.sh" -workload "$workload" -seconds 15 -trace 0 -seed "$seed" | tail -n 1) || status=$?
+    line=$(bash "${dir[$side]}/benchmark/run.sh" -workload "$workload" -seconds 15 -trace 0 -seed "$seed" 2>"$errs" | tail -n 1) || status=$?
     after=$(steal)
+    cat "$errs" >&2
     case $line in '{'*) ;; *) line='{}' ;; esac
     printf '%s\n' "$line" | jq -c --sort-keys \
         --arg side "$side" --arg workload "$workload" --argjson seed "$seed" --argjson exit "$status" \
-        --arg before "$before" --arg after "$after" '
+        --arg before "$before" --arg after "$after" --rawfile stderr "$errs" '
         ($before | split(" ") | map(tonumber)) as $b | ($after | split(" ") | map(tonumber)) as $a |
-        {workload: $workload, seed: $seed, side: $side, exit: $exit,
+        {workload: $workload, seed: $seed, side: $side, exit: $exit, stderr: $stderr[-4000:],
          steal_frac: (if $a[1] > $b[1] then (($a[0] - $b[0]) / ($a[1] - $b[1]) * 10000 | round / 10000) else null end),
          correct: (.correct // false), attempted: (.attempted // 0), failed: (.failed // 0)}
         + ((.metrics // {}) | map_values(.value))' | tee -a "$out" "$runs" |
