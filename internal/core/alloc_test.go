@@ -48,6 +48,48 @@ func TestZeroAllocEnqueueBatch(t *testing.T) {
 	}
 }
 
+// TestZeroAllocFreshPathsPastCap gates the path-table bound: once the
+// table is full, a packet on a path never seen before is accounted under
+// the unmarked identifier [0] and allocates nothing, so a sender that
+// invents a path per packet grows no router state. Keys are rendered
+// outside the measured closure, as the wire interner hands them over.
+func TestZeroAllocFreshPathsPastCap(t *testing.T) {
+	r, err := NewRouter(DefaultConfig(1e9, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.origins.cap = 4
+	const (
+		now  = 1.0
+		warm = 64
+		runs = 100
+	)
+	pkts := make([]netsim.Packet, warm+runs+1)
+	for i := range pkts {
+		path := pathid.New(pathid.ASN(100+i), 3, 1)
+		pkts[i] = netsim.Packet{
+			ID: uint64(i), Src: 1, Dst: 2, Size: 1000,
+			Kind: netsim.KindUDP, Path: path, PathKey: path.Key(),
+		}
+	}
+	next := 0
+	enqueue := func() {
+		r.Enqueue(&pkts[next], now)
+		next++
+		for r.Dequeue(now) != nil {
+		}
+	}
+	for next < warm {
+		enqueue()
+	}
+	if avg := testing.AllocsPerRun(runs, enqueue); avg != 0 {
+		t.Fatalf("a fresh path past the table's capacity allocates %.1f times per packet, want 0", avg)
+	}
+	if n := r.origins.size(); n != r.origins.cap {
+		t.Fatalf("%d live origins, want the capacity %d", n, r.origins.cap)
+	}
+}
+
 // TestZeroAllocEnqueueHandles gates the dense-handle admission path: with
 // PathHandle stamped and enough distinct paths to defeat the last-key
 // memo, steady state must resolve origins through the open-addressed

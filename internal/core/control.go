@@ -75,7 +75,7 @@ func (r *Router) controlFlows(now float64) {
 		sort.Slice(expiredPaths, func(i, j int) bool { return expiredPaths[i].key < expiredPaths[j].key })
 		for _, ps := range expiredPaths {
 			r.origins.remove(ps)
-			r.tree.Remove(ps.id)
+			r.tree.Remove(ps.leaf)
 			if r.tel != nil {
 				r.tel.Emit(telemetry.Event{Time: now, Type: telemetry.EventPathExpired, Path: ps.key})
 			}
@@ -332,8 +332,12 @@ func (r *Router) recomputeParams(now, interval float64) {
 		} else if ps.lambda <= alloc {
 			ps.attack = false
 		}
+		// Arrivals count on the aggregate, so this is the members' only
+		// reset: without it a member keeps the tokens it had collected
+		// before it was aggregated and never expires (controlFlows).
 		for _, m := range ps.members {
 			m.attack = ps.attack
+			m.arrivedTokens = 0
 		}
 
 		ps.arrivedTokens = 0

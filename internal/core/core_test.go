@@ -450,6 +450,65 @@ func TestFlowExpiry(t *testing.T) {
 	}
 }
 
+// TestPathTableFullFoldsIntoUnmarked: with the table at its capacity, a
+// new path holds no handle and is accounted under the unmarked identifier
+// [0], whose handle the table keeps free, so what the router keeps per
+// path stays within the capacity however many paths senders invent.
+func TestPathTableFullFoldsIntoUnmarked(t *testing.T) {
+	const capacity = 8
+	r := newTestRouter(t, nil)
+	r.origins.cap = capacity
+	d := &driver{r: r}
+	var paths []pathid.PathID
+	for i := 0; i < 3*capacity; i++ {
+		path := pathid.New(pathid.ASN(100+i), 5)
+		paths = append(paths, path)
+		d.step(0.001, []*netsim.Packet{mkpkt(uint32(10+i), 2, 1000, path)}, 2)
+		if n := r.origins.size(); n > capacity || len(r.origins.states) > capacity {
+			t.Fatalf("after %d paths: %d live origins in %d slots, capacity %d", i+1, n, len(r.origins.states), capacity)
+		}
+	}
+	for i, path := range paths {
+		h, probed := r.InternPath(path), r.HandleOf(&netsim.Packet{Path: path})
+		held := r.origins.lookup(path.Key()) != nil
+		if i < capacity-1 {
+			if h == 0 || probed != h || !held {
+				t.Fatalf("path %d of %d: handle %#x, HandleOf %#x, state %v; want a handle and state", i, capacity-1, h, probed, held)
+			}
+		} else if h != 0 || probed != 0 || held {
+			t.Fatalf("path %v past the capacity: handle %#x, HandleOf %#x, state %v; want none", path, h, probed, held)
+		}
+	}
+	unmarked := r.origins.lookup(unmarkedKey)
+	if unmarked == nil || unmarked.handle == 0 {
+		t.Fatal("a full table left the unmarked identifier [0] no state")
+	}
+	if got, want := unmarked.flows.len(), 3*capacity-(capacity-1); got != want {
+		t.Fatalf("[0] accounts %d flows, want the %d of the paths past the capacity", got, want)
+	}
+	d.step(0.001, []*netsim.Packet{mkpkt(1, 2, 1000, nil)}, 2)
+	if r.origins.lookup(unmarkedKey) != unmarked || unmarked.flows.len() != 2*capacity+2 {
+		t.Fatal("an unmarked packet was not accounted under [0] beside the folded paths")
+	}
+	if n, leaves := r.origins.size(), r.tree.NumLeaves(); n != capacity || leaves != capacity {
+		t.Fatalf("%d live origins and %d tree leaves, want %d", n, leaves, capacity)
+	}
+	// Expiry keeps every binding, so the table stays full: once [0] has
+	// expired, a new path still folds and [0] gets state again. Traffic
+	// on the first path drives the control loop meanwhile.
+	for i := 0; i < int((r.cfg.FlowTimeout+1)/0.01); i++ {
+		d.step(0.01, []*netsim.Packet{mkpkt(10, 2, 1000, paths[0])}, 2)
+	}
+	if n := r.origins.size(); n != 1 || r.origins.lookup(unmarkedKey) != nil {
+		t.Fatalf("%d origins live after the flow timeout, want only the one with traffic", n)
+	}
+	fresh := pathid.New(999, 5)
+	d.step(0.01, []*netsim.Packet{mkpkt(1, 2, 1000, fresh)}, 2)
+	if r.InternPath(fresh) != 0 || r.origins.lookup(unmarkedKey) == nil || r.origins.size() != 2 {
+		t.Fatalf("after expiry a new path was not folded into a fresh [0] (live %d)", r.origins.size())
+	}
+}
+
 func TestRTTMeasuredFromSYN(t *testing.T) {
 	r := newTestRouter(t, nil)
 	path := pathid.New(7, 1)

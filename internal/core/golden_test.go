@@ -42,6 +42,12 @@ import (
 // "floc_path_". Second, when the write-only per-path control-run
 // recorder (telemetry.PathSample) was deleted: a4c99fa hashed everything
 // but its "recorder" line.
+//
+// The smax, legit and churn digests were then re-recorded for one
+// intended decision change: an aggregated member's arrivedTokens is reset
+// every control run, so a member expires once its traffic stops
+// (TestAggregateMembersExpire). The plain and capability digests did not
+// move.
 func TestControlLoopGolden(t *testing.T) {
 	for _, sc := range goldenScenarios {
 		sc := sc
@@ -54,6 +60,26 @@ func TestControlLoopGolden(t *testing.T) {
 				t.Fatalf("digest %s, want %s (recorded at the parent commit)", got, sc.digest)
 			}
 		})
+	}
+}
+
+// TestAggregateMembersExpire: on the smax trace every source on the
+// attack paths under 20-3 and 21-3 has stopped by 18.5 s. Those paths,
+// aggregated until then, must expire like any idle path, and their
+// aggregates dissolve, well before the trace ends at 30 s.
+func TestAggregateMembersExpire(t *testing.T) {
+	i := slices.IndexFunc(goldenScenarios, func(sc goldenScenario) bool { return sc.name == "smax" })
+	_, cov := runGolden(t, goldenScenarios[i], false)
+	if cov.maxAggregates == 0 {
+		t.Fatal("the smax trace formed no aggregate")
+	}
+	if len(cov.endAggregates) != 0 {
+		t.Errorf("aggregates %v outlived their traffic", cov.endAggregates)
+	}
+	for _, key := range cov.endPaths {
+		if strings.HasSuffix(key, "-20-3") || strings.HasSuffix(key, "-21-3") {
+			t.Errorf("attack path %s is still live 11 s after its last packet (live: %v)", key, cov.endPaths)
+		}
 	}
 }
 
@@ -86,6 +112,9 @@ type goldenCoverage struct {
 	pathsExpired  int
 	attackFlows   bool
 	flowsShrank   bool
+	// The last checkpoint's aggregates and live path keys.
+	endAggregates []string
+	endPaths      []string
 }
 
 type goldenScenario struct {
@@ -215,8 +244,14 @@ func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCo
 		if len(snap.Aggregates) > cov.maxAggregates {
 			cov.maxAggregates = len(snap.Aggregates)
 		}
+		cov.endAggregates, cov.endPaths = cov.endAggregates[:0], cov.endPaths[:0]
+		for key := range snap.Aggregates {
+			cov.endAggregates = append(cov.endAggregates, key)
+		}
+		slices.Sort(cov.endAggregates)
 		seen := map[string]bool{}
 		for _, info := range infos {
+			cov.endPaths = append(cov.endPaths, info.Key)
 			seen[info.Key] = true
 			if info.AttackFlows > 0 {
 				cov.attackFlows = true
@@ -328,9 +363,9 @@ var goldenScenarios = []goldenScenario{
 	{
 		// |S|max attack-path aggregation with a short flow timeout, so flows
 		// inside the aggregates expire run by run; the hogs stop one by one
-		// from 14 s. (Members never expire while aggregated: their own
-		// arrivedTokens is only reset while they are guaranteed paths.)
-		digest: "06191b9ae0dba5e2ba7e800677922c557190587c96b6ca39698c3d6c69f1f69b",
+		// from 14 s, after which the members expire and the aggregates
+		// dissolve (TestAggregateMembersExpire).
+		digest: "1f23ec3a9b7e0801bffafc3e3e9f840e05de534e6cce19a48d6c537a7e33508d",
 		name:   "smax", seed: 5, seconds: 30,
 		mut: func(c *Config) {
 			c.SMax = 6
@@ -368,7 +403,7 @@ var goldenScenarios = []goldenScenario{
 	{
 		// Legitimate-path aggregation of differently populated siblings; a
 		// population change at 10 s and a hog sibling at 16 s re-plan it.
-		digest: "095d38692087ffd13641334745800393a74a64895facd758535b3a317603c829",
+		digest: "de801d3f1f05ebb371fd0a1f8c6c62f6b5ffd1bcd602e0c63d1666a7a489fccd",
 		name:   "legit", seed: 7, seconds: 28,
 		mut: func(c *Config) { c.LegitAggregation = true },
 		sources: slices.Concat(
@@ -415,7 +450,7 @@ var goldenScenarios = []goldenScenario{
 		// expires and returns on a surviving path, a path that expires and
 		// returns, and a large flow population that collapses (table
 		// shrink). The scalable-mode knobs ride along.
-		digest: "f9c1a37bccd69b61d48840322c45741d6d611466f8da27c6039005a32787598e",
+		digest: "4f8fad5d44026ae21de280d6d56085199803d5e8b6bce8df55829e1e1db777e2",
 		name:   "churn", seed: 13, seconds: 36,
 		mut: func(c *Config) {
 			c.SMax = 10

@@ -10,14 +10,14 @@ import "sync/atomic"
 // first packet's originMiss) and never recycled: an expired path keeps
 // its key→handle binding so a producer-cached handle can never silently
 // alias a different path, it just re-creates state at the same index when
-// traffic returns.
+// traffic returns. Every origin path holds a handle, so the handle space
+// bounds origin-path state: a path that finds the table full is accounted
+// under the unmarked identifier [0], whose handle the table keeps free.
 const (
 	handleIndexBits = 20
 	handleIndexMask = 1<<handleIndexBits - 1
-	// maxPathHandles caps the dense state array. Paths beyond it (a
-	// path-churn attack regime) fall into an overflow map with the old
-	// delete-on-expiry semantics, bounding memory.
-	maxPathHandles = handleIndexMask
+	maxPathHandles  = handleIndexMask
+	unmarkedKey     = "0" // pathid.New(0).Key(): unmarked packets and paths past a full table
 )
 
 // routerTagCounter issues a distinct tag per pathTable so a handle minted
@@ -25,20 +25,21 @@ const (
 var routerTagCounter atomic.Uint32
 
 // pathTable is the router's origin-path index: a dense handle-indexed
-// state array for the hot path plus a key→handle map and overflow map for
-// the cold path (first packet, control plane, snapshots).
+// state array for the hot path plus a key→handle map for the cold path
+// (first packet, control plane, snapshots).
 type pathTable struct {
-	tag      uint32                // pre-shifted router tag, ORed into every handle
-	byKey    map[string]uint32     // key → handle; bindings are never removed
-	states   []*pathState          // 0-based by handle index; nil = expired or not yet created
-	overflow map[string]*pathState // beyond maxPathHandles: plain map semantics
-	live     int
+	tag    uint32            // pre-shifted router tag, ORed into every handle
+	byKey  map[string]uint32 // key → handle; bindings are never removed
+	states []*pathState      // 0-based by handle index; nil = expired or not yet created
+	cap    int               // maxPathHandles; lowered only by the capacity tests
+	live   int
 }
 
 func newPathTable() *pathTable {
 	return &pathTable{
 		tag:   routerTagCounter.Add(1) << handleIndexBits,
 		byKey: map[string]uint32{},
+		cap:   maxPathHandles,
 	}
 }
 
@@ -70,13 +71,14 @@ func (t *pathTable) byHandle(h uint32) *pathState {
 }
 
 // intern binds key to a handle (issuing one on first sight) without
-// creating any path state. Returns 0 when the dense space is exhausted.
+// creating any path state. Returns 0 when the table is full; the last
+// handle is kept for unmarkedKey.
 // Handle binding happens once per path, not per packet.
 func (t *pathTable) intern(key string) uint32 {
 	if h, ok := t.byKey[key]; ok {
 		return h
 	}
-	if len(t.states) >= maxPathHandles {
+	if len(t.states) >= t.cap-1 && key != unmarkedKey {
 		return 0
 	}
 	t.states = append(t.states, nil)
@@ -87,37 +89,19 @@ func (t *pathTable) intern(key string) uint32 {
 
 // lookup returns the live state for key, or nil.
 // First-packet and control-plane lookups only.
-func (t *pathTable) lookup(key string) *pathState {
-	if h, ok := t.byKey[key]; ok {
-		return t.states[int(h&handleIndexMask)-1]
-	}
-	return t.overflow[key]
-}
+func (t *pathTable) lookup(key string) *pathState { return t.byHandle(t.byKey[key]) }
 
-// put stores a freshly created state under key, assigning its handle.
+// put stores a freshly created state at its handle.
 // Path-state creation is a first-packet event.
-func (t *pathTable) put(key string, ps *pathState) {
-	if h := t.intern(key); h != 0 {
-		ps.handle = h
-		t.states[int(h&handleIndexMask)-1] = ps
-	} else {
-		if t.overflow == nil {
-			t.overflow = map[string]*pathState{}
-		}
-		t.overflow[key] = ps
-	}
+func (t *pathTable) put(ps *pathState) {
+	t.states[int(ps.handle&handleIndexMask)-1] = ps
 	t.live++
 }
 
-// remove expires a state. Dense entries keep their key→handle binding
-// (see the package comment above); overflow entries are forgotten.
-// Expiry runs in the control loop.
+// remove expires a state; its key keeps its handle (see the package
+// comment above). Expiry runs in the control loop.
 func (t *pathTable) remove(ps *pathState) {
-	if ps.handle != 0 {
-		t.states[int(ps.handle&handleIndexMask)-1] = nil
-	} else {
-		delete(t.overflow, ps.key)
-	}
+	t.states[int(ps.handle&handleIndexMask)-1] = nil
 	t.live--
 }
 
@@ -132,8 +116,5 @@ func (t *pathTable) each(fn func(ps *pathState)) {
 		if ps != nil {
 			fn(ps)
 		}
-	}
-	for _, ps := range t.overflow {
-		fn(ps)
 	}
 }

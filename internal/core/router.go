@@ -119,9 +119,7 @@ func (fs *flowState) offeredRate(controlInterval float64) float64 {
 // an origin (leaf) path, or an aggregate created by path aggregation.
 type pathState struct {
 	key string
-	id  pathid.PathID
-	// handle is the path's dense pathTable handle (0 for overflow paths
-	// and aggregates).
+	// handle is the path's dense pathTable handle (0 for aggregates).
 	handle uint32
 	leaf   *pathid.Node
 
@@ -318,8 +316,8 @@ func (r *Router) openSlot(pkt *netsim.Packet, fid netsim.FlowID, h uint64) (uint
 }
 
 // InternPath binds path to this router's dense integer handle and returns
-// it (0 when the dense handle space is exhausted; such paths simply keep
-// using string keys). Producers stamp the handle into Packet.PathHandle
+// it (0 when the table is full; such a path is accounted under the
+// unmarked identifier [0]). Producers stamp the handle into Packet.PathHandle
 // so steady-state admission needs no hashing at all. No path state is
 // created: that stays lazy, on the first packet.
 // Interning happens once per path per producer.
@@ -358,7 +356,8 @@ func (r *Router) origin(pkt *netsim.Packet, now float64) *pathState {
 
 // originMiss is origin's slow path: packets without a handle (probed by
 // key, rendered first if the packet carries none) and the first packet of
-// a path (which builds its state).
+// a path (which builds its state). An unmarked packet, or the first of a
+// path that finds the table full, is accounted under [0].
 // Key rendering and path-state creation happen off the keyed fast path.
 func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 	key := pkt.PathKey
@@ -368,20 +367,21 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 	if ps := r.origins.lookup(key); ps != nil {
 		return ps
 	}
-	id := pkt.Path
-	leaf, err := r.tree.Insert(id)
-	if err != nil {
-		// Unmarked packet: account it under a synthetic unknown path.
-		id = pathid.New(0)
-		leaf, _ = r.tree.Insert(id)
-		key = id.Key()
+	id, h := pkt.Path, uint32(0)
+	if len(id) > 0 {
+		h = r.origins.intern(key)
+	}
+	if h == 0 {
+		key = unmarkedKey
 		if ps := r.origins.lookup(key); ps != nil {
 			return ps
 		}
+		id, h = pathid.New(0), r.origins.intern(key)
 	}
+	leaf, _ := r.tree.Insert(id)
 	ps := &pathState{
 		key:         key,
-		id:          id,
+		handle:      h,
 		leaf:        leaf,
 		shares:      1,
 		rtt:         stats.NewEWMA(0.3),
@@ -392,7 +392,7 @@ func (r *Router) originMiss(pkt *netsim.Packet, now float64) *pathState {
 	bucket, _ := tokenbucket.New(r.cfg.ControlInterval, math.Max(1, r.cfg.linkRatePackets().Times(units.Seconds(r.cfg.ControlInterval))))
 	ps.bucket = bucket
 	ps.params = tcpmodel.Params{Period: r.cfg.ControlInterval, RefMTD: r.cfg.DefaultRTT}
-	r.origins.put(key, ps)
+	r.origins.put(ps)
 	r.order.valid = false
 	return ps
 }

@@ -424,12 +424,6 @@ func New(cfg Config) (*Engine, error) {
 // Shards returns the resolved shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
-// ShardOf returns the shard index a path identifier maps to. Exported so
-// tests and traffic generators can construct shard-targeted workloads.
-func (e *Engine) ShardOf(path pathid.PathID) int {
-	return pathShard(path, len(e.shards))
-}
-
 // pathShard hashes a path identifier (FNV-1a over the big-endian domain
 // sequence) onto [0, n). FNV is enough here: path identifiers are
 // assigned by topology, not chosen by the attacker per-packet — a flow

@@ -359,19 +359,9 @@ func TestShardCountInvariantTallies(t *testing.T) {
 }
 
 func TestShardingSpreadsPaths(t *testing.T) {
-	e, err := New(Config{Router: testRouterConfig(), Shards: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
 	hit := make([]int, 8)
 	for p := 0; p < 256; p++ {
-		path := pathid.New(pathid.ASN(p), 1)
-		s := e.ShardOf(path)
-		if s != pathShard(path, 8) {
-			t.Fatal("ShardOf disagrees with pathShard")
-		}
-		hit[s]++
+		hit[pathShard(pathid.New(pathid.ASN(p), 1), 8)]++
 	}
 	for s, n := range hit {
 		if n == 0 {
@@ -380,7 +370,7 @@ func TestShardingSpreadsPaths(t *testing.T) {
 	}
 	// Same path always maps to the same shard.
 	p := pathid.New(7, 3, 1)
-	if e.ShardOf(p) != e.ShardOf(pathid.New(7, 3, 1)) {
+	if pathShard(p, 8) != pathShard(pathid.New(7, 3, 1), 8) {
 		t.Fatal("shard mapping not stable")
 	}
 }
@@ -639,7 +629,7 @@ func TestShardFromHandleMatchesPathHash(t *testing.T) {
 			for j := range path {
 				path[j] = pathid.ASN(src.Uint64())
 			}
-			want := e.ShardOf(path)
+			want := pathShard(path, shards)
 			handle := e.InternPath(path)
 			if handle == 0 || core.HandleTag(handle) != e.tags[want] {
 				t.Fatalf("%d shards: path %v hashes to shard %d, InternPath minted %#x (shard tags %#x)", shards, path, want, handle, e.tags)

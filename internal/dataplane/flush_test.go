@@ -152,7 +152,8 @@ func TestQuiesceProcessesInlineAndFlushesOnce(t *testing.T) {
 	paths, handles := make([]pathid.PathID, 2), make([]uint32, 2)
 	for as := pathid.ASN(50); paths[0] == nil || paths[1] == nil; as++ {
 		p := pathid.New(as, 5, 1)
-		paths[e.ShardOf(p)], handles[e.ShardOf(p)] = p, e.InternPath(p)
+		s := pathShard(p, e.Shards())
+		paths[s], handles[s] = p, e.InternPath(p)
 	}
 	b := e.NewBurst()
 	now, sent := 0.0, int64(0)

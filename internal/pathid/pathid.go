@@ -199,16 +199,13 @@ func (n *Node) walk(visit func(*Node)) {
 // active flows. The zero value is not usable; call NewTree.
 type Tree struct {
 	root   *Node
-	leaves map[string]*Node // PathID key -> leaf
+	leaves int // inserted paths
 }
 
 // NewTree returns an empty traffic tree whose root represents the
 // measuring router's domain.
 func NewTree(rootAS ASN) *Tree {
-	return &Tree{
-		root:   &Node{AS: rootAS, Children: map[ASN]*Node{}},
-		leaves: map[string]*Node{},
-	}
+	return &Tree{root: &Node{AS: rootAS, Children: map[ASN]*Node{}}}
 }
 
 // Root returns the tree root.
@@ -221,9 +218,6 @@ func (t *Tree) Insert(p PathID) (*Node, error) {
 	if len(p) == 0 {
 		return nil, fmt.Errorf("pathid: cannot insert empty path")
 	}
-	if leaf, ok := t.leaves[p.Key()]; ok {
-		return leaf, nil
-	}
 	cur := t.root
 	for i := len(p) - 1; i >= 0; i-- {
 		as := p[i]
@@ -234,19 +228,18 @@ func (t *Tree) Insert(p PathID) (*Node, error) {
 		}
 		cur = next
 	}
-	cur.leaf = true
-	t.leaves[p.Key()] = cur
+	if !cur.leaf {
+		cur.leaf = true
+		t.leaves++
+	}
 	return cur, nil
 }
-
-// Leaf returns the leaf node for a path identifier, or nil if absent.
-func (t *Tree) Leaf(p PathID) *Node { return t.leaves[p.Key()] }
 
 // Leaves returns all leaves in deterministic order.
 func (t *Tree) Leaves() []*Node { return t.root.Leaves() }
 
 // NumLeaves returns the number of distinct inserted paths.
-func (t *Tree) NumLeaves() int { return len(t.leaves) }
+func (t *Tree) NumLeaves() int { return t.leaves }
 
 // InnerNodes returns, in deterministic order, every non-root node with a
 // leaf strictly below it — the aggregation candidate set C of Algorithm 1.
@@ -262,21 +255,19 @@ func (t *Tree) InnerNodes() []*Node {
 	return out
 }
 
-// Remove deletes a path's leaf and prunes the nodes it leaves with neither
-// a path of their own nor children.
-func (t *Tree) Remove(p PathID) {
-	leaf, ok := t.leaves[p.Key()]
-	if !ok {
+// Remove deletes the path whose leaf Insert returned and prunes the nodes
+// it leaves with neither a path of their own nor children. Removing a
+// leaf that is no longer a path's is a no-op.
+func (t *Tree) Remove(leaf *Node) {
+	if !leaf.leaf {
 		return
 	}
-	delete(t.leaves, p.Key())
 	leaf.leaf = false
+	t.leaves--
 	cur := leaf
-	for cur != nil && cur != t.root && !cur.leaf && len(cur.Children) == 0 {
+	for cur != t.root && !cur.leaf && len(cur.Children) == 0 {
 		parent := cur.Parent
-		if parent != nil {
-			delete(parent.Children, cur.AS)
-		}
+		delete(parent.Children, cur.AS)
 		cur = parent
 	}
 }

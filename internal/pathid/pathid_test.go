@@ -99,10 +99,13 @@ func TestTreeInsertAndStructure(t *testing.T) {
 		New(6, 3, 1),
 		New(7, 1),
 	}
-	for _, p := range paths {
-		if _, err := tr.Insert(p); err != nil {
+	leaves := make([]*Node, len(paths))
+	for i, p := range paths {
+		leaf, err := tr.Insert(p)
+		if err != nil {
 			t.Fatal(err)
 		}
+		leaves[i] = leaf
 	}
 	if tr.NumLeaves() != 4 {
 		t.Fatalf("NumLeaves = %d", tr.NumLeaves())
@@ -115,7 +118,7 @@ func TestTreeInsertAndStructure(t *testing.T) {
 	if as1 == nil || len(as1.Children) != 3 { // 2, 3, 7
 		t.Fatalf("AS1 children wrong: %v", as1)
 	}
-	leaf := tr.Leaf(New(4, 2, 1))
+	leaf := leaves[0]
 	if leaf == nil || leaf.AS != 4 || !leaf.IsLeaf() {
 		t.Fatalf("leaf lookup failed: %+v", leaf)
 	}
@@ -212,7 +215,8 @@ func TestTreeNestedOrigins(t *testing.T) {
 	if got := len(inner.Leaves()); got != 2 {
 		t.Fatalf("[1 2].Leaves() = %d, want itself and [3 1 2]", got)
 	}
-	tr.Remove(New(3, 1, 2))
+	outer, _ := tr.Insert(New(3, 1, 2))
+	tr.Remove(outer)
 	if got, n := len(tr.Leaves()), tr.NumLeaves(); got != 1 || n != 1 {
 		t.Fatalf("after removing [3 1 2]: Leaves() = %d, NumLeaves() = %d, want 1 and 1", got, n)
 	}
@@ -227,31 +231,34 @@ func TestTreeNestedOrigins(t *testing.T) {
 
 func TestTreeRemove(t *testing.T) {
 	tr := NewTree(0)
-	tr.Insert(New(4, 2, 1))
-	tr.Insert(New(5, 2, 1))
-	tr.Remove(New(4, 2, 1))
+	a, _ := tr.Insert(New(4, 2, 1))
+	b, _ := tr.Insert(New(5, 2, 1))
+	tr.Remove(a)
 	if tr.NumLeaves() != 1 {
 		t.Fatalf("NumLeaves = %d", tr.NumLeaves())
 	}
-	if tr.Leaf(New(4, 2, 1)) != nil {
+	if a.IsLeaf() || tr.Root().Children[1].Children[2].Children[4] != nil {
 		t.Fatal("removed leaf still present")
 	}
 	// AS2 must still exist (it still has child 5).
 	if tr.Root().Children[1].Children[2] == nil {
 		t.Fatal("shared ancestor pruned too eagerly")
 	}
-	tr.Remove(New(5, 2, 1))
+	tr.Remove(b)
 	if len(tr.Root().Children) != 0 {
 		t.Fatal("empty ancestors not pruned")
 	}
-	// Removing a non-existent path is a no-op.
-	tr.Remove(New(9, 9))
+	// Removing a leaf twice is a no-op.
+	tr.Remove(b)
+	if tr.NumLeaves() != 0 {
+		t.Fatalf("second Remove changed NumLeaves to %d", tr.NumLeaves())
+	}
 }
 
 func TestTreeRemoveKeepsRootAlive(t *testing.T) {
 	tr := NewTree(0)
-	tr.Insert(New(3, 1))
-	tr.Remove(New(3, 1))
+	leaf, _ := tr.Insert(New(3, 1))
+	tr.Remove(leaf)
 	if tr.Root() == nil {
 		t.Fatal("root destroyed")
 	}
