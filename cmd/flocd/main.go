@@ -798,8 +798,9 @@ func serveControl(conn net.PacketConn, node *cluster.Node, reg *telemetry.Regist
 }
 
 // clusterLoop drives the node's periodic duties on the arrival clock:
-// publish fresh feedback derived from the engine snapshot, retransmit
-// pending frames, and sweep expired limit leases.
+// publish the full feedback set derived from the engine snapshot (the
+// repair for any lost frame), forget origins whose memory has ended, and
+// sweep expired limit leases.
 func clusterLoop(node *cluster.Node, e *dataplane.Engine, start time.Time, stop <-chan struct{}) {
 	tick := time.NewTicker(250 * time.Millisecond)
 	defer tick.Stop()

@@ -9,18 +9,17 @@
 // origins — NetFence's in-band congestion-policing feedback realized
 // over a UDP control channel.
 //
-// Reliability model: control frames ride UDP with no acks. Three
-// mechanisms make that dependable enough for rate limits:
+// Reliability model: control frames ride UDP with no acks and are
+// never retransmitted. Frames are state, not deltas:
 //
-//   - every frame carries the origin's full current limit set, so any
-//     one delivered frame reconverges the receiver (frames are state,
-//     not deltas);
-//   - the sender retransmits recent frames with capped exponential
-//     backoff (Tick), and each periodic Publish re-advertises the set;
-//   - sequence numbers make application idempotent and strictly
-//     monotone per origin — a reordered or duplicated frame older than
-//     the last applied one is dropped as stale, never applied, until
-//     that frame's lease and the sender's retransmits have run out.
+//   - every periodic Publish carries the origin's full current limit
+//     set, and re-advertises each release for one lease, so the next
+//     delivered publish repairs whatever a lost one carried;
+//   - all chunks of one publish share its sequence number, and a frame
+//     whose number is below the last applied one from its origin is
+//     dropped as stale, never applied, for one lease after that frame;
+//   - relays pass frames through with their origin and sequence, so
+//     every receiver sees each origin's own stream.
 //
 // Installed limits carry a TTL lease: a dead downstream stops
 // refreshing and its limits lapse on their own, so no failure can wedge
@@ -77,8 +76,8 @@ type Config struct {
 }
 
 // The protocol's fixed parameters. Every daemon of a deployment must
-// share the retransmit schedule: a receiver's staleness window assumes
-// its sender's retrySpan.
+// share them: a receiver remembers an origin for one lease, the span for
+// which its sender re-advertises a release.
 const (
 	// dropFrac is the per-path interval drop fraction at which the path
 	// is advertised as flooded. A path is released when its drop
@@ -89,21 +88,13 @@ const (
 	minLimitBits units.BitsPerSec = 64_000
 	// leaseTTL is the lease lifetime, in seconds, stamped on outgoing
 	// frames; installed limits expire leaseTTL after application unless
-	// refreshed. It must fit the frame's uint16 milliseconds.
+	// refreshed, and a released path is advertised at rate 0 for
+	// leaseTTL. It must fit the frame's uint16 milliseconds.
 	leaseTTL = 2.0
 	// hopBudget is the propagation budget on originated frames: how many
 	// further routers a frame may be relayed to (at most
 	// wire.MaxControlHops).
 	hopBudget = 2
-	// retryBase and retryMax bound the retransmit backoff in seconds;
-	// retryBudget is the retransmit count per frame.
-	retryBase   = 0.1
-	retryMax    = 1.6
-	retryBudget = 5
-	// retrySpan is how long after its first send a frame may still be
-	// retransmitted: the retryBudget backoff intervals,
-	// 0.1 + 0.2 + 0.4 + 0.8 + 1.6 s.
-	retrySpan = 3.1
 )
 
 func (c Config) validate() error {
@@ -126,16 +117,6 @@ type pathCounts struct {
 	dropped  int64
 }
 
-// pendingFrame is one in-flight frame awaiting its retransmits.
-type pendingFrame struct {
-	buf        []byte
-	seq        uint64
-	originated bool // built by Publish (superseded by the next Publish)
-	retries    int
-	interval   float64
-	nextAt     float64
-}
-
 // originState is what a node remembers of the last frame it applied from
 // one downstream origin: its sequence number, its arrival time, and when
 // the node may forget the origin (see HandleFrame).
@@ -145,14 +126,10 @@ type originState struct {
 	forgetAt float64
 }
 
-// maxPending bounds the retransmit queue; oldest entries fall off first
-// (their state is superseded by everything after them anyway).
-const maxPending = 8
-
 // Node is one daemon's cluster endpoint: the downstream half computes
-// and publishes feedback (Publish/Tick), the upstream half applies and
-// relays received frames (HandleFrame). Safe for concurrent use; every
-// method takes the daemon's arrival clock.
+// and publishes feedback (Publish), the upstream half applies and relays
+// received frames (HandleFrame) and forgets silent origins (Tick). Safe
+// for concurrent use; every method takes the daemon's arrival clock.
 type Node struct {
 	cfg Config
 
@@ -161,19 +138,18 @@ type Node struct {
 	prev     map[string]pathCounts
 	prevNow  float64
 	havePrev bool
-	active   map[string]bool // path key -> currently advertised as limited
-	pend     []*pendingFrame
+	active   map[string]bool    // path key -> currently advertised as limited
+	released map[string]float64 // path key -> when its release stops being advertised
 	origins  map[uint32]originState
 
 	// Resolved in New, so /metrics shows a zero.
-	sendErrs   *telemetry.Counter
-	emptyPath  *telemetry.Counter
-	refused    *telemetry.Counter
-	ownOrigin  *telemetry.Counter
-	retrySpent *telemetry.Counter
-	applied    *telemetry.Counter
-	stale      *telemetry.Counter
-	sentCtr    map[string]*telemetry.Counter
+	sendErrs  *telemetry.Counter
+	emptyPath *telemetry.Counter
+	refused   *telemetry.Counter
+	ownOrigin *telemetry.Counter
+	applied   *telemetry.Counter
+	stale     *telemetry.Counter
+	sentCtr   map[string]*telemetry.Counter
 }
 
 // New builds a cluster node.
@@ -182,20 +158,20 @@ func New(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:     cfg,
-		prev:    map[string]pathCounts{},
-		active:  map[string]bool{},
-		origins: map[uint32]originState{},
-		sentCtr: map[string]*telemetry.Counter{},
+		cfg:      cfg,
+		prev:     map[string]pathCounts{},
+		active:   map[string]bool{},
+		released: map[string]float64{},
+		origins:  map[uint32]originState{},
+		sentCtr:  map[string]*telemetry.Counter{},
 	}
 	n.sendErrs = n.counter("floc_cluster_send_errors_total",
 		"control frames the transport failed to send to a peer", "frames")
 	const refusedHelp = "feedback records decoded but not installed, by reason"
 	n.emptyPath = n.counter(`floc_cluster_feedback_refused_total{reason="empty_path"}`, refusedHelp, "records")
 	n.refused = n.counter(`floc_cluster_feedback_refused_total{reason="refused"}`, refusedHelp, "records")
-	const discardedHelp = "control frames discarded unapplied or unacknowledged, by reason"
-	n.ownOrigin = n.counter(`floc_cluster_frames_discarded_total{reason="own_origin"}`, discardedHelp, "frames")
-	n.retrySpent = n.counter(`floc_cluster_frames_discarded_total{reason="retry_budget"}`, discardedHelp, "frames")
+	n.ownOrigin = n.counter(`floc_cluster_frames_discarded_total{reason="own_origin"}`,
+		"control frames discarded unapplied, by reason", "frames")
 	n.applied = n.counter("floc_cluster_feedback_applied_total",
 		"feedback records applied", "records")
 	n.stale = n.counter("floc_cluster_feedback_stale_dropped_total",
@@ -230,9 +206,10 @@ func (n *Node) limitFor(p core.PathInfo, admittedDelta int64, interval float64) 
 // per-path limit set, and advertises it to every peer as one or more
 // control frames. Paths whose interval drop fraction reaches dropFrac
 // (or that the router marks as attack paths) are limited; previously
-// limited paths that have calmed are released with an explicit
-// zero-limit record. Returns the number of records sent. The first call
-// only records the baseline.
+// limited paths that have calmed or vanished are released with a
+// zero-limit record in every publish for leaseTTL. All frames of one
+// publish share one sequence number. Returns the number of records sent.
+// The first call only records the baseline.
 func (n *Node) Publish(snap core.Snapshot, now float64) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -278,28 +255,28 @@ func (n *Node) Publish(snap core.Snapshot, now float64) int {
 				rate: n.limitFor(p, cur.admitted-base.admitted, interval),
 			})
 			n.active[p.Key] = true
+			delete(n.released, p.Key)
 		case n.active[p.Key] && calm:
-			path, err := pathid.Parse(p.Key)
-			if err == nil && len(path) <= wire.MaxPathLen {
-				recs = append(recs, rec{key: p.Key, path: path, rate: 0})
-			}
 			delete(n.active, p.Key)
+			n.released[p.Key] = now + leaseTTL
 		}
 	}
-	// Paths that vanished from the snapshot while limited: release them
-	// explicitly rather than waiting out the upstream TTL.
-	var gone []string
+	// Paths that vanished from the snapshot while limited are released
+	// too, rather than left to the upstream lease.
 	for key := range n.active {
 		if !seen[key] {
-			gone = append(gone, key)
+			delete(n.active, key)
+			n.released[key] = now + leaseTTL
 		}
 	}
-	sort.Strings(gone)
-	for _, key := range gone {
-		if path, err := pathid.Parse(key); err == nil && len(path) <= wire.MaxPathLen {
+	// A release is re-advertised for one lease, so that any one publish
+	// delivered in that span releases the path upstream.
+	for key, until := range n.released {
+		if now >= until {
+			delete(n.released, key)
+		} else if path, err := pathid.Parse(key); err == nil {
 			recs = append(recs, rec{key: key, path: path, rate: 0})
 		}
-		delete(n.active, key)
 	}
 	n.prev = next
 	n.prevNow = now
@@ -309,16 +286,7 @@ func (n *Node) Publish(snap core.Snapshot, now float64) int {
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].key < recs[j].key })
 
-	// A new Publish carries the full current set: older originated
-	// frames are superseded and must not be retransmitted.
-	kept := n.pend[:0]
-	for _, p := range n.pend {
-		if !p.originated {
-			kept = append(kept, p)
-		}
-	}
-	n.pend = kept
-
+	seq := n.nextSeqLocked()
 	sent := 0
 	for start := 0; start < len(recs); start += wire.MaxFeedbackRecords {
 		chunk := recs[start:min(start+wire.MaxFeedbackRecords, len(recs))]
@@ -327,7 +295,7 @@ func (n *Node) Publish(snap core.Snapshot, now float64) int {
 			Kind:       wire.ControlFeedback,
 			Hops:       hopBudget,
 			Origin:     n.cfg.RouterID,
-			Seq:        n.nextSeqLocked(),
+			Seq:        seq,
 			TTLMillis:  leaseTTL * 1000,
 			NumRecords: uint8(len(chunk)),
 		}
@@ -342,7 +310,6 @@ func (n *Node) Publish(snap core.Snapshot, now float64) int {
 			continue
 		}
 		n.sendLocked(buf)
-		n.trackLocked(buf, f.Seq, true, now)
 		sent += len(chunk)
 	}
 	return sent
@@ -350,11 +317,11 @@ func (n *Node) Publish(snap core.Snapshot, now float64) int {
 
 // HandleFrame decodes and applies one received control frame: stale
 // sequences are dropped whole, fresh records are installed through the
-// Installer with a TTL lease, and — hop budget permitting — the records
-// are relayed to this node's own peers under its own origin and
-// sequence. buf is one control datagram, so bytes after its frame refuse
-// it whole. Returns the number of records applied; the error is non-nil
-// only for undecodable datagrams (classify it with wire.KindOfError).
+// Installer with a TTL lease, and — hop budget permitting — the frame is
+// relayed to this node's own peers with its origin and sequence. buf is
+// one control datagram, so bytes after its frame refuse it whole. Returns
+// the number of records applied; the error is non-nil only for
+// undecodable datagrams (classify it with wire.KindOfError).
 func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 	var f wire.ControlFrame
 	used, err := wire.DecodeControl(buf, &f)
@@ -370,15 +337,17 @@ func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 		n.ownOrigin.Inc() // own frame looped back
 		return 0, nil
 	}
-	// Forget the origin (a restarted daemon counts from 1 again) once the
-	// last applied frame's limits have lapsed and no older frame, all sent
-	// before it, can still be retransmitted: TTL + retrySpan after its
-	// arrival. The TTL also absorbs tick lateness and network delay.
-	if last, ok := n.origins[f.Origin]; ok && f.Seq <= last.seq && now < last.forgetAt {
+	// Chunks of one publish share its sequence number, so only a lower one
+	// is stale; a duplicate re-applies the same state. Forget the origin (a
+	// restarted daemon counts from 1 again) one TTL after the arrival of
+	// the last frame applied from it: every limit that frame installed has
+	// lapsed by then, so only a frame delayed in the network for longer is
+	// applied as fresh.
+	if last, ok := n.origins[f.Origin]; ok && f.Seq < last.seq && now < last.forgetAt {
 		n.stale.Inc()
 		return 0, nil
 	}
-	n.origins[f.Origin] = originState{seq: f.Seq, recv: now, forgetAt: now + f.TTL() + retrySpan}
+	n.origins[f.Origin] = originState{seq: f.Seq, recv: now, forgetAt: now + f.TTL()}
 	applied := 0
 	for i := 0; i < int(f.NumRecords); i++ {
 		r := &f.Records[i]
@@ -392,26 +361,20 @@ func (n *Node) HandleFrame(buf []byte, now float64) (int, error) {
 		}
 	}
 	n.applied.Add(int64(applied))
-	// Relay upstream with a decremented hop budget, re-originated so the
-	// next hop's staleness tracking sees one monotone stream per sender.
+	// Relay upstream with a decremented hop budget, keeping the origin and
+	// sequence, so every hop tracks staleness per origin.
 	if f.Hops > 0 && len(n.cfg.Peers) > 0 {
-		rf := f
-		rf.Hops = f.Hops - 1
-		rf.Origin = n.cfg.RouterID
-		rf.Seq = n.nextSeqLocked()
-		if rbuf, err := wire.MarshalControlAppend(nil, &rf); err == nil {
+		f.Hops--
+		if rbuf, err := wire.MarshalControlAppend(nil, &f); err == nil {
 			n.sendLocked(rbuf)
-			n.trackLocked(rbuf, rf.Seq, false, now)
 		}
 	}
 	return applied, nil
 }
 
-// Tick retransmits due pending frames with capped exponential backoff,
-// prunes frames that exhausted their retry budget, and forgets origins
-// whose window (see HandleFrame) has ended. Call it periodically (the
-// daemon's tick loop); returns the number of frames resent.
-func (n *Node) Tick(now float64) int {
+// Tick forgets origins whose memory (see HandleFrame) has ended. Call it
+// periodically (the daemon's tick loop).
+func (n *Node) Tick(now float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for origin, o := range n.origins {
@@ -419,27 +382,6 @@ func (n *Node) Tick(now float64) int {
 			delete(n.origins, origin)
 		}
 	}
-	resent := 0
-	kept := n.pend[:0]
-	for _, p := range n.pend {
-		if now >= p.nextAt {
-			n.sendLocked(p.buf)
-			resent++
-			p.retries++
-			p.interval *= 2
-			if p.interval > retryMax {
-				p.interval = retryMax
-			}
-			p.nextAt = now + p.interval
-		}
-		if p.retries < retryBudget {
-			kept = append(kept, p)
-		} else {
-			n.retrySpent.Inc()
-		}
-	}
-	n.pend = kept
-	return resent
 }
 
 // nextSeqLocked returns the next per-origin sequence number.
@@ -456,21 +398,6 @@ func (n *Node) sendLocked(buf []byte) {
 			continue
 		}
 		n.sentCtrLocked(peer).Inc()
-	}
-}
-
-// trackLocked queues a frame for retransmission.
-func (n *Node) trackLocked(buf []byte, seq uint64, originated bool, now float64) {
-	n.pend = append(n.pend, &pendingFrame{
-		buf:        buf,
-		seq:        seq,
-		originated: originated,
-		retries:    0,
-		interval:   retryBase,
-		nextAt:     now + retryBase,
-	})
-	if len(n.pend) > maxPending {
-		n.pend = n.pend[len(n.pend)-maxPending:]
 	}
 }
 
@@ -502,11 +429,10 @@ type PeerFeedback struct {
 
 // Health is the node's /healthz surface.
 type Health struct {
-	RouterID      uint32         `json:"router_id"`
-	Peers         int            `json:"peers"`
-	Feedback      []PeerFeedback `json:"feedback,omitempty"`
-	PendingFrames int            `json:"pending_frames"`
-	SendErrors    int64          `json:"send_errors,omitempty"`
+	RouterID   uint32         `json:"router_id"`
+	Peers      int            `json:"peers"`
+	Feedback   []PeerFeedback `json:"feedback,omitempty"`
+	SendErrors int64          `json:"send_errors,omitempty"`
 }
 
 // Health reports the node's current state, feedback sorted by origin.
@@ -514,10 +440,9 @@ func (n *Node) Health(now float64) Health {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	h := Health{
-		RouterID:      n.cfg.RouterID,
-		Peers:         len(n.cfg.Peers),
-		PendingFrames: len(n.pend),
-		SendErrors:    n.sendErrs.Value(),
+		RouterID:   n.cfg.RouterID,
+		Peers:      len(n.cfg.Peers),
+		SendErrors: n.sendErrs.Value(),
 	}
 	for origin, o := range n.origins {
 		h.Feedback = append(h.Feedback, PeerFeedback{

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"testing"
@@ -41,6 +43,18 @@ func (in *fakeInstaller) InstallLimit(path pathid.PathID, rate units.BitsPerSec,
 	in.expires[key] = expiresAt
 	in.peers[key] = peer
 	return true
+}
+
+// inForce counts the installed limits whose lease has not run out at now:
+// the limits an engine that sweeps its leases still enforces.
+func (in *fakeInstaller) inForce(now float64) int {
+	n := 0
+	for key := range in.limits {
+		if in.expires[key] > now {
+			n++
+		}
+	}
+	return n
 }
 
 // queuedFrame is one in-flight frame in the lossy transport.
@@ -105,12 +119,32 @@ func (t *lossyTransport) deliverDue(dst *Node, now float64) {
 // floodSnapshot fabricates a snapshot where path key has the given
 // cumulative counters and allocation.
 func floodSnapshot(key string, admitted, dropped int64, allocPkts units.PacketsPerSec) core.Snapshot {
-	return core.Snapshot{Paths: []core.PathInfo{{
-		Key:             key,
-		AllocPackets:    allocPkts,
-		AdmittedPackets: admitted,
-		DroppedPackets:  dropped,
-	}}}
+	return floodSnapshotOf([]string{key}, admitted, dropped, allocPkts)
+}
+
+// floodSnapshotOf is floodSnapshot with the same counters on every path
+// of keys.
+func floodSnapshotOf(keys []string, admitted, dropped int64, allocPkts units.PacketsPerSec) core.Snapshot {
+	var snap core.Snapshot
+	for _, key := range keys {
+		snap.Paths = append(snap.Paths, core.PathInfo{
+			Key:             key,
+			AllocPackets:    allocPkts,
+			AdmittedPackets: admitted,
+			DroppedPackets:  dropped,
+		})
+	}
+	return snap
+}
+
+// pathKeys returns n distinct three-AS path keys: more than
+// wire.MaxFeedbackRecords of them make a publish of several chunks.
+func pathKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%d-10-1", 100+i)
+	}
+	return keys
 }
 
 func downConfig(t *testing.T, tr Transport, reg *telemetry.Registry) Config {
@@ -125,10 +159,11 @@ func downConfig(t *testing.T, tr Transport, reg *telemetry.Registry) Config {
 	}
 }
 
-// TestConvergenceUnderLossAndReorder is the satellite requirement:
-// with half the control frames dropped and survivors reordered, the
-// upstream limit still converges within the retry budget, and stale
-// sequence numbers are never applied.
+// TestConvergenceUnderLossAndReorder: with half the control frames
+// dropped and survivors reordered, the upstream limit still converges
+// from the periodic publishes alone, and stale sequence numbers are never
+// applied. The second input sends a two-chunk publish through a relay,
+// with the same loss and reordering on both hops.
 func TestConvergenceUnderLossAndReorder(t *testing.T) {
 	const key = "100-10-1"
 	for seed := uint64(1); seed <= 5; seed++ {
@@ -161,7 +196,6 @@ func TestConvergenceUnderLossAndReorder(t *testing.T) {
 				dropped += 200
 				down.Publish(floodSnapshot(key, admitted, dropped, 500), now)
 			}
-			down.Tick(now)
 			tr.deliverDue(up, now)
 			if converged < 0 && upInstall.limits[key] == 4_000_000 {
 				converged = now
@@ -189,6 +223,102 @@ func TestConvergenceUnderLossAndReorder(t *testing.T) {
 			t.Fatalf("seed %d: stale(%d)+applied(%d) exceeds delivered frames(%d)",
 				seed, stale, applied, tr.sent-tr.dropped)
 		}
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		convergeThroughRelay(t, seed)
+	}
+}
+
+// convergeThroughRelay floods 40 paths at a root, which publishes them
+// as two chunks every 250 ms through a mid to a leaf, both hops dropping
+// half the frames and reordering the rest. Every limit must reach the
+// leaf, attributed to the root, and once the paths calm the leaf must
+// enforce none of them one lease after the release, give or take the two
+// hops' delivery delay: each path is released by a re-advertised zero
+// record or lapses with its last lease, whichever comes first.
+func convergeThroughRelay(t *testing.T, seed uint64) {
+	t.Helper()
+	keys := pathKeys(40)
+	toMid := &lossyTransport{src: rng.New(seed), dropProb: 0.5}
+	toLeaf := &lossyTransport{src: rng.New(seed + 100), dropProb: 0.5}
+	root, err := New(downConfig(t, toMid, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid, err := New(Config{RouterID: 2, Peers: []string{"leaf"}, Transport: toLeaf,
+		Installer: newFakeInstaller(), PacketSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leafInstall := newFakeInstaller()
+	leaf, err := New(Config{RouterID: 1, Installer: leafInstall, PacketSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flooded (40 % drops at 500 pkt/s, so 4 Mb/s) until calmAt, then calm.
+	const calmAt = 6.0
+	var admitted, dropped int64
+	converged := false
+	for step := 0; step <= 180; step++ {
+		now := 0.05 * float64(step)
+		toMid.now, toLeaf.now = now, now
+		if step%5 == 0 {
+			admitted += 300
+			if now < calmAt {
+				dropped += 200
+			}
+			root.Publish(floodSnapshotOf(keys, admitted, dropped, 500), now)
+		}
+		toMid.deliverDue(mid, now)
+		toLeaf.deliverDue(leaf, now)
+		if now < calmAt && leafInstall.inForce(now) == len(keys) {
+			converged = true
+		}
+		if now >= calmAt+leaseTTL+2*0.2 && leafInstall.inForce(now) != 0 {
+			t.Fatalf("seed %d: leaf still limits %d of %d paths at %v, one lease after the release at %v",
+				seed, leafInstall.inForce(now), len(keys), now, calmAt)
+		}
+	}
+	if !converged {
+		t.Fatalf("seed %d: the leaf never enforced all %d limits at once before the paths calmed", seed, len(keys))
+	}
+	for _, key := range keys {
+		if leafInstall.peers[key] != 3 {
+			t.Fatalf("seed %d: leaf attributes %s to origin %d, want the root (3)", seed, key, leafInstall.peers[key])
+		}
+	}
+	if toMid.dropped == 0 || toLeaf.dropped == 0 {
+		t.Fatalf("seed %d: a hop dropped nothing (%d, %d); test is vacuous", seed, toMid.dropped, toLeaf.dropped)
+	}
+}
+
+// TestChunksOfOnePublishSurviveReorder: a publish of 40 flooded paths
+// goes out as two chunks under one sequence number, so the second chunk
+// overtaking the first leaves both applied.
+func TestChunksOfOnePublishSurviveReorder(t *testing.T) {
+	keys := pathKeys(40)
+	tr := &captureTransport{}
+	down, err := New(downConfig(t, tr, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	upInstall := newFakeInstaller()
+	up, err := New(Config{RouterID: 2, Installer: upInstall, PacketSize: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	down.Publish(floodSnapshotOf(keys, 1000, 0, 500), 0) // baseline
+	down.Publish(floodSnapshotOf(keys, 1300, 200, 500), 0.5)
+	if len(tr.frames) != 2 {
+		t.Fatalf("publish of %d paths sent %d frames, want 2", len(keys), len(tr.frames))
+	}
+	for _, buf := range [][]byte{tr.frames[1], tr.frames[0]} {
+		if _, err := up.HandleFrame(buf, 0.6); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(upInstall.limits); got != len(keys) {
+		t.Fatalf("%d of %d limits installed with the chunks reversed", got, len(keys))
 	}
 }
 
@@ -228,9 +358,14 @@ func TestStaleSequenceNeverApplied(t *testing.T) {
 	if v := reg.CounterValue("floc_cluster_feedback_stale_dropped_total"); v != 1 {
 		t.Fatalf("stale counter = %d, want 1", v)
 	}
-	// A duplicate of the fresh frame is equally stale (seq equality).
-	if n, _ := up.HandleFrame(mk(2, 7_000_000), 1.2); n != 0 {
-		t.Fatal("duplicate frame must not be applied")
+	// A duplicate of the fresh frame re-applies the same state: the
+	// installed limits read the same before and after.
+	before := maps.Clone(upInstall.limits)
+	if n, _ := up.HandleFrame(mk(2, 5_000_000), 1.2); n != 1 {
+		t.Fatalf("duplicate frame applied %d records, want 1", n)
+	}
+	if !maps.Equal(before, upInstall.limits) {
+		t.Fatalf("limits %v after the duplicate, want %v", upInstall.limits, before)
 	}
 }
 
@@ -276,9 +411,8 @@ func feedbackFrame(t *testing.T, origin uint32, seq uint64, hops uint8, limit ui
 
 // TestRestartedOriginHeardAfterLease: a restarted downstream daemon
 // numbers its frames from 1 again. Its upstream drops them as stale while
-// the lease of the old incarnation's last frame and the old daemon's
-// retransmit span run, then forgets the old sequence and applies the new
-// daemon's feedback.
+// the lease of the old incarnation's last frame runs, then forgets the
+// old sequence and applies the new daemon's feedback.
 func TestRestartedOriginHeardAfterLease(t *testing.T) {
 	const key = "100-10-1"
 	upInstall := newFakeInstaller()
@@ -298,8 +432,7 @@ func TestRestartedOriginHeardAfterLease(t *testing.T) {
 			t.Fatalf("old daemon's frame at %v applied %d records, want 1", now, n)
 		}
 	}
-	// The frame applied at 1.5 is remembered to 1.5 + TTL 2 + retransmit
-	// span 3.1 (0.1+0.2+0.4+0.8+1.6) = 6.6.
+	// The frame applied at 1.5 is remembered to 1.5 + TTL 2 = 3.5.
 
 	newTr := &captureTransport{}
 	restarted, err := New(downConfig(t, newTr, nil))
@@ -307,19 +440,19 @@ func TestRestartedOriginHeardAfterLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	restarted.Publish(floodSnapshot(key, 1000, 0, 250), 2.0) // baseline
-	if n, _ := up.HandleFrame(publishFlood(t, restarted, newTr, key, 1, 250, 6.5), 6.5); n != 0 {
+	if n, _ := up.HandleFrame(publishFlood(t, restarted, newTr, key, 1, 250, 3.4), 3.4); n != 0 {
 		t.Fatalf("seq 1 before the old origin is forgotten applied %d records, want 0", n)
 	}
 	if got := upInstall.limits[key]; got != 4_000_000 {
 		t.Fatalf("limit = %v before the old origin is forgotten, want the old daemon's 4e6", got)
 	}
-	if n, _ := up.HandleFrame(publishFlood(t, restarted, newTr, key, 2, 250, 7.0), 7.0); n != 1 {
+	if n, _ := up.HandleFrame(publishFlood(t, restarted, newTr, key, 2, 250, 3.6), 3.6); n != 1 {
 		t.Fatalf("seq 2 after the old origin is forgotten applied %d records, want 1", n)
 	}
 	if got := upInstall.limits[key]; got != 2_000_000 {
 		t.Fatalf("limit = %v after the old origin is forgotten, want the restarted daemon's 2e6", got)
 	}
-	if h := up.Health(7.0); len(h.Feedback) != 1 || h.Feedback[0].LastSeq != 2 {
+	if h := up.Health(3.6); len(h.Feedback) != 1 || h.Feedback[0].LastSeq != 2 {
 		t.Fatalf("health feedback = %+v, want origin 3 at seq 2", h.Feedback)
 	}
 	if v := reg.CounterValue("floc_cluster_feedback_stale_dropped_total"); v != 1 {
@@ -329,8 +462,8 @@ func TestRestartedOriginHeardAfterLease(t *testing.T) {
 
 // TestLowerSeqWithinLeaseIsStale: forgetting an origin waits on the last
 // frame applied from it, not on the first, so a lower sequence number is
-// dropped for as long as any applied frame is remembered (arrival + TTL 2
-// + retransmit span 3.1).
+// dropped for as long as any applied frame is remembered (arrival + TTL
+// 2). A duplicate of the last frame is applied again, and renews it.
 func TestLowerSeqWithinLeaseIsStale(t *testing.T) {
 	upInstall := newFakeInstaller()
 	up, err := New(Config{RouterID: 2, Installer: upInstall, PacketSize: 1000})
@@ -342,12 +475,12 @@ func TestLowerSeqWithinLeaseIsStale(t *testing.T) {
 		now     float64
 		applied int
 	}{
-		{5, 1.0, 1}, // remembered to 6.1
+		{5, 1.0, 1}, // remembered to 3.0
 		{3, 2.9, 0}, // lower, within the lease
-		{6, 3.0, 1}, // fresh: remembered to 8.1
-		{4, 5.5, 0}, // past the first frame's lease, within the span
-		{4, 6.5, 0}, // past the first frame's memory, within the second's
-		{6, 8.0, 0}, // a duplicate, within the memory
+		{6, 3.0, 1}, // fresh: remembered to 5.0
+		{4, 4.0, 0}, // past the first frame's memory, within the second's
+		{6, 4.5, 1}, // a duplicate, the same state: remembered to 6.5
+		{5, 6.0, 0}, // lower, within the renewed memory
 	} {
 		if n, _ := up.HandleFrame(feedbackFrame(t, 9, step.seq, 0, 1_000_000*step.seq), step.now); n != step.applied {
 			t.Fatalf("seq %d at %v applied %d records, want %d", step.seq, step.now, n, step.applied)
@@ -359,7 +492,7 @@ func TestLowerSeqWithinLeaseIsStale(t *testing.T) {
 }
 
 // TestOriginsForgottenAfterLease: an origin is remembered only until its
-// last frame's lease and retransmit span have run, so a receiver heard
+// last frame's lease has run, so a receiver heard
 // by many short-lived origins holds none of them once Tick passes their
 // windows, and /healthz lists none. Nor does the registry grow with
 // them: the feedback counters carry no origin label.
@@ -382,21 +515,21 @@ func TestOriginsForgottenAfterLease(t *testing.T) {
 	if got := len(reg.Names()); got != oneOrigin {
 		t.Fatalf("registry holds %d series after %d origins, %d after one", got, origins, oneOrigin)
 	}
-	// Each origin is remembered to 1.0 + TTL 2 + retransmit span 3.1 = 6.1.
-	up.Tick(6.0)
-	if got := len(up.Health(6.0).Feedback); got != origins {
+	// Each origin is remembered to 1.0 + TTL 2 = 3.0.
+	up.Tick(2.9)
+	if got := len(up.Health(2.9).Feedback); got != origins {
 		t.Fatalf("%d origins reported within their windows, want %d", got, origins)
 	}
-	up.Tick(6.1)
-	if fb := up.Health(6.1).Feedback; len(fb) != 0 {
+	up.Tick(3.0)
+	if fb := up.Health(3.0).Feedback; len(fb) != 0 {
 		t.Fatalf("%d origins still reported after their windows ended", len(fb))
 	}
 }
 
 // TestRelayedRetransmitOutlivesLeaseIsStale: a relay forwards a limit and
-// then its release. The relay keeps retransmitting the limit frame for
-// 3.1 s, past the 2 s lease of the release frame. That last retransmit
-// must still be dropped as stale, or it would reinstall a released limit.
+// then its release, each exactly once and under the origin's own
+// sequence. It resends nothing afterwards, so nothing it sends later can
+// reinstall the released limit.
 func TestRelayedRetransmitOutlivesLeaseIsStale(t *testing.T) {
 	const key = "100-10-1"
 	tr := &captureTransport{}
@@ -406,8 +539,7 @@ func TestRelayedRetransmitOutlivesLeaseIsStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	upInstall := newFakeInstaller()
-	reg := telemetry.NewRegistry()
-	up, err := New(Config{RouterID: 2, Installer: upInstall, PacketSize: 1000, Telemetry: reg})
+	up, err := New(Config{RouterID: 2, Installer: upInstall, PacketSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,6 +550,13 @@ func TestRelayedRetransmitOutlivesLeaseIsStale(t *testing.T) {
 		}
 		if len(tr.frames) != sent+1 {
 			t.Fatalf("relay at %v sent %d frames, want 1", now, len(tr.frames)-sent)
+		}
+		var f wire.ControlFrame
+		if _, err := wire.DecodeControl(tr.frames[sent], &f); err != nil {
+			t.Fatal(err)
+		}
+		if f.Origin != 9 || f.Seq != seq {
+			t.Fatalf("relayed frame origin=%d seq=%d, want origin=9 seq=%d", f.Origin, f.Seq, seq)
 		}
 		return tr.frames[sent]
 	}
@@ -430,36 +569,12 @@ func TestRelayedRetransmitOutlivesLeaseIsStale(t *testing.T) {
 	if _, ok := upInstall.limits[key]; ok {
 		t.Fatal("limit still installed after the release")
 	}
-
-	// Run the relay's retransmits to exhaustion; keep the last resend of
-	// the limit frame (relayed seq 1) and when it went out.
-	var last []byte
-	lastAt := 0.0
+	// Well past the release's lease, the relay has sent nothing more.
 	for step := 1; step <= 120; step++ {
-		now := 1.0 + 0.05*float64(step)
-		sent := len(tr.frames)
-		mid.Tick(now)
-		for _, buf := range tr.frames[sent:] {
-			var f wire.ControlFrame
-			if _, err := wire.DecodeControl(buf, &f); err != nil {
-				t.Fatal(err)
-			}
-			if f.Seq == 1 {
-				last, lastAt = buf, now
-			}
-		}
+		mid.Tick(1.5 + 0.05*float64(step))
 	}
-	if lastAt <= 1.5+2.0 {
-		t.Fatalf("last retransmit of the limit at %v, want after the release's lease end 3.5", lastAt)
-	}
-	if n, _ := up.HandleFrame(last, lastAt); n != 0 {
-		t.Fatalf("retransmit at %v applied %d records, want 0", lastAt, n)
-	}
-	if _, ok := upInstall.limits[key]; ok {
-		t.Fatalf("retransmit at %v reinstalled the released limit", lastAt)
-	}
-	if v := reg.CounterValue("floc_cluster_feedback_stale_dropped_total"); v != 1 {
-		t.Fatalf("stale counter = %d, want 1", v)
+	if len(tr.frames) != 2 {
+		t.Fatalf("relay sent %d frames for the 2 it received", len(tr.frames))
 	}
 }
 
@@ -494,7 +609,8 @@ func TestReleaseOnCalm(t *testing.T) {
 }
 
 // TestRelayDecrementsHops drives a frame through a middle node and
-// asserts re-origination, hop decrement, and termination at zero.
+// asserts pass-through (origin and sequence kept), hop decrement, and
+// termination at zero.
 func TestRelayDecrementsHops(t *testing.T) {
 	rootInstall := newFakeInstaller()
 	root, err := New(Config{RouterID: 1, Installer: rootInstall, PacketSize: 1000})
@@ -533,14 +649,15 @@ func TestRelayDecrementsHops(t *testing.T) {
 	if _, err := wire.DecodeControl(rootTr.queue[0].buf, &relayed); err != nil {
 		t.Fatal(err)
 	}
-	if relayed.Origin != 2 || relayed.Hops != 0 {
-		t.Fatalf("relayed frame origin=%d hops=%d, want origin=2 hops=0", relayed.Origin, relayed.Hops)
+	if relayed.Origin != 3 || relayed.Seq != 1 || relayed.Hops != 0 {
+		t.Fatalf("relayed frame origin=%d seq=%d hops=%d, want origin=3 seq=1 hops=0",
+			relayed.Origin, relayed.Seq, relayed.Hops)
 	}
 	if n, _ := root.HandleFrame(rootTr.queue[0].buf, 0.6); n != 1 {
 		t.Fatal("root did not apply the relayed record")
 	}
-	if rootInstall.peers["100-10-1"] != 2 {
-		t.Fatalf("root attributes limit to %d, want the relaying mid (2)", rootInstall.peers["100-10-1"])
+	if rootInstall.peers["100-10-1"] != 3 {
+		t.Fatalf("root attributes limit to %d, want the originating leaf (3)", rootInstall.peers["100-10-1"])
 	}
 	// Hops exhausted: the root (were it mid-like) must not relay further.
 	// Re-deliver to a node with peers and assert no send happens.
@@ -560,12 +677,12 @@ func TestRelayDecrementsHops(t *testing.T) {
 	}
 }
 
-// TestTickBackoffAndBudget asserts retransmit pacing: intervals double
-// up to the cap, and the frame is pruned after the budget and counted
-// once as discarded.
+// TestTickBackoffAndBudget: Tick sends nothing, even when every frame
+// is lost; what repairs loss is the next publish. A released path is
+// advertised at rate 0 in each publish for one lease, then no more.
 func TestTickBackoffAndBudget(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := &lossyTransport{src: rng.New(3), dropProb: 1.0} // every frame lost
+	tr := &captureTransport{} // nothing it carries is ever delivered
 	down, err := New(Config{
 		RouterID: 3, Peers: []string{"up"}, Transport: tr,
 		Installer: newFakeInstaller(), PacketSize: 1000, Telemetry: reg,
@@ -574,38 +691,44 @@ func TestTickBackoffAndBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	down.Publish(floodSnapshot("9-1", 1000, 0, 100), 0)
-	down.Publish(floodSnapshot("9-1", 1100, 900, 100), 0.5)
-	base := tr.sent // the initial send
-	if base == 0 {
-		t.Fatal("publish sent nothing")
+	if n := down.Publish(floodSnapshot("9-1", 1100, 900, 100), 0.5); n != 1 || len(tr.frames) != 1 {
+		t.Fatalf("flooded publish sent %d records in %d frames, want 1 in 1", n, len(tr.frames))
 	}
-	// Backoff schedule from t=0.5: retries due at 0.6, 0.8, 1.2, 2.0 and
-	// 3.6 (intervals 0.1 doubling to the 1.6 cap), then the budget of
-	// five is spent. Each due tick runs 1 µs after the last one's due
-	// time, so rounding in now+interval cannot hold a resend back; a tick
-	// 50 ms early finds nothing due.
-	resends := 0
-	for _, tick := range []struct {
-		now    float64
-		resent int
-	}{
-		{0.55, 0}, {0.600001, 1}, {0.75, 0}, {0.800002, 1}, {1.15, 0}, {1.200003, 1},
-		{1.95, 0}, {2.000004, 1}, {3.55, 0}, {3.600005, 1}, {5.3, 0}, {10.0, 0},
-	} {
-		n := down.Tick(tick.now)
-		if n != tick.resent {
-			t.Fatalf("tick at %v resent %d frames, want %d", tick.now, n, tick.resent)
+	for now := 0.55; now < 10; now += 0.05 {
+		down.Tick(now)
+	}
+	if len(tr.frames) != 1 {
+		t.Fatalf("Tick sent %d frames, want none", len(tr.frames)-1)
+	}
+	// The path calms at 10.0: released at rate 0 in the publishes at 10.0,
+	// 10.25, ..., 11.75, inside the lease that ends at 12.0, and in none
+	// after it.
+	for i := 0; i < 12; i++ {
+		now := 10.0 + 0.25*float64(i)
+		sent := len(tr.frames)
+		n := down.Publish(floodSnapshot("9-1", 2000+int64(i)*100, 900, 100), now)
+		want := 0
+		if now < 10.0+leaseTTL {
+			want = 1
 		}
-		resends += n
+		if n != want || len(tr.frames)-sent != want {
+			t.Fatalf("publish at %v sent %d records in %d frames, want %d", now, n, len(tr.frames)-sent, want)
+		}
+		if want == 0 {
+			continue
+		}
+		var f wire.ControlFrame
+		if _, err := wire.DecodeControl(tr.frames[sent], &f); err != nil {
+			t.Fatal(err)
+		}
+		if f.NumRecords != 1 || f.Records[0].LimitBits != 0 {
+			t.Fatalf("publish at %v advertised %d records, limit %d; want one release", now, f.NumRecords, f.Records[0].LimitBits)
+		}
 	}
-	if resends != 5 {
-		t.Fatalf("resent %d times, want exactly the budget of 5", resends)
-	}
-	if h := down.Health(10.0); h.PendingFrames != 0 {
-		t.Fatalf("pending frames = %d after budget exhaustion, want 0", h.PendingFrames)
-	}
-	if got := reg.CounterValue(discardedSeries("retry_budget")); got != 1 {
-		t.Fatalf("retry_budget discards = %d, want 1", got)
+	var text strings.Builder
+	reg.WriteText(&text)
+	if strings.Contains(text.String(), "retry_budget") {
+		t.Fatal("a retry_budget discard series is exported with nothing to retry")
 	}
 }
 

@@ -31,6 +31,7 @@ func (r *Router) planAggregation(now float64) {
 		return
 	}
 	r.planSig = sig
+	r.planChanges++
 	r.applyPlan(plan, now)
 }
 

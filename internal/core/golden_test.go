@@ -73,6 +73,12 @@ func TestAggregateMembersExpire(t *testing.T) {
 	if cov.maxAggregates == 0 {
 		t.Fatal("the smax trace formed no aggregate")
 	}
+	// Forming the aggregates and dissolving them are two plan changes at
+	// least, and a control run changes the plan at most once.
+	t.Logf("plan changes: %d in %d control runs", cov.planChanges, cov.controlRuns)
+	if cov.planChanges < 2 || cov.planChanges > cov.controlRuns {
+		t.Errorf("plan changes = %d in %d control runs, want 2..%d", cov.planChanges, cov.controlRuns, cov.controlRuns)
+	}
 	if len(cov.endAggregates) != 0 {
 		t.Errorf("aggregates %v outlived their traffic", cov.endAggregates)
 	}
@@ -115,6 +121,8 @@ type goldenCoverage struct {
 	// The last checkpoint's aggregates and live path keys.
 	endAggregates []string
 	endPaths      []string
+	// Control runs, and those that changed the aggregation plan.
+	controlRuns, planChanges int
 }
 
 type goldenScenario struct {
@@ -268,6 +276,7 @@ func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCo
 			}
 		}
 	}
+	cov.controlRuns, cov.planChanges = r.ControlRuns(), r.PlanChanges()
 
 	// The ring, oldest first, one canonical event encoding per line.
 	for _, e := range tel.Trace.Events() {

@@ -198,6 +198,7 @@ type Router struct {
 	lastControl float64
 	controlRuns int
 	planSig     string
+	planChanges int           // control runs whose aggregation plan differed from the last
 	order       pathOrder     // see sortedPaths
 	tally       flowTally     // last control run's flow counts
 	flagged     []flaggedFlow // controlFlows scratch, reused across runs
@@ -285,6 +286,10 @@ func (r *Router) Admitted() int64 { return r.admitted }
 
 // ControlRuns returns how many control-loop executions have happened.
 func (r *Router) ControlRuns() int { return r.controlRuns }
+
+// PlanChanges returns how many control runs installed an aggregation plan
+// that differed from the one before.
+func (r *Router) PlanChanges() int { return r.planChanges }
 
 // acctKey computes a packet's flow accounting identity and hash. One
 // FlowHash per packet: in capability mode the slot table caches the

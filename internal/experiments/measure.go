@@ -82,6 +82,9 @@ type Measurement struct {
 	// FLocSnapshot is FLoc's end-of-run counter snapshot (zero value for
 	// other defenses).
 	FLocSnapshot core.Snapshot
+	// FLocPlanChanges counts FLoc's control runs that changed the
+	// aggregation plan (zero for other defenses).
+	FLocPlanChanges int
 	// PushbackUpstreamDrops counts packets shed by propagated upstream
 	// limiters (Pushback with upstream propagation only).
 	PushbackUpstreamDrops int
@@ -184,6 +187,7 @@ func (m *Measurement) finish(flocRtr *core.Router) {
 		m.FLocPaths = flocRtr.PathInfos()
 		m.FLocAggregates = flocRtr.Aggregates()
 		m.FLocSnapshot = flocRtr.Snapshot()
+		m.FLocPlanChanges = flocRtr.PlanChanges()
 	}
 }
 

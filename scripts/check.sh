@@ -70,7 +70,9 @@
 #                flooding capture; the root must originate pushback
 #                feedback, the mid must apply and relay it, and the leaf
 #                must install the propagated limits and drop flood
-#                packets before forwarding; the leaf's and the mid's
+#                packets before forwarding; the leaf must drop no frame
+#                as stale and name the root as its feedback origin (relays
+#                pass frames through); the leaf's and the mid's
 #                packet slots, forwarded packets copied at Emit, must stay
 #                within -capacity + shards x (batch + 64);
 #                every sample line of the three daemons' /metrics must
@@ -326,12 +328,29 @@ assert_pos "mid: installed limits" \
     "$(metric_sum 19302 'floc_cluster_installed_limits')"
 assert_pos "mid: feedback frames relayed to leaf" \
     "$(metric_sum 19302 'floc_cluster_feedback_sent_total')"
-assert_pos "leaf: records applied from its one upstream, the mid" \
+assert_pos "leaf: records applied, relayed by the mid" \
     "$(metric_sum 19301 'floc_cluster_feedback_applied_total')"
 assert_pos "leaf: installed limits" \
     "$(metric_sum 19301 'floc_cluster_installed_limits')"
 assert_pos "leaf: flood packets shed by propagated limits" \
     "$(metric_sum 19301 'floc_cluster_limit_dropped_total')"
+# Relays pass frames through and each publish is one sequence number, so
+# the leaf hears the root itself, and no frame it receives is stale.
+leaf_stale=$(metric_sum 19301 'floc_cluster_feedback_stale_dropped_total')
+echo "   leaf: frames dropped as stale = $leaf_stale" >&2
+if [ "$leaf_stale" != 0 ]; then
+    echo "cluster-gate: leaf: frames dropped as stale must be 0" >&2
+    exit 1
+fi
+leaf_health=$("$cluster_tmp/flocd" -probe "http://127.0.0.1:19301/healthz")
+echo "   leaf: /healthz $leaf_health" >&2
+case "$leaf_health" in
+*'"feedback":['*'"origin":3,'*) ;;
+*)
+    echo "cluster-gate: leaf: /healthz feedback must name origin 3, the root" >&2
+    exit 1
+    ;;
+esac
 # The leaf and the mid forward through a buffering socket sink, which
 # encodes each packet at Emit and keeps nothing of it, so a shard owns at
 # most its share of -capacity (512), one batch and one chunk of 64 packet
