@@ -18,28 +18,40 @@ var buildInfo = regexp.MustCompile(`floc_build_info\{[^}]*\}`)
 
 // TestFiguresMatchGolden holds figures 11 and 13 to the bytes the
 // former topogen and inetsim commands printed for the same seed, so
-// folding them into flocsim changed no output.
+// folding them into flocsim changed no output; Fig. 10 at a reduced scale
+// to the decisions capability mode (NMax 2) makes; and the committed
+// bench-scale results/ files that take seconds to regenerate to the
+// scripts/regen-results.sh commands that wrote them, so a decision change
+// that moves them fails here instead of leaving them stale.
 func TestFiguresMatchGolden(t *testing.T) {
 	for _, tc := range []struct {
-		golden string
+		golden string // from this directory
 		args   []string
 	}{
-		{"fig11.golden", []string{"-fig", "11", "-seed", "42"}},
-		{"fig13.golden", []string{"-fig", "13", "-scale", "0.01", "-seed", "42", "-metrics"}},
+		{"testdata/fig11.golden", []string{"-fig", "11", "-seed", "42"}},
+		{"testdata/fig13.golden", []string{"-fig", "13", "-scale", "0.01", "-seed", "42", "-metrics"}},
+		{"testdata/fig10.golden", []string{"-fig", "10", "-scale", "0.01", "-fanouts", "1,4,8"}},
+		{"../../results/fig2.tsv", []string{"-fig", "2", "-scale", "0.1"}},
+		{"../../results/fig3.tsv", []string{"-fig", "3", "-scale", "0.1"}},
+		{"../../results/fig4.tsv", []string{"-fig", "4"}},
+		{"../../results/fig6a.tsv", []string{"-fig", "6a", "-scale", "0.1"}},
+		{"../../results/fig6b.tsv", []string{"-fig", "6b", "-scale", "0.1"}},
+		{"../../results/fig6c.tsv", []string{"-fig", "6c", "-scale", "0.1"}},
 	} {
-		t.Run(tc.golden, func(t *testing.T) {
+		t.Run(filepath.Base(tc.golden), func(t *testing.T) {
+			t.Parallel()
 			var stdout, stderr bytes.Buffer
 			if code := cli(tc.args, &stdout, &stderr); code != 0 {
 				t.Fatalf("flocsim %s: exit %d: %s", strings.Join(tc.args, " "), code, stderr.String())
 			}
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+			want, err := os.ReadFile(tc.golden)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := buildInfo.ReplaceAll(stdout.Bytes(), []byte("floc_build_info{}"))
 			want = buildInfo.ReplaceAll(want, []byte("floc_build_info{}"))
 			if !bytes.Equal(got, want) {
-				t.Fatalf("flocsim %s differs from testdata/%s:\n%s",
+				t.Fatalf("flocsim %s differs from %s:\n%s",
 					strings.Join(tc.args, " "), tc.golden, got)
 			}
 		})
