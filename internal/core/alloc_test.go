@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"floc/internal/netsim"
 	"floc/internal/pathid"
@@ -128,9 +131,9 @@ func TestZeroAllocEnqueueHandles(t *testing.T) {
 }
 
 // TestZeroAllocCapabilitySlots gates the capability-mode accounting path:
-// once a flow's slot is cached, acctKey must cost exactly one FlowHash —
-// the slot table returns the cached slot and pre-salted hash with no
-// allocation and no second hash.
+// F is a pure function of the destination, so acctKey allocates nothing
+// for any packet, the first of a source or destination never seen before
+// included — there is nothing to warm up and no per-flow state to grow.
 func TestZeroAllocCapabilitySlots(t *testing.T) {
 	cfg := DefaultConfig(1e9, 1024)
 	cfg.NMax = 4
@@ -138,31 +141,15 @@ func TestZeroAllocCapabilitySlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := pathid.New(7, 3, 1)
-	key := path.Key()
-	handle := r.InternPath(path)
-	const now = 1.0
-	items := make([]BatchItem, 8)
-	pkts := make([]netsim.Packet, len(items))
-	for i := range items {
-		pkts[i] = netsim.Packet{
-			ID: uint64(i), Src: uint32(i % 4), Dst: uint32(1000 + i), Size: 1000,
-			Kind: netsim.KindUDP, Path: path, PathKey: key, PathHandle: handle,
-		}
-		items[i] = BatchItem{Pkt: &pkts[i], At: now}
-	}
-	// Warm up: capability issue and slot-cache fill happen here.
-	for i := 0; i < 64; i++ {
-		r.EnqueueBatch(items)
-		for r.Dequeue(now) != nil {
-		}
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		r.EnqueueBatch(items)
-		for r.Dequeue(now) != nil {
-		}
+	pkt := netsim.Packet{Src: 1, Dst: 1000, Size: 1000, Kind: netsim.KindUDP}
+	var sink uint64
+	if avg := testing.AllocsPerRun(1000, func() {
+		pkt.Src++
+		pkt.Dst += 7
+		key, hash := r.acctKey(&pkt)
+		sink ^= hash ^ uint64(key.id)
 	}); avg != 0 {
-		t.Fatalf("capability-mode steady state allocates %.1f times per op, want 0", avg)
+		t.Fatalf("capability-mode acctKey allocates %.1f times per packet, want 0", avg)
 	}
 }
 
@@ -275,7 +262,7 @@ func TestZeroAllocControlRunSteadyState(t *testing.T) {
 
 // TestZeroAllocPrefetch gates the read-ahead pass: its scratch stays on
 // the stack, for a batch of one window as for one of several, and in
-// capability mode, where it looks slots up and must never issue one.
+// capability mode, where it computes each packet's fan-out slot.
 func TestZeroAllocPrefetch(t *testing.T) {
 	for _, nmax := range []int{0, 4} {
 		fx := newControlFixture(t, 64, 16, func(c *Config) { c.NMax = nmax })
@@ -290,4 +277,70 @@ func TestZeroAllocPrefetch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBoundedUnderFlowChurn holds the router's memory to its flow budget
+// when every packet opens a flow never seen before: one path carries
+// 10 kpps, each packet from a fresh source, for 60 s of virtual time,
+// with the queue drained at link rate. Idle flows expire FlowTimeout
+// after their last packet, at the next control run, so no more than
+// rate × (FlowTimeout + 2·ControlInterval) flows are ever live, and the
+// live heap the run leaves behind must fit that many flow lines: 64
+// bytes of state plus its probe slot, in tables that round up to a power
+// of two at 3/4 load (at most 3 lines a flow), plus a fixed slack. In
+// capability mode (NMax > 0) the fan-out slot is a pure function of the
+// destination, so nothing else may grow with the number of sources.
+func TestBoundedUnderFlowChurn(t *testing.T) {
+	const (
+		rate    = 10_000 // packets per second
+		seconds = 60
+		tick    = 1e-3 // seconds between arrival bursts
+		slack   = 1 << 20
+	)
+	for _, nmax := range []int{0, 2} {
+		t.Run(fmt.Sprintf("NMax=%d", nmax), func(t *testing.T) {
+			cfg := DefaultConfig(rate*8*1000, 1024)
+			cfg.NMax = nmax
+			r, err := NewRouter(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := pathid.New(7, 3, 1)
+			key, handle := path.Key(), r.InternPath(path)
+			base := liveHeap()
+
+			perTick := int(rate * tick)
+			src := uint32(1)
+			for step := 0; step < seconds/tick; step++ {
+				now := float64(step) * tick
+				for i := 0; i < perTick; i++ {
+					r.Enqueue(&netsim.Packet{
+						Src: src, Dst: src * 7, Size: cfg.PacketSize, Kind: netsim.KindUDP,
+						Path: path, PathKey: key, PathHandle: handle,
+					}, now)
+					src++
+				}
+				for i := 0; i < perTick && r.Dequeue(now) != nil; i++ {
+				}
+			}
+
+			live := liveHeap() - base
+			flows := rate * (cfg.FlowTimeout + 2*cfg.ControlInterval)
+			bound := int64(flows*3*float64(unsafe.Sizeof(flowState{}))) + slack
+			t.Logf("%d live heap bytes, bound %d", live, bound)
+			if live > bound {
+				t.Fatalf("%d sources in %d s leave %d live heap bytes, want at most %d (%.0f flows' budget)",
+					src-1, seconds, live, bound, flows)
+			}
+			runtime.KeepAlive(r)
+		})
+	}
+}
+
+// liveHeap returns the bytes of heap objects that survive a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -59,14 +59,13 @@ type Config struct {
 	DefaultRTT float64
 	// FlowTimeout expires idle flows from the per-path flow count.
 	FlowTimeout float64
-	// NMax is the per-source capability fan-out limit (Section IV-B.3);
+	// NMax is the per-source fan-out limit (Section IV-B.3): a source's
+	// flows are accounted in at most NMax slots, F(dst) keyed from Seed;
 	// 0 disables the covert-attack countermeasure (flows are then
 	// accounted individually by (src, dst)).
 	NMax int
 	// RouterAS is the router's own domain, the traffic tree root.
 	RouterAS pathid.ASN
-	// Secret keys the capability issuer.
-	Secret []byte
 	// Filter configures the drop-record filter.
 	Filter dropfilter.Config
 	// LegitAggregation enables legitimate-path aggregation (Section
@@ -87,7 +86,7 @@ type Config struct {
 	// DisableEscalation turns off the non-responsiveness escalation
 	// (ablation: flows are pinned at fair share but never below).
 	DisableEscalation bool
-	// Seed seeds the router's private random stream.
+	// Seed seeds the router's private random stream and keys F.
 	Seed uint64
 }
 
@@ -106,7 +105,6 @@ func DefaultConfig(linkRateBits float64, capacity int) Config {
 		ControlInterval: 0.5,
 		DefaultRTT:      0.2,
 		FlowTimeout:     5.0,
-		Secret:          []byte("floc-router-secret"),
 		Filter:          filter,
 	}
 }
@@ -128,8 +126,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: FlowTimeout %v <= 0", c.FlowTimeout)
 	case c.NMax < 0:
 		return fmt.Errorf("core: NMax %d < 0", c.NMax)
-	case len(c.Secret) == 0:
-		return fmt.Errorf("core: empty secret")
 	}
 	return nil
 }

@@ -60,7 +60,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.DefaultRTT = 0 },
 		func(c *Config) { c.FlowTimeout = 0 },
 		func(c *Config) { c.NMax = -1 },
-		func(c *Config) { c.Secret = nil },
 		func(c *Config) { c.Filter.Arrays = 0 },
 	}
 	for i, mut := range mutations {

@@ -1,15 +1,11 @@
 package core
 
-import "floc/internal/netsim"
-
-// This file holds the open-addressed per-flow state tables that replace
-// the router's map[flowKey]*flowState and map[netsim.FlowID]uint32. Both
-// are power-of-two tables with linear probing keyed by the 64-bit
-// dropfilter.FlowHash the admission path computes anyway, so the Go map
-// hasher never runs on the hot path. Neither table has tombstones: the
-// flow table deletes by backward shift (expire, at control-run
-// boundaries), the slot table never deletes (capability slots live for
-// the run, as the map they replace did).
+// This file holds the open-addressed per-flow state table that replaces
+// a path's map[flowKey]*flowState: a power-of-two table with linear
+// probing keyed by the 64-bit dropfilter.FlowHash the admission path
+// computes anyway, so the Go map hasher never runs on the hot path. It
+// has no tombstones: it deletes by backward shift (expire, at control-run
+// boundaries).
 
 // flowSlot is one 16-byte probe slot of a flowTable: the flow's exact key
 // (compared on every probe, so hash collisions stay correct), the 1-based
@@ -175,68 +171,4 @@ func (t *flowTable) expire(keep func(fs *flowState) bool) (expired int) {
 		t.resize(size)
 	}
 	return expired
-}
-
-// slotEntry is one capability-slot cache slot; slotPlus1 == 0 marks it
-// empty. salted caches the pre-salted accounting hash so the per-packet
-// path computes exactly one FlowHash.
-type slotEntry struct {
-	hash      uint64
-	salted    uint64
-	id        netsim.FlowID
-	slotPlus1 uint32
-}
-
-// slotTable maps flow endpoints to their capability fan-out slot and
-// pre-salted accounting hash. Entries are never removed, matching the map
-// it replaces.
-type slotTable struct {
-	entries []slotEntry
-	n       int
-}
-
-// get returns the flow's cached slot and salted hash.
-func (t *slotTable) get(hash uint64, id netsim.FlowID) (slot uint32, salted uint64, ok bool) {
-	if t.n == 0 {
-		return 0, 0, false
-	}
-	mask := uint64(len(t.entries) - 1)
-	for i := hash & mask; ; i = (i + 1) & mask {
-		e := &t.entries[i]
-		if e.slotPlus1 == 0 {
-			return 0, 0, false
-		}
-		if e.hash == hash && e.id == id {
-			return e.slotPlus1 - 1, e.salted, true
-		}
-	}
-}
-
-// put caches a freshly issued slot. The caller guarantees id is absent.
-// Capability issue happens once per flow, not per packet.
-func (t *slotTable) put(hash uint64, id netsim.FlowID, slot uint32, salted uint64) {
-	if len(t.entries) == 0 {
-		t.entries = make([]slotEntry, flowTableMinSize)
-	} else if (t.n+1)*4 > len(t.entries)*3 {
-		old := t.entries
-		t.entries = make([]slotEntry, len(old)*2)
-		for i := range old {
-			if old[i].slotPlus1 != 0 {
-				t.reinsert(old[i])
-			}
-		}
-	}
-	t.reinsert(slotEntry{hash: hash, salted: salted, id: id, slotPlus1: slot + 1})
-	t.n++
-}
-
-// reinsert places an entry in the first empty probe slot.
-func (t *slotTable) reinsert(e slotEntry) {
-	mask := uint64(len(t.entries) - 1)
-	for i := e.hash & mask; ; i = (i + 1) & mask {
-		if t.entries[i].slotPlus1 == 0 {
-			t.entries[i] = e
-			return
-		}
-	}
 }

@@ -16,14 +16,6 @@ type flowHasher struct {
 	hash func(k flowKey) uint64
 }
 
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ x>>31
-}
-
 var flowHashers = []flowHasher{
 	// Well mixed: short probe sequences.
 	{"uniform", func(k flowKey) uint64 { return mix64(uint64(k.src)<<32 | uint64(k.id)) }},

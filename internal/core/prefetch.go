@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"floc/internal/dropfilter"
-)
+import "math"
 
 // prefetchWindow is how many items Prefetch stages at a time: the shard
 // worker's default batch, and small enough that the scratch below stays
@@ -21,12 +17,12 @@ const prefetchWindow = 64
 // overlap; the per-packet loop that follows then finds its lines warm.
 //
 // It is read-only by construction: no allocation, no counter (the drop
-// filter's query count included), no capability slot issued, and nothing
-// it computes is handed to Enqueue, which looks everything up again. A
-// control run, a table resize or an expiry between Prefetch and Enqueue
-// can therefore only make a warmed line useless, never make a decision
-// different. Items it cannot resolve — no or foreign handle, expired path,
-// flow not yet seen — are skipped; Enqueue's slow paths deal with them.
+// filter's query count included), and nothing it computes is handed to
+// Enqueue, which looks everything up again. A control run, a table resize
+// or an expiry between Prefetch and Enqueue can therefore only make a
+// warmed line useless, never make a decision different. Items it cannot
+// resolve — no or foreign handle, expired path, flow not yet seen — are
+// skipped; Enqueue's slow paths deal with them.
 //
 // The returned word folds every loaded value so the loads cannot be
 // discarded as dead; callers keep it in memory they own and never read it.
@@ -47,21 +43,11 @@ func (r *Router) prefetch(items []BatchItem) uint64 {
 		hashes [prefetchWindow]uint64
 		warm   uint64
 	)
-	// Stage 1: packet -> origin path pointer and flow accounting identity,
-	// acctKey's short of issuing a slot: a flow capability mode has not
-	// seen yet has no identity to warm.
+	// Stage 1: packet -> origin path pointer and flow accounting identity.
 	for i := range items {
 		pkt := items[i].Pkt
-		ps := r.origins.byHandle(pkt.PathHandle)
-		key, hash := flowKey{src: pkt.Src, id: pkt.Dst}, dropfilter.FlowHash(pkt.Src, pkt.Dst)
-		if r.issuer != nil {
-			slot, salted, ok := r.slots.get(hash, pkt.Flow())
-			if !ok {
-				ps = nil
-			}
-			key.id, hash = slot, salted
-		}
-		paths[i], keys[i], hashes[i] = ps, key, hash
+		paths[i] = r.origins.byHandle(pkt.PathHandle)
+		keys[i], hashes[i] = r.acctKey(pkt)
 	}
 	// Stage 2: path state (its aggregate pointer, its per-packet counters,
 	// its table header) -> the home probe slot of its flow table.

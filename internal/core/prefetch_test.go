@@ -11,15 +11,14 @@ import (
 )
 
 // observable renders everything an outsider can read off a router — the
-// snapshot, the drop filter's operation counts, the capability slots
-// issued, the registry text — so that two renderings can be compared
-// byte for byte.
+// snapshot, the drop filter's operation counts, the registry text — so
+// that two renderings can be compared byte for byte.
 func observable(t *testing.T, r *Router) string {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%+v\n", r.Snapshot())
 	records, queries := r.filter.Counters()
-	fmt.Fprintf(&b, "filter ops %d %d, slots %d\n", records, queries, r.slots.n)
+	fmt.Fprintf(&b, "filter ops %d %d\n", records, queries)
 	if r.tel != nil {
 		if err := r.tel.Registry.WriteText(&b); err != nil {
 			t.Fatal(err)
@@ -178,8 +177,8 @@ var prefetchCases = []prefetchCase{
 		},
 	},
 	{
-		// Capability mode: flows that hold no slot yet must not be issued
-		// one by the read-ahead (observable counts the slots).
+		// Capability mode: the read-ahead computes the fan-out slot of
+		// flows it has not seen, which must create no flow state.
 		name: "capability, unseen flows",
 		mut:  func(c *Config) { c.NMax = 3 },
 		drive: func(t *testing.T, r *Router, admit func([]BatchItem)) {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"floc/internal/capability"
 	"floc/internal/dropfilter"
 	"floc/internal/invariant"
 	"floc/internal/netsim"
@@ -65,8 +64,8 @@ const (
 )
 
 // flowKey is a flow's accounting identity: with NMax > 0 the id is the
-// capability fan-out slot (covert flows collapse), otherwise the
-// destination address.
+// fan-out slot F(dst) (covert flows collapse), otherwise the destination
+// address.
 type flowKey struct {
 	src uint32
 	id  uint32
@@ -191,9 +190,8 @@ type Router struct {
 	origins *pathTable            // origin paths, handle-indexed
 	aggs    map[string]*pathState // by aggregate key
 
-	filter *dropfilter.Filter
-	issuer *capability.Issuer
-	slots  slotTable // capability slot cache
+	filter  *dropfilter.Filter
+	slotKey uint64 // keys fanoutSlot; derived from cfg.Seed
 
 	lastControl float64
 	controlRuns int
@@ -227,13 +225,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	var issuer *capability.Issuer
-	if cfg.NMax > 0 {
-		issuer, err = capability.NewIssuer(cfg.Secret, cfg.NMax)
-		if err != nil {
-			return nil, err
-		}
-	}
 	qmin := qMinFrac * float64(cfg.Capacity)
 	return &Router{
 		cfg:        cfg,
@@ -246,7 +237,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		origins:    newPathTable(),
 		aggs:       map[string]*pathState{},
 		filter:     filter,
-		issuer:     issuer,
+		slotKey:    mix64(cfg.Seed ^ slotKeyLabel),
 		epochFloor: 2 * cfg.Filter.TickSeconds,
 	}, nil
 }
@@ -291,33 +282,17 @@ func (r *Router) ControlRuns() int { return r.controlRuns }
 // that differed from the one before.
 func (r *Router) PlanChanges() int { return r.planChanges }
 
-// acctKey computes a packet's flow accounting identity and hash. One
-// FlowHash per packet: in capability mode the slot table caches the
-// pre-salted accounting hash alongside the slot.
+// acctKey computes a packet's flow accounting identity and hash, one
+// FlowHash per packet. With NMax > 0 the identity is the source and its
+// fan-out slot F(dst), hashed salted so slot ids don't collide with
+// destination addresses.
 func (r *Router) acctKey(pkt *netsim.Packet) (flowKey, uint64) {
-	if r.issuer == nil {
+	if r.cfg.NMax == 0 {
 		k := flowKey{src: pkt.Src, id: pkt.Dst}
 		return k, dropfilter.FlowHash(k.src, k.id)
 	}
-	fid := pkt.Flow()
-	h := dropfilter.FlowHash(fid.Src, fid.Dst)
-	slot, salted, ok := r.slots.get(h, fid)
-	if !ok {
-		slot, salted = r.openSlot(pkt, fid, h)
-	}
-	return flowKey{src: pkt.Src, id: slot}, salted
-}
-
-// openSlot issues a capability for a flow's first packet and caches its
-// fan-out slot plus the salted accounting hash (salted so slot ids don't
-// collide with destination addresses).
-// Capability issue happens once per flow, not per packet.
-func (r *Router) openSlot(pkt *netsim.Packet, fid netsim.FlowID, h uint64) (uint32, uint64) {
-	c := r.issuer.Issue(pkt.Src, pkt.Dst, pkt.Path)
-	slot := uint32(c.Slot)
-	salted := dropfilter.FlowHash(pkt.Src, slot^0x5a5a5a5a)
-	r.slots.put(h, fid, slot, salted)
-	return slot, salted
+	slot := fanoutSlot(r.slotKey, pkt.Dst, r.cfg.NMax)
+	return flowKey{src: pkt.Src, id: slot}, dropfilter.FlowHash(pkt.Src, slot^0x5a5a5a5a)
 }
 
 // InternPath binds path to this router's dense integer handle and returns

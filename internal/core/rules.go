@@ -47,6 +47,29 @@ func RollRate(count, rate, interval float64) float64 {
 	return 0.5*(count/interval) + 0.5*rate
 }
 
+// fanoutSlot is F(IP_d) of the fan-out capability C1 (§IV-B.3): the slot
+// in [0, nmax) that destination dst falls in under key. A source's flows
+// to destinations of one slot are accounted as a single flow, so it holds
+// at most nmax accounting flows however many destinations it spreads
+// over. The key's low 32 bits must reach the low bits the modulus keeps,
+// hence a full 64-bit mix: an FNV-style byte hash reduced mod 2 is the
+// parity of its input bytes' low bits, and maps alike under every key.
+func fanoutSlot(key uint64, dst uint32, nmax int) uint32 {
+	return uint32(mix64(key<<32^uint64(dst)) % uint64(nmax))
+}
+
+// slotKeyLabel separates the fan-out key from the router's random stream,
+// which is seeded from the same Config.Seed.
+const slotKeyLabel = 0xf10cf10c5a5a5a5a
+
+// mix64 is SplitMix64's finalizer: a bijection on 64 bits in which every
+// input bit reaches every output bit.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
 // OverAllocated is the rate half of attack-path detection: the smoothed
 // request rate exceeds the allocation by more than 10 % plus the reference
 // drop rate. The margin keeps adaptive TCP aggregates, which probe just

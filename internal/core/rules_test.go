@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"floc/internal/pathid"
 )
@@ -103,5 +104,96 @@ func TestRules(t *testing.T) {
 	w.Add(0, 0) // weighs 1, as a path without flows does
 	if w.Mean() != 0.75 {
 		t.Errorf("flow-weighted conformance = %v, want 0.75", w.Mean())
+	}
+}
+
+// The fan-out slot F(dst) of §IV-B.3, and the accounting identity built
+// on it.
+
+func TestSlotInRangeProperty(t *testing.T) {
+	f := func(key uint64, dst uint32, n uint8) bool {
+		nmax := int(n) + 1
+		return fanoutSlot(key, dst, nmax) < uint32(nmax)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSlotDeterministicPerDestination: a destination keeps its slot, and a
+// source's flows to two destinations of one slot share one accounting
+// identity and hash, while flows to other slots do not.
+func TestSlotDeterministicPerDestination(t *testing.T) {
+	r := newTestRouter(t, func(c *Config) { c.NMax = 4 })
+	path := pathid.New(3, 1)
+	key, hash := r.acctKey(mkpkt(10, 77, 1000, path))
+	if k, h := r.acctKey(mkpkt(10, 77, 1000, path)); k != key || h != hash {
+		t.Fatal("accounting identity not deterministic")
+	}
+	shared, apart := false, false
+	for d := uint32(0); d < 10000 && !(shared && apart); d++ {
+		k, h := r.acctKey(mkpkt(10, d, 1000, path))
+		if (k == key) != (h == hash) {
+			t.Fatalf("dst %d: identity equal %v but hash equal %v", d, k == key, h == hash)
+		}
+		if d != 77 && k == key {
+			shared = true
+		} else if k != key {
+			apart = true
+		}
+	}
+	if !shared || !apart {
+		t.Fatalf("over 10000 destinations: one shares dst 77's slot %v, one is apart %v (suspicious F)", shared, apart)
+	}
+}
+
+func TestSlotRoughlyUniform(t *testing.T) {
+	r := newTestRouter(t, func(c *Config) { c.NMax = 4 })
+	counts := make([]int, 4)
+	for d := uint32(0); d < 4000; d++ {
+		counts[fanoutSlot(r.slotKey, d, 4)]++
+	}
+	for s, c := range counts {
+		if c < 800 || c > 1200 {
+			t.Fatalf("slot %d has %d/4000 destinations, want ~1000", s, c)
+		}
+	}
+}
+
+// TestFanOutBoundedByNMax: a covert source opening 20 destinations holds
+// at most nmax accounting identities, and every flow lands in one.
+func TestFanOutBoundedByNMax(t *testing.T) {
+	const nmax = 2
+	r := newTestRouter(t, func(c *Config) { c.NMax = nmax })
+	path := pathid.New(9, 1)
+	aggs := map[flowKey]int{}
+	for d := uint32(0); d < 20; d++ {
+		k, _ := r.acctKey(mkpkt(42, d, 1000, path))
+		if k.src != 42 {
+			t.Fatalf("dst %d accounted under source %d", d, k.src)
+		}
+		aggs[k]++
+	}
+	if len(aggs) > nmax {
+		t.Fatalf("%d fan-out aggregates > nmax %d", len(aggs), nmax)
+	}
+}
+
+// TestDifferentRoutersDisagree: routers seeded differently key F
+// differently. Over 64 destinations and two slots, no two of eight seeds
+// give one mapping — as they would if F's low bit ignored the key, which
+// a byte-wise FNV hash reduced mod 2 does.
+func TestDifferentRoutersDisagree(t *testing.T) {
+	seen := map[uint64]uint64{}
+	for seed := uint64(1); seed <= 8; seed++ {
+		r := newTestRouter(t, func(c *Config) { c.NMax = 2; c.Seed = seed })
+		var mapping uint64
+		for d := uint32(0); d < 64; d++ {
+			mapping |= uint64(fanoutSlot(r.slotKey, d, 2)) << d
+		}
+		if other, dup := seen[mapping]; dup {
+			t.Fatalf("seeds %d and %d map all 64 destinations alike", other, seed)
+		}
+		seen[mapping] = seed
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"net"
 	"testing"
 
-	"floc/internal/capability"
 	"floc/internal/netsim"
 	"floc/internal/pathid"
 	"floc/internal/wire"
@@ -38,27 +37,23 @@ func loopback(t *testing.T) (*Reader, *Writer, *net.UDPConn) {
 
 // mixedFrames encodes n headers whose lengths exercise every shape the
 // Writer lays out: one equal-length run far longer than a vector, then
-// every path length 1…16 with and without the capability trailer changing
-// frame to frame, then short runs of two to five.
+// every path length 1…16 changing frame to frame, then short runs of two
+// to five.
 func mixedFrames(t *testing.T, n int) [][]byte {
 	t.Helper()
 	frames := make([][]byte, n)
 	for i := range frames {
-		pathLen, withCap := 3, false
+		pathLen := 3
 		switch {
 		case i >= 150 && i < 600:
-			pathLen, withCap = 1+i%16, (i/16)%2 == 1
+			pathLen = 1 + i%16
 		case i >= 600:
-			pathLen, withCap = 1+(i/(2+i%4))%16, i%7 == 0
+			pathLen = 1 + (i/(2+i%4))%16
 		}
 		h := wire.Header{Version: wire.Version1, Kind: netsim.KindUDP, Src: uint32(i), Dst: 9,
 			Length: uint16(100 + i), PathLen: uint8(pathLen)}
 		for p := 0; p < pathLen; p++ {
 			h.Path[p] = pathid.ASN(1000*i + p)
-		}
-		if withCap {
-			h.Flags |= wire.FlagCapability
-			h.Cap = capability.Capability{C0: uint64(i), C1: ^uint64(i), Slot: i % 2}
 		}
 		b, err := wire.MarshalAppend(nil, &h)
 		if err != nil {

@@ -78,7 +78,7 @@ func TestZeroAllocFromPacket(t *testing.T) {
 
 // BenchmarkWireDecode is the wire_decode family of check.sh's
 // perf-gate: ns/op to decode one representative header
-// with a path and capability trailer.
+// with a three-domain path.
 func BenchmarkWireDecode(b *testing.B) {
 	h := sampleHeader()
 	buf, err := MarshalAppend(nil, &h)

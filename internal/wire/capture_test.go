@@ -21,13 +21,13 @@ import (
 // goldenPcapHeader is the global header of every capture, spelled out
 // byte by byte from the libpcap file format: the nanosecond magic
 // a1b23c4d, version 2.4, time zone and timestamp accuracy 0, snaplen
-// MaxEncodedLen (95) and link type 147, LINKTYPE_USER0, all little-endian.
+// MaxEncodedLen (78) and link type 147, LINKTYPE_USER0, all little-endian.
 var goldenPcapHeader = []byte{
 	0x4d, 0x3c, 0xb2, 0xa1,
 	0x02, 0x00, 0x04, 0x00,
 	0x00, 0x00, 0x00, 0x00,
 	0x00, 0x00, 0x00, 0x00,
-	0x5f, 0x00, 0x00, 0x00,
+	0x4e, 0x00, 0x00, 0x00,
 	0x93, 0x00, 0x00, 0x00,
 }
 
@@ -57,7 +57,7 @@ func pcapFile(records ...[]byte) []byte {
 	return bytes.Join(append([][]byte{goldenPcapHeader}, records...), nil)
 }
 
-// udpHeader is a 3-hop UDP header without a capability: a 26-byte frame.
+// udpHeader is a 3-hop UDP header: a 26-byte frame.
 func udpHeader() Header {
 	h := Header{Version: Version1, Kind: netsim.KindUDP, Src: 1, Dst: 9999, Length: 1000, PathLen: 3}
 	h.Path[0], h.Path[1], h.Path[2] = 100, 10, 1
@@ -118,7 +118,7 @@ func TestCaptureGoldenBytes(t *testing.T) {
 // frame, twice over, so that a record the writer's buffer held before
 // cannot leak into the next. The seeds cross the times at the edges of
 // the seconds and nanoseconds fields and of the benchmarks' grids with
-// the shortest, a capability and the longest header.
+// the shortest, a three-hop and the longest header.
 func FuzzCaptureTemplate(f *testing.F) {
 	longest := sampleHeader()
 	longest.PathLen = MaxPathLen

@@ -21,7 +21,6 @@ const (
 	ErrKindKind
 	ErrKindPathLen
 	ErrKindLength
-	ErrKindSlot
 	ErrKindFraming
 	ErrKindHops
 	ErrKindCount
@@ -47,8 +46,6 @@ func (k ErrorKind) String() string {
 		return "pathlen"
 	case ErrKindLength:
 		return "length"
-	case ErrKindSlot:
-		return "slot"
 	case ErrKindFraming:
 		return "framing"
 	case ErrKindHops:
@@ -80,8 +77,6 @@ func KindOfError(err error) ErrorKind {
 		return ErrKindPathLen
 	case errors.Is(err, ErrLength):
 		return ErrKindLength
-	case errors.Is(err, ErrSlot):
-		return ErrKindSlot
 	case errors.Is(err, ErrTrailing):
 		return ErrKindFraming
 	case errors.Is(err, ErrHops):

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"floc/internal/capability"
 	"floc/internal/netsim"
 	"floc/internal/pathid"
 )
@@ -67,9 +66,9 @@ func FuzzWireDecode(f *testing.F) {
 // FuzzWireRoundTrip builds a canonical header from fuzzed fields and
 // checks marshal∘decode is the identity.
 func FuzzWireRoundTrip(f *testing.F) {
-	f.Add(uint8(0), uint8(1), uint32(1), uint32(2), uint16(40), uint8(0), uint64(0), uint64(0), uint8(0), uint64(0))
-	f.Add(uint8(7), uint8(5), uint32(0xffffffff), uint32(0), uint16(0xffff), uint8(MaxPathLen), uint64(1), uint64(2), uint8(3), uint64(0x0123456789abcdef))
-	f.Fuzz(func(t *testing.T, flags, kind uint8, src, dst uint32, length uint16, pathLen uint8, c0, c1 uint64, slot uint8, pathSeed uint64) {
+	f.Add(uint8(0), uint8(1), uint32(1), uint32(2), uint16(40), uint8(0), uint64(0))
+	f.Add(uint8(7), uint8(5), uint32(0xffffffff), uint32(0), uint16(0xffff), uint8(MaxPathLen), uint64(0x0123456789abcdef))
+	f.Fuzz(func(t *testing.T, flags, kind uint8, src, dst uint32, length uint16, pathLen uint8, pathSeed uint64) {
 		h := Header{
 			Version: Version1,
 			Flags:   Flags(flags) & knownFlags,
@@ -88,9 +87,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 		for i := 0; i < int(h.PathLen); i++ {
 			x = x*6364136223846793005 + 1442695040888963407
 			h.Path[i] = pathid.ASN(uint32(x >> 32))
-		}
-		if h.Flags&FlagCapability != 0 {
-			h.Cap = capability.Capability{C0: c0, C1: c1, Slot: int(slot)}
 		}
 		buf, err := MarshalAppend(nil, &h)
 		if err != nil {

@@ -7,7 +7,8 @@
 //
 // The seeds put the fuzzers' first executions on the interesting
 // boundaries instead of the all-zero input: a minimal valid header, a
-// max-length AS path, a capability trailer, and one input per typed
+// max-length AS path, a frame with a capability trailer as older speakers
+// sent it (refused: its flag, bit 0, is unknown), and one input per typed
 // decode-error shape (ErrShort, ErrVersion, ErrFlags, ErrKind,
 // ErrPathLen, ErrLength). FuzzControlFrameDecode gets the same
 // treatment for control frames: minimal and maximal valid frames plus
@@ -27,7 +28,6 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"floc/internal/capability"
 	"floc/internal/netsim"
 	"floc/internal/pathid"
 	"floc/internal/wire"
@@ -64,12 +64,18 @@ func main() {
 	for i := 0; i < wire.MaxPathLen; i++ {
 		maxPath.Path[i] = pathid.ASN(64 + i)
 	}
-	withCap := wire.Header{
-		Version: wire.Version1, Flags: wire.FlagCapability | wire.FlagAttack,
+	threeHop := wire.Header{
+		Version: wire.Version1, Flags: wire.FlagAttack,
 		Kind: netsim.KindUDP, Src: 1, Dst: 2, Length: 0xffff, PathLen: 3,
-		Cap: capability.Capability{C0: 0x1122334455667788, C1: 0x99aabbccddeeff00, Slot: 7},
 	}
-	withCap.Path[0], withCap.Path[1], withCap.Path[2] = 64, 7, 1
+	threeHop.Path[0], threeHop.Path[1], threeHop.Path[2] = 64, 7, 1
+	// withCap is threeHop as a speaker of the capability trailer sent it:
+	// flag bit 0 set and C0 (8 bytes), C1 (8) and a slot (1) appended.
+	withCap := marshal(threeHop)
+	withCap[1] |= 1 << 0
+	withCap = binary.BigEndian.AppendUint64(withCap, 0x1122334455667788)
+	withCap = binary.BigEndian.AppendUint64(withCap, 0x99aabbccddeeff00)
+	withCap = append(withCap, 7)
 
 	valid := marshal(wire.Header{Version: wire.Version1, Kind: netsim.KindSYN, Length: 40})
 
@@ -82,11 +88,11 @@ func main() {
 	dir := filepath.Join("internal", "wire", "testdata", "fuzz", "FuzzWireDecode")
 	bytesSeed(dir, "valid-minimal", valid)
 	bytesSeed(dir, "valid-max-path", marshal(maxPath))
-	bytesSeed(dir, "valid-capability", marshal(withCap))
 	bytesSeed(dir, "err-short-fixed", valid[:4])
-	bytesSeed(dir, "err-short-trailer", marshal(withCap)[:20])
+	bytesSeed(dir, "err-short-trailer", marshal(threeHop)[:20]) // cut in the path
 	bytesSeed(dir, "err-version", mutate(0, wire.Version1+1))
 	bytesSeed(dir, "err-flags", mutate(1, 0x80))
+	bytesSeed(dir, "err-flag-bit0", withCap)
 	bytesSeed(dir, "err-kind", mutate(2, 0xff))
 	bytesSeed(dir, "err-path-len", mutate(3, wire.MaxPathLen+1))
 	bytesSeed(dir, "err-zero-length", func() []byte {
@@ -97,18 +103,19 @@ func main() {
 
 	// FuzzWireRoundTrip takes decomposed canonical fields:
 	// (flags, kind uint8, src, dst uint32, length uint16, pathLen uint8,
-	//  c0, c1 uint64, slot uint8, pathSeed uint64).
-	rt := func(flags, kind uint8, src, dst uint32, length uint16, pathLen uint8, c0, c1 uint64, slot uint8, seed uint64) string {
+	//  pathSeed uint64).
+	rt := func(flags, kind uint8, src, dst uint32, length uint16, pathLen uint8, seed uint64) string {
 		return fmt.Sprintf(
-			"uint8(%d)\nuint8(%d)\nuint32(%d)\nuint32(%d)\nuint16(%d)\nuint8(%d)\nuint64(%d)\nuint64(%d)\nuint8(%d)\nuint64(%d)\n",
-			flags, kind, src, dst, length, pathLen, c0, c1, slot, seed)
+			"uint8(%d)\nuint8(%d)\nuint32(%d)\nuint32(%d)\nuint16(%d)\nuint8(%d)\nuint64(%d)\n",
+			flags, kind, src, dst, length, pathLen, seed)
 	}
 	dir = filepath.Join("internal", "wire", "testdata", "fuzz", "FuzzWireRoundTrip")
-	writeSeed(dir, "minimal", rt(0, 0, 1, 2, 40, 0, 0, 0, 0, 0))
-	writeSeed(dir, "max-path", rt(0, 1, 0xffffffff, 0, 0xffff, wire.MaxPathLen, 0, 0, 0, 0x0123456789abcdef))
-	writeSeed(dir, "capability", rt(uint8(wire.FlagCapability), 4, 10, 20, 1500, 3, ^uint64(0), 1, 255, 42))
-	writeSeed(dir, "all-flags", rt(0xff, 3, 1, 1, 1, 1, 1, 1, 1, 1))
-	writeSeed(dir, "zero-length-clamped", rt(0, 2, 0, 0, 0, 2, 0, 0, 0, 7))
+	writeSeed(dir, "minimal", rt(0, 0, 1, 2, 40, 0, 0))
+	writeSeed(dir, "max-path", rt(0, 1, 0xffffffff, 0, 0xffff, wire.MaxPathLen, 0x0123456789abcdef))
+	// Bit 0 alone, the capability flag's old place: masked off as unknown.
+	writeSeed(dir, "capability", rt(1<<0, 4, 10, 20, 1500, 3, 42))
+	writeSeed(dir, "all-flags", rt(0xff, 3, 1, 1, 1, 1, 1))
+	writeSeed(dir, "zero-length-clamped", rt(0, 2, 0, 0, 0, 2, 7))
 
 	marshalControl := func(f wire.ControlFrame) []byte {
 		b, err := wire.MarshalControlAppend(nil, &f)
@@ -188,7 +195,7 @@ func main() {
 	grid := math.Float64bits(float64(999_999) * 20 / 1e6)
 	capSeed("valid", grid, valid, good)
 	capSeed("valid-max-path", math.Float64bits(86400.000000001), marshal(maxPath), whole(86400, 1, marshal(maxPath)))
-	capSeed("valid-capability", math.Float64bits(0), marshal(withCap), good, good, whole(1, 999_999_999, marshal(withCap)))
+	capSeed("err-flag-bit0", math.Float64bits(0), withCap, good, good, whole(1, 999_999_999, withCap))
 	tenth := 0.1 // a variable, so that the sum is rounded as float64s, not folded exactly
 	capSeed("time-inexact-sum", math.Float64bits(tenth+0.2), valid, good)
 	capSeed("time-negative-zero", math.Float64bits(math.Copysign(0, -1)), valid, good)

@@ -2,8 +2,7 @@
 // on-the-wire form of the metadata the simulator carries on every
 // netsim.Packet: protocol version, flags, packet kind, the variable-length
 // domain path identifier stamped by the origin BGP speaker (paper Section
-// III-A), the declared packet length, and the optional two-part flow
-// capability (Section IV-B.3).
+// III-A), and the declared packet length.
 //
 // The codec is the boundary where traffic that originated outside this
 // process enters the reproduction, so Decode is strict: every field is
@@ -16,14 +15,13 @@
 //
 //	offset  size  field
 //	0       1     version (currently 1)
-//	1       1     flags (capability, attack ground truth, priority)
+//	1       1     flags (attack ground truth, priority)
 //	2       1     kind (netsim.PacketKind, 1..5)
 //	3       1     path length p (number of domains, 0..16)
 //	4       4     source address
 //	8       4     destination address
 //	12      2     packet length (bytes, > 0)
 //	14      4*p   path identifier, origin domain first
-//	14+4*p  17    capability C0 (8), C1 (8), slot (1) — iff FlagCapability
 //
 // An empty path (p = 0) is an unmarked packet; the router accounts it
 // under its synthetic unknown path, exactly as in the simulator.
@@ -34,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 
-	"floc/internal/capability"
 	"floc/internal/netsim"
 	"floc/internal/pathid"
 )
@@ -48,22 +45,19 @@ const Version1 = 1
 // and the decoder's fixed-size Path array small.
 const MaxPathLen = 16
 
-// Byte budget of the three header regions. headerFixedLen covers the
-// fields every packet carries; capLen is the optional capability trailer.
+// Byte budget of the header: headerFixedLen covers the fields every
+// packet carries, ahead of the path.
 const (
-	headerFixedLen = 14                                     // bytes
-	capLen         = 17                                     // bytes
-	MaxEncodedLen  = headerFixedLen + 4*MaxPathLen + capLen // bytes
+	headerFixedLen = 14                            // bytes
+	MaxEncodedLen  = headerFixedLen + 4*MaxPathLen // bytes
 )
 
 // Flags is the header flag byte.
 type Flags uint8
 
-// Flag bits. Unknown bits are a decode error: a header from a newer
-// speaker must not be half-understood.
+// Flag bits. Unknown bits, bit 0 among them, are a decode error: a
+// header from a newer speaker must not be half-understood.
 const (
-	// FlagCapability marks the presence of the two-part capability trailer.
-	FlagCapability Flags = 1 << 0
 	// FlagAttack carries the ground-truth attack marker used only by
 	// measurement and replay evaluation; no admission decision reads it
 	// (mirrors netsim.Packet.Attack).
@@ -72,7 +66,7 @@ const (
 	// fairness baseline.
 	FlagPriority Flags = 1 << 2
 
-	knownFlags = FlagCapability | FlagAttack | FlagPriority
+	knownFlags = FlagAttack | FlagPriority
 )
 
 // Typed decode/marshal errors. Errors wrap these sentinels with detail;
@@ -90,8 +84,6 @@ var (
 	ErrPathLen = errors.New("wire: path length out of range")
 	// ErrLength reports a zero declared packet length.
 	ErrLength = errors.New("wire: invalid packet length")
-	// ErrSlot reports a capability slot outside the encodable [0, 255].
-	ErrSlot = errors.New("wire: capability slot out of range")
 	// ErrTrailing reports bytes after the one frame a datagram or
 	// capture record carries; KindOfError classifies it as framing.
 	ErrTrailing = errors.New("wire: trailing bytes after frame")
@@ -106,9 +98,7 @@ var (
 
 // Header is the decoded FLoc shim header. Path identifiers live in a
 // fixed-size array so decoding allocates nothing; PathLen says how many
-// leading entries are valid. Cap is meaningful only when
-// Flags&FlagCapability is set, and is zero otherwise so marshal∘decode is
-// the identity on canonical headers.
+// leading entries are valid.
 type Header struct {
 	Version uint8
 	Flags   Flags
@@ -118,7 +108,6 @@ type Header struct {
 	Length  uint16 // bytes
 	PathLen uint8
 	Path    [MaxPathLen]pathid.ASN
-	Cap     capability.Capability
 }
 
 // Error constructors. Wrapping a sentinel goes through fmt, which has no
@@ -147,25 +136,7 @@ func errZeroLength() error { return fmt.Errorf("%w: zero", ErrLength) }
 func errZeroTTL() error { return fmt.Errorf("%w: zero", ErrTTL) }
 
 // EncodedLen returns the exact number of bytes MarshalAppend would write.
-func (h *Header) EncodedLen() int {
-	n := headerFixedLen + 4*int(h.PathLen)
-	if h.Flags&FlagCapability != 0 {
-		n += capLen
-	}
-	return n
-}
-
-// validate checks the header's encodable range; shared by MarshalAppend
-// (reject before writing) and Decode (reject foreign input).
-func (h *Header) validate() error {
-	if err := validateShallow(h); err != nil {
-		return err
-	}
-	if h.Flags&FlagCapability != 0 && (h.Cap.Slot < 0 || h.Cap.Slot > 255) {
-		return errValue(ErrSlot, h.Cap.Slot)
-	}
-	return nil
-}
+func (h *Header) EncodedLen() int { return headerFixedLen + 4*int(h.PathLen) }
 
 // MarshalAppend appends the encoded header to dst and returns the
 // extended slice. It does not allocate when dst has spare capacity
@@ -181,11 +152,6 @@ func MarshalAppend(dst []byte, h *Header) ([]byte, error) {
 	for i := 0; i < int(h.PathLen); i++ {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(h.Path[i]))
 	}
-	if h.Flags&FlagCapability != 0 {
-		dst = binary.BigEndian.AppendUint64(dst, h.Cap.C0)
-		dst = binary.BigEndian.AppendUint64(dst, h.Cap.C1)
-		dst = append(dst, uint8(h.Cap.Slot))
-	}
 	return dst, nil
 }
 
@@ -197,7 +163,7 @@ func MarshalAppend(dst []byte, h *Header) ([]byte, error) {
 // datagram should contain exactly one header; a capture stream many).
 //
 // Decode is the module's validation boundary for wire bytes: buf is
-// attacker-controlled until validateShallow range-checks the decoded
+// attacker-controlled until validate range-checks the decoded
 // fields, and a successful return hands the caller a vetted header.
 func Decode(buf []byte, h *Header) (int, error) {
 	if len(buf) < headerFixedLen {
@@ -213,7 +179,7 @@ func Decode(buf []byte, h *Header) (int, error) {
 		Length:  binary.BigEndian.Uint16(buf[12:14]),
 	}
 	// Validate before trusting PathLen to size the remainder of the walk.
-	if err := validateShallow(h); err != nil {
+	if err := h.validate(); err != nil {
 		return 0, err
 	}
 	n := headerFixedLen
@@ -225,19 +191,12 @@ func Decode(buf []byte, h *Header) (int, error) {
 		h.Path[i] = pathid.ASN(binary.BigEndian.Uint32(buf[n : n+4]))
 		n += 4
 	}
-	if h.Flags&FlagCapability != 0 {
-		h.Cap.C0 = binary.BigEndian.Uint64(buf[n : n+8])
-		h.Cap.C1 = binary.BigEndian.Uint64(buf[n+8 : n+16])
-		h.Cap.Slot = int(buf[n+16])
-		n += capLen
-	}
 	return n, nil
 }
 
-// validateShallow is validate minus the capability-slot check, which
-// cannot fail on decode (one byte is always in range) and whose field is
-// not yet populated when Decode calls this.
-func validateShallow(h *Header) error {
+// validate checks the header's encodable range; shared by MarshalAppend
+// (reject before writing) and Decode (reject foreign input).
+func (h *Header) validate() error {
 	if h.Version != Version1 {
 		return errValue(ErrVersion, int(h.Version))
 	}
@@ -266,8 +225,7 @@ func (h *Header) PathID() pathid.PathID {
 }
 
 // FromPacket fills h from a simulator packet (the capture/daemon egress
-// direction). The capability trailer is omitted: capabilities are issued
-// by the measuring router, not carried by the simulator's packets.
+// direction).
 func FromPacket(h *Header, pkt *netsim.Packet) error {
 	if len(pkt.Path) > MaxPathLen {
 		return errRange(ErrPathLen, len(pkt.Path), MaxPathLen)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"floc/internal/capability"
 	"floc/internal/netsim"
 	"floc/internal/pathid"
 )
@@ -15,13 +14,12 @@ import (
 func sampleHeader() Header {
 	h := Header{
 		Version: Version1,
-		Flags:   FlagCapability | FlagAttack,
+		Flags:   FlagAttack,
 		Kind:    netsim.KindUDP,
 		Src:     0x0a000001,
 		Dst:     0x0a000002,
 		Length:  1500,
 		PathLen: 3,
-		Cap:     capability.Capability{C0: 0x1122334455667788, C1: 0x99aabbccddeeff00, Slot: 7},
 	}
 	h.Path[0], h.Path[1], h.Path[2] = 64, 7, 1
 	return h
@@ -104,6 +102,7 @@ func TestDecodeErrors(t *testing.T) {
 		{"truncated-path", good[:len(good)-1], ErrShort},
 		{"version", mut(0, 9), ErrVersion},
 		{"flags", mut(1, 0x80), ErrFlags},
+		{"flag-bit0", mut(1, 0x01), ErrFlags}, // once the capability flag
 		{"kind-zero", mut(2, 0), ErrKind},
 		{"kind-high", mut(2, 200), ErrKind},
 		{"pathlen", mut(3, MaxPathLen+1), ErrPathLen},
@@ -129,7 +128,7 @@ func TestMarshalErrors(t *testing.T) {
 		{"kind", func(h *Header) { h.Kind = 0 }, ErrKind},
 		{"pathlen", func(h *Header) { h.PathLen = MaxPathLen + 1 }, ErrPathLen},
 		{"length", func(h *Header) { h.Length = 0 }, ErrLength},
-		{"slot", func(h *Header) { h.Cap.Slot = 256 }, ErrSlot},
+		{"flag-bit0", func(h *Header) { h.Flags |= 1 << 0 }, ErrFlags}, // once the capability flag
 	}
 	for _, tc := range cases {
 		h := base
