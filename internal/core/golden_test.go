@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
+	"io"
 	"slices"
 	"strings"
 	"testing"
@@ -58,7 +59,7 @@ func TestControlLoopGolden(t *testing.T) {
 	for _, sc := range goldenScenarios {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			got, cov := runGolden(t, sc, false)
+			got, _, cov := runGolden(t, sc, false, false)
 			if err := sc.covered(cov); err != "" {
 				t.Fatalf("trace no longer exercises what it was written for: %s (%+v)", err, cov)
 			}
@@ -75,7 +76,7 @@ func TestControlLoopGolden(t *testing.T) {
 // aggregates dissolve, well before the trace ends at 30 s.
 func TestAggregateMembersExpire(t *testing.T) {
 	i := slices.IndexFunc(goldenScenarios, func(sc goldenScenario) bool { return sc.name == "smax" })
-	_, cov := runGolden(t, goldenScenarios[i], false)
+	_, _, cov := runGolden(t, goldenScenarios[i], false, false)
 	if cov.maxAggregates == 0 {
 		t.Fatal("the smax trace formed no aggregate")
 	}
@@ -92,6 +93,23 @@ func TestAggregateMembersExpire(t *testing.T) {
 		if strings.HasSuffix(key, "-20-3") || strings.HasSuffix(key, "-21-3") {
 			t.Errorf("attack path %s is still live 11 s after its last packet (live: %v)", key, cov.endPaths)
 		}
+	}
+}
+
+// TestTelemetryIsPassive: observing a router must not change what it
+// decides. Each golden trace is driven twice, once with telemetry attached
+// and once detached, and the router's decisions alone — every
+// checkpoint's Snapshot.String(), PathInfos() and DistinctDroppedFlows,
+// with no event and no registry text — must fold to the same digest.
+func TestTelemetryIsPassive(t *testing.T) {
+	for _, sc := range goldenScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			_, attached, _ := runGolden(t, sc, false, false)
+			_, detached, _ := runGolden(t, sc, false, true)
+			if attached != detached {
+				t.Fatalf("decisions digest %s with telemetry attached, %s detached", attached, detached)
+			}
+		})
 	}
 }
 
@@ -154,11 +172,13 @@ func (s hashSink) Emit(e telemetry.Event) {
 }
 
 // runGolden drives sc's trace through a fresh router and returns the
-// digest. Each 2 ms step's packets share one arrival time, so they are
+// digest, and a second digest of the checkpoints alone: the router's
+// decisions, which detached (no telemetry, so no events and no registry
+// text in the first digest either) must not change. Each 2 ms step's packets share one arrival time, so they are
 // collected first and then enqueued in order — which is all that
 // TestControlLoopGolden has ever done — and with prefetch set the router
 // reads ahead over each step's batch first, as a shard worker does.
-func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCoverage) {
+func runGolden(t *testing.T, sc goldenScenario, prefetch, detached bool) (digest, decisions string, cov goldenCoverage) {
 	t.Helper()
 	// 8 Mb/s of 1000-byte packets = 1000 pkt/s: two services per 2 ms step.
 	cfg := DefaultConfig(8e6, 100)
@@ -171,10 +191,14 @@ func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCo
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	tel := telemetry.New(1 << 12)
-	tel.Sink = hashSink{h}
-	r.SetTelemetry(tel)
+	h, d := sha256.New(), sha256.New()
+	checkpoint := io.MultiWriter(h, d)
+	var tel *telemetry.Telemetry
+	if !detached {
+		tel = telemetry.New(1 << 12)
+		tel.Sink = hashSink{h}
+		r.SetTelemetry(tel)
+	}
 
 	// Every other path is driven through its dense handle, the rest through
 	// string keys, so both origin-resolution routes feed the control loop.
@@ -195,7 +219,6 @@ func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCo
 	steps := int(sc.seconds / dt)
 	opened := make([]bool, len(sc.sources))
 	var batch []BatchItem
-	var cov goldenCoverage
 	prevFlows := map[string]int{}
 	id := uint64(0)
 	now := 0.0
@@ -250,10 +273,10 @@ func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCo
 		// Checkpoint once per simulated second.
 		snap := r.Snapshot()
 		infos := r.PathInfos()
-		fmt.Fprintf(h, "@%d\n%s%+v\n", step, snap.String(), infos)
+		fmt.Fprintf(checkpoint, "@%d\n%s%+v\n", step, snap.String(), infos)
 		for _, info := range infos {
 			distinct, est := r.DistinctDroppedFlows(info.Key, now)
-			fmt.Fprintf(h, "%s %d %v\n", info.Key, distinct, est)
+			fmt.Fprintf(checkpoint, "%s %d %v\n", info.Key, distinct, est)
 		}
 		if len(snap.Aggregates) > cov.maxAggregates {
 			cov.maxAggregates = len(snap.Aggregates)
@@ -283,6 +306,10 @@ func runGolden(t *testing.T, sc goldenScenario, prefetch bool) (string, goldenCo
 		}
 	}
 	cov.controlRuns, cov.planChanges = r.ControlRuns(), r.PlanChanges()
+	decisions = hex.EncodeToString(d.Sum(nil))
+	if tel == nil {
+		return hex.EncodeToString(h.Sum(nil)), decisions, cov
+	}
 
 	// The ring, oldest first, one canonical event encoding per line.
 	for _, e := range tel.Trace.Events() {
@@ -305,7 +332,7 @@ lines:
 		}
 		h.Write([]byte(line))
 	}
-	return hex.EncodeToString(h.Sum(nil)), cov
+	return hex.EncodeToString(h.Sum(nil)), decisions, cov
 }
 
 // goldenHogs returns n single-flow attack sources (4 packets every step,

@@ -36,7 +36,7 @@ func observable(t *testing.T, r *Router) string {
 func TestPrefetchIsInvisible(t *testing.T) {
 	for _, sc := range goldenScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			if got, _ := runGolden(t, sc, true); got != sc.digest {
+			if got, _, _ := runGolden(t, sc, true, false); got != sc.digest {
 				t.Fatalf("digest %s with Prefetch, %s recorded without", got, sc.digest)
 			}
 		})
