@@ -49,10 +49,7 @@ type routerMetrics struct {
 	prevRecordOps   int64
 	prevQueryOps    int64
 
-	queueDelay      *telemetry.HistogramCell // seconds spent in the output queue
-	bucketOccupancy *telemetry.HistogramCell // fraction of bucket tokens unused
-	mtd             *telemetry.HistogramCell // reference mean time to drop
-	conformance     *telemetry.HistogramCell // per-path conformance EWMA
+	queueDelay *telemetry.HistogramCell // seconds spent in the output queue
 }
 
 // newRouterMetrics resolves the router's series on tel's registry. The
@@ -88,15 +85,6 @@ func newRouterMetrics(tel *telemetry.Telemetry) *routerMetrics {
 		queueDelay: reg.Histogram("floc_router_queue_delay_seconds",
 			"per-packet output-queue delay in sim-time", "seconds",
 			[]float64{1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1}).Cell(),
-		bucketOccupancy: reg.Histogram("floc_router_bucket_occupancy",
-			"unused fraction of each guaranteed path's token bucket at control runs", "ratio",
-			[]float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 1}).Cell(),
-		mtd: reg.Histogram("floc_router_mtd_seconds",
-			"reference mean time to drop per guaranteed path at control runs", "seconds",
-			[]float64{1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1, 3}).Cell(),
-		conformance: reg.Histogram("floc_router_conformance",
-			"conformance EWMA per guaranteed path at control runs", "ratio",
-			[]float64{0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1}).Cell(),
 	}
 	for reason := DropReason(0); reason < numDropReasons; reason++ {
 		m.drops[reason] = reg.Counter(
@@ -147,9 +135,9 @@ func (r *Router) noteMode(now float64) {
 	})
 }
 
-// sampleControl records the per-control-run observability: gauges,
-// per-path histograms, and the ControlRunCompleted event. Iteration
-// follows sortedPaths' key order so the trace is deterministic.
+// sampleControl records the per-control-run observability: gauges and
+// the ControlRunCompleted event. It reads only; per-path state stays
+// readable through Snapshot.Paths.
 func (r *Router) sampleControl(now float64) {
 	r.met.controlRuns.Inc()
 	r.met.queueLen.Set(float64(r.fifo.Len()))
@@ -166,17 +154,7 @@ func (r *Router) sampleControl(now float64) {
 	r.met.attackFlows.Set(float64(r.tally.attack))
 	r.met.expiredFlows.Add(int64(r.tally.expired))
 
-	order := r.sortedPaths()
-	r.met.guaranteedPaths.Set(float64(len(order.guaranteed)))
-	for _, ps := range order.guaranteed {
-		if size := ps.bucket.Size(); size > 0 {
-			// tokens over bucket-size tokens: the occupancy fraction
-			occupancy := ps.bucket.Available(now) / size
-			r.met.bucketOccupancy.Observe(occupancy)
-		}
-		r.met.mtd.Observe(ps.params.RefMTD)
-		r.met.conformance.Observe(ps.conformance)
-	}
+	r.met.guaranteedPaths.Set(float64(r.GuaranteedPathCount()))
 
 	r.tel.Emit(telemetry.Event{
 		Time:  now,

@@ -116,8 +116,11 @@ func replayMixDigest(t *testing.T, quiesce bool) string {
 // That filter let every gauge's HELP line through, since it met the
 // HELP line before the TYPE line that names the family a gauge. e2fbca3,
 // which still printed ff09690a…, was run with the two-pass filter above
-// and printed the value below.
-const replayMixRecorded = "3012241e8650b3764a23fa2c618647fca9ea8f7aec59dc3c7193426c35ff0c4e"
+// and printed 3012241e…. When the router's three per-path histograms
+// were deleted, 2fc2ee7, run with every line of the
+// floc_router_bucket_occupancy, floc_router_mtd_seconds and
+// floc_router_conformance families left out, printed the value below.
+const replayMixRecorded = "02c3038fe6c100f3431d2ceb32ab9432f759fb42ac38fe0eff2ab690e80d9b2e"
 
 // TestPrefetchIsInvisible: a shard that calls Router.Prefetch on every
 // batch it admits leaves exactly what one that does not leaves — wherever
