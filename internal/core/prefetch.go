@@ -75,15 +75,16 @@ func (r *Router) prefetch(items []BatchItem) uint64 {
 			warm ^= math.Float64bits(fs.lastSeen)
 		}
 	}
-	// Stage 4: effective path -> its token bucket and, on attack paths,
-	// the flow's drop-filter block.
+	// Stage 4: effective path -> its token bucket (40 bytes: the line
+	// holding its period holds what Take reads, unless the bucket straddles
+	// two lines) and, on attack paths, the flow's drop-filter block.
 	for i := range items {
 		ps := paths[i]
 		if ps == nil {
 			continue
 		}
 		eff := ps.effective()
-		warm ^= math.Float64bits(eff.bucket.Period()) ^ math.Float64bits(eff.bucket.TotalGranted())
+		warm ^= math.Float64bits(eff.bucket.Period())
 		if eff.attack {
 			warm ^= r.filter.Peek(hashes[i])
 		}

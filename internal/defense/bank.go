@@ -5,27 +5,52 @@ import (
 	"floc/internal/units"
 )
 
-// passThrough is the identity discipline behind each bank limiter: it
-// accepts every packet and holds nothing, so the wrapped Limiter acts as
-// a pure admission gate — the packet's real queueing happens in the
-// router the bank fronts.
-type passThrough struct{}
+// burstWindow is the burst allowance of a rate limit: a limit admits up
+// to one burstWindow's worth of traffic at its rate beyond its
+// steady-state budget. Pushback's aggregate limits use the same window.
+const burstWindow units.Seconds = 0.1
 
-var _ netsim.Discipline = passThrough{}
-
-func (passThrough) Enqueue(pkt *netsim.Packet, now float64) bool { return true }
-
-func (passThrough) Dequeue(now float64) *netsim.Packet { return nil }
-
-func (passThrough) Len() int { return 0 }
-
-// bankEntry pairs a limiter with its lease: a limit installed from a
-// cluster peer's feedback expires expiresAt seconds into the arrival
-// clock unless the peer refreshes it, so a dead downstream cannot wedge
-// an upstream forever.
+// bankEntry is one installed limit: a token gate at rate, with its lease.
+// A limit installed from a cluster peer's feedback expires expiresAt
+// seconds into the arrival clock unless the peer refreshes it, so a dead
+// downstream cannot wedge an upstream forever.
 type bankEntry struct {
-	lim       *Limiter
-	expiresAt float64 // 0 = no expiry
+	rate       units.BitsPerSec
+	tokens     units.Bits
+	lastRefill float64
+	expiresAt  float64 // 0 = no expiry
+}
+
+// setRate installs a rate (> 0) and grants a burst allowance: accumulated
+// credit carries over up to one full burst window at the new rate, and at
+// least half a window is seeded so a freshly installed limit does not
+// drop the first packet it sees.
+func (e *bankEntry) setRate(rate units.BitsPerSec) {
+	e.rate = rate
+	full := rate.Times(burstWindow)
+	if e.tokens > full {
+		e.tokens = full
+	}
+	if e.tokens <= 0 {
+		e.tokens = rate.Times(burstWindow / 2)
+	}
+}
+
+// admit refills the gate up to now and takes the packet's bits, or
+// reports the packet dropped and takes nothing.
+func (e *bankEntry) admit(pkt *netsim.Packet, now float64) bool {
+	bits := units.FromPacket(pkt.Size)
+	e.tokens += e.rate.Times(units.Seconds(now - e.lastRefill))
+	maxTokens := e.rate.Times(burstWindow)
+	if e.tokens > maxTokens {
+		e.tokens = maxTokens
+	}
+	e.lastRefill = now
+	if e.tokens < bits {
+		return false
+	}
+	e.tokens -= bits
+	return true
 }
 
 // LimiterBank holds per-path rate limits installed by the cluster
@@ -52,7 +77,7 @@ func NewLimiterBank() *LimiterBank {
 // Install sets (rate > 0) or releases (rate <= 0) the limit for a path
 // handle. expiresAt is the arrival-clock deadline after which the limit
 // lapses on its own (0 = never). Reinstalling refreshes the lease and
-// re-seeds the limiter's burst allowance via SetRateBits.
+// re-seeds the limit's burst allowance (setRate).
 func (b *LimiterBank) Install(handle uint32, rate units.BitsPerSec, expiresAt float64) {
 	if rate <= 0 {
 		delete(b.entries, handle)
@@ -60,17 +85,17 @@ func (b *LimiterBank) Install(handle uint32, rate units.BitsPerSec, expiresAt fl
 	}
 	e := b.entries[handle]
 	if e == nil {
-		e = &bankEntry{lim: NewLimiter(passThrough{})}
+		e = &bankEntry{}
 		b.entries[handle] = e
 	}
-	e.lim.SetRateBits(rate)
+	e.setRate(rate)
 	e.expiresAt = expiresAt
 }
 
-// Admit runs the packet through the handle's limiter, if one is
+// Admit runs the packet through the handle's limit, if one is
 // installed and unexpired. Handle 0 (the unknown path) and handles with
 // no limit pass untouched; an expired limit is reaped lazily on first
-// touch. Returns false when the limiter drops the packet.
+// touch. Returns false when the limit drops the packet.
 func (b *LimiterBank) Admit(handle uint32, pkt *netsim.Packet, now float64) bool {
 	if handle == 0 {
 		return true
@@ -83,7 +108,7 @@ func (b *LimiterBank) Admit(handle uint32, pkt *netsim.Packet, now float64) bool
 		delete(b.entries, handle)
 		return true
 	}
-	if !e.lim.Enqueue(pkt, now) {
+	if !e.admit(pkt, now) {
 		b.drops++
 		return false
 	}
@@ -100,7 +125,7 @@ func (b *LimiterBank) Rate(handle uint32, now float64) units.BitsPerSec {
 	if e.expiresAt > 0 && now >= e.expiresAt {
 		return 0
 	}
-	return e.lim.RateBits()
+	return e.rate
 }
 
 // Sweep reaps every expired entry and returns the number removed. Admit
@@ -121,5 +146,5 @@ func (b *LimiterBank) Sweep(now float64) int {
 // limits.
 func (b *LimiterBank) Active() int { return len(b.entries) }
 
-// Drops returns packets dropped by the bank's limiters via Admit.
+// Drops returns packets dropped by the bank's limits via Admit.
 func (b *LimiterBank) Drops() int { return b.drops }

@@ -15,10 +15,7 @@ import (
 // The congested router performs local ACC: sustained overload triggers
 // identification of the highest-rate aggregates and installs
 // per-aggregate rate limiters sized by water-filling so the admitted
-// load fits the link. With AttachUpstream, limits are additionally
-// propagated to rate limiters at the routers feeding those aggregates
-// (the pushback protocol proper); at a single shared bottleneck this
-// changes where the excess is shed, not the bottleneck's shares.
+// load fits the link. This is the paper's Pushback baseline.
 type PushbackConfig struct {
 	// RED parameterizes the underlying queue.
 	RED REDConfig
@@ -62,10 +59,7 @@ type aggState struct {
 	lastRefill  float64
 }
 
-// Pushback is the ACC discipline. With AttachUpstream it also models the
-// pushback protocol proper: identified aggregates' limits are mirrored to
-// rate limiters installed at the routers feeding them, so the excess is
-// shed upstream instead of transiting to the congested link.
+// Pushback is the local ACC discipline.
 type Pushback struct {
 	cfg PushbackConfig
 	red *RED
@@ -74,8 +68,6 @@ type Pushback struct {
 	aggs          map[string]*aggState
 	arrivals      int
 	drops         int
-
-	upstream map[string]*Limiter
 
 	limiterDrops int
 	activations  int
@@ -105,37 +97,7 @@ func NewPushback(cfg PushbackConfig) (*Pushback, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Pushback{cfg: cfg, red: red, aggs: map[string]*aggState{}, upstream: map[string]*Limiter{}}, nil
-}
-
-// AttachUpstream registers the rate limiter sitting at the upstream
-// router that feeds aggregate key. When ACC limits the aggregate, the
-// limit is propagated to (and released from) this limiter — the pushback
-// protocol of the paper's namesake scheme.
-func (p *Pushback) AttachUpstream(key string, lim *Limiter) {
-	p.upstream[key] = lim
-}
-
-// UpstreamDrops totals packets shed by propagated upstream limiters.
-func (p *Pushback) UpstreamDrops() int {
-	total := 0
-	for _, lim := range p.upstream {
-		total += lim.Dropped()
-	}
-	return total
-}
-
-// mirrorUpstream pushes an aggregate's current limit state upstream.
-func (p *Pushback) mirrorUpstream(key string, a *aggState) {
-	lim, ok := p.upstream[key]
-	if !ok {
-		return
-	}
-	if a.limited {
-		lim.SetRateBits(a.limitBits)
-	} else {
-		lim.SetRateBits(0)
-	}
+	return &Pushback{cfg: cfg, red: red, aggs: map[string]*aggState{}}, nil
 }
 
 // LimiterDrops returns packets dropped by aggregate rate limiters.
@@ -169,29 +131,16 @@ func (p *Pushback) aggKey(pkt *netsim.Packet) string {
 // review runs at interval boundaries: decides on activation, recomputes
 // limits, releases stale limiters, and resets measurement.
 func (p *Pushback) review(now float64) {
-	// Fold in upstream status reports: a limited aggregate's demand is
-	// what was *offered* upstream, not the residue that reached us.
-	upstreamShed := units.Bits(0)
-	for k, lim := range p.upstream {
-		offered := lim.TakeOfferedBits()
-		if a, ok := p.aggs[k]; ok && offered > a.arrivedBits {
-			upstreamShed += offered - a.arrivedBits
-			a.arrivedBits = offered
-		}
-	}
 	dropFrac := 0.0
 	if p.arrivals > 0 {
-		// Upstream-shed traffic counts as dropped demand when deciding
-		// whether congestion persists, in full-size 1000-byte packets.
-		shedPkts := float64(upstreamShed) / float64(units.FromPacket(1000))
-		dropFrac = (float64(p.drops) + shedPkts) / (float64(p.arrivals) + shedPkts)
+		dropFrac = float64(p.drops) / float64(p.arrivals)
 	}
 	if dropFrac > p.cfg.DropRateTrigger {
 		p.computeLimits()
 	} else {
 		// Quiet interval: loosen existing limits; release those whose
 		// limit now exceeds the aggregate's demand.
-		for k, a := range p.aggs {
+		for _, a := range p.aggs {
 			if !a.limited {
 				continue
 			}
@@ -199,7 +148,6 @@ func (p *Pushback) review(now float64) {
 			if a.limitBits > a.arrivedBits.Per(units.Seconds(p.cfg.Interval)) {
 				a.limited = false
 			}
-			p.mirrorUpstream(k, a)
 		}
 	}
 	// Reset interval measurement; forget idle aggregates.
@@ -272,7 +220,6 @@ func (p *Pushback) computeLimits() {
 		a.limited = true
 		a.limitBits = limit
 		a.tokens = limit.Times(burstWindow)
-		p.mirrorUpstream(entries[i].key, a)
 	}
 }
 

@@ -158,7 +158,7 @@ func TestFLocAttackPathsFlagged(t *testing.T) {
 		t.Fatal(err)
 	}
 	flagged := map[string]bool{}
-	for _, p := range m.FLocPaths {
+	for _, p := range m.FLocSnapshot.Paths {
 		if p.Attack {
 			flagged[p.Key] = true
 		}
@@ -235,11 +235,11 @@ func TestFLocAggregationUnderSMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.FLocAggregates) == 0 {
+	if len(m.FLocSnapshot.Aggregates) == 0 {
 		t.Fatal("no aggregates despite SMax=25 and 27 paths")
 	}
 	aggregated := 0
-	for _, members := range m.FLocAggregates {
+	for _, members := range m.FLocSnapshot.Aggregates {
 		aggregated += len(members)
 		for _, member := range members {
 			if !m.AttackPathKeys[member] {
@@ -485,34 +485,6 @@ func TestAblationFlagsPlumbed(t *testing.T) {
 	}
 	if got := m.ClassShare(ClassLegitLegit); got < 0.5 {
 		t.Fatalf("legit share without pref drops = %v", got)
-	}
-}
-
-func TestPushbackUpstreamPropagation(t *testing.T) {
-	t.Parallel()
-	skipIfShort(t)
-	local := shortScenario(DefPushback, AttackCBR)
-	lm, err := runScenario(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	up := local
-	up.PushbackUpstream = true
-	um, err := runScenario(up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lm.PushbackUpstreamDrops != 0 {
-		t.Fatalf("local mode reports upstream drops: %d", lm.PushbackUpstreamDrops)
-	}
-	if um.PushbackUpstreamDrops == 0 {
-		t.Fatal("upstream mode shed nothing upstream")
-	}
-	// Shedding upstream must not make the bottleneck outcome worse for
-	// legitimate traffic.
-	if um.ClassShare(ClassLegitLegit) < lm.ClassShare(ClassLegitLegit)*0.7 {
-		t.Fatalf("upstream mode hurt legit share: %v vs %v",
-			um.ClassShare(ClassLegitLegit), lm.ClassShare(ClassLegitLegit))
 	}
 }
 

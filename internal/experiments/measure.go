@@ -74,20 +74,12 @@ type Measurement struct {
 	AttackPathKeys map[string]bool
 	// LeafKeys[i] is leaf domain i's path identifier key.
 	LeafKeys []string
-	// FLocPaths snapshots FLoc's per-path state at the end (nil for
-	// other defenses).
-	FLocPaths []core.PathInfo
-	// FLocAggregates snapshots FLoc's aggregates.
-	FLocAggregates map[string][]string
-	// FLocSnapshot is FLoc's end-of-run counter snapshot (zero value for
-	// other defenses).
+	// FLocSnapshot is FLoc's end-of-run snapshot, its per-path state and
+	// aggregates included (zero value for other defenses).
 	FLocSnapshot core.Snapshot
 	// FLocPlanChanges counts FLoc's control runs that changed the
 	// aggregation plan (zero for other defenses).
 	FLocPlanChanges int
-	// PushbackUpstreamDrops counts packets shed by propagated upstream
-	// limiters (Pushback with upstream propagation only).
-	PushbackUpstreamDrops int
 
 	measureFrom, measureTo float64
 }
@@ -184,8 +176,6 @@ func (m *Measurement) finish(flocRtr *core.Router) {
 		m.Utilization = total / float64(m.TargetBits.Times(units.Seconds(m.Window)))
 	}
 	if flocRtr != nil {
-		m.FLocPaths = flocRtr.PathInfos()
-		m.FLocAggregates = flocRtr.Aggregates()
 		m.FLocSnapshot = flocRtr.Snapshot()
 		m.FLocPlanChanges = flocRtr.PlanChanges()
 	}

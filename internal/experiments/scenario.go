@@ -95,10 +95,6 @@ type Scenario struct {
 	DataSizes []int
 	// NoPreferentialDrop and NoEscalation are FLoc ablations.
 	NoPreferentialDrop, NoEscalation bool
-	// PushbackUpstream propagates Pushback's aggregate limits to rate
-	// limiters at the leaf-domain uplinks (the pushback protocol
-	// proper), instead of enforcing only at the congested router.
-	PushbackUpstream bool
 	// ScalableMode enables the full Section V-B efficient design at
 	// once: drop-ratio flow counting, probabilistic filter updates, and
 	// probabilistic array selection (k=2 of 4).
@@ -216,17 +212,6 @@ func build(sc Scenario) (*built, error) {
 	treeCfg.InnerRateBits = 4 * targetBits
 	treeCfg.BufferPackets = bufPkts * 4
 	treeCfg.NumServers = 25
-	if sc.PushbackUpstream && b.pushback != nil {
-		pb := b.pushback
-		treeCfg.UplinkDisc = func(depth int, path pathid.PathID) netsim.Discipline {
-			if depth != treeCfg.Height {
-				return nil // limiters only at leaf-domain uplinks
-			}
-			lim := defense.NewLimiter(netsim.NewFIFO(treeCfg.BufferPackets))
-			pb.AttachUpstream(path.Key(), lim)
-			return lim
-		}
-	}
 	tree, err := topology.NewTree(net, treeCfg, disc)
 	if err != nil {
 		return nil, err
@@ -493,8 +478,5 @@ func Run(sc Scenario) (*Measurement, error) {
 	}
 	b.net.Run(sc.Duration)
 	b.meas.finish(b.flocRtr)
-	if b.pushback != nil {
-		b.meas.PushbackUpstreamDrops = b.pushback.UpstreamDrops()
-	}
 	return b.meas, nil
 }

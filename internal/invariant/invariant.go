@@ -1,6 +1,6 @@
 // Package invariant provides the runtime assertion layer backing FLoc's
 // model-bound contracts: conformance EWMAs live in [0, 1] (Eq. IV.6),
-// token-bucket accounting conserves tokens (Eqs. IV.1-IV.3), drop-filter
+// a token bucket holds between 0 and its size (Eqs. IV.1-IV.3), drop-filter
 // counters respect their saturation bounds (Section V-B), and derived
 // quantities (allocations, RTTs, MTDs) stay finite and non-negative.
 //
@@ -85,26 +85,6 @@ func Conformance01(name string, v float64) {
 func InRange(name string, v, lo, hi float64) {
 	if math.IsNaN(v) || v < lo || v > hi {
 		fail("%s: value %v outside [%v, %v]", name, v, lo, hi)
-	}
-}
-
-// TokensConserved checks the per-period token ledger of a bucket:
-// every requested token is either granted or denied (requested ==
-// granted + denied up to float accumulation error), and no component is
-// negative. A drift here means admitted bandwidth no longer matches the
-// computed allocation (Eqs. IV.1-IV.3).
-func TokensConserved(name string, requested, granted, denied float64) {
-	if requested < 0 || granted < 0 || denied < 0 {
-		fail("%s: negative token count (requested=%v granted=%v denied=%v)",
-			name, requested, granted, denied)
-		return
-	}
-	// The three sums accumulate the same Take amounts in different
-	// groupings, so they can differ by float rounding only.
-	tol := 1e-6 * math.Max(1, requested)
-	if diff := math.Abs(requested - (granted + denied)); diff > tol {
-		fail("%s: token ledger off by %v (requested=%v granted=%v denied=%v)",
-			name, diff, requested, granted, denied)
 	}
 }
 

@@ -343,30 +343,15 @@ func TestHostDispatchAndFactory(t *testing.T) {
 	if err := h.Attach(7, known); err == nil {
 		t.Fatal("duplicate Attach accepted")
 	}
-	var created []uint32
-	h.SetFactory(func(peer uint32) Agent {
-		if peer == 13 {
-			return nil // ignore
-		}
-		created = append(created, peer)
-		return &recordingAgent{}
-	})
 	net := New(1)
-	h.Receive(net, &Packet{Src: 7, Dst: 500})
-	h.Receive(net, &Packet{Src: 8, Dst: 500})
-	h.Receive(net, &Packet{Src: 8, Dst: 500})
-	h.Receive(net, &Packet{Src: 13, Dst: 500})
-	if len(known.got) != 1 {
-		t.Fatalf("known agent got %d", len(known.got))
+	h.Receive(net, &Packet{ID: 1, Src: 7, Dst: 500})
+	h.Receive(net, &Packet{ID: 2, Src: 8, Dst: 500}) // unknown peer: ignored
+	h.Receive(net, &Packet{ID: 3, Src: 7, Dst: 500})
+	if len(known.got) != 2 || known.got[0].ID != 1 || known.got[1].ID != 3 {
+		t.Fatalf("known agent got %v", known.got)
 	}
-	if len(created) != 1 || created[0] != 8 {
-		t.Fatalf("factory created %v", created)
-	}
-	if got := h.Agent(8).(*recordingAgent); len(got.got) != 2 {
-		t.Fatalf("factory agent got %d", len(got.got))
-	}
-	if h.Agent(13) != nil {
-		t.Fatal("nil factory result cached")
+	if h.Agent(8) != nil {
+		t.Fatal("a packet from an unknown peer registered an agent")
 	}
 }
 

@@ -50,20 +50,14 @@ type Agent interface {
 	Deliver(net *Network, pkt *Packet)
 }
 
-// AgentFactory creates an agent on demand for an unknown peer (e.g. a TCP
-// sink when the first SYN of a new connection arrives). It may return nil
-// to ignore the peer.
-type AgentFactory func(peer uint32) Agent
-
 // Host is an end system with one access link and a set of transport
 // agents keyed by peer address.
 type Host struct {
 	Name string
 	Addr uint32
 
-	out     *Link
-	agents  map[uint32]Agent
-	factory AgentFactory
+	out    *Link
+	agents map[uint32]Agent
 }
 
 var _ Endpoint = (*Host)(nil)
@@ -75,9 +69,6 @@ func NewHost(name string, addr uint32) *Host {
 
 // SetAccess sets the host's outgoing access link.
 func (h *Host) SetAccess(l *Link) { h.out = l }
-
-// SetFactory installs the on-demand agent factory (for servers).
-func (h *Host) SetFactory(f AgentFactory) { h.factory = f }
 
 // Attach registers an agent for a peer address. It returns an error if the
 // peer already has an agent.
@@ -101,18 +92,9 @@ func (h *Host) Send(net *Network, pkt *Packet) {
 }
 
 // Receive implements Endpoint by dispatching to the agent for the
-// packet's source, creating one via the factory if needed.
+// packet's source; a packet from a peer with no agent is ignored.
 func (h *Host) Receive(net *Network, pkt *Packet) {
-	a, ok := h.agents[pkt.Src]
-	if !ok {
-		if h.factory == nil {
-			return
-		}
-		a = h.factory(pkt.Src)
-		if a == nil {
-			return
-		}
-		h.agents[pkt.Src] = a
+	if a, ok := h.agents[pkt.Src]; ok {
+		a.Deliver(net, pkt)
 	}
-	a.Deliver(net, pkt)
 }

@@ -14,6 +14,13 @@ func mustNew(t *testing.T, period, size float64) *Bucket {
 	return b
 }
 
+// tokensAt returns what a take at now finds: the bucket's tokens once it
+// has advanced to now.
+func tokensAt(b *Bucket, now float64) float64 {
+	b.advance(now)
+	return b.tokens
+}
+
 func TestNewValidation(t *testing.T) {
 	for _, tc := range []struct{ period, size float64 }{
 		{0, 1}, {-1, 1}, {1, 0}, {1, -5},
@@ -34,8 +41,8 @@ func TestTakeWithinPeriod(t *testing.T) {
 	if b.Take(0.9, 1) {
 		t.Fatal("11th take in one period admitted")
 	}
-	if got := b.Available(0.95); got != 0 {
-		t.Fatalf("Available = %v", got)
+	if got := tokensAt(b, 0.95); got != 0 {
+		t.Fatalf("tokens = %v", got)
 	}
 }
 
@@ -43,8 +50,8 @@ func TestPeriodRefillDiscardsUnused(t *testing.T) {
 	b := mustNew(t, 1.0, 10)
 	b.Take(0, 3) // 7 left
 	// After rollover, exactly size tokens again — unused 7 do not carry.
-	if got := b.Available(1.0); got != 10 {
-		t.Fatalf("Available after rollover = %v, want 10", got)
+	if got := tokensAt(b, 1.0); got != 10 {
+		t.Fatalf("tokens after rollover = %v, want 10", got)
 	}
 	// Burst of the full budget succeeds right at period start.
 	if !b.Take(1.0, 10) {
@@ -58,13 +65,19 @@ func TestMultiplePeriodsSkipped(t *testing.T) {
 	if b.Take(0.1, 1) {
 		t.Fatal("over-budget take admitted")
 	}
-	// Jump 10 periods ahead.
+	// Jump 10 periods ahead: the period grid stays anchored at the first
+	// take, so the current period starts at 5.0 and the next at 5.5.
 	if !b.Take(5.0, 4) {
 		t.Fatal("take after long idle denied")
 	}
-	_, _, periods := b.Stats()
-	if periods != 11 {
-		t.Fatalf("periods = %d, want 11", periods)
+	if b.periodStart != 5.0 {
+		t.Fatalf("period starts at %v, want 5", b.periodStart)
+	}
+	if b.Take(5.49, 1) {
+		t.Fatal("take before the next boundary refilled the bucket")
+	}
+	if !b.Take(5.5, 4) {
+		t.Fatal("take at the next boundary denied")
 	}
 }
 
@@ -83,8 +96,8 @@ func TestSetParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Remaining tokens clamped to the new, smaller size.
-	if got := b.Available(0.5); got != 5 {
-		t.Fatalf("Available after shrink = %v, want 5", got)
+	if got := tokensAt(b, 0.5); got != 5 {
+		t.Fatalf("tokens after shrink = %v, want 5", got)
 	}
 	if err := b.SetParams(0, 5); err == nil {
 		t.Fatal("bad period accepted")
@@ -92,43 +105,54 @@ func TestSetParams(t *testing.T) {
 	if err := b.SetParams(1, -1); err == nil {
 		t.Fatal("bad size accepted")
 	}
-	if b.Period() != 1.0 || b.Size() != 5 {
+	if b.Period() != 1.0 || b.size != 5 {
 		t.Fatal("failed SetParams mutated state")
 	}
 }
 
+// TestRate: the long-run admitted rate is size/period tokens a second,
+// however finely the requests arrive.
 func TestRate(t *testing.T) {
 	b := mustNew(t, 0.25, 10)
-	if got := b.Rate(); got != 40 {
-		t.Fatalf("Rate = %v", got)
+	admitted := 0
+	for i := 0; i < 10000; i++ { // one request a millisecond for 10 s
+		if b.Take(float64(i)*0.001, 1) {
+			admitted++
+		}
+	}
+	if admitted != 400 {
+		t.Fatalf("admitted %d tokens in 10 s, want 40/s", admitted)
 	}
 }
 
+// TestStatsAndReset: a denied take consumes nothing, and a smaller take
+// afterwards still finds the tokens the denied one left.
 func TestStatsAndReset(t *testing.T) {
 	b := mustNew(t, 1.0, 2)
 	b.Take(0, 1)
-	b.Take(0, 1)
-	b.Take(0, 1) // denied
-	req, den, _ := b.Stats()
-	if req != 3 || den != 1 {
-		t.Fatalf("Stats = (%v, %v)", req, den)
+	if b.Take(0, 1.5) {
+		t.Fatal("take of 1.5 granted with 1 token left")
 	}
-	b.ResetStats()
-	req, den, periods := b.Stats()
-	if req != 0 || den != 0 || periods != 1 {
-		t.Fatalf("after reset: (%v, %v, %d)", req, den, periods)
+	if b.tokens != 1 {
+		t.Fatalf("tokens = %v after a denial, want 1", b.tokens)
+	}
+	if !b.Take(0, 1) || b.tokens != 0 {
+		t.Fatalf("last token not granted (tokens %v)", b.tokens)
 	}
 }
 
+// TestPeriodRequested: periods start at the first take, not at time 0, so
+// a bucket first used mid-period keeps what is left of its tokens for a
+// whole period and refills only then.
 func TestPeriodRequested(t *testing.T) {
 	b := mustNew(t, 1.0, 5)
 	b.Take(0.1, 2)
-	b.Take(0.2, 4) // denied, still counted as requested
-	if got := b.PeriodRequested(0.3); got != 6 {
-		t.Fatalf("PeriodRequested = %v", got)
+	b.Take(0.2, 4) // denied
+	if got := tokensAt(b, 1.05); got != 3 {
+		t.Fatalf("tokens at 1.05 = %v, want 3", got)
 	}
-	if got := b.PeriodRequested(1.1); got != 0 {
-		t.Fatalf("PeriodRequested after rollover = %v", got)
+	if got := tokensAt(b, 1.1); got != 5 {
+		t.Fatalf("tokens after rollover at 1.1 = %v, want 5", got)
 	}
 }
 

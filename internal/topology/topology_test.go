@@ -281,26 +281,3 @@ func TestProfileString(t *testing.T) {
 }
 
 var _ = pathid.New // keep import if unused in some builds
-
-func TestUplinkDiscHook(t *testing.T) {
-	net := netsim.New(1)
-	cfg := smallTreeCfg()
-	var calls []int
-	cfg.UplinkDisc = func(depth int, path pathid.PathID) netsim.Discipline {
-		calls = append(calls, depth)
-		if path.Len() != depth {
-			t.Fatalf("path %v at depth %d", path, depth)
-		}
-		if depth == cfg.Height {
-			return netsim.NewFIFO(7)
-		}
-		return nil // fall back to default
-	}
-	if _, err := NewTree(net, cfg, netsim.NewFIFO(10)); err != nil {
-		t.Fatal(err)
-	}
-	// 3 + 9 + 27 uplinks.
-	if len(calls) != 39 {
-		t.Fatalf("hook called %d times, want 39", len(calls))
-	}
-}

@@ -33,11 +33,6 @@ type TreeConfig struct {
 	// NumServers is how many destination hosts sit behind the target link
 	// (covert-attack experiments connect to many destinations).
 	NumServers int
-	// UplinkDisc, when set, supplies the queue discipline for a domain
-	// node's uplink (depth 1..Height, path = the node's identifier); nil
-	// or a nil return falls back to a plain FIFO. Pushback-style
-	// defenses use it to place rate limiters at upstream routers.
-	UplinkDisc func(depth int, path pathid.PathID) netsim.Discipline
 }
 
 // DefaultTreeConfig returns the paper's Fig. 5 parameters.
@@ -172,15 +167,8 @@ func NewTree(net *netsim.Network, cfg TreeConfig, disc netsim.Discipline) (*Tree
 				rev := netsim.NewRouter(fmt.Sprintf("r%d", as))
 				d := cfg.HopDelay * jitter()
 				path := append(pathid.PathID{as}, parent.path...)
-				var upDisc netsim.Discipline
-				if cfg.UplinkDisc != nil {
-					upDisc = cfg.UplinkDisc(depth, path)
-				}
-				if upDisc == nil {
-					upDisc = netsim.NewFIFO(cfg.BufferPackets)
-				}
 				up, err := netsim.NewLink(fmt.Sprintf("up-%d", as), cfg.InnerRateBits,
-					d, upDisc, parent.fwd)
+					d, netsim.NewFIFO(cfg.BufferPackets), parent.fwd)
 				if err != nil {
 					return nil, err
 				}
