@@ -509,7 +509,9 @@ func TestBurstCountsWhatCloseDiscards(t *testing.T) {
 // start; nothing is dropped and what was accepted was processed. Without
 // BlockOnFull the packet is a ring drop and no yield is counted. The
 // worker is held in a command while the ring fills, so that the ring is
-// full for certain, not by a race.
+// full for certain, not by a race. The producer starts only once the
+// command runs: the worker drains its ring before it runs a command, so
+// packets staged before then would be processed and never fill it.
 func TestRingFullYieldsCounted(t *testing.T) {
 	const (
 		ringSize = 8
@@ -528,8 +530,12 @@ func TestRingFullYieldsCounted(t *testing.T) {
 		if !strings.Contains(text.String(), yields+" 0\n") {
 			t.Fatalf("block=%v: %s is not exported at 0", block, yields)
 		}
-		release, done := make(chan struct{}), make(chan struct{})
-		e.shards[0].cmds <- func(*shard) { <-release }
+		running, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		e.shards[0].cmds <- func(*shard) {
+			close(running)
+			<-release
+		}
+		<-running
 		go func() {
 			defer close(done)
 			for i := 0; i <= ringSize; i++ {

@@ -47,7 +47,9 @@
 #                TestRecycleUnderFire (a buffer of 8 behind rings of 16,
 #                nearly every packet dropped and its slot reused) each run
 #                ten more times under -race with a 120 s timeout as the
-#                hang watchdog;
+#                hang watchdog, and TestRingFullYieldsCounted (a ring
+#                filled behind a held worker, with and without
+#                BlockOnFull) 200 more times, which takes milliseconds;
 #                TestReadParksWithOneP (a Read under GOMAXPROCS=1 must park
 #                and wake: the raw socket calls never block) five times
 #                with a 60 s timeout;
@@ -202,6 +204,7 @@ run go test -race -count=1 ./internal/wire ./internal/dataplane ./internal/udpba
 run go test -race -count=10 -timeout 120s -run '^TestRoleUnderFire$' ./internal/dataplane
 run go test -count=5 -timeout 60s -run '^TestReadParksWithOneP$' ./internal/udpbatch
 run go test -race -count=10 -timeout 120s -run '^TestRecycleUnderFire$' ./internal/dataplane
+run go test -race -count=200 -timeout 120s -run '^TestRingFullYieldsCounted$' ./internal/dataplane
 bench_out=$(go test -run='^$' -bench='^BenchmarkDataplaneEnqueueSharded$' \
     -benchtime=200000x ./internal/dataplane)
 echo "$bench_out" | grep '^Benchmark' >&2
